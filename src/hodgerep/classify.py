@@ -1,18 +1,21 @@
 """Enumeration drivers and reconciliation against the embedded tables.
 
-The search space is finite: mu + mu* lies in the root lattice with
-strictly positive coordinates, so every supported node of a grading
-element contributes at least 1 to (mu+mu*)(E) and every unit of mu's
-coordinate sum contributes at least 1 as well.  Level <= 3 therefore caps
-both the support size of E and the coordinate sum of mu at 3.
+The search window is complete by construction.  mu + mu* has strictly
+positive integer simple-root coordinates, so for a grading element E each
+node i adds a fixed w_i = (omega_i + omega_i*)(E) >= |supp E| per unit of
+mu_i, and span = (mu + mu*)(E) = sum_i mu_i w_i.  `candidates` yields every
+nonzero dominant mu with span <= level (hence |supp E| <= level); at level
+3 the top eigenspace must be one-dimensional, so supp(mu) is inside
+supp(E).  `evaluate_simple` classifies each candidate, and `combine` the
+products of the level-3 candidates of span 1 and 2.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .errors import ShapeError
+from .errors import ConsistencyError, ShapeError
 from .expected import ExpectedInstance, ExpectedTables, instantiate, load_expected
 from .hodgecore import (
     COMPLEX,
@@ -30,7 +33,7 @@ from .hodgecore import (
     reality_type,
 )
 from .products import FactorSpec, ProductTuple, combine
-from .repweights import DEFAULT_MAX_DIM, dominant_weights_up_to
+from .repweights import DEFAULT_MAX_DIM
 from .rootdata import RANK_BOUNDS, LieType, Weight
 
 AnyTuple = Union[HodgeTuple, ProductTuple]
@@ -42,7 +45,6 @@ class SearchConfig:
     level: int
     families: FrozenSet[str] = frozenset("ABCDEFG")
     include_products: bool = False
-    max_weight_coord_sum: int = 3
     dedupe_automorphisms: bool = False
     max_dim: int = DEFAULT_MAX_DIM
 
@@ -200,20 +202,17 @@ def evaluate_simple(t: LieType, E: GradingElement, mu: Weight, target_level: int
     eigenspace must be one-dimensional, i.e. support(mu) inside support(E).
     """
     span = level(t, mu, E)
-    if span.denominator != 1:
-        return None
-    span_i = int(span)
     reality = reality_type(t, mu, E)
     mu_e = mu_of_grading(t, mu, E)
 
     if target_level == 1:
-        if span_i != 1:
+        if span != 1:
             return None
         case = reality
     else:
-        if span_i not in (1, 2, 3) or not extremal_dim_is_one(mu, E):
+        if span not in (1, 2, 3) or not extremal_dim_is_one(mu, E):
             return None
-        if span_i == 3:
+        if span == 3:
             if reality != REAL:
                 return None
             case = REAL
@@ -226,7 +225,7 @@ def evaluate_simple(t: LieType, E: GradingElement, mu: Weight, target_level: int
         algebra=t,
         E=E,
         mu=tuple(mu),
-        span=span_i,
+        span=span,
         level=target_level,
         reality=reality,
         c=c,
@@ -241,6 +240,41 @@ def _grading_elements(rank: int, max_support: int):
             yield GradingElement.from_nodes(rank, nodes)
 
 
+def candidates(t: LieType, target_level: int
+               ) -> Iterator[Tuple[GradingElement, Weight, int]]:
+    """Every (E, mu, span) with 1 <= span = (mu + mu*)(E) <= target_level
+    on t; at level 3 also supp(mu) inside supp(E)."""
+    rank = t.rank
+    for E in _grading_elements(rank, target_level):
+        w = [level(t, tuple(int(j == i) for j in range(rank)), E) for i in range(rank)]
+        if min(w) < 1:
+            raise ConsistencyError(
+                f"node weights {w} of {t} on E = {E} are not all positive; "
+                "the level bound would miss candidates")
+        nodes = [i - 1 for i in E.support] if target_level == 3 else range(rank)
+        # every w_i >= 1, so mu is a multiset of at most target_level nodes
+        for size in range(1, target_level + 1):
+            for picks in itertools.combinations_with_replacement(nodes, size):
+                span = sum(w[i] for i in picks)
+                if span <= target_level:
+                    yield E, tuple(picks.count(i) for i in range(rank)), span
+
+
+def _products(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec],
+              max_dim: int) -> List[ProductTuple]:
+    """Every 1+1, 1+2 and 1+1+1 factor combination that `combine` accepts."""
+    out = []
+    for factors in itertools.chain(
+            itertools.combinations_with_replacement(pool1, 2),
+            itertools.product(pool1, pool2),
+            itertools.combinations_with_replacement(pool1, 3)):
+        try:
+            out.append(combine(factors, max_dim=max_dim))
+        except ShapeError:
+            pass
+    return out
+
+
 def _annotate_canonical(tuples: List[AnyTuple]) -> List[AnyTuple]:
     out = []
     for t in tuples:
@@ -253,70 +287,26 @@ def _annotate_canonical(tuples: List[AnyTuple]) -> List[AnyTuple]:
     return out
 
 
-_ENUM_CACHE: Dict[SearchConfig, Tuple[AnyTuple, ...]] = {}
-
-
 def enumerate_level(config: SearchConfig) -> List[AnyTuple]:
     """All Hodge tuples of the configured level in the search window.
 
     Output is canonically sorted and deterministic; diagram-automorphism
     duplicates are retained and marked unless dedupe_automorphisms is set.
-    Results are immutable and cached per configuration.
     """
-    cached = _ENUM_CACHE.get(config)
-    if cached is not None:
-        return list(cached)
-    result = _enumerate_level_uncached(config)
-    _ENUM_CACHE[config] = tuple(result)
-    return result
-
-
-def _enumerate_level_uncached(config: SearchConfig) -> List[AnyTuple]:
+    with_products = config.include_products and config.level == 3
     simple: List[HodgeTuple] = []
-    span1_extremal: List[Tuple[LieType, GradingElement, Weight]] = []
-    span2_extremal: List[Tuple[LieType, GradingElement, Weight]] = []
-
+    pools: Dict[int, List[FactorSpec]] = {1: [], 2: []}
     for t in _types_in_window(config.families, config.max_rank):
-        for mu in dominant_weights_up_to(t.rank, config.max_weight_coord_sum):
-            for E in _grading_elements(t.rank, config.level):
-                got = evaluate_simple(t, E, mu, config.level, config.max_dim)
-                if got is not None:
-                    simple.append(got)
-                if config.include_products and config.level == 3:
-                    if extremal_dim_is_one(mu, E):
-                        s = level(t, mu, E)
-                        if s == 1:
-                            span1_extremal.append((t, E, mu))
-                        elif s == 2:
-                            span2_extremal.append((t, E, mu))
+        for E, mu, span in candidates(t, config.level):
+            got = evaluate_simple(t, E, mu, config.level, config.max_dim)
+            if got is not None:
+                simple.append(got)
+            if with_products and span in pools:
+                pools[span].append(FactorSpec(t, E, mu))
 
     results: List[AnyTuple] = _annotate_canonical(simple)
-
-    if config.include_products and config.level == 3:
-        pool1 = [FactorSpec(t, E, mu) for t, E, mu in span1_extremal]
-        pool2 = [FactorSpec(t, E, mu) for t, E, mu in span2_extremal]
-        seen = set()
-        products: List[ProductTuple] = []
-
-        def try_combine(factors):
-            try:
-                p = combine(factors, max_dim=config.max_dim)
-            except ShapeError:
-                return
-            key = _product_key(p.factors)
-            if key not in seen:
-                seen.add(key)
-                products.append(p)
-
-        for f1, f2 in itertools.combinations_with_replacement(pool1, 2):
-            try_combine([f1, f2])
-        for f1 in pool1:
-            for f2 in pool2:
-                try_combine([f1, f2])
-        for combo in itertools.combinations_with_replacement(pool1, 3):
-            try_combine(list(combo))
-        results.extend(_annotate_canonical(products))
-
+    if with_products:
+        results.extend(_annotate_canonical(_products(pools[1], pools[2], config.max_dim)))
     if config.dedupe_automorphisms:
         results = [t for t in results if t.is_canonical]
     results.sort(key=tuple_key)
@@ -410,7 +400,7 @@ def _check_instance(inst: ExpectedInstance, target_level: int,
 
 
 def _factor_pattern(p: ProductTuple) -> Tuple[int, ...]:
-    return tuple(sorted(int(level(f.lie_type, f.mu, f.E)) for f in p.factors))
+    return tuple(sorted(level(f.lie_type, f.mu, f.E) for f in p.factors))
 
 
 def _scope_window(tables: ExpectedTables, names, max_rank: int):

@@ -23,6 +23,7 @@ from .classify import (
 from .errors import HodgeRepError, ResourceLimitError, ShapeError
 from .hodgecore import GradingElement, eigenspace_dims, level
 from .products import FactorSpec, ProductTuple, combine
+from .repweights import DEFAULT_MAX_DIM
 from .rootdata import RANK_BOUNDS, LieType
 
 EXIT_OK = 0
@@ -147,7 +148,7 @@ def _cmd_inspect(args) -> int:
         out.write(f"algebra:    {f.lie_type}\n")
         out.write(f"E:          {f.E}\n")
         out.write(f"mu:         {','.join(str(c) for c in f.mu)}\n")
-        out.write(f"(mu+mu*)(E): {_frac_str(span)}\n")
+        out.write(f"(mu+mu*)(E): {span}\n")
         out.write("eigenspaces of E_ss on U (raw eigenvalues):\n")
         for ev, d in decomp.levels:
             out.write(f"  {_frac_str(ev):>8}  dim {d}\n")
@@ -181,7 +182,6 @@ def _cmd_classify(args) -> int:
         level=args.level,
         families=_parse_families(args.families),
         include_products=args.products,
-        max_weight_coord_sum=args.max_coord_sum,
         dedupe_automorphisms=args.dedupe,
         max_dim=args.max_dim,
     )
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help='fundamental coefficients, e.g. "0,0,1"; per-factor with "x"')
     p.add_argument("--level", type=int, choices=(1, 3), default=3,
                    help="target Hodge level for the assembled vector (default 3)")
-    p.add_argument("--max-dim", type=int, default=10 ** 6)
+    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     p.set_defaults(func=_cmd_inspect)
 
     p = sub.add_parser("classify", help="enumerate all tuples in a search window")
@@ -294,11 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", default="A,B,C,D,E,F,G")
     p.add_argument("--max-rank", type=int, required=True)
     p.add_argument("--products", action="store_true")
-    p.add_argument("--max-coord-sum", type=int, default=3)
     p.add_argument("--dedupe", action="store_true",
                    help="keep only canonical representatives under diagram automorphisms")
     p.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
-    p.add_argument("--max-dim", type=int, default=10 ** 6)
+    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("verify-paper", help="reconcile against the embedded tables")
@@ -310,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the packaged expected-results file")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 on any mismatch, allowlisted or not")
-    p.add_argument("--max-dim", type=int, default=10 ** 6)
+    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     p.set_defaults(func=_cmd_verify)
     return parser
 

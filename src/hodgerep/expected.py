@@ -16,6 +16,7 @@ from importlib import resources
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
+from .errors import InvalidTypeError
 from .rootdata import LieType
 
 EXPECTED_FORMAT = "hodgerep-expected/1"
@@ -188,7 +189,7 @@ def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
                 rank = _eval_int(str(fac["rank"]), fbind)
                 try:
                     lt = LieType(fac["family"], rank)
-                except Exception:
+                except InvalidTypeError:
                     valid = False
                     break
                 nodes = tuple(sorted(_eval_int(n, fbind) for n in fac["E"]))

@@ -151,10 +151,14 @@ def mu_of_grading(t: LieType, mu, E: GradingElement) -> Fraction:
     return sum((rc[i - 1] for i in E.support), Fraction(0))
 
 
-def level(t: LieType, mu, E: GradingElement) -> Fraction:
-    """(mu + mu*)(E_ss), by the closed forms for mu + mu*."""
+def level(t: LieType, mu, E: GradingElement) -> int:
+    """(mu + mu*)(E_ss) by the closed forms; an integer, since mu + mu* =
+    mu - w0(mu) lies in the root lattice."""
     rc = mu_plus_mu_star_closed_form(t, mu)
-    return sum((rc[i - 1] for i in E.support), Fraction(0))
+    total = sum((rc[i - 1] for i in E.support), Fraction(0))
+    if total.denominator != 1:
+        raise ConsistencyError(f"(mu+mu*)(E) = {total} not integral for {tuple(mu)} on {t}")
+    return int(total)
 
 
 def eigenspace_dims(t: LieType, mu, E: GradingElement,
@@ -184,7 +188,8 @@ def eigenspace_dims(t: LieType, mu, E: GradingElement,
         (Fraction(s, den), buckets[s]) for s in sorted(buckets, reverse=True)
     )
     # irreducibility makes the eigenvalue ladder contiguous with unit steps
-    assert all(a - b == 1 for (a, _), (b, _) in zip(levels, levels[1:])), levels
+    if any(a - b != 1 for (a, _), (b, _) in zip(levels, levels[1:])):
+        raise ConsistencyError(f"eigenvalue ladder {levels} has a gap")
     return EigenDecomp(levels=levels)
 
 
@@ -228,7 +233,8 @@ def center_charge(level_n: int, mu_of_E: Fraction, reality: str) -> Fraction:
         return Fraction(0)
     if reality == QUATERNIONIC:
         c = Fraction(level_n, 2) - Fraction(mu_of_E)
-        assert c == 0, "quaternionic case requires mu(E_ss) = n/2"
+        if c != 0:
+            raise ConsistencyError("quaternionic case requires mu(E_ss) = n/2")
         return c
     return Fraction(level_n, 2) - Fraction(mu_of_E)
 

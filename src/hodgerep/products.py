@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import ShapeError
+from .errors import ConsistencyError, ShapeError
 from .hodgecore import (
     COMPLEX,
     QUATERNIONIC,
@@ -108,9 +108,9 @@ def combine(factors: Sequence[FactorSpec],
                 "dimension > 1 (support of mu not inside support of E)"
             )
         s = level(f.lie_type, f.mu, f.E)
-        if s.denominator != 1 or s < 1:
+        if s < 1:
             raise ShapeError(f"factor level {s} is not a positive integer")
-        spans.append(int(s))
+        spans.append(s)
 
     pattern = tuple(sorted(spans))
     if pattern not in ((1, 1), (1, 2), (1, 1, 1)):
@@ -137,7 +137,8 @@ def combine(factors: Sequence[FactorSpec],
                 f"level pattern {pattern} requires a real joint type, got {joint}"
             )
         c = Fraction(0)
-        assert mu_e == Fraction(3, 2), "real product must already sit at mu(E) = 3/2"
+        if mu_e != Fraction(3, 2):
+            raise ConsistencyError("real product must already sit at mu(E) = 3/2")
         case = REAL
 
     conv = convolve_eigen([eigenspace_dims(f.lie_type, f.mu, f.E, max_dim=max_dim)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List
 
-from .errors import NonDominantError, ResourceLimitError
+from .errors import ConsistencyError, NonDominantError, ResourceLimitError
 from .rootdata import (
     LieType,
     RootSystemData,
@@ -62,7 +62,8 @@ def weyl_dim(t: LieType, mu) -> int:
     for beta in rsd.positive_roots:
         num *= _pairing(rsd, mu_rho, beta)
         den *= _pairing(rsd, rho, beta)
-    assert num % den == 0, "Weyl dimension did not come out integral"
+    if num % den:
+        raise ConsistencyError(f"Weyl dimension of {tuple(mu)} on {t} is not integral")
     return num // den
 
 
@@ -128,7 +129,8 @@ def _root_height_from(t: LieType, mu: Weight, lam: Weight) -> int:
     """Height of mu - lam in the root lattice (number of simple-root steps)."""
     rc = weight_to_root_coords(t, tuple(m - l for m, l in zip(mu, lam)))
     total = sum(rc)
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise ConsistencyError(f"{tuple(mu)} - {tuple(lam)} is not in the root lattice")
     return int(total)
 
 
@@ -166,7 +168,8 @@ def _freudenthal(t: LieType, mu: Weight) -> Dict[Weight, int]:
         diff_rc = weight_to_root_coords(t, tuple(m - l for m, l in zip(mu, lam)))
         w = tuple(mu[i] + lam[i] + 2 * rho[i] for i in range(rank))
         den = sum(int(diff_rc[j]) * rsd.symmetrizer[j] * w[j] for j in range(rank))
-        assert den > 0 and (2 * acc) % den == 0, "Freudenthal recursion inconsistency"
+        if den <= 0 or (2 * acc) % den:
+            raise ConsistencyError(f"Freudenthal recursion inconsistent at {lam} in V{mu}")
         mult[lam] = (2 * acc) // den
     return mult
 
@@ -188,7 +191,8 @@ def _weight_system_cached(t: LieType, mu: Weight, max_dim: int) -> WeightSystem:
         for w in weyl_orbit(t, lam):
             full[w] = m
     ws = WeightSystem(lie_type=t, highest=tuple(mu), multiplicities=full)
-    assert ws.dimension == dim, f"multiplicity total {ws.dimension} != weyl_dim {dim}"
+    if ws.dimension != dim:
+        raise ConsistencyError(f"multiplicity total {ws.dimension} != weyl_dim {dim}")
     return ws
 
 
@@ -199,17 +203,3 @@ def weight_system(t: LieType, mu, max_dim: int = DEFAULT_MAX_DIM) -> WeightSyste
     """
     _check_dominant(mu)
     return _weight_system_cached(t, tuple(int(c) for c in mu), max_dim)
-
-
-def dominant_weights_up_to(rank: int, max_coord_sum: int) -> Iterator[Weight]:
-    """All dominant weights with 1 <= coordinate sum <= max_coord_sum."""
-
-    def rec(pos: int, remaining: int, acc: Tuple[int, ...]):
-        if pos == rank:
-            if sum(acc) >= 1:
-                yield acc
-            return
-        for c in range(remaining + 1):
-            yield from rec(pos + 1, remaining - c, acc + (c,))
-
-    yield from rec(0, max_coord_sum, ())

@@ -3,13 +3,91 @@
 Multiplicities here come from Kostant's formula: an alternating sum of
 partition-function counts over the full Weyl group.  Nothing is shared
 with the engine's Freudenthal/orbit path except the static root catalog.
+
+The enumeration oracle is the exhaustive sweep the engine's level-bound
+generator replaced: every dominant weight up to a coordinate-sum cap
+against every grading element, each classified by `evaluate_simple`, and
+every span-1/span-2 extremal pair offered to `combine`.
 """
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
-from hodgerep.rootdata import LieType, root_system, weight_to_root_coords
+from hodgerep.classify import SearchConfig, canonicalize, evaluate_simple, tuple_key
+from hodgerep.errors import ShapeError
+from hodgerep.hodgecore import GradingElement, extremal_dim_is_one, level
+from hodgerep.products import FactorSpec, combine
+from hodgerep.rootdata import RANK_BOUNDS, LieType, root_system, weight_to_root_coords
+
+
+def dominant_weights_up_to(rank: int, max_coord_sum: int) -> Iterator[Tuple[int, ...]]:
+    """All dominant weights with 1 <= coordinate sum <= max_coord_sum."""
+
+    def rec(pos: int, remaining: int, acc: Tuple[int, ...]):
+        if pos == rank:
+            if sum(acc) >= 1:
+                yield acc
+            return
+        for c in range(remaining + 1):
+            yield from rec(pos + 1, remaining - c, acc + (c,))
+
+    yield from rec(0, max_coord_sum, ())
+
+
+def _annotate(tuples):
+    out = []
+    for t in tuples:
+        key = canonicalize(t).canonical_key
+        out.append(replace(t, canonical_key=key, is_canonical=(tuple_key(t)[1:] == key)))
+    return out
+
+
+def enumerate_level_brute(config: SearchConfig, max_coord_sum: int = 3) -> list:
+    """`enumerate_level` by exhaustive sweep.  Complete whenever
+    max_coord_sum >= config.level, since every node adds at least 1 to
+    the span per unit of mu."""
+    simple = []
+    span1, span2 = [], []
+    for fam in sorted(config.families):
+        lo, hi = RANK_BOUNDS[fam]
+        for r in range(lo, min(config.max_rank, hi or config.max_rank) + 1):
+            t = LieType(fam, r)
+            for mu in dominant_weights_up_to(r, max_coord_sum):
+                for size in range(1, min(r, config.level) + 1):
+                    for nodes in itertools.combinations(range(1, r + 1), size):
+                        E = GradingElement.from_nodes(r, nodes)
+                        got = evaluate_simple(t, E, mu, config.level, config.max_dim)
+                        if got is not None:
+                            simple.append(got)
+                        if config.include_products and config.level == 3 \
+                                and extremal_dim_is_one(mu, E):
+                            s = level(t, mu, E)
+                            if s == 1:
+                                span1.append(FactorSpec(t, E, mu))
+                            elif s == 2:
+                                span2.append(FactorSpec(t, E, mu))
+
+    results = _annotate(simple)
+    if config.include_products and config.level == 3:
+        products = {}
+        combos = itertools.chain(
+            itertools.combinations_with_replacement(span1, 2),
+            itertools.product(span1, span2),
+            itertools.combinations_with_replacement(span1, 3))
+        for factors in combos:
+            try:
+                p = combine(factors, max_dim=config.max_dim)
+            except ShapeError:
+                continue
+            products.setdefault(tuple_key(p), p)
+        results.extend(_annotate(products.values()))
+    if config.dedupe_automorphisms:
+        results = [t for t in results if t.is_canonical]
+    results.sort(key=tuple_key)
+    return results
 
 
 def weyl_group(t: LieType) -> List[Tuple[Tuple[Tuple[int, ...], ...], int]]:

@@ -17,7 +17,7 @@ from hodgerep.hodgecore import (
     extremal_dim_is_one,
     reality_type,
 )
-from hodgerep.repweights import dominant_weights_up_to, weight_system, weyl_dim
+from hodgerep.repweights import weight_system, weyl_dim
 from hodgerep.rootdata import (
     LieType,
     catalogued_types,
@@ -26,7 +26,7 @@ from hodgerep.rootdata import (
     weight_to_root_coords,
 )
 
-from oracles import kostant_multiplicity
+from oracles import dominant_weights_up_to, kostant_multiplicity
 
 E = GradingElement.from_nodes
 
@@ -233,12 +233,9 @@ def test_criterion_7_multiplicity_engine():
 
 def test_criterion_8_determinism_and_shape():
     t0 = time.time()
-    import hodgerep.classify as classify_mod
     cfg = SearchConfig(max_rank=4, level=3, families=frozenset("ABCDFG"),
                        include_products=True)
-    classify_mod._ENUM_CACHE.clear()
     first = enumerate_level(cfg)
-    classify_mod._ENUM_CACHE.clear()
     second = enumerate_level(cfg)
     bytes1 = json.dumps([record_of(t) for t in first]).encode()
     bytes2 = json.dumps([record_of(t) for t in second]).encode()

@@ -4,6 +4,7 @@ import pytest
 
 from hodgerep.classify import (
     SearchConfig,
+    candidates,
     canonicalize,
     coverage_key,
     diagram_automorphisms,
@@ -13,8 +14,17 @@ from hodgerep.classify import (
     verify_paper,
 )
 from hodgerep.cli import record_of
-from hodgerep.hodgecore import GradingElement, HodgeTuple, eigenspace_dims
+from hodgerep.expected import load_expected
+from hodgerep.hodgecore import (
+    GradingElement,
+    HodgeTuple,
+    eigenspace_dims,
+    extremal_dim_is_one,
+    level,
+)
 from hodgerep.rootdata import LieType
+
+from oracles import enumerate_level_brute
 
 E = GradingElement.from_nodes
 
@@ -135,14 +145,44 @@ def test_completeness_at_small_rank():
 
 
 def test_determinism():
-    import hodgerep.classify as classify_mod
     cfg = SearchConfig(max_rank=4, level=3, families=frozenset("ABCD"),
                        include_products=True)
-    classify_mod._ENUM_CACHE.clear()
     a = json.dumps([record_of(t) for t in enumerate_level(cfg)])
-    classify_mod._ENUM_CACHE.clear()
     b = json.dumps([record_of(t) for t in enumerate_level(cfg)])
     assert a == b
+
+
+@pytest.mark.parametrize("target,products", [(1, False), (3, True)])
+def test_level_bound_matches_brute_force_sweep(target, products):
+    """The level-bound generator is complete: byte-identical to the
+    exhaustive coordinate-sum sweep over every family at rank <= 8."""
+    cfg = SearchConfig(max_rank=8, level=target, include_products=products)
+    got = json.dumps([record_of(t) for t in enumerate_level(cfg)])
+    want = json.dumps([record_of(t) for t in enumerate_level_brute(cfg)])
+    assert got == want
+
+
+def test_candidates_respect_level_bound():
+    t = LieType("C", 3)
+    for target in (1, 3):
+        for g, mu, span in candidates(t, target):
+            assert 1 <= span == level(t, mu, g) <= target
+            if target == 3:
+                assert extremal_dim_is_one(mu, g)
+    spans = {(g.support, mu): s for g, mu, s in candidates(t, 3)}
+    assert spans[((3,), (0, 0, 1))] == 3
+    assert ((1,), (0, 0, 1)) not in spans   # supp(mu) outside supp(E)
+
+
+def test_malformed_expected_row_raises(tmp_path):
+    tables = load_expected()
+    raw = json.loads(json.dumps(tables.raw))
+    raw["tables"]["thm2.1"]["items"][0]["factors"][0]["family"] = ["A"]
+    path = tmp_path / "expected.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(TypeError):
+        verify_paper(scope="thm2.1", max_rank=4, expected_path=str(path),
+                     include_computed_only=False)
 
 
 def test_dedupe_flag_keeps_canonical_only():

@@ -51,6 +51,12 @@ def test_usage_error_exit_64(capsys):
     assert code == 64
 
 
+def test_removed_max_coord_sum_flag_exit_64(capsys):
+    code, _, _ = run(capsys, "classify", "--level", "3", "--max-rank", "3",
+                     "--max-coord-sum", "3")
+    assert code == 64
+
+
 def test_resource_guard_exit_70(capsys):
     code, _, err = run(capsys, "inspect", "C3", "--E", "3", "--mu", "0,0,1",
                        "--max-dim", "10")

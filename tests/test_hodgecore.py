@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -20,8 +23,9 @@ from hodgerep.hodgecore import (
     real_form,
     reality_type,
 )
-from hodgerep.repweights import dominant_weights_up_to
 from hodgerep.rootdata import LieType, dual_weight
+
+from oracles import dominant_weights_up_to
 
 E = GradingElement.from_nodes
 
@@ -85,6 +89,21 @@ def test_center_charge():
     t = LieType("A", 3)
     m = mu_of_grading(t, fundamental(3, 1), E(3, [1]))
     assert center_charge(1, m, COMPLEX) == Q(-1, 4)
+
+
+def test_quaternionic_charge_check_survives_optimize():
+    code = ("from fractions import Fraction\n"
+            "from hodgerep.errors import ConsistencyError\n"
+            "from hodgerep.hodgecore import center_charge\n"
+            "try:\n"
+            "    center_charge(3, Fraction(1), 'quaternionic')\n"
+            "except ConsistencyError:\n"
+            "    print('raised')\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "raised\n"
 
 
 def test_hodge_vector_real():

@@ -3,14 +3,13 @@ import pytest
 from hodgerep.errors import NonDominantError, ResourceLimitError
 from hodgerep.repweights import (
     dominant_conjugate,
-    dominant_weights_up_to,
     weight_system,
     weyl_dim,
     weyl_orbit,
 )
 from hodgerep.rootdata import LieType, dual_weight
 
-from oracles import kostant_multiplicity
+from oracles import dominant_weights_up_to, kostant_multiplicity
 
 
 def w(*coords):
