@@ -187,6 +187,9 @@ def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
             valid = True
             for fac in item["factors"]:
                 rank = _eval_int(str(fac["rank"]), fbind)
+                if not isinstance(fac["family"], str):
+                    raise ValueError(f"{table_name} item {item.get('item')}: "
+                                     f"family must be a string, got {fac['family']!r}")
                 try:
                     lt = LieType(fac["family"], rank)
                 except InvalidTypeError:

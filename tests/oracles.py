@@ -5,18 +5,17 @@ partition-function counts over the full Weyl group.  Nothing is shared
 with the engine's Freudenthal/orbit path except the static root catalog.
 
 The enumeration oracle is the exhaustive sweep the engine's level-bound
-generator replaced: every dominant weight up to a coordinate-sum cap
+generator replaced: every dominant weight with coordinate sum <= 3
 against every grading element, each classified by `evaluate_simple`, and
 every span-1/span-2 extremal pair offered to `combine`.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from functools import lru_cache
 from typing import Iterator, List, Tuple
 
-from hodgerep.classify import SearchConfig, canonicalize, evaluate_simple, tuple_key
+from hodgerep.classify import SearchConfig, _annotate_canonical, evaluate_simple, tuple_key
 from hodgerep.errors import ShapeError
 from hodgerep.hodgecore import GradingElement, extremal_dim_is_one, level
 from hodgerep.products import FactorSpec, combine
@@ -37,25 +36,17 @@ def dominant_weights_up_to(rank: int, max_coord_sum: int) -> Iterator[Tuple[int,
     yield from rec(0, max_coord_sum, ())
 
 
-def _annotate(tuples):
-    out = []
-    for t in tuples:
-        key = canonicalize(t).canonical_key
-        out.append(replace(t, canonical_key=key, is_canonical=(tuple_key(t)[1:] == key)))
-    return out
-
-
-def enumerate_level_brute(config: SearchConfig, max_coord_sum: int = 3) -> list:
-    """`enumerate_level` by exhaustive sweep.  Complete whenever
-    max_coord_sum >= config.level, since every node adds at least 1 to
-    the span per unit of mu."""
+def enumerate_level_brute(config: SearchConfig) -> list:
+    """`enumerate_level` by exhaustive sweep over every dominant weight
+    with coordinate sum <= 3.  Complete for levels 1 and 3, since every
+    node adds at least 1 to the span per unit of mu."""
     simple = []
     span1, span2 = [], []
     for fam in sorted(config.families):
         lo, hi = RANK_BOUNDS[fam]
         for r in range(lo, min(config.max_rank, hi or config.max_rank) + 1):
             t = LieType(fam, r)
-            for mu in dominant_weights_up_to(r, max_coord_sum):
+            for mu in dominant_weights_up_to(r, 3):
                 for size in range(1, min(r, config.level) + 1):
                     for nodes in itertools.combinations(range(1, r + 1), size):
                         E = GradingElement.from_nodes(r, nodes)
@@ -70,7 +61,7 @@ def enumerate_level_brute(config: SearchConfig, max_coord_sum: int = 3) -> list:
                             elif s == 2:
                                 span2.append(FactorSpec(t, E, mu))
 
-    results = _annotate(simple)
+    results = _annotate_canonical(simple)
     if config.include_products and config.level == 3:
         products = {}
         combos = itertools.chain(
@@ -83,7 +74,7 @@ def enumerate_level_brute(config: SearchConfig, max_coord_sum: int = 3) -> list:
             except ShapeError:
                 continue
             products.setdefault(tuple_key(p), p)
-        results.extend(_annotate(products.values()))
+        results.extend(_annotate_canonical(products.values()))
     if config.dedupe_automorphisms:
         results = [t for t in results if t.is_canonical]
     results.sort(key=tuple_key)

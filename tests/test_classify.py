@@ -13,7 +13,7 @@ from hodgerep.classify import (
     tuple_key,
     verify_paper,
 )
-from hodgerep.cli import record_of
+from hodgerep.cli import main, record_of
 from hodgerep.expected import load_expected
 from hodgerep.hodgecore import (
     GradingElement,
@@ -180,9 +180,11 @@ def test_malformed_expected_row_raises(tmp_path):
     raw["tables"]["thm2.1"]["items"][0]["factors"][0]["family"] = ["A"]
     path = tmp_path / "expected.json"
     path.write_text(json.dumps(raw))
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="thm2.1 item .*family must be a string"):
         verify_paper(scope="thm2.1", max_rank=4, expected_path=str(path),
                      include_computed_only=False)
+    assert main(["verify-paper", "--scope", "thm2.1", "--max-rank", "4",
+                 "--expected-file", str(path)]) == 64
 
 
 def test_dedupe_flag_keeps_canonical_only():
