@@ -40,6 +40,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _max_dim(text: str) -> int:
+    """--max-dim: a positive integer; 0 or less would reject every system."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _frac_str(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -286,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help='fundamental coefficients, e.g. "0,0,1"; per-factor with "x"')
     p.add_argument("--level", type=int, choices=(1, 3), default=3,
                    help="target Hodge level for the assembled vector (default 3)")
-    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
+    p.add_argument("--max-dim", type=_max_dim, default=DEFAULT_MAX_DIM)
     p.set_defaults(func=_cmd_inspect)
 
     p = sub.add_parser("classify", help="enumerate all tuples in a search window")
@@ -297,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dedupe", action="store_true",
                    help="keep only canonical representatives under diagram automorphisms")
     p.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
-    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
+    p.add_argument("--max-dim", type=_max_dim, default=DEFAULT_MAX_DIM)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("verify-paper", help="reconcile against the embedded tables")
@@ -309,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the packaged expected-results file")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 on any mismatch, allowlisted or not")
-    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
+    p.add_argument("--max-dim", type=_max_dim, default=DEFAULT_MAX_DIM)
     p.set_defaults(func=_cmd_verify)
     return parser
 

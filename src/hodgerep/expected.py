@@ -162,22 +162,50 @@ def _param_bindings(params: dict, max_rank: int) -> List[Dict[str, int]]:
     return out
 
 
-def _resolve_case(item: dict, fbind: Dict[str, Fraction]) -> Tuple[str, List[str]]:
+def _field(row: dict, name: str, where: str, kind: type, what: str):
+    """row[name], which must be present and a `kind`."""
+    if name not in row:
+        raise ValueError(f"{where}: missing field {name!r}")
+    if not isinstance(row[name], kind):
+        raise ValueError(f"{where}: {name} must be {what}, got {row[name]!r}")
+    return row[name]
+
+
+def _node(expr, rank: int, bindings, where: str, name: str) -> int:
+    """A 1-based node index from a row's E or mu field, within 1..rank."""
+    if not isinstance(expr, (str, int)):
+        raise ValueError(f"{where}: {name} node must be a string or an integer, "
+                         f"got {expr!r}")
+    node = _eval_int(str(expr), bindings)
+    if not 1 <= node <= rank:
+        raise ValueError(f"{where}: {name} node {node} outside 1..{rank}")
+    return node
+
+
+def _resolve_case(item: dict, fbind: Dict[str, Fraction], where: str
+                  ) -> Tuple[str, List[str]]:
     """Pick the (reality, h) pair whose guard holds under the binding."""
+    row = item
     if "cases" in item:
-        for case in item["cases"]:
-            if bool(_eval(case["when"], fbind)):
-                return case["reality"], case["h"]
-        raise ValueError(f"no case guard matched for item {item.get('item')}")
-    return item["reality"], item["h"]
+        row = next((case for case in item["cases"] if bool(_eval(case["when"], fbind))),
+                   None)
+        if row is None:
+            raise ValueError(f"{where}: no case guard matched")
+    return (_field(row, "reality", where, str, "a string"),
+            _field(row, "h", where, list, "a list"))
 
 
 def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
                 ) -> Dict[int, List[ExpectedInstance]]:
-    """All concrete instances of every row of one table, keyed by item."""
+    """All concrete instances of every row of one table, keyed by item.
+
+    A malformed row raises ValueError naming the table, the item and the
+    field.
+    """
     table = tables.tables[table_name]
     out: Dict[int, List[ExpectedInstance]] = {}
     for item in table["items"]:
+        where = f"{table_name} item {item.get('item')}"
         instances: List[ExpectedInstance] = []
         for binding in _param_bindings(item.get("params", {}), max_rank):
             fbind = {k: Fraction(v) for k, v in binding.items()}
@@ -187,22 +215,22 @@ def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
             valid = True
             for fac in item["factors"]:
                 rank = _eval_int(str(fac["rank"]), fbind)
-                if not isinstance(fac["family"], str):
-                    raise ValueError(f"{table_name} item {item.get('item')}: "
-                                     f"family must be a string, got {fac['family']!r}")
+                family = _field(fac, "family", where, str, "a string")
                 try:
-                    lt = LieType(fac["family"], rank)
+                    lt = LieType(family, rank)
                 except InvalidTypeError:
                     valid = False
                     break
-                nodes = tuple(sorted(_eval_int(n, fbind) for n in fac["E"]))
+                nodes = tuple(sorted(_node(n, rank, fbind, where, "E")
+                                     for n in _field(fac, "E", where, list, "a list")))
                 mu = [0] * rank
-                for node_expr, coeff_expr in fac["mu"]:
-                    mu[_eval_int(node_expr, fbind) - 1] = _eval_int(str(coeff_expr), fbind)
+                for node_expr, coeff_expr in _field(fac, "mu", where, list, "a list"):
+                    mu[_node(node_expr, rank, fbind, where, "mu") - 1] = \
+                        _eval_int(str(coeff_expr), fbind)
                 factors.append((lt, nodes, tuple(mu)))
             if not valid:
                 continue
-            reality, h_exprs = _resolve_case(item, fbind)
+            reality, h_exprs = _resolve_case(item, fbind, where)
             rf = item.get("real_form")
             if rf is not None and not isinstance(rf, list):
                 rf = [rf]
@@ -211,7 +239,7 @@ def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
                 item=item["item"],
                 bindings=binding,
                 factors=tuple(factors),
-                c=Fraction(_eval(item["c"], fbind)),
+                c=Fraction(_eval(_field(item, "c", where, str, "a string"), fbind)),
                 h=tuple(_eval_int(e, fbind) for e in h_exprs),
                 reality=reality,
                 real_forms=None if rf is None else tuple(

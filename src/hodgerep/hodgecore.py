@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, ShapeError
-from .repweights import DEFAULT_MAX_DIM, weight_system
+from .repweights import DEFAULT_MAX_DIM, weight_system, weyl_orbit
 from .rootdata import (
     LieType,
     Weight,
@@ -163,9 +164,11 @@ def level(t: LieType, mu, E: GradingElement) -> int:
 
 def eigenspace_dims(t: LieType, mu, E: GradingElement,
                     max_dim: int = DEFAULT_MAX_DIM) -> EigenDecomp:
-    """Group the weight system of mu by the eigenvalue lambda(E_ss).
+    """Dimensions of the eigenspaces of E_ss on the weight spaces of V(mu).
 
-    Eigenvalues step down by the number of supported simple roots
+    Each dominant weight lambda adds its multiplicity to the eigenvalue
+    nu(E_ss) of every nu in its Weyl orbit; the full weight map is never
+    built.  Eigenvalues step down by the number of supported simple roots
     subtracted from mu, so lambda(E) = mu(E) - k with k a nonnegative
     integer.
     """
@@ -181,9 +184,11 @@ def eigenspace_dims(t: LieType, mu, E: GradingElement,
     int_row = [int(x * den) for x in row]
 
     buckets = {}
-    for lam, m in ws.items():
-        s = sum(int_row[j] * lam[j] for j in range(rank))
-        buckets[s] = buckets.get(s, 0) + m
+    for lam, m in ws.dominant:
+        for nu in weyl_orbit(t, lam):
+            s = sum(map(mul, int_row, nu))
+            buckets[s] = buckets.get(s, 0) + m
+    ws.check_total(sum(buckets.values()))
     levels = tuple(
         (Fraction(s, den), buckets[s]) for s in sorted(buckets, reverse=True)
     )

@@ -73,6 +73,10 @@ class RootSystemData:
     cartan          row i = alpha_i in fundamental-weight coordinates
     inverse_cartan  exact rational inverse of cartan
     positive_roots  integer vectors in simple-root coordinates, by height
+    positive_roots_fund  the same roots in fundamental coordinates
+    neighbours      per node i, the pairs (j, cartan[i][j]) with j != i and
+                    cartan[i][j] != 0: the Dynkin neighbours that a simple
+                    reflection s_i moves besides i itself
     weyl_vector     rho, all ones in fundamental coordinates
     symmetrizer     d_i = (alpha_i, alpha_i)/2 with short roots of length^2 2
     """
@@ -81,6 +85,8 @@ class RootSystemData:
     cartan: IntMatrix
     inverse_cartan: RationalMatrix
     positive_roots: Tuple[RootCoords, ...]
+    positive_roots_fund: Tuple[Weight, ...]
+    neighbours: Tuple[Tuple[Tuple[int, int], ...], ...]
     weyl_vector: Weight
     symmetrizer: Tuple[int, ...]
 
@@ -202,11 +208,19 @@ def _positive_roots(cartan: IntMatrix) -> Tuple[RootCoords, ...]:
 def root_system(t: LieType) -> RootSystemData:
     """Full catalog entry for a simple type (cached, immutable)."""
     cartan = _cartan_matrix(t)
+    r = t.rank
+    roots = _positive_roots(cartan)
     return RootSystemData(
         lie_type=t,
         cartan=cartan,
         inverse_cartan=_invert_exact(cartan),
-        positive_roots=_positive_roots(cartan),
+        positive_roots=roots,
+        positive_roots_fund=tuple(
+            tuple(sum(beta[j] * cartan[j][i] for j in range(r)) for i in range(r))
+            for beta in roots),
+        neighbours=tuple(
+            tuple((j, cartan[i][j]) for j in range(r) if j != i and cartan[i][j])
+            for i in range(r)),
         weyl_vector=tuple([1] * t.rank),
         symmetrizer=_symmetrizer(t),
     )

@@ -4,6 +4,12 @@ Multiplicities here come from Kostant's formula: an alternating sum of
 partition-function counts over the full Weyl group.  Nothing is shared
 with the engine's Freudenthal/orbit path except the static root catalog.
 
+The eigenspace oracle is the full-map route the orbit-walk bucketing
+replaced: every Weyl orbit expanded by all-node breadth-first search over
+full simple reflections into one weight -> multiplicity map, which is
+then grouped by eigenvalue.  It shares only the size guard and the
+Freudenthal dominant multiplicities with the engine.
+
 The enumeration oracle is the exhaustive sweep the engine's level-bound
 generator replaced: every dominant weight with coordinate sum <= 3
 against every grading element, each classified by `evaluate_simple`, and
@@ -12,13 +18,16 @@ every span-1/span-2 extremal pair offered to `combine`.
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from hodgerep.classify import SearchConfig, _annotate_canonical, evaluate_simple, tuple_key
-from hodgerep.errors import ShapeError
-from hodgerep.hodgecore import GradingElement, extremal_dim_is_one, level
+from hodgerep.errors import ConsistencyError, ShapeError
+from hodgerep.hodgecore import EigenDecomp, GradingElement, extremal_dim_is_one, level
 from hodgerep.products import FactorSpec, combine
+from hodgerep.repweights import DEFAULT_MAX_DIM, weight_system
 from hodgerep.rootdata import RANK_BOUNDS, LieType, root_system, weight_to_root_coords
 
 
@@ -79,6 +88,71 @@ def enumerate_level_brute(config: SearchConfig) -> list:
         results = [t for t in results if t.is_canonical]
     results.sort(key=tuple_key)
     return results
+
+
+def reflect(t: LieType, w, i: int) -> Tuple[int, ...]:
+    """Simple reflection s_i (0-based node index) in fundamental coordinates."""
+    cartan = root_system(t).cartan
+    ci = w[i]
+    return tuple(w[j] - ci * cartan[i][j] for j in range(len(w)))
+
+
+def weyl_orbit_bfs(t: LieType, w) -> List[Tuple[int, ...]]:
+    """Full Weyl orbit of a weight: breadth-first search over every simple
+    reflection, with a visited set."""
+    seen = {tuple(w)}
+    frontier = [tuple(w)]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(t.rank):
+                u = reflect(t, v, i)
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return sorted(seen)
+
+
+@lru_cache(maxsize=None)
+def full_weight_map(t: LieType, mu: Tuple[int, ...]) -> Dict[Tuple[int, ...], int]:
+    """Every weight of V(mu) with its multiplicity, each dominant weight's
+    Freudenthal multiplicity spread over its breadth-first orbit."""
+    ws = weight_system(t, mu)
+    full = {}
+    for lam, m in ws.dominant:
+        for w in weyl_orbit_bfs(t, lam):
+            full[w] = m
+    if sum(full.values()) != ws.dimension:
+        raise ConsistencyError(f"multiplicity total {sum(full.values())} != "
+                               f"weyl_dim {ws.dimension}")
+    return full
+
+
+def eigenspace_dims_full(t: LieType, mu, E: GradingElement,
+                         max_dim: int = DEFAULT_MAX_DIM) -> EigenDecomp:
+    """`eigenspace_dims` by grouping the full weight map by the eigenvalue
+    lambda(E_ss)."""
+    weight_system(t, mu, max_dim=max_dim)  # the size guard
+    rank = t.rank
+    inv = root_system(t).inverse_cartan
+    sup = [i - 1 for i in E.support]
+    row = [sum(inv[j][i] for i in sup) for j in range(rank)]
+    den = 1
+    for x in row:
+        den = den * x.denominator // math.gcd(den, x.denominator)
+    int_row = [int(x * den) for x in row]
+
+    buckets = {}
+    for lam, m in full_weight_map(t, tuple(mu)).items():
+        s = sum(int_row[j] * lam[j] for j in range(rank))
+        buckets[s] = buckets.get(s, 0) + m
+    levels = tuple(
+        (Fraction(s, den), buckets[s]) for s in sorted(buckets, reverse=True)
+    )
+    if any(a - b != 1 for (a, _), (b, _) in zip(levels, levels[1:])):
+        raise ConsistencyError(f"eigenvalue ladder {levels} has a gap")
+    return EigenDecomp(levels=levels)
 
 
 def weyl_group(t: LieType) -> List[Tuple[Tuple[Tuple[int, ...], ...], int]]:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -174,13 +175,33 @@ def test_candidates_respect_level_bound():
     assert ((1,), (0, 0, 1)) not in spans   # supp(mu) outside supp(E)
 
 
-def test_malformed_expected_row_raises(tmp_path):
+def _set_factor(field, value):
+    return lambda item: item["factors"][0].__setitem__(field, value)
+
+
+def _drop_from_cases(field):
+    return lambda item: [case.pop(field) for case in item["cases"]]
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (_set_factor("family", ["A"]), "family must be a string"),
+    (_set_factor("E", {"n": "1"}), "E must be a list"),
+    (_set_factor("E", 1), "E must be a list"),
+    (_set_factor("E", [{"n": 1}]), "E node must be a string or an integer"),
+    (_set_factor("mu", [["r+1", 1]]), "mu node 2 outside 1..1"),
+    (_set_factor("mu", [["0", 1]]), "mu node 0 outside 1..1"),
+    (lambda item: item.pop("c"), "missing field 'c'"),
+    (_drop_from_cases("h"), "missing field 'h'"),
+    (_drop_from_cases("reality"), "missing field 'reality'"),
+], ids=["list-family", "dict-E", "int-E", "dict-E-node", "mu-node-above-rank",
+        "mu-node-0", "missing-c", "missing-h", "missing-reality"])
+def test_malformed_expected_row_raises(tmp_path, mutate, message):
     tables = load_expected()
     raw = json.loads(json.dumps(tables.raw))
-    raw["tables"]["thm2.1"]["items"][0]["factors"][0]["family"] = ["A"]
+    mutate(raw["tables"]["thm2.1"]["items"][0])
     path = tmp_path / "expected.json"
     path.write_text(json.dumps(raw))
-    with pytest.raises(ValueError, match="thm2.1 item .*family must be a string"):
+    with pytest.raises(ValueError, match=r"thm2\.1 item 1: " + re.escape(message)):
         verify_paper(scope="thm2.1", max_rank=4, expected_path=str(path),
                      include_computed_only=False)
     assert main(["verify-paper", "--scope", "thm2.1", "--max-rank", "4",

@@ -57,6 +57,19 @@ def test_removed_max_coord_sum_flag_exit_64(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("command", [
+    ["inspect", "C3", "--E", "3", "--mu", "0,0,1"],
+    ["classify", "--level", "3", "--max-rank", "3"],
+    ["verify-paper", "--scope", "thm2.1", "--max-rank", "3"],
+], ids=["inspect", "classify", "verify-paper"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_non_positive_max_dim_exit_64(capsys, command, value):
+    code, out, err = run(capsys, *command, f"--max-dim={value}")
+    assert code == 64
+    assert "--max-dim: expected a positive integer" in err
+    assert out == ""
+
+
 def test_resource_guard_exit_70(capsys):
     code, _, err = run(capsys, "inspect", "C3", "--E", "3", "--mu", "0,0,1",
                        "--max-dim", "10")

@@ -5,8 +5,10 @@ import sys
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hodgerep.errors import ShapeError
+from hodgerep.errors import HodgeRepError, ResourceLimitError, ShapeError
 from hodgerep.hodgecore import (
     COMPLEX,
     QUATERNIONIC,
@@ -23,9 +25,10 @@ from hodgerep.hodgecore import (
     real_form,
     reality_type,
 )
-from hodgerep.rootdata import LieType, dual_weight
+from hodgerep.repweights import weight_system, weyl_dim
+from hodgerep.rootdata import RANK_BOUNDS, LieType, catalogued_types, dual_weight
 
-from oracles import dominant_weights_up_to
+from oracles import dominant_weights_up_to, eigenspace_dims_full
 
 E = GradingElement.from_nodes
 
@@ -210,3 +213,72 @@ def test_hodge_vector_predicates():
     assert not HodgeVector((2, 5, 5, 2)).is_cy3
     assert HodgeVector((4, 4)).is_weight1
     assert HodgeVector((1, 2, 2, 1)).is_palindromic
+
+
+ORACLE_MAX_DIM = 100
+
+
+def _small_cases():
+    """(type, mu, E): every type of rank <= 8 with its fundamental weights,
+    and sums of two fundamentals at rank <= 6, of dimension <= ORACLE_MAX_DIM,
+    against every grading element of at most 3 nodes."""
+    for t in catalogued_types(8):
+        r = t.rank
+        fund = [fundamental(r, i) for i in range(1, r + 1)]
+        mus = fund
+        if r <= 6:
+            mus = mus + [tuple(map(sum, zip(a, b)))
+                         for a, b in itertools.combinations_with_replacement(fund, 2)]
+        gradings = [g for g in _all_gradings(r) if len(g.support) <= 3]
+        for mu in mus:
+            if weyl_dim(t, mu) <= ORACLE_MAX_DIM:
+                for g in gradings:
+                    yield t, mu, g
+
+
+def test_orbit_bucketing_matches_full_map_oracle():
+    checked = 0
+    for t, mu, g in _small_cases():
+        got = eigenspace_dims(t, mu, g, max_dim=ORACLE_MAX_DIM)
+        assert got == eigenspace_dims_full(t, mu, g, max_dim=ORACLE_MAX_DIM), \
+            (str(t), mu, g.support)
+        checked += 1
+    assert checked > 4000
+
+
+def test_size_guard_runs_before_the_cache():
+    t, mu, g = LieType("C", 3), fundamental(3, 3), E(3, [3])
+    assert eigenspace_dims(t, mu, g).total_dim == 14
+    with pytest.raises(ResourceLimitError) as exc:
+        eigenspace_dims(t, mu, g, max_dim=10)
+    assert exc.value.dimension == 14
+    assert weight_system(t, mu).dimension == 14
+    with pytest.raises(ResourceLimitError):
+        weight_system(t, mu, max_dim=10)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except HodgeRepError as exc:
+        return type(exc)
+
+
+@st.composite
+def _candidates(draw):
+    family = draw(st.sampled_from(sorted(RANK_BOUNDS)))
+    lo, hi = RANK_BOUNDS[family]
+    rank = draw(st.integers(lo, max(lo, min(hi or 4, 4))))  # E only at rank 6
+    mu = tuple(draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank)))
+    nodes = draw(st.sets(st.integers(1, rank), min_size=1, max_size=3))
+    return LieType(family, rank), mu, E(rank, sorted(nodes))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_candidates())
+def test_orbit_bucketing_property(case):
+    t, mu, g = case
+    got = _outcome(eigenspace_dims, t, mu, g, max_dim=500)
+    assert got == _outcome(eigenspace_dims_full, t, mu, g, max_dim=500)
+    if isinstance(got, EigenDecomp):
+        assert got.total_dim == weyl_dim(t, mu)

@@ -7,9 +7,9 @@ from hodgerep.repweights import (
     weyl_dim,
     weyl_orbit,
 )
-from hodgerep.rootdata import LieType, dual_weight
+from hodgerep.rootdata import LieType, catalogued_types, dual_weight
 
-from oracles import dominant_weights_up_to, kostant_multiplicity
+from oracles import dominant_weights_up_to, kostant_multiplicity, weyl_orbit_bfs
 
 
 def w(*coords):
@@ -74,7 +74,7 @@ DIM_SUITE = [
 def test_multiplicity_total_matches_weyl_dim(family, rank, mu):
     t = LieType(family, rank)
     ws = weight_system(t, mu)
-    assert ws.dimension == weyl_dim(t, mu)
+    assert sum(ws.multiplicities.values()) == ws.dimension == weyl_dim(t, mu)
 
 
 @pytest.mark.parametrize("family,rank,mu", DIM_SUITE)
@@ -119,6 +119,19 @@ def test_weyl_orbit_of_dominant_regular_weight_has_group_order():
     assert len(weyl_orbit(LieType("A", 2), (1, 1))) == 6
     assert len(weyl_orbit(LieType("B", 2), (1, 1))) == 8
     assert len(weyl_orbit(LieType("G", 2), (1, 1))) == 12
+
+
+def test_weyl_orbit_walk_matches_bfs_oracle():
+    # each element once, from any start in the orbit, on every type of rank <= 5
+    for t in catalogued_types(5):
+        r = t.rank
+        for lam in [tuple(int(j == i) for j in range(r)) for i in range(r)] + [(1,) * r]:
+            expected = weyl_orbit_bfs(t, lam)
+            for start in (lam, expected[0], expected[-1]):
+                orbit = weyl_orbit(t, start)
+                assert len(orbit) == len(set(orbit)), (str(t), start)
+                assert sorted(orbit) == expected, (str(t), start)
+                assert orbit[0] == dominant_conjugate(t, start) == lam
 
 
 def test_dominant_weights_up_to():
