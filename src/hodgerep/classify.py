@@ -34,7 +34,7 @@ from .hodgecore import (
 )
 from .products import FactorSpec, ProductTuple, combine
 from .repweights import DEFAULT_MAX_DIM
-from .rootdata import RANK_BOUNDS, LieType, Weight
+from .rootdata import RANK_BOUNDS, LieType, Weight, root_system
 
 AnyTuple = Union[HodgeTuple, ProductTuple]
 
@@ -245,13 +245,15 @@ def candidates(t: LieType, target_level: int
     """Every (E, mu, span) with 1 <= span = (mu + mu*)(E) <= target_level
     on t; at level 3 also supp(mu) inside supp(E)."""
     rank = t.rank
+    level_matrix = root_system(t).level_matrix
     for E in _grading_elements(rank, target_level):
-        w = [level(t, tuple(int(j == i) for j in range(rank)), E) for i in range(rank)]
+        sup = [i - 1 for i in E.support]
+        w = [sum(row[i] for i in sup) for row in level_matrix]
         if min(w) < 1:
             raise ConsistencyError(
                 f"node weights {w} of {t} on E = {E} are not all positive; "
                 "the level bound would miss candidates")
-        nodes = [i - 1 for i in E.support] if target_level == 3 else range(rank)
+        nodes = sup if target_level == 3 else range(rank)
         # every w_i >= 1, so mu is a multiset of at most target_level nodes
         for size in range(1, target_level + 1):
             for picks in itertools.combinations_with_replacement(nodes, size):

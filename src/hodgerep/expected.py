@@ -29,24 +29,31 @@ def _binom(n, k) -> int:
     return comb(int(n), int(k))
 
 
-def _eval(expr, bindings: Dict[str, Fraction]):
+def _eval(expr, bindings: Dict[str, Fraction], where: str, name: str, convert):
+    """convert(value of a row expression), or ValueError naming the row
+    (`where`) and field (`name`) when it cannot be evaluated or converted."""
     env = {"Q": Fraction, "binom": _binom}
     env.update(bindings)
-    return eval(expr, {"__builtins__": {}}, env)  # data shipped with the package
+    try:
+        return convert(eval(expr, {"__builtins__": {}}, env))
+    except (NameError, SyntaxError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{where}: cannot evaluate {name} expression {expr!r} "
+                         f"({type(exc).__name__}: {exc})") from None
 
 
-def _eval_int(expr, bindings) -> int:
-    val = Fraction(_eval(expr, bindings))
+def _eval_int(expr, bindings, where: str, name: str) -> int:
+    val = _eval(expr, bindings, where, name, Fraction)
     if val.denominator != 1:
-        raise ValueError(f"expression {expr!r} not integral under {bindings}")
+        raise ValueError(f"{where}: {name} expression {expr!r} not integral under {bindings}")
     return int(val)
 
 
-def _render_label(template: Optional[str], bindings) -> Optional[str]:
+def _render_label(template: Optional[str], bindings, where: str) -> Optional[str]:
     if template is None:
         return None
     return re.sub(r"\{([^}]+)\}",
-                  lambda m: str(_eval_int(m.group(1), bindings)), template)
+                  lambda m: str(_eval_int(m.group(1), bindings, where, "real_form")),
+                  template)
 
 
 @dataclass(frozen=True)
@@ -135,7 +142,7 @@ def load_expected(path: Optional[str] = None) -> ExpectedTables:
     return ExpectedTables(raw=raw, path_note=note)
 
 
-def _param_bindings(params: dict, max_rank: int) -> List[Dict[str, int]]:
+def _param_bindings(params: dict, max_rank: int, where: str) -> List[Dict[str, int]]:
     """Expand the declared parameter ranges into concrete bindings."""
     names = list(params)
     out: List[Dict[str, int]] = []
@@ -147,12 +154,12 @@ def _param_bindings(params: dict, max_rank: int) -> List[Dict[str, int]]:
         name = names[idx]
         spec = params[name]
         frac_acc = {k: Fraction(v) for k, v in acc.items()}
-        lo = _eval_int(str(spec.get("min", 1)), frac_acc)
+        lo = _eval_int(str(spec.get("min", 1)), frac_acc, where, "params")
         hi_spec = spec.get("max")
         if hi_spec is None:
             hi = max_rank
         else:
-            hi = min(_eval_int(str(hi_spec), frac_acc), max_rank)
+            hi = min(_eval_int(str(hi_spec), frac_acc, where, "params"), max_rank)
         for val in range(lo, hi + 1):
             acc[name] = val
             rec(idx + 1, acc)
@@ -176,7 +183,7 @@ def _node(expr, rank: int, bindings, where: str, name: str) -> int:
     if not isinstance(expr, (str, int)):
         raise ValueError(f"{where}: {name} node must be a string or an integer, "
                          f"got {expr!r}")
-    node = _eval_int(str(expr), bindings)
+    node = _eval_int(str(expr), bindings, where, name)
     if not 1 <= node <= rank:
         raise ValueError(f"{where}: {name} node {node} outside 1..{rank}")
     return node
@@ -187,8 +194,8 @@ def _resolve_case(item: dict, fbind: Dict[str, Fraction], where: str
     """Pick the (reality, h) pair whose guard holds under the binding."""
     row = item
     if "cases" in item:
-        row = next((case for case in item["cases"] if bool(_eval(case["when"], fbind))),
-                   None)
+        row = next((case for case in item["cases"]
+                    if _eval(case["when"], fbind, where, "cases.when", bool)), None)
         if row is None:
             raise ValueError(f"{where}: no case guard matched")
     return (_field(row, "reality", where, str, "a string"),
@@ -207,14 +214,14 @@ def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
     for item in table["items"]:
         where = f"{table_name} item {item.get('item')}"
         instances: List[ExpectedInstance] = []
-        for binding in _param_bindings(item.get("params", {}), max_rank):
+        for binding in _param_bindings(item.get("params", {}), max_rank, where):
             fbind = {k: Fraction(v) for k, v in binding.items()}
-            if "exclude" in item and bool(_eval(item["exclude"], fbind)):
+            if "exclude" in item and _eval(item["exclude"], fbind, where, "exclude", bool):
                 continue
             factors = []
             valid = True
             for fac in item["factors"]:
-                rank = _eval_int(str(fac["rank"]), fbind)
+                rank = _eval_int(str(fac["rank"]), fbind, where, "rank")
                 family = _field(fac, "family", where, str, "a string")
                 try:
                     lt = LieType(family, rank)
@@ -226,7 +233,7 @@ def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
                 mu = [0] * rank
                 for node_expr, coeff_expr in _field(fac, "mu", where, list, "a list"):
                     mu[_node(node_expr, rank, fbind, where, "mu") - 1] = \
-                        _eval_int(str(coeff_expr), fbind)
+                        _eval_int(str(coeff_expr), fbind, where, "mu")
                 factors.append((lt, nodes, tuple(mu)))
             if not valid:
                 continue
@@ -239,11 +246,12 @@ def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
                 item=item["item"],
                 bindings=binding,
                 factors=tuple(factors),
-                c=Fraction(_eval(_field(item, "c", where, str, "a string"), fbind)),
-                h=tuple(_eval_int(e, fbind) for e in h_exprs),
+                c=_eval(_field(item, "c", where, str, "a string"), fbind, where, "c",
+                        Fraction),
+                h=tuple(_eval_int(e, fbind, where, "h") for e in h_exprs),
                 reality=reality,
                 real_forms=None if rf is None else tuple(
-                    _render_label(x, fbind) for x in rf),
+                    _render_label(x, fbind, where) for x in rf),
                 paper_label=item.get("paper_label"),
                 notes=item.get("notes"),
             ))

@@ -8,22 +8,14 @@ vector is assembled, so the center charge stays a single auditable step.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, ShapeError
 from .repweights import DEFAULT_MAX_DIM, weight_system, weyl_orbit
-from .rootdata import (
-    LieType,
-    Weight,
-    dual_weight,
-    mu_plus_mu_star_closed_form,
-    root_system,
-    weight_to_root_coords,
-)
+from .rootdata import LieType, RootSystemData, Weight, dual_weight, root_system
 
 REAL = "real"
 COMPLEX = "complex"
@@ -146,20 +138,30 @@ class HodgeTuple:
     canonical_key: Optional[Tuple] = None
 
 
+def _grading_row(rsd: RootSystemData, E: GradingElement) -> List[int]:
+    """Integer g with lambda(E_ss) = (g . lambda) / inverse_den for lambda in
+    fundamental coordinates: inverse_num's support columns summed."""
+    sup = [i - 1 for i in E.support]
+    return [sum(row[i] for i in sup) for row in rsd.inverse_num]
+
+
 def mu_of_grading(t: LieType, mu, E: GradingElement) -> Fraction:
     """mu(E_ss): sum of mu's simple-root coordinates over the support."""
-    rc = weight_to_root_coords(t, mu)
-    return sum((rc[i - 1] for i in E.support), Fraction(0))
+    rsd = root_system(t)
+    return Fraction(sum(map(mul, _grading_row(rsd, E), mu)), rsd.inverse_den)
+
+
+def _level_sum(t: LieType, mu, nodes: Sequence[int]) -> int:
+    """Sum of the simple-root coordinates of mu + mu* over 0-based nodes,
+    from the type's integer level matrix."""
+    rows = root_system(t).level_matrix
+    return sum(m * rows[j][i] for j, m in enumerate(mu) if m for i in nodes)
 
 
 def level(t: LieType, mu, E: GradingElement) -> int:
-    """(mu + mu*)(E_ss) by the closed forms; an integer, since mu + mu* =
-    mu - w0(mu) lies in the root lattice."""
-    rc = mu_plus_mu_star_closed_form(t, mu)
-    total = sum((rc[i - 1] for i in E.support), Fraction(0))
-    if total.denominator != 1:
-        raise ConsistencyError(f"(mu+mu*)(E) = {total} not integral for {tuple(mu)} on {t}")
-    return int(total)
+    """(mu + mu*)(E_ss); an integer, since mu + mu* = mu - w0(mu) lies in
+    the root lattice."""
+    return _level_sum(t, mu, [i - 1 for i in E.support])
 
 
 def eigenspace_dims(t: LieType, mu, E: GradingElement,
@@ -173,24 +175,16 @@ def eigenspace_dims(t: LieType, mu, E: GradingElement,
     integer.
     """
     ws = weight_system(t, mu, max_dim=max_dim)
-    rank = t.rank
-    inv = root_system(t).inverse_cartan
-    # weights on the support, as one rational row vector over a common denominator
-    sup = [i - 1 for i in E.support]
-    row = [sum(inv[j][i] for i in sup) for j in range(rank)]
-    den = 1
-    for x in row:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    int_row = [int(x * den) for x in row]
-
+    rsd = root_system(t)
+    row = _grading_row(rsd, E)
     buckets = {}
     for lam, m in ws.dominant:
         for nu in weyl_orbit(t, lam):
-            s = sum(map(mul, int_row, nu))
+            s = sum(map(mul, row, nu))
             buckets[s] = buckets.get(s, 0) + m
     ws.check_total(sum(buckets.values()))
     levels = tuple(
-        (Fraction(s, den), buckets[s]) for s in sorted(buckets, reverse=True)
+        (Fraction(s, rsd.inverse_den), buckets[s]) for s in sorted(buckets, reverse=True)
     )
     # irreducibility makes the eigenvalue ladder contiguous with unit steps
     if any(a - b != 1 for (a, _), (b, _) in zip(levels, levels[1:])):
@@ -215,16 +209,9 @@ def reality_type(t: LieType, mu, E: GradingElement) -> str:
     mu = tuple(mu)
     if mu != dual_weight(t, mu):
         return COMPLEX
-    rc = mu_plus_mu_star_closed_form(t, mu)  # = 2 mu in root coordinates
-    pairing = sum(
-        (rc[j] for j in range(t.rank) if E.coeffs[j] == 0), Fraction(0)
-    )
-    if pairing.denominator != 1:
-        raise ConsistencyError(
-            f"mu(H_phi) = {pairing} not integral for self-dual {mu} on {t}; "
-            "node numbering is inconsistent"
-        )
-    return QUATERNIONIC if int(pairing) % 2 == 1 else REAL
+    # mu + mu* = 2 mu, so this sum over the unsupported nodes is mu(H_phi)
+    pairing = _level_sum(t, mu, [j for j, c in enumerate(E.coeffs) if c == 0])
+    return QUATERNIONIC if pairing % 2 == 1 else REAL
 
 
 def center_charge(level_n: int, mu_of_E: Fraction, reality: str) -> Fraction:

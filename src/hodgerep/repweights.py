@@ -16,13 +16,7 @@ from operator import mul
 from typing import Dict, List, Tuple
 
 from .errors import ConsistencyError, NonDominantError, ResourceLimitError
-from .rootdata import (
-    LieType,
-    RootSystemData,
-    Weight,
-    root_system,
-    weight_to_root_coords,
-)
+from .rootdata import LieType, RootSystemData, Weight, root_system
 
 DEFAULT_MAX_DIM = 10 ** 6
 
@@ -150,13 +144,16 @@ def _dominant_candidates(t: LieType, mu: Weight) -> List[Weight]:
     return sorted(seen)
 
 
-def _root_height_from(t: LieType, mu: Weight, lam: Weight) -> int:
-    """Height of mu - lam in the root lattice (number of simple-root steps)."""
-    rc = weight_to_root_coords(t, tuple(m - l for m, l in zip(mu, lam)))
-    total = sum(rc)
-    if total.denominator != 1:
-        raise ConsistencyError(f"{tuple(mu)} - {tuple(lam)} is not in the root lattice")
-    return int(total)
+def _root_coords_of_difference(rsd: RootSystemData, mu: Weight, lam: Weight) -> List[int]:
+    """Simple-root coordinates of mu - lam, which must lie in the root lattice."""
+    diff = [m - l for m, l in zip(mu, lam)]
+    coords = []
+    for col in zip(*rsd.inverse_num):
+        q, rem = divmod(sum(map(mul, diff, col)), rsd.inverse_den)
+        if rem:
+            raise ConsistencyError(f"{tuple(mu)} - {tuple(lam)} is not in the root lattice")
+        coords.append(q)
+    return coords
 
 
 @lru_cache(maxsize=None)
@@ -171,11 +168,12 @@ def _dominant_multiplicities(t: LieType, mu: Weight) -> Tuple[Tuple[Weight, int]
     norms = [sum(map(mul, beta, map(mul, pf, rsd.symmetrizer)))
              for beta, pf in zip(rsd.positive_roots, pos_fund)]  # (beta, beta)
 
-    candidates = _dominant_candidates(t, mu)
-    candidates.sort(key=lambda lam: _root_height_from(t, mu, lam))
+    # mu - lam in simple-root coordinates; its height orders the recursion
+    steps = {lam: _root_coords_of_difference(rsd, mu, lam)
+             for lam in _dominant_candidates(t, mu)}
 
     mult: Dict[Weight, int] = {tuple(mu): 1}
-    for lam in candidates:
+    for lam in sorted(steps, key=lambda lam: sum(steps[lam])):
         if lam == tuple(mu):
             continue
         acc = 0
@@ -189,9 +187,8 @@ def _dominant_multiplicities(t: LieType, mu: Weight) -> Tuple[Tuple[Weight, int]
                 acc += m * (lam_beta + k * bnorm)
                 k += 1
         # denominator (mu + lam + 2 rho, mu - lam), all integer coordinates
-        diff_rc = weight_to_root_coords(t, tuple(m - l for m, l in zip(mu, lam)))
         w = tuple(mu[i] + lam[i] + 2 * rho[i] for i in range(rank))
-        den = sum(int(diff_rc[j]) * rsd.symmetrizer[j] * w[j] for j in range(rank))
+        den = sum(steps[lam][j] * rsd.symmetrizer[j] * w[j] for j in range(rank))
         if den <= 0 or (2 * acc) % den:
             raise ConsistencyError(f"Freudenthal recursion inconsistent at {lam} in V{mu}")
         mult[lam] = (2 * acc) // den

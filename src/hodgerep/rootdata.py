@@ -2,10 +2,12 @@
 
 Node numbering follows the Bourbaki convention throughout.  The Cartan
 matrix is stored so that row i holds the fundamental-weight coordinates of
-the simple root alpha_i; consequently a weight given in fundamental
-coordinates is converted to simple-root coordinates by
-transpose(inverse_cartan).  All arithmetic is exact (integers and
-`fractions.Fraction`); no floating point appears anywhere in the engine.
+the simple root alpha_i.  Its inverse is one integer matrix over det(cartan),
+so a weight in fundamental coordinates has simple-root coordinates
+transpose(inverse_num) / inverse_den.  The level matrix holds omega_i +
+omega_i* in simple-root coordinates, integers since mu - w0(mu) lies in
+the root lattice.  Arithmetic is exact: integers, with `fractions.Fraction`
+only for rational results and no floating point anywhere in the engine.
 
 Simple-root indices are 1-based in the public API, matching the usual
 alpha_1..alpha_r labelling of Dynkin diagrams.
@@ -15,15 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul
 from typing import Dict, Iterator, List, Tuple
 
-from .errors import InvalidTypeError
+from .errors import ConsistencyError, InvalidTypeError
 
 Weight = Tuple[int, ...]
 RootCoords = Tuple[int, ...]
 RationalVector = Tuple[Fraction, ...]
 IntMatrix = Tuple[Tuple[int, ...], ...]
-RationalMatrix = Tuple[Tuple[Fraction, ...], ...]
 
 # (min rank, max rank or None for unbounded)
 RANK_BOUNDS: Dict[str, Tuple[int, int]] = {
@@ -71,7 +73,10 @@ class RootSystemData:
     """Immutable root-system catalog entry for one simple type.
 
     cartan          row i = alpha_i in fundamental-weight coordinates
-    inverse_cartan  exact rational inverse of cartan
+    inverse_num     adjugate of cartan: row i = inverse_den * omega_i in
+                    simple-root coordinates
+    inverse_den     det(cartan), the index of connection |P/Q|
+    level_matrix    row i = omega_i + omega_i* in simple-root coordinates
     positive_roots  integer vectors in simple-root coordinates, by height
     positive_roots_fund  the same roots in fundamental coordinates
     neighbours      per node i, the pairs (j, cartan[i][j]) with j != i and
@@ -83,7 +88,9 @@ class RootSystemData:
 
     lie_type: LieType
     cartan: IntMatrix
-    inverse_cartan: RationalMatrix
+    inverse_num: IntMatrix
+    inverse_den: int
+    level_matrix: IntMatrix
     positive_roots: Tuple[RootCoords, ...]
     positive_roots_fund: Tuple[Weight, ...]
     neighbours: Tuple[Tuple[Tuple[int, int], ...], ...]
@@ -148,60 +155,68 @@ def _symmetrizer(t: LieType) -> Tuple[int, ...]:
     return tuple([1] * r)
 
 
-def _invert_exact(matrix: IntMatrix) -> RationalMatrix:
-    """Invert a small integer matrix by Gauss-Jordan over Fraction."""
+def _inverse(matrix: IntMatrix) -> Tuple[IntMatrix, int]:
+    """(adj, det) of a Cartan matrix of finite type by fraction-free
+    Gauss-Jordan (Bareiss): the pivots are the leading principal minors,
+    positive for finite type, every division is exact, and [matrix | I]
+    ends as [det I | adj]."""
     n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    prev = 1
+    for k in range(n):
+        pivot_row = aug[k]
+        pivot = pivot_row[k]
         for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+            if i != k:
+                f = aug[i][k]
+                aug[i] = [(pivot * x - f * y) // prev for x, y in zip(aug[i], pivot_row)]
+        prev = pivot
+    return tuple(tuple(row[n:]) for row in aug), prev
 
 
-def _pair_with_coroot(cartan: IntMatrix, beta: RootCoords, i: int) -> int:
-    """<beta, alpha_i^vee> for beta in simple-root coordinates (0-based i)."""
-    return sum(b * cartan[j][i] for j, b in enumerate(beta))
-
-
-def _positive_roots(cartan: IntMatrix) -> Tuple[RootCoords, ...]:
-    """Closure under simple-root addition, processed by height.
+def _positive_roots(cartan: IntMatrix) -> Tuple[Tuple[RootCoords, ...], Tuple[Weight, ...]]:
+    """Positive roots by closure under simple-root addition, processed by
+    height, each with its fundamental coordinates.
 
     beta + alpha_i is a root iff q > 0 in the alpha_i-string through beta,
     where q = p - <beta, alpha_i^vee> and p counts how far the string
-    extends below beta.
+    extends below beta.  <beta, alpha_i^vee> is beta's i-th fundamental
+    coordinate, and adding alpha_i adds row i of the Cartan matrix to them.
     """
     r = len(cartan)
-    simple = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-    roots = set(simple)
-    frontier = list(simple)
+    fund: Dict[RootCoords, Weight] = {
+        tuple(int(i == j) for j in range(r)): cartan[i] for i in range(r)}
+    frontier = list(fund)
     while frontier:
         new: List[RootCoords] = []
         for beta in frontier:
+            pairings = fund[beta]
             for i in range(r):
                 p = 0
                 lower = list(beta)
-                while True:
+                lower[i] -= 1
+                while tuple(lower) in fund:
+                    p += 1
                     lower[i] -= 1
-                    if tuple(lower) in roots:
-                        p += 1
-                    else:
-                        break
-                if p - _pair_with_coroot(cartan, beta, i) > 0:
+                if p > pairings[i]:
                     up = list(beta)
                     up[i] += 1
                     cand = tuple(up)
-                    if cand not in roots:
-                        roots.add(cand)
+                    if cand not in fund:
+                        fund[cand] = tuple(map(add, pairings, cartan[i]))
                         new.append(cand)
         frontier = new
-    return tuple(sorted(roots, key=lambda b: (sum(b), b)))
+    roots = tuple(sorted(fund, key=lambda b: (sum(b), b)))
+    return roots, tuple(fund[b] for b in roots)
+
+
+def _level_matrix(t: LieType) -> IntMatrix:
+    """Row i: omega_i + omega_i* in simple-root coordinates, by the closed forms."""
+    r = t.rank
+    rows = [mu_plus_mu_star_closed_form(t, [int(j == i) for j in range(r)]) for i in range(r)]
+    if any(x.denominator != 1 for row in rows for x in row):
+        raise ConsistencyError(f"some omega_i + omega_i* on {t} is not in the root lattice")
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 @lru_cache(maxsize=None)
@@ -209,15 +224,16 @@ def root_system(t: LieType) -> RootSystemData:
     """Full catalog entry for a simple type (cached, immutable)."""
     cartan = _cartan_matrix(t)
     r = t.rank
-    roots = _positive_roots(cartan)
+    inverse_num, inverse_den = _inverse(cartan)
+    roots, roots_fund = _positive_roots(cartan)
     return RootSystemData(
         lie_type=t,
         cartan=cartan,
-        inverse_cartan=_invert_exact(cartan),
+        inverse_num=inverse_num,
+        inverse_den=inverse_den,
+        level_matrix=_level_matrix(t),
         positive_roots=roots,
-        positive_roots_fund=tuple(
-            tuple(sum(beta[j] * cartan[j][i] for j in range(r)) for i in range(r))
-            for beta in roots),
+        positive_roots_fund=roots_fund,
         neighbours=tuple(
             tuple((j, cartan[i][j]) for j in range(r) if j != i and cartan[i][j])
             for i in range(r)),
@@ -226,18 +242,13 @@ def root_system(t: LieType) -> RootSystemData:
     )
 
 
-@lru_cache(maxsize=65536)
-def _root_coords_cached(t: LieType, w: Tuple[Fraction, ...]) -> RationalVector:
-    inv = root_system(t).inverse_cartan
-    n = t.rank
-    return tuple(sum(inv[i][j] * w[i] for i in range(n)) for j in range(n))
-
-
 def weight_to_root_coords(t: LieType, w) -> RationalVector:
     """Simple-root coordinates of a weight given in fundamental coordinates."""
     if len(w) != t.rank:
         raise ValueError(f"weight length {len(w)} != rank {t.rank}")
-    return _root_coords_cached(t, tuple(Fraction(x) for x in w))
+    rsd = root_system(t)
+    return tuple(Fraction(sum(map(mul, w, col)), rsd.inverse_den)
+                 for col in zip(*rsd.inverse_num))
 
 
 def root_to_weight_coords(t: LieType, rc) -> RationalVector:
@@ -342,11 +353,6 @@ def mu_plus_mu_star_closed_form(t: LieType, mu) -> RationalVector:
     """
     if len(mu) != t.rank:
         raise ValueError(f"weight length {len(mu)} != rank {t.rank}")
-    return _closed_form_cached(t, tuple(int(c) for c in mu))
-
-
-@lru_cache(maxsize=65536)
-def _closed_form_cached(t: LieType, mu: Weight) -> RationalVector:
     f, r = t.family, t.rank
     total = [Fraction(0)] * r
 

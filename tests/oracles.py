@@ -10,6 +10,12 @@ full simple reflections into one weight -> multiplicity map, which is
 then grouped by eigenvalue.  It shares only the size guard and the
 Freudenthal dominant multiplicities with the engine.
 
+The root-data and level oracles are the engine's former `Fraction`
+routes: Gauss-Jordan inversion of the Cartan matrix over `Fraction`, and
+level, reality type and mu(E_ss) read off `Fraction` simple-root
+coordinates, which the engine now takes from its integer inverse and
+integer level matrix.
+
 The enumeration oracle is the exhaustive sweep the engine's level-bound
 generator replaced: every dominant weight with coordinate sum <= 3
 against every grading element, each classified by `evaluate_simple`, and
@@ -25,10 +31,75 @@ from typing import Dict, Iterator, List, Tuple
 
 from hodgerep.classify import SearchConfig, _annotate_canonical, evaluate_simple, tuple_key
 from hodgerep.errors import ConsistencyError, ShapeError
-from hodgerep.hodgecore import EigenDecomp, GradingElement, extremal_dim_is_one, level
+from hodgerep.hodgecore import (
+    COMPLEX,
+    QUATERNIONIC,
+    REAL,
+    EigenDecomp,
+    GradingElement,
+    extremal_dim_is_one,
+    level,
+)
 from hodgerep.products import FactorSpec, combine
 from hodgerep.repweights import DEFAULT_MAX_DIM, weight_system
-from hodgerep.rootdata import RANK_BOUNDS, LieType, root_system, weight_to_root_coords
+from hodgerep.rootdata import (
+    RANK_BOUNDS,
+    LieType,
+    dual_weight,
+    mu_plus_mu_star_closed_form,
+    root_system,
+    weight_to_root_coords,
+)
+
+
+def invert_exact(matrix) -> Tuple[Tuple[Fraction, ...], ...]:
+    """Invert a small integer matrix by Gauss-Jordan over Fraction."""
+    n = len(matrix)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if aug[i][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+# the engine's former LRUs in front of its Fraction vectors, keyed on (type, mu)
+_root_coords = lru_cache(maxsize=None)(weight_to_root_coords)
+_closed_form = lru_cache(maxsize=None)(mu_plus_mu_star_closed_form)
+
+
+def mu_of_grading_fraction(t: LieType, mu, E: GradingElement) -> Fraction:
+    """mu(E_ss) summed over `Fraction` simple-root coordinates."""
+    rc = _root_coords(t, tuple(mu))
+    return sum((rc[i - 1] for i in E.support), Fraction(0))
+
+
+def level_fraction(t: LieType, mu, E: GradingElement) -> int:
+    """(mu + mu*)(E_ss) summed over the `Fraction` closed form of mu + mu*."""
+    rc = _closed_form(t, tuple(mu))
+    total = sum((rc[i - 1] for i in E.support), Fraction(0))
+    if total.denominator != 1:
+        raise ConsistencyError(f"(mu+mu*)(E) = {total} not integral for {tuple(mu)} on {t}")
+    return int(total)
+
+
+def reality_type_fraction(t: LieType, mu, E: GradingElement) -> str:
+    """Reality type with the pairing mu(H_phi) summed over the `Fraction`
+    closed form of mu + mu* = 2 mu."""
+    mu = tuple(mu)
+    if mu != dual_weight(t, mu):
+        return COMPLEX
+    rc = _closed_form(t, mu)
+    pairing = sum((rc[j] for j in range(t.rank) if E.coeffs[j] == 0), Fraction(0))
+    if pairing.denominator != 1:
+        raise ConsistencyError(f"mu(H_phi) = {pairing} not integral for self-dual {mu} on {t}")
+    return QUATERNIONIC if int(pairing) % 2 == 1 else REAL
 
 
 def dominant_weights_up_to(rank: int, max_coord_sum: int) -> Iterator[Tuple[int, ...]]:
@@ -135,7 +206,7 @@ def eigenspace_dims_full(t: LieType, mu, E: GradingElement,
     lambda(E_ss)."""
     weight_system(t, mu, max_dim=max_dim)  # the size guard
     rank = t.rank
-    inv = root_system(t).inverse_cartan
+    inv = invert_exact(root_system(t).cartan)
     sup = [i - 1 for i in E.support]
     row = [sum(inv[j][i] for i in sup) for j in range(rank)]
     den = 1

@@ -179,6 +179,10 @@ def _set_factor(field, value):
     return lambda item: item["factors"][0].__setitem__(field, value)
 
 
+def _set_item(field, value):
+    return lambda item: item.__setitem__(field, value)
+
+
 def _drop_from_cases(field):
     return lambda item: [case.pop(field) for case in item["cases"]]
 
@@ -193,8 +197,12 @@ def _drop_from_cases(field):
     (lambda item: item.pop("c"), "missing field 'c'"),
     (_drop_from_cases("h"), "missing field 'h'"),
     (_drop_from_cases("reality"), "missing field 'reality'"),
+    (_set_item("c", "foo"), "cannot evaluate c expression 'foo' (NameError"),
+    (_set_item("c", "1/"), "cannot evaluate c expression '1/' (SyntaxError"),
+    (_set_item("c", "'x'"), "cannot evaluate c expression \"'x'\" (ValueError"),
 ], ids=["list-family", "dict-E", "int-E", "dict-E-node", "mu-node-above-rank",
-        "mu-node-0", "missing-c", "missing-h", "missing-reality"])
+        "mu-node-0", "missing-c", "missing-h", "missing-reality", "c-unknown-name",
+        "c-syntax-error", "c-not-a-number"])
 def test_malformed_expected_row_raises(tmp_path, mutate, message):
     tables = load_expected()
     raw = json.loads(json.dumps(tables.raw))

@@ -28,7 +28,13 @@ from hodgerep.hodgecore import (
 from hodgerep.repweights import weight_system, weyl_dim
 from hodgerep.rootdata import RANK_BOUNDS, LieType, catalogued_types, dual_weight
 
-from oracles import dominant_weights_up_to, eigenspace_dims_full
+from oracles import (
+    dominant_weights_up_to,
+    eigenspace_dims_full,
+    level_fraction,
+    mu_of_grading_fraction,
+    reality_type_fraction,
+)
 
 E = GradingElement.from_nodes
 
@@ -282,3 +288,45 @@ def test_orbit_bucketing_property(case):
     assert got == _outcome(eigenspace_dims_full, t, mu, g, max_dim=500)
     if isinstance(got, EigenDecomp):
         assert got.total_dim == weyl_dim(t, mu)
+
+
+def _check_integer_route(t, mu, g):
+    got = level(t, mu, g)
+    assert type(got) is int and got == level_fraction(t, mu, g), (str(t), mu, g.support)
+    assert reality_type(t, mu, g) == reality_type_fraction(t, mu, g), (str(t), mu, g.support)
+    assert mu_of_grading(t, mu, g) == mu_of_grading_fraction(t, mu, g), (str(t), mu, g.support)
+
+
+def test_integer_level_reality_and_charge_match_fraction_oracles():
+    """level and reality_type from the integer level matrix, and mu(E_ss)
+    from the integer inverse, against their former Fraction routes: every
+    type of rank <= 8, fundamentals and sums of two fundamentals, every
+    grading element of at most 3 nodes."""
+    checked = 0
+    for t in catalogued_types(8):
+        r = t.rank
+        fund = [fundamental(r, i) for i in range(1, r + 1)]
+        mus = fund + [tuple(map(sum, zip(a, b)))
+                      for a, b in itertools.combinations_with_replacement(fund, 2)]
+        for g in _all_gradings(r):
+            if len(g.support) <= 3:
+                for mu in mus:
+                    _check_integer_route(t, mu, g)
+                    checked += 1
+    assert checked > 40000
+
+
+@st.composite
+def _dominant_cases(draw):
+    family = draw(st.sampled_from(sorted(RANK_BOUNDS)))
+    lo, hi = RANK_BOUNDS[family]
+    rank = draw(st.integers(lo, min(hi or 14, 14)))
+    mu = tuple(draw(st.lists(st.integers(0, 5), min_size=rank, max_size=rank)))
+    nodes = draw(st.sets(st.integers(1, rank), min_size=1))
+    return LieType(family, rank), mu, E(rank, sorted(nodes))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_dominant_cases())
+def test_integer_level_route_property(case):
+    _check_integer_route(*case)

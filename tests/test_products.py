@@ -12,11 +12,10 @@ from hodgerep.hodgecore import (
     EigenDecomp,
     GradingElement,
     level,
-    mu_plus_mu_star_closed_form,
     reality_type,
 )
 from hodgerep.products import FactorSpec, combine, convolve_eigen, tensor_reality
-from hodgerep.rootdata import LieType, dual_weight
+from hodgerep.rootdata import LieType, dual_weight, mu_plus_mu_star_closed_form
 
 E = GradingElement.from_nodes
 

@@ -15,6 +15,8 @@ from hodgerep.rootdata import (
     weight_to_root_coords,
 )
 
+from oracles import invert_exact
+
 Q = Fraction
 
 ALGEBRA_DIMS = {
@@ -63,9 +65,15 @@ def test_b3_positive_roots_count():
 
 
 def test_positive_root_counts_match_algebra_dims():
-    for t in catalogued_types(8):
+    for t in catalogued_types(16):
+        rsd = root_system(t)
         dim = ALGEBRA_DIMS[t.family](t.rank)
-        assert len(root_system(t).positive_roots) == (dim - t.rank) // 2, str(t)
+        assert len(rsd.positive_roots) == (dim - t.rank) // 2, str(t)
+        # the fundamental coordinates carried through the closure
+        assert rsd.positive_roots_fund == tuple(
+            tuple(sum(beta[j] * rsd.cartan[j][i] for j in range(t.rank))
+                  for i in range(t.rank))
+            for beta in rsd.positive_roots), str(t)
 
 
 def test_weyl_vector_is_half_sum_of_positive_roots():
@@ -80,14 +88,36 @@ def test_weyl_vector_is_half_sum_of_positive_roots():
 
 
 def test_inverse_cartan_exact():
-    for t in catalogued_types(8):
+    for t in catalogued_types(16):
         rsd = root_system(t)
         n = t.rank
         for i in range(n):
             for j in range(n):
-                entry = sum(rsd.inverse_cartan[i][k] * rsd.cartan[k][j]
+                entry = sum(rsd.inverse_num[i][k] * rsd.cartan[k][j]
                             for k in range(n))
-                assert entry == (1 if i == j else 0), str(t)
+                assert entry == (rsd.inverse_den if i == j else 0), str(t)
+        assert invert_exact(rsd.cartan) == tuple(
+            tuple(Q(x, rsd.inverse_den) for x in row) for row in rsd.inverse_num), str(t)
+
+
+INDEX_OF_CONNECTION = {
+    "A": lambda r: r + 1, "B": lambda r: 2, "C": lambda r: 2, "D": lambda r: 4,
+    "E": lambda r: {6: 3, 7: 2, 8: 1}[r], "F": lambda r: 1, "G": lambda r: 1,
+}
+
+
+def test_inverse_den_is_index_of_connection():
+    for t in catalogued_types(16):
+        assert root_system(t).inverse_den == INDEX_OF_CONNECTION[t.family](t.rank), str(t)
+
+
+def test_level_matrix_is_closed_form_of_fundamentals():
+    for t in catalogued_types(16):
+        rows = root_system(t).level_matrix
+        for i in range(1, t.rank + 1):
+            row = rows[i - 1]
+            assert all(type(x) is int for x in row), (str(t), i)
+            assert row == mu_plus_mu_star_closed_form(t, fundamental(t.rank, i)), (str(t), i)
 
 
 def test_symmetrizer_makes_cartan_symmetric():
