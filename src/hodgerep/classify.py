@@ -6,8 +6,11 @@ node i adds a fixed w_i = (omega_i + omega_i*)(E) >= |supp E| per unit of
 mu_i, and span = (mu + mu*)(E) = sum_i mu_i w_i.  `candidates` yields every
 nonzero dominant mu with span <= level (hence |supp E| <= level); at level
 3 the top eigenspace must be one-dimensional, so supp(mu) is inside
-supp(E).  `evaluate_simple` classifies each candidate, and `combine` the
-products of the level-3 candidates of span 1 and 2.
+supp(E).  `evaluate_simple` classifies each candidate.  The level-3
+candidates of span 1 and 2 form the factor pools of
+`products.product_tuples`, which summarises each factor once and assembles
+only the 1+1, 1+2 and 1+1+1 combinations its pattern and reality rule
+admits.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from .hodgecore import (
     real_form,
     reality_type,
 )
-from .products import FactorSpec, ProductTuple, combine
+from .products import FactorSpec, ProductTuple, combine, product_tuples
 from .repweights import DEFAULT_MAX_DIM
 from .rootdata import RANK_BOUNDS, LieType, Weight, root_system
 
@@ -262,21 +265,6 @@ def candidates(t: LieType, target_level: int
                     yield E, tuple(picks.count(i) for i in range(rank)), span
 
 
-def _products(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec],
-              max_dim: int) -> List[ProductTuple]:
-    """Every 1+1, 1+2 and 1+1+1 factor combination that `combine` accepts."""
-    out = []
-    for factors in itertools.chain(
-            itertools.combinations_with_replacement(pool1, 2),
-            itertools.product(pool1, pool2),
-            itertools.combinations_with_replacement(pool1, 3)):
-        try:
-            out.append(combine(factors, max_dim=max_dim))
-        except ShapeError:
-            pass
-    return out
-
-
 def _annotate_canonical(tuples: List[AnyTuple]) -> List[AnyTuple]:
     out = []
     for t in tuples:
@@ -308,7 +296,8 @@ def enumerate_level(config: SearchConfig) -> List[AnyTuple]:
 
     results: List[AnyTuple] = _annotate_canonical(simple)
     if with_products:
-        results.extend(_annotate_canonical(_products(pools[1], pools[2], config.max_dim)))
+        results.extend(_annotate_canonical(
+            product_tuples(pools[1], pools[2], config.max_dim)))
     if config.dedupe_automorphisms:
         results = [t for t in results if t.is_canonical]
     results.sort(key=tuple_key)

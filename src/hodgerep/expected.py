@@ -169,6 +169,20 @@ def _param_bindings(params: dict, max_rank: int, where: str) -> List[Dict[str, i
     return out
 
 
+def _check_shapes(item: dict, where: str) -> None:
+    """`params` must map names to dicts; `cases`, when present, must be a
+    list of dicts, each with a `when`."""
+    params = item.get("params", {})
+    if not isinstance(params, dict) or \
+            not all(isinstance(spec, dict) for spec in params.values()):
+        raise ValueError(f"{where}: params must be a dict of dicts, got {params!r}")
+    cases = item.get("cases", [])
+    if not isinstance(cases, list) or \
+            not all(isinstance(case, dict) and "when" in case for case in cases):
+        raise ValueError(f"{where}: cases must be a list of dicts, each with a "
+                         f"'when', got {cases!r}")
+
+
 def _field(row: dict, name: str, where: str, kind: type, what: str):
     """row[name], which must be present and a `kind`."""
     if name not in row:
@@ -213,6 +227,7 @@ def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
     out: Dict[int, List[ExpectedInstance]] = {}
     for item in table["items"]:
         where = f"{table_name} item {item.get('item')}"
+        _check_shapes(item, where)
         instances: List[ExpectedInstance] = []
         for binding in _param_bindings(item.get("params", {}), max_rank, where):
             fbind = {k: Fraction(v) for k, v in binding.items()}

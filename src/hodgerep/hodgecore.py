@@ -8,7 +8,7 @@ vector is assembled, so the center charge stays a single auditable step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -27,17 +27,17 @@ class GradingElement:
     """0/1 coefficients over simple-root indices; E_ss = sum coeffs_i A^i."""
 
     coeffs: Tuple[int, ...]
+    # 1-based indices of the painted nodes, set once from coeffs; equality,
+    # hashing and repr read coeffs alone
+    support: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(c in (0, 1) for c in self.coeffs):
             raise ValueError(f"grading coefficients must be 0/1, got {self.coeffs}")
         if not any(self.coeffs):
             raise ValueError("grading element must be nonzero")
-
-    @property
-    def support(self) -> Tuple[int, ...]:
-        """1-based indices of the painted nodes."""
-        return tuple(i + 1 for i, c in enumerate(self.coeffs) if c)
+        object.__setattr__(self, "support",
+                           tuple(i + 1 for i, c in enumerate(self.coeffs) if c))
 
     @staticmethod
     def from_nodes(rank: int, nodes: Sequence[int]) -> "GradingElement":

@@ -20,6 +20,9 @@ The enumeration oracle is the exhaustive sweep the engine's level-bound
 generator replaced: every dominant weight with coordinate sum <= 3
 against every grading element, each classified by `evaluate_simple`, and
 every span-1/span-2 extremal pair offered to `combine`.
+
+The product oracle is the sweep the per-factor summaries replaced: every
+1+1, 1+2 and 1+1+1 combination of the pools handed to `combine` whole.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from hodgerep.classify import SearchConfig, _annotate_canonical, evaluate_simple, tuple_key
 from hodgerep.errors import ConsistencyError, ShapeError
@@ -40,7 +43,7 @@ from hodgerep.hodgecore import (
     extremal_dim_is_one,
     level,
 )
-from hodgerep.products import FactorSpec, combine
+from hodgerep.products import FactorSpec, ProductTuple, combine
 from hodgerep.repweights import DEFAULT_MAX_DIM, weight_system
 from hodgerep.rootdata import (
     RANK_BOUNDS,
@@ -144,21 +147,29 @@ def enumerate_level_brute(config: SearchConfig) -> list:
     results = _annotate_canonical(simple)
     if config.include_products and config.level == 3:
         products = {}
-        combos = itertools.chain(
-            itertools.combinations_with_replacement(span1, 2),
-            itertools.product(span1, span2),
-            itertools.combinations_with_replacement(span1, 3))
-        for factors in combos:
-            try:
-                p = combine(factors, max_dim=config.max_dim)
-            except ShapeError:
-                continue
+        for p in products_brute(span1, span2, config.max_dim):
             products.setdefault(tuple_key(p), p)
         results.extend(_annotate_canonical(products.values()))
     if config.dedupe_automorphisms:
         results = [t for t in results if t.is_canonical]
     results.sort(key=tuple_key)
     return results
+
+
+def products_brute(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec],
+                   max_dim: int = DEFAULT_MAX_DIM) -> List[ProductTuple]:
+    """Every 1+1, 1+2 and 1+1+1 factor combination that `combine` accepts,
+    each combination offered to `combine` whole."""
+    out = []
+    for factors in itertools.chain(
+            itertools.combinations_with_replacement(pool1, 2),
+            itertools.product(pool1, pool2),
+            itertools.combinations_with_replacement(pool1, 3)):
+        try:
+            out.append(combine(factors, max_dim=max_dim))
+        except ShapeError:
+            pass
+    return out
 
 
 def reflect(t: LieType, w, i: int) -> Tuple[int, ...]:

@@ -1,10 +1,15 @@
+import itertools
 import json
 import re
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgerep.classify import (
     SearchConfig,
+    _types_in_window,
     candidates,
     canonicalize,
     coverage_key,
@@ -15,6 +20,7 @@ from hodgerep.classify import (
     verify_paper,
 )
 from hodgerep.cli import main, record_of
+from hodgerep.errors import ShapeError
 from hodgerep.expected import load_expected
 from hodgerep.hodgecore import (
     GradingElement,
@@ -23,6 +29,7 @@ from hodgerep.hodgecore import (
     extremal_dim_is_one,
     level,
 )
+from hodgerep.products import FactorSpec, combine, product_tuples
 from hodgerep.rootdata import LieType
 
 from oracles import enumerate_level_brute
@@ -200,9 +207,14 @@ def _drop_from_cases(field):
     (_set_item("c", "foo"), "cannot evaluate c expression 'foo' (NameError"),
     (_set_item("c", "1/"), "cannot evaluate c expression '1/' (SyntaxError"),
     (_set_item("c", "'x'"), "cannot evaluate c expression \"'x'\" (ValueError"),
+    (_set_item("params", 5), "params must be a dict of dicts, got 5"),
+    (_set_item("params", {"r": 5}), "params must be a dict of dicts, got {'r': 5}"),
+    (_set_item("cases", 5), "cases must be a list of dicts, each with a 'when', got 5"),
+    (_drop_from_cases("when"), "cases must be a list of dicts, each with a 'when'"),
 ], ids=["list-family", "dict-E", "int-E", "dict-E-node", "mu-node-above-rank",
         "mu-node-0", "missing-c", "missing-h", "missing-reality", "c-unknown-name",
-        "c-syntax-error", "c-not-a-number"])
+        "c-syntax-error", "c-not-a-number", "int-params", "int-param-spec",
+        "int-cases", "case-without-when"])
 def test_malformed_expected_row_raises(tmp_path, mutate, message):
     tables = load_expected()
     raw = json.loads(json.dumps(tables.raw))
@@ -214,6 +226,93 @@ def test_malformed_expected_row_raises(tmp_path, mutate, message):
                      include_computed_only=False)
     assert main(["verify-paper", "--scope", "thm2.1", "--max-rank", "4",
                  "--expected-file", str(path)]) == 64
+
+
+@lru_cache(maxsize=None)
+def _rank6_candidates(target):
+    """Every (type, E, mu) that `candidates` yields at rank <= 6."""
+    return tuple((t, g, mu) for t in _types_in_window("ABCDEFG", 6)
+                 for g, mu, _ in candidates(t, target))
+
+
+@lru_cache(maxsize=None)
+def _rank6_simple():
+    """The level-1 and level-3 candidates at rank <= 6 that evaluate_simple
+    accepts."""
+    got = (evaluate_simple(t, g, mu, target)
+           for target in (1, 3) for t, g, mu in _rank6_candidates(target))
+    return tuple(x for x in got if x is not None)
+
+
+@lru_cache(maxsize=None)
+def _rank6_products():
+    """Every product of level-3 candidates of rank <= 6."""
+    pools = {1: [], 2: []}
+    for t, g, mu in _rank6_candidates(3):
+        span = level(t, mu, g)
+        if span in pools:
+            pools[span].append(FactorSpec(t, g, mu))
+    return tuple(product_tuples(pools[1], pools[2]))
+
+
+def _image(perm, vec):
+    """vec with entry i moved to node perm[i]."""
+    out = [0] * len(vec)
+    for src, dst in enumerate(perm):
+        out[dst] = vec[src]
+    return tuple(out)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_canonicalize_is_idempotent(data):
+    t = data.draw(st.sampled_from(_rank6_simple() + _rank6_products()))
+    once = canonicalize(t)
+    assert canonicalize(once) == once
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_canonical_key_is_invariant_under_diagram_automorphisms(data):
+    t = data.draw(st.sampled_from(_rank6_simple()))
+    key = canonicalize(t).canonical_key
+    for perm in diagram_automorphisms(t.algebra):
+        g = GradingElement(_image(perm, t.E.coeffs))
+        img = evaluate_simple(t.algebra, g, _image(perm, t.mu), t.level)
+        assert (img.hodge, img.c, img.reality) == (t.hodge, t.c, t.reality)
+        assert canonicalize(img).canonical_key == key
+
+    p = data.draw(st.sampled_from(_rank6_products()))
+    key = canonicalize(p).canonical_key
+    groups = [diagram_automorphisms(f.lie_type) for f in p.factors]
+    for perms in itertools.product(*groups):
+        img = combine([FactorSpec(f.lie_type, GradingElement(_image(perm, f.E.coeffs)),
+                                  _image(perm, f.mu))
+                       for f, perm in zip(p.factors, perms)])
+        assert (img.hodge, img.c, img.reality) == (p.hodge, p.c, p.reality)
+        assert canonicalize(img).canonical_key == key
+
+
+def _palindromic(dims):
+    return dims == dims[::-1]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_accepted_hodge_vectors_are_palindromic(data):
+    target = data.draw(st.sampled_from((1, 3)))
+    t, g, mu = data.draw(st.sampled_from(_rank6_candidates(target)))
+    got = evaluate_simple(t, g, mu, target)
+    if got is not None:
+        assert _palindromic(got.hodge.dims)
+
+    factors = data.draw(st.lists(st.sampled_from(_rank6_candidates(3)),
+                                 min_size=2, max_size=3))
+    try:
+        p = combine([FactorSpec(*f) for f in factors])
+    except ShapeError:
+        p = data.draw(st.sampled_from(_rank6_products()))
+    assert _palindromic(p.hodge.dims)
 
 
 def test_dedupe_flag_keeps_canonical_only():

@@ -1,8 +1,15 @@
 import itertools
 import random
+import re
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import hodgerep.products as products
+from hodgerep.classify import _types_in_window, candidates
 
 from hodgerep.errors import ShapeError
 from hodgerep.hodgecore import (
@@ -14,8 +21,16 @@ from hodgerep.hodgecore import (
     level,
     reality_type,
 )
-from hodgerep.products import FactorSpec, combine, convolve_eigen, tensor_reality
+from hodgerep.products import (
+    FactorSpec,
+    combine,
+    convolve_eigen,
+    product_tuples,
+    tensor_reality,
+)
 from hodgerep.rootdata import LieType, dual_weight, mu_plus_mu_star_closed_form
+
+from oracles import products_brute
 
 E = GradingElement.from_nodes
 
@@ -170,3 +185,91 @@ def test_joint_reality_matches_concatenated_parity_test():
                 parity += int(contrib)
             expected = QUATERNIONIC if parity % 2 else REAL
         assert joint == expected, combo
+
+
+def test_combine_messages():
+    span1_cplx = FactorSpec(LieType("A", 2), E(2, [1]), (1, 0))
+    span2_real = FactorSpec(LieType("B", 2), E(2, [1]), (1, 0))
+    span2_quat = FactorSpec(LieType("C", 2), E(2, [1]), (1, 0))
+    bad = FactorSpec(LieType("B", 2), E(2, [2]), (1, 0))
+    cases = [
+        ([SL2], "products need 2 or 3 simple factors"),
+        ([SL2, bad], "factor (B2, A2, (1, 0)) has top eigenspace dimension > 1 "
+                     "(support of mu not inside support of E)"),
+        ([span2_real, span2_real], "factor levels [2, 2] cannot produce a level-3 "
+                                   "product (allowed patterns: 1+1, 1+2, 1+1+1)"),
+        ([SL2, SL2], "1+1 products with joint real type stay at level 2; "
+                     "the tables keep only complex or quaternionic joint types"),
+        ([SL2, span2_quat], "level pattern (1, 2) requires a real joint type, "
+                            "got quaternionic"),
+        ([span1_cplx, SL2, SL2], "level pattern (1, 1, 1) requires a real joint "
+                                 "type, got complex"),
+    ]
+    for factors, message in cases:
+        with pytest.raises(ShapeError, match="^" + re.escape(message) + "$"):
+            combine(factors)
+
+
+def _level3_pools(max_rank):
+    """The span-1 and span-2 level-3 candidates of every type up to max_rank."""
+    pools = {1: [], 2: []}
+    for t in _types_in_window("ABCDEFG", max_rank):
+        for g, mu, span in candidates(t, 3):
+            if span in pools:
+                pools[span].append(FactorSpec(t, g, mu))
+    return pools[1], pools[2]
+
+
+def test_product_sweep_matches_brute_oracle():
+    """The rule-pruned sweep returns exactly what offering every combination
+    to `combine` returns, in the same order."""
+    pool1, pool2 = _level3_pools(8)
+    got = product_tuples(pool1, pool2)
+    assert len(got) > 100
+    assert got == products_brute(pool1, pool2)
+
+
+def _rank6_factors():
+    """Every level-1 and level-3 candidate of rank <= 6, as factors of any
+    span, with or without a one-dimensional top eigenspace."""
+    out = {}
+    for t in _types_in_window("ABCDEFG", 6):
+        for target in (1, 3):
+            for g, mu, _ in candidates(t, target):
+                out.setdefault((t, g, mu), FactorSpec(t, g, mu))
+    return list(out.values())
+
+
+_FACTORS = _rank6_factors()
+_SPAN2_QUAT = FactorSpec(LieType("C", 2), E(2, [1]), (1, 0))
+_NOT_EXTREMAL = FactorSpec(LieType("A", 2), E(2, [1]), (0, 1))   # span 1
+
+
+def test_rank6_factors_cover_every_reality_type():
+    types = {reality_type(f.lie_type, f.mu, f.E) for f in _FACTORS}
+    assert types == {REAL, COMPLEX, QUATERNIONIC}
+    assert _SPAN2_QUAT in _FACTORS and _NOT_EXTREMAL in _FACTORS
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(pool1=st.lists(st.sampled_from(_FACTORS), max_size=5, unique=True),
+       pool2=st.lists(st.sampled_from(_FACTORS), max_size=5, unique=True))
+@example(pool1=[], pool2=[SL2])
+@example(pool1=[_SPAN2_QUAT], pool2=[SL2])           # nothing accepted
+@example(pool1=[_NOT_EXTREMAL, SL2], pool2=[_SPAN2_QUAT])
+def test_product_sweep_property(pool1, pool2):
+    assert product_tuples(pool1, pool2) == products_brute(pool1, pool2)
+
+
+def test_product_sweep_decomposes_each_factor_once(monkeypatch):
+    seen = Counter()
+    real = products.eigenspace_dims
+
+    def counting(t, mu, g, max_dim):
+        seen[(t, tuple(mu), g)] += 1
+        return real(t, mu, g, max_dim=max_dim)
+
+    monkeypatch.setattr(products, "eigenspace_dims", counting)
+    pool1, pool2 = _level3_pools(8)
+    product_tuples(pool1, pool2)
+    assert seen and max(seen.values()) == 1
