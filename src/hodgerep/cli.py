@@ -89,33 +89,34 @@ _FIELDS = ["algebra", "E", "mu", "c", "span", "level", "reality",
            "hodge", "real_form", "canonical"]
 
 
+def _write_table(out, fmt: str, header: Sequence[str], rows) -> None:
+    """A csv or markdown table of rendered cells."""
+    lead, sep, tail = ("", ",", "") if fmt == "csv" else ("| ", " | ", " |")
+    out.write(f"{lead}{sep.join(header)}{tail}\n")
+    if fmt == "markdown":
+        out.write("|" + "---|" * len(header) + "\n")
+    for cells in rows:
+        out.write(f"{lead}{sep.join(cells)}{tail}\n")
+
+
+def _cell(v, fmt: str) -> str:
+    """One record field as a csv or markdown cell."""
+    if isinstance(v, list):
+        if fmt == "markdown":
+            return str(v).replace(" ", "")
+        v = ";".join(",".join(str(x) for x in e) if isinstance(e, list) else str(e)
+                     for e in v)
+    v = str(v)
+    return f'"{v}"' if fmt == "csv" and "," in v else v
+
+
 def _emit_records(records: List[dict], fmt: str, out) -> None:
     if fmt == "json":
         json.dump(records, out, indent=2)
         out.write("\n")
-    elif fmt == "csv":
-        out.write(",".join(_FIELDS) + "\n")
-        for rec in records:
-            row = []
-            for f in _FIELDS:
-                v = rec[f]
-                if isinstance(v, list):
-                    v = ";".join(
-                        ",".join(str(x) for x in e) if isinstance(e, list) else str(e)
-                        for e in v)
-                row.append(f'"{v}"' if "," in str(v) else str(v))
-            out.write(",".join(row) + "\n")
-    else:  # markdown
-        out.write("| " + " | ".join(_FIELDS) + " |\n")
-        out.write("|" + "---|" * len(_FIELDS) + "\n")
-        for rec in records:
-            cells = []
-            for f in _FIELDS:
-                v = rec[f]
-                if isinstance(v, list):
-                    v = str(v).replace(" ", "")
-                cells.append(str(v))
-            out.write("| " + " | ".join(cells) + " |\n")
+    else:
+        _write_table(out, fmt, _FIELDS, ([_cell(rec[f], fmt) for f in _FIELDS]
+                                         for rec in records))
 
 
 def _parse_families(text: str):
@@ -225,6 +226,15 @@ def _report_rows(report: ReconciliationReport) -> List[dict]:
     return rows
 
 
+def _diff_text(row: dict) -> str:
+    """One report row's failing instances with their differing fields."""
+    return "; ".join(
+        f"{d['candidate']}: " + ", ".join(
+            f"{x['field']} paper={x['paper']} computed={x['computed']}"
+            for x in d["fields"])
+        for d in row["diffs"])
+
+
 def _emit_report(report: ReconciliationReport, fmt: str, out) -> None:
     rows = _report_rows(report)
     if fmt == "json":
@@ -239,35 +249,21 @@ def _emit_report(report: ReconciliationReport, fmt: str, out) -> None:
         json.dump(payload, out, indent=2)
         out.write("\n")
         return
-    if fmt == "markdown":
+    markdown = fmt == "markdown"
+    if markdown:
         out.write(f"# Reconciliation: scope={report.scope}, max_rank={report.max_rank}\n\n")
-        out.write("| table | item | status | allowlisted | instances | diffs |\n")
-        out.write("|---|---|---|---|---|---|\n")
-        for r in rows:
-            diffs = "; ".join(
-                f"{d['candidate']}: " + ", ".join(
-                    f"{x['field']} paper={x['paper']} computed={x['computed']}"
-                    for x in d["fields"])
-                for d in r["diffs"]) or "-"
-            out.write(f"| {r['table']} | {r['item']} | {r['status']} | "
-                      f"{r['allowlisted']} | {r['instances']} | {diffs} |\n")
+    header = ["table", "item", "status", "allowlisted", "instances", "diffs"]
+    _write_table(out, fmt, header, (
+        [str(r[f]) for f in header[:-1]]
+        + [(_diff_text(r) or "-") if markdown else f'"{_diff_text(r)}"']
+        for r in rows))
+    if markdown:
         if report.computed_only:
             out.write("\n## Computed tuples not covered by any printed row\n\n")
             _emit_records([record_of(t) for t in report.computed_only], "markdown", out)
         for note in report.notes:
             out.write(f"\nNote: {note}\n")
         out.write(f"\nresult: {'clean' if report.ok else 'MISMATCHES OUTSIDE ALLOWLIST'}\n")
-        return
-    # csv
-    out.write("table,item,status,allowlisted,instances,diffs\n")
-    for r in rows:
-        diffs = "; ".join(
-            f"{d['candidate']}: " + ", ".join(
-                f"{x['field']} paper={x['paper']} computed={x['computed']}"
-                for x in d["fields"])
-            for d in r["diffs"])
-        out.write(f"{r['table']},{r['item']},{r['status']},{r['allowlisted']},"
-                  f"{r['instances']},\"{diffs}\"\n")
 
 
 def _cmd_verify(args) -> int:

@@ -2,15 +2,18 @@
 
 A grading element E = sum of coweights A^i over a support set evaluates a
 weight lambda to the sum of lambda's simple-root coordinates over that
-support.  Internal eigenvalues are the raw lambda(E_ss) values; the shift
-to the Hodge normalization (top eigenvalue n/2) happens only when the
-vector is assembled, so the center charge stays a single auditable step.
+support.  The eigenvalues of E_ss on V(mu) form a unit-step ladder down
+from mu(E_ss): a decomposition is its top (the one `Fraction`) and the
+integer dimensions below it.  These raw eigenvalues are shifted to the
+Hodge normalization (top eigenvalue n/2) only when the vector is
+assembled, so the center charge stays a single auditable step.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from itertools import groupby
+from operator import itemgetter, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, ShapeError
@@ -57,30 +60,31 @@ class GradingElement:
 
 @dataclass(frozen=True)
 class EigenDecomp:
-    """(eigenvalue, dimension) pairs with strictly decreasing eigenvalues."""
+    """Eigenspace dimensions on a unit-step ladder: dims[k] sits at
+    eigenvalue top - k."""
 
-    levels: Tuple[Tuple[Fraction, int], ...]
+    top: Fraction
+    dims: Tuple[int, ...]
 
     def __post_init__(self):
-        evs = [ev for ev, _ in self.levels]
-        if any(evs[k] <= evs[k + 1] for k in range(len(evs) - 1)):
-            raise ValueError("eigenvalues must be strictly decreasing")
+        if not self.dims or any(d <= 0 for d in self.dims):
+            raise ValueError(f"ladder dimensions must be positive, got {self.dims}")
 
     @property
-    def dims(self) -> Tuple[int, ...]:
-        return tuple(d for _, d in self.levels)
+    def levels(self) -> Tuple[Tuple[Fraction, int], ...]:
+        return tuple((self.top - k, d) for k, d in enumerate(self.dims))
 
     @property
     def eigenvalues(self) -> Tuple[Fraction, ...]:
-        return tuple(ev for ev, _ in self.levels)
+        return tuple(self.top - k for k in range(len(self.dims)))
 
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
 
     @property
-    def span(self) -> Fraction:
-        return self.levels[0][0] - self.levels[-1][0]
+    def span(self) -> int:
+        return len(self.dims) - 1
 
 
 @dataclass(frozen=True)
@@ -183,13 +187,14 @@ def eigenspace_dims(t: LieType, mu, E: GradingElement,
             s = sum(map(mul, row, nu))
             buckets[s] = buckets.get(s, 0) + m
     ws.check_total(sum(buckets.values()))
-    levels = tuple(
-        (Fraction(s, rsd.inverse_den), buckets[s]) for s in sorted(buckets, reverse=True)
-    )
-    # irreducibility makes the eigenvalue ladder contiguous with unit steps
-    if any(a - b != 1 for (a, _), (b, _) in zip(levels, levels[1:])):
-        raise ConsistencyError(f"eigenvalue ladder {levels} has a gap")
-    return EigenDecomp(levels=levels)
+    # irreducibility makes the eigenvalue ladder contiguous with unit steps,
+    # one step being inverse_den in the bucket keys
+    den, top = rsd.inverse_den, max(buckets)
+    dims = tuple(buckets[s] for s in range(top, top - den * len(buckets), -den)
+                 if s in buckets)
+    if len(dims) != len(buckets):
+        raise ConsistencyError(f"eigenvalue ladder {sorted(buckets)}/{den} has a gap")
+    return EigenDecomp(top=Fraction(top, den), dims=dims)
 
 
 def extremal_dim_is_one(mu, E: GradingElement) -> bool:
@@ -215,20 +220,16 @@ def reality_type(t: LieType, mu, E: GradingElement) -> str:
 
 
 def center_charge(level_n: int, mu_of_E: Fraction, reality: str) -> Fraction:
-    """Charge of the one-dimensional center on U.
+    """Charge c = n/2 - mu(E_ss) of the one-dimensional center on U.
 
-    The reality argument is the Hodge-assembly case: `real` means V_C = U
-    (forcing c = 0); complex and quaternionic mean V_C = U + U* with the
-    shift c = n/2 - mu(E_ss) (zero for quaternionic, where mu(E_ss) = n/2).
+    The reality argument is the Hodge-assembly case: complex means
+    V_C = U + U*, where c splits U from U*; real (V_C = U) and quaternionic
+    (V_C = U + U* with U = U*) need mu(E_ss) = n/2 already, so c = 0.
     """
-    if reality == REAL:
-        return Fraction(0)
-    if reality == QUATERNIONIC:
-        c = Fraction(level_n, 2) - Fraction(mu_of_E)
-        if c != 0:
-            raise ConsistencyError("quaternionic case requires mu(E_ss) = n/2")
-        return c
-    return Fraction(level_n, 2) - Fraction(mu_of_E)
+    c = Fraction(level_n, 2) - mu_of_E
+    if reality != COMPLEX and c != 0:
+        raise ConsistencyError(f"{reality} case requires mu(E_ss) = n/2")
+    return c
 
 
 def hodge_vector(decomp: EigenDecomp, reality: str, c: Fraction,
@@ -236,35 +237,41 @@ def hodge_vector(decomp: EigenDecomp, reality: str, c: Fraction,
     """Assemble the Hodge vector of V_C at the requested level.
 
     real: V_C = U and the raw eigenvalues are already at the half-integer
-    grid.  complex/quaternionic: shift U by c, adjoin U* with negated
-    eigenvalues and reversed dimensions, and add level-wise.
+    grid.  complex/quaternionic: shift U by c and adjoin U*, whose ladder
+    is U's reversed with eigenvalues negated; the two add level-wise.
     """
-    shifted = [(ev + c, d) for ev, d in decomp.levels]
-    if reality == REAL:
-        combined = dict(shifted)
-    else:
-        combined = {}
-        for ev, d in shifted:
-            combined[ev] = combined.get(ev, 0) + d
-        for ev, d in shifted:
-            combined[-ev] = combined.get(-ev, 0) + d
-    levels = sorted(combined, reverse=True)
-    # trim zero extremes (cannot appear from irreducible input; kept for safety)
-    while levels and combined[levels[0]] == 0:
-        levels.pop(0)
-    while levels and combined[levels[-1]] == 0:
-        levels.pop()
-    dims = tuple(combined[ev] for ev in levels)
-    vec = HodgeVector(dims=dims)
-
-    top = Fraction(level_n, 2)
-    expected_levels = [top - k for k in range(level_n + 1)]
-    if levels != expected_levels:
+    top = decomp.top + c
+    dims = list(decomp.dims)
+    if reality != REAL:
+        # U* carries dims[k] at eigenvalue k - top, so its top sits
+        # gap = 2 top - span unit steps below the top of U; a gap off the
+        # integers leaves 2 top off them too, so the grid check rejects it
+        gap = 2 * top - decomp.span
+        if gap.denominator == 1:
+            gap = int(gap)
+            u_at, star_at = max(-gap, 0), max(gap, 0)
+            merged = [0] * (len(dims) + abs(gap))
+            for k, d in enumerate(dims):
+                merged[u_at + k] += d
+                merged[star_at + len(dims) - 1 - k] += d
+            top, dims = top + u_at, merged
+    if 2 * top != level_n or len(dims) != level_n + 1 or 0 in dims:
+        # off the grid: name the eigenvalues that did appear
+        pairs = [(ev + c, d) for ev, d in decomp.levels]
+        if reality != REAL:
+            pairs += [(-ev, d) for ev, d in pairs]
+        levels, dims = [], []
+        for ev, group in groupby(sorted(pairs, reverse=True), key=itemgetter(0)):
+            levels.append(ev)
+            dims.append(sum(d for _, d in group))
+        grid = [Fraction(level_n, 2) - k for k in range(level_n + 1)]
         raise ShapeError(
             f"eigenvalues {[str(x) for x in levels]} do not fill the grid "
-            f"{[str(x) for x in expected_levels]} for level {level_n}",
-            vector=dims,
+            f"{[str(x) for x in grid]} for level {level_n}",
+            vector=tuple(dims),
         )
+    dims = tuple(dims)
+    vec = HodgeVector(dims=dims)
     if not vec.is_palindromic:
         raise ShapeError(f"assembled vector {dims} is not palindromic", vector=dims)
     if any(d <= 0 for d in dims):

@@ -1,11 +1,13 @@
 """Products of 2 or 3 simple factors: the semisimple level-3 cases.
 
-A product representation is a tensor product of per-factor irreducibles;
-its eigenspace decomposition is the discrete convolution of the factor
-decompositions and its reality type follows the tensor rule (any complex
-factor makes the product complex; otherwise parity of the quaternionic
-count decides).  Only the factor-level patterns (1,1), (1,2) and (1,1,1)
-can produce a CY3-shaped vector.
+A product representation is a tensor product of per-factor irreducibles.
+Its eigenspace ladder has the sum of the factor tops as its top and the
+integer polynomial product of the factor dimension ladders as its
+dimensions; its reality type follows the tensor rule (any complex factor
+makes the product complex; otherwise parity of the quaternionic count
+decides).  Only the factor-level patterns (1,1), (1,2) and (1,1,1) can
+produce a CY3-shaped vector, and the center charge comes from
+`hodgecore.center_charge` like that of a simple factor.
 
 Everything the rules read of one factor (the top-eigenspace check, its
 level, reality type, mu(E) and eigenspace decomposition) sits in a
@@ -23,7 +25,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import ConsistencyError, ShapeError
+from .errors import ShapeError
 from .hodgecore import (
     COMPLEX,
     QUATERNIONIC,
@@ -32,6 +34,7 @@ from .hodgecore import (
     GradingElement,
     HodgeVector,
     RealFormDescriptor,
+    center_charge,
     eigenspace_dims,
     extremal_dim_is_one,
     hodge_vector,
@@ -72,19 +75,17 @@ class ProductTuple:
 
 
 def convolve_eigen(decomps: Sequence[EigenDecomp]) -> EigenDecomp:
-    """Eigenvalues add, dimensions multiply and accumulate."""
+    """Tops add; the dimension ladders multiply as integer polynomials."""
     if not 2 <= len(decomps) <= 3:
         raise ValueError("convolution takes 2 or 3 decompositions")
-    acc = {ev: d for ev, d in decomps[0].levels}
-    for dec in decomps[1:]:
-        nxt = {}
-        for ev1, d1 in acc.items():
-            for ev2, d2 in dec.levels:
-                key = ev1 + ev2
-                nxt[key] = nxt.get(key, 0) + d1 * d2
-        acc = nxt
-    levels = tuple((ev, acc[ev]) for ev in sorted(acc, reverse=True))
-    return EigenDecomp(levels=levels)
+    dims = [1]
+    for dec in decomps:
+        nxt = [0] * (len(dims) + len(dec.dims) - 1)
+        for i, a in enumerate(dims):
+            for j, b in enumerate(dec.dims):
+                nxt[i + j] += a * b
+        dims = nxt
+    return EigenDecomp(top=sum(d.top for d in decomps), dims=tuple(dims))
 
 
 def tensor_reality(types: Sequence[str]) -> str:
@@ -168,13 +169,7 @@ def _assemble(summaries: Sequence[_FactorSummary]) -> ProductTuple:
     spans = [s.span for s in summaries]
     joint = tensor_reality([s.reality for s in summaries])
     case = _assembly_case(spans, joint)
-    mu_e = sum((s.mu_e() for s in summaries), Fraction(0))
-    if case == COMPLEX:
-        c = Fraction(3, 2) - mu_e
-    else:
-        c = Fraction(0)
-        if mu_e != Fraction(3, 2):
-            raise ConsistencyError("real product must already sit at mu(E) = 3/2")
+    c = center_charge(3, sum(s.mu_e() for s in summaries), case)
     vec = hodge_vector(convolve_eigen([s.eigen() for s in summaries]), case, c, 3)
     factors = tuple(s.factor for s in summaries)
     return ProductTuple(

@@ -23,6 +23,11 @@ every span-1/span-2 extremal pair offered to `combine`.
 
 The product oracle is the sweep the per-factor summaries replaced: every
 1+1, 1+2 and 1+1+1 combination of the pools handed to `combine` whole.
+
+The ladder oracles are the engine's former `Fraction`-keyed routes for
+convolution and Hodge-vector assembly: eigenvalues as dict keys, summed
+and re-sorted, on (eigenvalue, dimension) level tuples rather than the
+engine's (top, dims) ladders.
 """
 from __future__ import annotations
 
@@ -38,8 +43,8 @@ from hodgerep.hodgecore import (
     COMPLEX,
     QUATERNIONIC,
     REAL,
-    EigenDecomp,
     GradingElement,
+    HodgeVector,
     extremal_dim_is_one,
     level,
 )
@@ -53,6 +58,8 @@ from hodgerep.rootdata import (
     root_system,
     weight_to_root_coords,
 )
+
+Levels = Tuple[Tuple[Fraction, int], ...]
 
 
 def invert_exact(matrix) -> Tuple[Tuple[Fraction, ...], ...]:
@@ -197,6 +204,12 @@ def weyl_orbit_bfs(t: LieType, w) -> List[Tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
+def _inverse_cartan(t: LieType) -> Tuple[Tuple[Fraction, ...], ...]:
+    """The `Fraction` inverse of t's Cartan matrix, inverted once per type."""
+    return invert_exact(root_system(t).cartan)
+
+
+@lru_cache(maxsize=None)
 def full_weight_map(t: LieType, mu: Tuple[int, ...]) -> Dict[Tuple[int, ...], int]:
     """Every weight of V(mu) with its multiplicity, each dominant weight's
     Freudenthal multiplicity spread over its breadth-first orbit."""
@@ -212,12 +225,12 @@ def full_weight_map(t: LieType, mu: Tuple[int, ...]) -> Dict[Tuple[int, ...], in
 
 
 def eigenspace_dims_full(t: LieType, mu, E: GradingElement,
-                         max_dim: int = DEFAULT_MAX_DIM) -> EigenDecomp:
-    """`eigenspace_dims` by grouping the full weight map by the eigenvalue
-    lambda(E_ss)."""
+                         max_dim: int = DEFAULT_MAX_DIM) -> Levels:
+    """The (eigenvalue, dimension) levels of `eigenspace_dims`, by grouping
+    the full weight map by the eigenvalue lambda(E_ss)."""
     weight_system(t, mu, max_dim=max_dim)  # the size guard
     rank = t.rank
-    inv = invert_exact(root_system(t).cartan)
+    inv = _inverse_cartan(t)
     sup = [i - 1 for i in E.support]
     row = [sum(inv[j][i] for i in sup) for j in range(rank)]
     den = 1
@@ -234,7 +247,64 @@ def eigenspace_dims_full(t: LieType, mu, E: GradingElement,
     )
     if any(a - b != 1 for (a, _), (b, _) in zip(levels, levels[1:])):
         raise ConsistencyError(f"eigenvalue ladder {levels} has a gap")
-    return EigenDecomp(levels=levels)
+    return levels
+
+
+def convolve_levels(decomps: Sequence[Levels]) -> Levels:
+    """Convolution of (eigenvalue, dimension) levels: eigenvalues add,
+    dimensions multiply and accumulate under `Fraction` dict keys."""
+    if not 2 <= len(decomps) <= 3:
+        raise ValueError("convolution takes 2 or 3 decompositions")
+    acc = {ev: d for ev, d in decomps[0]}
+    for dec in decomps[1:]:
+        nxt = {}
+        for ev1, d1 in acc.items():
+            for ev2, d2 in dec:
+                key = ev1 + ev2
+                nxt[key] = nxt.get(key, 0) + d1 * d2
+        acc = nxt
+    return tuple((ev, acc[ev]) for ev in sorted(acc, reverse=True))
+
+
+def hodge_vector_levels(levels: Levels, reality: str, c: Fraction,
+                        level_n: int) -> HodgeVector:
+    """`hodgecore.hodge_vector` on (eigenvalue, dimension) levels: shift by
+    c, adjoin U* under negated `Fraction` keys, sort, and check the grid."""
+    shifted = [(ev + c, d) for ev, d in levels]
+    if reality == REAL:
+        combined = dict(shifted)
+    else:
+        combined = {}
+        for ev, d in shifted:
+            combined[ev] = combined.get(ev, 0) + d
+        for ev, d in shifted:
+            combined[-ev] = combined.get(-ev, 0) + d
+    evs = sorted(combined, reverse=True)
+    # trim zero extremes (cannot appear from irreducible input; kept for safety)
+    while evs and combined[evs[0]] == 0:
+        evs.pop(0)
+    while evs and combined[evs[-1]] == 0:
+        evs.pop()
+    dims = tuple(combined[ev] for ev in evs)
+    vec = HodgeVector(dims=dims)
+
+    top = Fraction(level_n, 2)
+    expected = [top - k for k in range(level_n + 1)]
+    if evs != expected:
+        raise ShapeError(
+            f"eigenvalues {[str(x) for x in evs]} do not fill the grid "
+            f"{[str(x) for x in expected]} for level {level_n}",
+            vector=dims,
+        )
+    if not vec.is_palindromic:
+        raise ShapeError(f"assembled vector {dims} is not palindromic", vector=dims)
+    if any(d <= 0 for d in dims):
+        raise ShapeError(f"assembled vector {dims} has an empty level", vector=dims)
+    if level_n == 3 and not vec.is_cy3:
+        raise ShapeError(f"assembled vector {dims} is not of shape (1,a,a,1)", vector=dims)
+    if level_n == 1 and not vec.is_weight1:
+        raise ShapeError(f"assembled vector {dims} is not of shape (a,a)", vector=dims)
+    return vec
 
 
 def weyl_group(t: LieType) -> List[Tuple[Tuple[Tuple[int, ...], ...], int]]:

@@ -30,7 +30,7 @@ from hodgerep.hodgecore import (
     level,
 )
 from hodgerep.products import FactorSpec, combine, product_tuples
-from hodgerep.rootdata import LieType
+from hodgerep.rootdata import RANK_BOUNDS, LieType
 
 from oracles import enumerate_level_brute
 
@@ -168,6 +168,20 @@ def test_level_bound_matches_brute_force_sweep(target, products):
     got = json.dumps([record_of(t) for t in enumerate_level(cfg)])
     want = json.dumps([record_of(t) for t in enumerate_level_brute(cfg)])
     assert got == want
+
+
+@settings(max_examples=60)
+@given(families=st.sets(st.sampled_from(sorted(RANK_BOUNDS)), min_size=1, max_size=3),
+       max_rank=st.integers(1, 6), target=st.sampled_from([1, 3]),
+       products=st.booleans(), dedupe=st.booleans())
+def test_level_bound_matches_brute_force_on_random_windows(families, max_rank, target,
+                                                            products, dedupe):
+    """Random small windows: a family subset, rank <= 6, level 1 or 3,
+    with and without products and deduplication."""
+    cfg = SearchConfig(max_rank=max_rank, level=target, families=frozenset(families),
+                       include_products=products, dedupe_automorphisms=dedupe)
+    got = json.dumps([record_of(t) for t in enumerate_level(cfg)])
+    assert got == json.dumps([record_of(t) for t in enumerate_level_brute(cfg)])
 
 
 def test_candidates_respect_level_bound():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -159,6 +160,63 @@ def test_verify_csv_and_markdown_smoke(capsys):
         code, out, _ = run(capsys, "verify-paper", "--scope", "prop3.11",
                            "--format", fmt, "--max-rank", "3")
         assert code == 0 and "prop3.11" in out
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("csv", "d7147c45d1fc99123048f145cb5ad02995f3260616b7279c4b55467980e339a9"),
+    ("markdown", "df0575c4662b2cf25d606aad470fbcf43f753e8a6715a91283cc0a11d0f26a48"),
+], ids=["csv", "markdown"])
+def test_verify_report_bytes_are_pinned(capsys, fmt, digest):
+    code, out, _ = run(capsys, "verify-paper", "--scope", "all", "--max-rank", "8",
+                       "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+INSPECT_C3 = """\
+algebra:    C3
+E:          A3
+mu:         0,0,1
+(mu+mu*)(E): 3
+eigenspaces of E_ss on U (raw eigenvalues):
+       3/2  dim 1
+       1/2  dim 6
+      -1/2  dim 6
+      -3/2  dim 1
+algebra: C3
+E: [3]
+mu: [0, 0, 1]
+c: 0
+span: 3
+level: 3
+reality: real
+hodge: [1, 6, 6, 1]
+real_form: sp(3,R)
+canonical: True
+"""
+
+INSPECT_A1xB3 = """\
+factor A1 A1: levels 1/2:1 -1/2:1
+factor B3 A1: levels 1:1 0:5 -1:1
+algebra: A1xB3
+E: [[1], [1]]
+mu: [[1], [1, 0, 0]]
+c: 0
+span: 3
+level: 3
+reality: real
+hodge: [1, 6, 6, 1]
+real_form: su(1,1)+so(2,5)
+canonical: True
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["C3", "--E", "3", "--mu", "0,0,1"], INSPECT_C3),
+    (["A1xB3", "--E", "1x1", "--mu", "1x1,0,0"], INSPECT_A1xB3),
+], ids=["C3", "A1xB3"])
+def test_inspect_output_is_pinned(capsys, argv, expected):
+    assert run(capsys, "inspect", *argv) == (0, expected, "")
 
 
 def test_records_round_trip_losslessly(capsys):

@@ -5,10 +5,10 @@ import sys
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hodgerep.errors import HodgeRepError, ResourceLimitError, ShapeError
+from hodgerep.errors import ConsistencyError, HodgeRepError, ResourceLimitError, ShapeError
 from hodgerep.hodgecore import (
     COMPLEX,
     QUATERNIONIC,
@@ -31,6 +31,7 @@ from hodgerep.rootdata import RANK_BOUNDS, LieType, catalogued_types, dual_weigh
 from oracles import (
     dominant_weights_up_to,
     eigenspace_dims_full,
+    hodge_vector_levels,
     level_fraction,
     mu_of_grading_fraction,
     reality_type_fraction,
@@ -94,7 +95,12 @@ def test_center_charge():
     t = LieType("A", 4)
     m = mu_of_grading(t, fundamental(4, 1), E(4, [1]))
     assert center_charge(3, m, COMPLEX) == Q(7, 10)
-    assert center_charge(3, m, REAL) == 0
+    # omega_1 on A4 is complex: assembled as real it would need mu(E) = 3/2
+    with pytest.raises(ConsistencyError, match="real case requires mu"):
+        center_charge(3, m, REAL)
+    t = LieType("C", 3)
+    m = mu_of_grading(t, fundamental(3, 3), E(3, [3]))
+    assert m == Q(3, 2) and center_charge(3, m, REAL) == 0
     t = LieType("A", 3)
     m = mu_of_grading(t, fundamental(3, 1), E(3, [1]))
     assert center_charge(1, m, COMPLEX) == Q(-1, 4)
@@ -104,15 +110,16 @@ def test_quaternionic_charge_check_survives_optimize():
     code = ("from fractions import Fraction\n"
             "from hodgerep.errors import ConsistencyError\n"
             "from hodgerep.hodgecore import center_charge\n"
-            "try:\n"
-            "    center_charge(3, Fraction(1), 'quaternionic')\n"
-            "except ConsistencyError:\n"
-            "    print('raised')\n")
+            "for case in ('quaternionic', 'real'):\n"
+            "    try:\n"
+            "        center_charge(3, Fraction(1), case)\n"
+            "    except ConsistencyError:\n"
+            "        print('raised', case)\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout == "raised\n"
+    assert out.stdout == "raised quaternionic\nraised real\n"
 
 
 def test_hodge_vector_real():
@@ -210,8 +217,52 @@ def test_extremal_criterion_matches_top_eigenspace_small():
 
 
 def test_eigen_decomp_validation():
-    with pytest.raises(ValueError):
-        EigenDecomp(((Q(1), 2), (Q(1), 3)))
+    for dims in [(), (2, 0), (2, -1, 3), (0,)]:
+        with pytest.raises(ValueError):
+            EigenDecomp(Q(1), dims)
+    d = EigenDecomp(Q(1, 2), (2, 3, 1))
+    assert d.levels == ((Q(1, 2), 2), (Q(-1, 2), 3), (Q(-3, 2), 1))
+    assert d.eigenvalues == (Q(1, 2), Q(-1, 2), Q(-3, 2))
+    assert d.total_dim == 6
+    assert d.span == 2 and type(d.span) is int
+
+
+def _assembly(fn, *args):
+    """The assembled dims, or the ShapeError's message and vector."""
+    try:
+        return fn(*args).dims
+    except ShapeError as exc:
+        return str(exc), exc.vector
+
+
+@st.composite
+def _assembly_cases(draw):
+    """A unit-step ladder (top p/q with q <= 4, 1-4 positive dims), a
+    reality case, a level and a charge c: any p/q with q <= 4, or one
+    that puts the top of U, or that of U*, at n/2."""
+    top = draw(st.fractions(-4, 4, max_denominator=4))
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    level_n = draw(st.sampled_from([1, 3]))
+    c = draw(st.one_of(st.fractions(-4, 4, max_denominator=4),
+                       st.just(Q(level_n, 2) - top),
+                       st.just(len(dims) - 1 - Q(level_n, 2) - top)))
+    reality = draw(st.sampled_from([REAL, COMPLEX, QUATERNIONIC]))
+    return EigenDecomp(top, dims), reality, c, level_n
+
+
+@settings(max_examples=200)
+@given(_assembly_cases())
+@example((EigenDecomp(Q(1, 2), (1, 4)), COMPLEX, Q(1), 3))       # accepted (1,4,4,1)
+@example((EigenDecomp(Q(-1, 2), (4, 1)), COMPLEX, Q(0), 3))      # U* on top (1,4,4,1)
+@example((EigenDecomp(Q(1, 2), (1,)), COMPLEX, Q(1), 3))         # hole in the grid
+@example((EigenDecomp(Q(1, 3), (1, 2)), COMPLEX, Q(0), 3))       # U, U* interleave
+@example((EigenDecomp(Q(3, 2), (1, 2, 1, 3)), REAL, Q(0), 3))    # not palindromic
+@example((EigenDecomp(Q(3, 2), (2, 1, 1, 2)), REAL, Q(0), 3))    # not (1,a,a,1)
+@example((EigenDecomp(Q(1, 2), (1, 2)), QUATERNIONIC, Q(0), 1))  # accepted (3,3)
+def test_hodge_vector_matches_fraction_oracle(case):
+    decomp, reality, c, level_n = case
+    assert _assembly(hodge_vector, decomp, reality, c, level_n) == \
+        _assembly(hodge_vector_levels, decomp.levels, reality, c, level_n)
 
 
 def test_hodge_vector_predicates():
@@ -246,7 +297,7 @@ def test_orbit_bucketing_matches_full_map_oracle():
     checked = 0
     for t, mu, g in _small_cases():
         got = eigenspace_dims(t, mu, g, max_dim=ORACLE_MAX_DIM)
-        assert got == eigenspace_dims_full(t, mu, g, max_dim=ORACLE_MAX_DIM), \
+        assert got.levels == eigenspace_dims_full(t, mu, g, max_dim=ORACLE_MAX_DIM), \
             (str(t), mu, g.support)
         checked += 1
     assert checked > 4000
@@ -285,9 +336,12 @@ def _candidates(draw):
 def test_orbit_bucketing_property(case):
     t, mu, g = case
     got = _outcome(eigenspace_dims, t, mu, g, max_dim=500)
-    assert got == _outcome(eigenspace_dims_full, t, mu, g, max_dim=500)
+    want = _outcome(eigenspace_dims_full, t, mu, g, max_dim=500)
     if isinstance(got, EigenDecomp):
+        assert got.levels == want
         assert got.total_dim == weyl_dim(t, mu)
+    else:
+        assert got == want
 
 
 def _check_integer_route(t, mu, g):

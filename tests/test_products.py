@@ -30,29 +30,25 @@ from hodgerep.products import (
 )
 from hodgerep.rootdata import LieType, dual_weight, mu_plus_mu_star_closed_form
 
-from oracles import products_brute
+from oracles import convolve_levels, products_brute
 
 E = GradingElement.from_nodes
 
 
-def dec(*pairs):
-    return EigenDecomp(tuple((Q(ev), d) for ev, d in pairs))
+def dec(top, *dims):
+    return EigenDecomp(Q(top), dims)
 
 
 def test_convolution_examples():
-    assert convolve_eigen([dec((1, 1), (0, 1)), dec((1, 1), (0, 4), (-1, 1))]).dims \
-        == (1, 5, 5, 1)
-    assert convolve_eigen([dec((1, 1), (0, 1)), dec((1, 1), (0, 1), (-1, 1))]).dims \
-        == (1, 2, 2, 1)
-    assert convolve_eigen([dec((1, 1), (0, 1))] * 3).dims == (1, 3, 3, 1)
+    assert convolve_eigen([dec(1, 1, 1), dec(1, 1, 4, 1)]) == dec(2, 1, 5, 5, 1)
+    assert convolve_eigen([dec(1, 1, 1), dec(1, 1, 1, 1)]) == dec(2, 1, 2, 2, 1)
+    assert convolve_eigen([dec(1, 1, 1)] * 3) == dec(3, 1, 3, 3, 1)
 
 
 def _random_decomp(rng):
     n = rng.randint(1, 4)
     start = Q(rng.randint(-4, 4), rng.randint(1, 3))
-    return EigenDecomp(tuple(
-        (start - k, rng.randint(1, 5)) for k in range(n)
-    ))
+    return EigenDecomp(start, tuple(rng.randint(1, 5) for _ in range(n)))
 
 
 def test_convolution_conserves_dimension():
@@ -72,6 +68,27 @@ def test_convolution_commutative_associative():
             convolve_eigen([a, convolve_eigen([b, c])]).levels
         assert convolve_eigen([a, b, c]).levels == \
             convolve_eigen([convolve_eigen([a, b]), c]).levels
+
+
+def _convolution(fn, decomps):
+    try:
+        return fn(decomps)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def _ladder(draw):
+    top = draw(st.fractions(-4, 4, max_denominator=4))
+    return EigenDecomp(top, tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))))
+
+
+@settings(max_examples=150)
+@given(st.lists(_ladder(), min_size=1, max_size=4))
+def test_convolution_matches_fraction_oracle(decomps):
+    got = _convolution(convolve_eigen, decomps)
+    want = _convolution(convolve_levels, [d.levels for d in decomps])
+    assert (got.levels if isinstance(got, EigenDecomp) else got) == want
 
 
 def test_tensor_reality_table():

@@ -2,7 +2,8 @@
 
 Invariants are `ConsistencyError` raises, not `assert`s, so they hold under
 `python -O`; and the engine is exact, so it has no float literal and no
-`float(...)` call.
+`float(...)` call.  Every cache is on a named allowlist with its reason, so
+a cache that only hides a slow layer cannot be added unseen.
 """
 import ast
 from pathlib import Path
@@ -36,3 +37,72 @@ def test_guard_detects_each_violation():
     tree = ast.parse("assert x\ny = 0.5\nz = float(y)\n")
     assert [what for _, what in _violations(tree)] == [
         "assert statement", "float literal 0.5", "float(...) call"]
+
+
+CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
+
+CACHE_ALLOWLIST = {
+    "root_system": "one immutable catalog entry per simple type, read by every layer",
+    "_dominant_multiplicities": "Freudenthal's recursion once per (type, highest "
+                                "weight), shared by every grading element and level",
+    "WeightSystem.multiplicities": "the full weight map, built from the dominant "
+                                   "weights only when a caller asks for it",
+}
+
+
+def _base_name(expr):
+    """`lru_cache` for lru_cache, lru_cache(...), functools.lru_cache(...)."""
+    if isinstance(expr, ast.Call):
+        expr = expr.func
+    if isinstance(expr, ast.Attribute):
+        return expr.attr
+    return expr.id if isinstance(expr, ast.Name) else None
+
+
+def _caches(tree):
+    """(qualified name, line) of each definition under a cache decorator,
+    and ("<call>", line) of each cache decorator applied by a plain call."""
+    found, decorators = [], set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for dec in child.decorator_list:
+                    decorators.add(id(dec))
+                    if _base_name(dec) in CACHE_DECORATORS:
+                        found.append((prefix + child.name, dec.lineno))
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and id(node) not in decorators
+                and _base_name(node.func) in CACHE_DECORATORS):
+            found.append(("<call>", node.lineno))
+    return found
+
+
+def test_every_cache_is_allowlisted():
+    found = {name: f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for name, line in _caches(ast.parse(path.read_text(encoding="utf-8")))}
+    assert sorted(set(found) - set(CACHE_ALLOWLIST)) == [], found
+    assert sorted(set(CACHE_ALLOWLIST) - set(found)) == [], "stale allowlist entry"
+
+
+def test_cache_guard_detects_each_form():
+    tree = ast.parse(
+        "import functools\n"
+        "@lru_cache\ndef a(): pass\n"
+        "@lru_cache(maxsize=None)\ndef b(): pass\n"
+        "@functools.lru_cache(maxsize=8)\ndef c(): pass\n"
+        "@cache\ndef d(): pass\n"
+        "@functools.cache\ndef e(): pass\n"
+        "class K:\n"
+        "    @cached_property\n    def f(self): pass\n"
+        "    @functools.cached_property\n    def g(self): pass\n"
+        "h = functools.lru_cache(maxsize=None)(len)\n"
+        "@staticmethod\ndef i(): pass\n")
+    assert [name for name, _ in _caches(tree)] == [
+        "a", "b", "c", "d", "e", "K.f", "K.g", "<call>", "<call>"]
