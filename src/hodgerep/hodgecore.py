@@ -7,6 +7,13 @@ from mu(E_ss): a decomposition is its top (the one `Fraction`) and the
 integer dimensions below it.  These raw eigenvalues are shifted to the
 Hodge normalization (top eigenvalue n/2) only when the vector is
 assembled, so the center charge stays a single auditable step.
+
+A ladder has two routes behind one size guard.  At span (mu + mu*)(E)
+of 1 or 2, and at span 3 with mu = mu*, it is read off Weyl dimensions:
+the top eigenspace is the irreducible module of the Levi factor l_E with
+highest weight mu (Green-Griffiths-Kerr), the bottom one that of mu*,
+and weyl_dim fixes the rest; no weight is visited.  Every other ladder
+is bucketed from Weyl-orbit walks of the Freudenthal dominant weights.
 """
 from __future__ import annotations
 
@@ -17,7 +24,7 @@ from operator import itemgetter, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, ShapeError
-from .repweights import DEFAULT_MAX_DIM, weight_system, weyl_orbit
+from .repweights import DEFAULT_MAX_DIM, guarded_dim, levi_dim, weight_system, weyl_orbit
 from .rootdata import LieType, RootSystemData, Weight, dual_weight, root_system
 
 REAL = "real"
@@ -172,12 +179,50 @@ def eigenspace_dims(t: LieType, mu, E: GradingElement,
                     max_dim: int = DEFAULT_MAX_DIM) -> EigenDecomp:
     """Dimensions of the eigenspaces of E_ss on the weight spaces of V(mu).
 
-    Each dominant weight lambda adds its multiplicity to the eigenvalue
-    nu(E_ss) of every nu in its Weyl orbit; the full weight map is never
-    built.  Eigenvalues step down by the number of supported simple roots
-    subtracted from mu, so lambda(E) = mu(E) - k with k a nonnegative
-    integer.
+    The size guard runs first, on weyl_dim.  The ladder then comes from
+    the Levi closed form at span 1 or 2, or at span 3 with mu = mu*, and
+    from the orbit walk otherwise.
     """
+    mu = tuple(int(c) for c in mu)
+    dim = guarded_dim(t, mu, max_dim)
+    span = level(t, mu, E)
+    dual = dual_weight(t, mu)
+    if span in (1, 2) or (span == 3 and dual == mu):
+        return _levi_ladder(t, mu, dual, E, span, dim)
+    return _orbit_ladder(t, mu, E, max_dim)
+
+
+def _levi_ladder(t: LieType, mu: Weight, dual: Weight, E: GradingElement,
+                 span: int, dim: int) -> EigenDecomp:
+    """The ladder from Weyl dimensions.  The top eigenspace is the
+    irreducible l_E-module of highest weight mu, and the bottom one is dual
+    to the top one of V(mu*); a span-3 ladder of a self-dual mu is
+    symmetric, since its weights are closed under negation.  The middle
+    takes what weyl_dim leaves."""
+    d_top = levi_dim(t, mu, E.support)
+    d_bot = d_top if dual == mu else levi_dim(t, dual, E.support)
+    if span == 1:
+        dims = (d_top, d_bot)
+    elif span == 2:
+        dims = (d_top, dim - d_top - d_bot, d_bot)
+    else:
+        rest = dim - 2 * d_top
+        if rest % 2:
+            raise ConsistencyError(f"self-dual {mu} on {t} leaves an odd middle "
+                                   f"{rest} under E = {E}")
+        dims = (d_top, rest // 2, rest // 2, d_top)
+    if min(dims) <= 0 or sum(dims) != dim:
+        raise ConsistencyError(f"Levi ladder {dims} of {mu} on {t} under E = {E} "
+                               f"does not fill weyl_dim {dim}")
+    return EigenDecomp(top=mu_of_grading(t, mu, E), dims=dims)
+
+
+def _orbit_ladder(t: LieType, mu: Weight, E: GradingElement, max_dim: int) -> EigenDecomp:
+    """The ladder bucketed from Weyl orbits: each dominant weight lambda
+    adds its Freudenthal multiplicity to the eigenvalue nu(E_ss) of every
+    nu in its orbit, without building the full weight map.  Eigenvalues
+    step down by the number of supported simple roots subtracted from mu,
+    so lambda(E) = mu(E) - k with k a nonnegative integer."""
     ws = weight_system(t, mu, max_dim=max_dim)
     rsd = root_system(t)
     row = _grading_row(rsd, E)
@@ -270,16 +315,14 @@ def hodge_vector(decomp: EigenDecomp, reality: str, c: Fraction,
             f"{[str(x) for x in grid]} for level {level_n}",
             vector=tuple(dims),
         )
+    # past the grid check every level is positive, so a palindromic level-1
+    # vector is (a, a); only level 3 has a shape left to check
     dims = tuple(dims)
     vec = HodgeVector(dims=dims)
     if not vec.is_palindromic:
         raise ShapeError(f"assembled vector {dims} is not palindromic", vector=dims)
-    if any(d <= 0 for d in dims):
-        raise ShapeError(f"assembled vector {dims} has an empty level", vector=dims)
     if level_n == 3 and not vec.is_cy3:
         raise ShapeError(f"assembled vector {dims} is not of shape (1,a,a,1)", vector=dims)
-    if level_n == 1 and not vec.is_weight1:
-        raise ShapeError(f"assembled vector {dims} is not of shape (a,a)", vector=dims)
     return vec
 
 

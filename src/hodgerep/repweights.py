@@ -5,7 +5,10 @@ and extended to the other chambers by walking Weyl orbits down from the
 dominant weights.  Everything runs in exact integer arithmetic; the
 invariant form is the symmetrized pairing (lambda, beta) =
 sum_j beta_j d_j lambda^j for lambda in fundamental coordinates and beta a
-root in simple-root coordinates.
+root in simple-root coordinates.  One route computes it for every positive
+root at once, from the type's root columns over the support of lambda; the
+Weyl dimension formula, its product over the roots of a Levi factor, and
+Freudenthal's recursion all read it.
 """
 from __future__ import annotations
 
@@ -56,22 +59,61 @@ def _check_dominant(mu) -> None:
         raise NonDominantError(f"weight {tuple(mu)} is not dominant")
 
 
-def _pairings(rsd: RootSystemData, lam) -> List[int]:
-    """(lambda, beta) for every positive root beta, lambda in fundamental
-    coordinates."""
-    scaled = list(map(mul, lam, rsd.symmetrizer))
-    return [sum(map(mul, beta, scaled)) for beta in rsd.positive_roots]
+def _pairings(rsd: RootSystemData, lam, base) -> List[int]:
+    """base[k] + (lambda, beta_k) for every positive root beta_k, lambda in
+    fundamental coordinates: the root columns of supp(lambda), scaled by
+    lambda's coordinates, added to base."""
+    out = list(base)
+    for c, col in zip(lam, rsd.root_columns):
+        if c:
+            out = [x + c * y for x, y in zip(out, col)]
+    return out
 
 
 def weyl_dim(t: LieType, mu) -> int:
     """Dimension by the Weyl formula, prod (mu+rho, beta) / (rho, beta)."""
     _check_dominant(mu)
     rsd = root_system(t)
-    num = math.prod(_pairings(rsd, [m + 1 for m in mu]))
-    den = math.prod(_pairings(rsd, rsd.weyl_vector))
-    if num % den:
+    num = math.prod(_pairings(rsd, mu, rsd.rho_pairings))
+    if num % rsd.rho_product:
         raise ConsistencyError(f"Weyl dimension of {tuple(mu)} on {t} is not integral")
+    return num // rsd.rho_product
+
+
+def levi_dim(t: LieType, mu, nodes) -> int:
+    """Dimension of the irreducible module of highest weight mu over the
+    Levi factor on the nodes outside `nodes` (1-based): the Weyl product
+    over the positive roots with no support on `nodes`.  A root with no
+    support on supp(mu) pairs with mu to 0, so only the others add a
+    factor other than 1."""
+    _check_dominant(mu)
+    rsd = root_system(t)
+    painted = sum(1 << (i - 1) for i in nodes)
+    touched = sum(1 << j for j, c in enumerate(mu) if c)
+    levi = [k for k, m in enumerate(rsd.root_masks) if m & touched and not m & painted]
+    if not levi:
+        return 1
+    pairs, rho = _pairings(rsd, mu, rsd.rho_pairings), rsd.rho_pairings
+    num = math.prod(pairs[k] for k in levi)
+    den = math.prod(rho[k] for k in levi)
+    if num % den:
+        raise ConsistencyError(f"Levi dimension of {tuple(mu)} on {t} off the "
+                               f"nodes {tuple(nodes)} is not integral")
     return num // den
+
+
+def guarded_dim(t: LieType, mu, max_dim: int) -> int:
+    """weyl_dim(mu), or ResourceLimitError when it exceeds max_dim: the
+    size guard in front of every eigenspace and weight-system route."""
+    mu = tuple(int(c) for c in mu)
+    dim = weyl_dim(t, mu)
+    if dim > max_dim:
+        raise ResourceLimitError(
+            f"weight system of {t} with highest weight {mu} has dimension "
+            f"{dim}, above the size guard {max_dim}",
+            dimension=dim,
+        )
+    return dim
 
 
 def _reflect(v, i: int, neighbours) -> List[int]:
@@ -167,6 +209,7 @@ def _dominant_multiplicities(t: LieType, mu: Weight) -> Tuple[Tuple[Weight, int]
     neighbours = rsd.neighbours
     norms = [sum(map(mul, beta, map(mul, pf, rsd.symmetrizer)))
              for beta, pf in zip(rsd.positive_roots, pos_fund)]  # (beta, beta)
+    zeros = [0] * len(pos_fund)
 
     # mu - lam in simple-root coordinates; its height orders the recursion
     steps = {lam: _root_coords_of_difference(rsd, mu, lam)
@@ -177,7 +220,7 @@ def _dominant_multiplicities(t: LieType, mu: Weight) -> Tuple[Tuple[Weight, int]
         if lam == tuple(mu):
             continue
         acc = 0
-        for lam_beta, pf, bnorm in zip(_pairings(rsd, lam), pos_fund, norms):
+        for lam_beta, pf, bnorm in zip(_pairings(rsd, lam, zeros), pos_fund, norms):
             k = 1
             while True:
                 nu = tuple(lam[i] + k * pf[i] for i in range(rank))
@@ -202,12 +245,5 @@ def weight_system(t: LieType, mu, max_dim: int = DEFAULT_MAX_DIM) -> WeightSyste
     guard runs on every call, before the cache of dominant multiplicities.
     """
     mu = tuple(int(c) for c in mu)
-    dim = weyl_dim(t, mu)
-    if dim > max_dim:
-        raise ResourceLimitError(
-            f"weight system of {t} with highest weight {mu} has dimension "
-            f"{dim}, above the size guard {max_dim}",
-            dimension=dim,
-        )
-    return WeightSystem(lie_type=t, highest=mu, dimension=dim,
+    return WeightSystem(lie_type=t, highest=mu, dimension=guarded_dim(t, mu, max_dim),
                         dominant=_dominant_multiplicities(t, mu))

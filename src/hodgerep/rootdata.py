@@ -14,6 +14,7 @@ alpha_1..alpha_r labelling of Dynkin diagrams.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -84,6 +85,14 @@ class RootSystemData:
                     reflection s_i moves besides i itself
     weyl_vector     rho, all ones in fundamental coordinates
     symmetrizer     d_i = (alpha_i, alpha_i)/2 with short roots of length^2 2
+    root_columns    per node j, beta_j d_j for every positive root beta, so
+                    (lambda, beta) sums lambda^j times column j over the
+                    support of lambda
+    rho_pairings    (rho, beta) for every positive root beta
+    rho_product     the product of rho_pairings, the Weyl denominator
+    root_masks      per positive root, the bitmask of its support: beta is
+                    a root of the Levi factor off a node set S iff
+                    mask & S == 0
     """
 
     lie_type: LieType
@@ -96,6 +105,10 @@ class RootSystemData:
     neighbours: Tuple[Tuple[Tuple[int, int], ...], ...]
     weyl_vector: Weight
     symmetrizer: Tuple[int, ...]
+    root_columns: IntMatrix
+    rho_pairings: Tuple[int, ...]
+    rho_product: int
+    root_masks: Tuple[int, ...]
 
     @property
     def rank(self) -> int:
@@ -226,6 +239,9 @@ def root_system(t: LieType) -> RootSystemData:
     r = t.rank
     inverse_num, inverse_den = _inverse(cartan)
     roots, roots_fund = _positive_roots(cartan)
+    sym = _symmetrizer(t)
+    columns = tuple(tuple(beta[j] * sym[j] for beta in roots) for j in range(r))
+    rho_pairings = tuple(map(sum, zip(*columns)))
     return RootSystemData(
         lie_type=t,
         cartan=cartan,
@@ -238,7 +254,11 @@ def root_system(t: LieType) -> RootSystemData:
             tuple((j, cartan[i][j]) for j in range(r) if j != i and cartan[i][j])
             for i in range(r)),
         weyl_vector=tuple([1] * t.rank),
-        symmetrizer=_symmetrizer(t),
+        symmetrizer=sym,
+        root_columns=columns,
+        rho_pairings=rho_pairings,
+        rho_product=math.prod(rho_pairings),
+        root_masks=tuple(sum(1 << j for j, b in enumerate(beta) if b) for beta in roots),
     )
 
 

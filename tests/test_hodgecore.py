@@ -5,9 +5,11 @@ import sys
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hodgerep import hodgecore, repweights
+from hodgerep.classify import evaluate_simple, verify_paper
 from hodgerep.errors import ConsistencyError, HodgeRepError, ResourceLimitError, ShapeError
 from hodgerep.hodgecore import (
     COMPLEX,
@@ -26,7 +28,7 @@ from hodgerep.hodgecore import (
     reality_type,
 )
 from hodgerep.repweights import weight_system, weyl_dim
-from hodgerep.rootdata import RANK_BOUNDS, LieType, catalogued_types, dual_weight
+from hodgerep.rootdata import RANK_BOUNDS, LieType, catalogued_types, dual_weight, root_system
 
 from oracles import (
     dominant_weights_up_to,
@@ -384,3 +386,143 @@ def _dominant_cases(draw):
 @given(_dominant_cases())
 def test_integer_level_route_property(case):
     _check_integer_route(*case)
+
+
+def _node_weights(t, g):
+    """w_i = (omega_i + omega_i*)(E_ss), so that span = sum_i mu_i w_i."""
+    return [sum(row[i - 1] for i in g.support) for row in root_system(t).level_matrix]
+
+
+def _in_closed_form(t, mu, g):
+    span = level(t, mu, g)
+    return span in (1, 2) or (span == 3 and dual_weight(t, mu) == mu)
+
+
+def _closed_form_cases(max_rank):
+    """(type, mu, E): every type of rank <= max_rank, every E of at most 3
+    nodes, and every dominant mu of span <= 3 in the closed-form domain
+    (span 1 or 2, or span 3 with mu = mu*), supp(mu) anywhere."""
+    for t in catalogued_types(max_rank):
+        for g in _all_gradings(t.rank):
+            if len(g.support) > 3:
+                continue
+            w = _node_weights(t, g)
+            for size in (1, 2, 3):
+                for nodes in itertools.combinations_with_replacement(range(t.rank), size):
+                    if sum(w[i] for i in nodes) <= 3:
+                        mu = tuple(nodes.count(i) for i in range(t.rank))
+                        if _in_closed_form(t, mu, g):
+                            yield t, mu, g
+
+
+def _no_orbit_route(*args, **kwargs):
+    raise AssertionError("the orbit route ran inside the closed-form domain")
+
+
+def test_levi_ladder_matches_orbit_oracle(monkeypatch):
+    """Every closed-form ladder at rank <= 8 equals the orbit-walk ladder,
+    and eigenspace_dims reaches it without the orbit route."""
+    # above the default guard: the largest case is B8, omega_7 + omega_8,
+    # of dimension 1,810,432
+    max_dim = 2 * 10 ** 6
+    cases = list(_closed_form_cases(8))
+    want = [hodgecore._orbit_ladder(t, mu, g, max_dim) for t, mu, g in cases]
+    spans = {level(t, mu, g) for t, mu, g in cases}
+    self_dual_span3 = sum(1 for t, mu, g in cases
+                          if level(t, mu, g) == 3 and dual_weight(t, mu) == mu)
+    outside_e = sum(1 for t, mu, g in cases if not extremal_dim_is_one(mu, g))
+    assert len(cases) > 1200 and spans == {1, 2, 3}
+    assert self_dual_span3 > 250 and outside_e > 1000
+    monkeypatch.setattr(hodgecore, "_orbit_ladder", _no_orbit_route)
+    for (t, mu, g), expected in zip(cases, want):
+        assert eigenspace_dims(t, mu, g, max_dim) == expected, (str(t), mu, g.support)
+
+
+@st.composite
+def _closed_form_draws(draw):
+    """A type of rank <= 14, E of 1-3 nodes, and a dominant mu of span <= 3
+    in the closed-form domain, built one node at a time within the span
+    budget."""
+    family = draw(st.sampled_from(sorted(RANK_BOUNDS)))
+    lo, hi = RANK_BOUNDS[family]
+    rank = draw(st.integers(lo, min(hi or 14, 14)))
+    t = LieType(family, rank)
+    g = E(rank, sorted(draw(st.sets(st.integers(1, rank), min_size=1, max_size=3))))
+    w = _node_weights(t, g)
+    mu, budget = [0] * rank, 3
+    while True:
+        fits = [i for i in range(rank) if w[i] <= budget]
+        if not fits or (any(mu) and draw(st.booleans())):
+            break
+        i = draw(st.sampled_from(fits))
+        mu[i] += 1
+        budget -= w[i]
+    assume(any(mu) and _in_closed_form(t, tuple(mu), g))
+    return t, tuple(mu), g
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_closed_form_draws())
+def test_levi_ladder_property(case):
+    """Up to rank 14: the closed form equals the orbit route, including the
+    size guard's error."""
+    t, mu, g = case
+    got = _outcome(eigenspace_dims, t, mu, g, max_dim=20000)
+    assert got == _outcome(hodgecore._orbit_ladder, t, mu, g, 20000)
+    if isinstance(got, EigenDecomp):
+        assert got.total_dim == weyl_dim(t, mu)
+
+
+def test_rank14_reconcile_runs_no_freudenthal(monkeypatch):
+    """Every row instance up to rank 14 has span <= 3 in the closed-form
+    domain, so reconciling them builds no dominant multiplicities."""
+    calls = []
+    inner = repweights._dominant_multiplicities
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(repweights, "_dominant_multiplicities", counting)
+    report = verify_paper(max_rank=14, include_computed_only=False)
+    assert report.matches and calls == []
+
+
+def test_size_guard_precedes_the_closed_form():
+    """B20 spin at level 1 (span 1) stops at the guard with today's message."""
+    mu = fundamental(20, 20)
+    with pytest.raises(ResourceLimitError) as exc:
+        evaluate_simple(LieType("B", 20), E(20, [1]), mu, 1)
+    assert str(exc.value) == (
+        f"weight system of B20 with highest weight {mu} has dimension 1048576, "
+        "above the size guard 1000000")
+    assert exc.value.dimension == 1048576
+
+
+def test_levi_ladder_checks_survive_optimize():
+    """Under python -O: a root mask that drops alpha_1 from alpha_1 + alpha_2
+    makes the Levi quotient of omega_2 on A3 under E = A1 non-integral, and
+    a doubled Weyl denominator leaves an odd middle for C3, omega_3,
+    E = A3."""
+    code = ("from hodgerep.errors import ConsistencyError\n"
+            "from hodgerep.hodgecore import GradingElement, eigenspace_dims\n"
+            "from hodgerep.rootdata import LieType, root_system\n"
+            "a3, c3 = root_system(LieType('A', 3)), root_system(LieType('C', 3))\n"
+            "masks = list(a3.root_masks)\n"
+            "masks[a3.positive_roots.index((1, 1, 0))] = 0b010\n"
+            "object.__setattr__(a3, 'root_masks', tuple(masks))\n"
+            "object.__setattr__(c3, 'rho_product', 2 * c3.rho_product)\n"
+            "for rsd, mu, node in ((a3, (0, 1, 0), 1), (c3, (0, 0, 1), 3)):\n"
+            "    g = GradingElement.from_nodes(rsd.rank, [node])\n"
+            "    try:\n"
+            "        eigenspace_dims(rsd.lie_type, mu, g)\n"
+            "    except ConsistencyError as exc:\n"
+            "        print('raised', exc)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    lines = out.stdout.splitlines()
+    assert len(lines) == 2, out.stdout
+    assert "Levi dimension" in lines[0] and "not integral" in lines[0]
+    assert "odd middle" in lines[1]

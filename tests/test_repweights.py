@@ -2,12 +2,14 @@ import pytest
 
 from hodgerep.errors import NonDominantError, ResourceLimitError
 from hodgerep.repweights import (
+    _pairings,
     dominant_conjugate,
+    levi_dim,
     weight_system,
     weyl_dim,
     weyl_orbit,
 )
-from hodgerep.rootdata import LieType, catalogued_types, dual_weight
+from hodgerep.rootdata import LieType, catalogued_types, dual_weight, root_system
 
 from oracles import dominant_weights_up_to, kostant_multiplicity, weyl_orbit_bfs
 
@@ -35,6 +37,39 @@ def test_weyl_dim(family, rank, mu, dim):
 def test_weyl_dim_rejects_non_dominant():
     with pytest.raises(NonDominantError):
         weyl_dim(LieType("A", 2), (1, -1))
+
+
+def test_pairing_route_matches_symmetrized_form():
+    """The root columns over supp(lambda), added to a base, against
+    (lambda, beta) = sum_j beta_j d_j lambda^j summed over every node."""
+    for t in catalogued_types(8):
+        rsd = root_system(t)
+        r = t.rank
+        for lam in [(0,) * r, (1,) * r, tuple(range(r)), tuple((3 * j) % 4 for j in range(r))]:
+            want = [sum(b * d * c for b, d, c in zip(beta, rsd.symmetrizer, lam))
+                    for beta in rsd.positive_roots]
+            assert _pairings(rsd, lam, [0] * len(want)) == want, (str(t), lam)
+            assert _pairings(rsd, lam, rsd.rho_pairings) == \
+                [x + y for x, y in zip(want, rsd.rho_pairings)], (str(t), lam)
+
+
+@pytest.mark.parametrize("family,rank,mu,nodes,dim", [
+    ("C", 3, (1, 0, 0), [3], 3),           # top of the standard rep under sp(3,R)
+    ("A", 3, (0, 1, 0), [1], 3),           # Lambda^2 C^4 under su(1,3): C^3 on top
+    ("A", 3, (0, 1, 0), [2], 1),           # supp(mu) inside the painted nodes
+    ("E", 7, (0, 0, 0, 0, 0, 0, 1), [1], 12),  # 56 of E7 under so(12) x C
+    ("B", 4, (0, 0, 0, 1), [1], 8),        # spin(9) on so(7): its spinor
+    ("D", 5, (0, 1, 0, 0, 0), [1], 8),     # Lambda^2 C^10: C^8 of the D4 Levi on top
+])
+def test_levi_dim_examples(family, rank, mu, nodes, dim):
+    assert levi_dim(LieType(family, rank), mu, nodes) == dim
+
+
+def test_levi_dim_without_painted_nodes_is_weyl_dim():
+    for t in catalogued_types(8):
+        r = t.rank
+        for mu in [tuple(int(j == i) for j in range(r)) for i in range(r)] + [(1,) * r]:
+            assert levi_dim(t, mu, ()) == weyl_dim(t, mu), (str(t), mu)
 
 
 def test_sl2_string():

@@ -87,6 +87,24 @@ def test_weyl_vector_is_half_sum_of_positive_roots():
         assert fund == tuple([Q(1)] * t.rank), str(t)
 
 
+def test_pairing_fields_match_their_definitions():
+    """root_columns[j][k] = beta_j d_j, rho_pairings[k] = (rho, beta), their
+    product, and root_masks[k] = the support of beta, for every positive
+    root beta_k; the Weyl denominator is also (rho, beta) via the Cartan
+    matrix, sum_i beta_i d_i <alpha_i, rho> with <alpha_i, rho> = 1."""
+    for t in catalogued_types(16):
+        rsd = root_system(t)
+        d = rsd.symmetrizer
+        for k, beta in enumerate(rsd.positive_roots):
+            assert [col[k] for col in rsd.root_columns] == [b * dj for b, dj in zip(beta, d)]
+            assert rsd.rho_pairings[k] == sum(b * dj for b, dj in zip(beta, d)) > 0
+            assert rsd.root_masks[k] == sum(1 << j for j, b in enumerate(beta) if b)
+        prod = 1
+        for x in rsd.rho_pairings:
+            prod *= x
+        assert rsd.rho_product == prod, str(t)
+
+
 def test_inverse_cartan_exact():
     for t in catalogued_types(16):
         rsd = root_system(t)

@@ -44,7 +44,9 @@ CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
 CACHE_ALLOWLIST = {
     "root_system": "one immutable catalog entry per simple type, read by every layer",
     "_dominant_multiplicities": "Freudenthal's recursion once per (type, highest "
-                                "weight), shared by every grading element and level",
+                                "weight) for its remaining callers: the orbit route "
+                                "of eigenspace_dims (inspect at span > 3, and span 3 "
+                                "with mu != mu*) and the public weight_system",
     "WeightSystem.multiplicities": "the full weight map, built from the dominant "
                                    "weights only when a caller asks for it",
 }
