@@ -165,10 +165,25 @@ def test_verify_csv_and_markdown_smoke(capsys):
 @pytest.mark.parametrize("fmt, digest", [
     ("csv", "d7147c45d1fc99123048f145cb5ad02995f3260616b7279c4b55467980e339a9"),
     ("markdown", "df0575c4662b2cf25d606aad470fbcf43f753e8a6715a91283cc0a11d0f26a48"),
-], ids=["csv", "markdown"])
+    ("json", "20610238ea6fb996ca0cdd11c94ba3ee65707130bc9f902f9dcf9f9470e68f8a"),
+], ids=["csv", "markdown", "json"])
 def test_verify_report_bytes_are_pinned(capsys, fmt, digest):
     code, out, _ = run(capsys, "verify-paper", "--scope", "all", "--max-rank", "8",
                        "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("flags, digest", [
+    (["--level", "1"],
+     "f15b4f3ca518f9e3ef0edd52438bbc1eeba3e2a54a16034b3e86e652043265a2"),
+    (["--level", "3", "--products"],
+     "a788c90db44e64c51c04218a9c285e4023d82a72cb8ee8809c34815e8e08e5bf"),
+    (["--level", "3", "--products", "--dedupe", "--format", "csv"],
+     "09c4cf01af298559e226735e90579c254056c1c71addee4d4dec4dcc4b3f4b13"),
+], ids=["level1", "level3-products", "level3-products-dedupe-csv"])
+def test_classify_bytes_are_pinned(capsys, flags, digest):
+    code, out, _ = run(capsys, "classify", "--max-rank", "8", *flags)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
