@@ -17,6 +17,7 @@ from .errors import (
 )
 from .hodgecore import (
     EigenDecomp,
+    FactorSpec,
     GradingElement,
     HodgeTuple,
     HodgeVector,
@@ -29,7 +30,7 @@ from .hodgecore import (
     real_form,
     reality_type,
 )
-from .products import FactorSpec, ProductTuple, combine, convolve_eigen, tensor_reality
+from .products import combine, convolve_eigen, tensor_reality
 from .repweights import WeightSystem, weight_system, weyl_dim
 from .rootdata import (
     LieType,

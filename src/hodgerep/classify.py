@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, ShapeError
 from .expected import ExpectedInstance, ExpectedTables, instantiate, load_expected
@@ -24,6 +24,7 @@ from .hodgecore import (
     COMPLEX,
     QUATERNIONIC,
     REAL,
+    FactorSpec,
     GradingElement,
     HodgeTuple,
     center_charge,
@@ -35,11 +36,9 @@ from .hodgecore import (
     real_form,
     reality_type,
 )
-from .products import FactorSpec, ProductTuple, combine, product_tuples
+from .products import combine, product_tuples
 from .repweights import DEFAULT_MAX_DIM
 from .rootdata import RANK_BOUNDS, LieType, Weight, root_system
-
-AnyTuple = Union[HodgeTuple, ProductTuple]
 
 
 @dataclass(frozen=True)
@@ -117,55 +116,35 @@ def canonical_form(t: LieType, E: GradingElement, mu: Weight
     return GradingElement(best[1]), best[2]
 
 
-def canonicalize(t: AnyTuple) -> AnyTuple:
+def canonicalize(t: HodgeTuple) -> HodgeTuple:
     """Canonical representative of a tuple; level, reality and h unchanged."""
-    if isinstance(t, ProductTuple):
-        new_factors = []
-        for f in t.factors:
-            e2, m2 = canonical_form(f.lie_type, f.E, f.mu)
-            new_factors.append(FactorSpec(f.lie_type, e2, m2))
-        new_factors.sort(key=FactorSpec.sort_key)
-        return replace(
-            t,
-            factors=tuple(new_factors),
-            real_forms=tuple(real_form(f.lie_type, f.E) for f in new_factors),
-            is_canonical=True,
-            canonical_key=_product_key(new_factors),
-        )
-    e2, m2 = canonical_form(t.algebra, t.E, t.mu)
+    factors = []
+    for f in t.factors:
+        e2, m2 = canonical_form(f.lie_type, f.E, f.mu)
+        factors.append(FactorSpec(f.lie_type, e2, m2))
+    factors.sort(key=FactorSpec.sort_key)
     return replace(
         t,
-        E=e2,
-        mu=m2,
-        real_form=real_form(t.algebra, e2),
+        factors=tuple(factors),
+        real_forms=tuple(real_form(f.lie_type, f.E) for f in factors),
         is_canonical=True,
-        canonical_key=_simple_key(t.algebra, e2, m2),
+        canonical_key=_factor_keys(factors),
     )
 
 
-def _simple_key(t: LieType, E: GradingElement, mu: Weight):
-    return (t.family, t.rank, E.support, mu)
+def _factor_keys(factors: Sequence[FactorSpec]):
+    return tuple((f.lie_type.family, f.lie_type.rank, f.E.support, f.mu)
+                 for f in factors)
 
 
-def _product_key(factors: Sequence[FactorSpec]):
-    return tuple(_simple_key(f.lie_type, f.E, f.mu) for f in factors)
+def tuple_key(t: HodgeTuple):
+    """Sort key: simple tuples first, then products, each by factor keys."""
+    return (len(t.factors) > 1,) + _factor_keys(t.factors)
 
 
-def tuple_key(t: AnyTuple):
-    if isinstance(t, ProductTuple):
-        return (1,) + _product_key(t.factors)
-    return (0,) + _simple_key(t.algebra, t.E, t.mu)
-
-
-def coverage_key(t: AnyTuple):
+def coverage_key(t: HodgeTuple):
     """Order-independent identity matching ExpectedInstance.key."""
-    if isinstance(t, ProductTuple):
-        factors = t.factors
-    else:
-        factors = (FactorSpec(t.algebra, t.E, t.mu),)
-    return tuple(sorted(
-        (f.lie_type.family, f.lie_type.rank, f.E.support, f.mu) for f in factors
-    ))
+    return tuple(sorted(_factor_keys(t.factors)))
 
 
 def _b2c2_mirror(family: str, rank: int, nodes, mu):
@@ -225,15 +204,13 @@ def evaluate_simple(t: LieType, E: GradingElement, mu: Weight, target_level: int
     decomp = eigenspace_dims(t, mu, E, max_dim=max_dim)
     vec = hodge_vector(decomp, case, c, target_level)
     return HodgeTuple(
-        algebra=t,
-        E=E,
-        mu=tuple(mu),
+        factors=(FactorSpec(t, E, tuple(mu)),),
         span=span,
         level=target_level,
         reality=reality,
         c=c,
         hodge=vec,
-        real_form=real_form(t, E),
+        real_forms=(real_form(t, E),),
     )
 
 
@@ -265,19 +242,19 @@ def candidates(t: LieType, target_level: int
                     yield E, tuple(picks.count(i) for i in range(rank)), span
 
 
-def _annotate_canonical(tuples: List[AnyTuple]) -> List[AnyTuple]:
+def _annotate_canonical(tuples: List[HodgeTuple]) -> List[HodgeTuple]:
     out = []
     for t in tuples:
         canon = canonicalize(t)
         out.append(replace(
             t,
             canonical_key=canon.canonical_key,
-            is_canonical=(tuple_key(t)[1:] == canon.canonical_key),
+            is_canonical=(_factor_keys(t.factors) == canon.canonical_key),
         ))
     return out
 
 
-def enumerate_level(config: SearchConfig) -> List[AnyTuple]:
+def enumerate_level(config: SearchConfig) -> List[HodgeTuple]:
     """All Hodge tuples of the configured level in the search window.
 
     Output is canonically sorted and deterministic; diagram-automorphism
@@ -294,7 +271,7 @@ def enumerate_level(config: SearchConfig) -> List[AnyTuple]:
             if with_products and span in pools:
                 pools[span].append(FactorSpec(t, E, mu))
 
-    results: List[AnyTuple] = _annotate_canonical(simple)
+    results = _annotate_canonical(simple)
     if with_products:
         results.extend(_annotate_canonical(
             product_tuples(pools[1], pools[2], config.max_dim)))
@@ -339,7 +316,7 @@ class ReconciliationReport:
     matches: List[RowResult] = field(default_factory=list)
     mismatches: List[RowResult] = field(default_factory=list)
     paper_only: List[RowResult] = field(default_factory=list)
-    computed_only: List[AnyTuple] = field(default_factory=list)
+    computed_only: List[HodgeTuple] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
 
     @property
@@ -355,33 +332,28 @@ class ReconciliationReport:
 def _check_instance(inst: ExpectedInstance, target_level: int,
                     max_dim: int) -> InstanceResult:
     diffs: List[Tuple[str, str, str]] = []
-    computed_rf: List[str] = []
+    factors = [FactorSpec(t, GradingElement.from_nodes(t.rank, nodes), mu)
+               for t, nodes, mu in inst.factors]
     if inst.is_product:
-        factors = [FactorSpec(t, GradingElement.from_nodes(t.rank, nodes), mu)
-                   for t, nodes, mu in inst.factors]
         try:
-            p = combine(factors, max_dim=max_dim)
+            got = combine(factors, max_dim=max_dim)
         except ShapeError as exc:
             diffs.append(("validity", "valid level-3 product", f"rejected: {exc}"))
             return InstanceResult(inst, "mismatch", diffs)
-        got_h, got_c, got_reality = p.hodge.dims, p.c, p.reality
-        computed_rf = sorted(d.label() for d in p.real_forms)
     else:
-        t, nodes, mu = inst.factors[0]
-        E = GradingElement.from_nodes(t.rank, nodes)
-        got = evaluate_simple(t, E, mu, target_level, max_dim=max_dim)
+        f = factors[0]
+        got = evaluate_simple(f.lie_type, f.E, f.mu, target_level, max_dim=max_dim)
         if got is None:
             diffs.append(("validity", f"valid level-{target_level} tuple", "rejected"))
             return InstanceResult(inst, "mismatch", diffs)
-        got_h, got_c, got_reality = got.hodge.dims, got.c, got.reality
-        computed_rf = [got.real_form.label()]
 
-    if tuple(inst.h) != tuple(got_h):
-        diffs.append(("h", str(list(inst.h)), str(list(got_h))))
-    if inst.c != got_c:
-        diffs.append(("c", str(inst.c), str(got_c)))
-    if inst.reality != got_reality:
-        diffs.append(("reality", inst.reality, got_reality))
+    if tuple(inst.h) != got.hodge.dims:
+        diffs.append(("h", str(list(inst.h)), str(list(got.hodge.dims))))
+    if inst.c != got.c:
+        diffs.append(("c", str(inst.c), str(got.c)))
+    if inst.reality != got.reality:
+        diffs.append(("reality", inst.reality, got.reality))
+    computed_rf = sorted(d.label() for d in got.real_forms)
     if inst.real_forms is not None:
         expected_rf = sorted(x for x in inst.real_forms if x is not None)
         if expected_rf and expected_rf != computed_rf:
@@ -390,7 +362,7 @@ def _check_instance(inst: ExpectedInstance, target_level: int,
     return InstanceResult(inst, status, diffs)
 
 
-def _factor_pattern(p: ProductTuple) -> Tuple[int, ...]:
+def _factor_pattern(p: HodgeTuple) -> Tuple[int, ...]:
     return tuple(sorted(level(f.lie_type, f.mu, f.E) for f in p.factors))
 
 
@@ -415,18 +387,14 @@ def _scope_predicate(tables: ExpectedTables, names):
         meta = tables.tables[n]
         specs.append((tables.level_of(n), meta.get("span"), meta.get("pattern")))
 
-    def accept(t: AnyTuple) -> bool:
+    def accept(t: HodgeTuple) -> bool:
+        product = len(t.factors) > 1
         for lv, span, pattern in specs:
-            if isinstance(t, ProductTuple):
-                if pattern is not None and _factor_pattern(t) == tuple(pattern):
+            if pattern is not None:
+                if product and _factor_pattern(t) == tuple(pattern):
                     return True
-            else:
-                if pattern is not None:
-                    continue
-                if t.level != lv:
-                    continue
-                if span is None or t.span == span:
-                    return True
+            elif not product and t.level == lv and span in (None, t.span):
+                return True
         return False
 
     return accept

@@ -21,8 +21,8 @@ from .classify import (
     verify_paper,
 )
 from .errors import HodgeRepError, ResourceLimitError, ShapeError
-from .hodgecore import GradingElement, eigenspace_dims, level
-from .products import FactorSpec, ProductTuple, combine
+from .hodgecore import FactorSpec, GradingElement, eigenspace_dims, level
+from .products import combine
 from .repweights import DEFAULT_MAX_DIM
 from .rootdata import RANK_BOUNDS, LieType
 
@@ -57,30 +57,21 @@ def _frac_str(x: Fraction) -> str:
 
 
 def record_of(t) -> dict:
-    """Flat, schema-stable serialization of a classified tuple."""
-    if isinstance(t, ProductTuple):
-        return {
-            "algebra": "x".join(str(f.lie_type) for f in t.factors),
-            "E": [list(f.E.support) for f in t.factors],
-            "mu": [list(f.mu) for f in t.factors],
-            "c": _frac_str(t.c),
-            "span": t.span,
-            "level": t.level,
-            "reality": t.reality,
-            "hodge": list(t.hodge.dims),
-            "real_form": "+".join(d.label() for d in t.real_forms),
-            "canonical": t.is_canonical,
-        }
+    """Flat, schema-stable serialization of a classified tuple; E and mu
+    are flat lists for one factor and per-factor lists for a product."""
+    one = len(t.factors) == 1
+    E = [list(f.E.support) for f in t.factors]
+    mu = [list(f.mu) for f in t.factors]
     return {
-        "algebra": str(t.algebra),
-        "E": list(t.E.support),
-        "mu": list(t.mu),
+        "algebra": "x".join(str(f.lie_type) for f in t.factors),
+        "E": E[0] if one else E,
+        "mu": mu[0] if one else mu,
         "c": _frac_str(t.c),
         "span": t.span,
         "level": t.level,
         "reality": t.reality,
         "hodge": list(t.hodge.dims),
-        "real_form": t.real_form.label(),
+        "real_form": "+".join(d.label() for d in t.real_forms),
         "canonical": t.is_canonical,
     }
 

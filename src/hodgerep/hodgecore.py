@@ -128,23 +128,35 @@ class RealFormDescriptor:
 
 
 @dataclass(frozen=True)
+class FactorSpec:
+    """One simple factor of a Hodge tuple: (algebra, grading element, weight)."""
+
+    lie_type: LieType
+    E: GradingElement
+    mu: Weight
+
+    def sort_key(self):
+        return (self.lie_type.family, self.lie_type.rank, self.E.coeffs, self.mu)
+
+
+@dataclass(frozen=True)
 class HodgeTuple:
-    """One classified record (simple algebra case).
+    """One classified record of g = g1 x ... x gk: one factor for a simple
+    algebra, two or three (in FactorSpec.sort_key order) for a product,
+    whose representation is the tensor product of the factors'.
 
     reality is the type of U with respect to the semisimple real form; rows
     with span < level carry the center charge c = level/2 - mu(E_ss) that
     makes U complex with respect to the full reductive algebra.
     """
 
-    algebra: LieType
-    E: GradingElement
-    mu: Weight
+    factors: Tuple[FactorSpec, ...]
     span: int
     level: int
     reality: str
     c: Fraction
     hodge: HodgeVector
-    real_form: RealFormDescriptor
+    real_forms: Tuple[RealFormDescriptor, ...]
     is_canonical: bool = True
     canonical_key: Optional[Tuple] = None
 

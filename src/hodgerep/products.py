@@ -20,10 +20,9 @@ and 1+1+1 combination, assembling only those it admits.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .errors import ShapeError
 from .hodgecore import (
@@ -31,9 +30,8 @@ from .hodgecore import (
     QUATERNIONIC,
     REAL,
     EigenDecomp,
-    GradingElement,
-    HodgeVector,
-    RealFormDescriptor,
+    FactorSpec,
+    HodgeTuple,
     center_charge,
     eigenspace_dims,
     extremal_dim_is_one,
@@ -44,34 +42,6 @@ from .hodgecore import (
     reality_type,
 )
 from .repweights import DEFAULT_MAX_DIM
-from .rootdata import LieType, Weight
-
-
-@dataclass(frozen=True)
-class FactorSpec:
-    """One simple factor of a product: (algebra, grading element, weight)."""
-
-    lie_type: LieType
-    E: GradingElement
-    mu: Weight
-
-    def sort_key(self):
-        return (self.lie_type.family, self.lie_type.rank, self.E.coeffs, self.mu)
-
-
-@dataclass(frozen=True)
-class ProductTuple:
-    """Classified record for a product of 2 or 3 simple factors."""
-
-    factors: Tuple[FactorSpec, ...]
-    span: int
-    level: int
-    reality: str
-    c: Fraction
-    hodge: HodgeVector
-    real_forms: Tuple[RealFormDescriptor, ...]
-    is_canonical: bool = True
-    canonical_key: Optional[Tuple] = None
 
 
 def convolve_eigen(decomps: Sequence[EigenDecomp]) -> EigenDecomp:
@@ -164,7 +134,7 @@ def _assembly_case(spans: List[int], joint: str) -> str:
     return REAL
 
 
-def _assemble(summaries: Sequence[_FactorSummary]) -> ProductTuple:
+def _assemble(summaries: Sequence[_FactorSummary]) -> HodgeTuple:
     """The product tuple of summaries in factor order, or ShapeError."""
     spans = [s.span for s in summaries]
     joint = tensor_reality([s.reality for s in summaries])
@@ -172,7 +142,7 @@ def _assemble(summaries: Sequence[_FactorSummary]) -> ProductTuple:
     c = center_charge(3, sum(s.mu_e() for s in summaries), case)
     vec = hodge_vector(convolve_eigen([s.eigen() for s in summaries]), case, c, 3)
     factors = tuple(s.factor for s in summaries)
-    return ProductTuple(
+    return HodgeTuple(
         factors=factors,
         span=sum(spans),
         level=3,
@@ -184,7 +154,7 @@ def _assemble(summaries: Sequence[_FactorSummary]) -> ProductTuple:
 
 
 def combine(factors: Sequence[FactorSpec],
-            max_dim: int = DEFAULT_MAX_DIM) -> ProductTuple:
+            max_dim: int = DEFAULT_MAX_DIM) -> HodgeTuple:
     """Assemble a level-3 product tuple, or raise ShapeError.
 
     Every factor must have a one-dimensional top eigenspace and a positive
@@ -210,7 +180,7 @@ def _summaries(pool: Sequence[FactorSpec], max_dim: int) -> List[_FactorSummary]
 
 
 def product_tuples(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec],
-                   max_dim: int = DEFAULT_MAX_DIM) -> List[ProductTuple]:
+                   max_dim: int = DEFAULT_MAX_DIM) -> List[HodgeTuple]:
     """Every 1+1 and 1+1+1 combination of pool1 and 1+2 combination of
     pool1 x pool2 that `combine` accepts, in combination order.
 

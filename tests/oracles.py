@@ -44,11 +44,12 @@ from hodgerep.hodgecore import (
     QUATERNIONIC,
     REAL,
     GradingElement,
+    HodgeTuple,
     HodgeVector,
     extremal_dim_is_one,
     level,
 )
-from hodgerep.products import FactorSpec, ProductTuple, combine
+from hodgerep.products import FactorSpec, combine
 from hodgerep.repweights import DEFAULT_MAX_DIM, weight_system
 from hodgerep.rootdata import (
     RANK_BOUNDS,
@@ -164,7 +165,7 @@ def enumerate_level_brute(config: SearchConfig) -> list:
 
 
 def products_brute(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec],
-                   max_dim: int = DEFAULT_MAX_DIM) -> List[ProductTuple]:
+                   max_dim: int = DEFAULT_MAX_DIM) -> List[HodgeTuple]:
     """Every 1+1, 1+2 and 1+1+1 factor combination that `combine` accepts,
     each combination offered to `combine` whole."""
     out = []

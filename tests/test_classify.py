@@ -24,7 +24,6 @@ from hodgerep.errors import ShapeError
 from hodgerep.expected import load_expected
 from hodgerep.hodgecore import (
     GradingElement,
-    HodgeTuple,
     eigenspace_dims,
     extremal_dim_is_one,
     level,
@@ -43,8 +42,9 @@ def fundamental(rank, i):
 
 def find(results, family, rank, nodes, mu):
     for t in results:
-        if isinstance(t, HodgeTuple) and t.algebra == LieType(family, rank) \
-                and t.E.support == tuple(nodes) and t.mu == tuple(mu):
+        if len(t.factors) == 1 and t.factors[0].lie_type == LieType(family, rank) \
+                and t.factors[0].E.support == tuple(nodes) \
+                and t.factors[0].mu == tuple(mu):
             return t
     return None
 
@@ -71,13 +71,13 @@ def test_enumerate_level1_a1():
 
 def test_canonicalize_examples():
     t = evaluate_simple(LieType("A", 4), E(4, [4]), fundamental(4, 4), 3)
-    c = canonicalize(t)
+    c, = canonicalize(t).factors
     assert c.E.support == (1,) and c.mu == fundamental(4, 1)
     t = evaluate_simple(LieType("D", 5), E(5, [5]), fundamental(5, 5), 3)
-    c = canonicalize(t)
+    c, = canonicalize(t).factors
     assert c.E.support == (4,) and c.mu == fundamental(5, 4)
     t = evaluate_simple(LieType("B", 3), E(3, [1]), fundamental(3, 3), 1)
-    c = canonicalize(t)
+    c, = canonicalize(t).factors
     assert c.E.support == (1,) and c.mu == fundamental(3, 3)
 
 
@@ -118,8 +118,9 @@ def test_soundness_of_emitted_tuples():
         vec = t.hodge.dims
         assert vec == tuple(reversed(vec))
         assert vec[0] == vec[-1] == 1 and len(vec) == 4
-        if isinstance(t, HodgeTuple):
-            top = eigenspace_dims(t.algebra, t.mu, t.E).dims[0]
+        if len(t.factors) == 1:
+            f = t.factors[0]
+            top = eigenspace_dims(f.lie_type, f.mu, f.E).dims[0]
             assert top == 1
             assert 1 <= t.span <= 3
 
@@ -290,9 +291,10 @@ def test_canonicalize_is_idempotent(data):
 def test_canonical_key_is_invariant_under_diagram_automorphisms(data):
     t = data.draw(st.sampled_from(_rank6_simple()))
     key = canonicalize(t).canonical_key
-    for perm in diagram_automorphisms(t.algebra):
-        g = GradingElement(_image(perm, t.E.coeffs))
-        img = evaluate_simple(t.algebra, g, _image(perm, t.mu), t.level)
+    f = t.factors[0]
+    for perm in diagram_automorphisms(f.lie_type):
+        g = GradingElement(_image(perm, f.E.coeffs))
+        img = evaluate_simple(f.lie_type, g, _image(perm, f.mu), t.level)
         assert (img.hodge, img.c, img.reality) == (t.hodge, t.c, t.reality)
         assert canonicalize(img).canonical_key == key
 

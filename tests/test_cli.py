@@ -239,7 +239,6 @@ def test_records_round_trip_losslessly(capsys):
 
     from hodgerep.classify import SearchConfig, enumerate_level, evaluate_simple
     from hodgerep.cli import _parse_factor_lists, record_of
-    from hodgerep.hodgecore import HodgeTuple
 
     cfg = SearchConfig(max_rank=3, level=3, families=frozenset("ABC"),
                        include_products=True)
@@ -250,14 +249,14 @@ def test_records_round_trip_losslessly(capsys):
         # the rational survives the p/q rendering exactly
         assert Fraction(rec["c"]) == t.c
         # the candidate can be rebuilt from the serialized identity
-        if isinstance(t, HodgeTuple):
+        if len(t.factors) == 1:
             e_text = ",".join(str(n) for n in rec["E"])
             mu_text = ",".join(str(c) for c in rec["mu"])
         else:
             e_text = "x".join(",".join(str(n) for n in part) for part in rec["E"])
             mu_text = "x".join(",".join(str(c) for c in part) for part in rec["mu"])
         factors = _parse_factor_lists(rec["algebra"], e_text, mu_text)
-        if isinstance(t, HodgeTuple):
+        if len(t.factors) == 1:
             rebuilt = evaluate_simple(factors[0].lie_type, factors[0].E,
                                       factors[0].mu, rec["level"])
         else:
