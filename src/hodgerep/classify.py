@@ -55,6 +55,8 @@ class SearchConfig:
             raise ValueError("max_rank must be at least 1")
         if self.level not in (1, 3):
             raise ValueError("level must be 1 or 3")
+        if not self.families:
+            raise ValueError("families must name at least one family")
         unknown = set(self.families) - set(RANK_BOUNDS)
         if unknown:
             raise ValueError(f"unknown families {sorted(unknown)}")

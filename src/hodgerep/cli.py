@@ -162,6 +162,9 @@ def _cmd_inspect(args) -> int:
             return EXIT_SHAPE_INVALID
         rec = record_of(got)
     else:
+        if target == 1:
+            raise ValueError("--level 1 needs one factor: factor levels add, "
+                             "so no product has level 1")
         try:
             p = combine(factors, max_dim=args.max_dim)
         except ShapeError as exc:

@@ -112,6 +112,9 @@ class ExpectedTables:
 
     def table_names(self, scope: str) -> Tuple[str, ...]:
         if scope == "all":
+            missing = [n for n in _ALL_TABLES if n not in self.tables]
+            if missing:
+                raise ValueError(f"{self.path_note} lacks tables {', '.join(missing)}")
             return _ALL_TABLES
         if scope not in self.tables:
             raise ValueError(
@@ -134,11 +137,24 @@ def load_expected(path: Optional[str] = None) -> ExpectedTables:
             text = fh.read()
         note = path
     raw = json.loads(text)
-    fmt = raw.get("format")
+    fmt = raw.get("format") if isinstance(raw, dict) else None
     if fmt != EXPECTED_FORMAT:
         raise ValueError(
             f"expected-results file {note} has format {fmt!r}, need {EXPECTED_FORMAT!r}"
         )
+    for name, table in _field(raw, "tables", note, dict, "a dict").items():
+        where = f"{note}: table {name}"
+        _field(_dict(table, where), "items", where, list, "a list")
+        if _field(table, "level", where, int, "an integer") not in (1, 3):
+            raise ValueError(f"{where}: level must be 1 or 3, got {table['level']!r}")
+    allowlist = raw.get("allowlist", [])
+    if not isinstance(allowlist, list):
+        raise ValueError(f"{note}: allowlist must be a list, got {allowlist!r}")
+    for pos, entry in enumerate(allowlist, 1):
+        where = f"{note}: allowlist entry {pos}"
+        _field(_dict(entry, where), "table", where, str, "a string")
+        _field(entry, "item", where, int, "an integer")
+        _field(entry, "reason", where, str, "a string")
     return ExpectedTables(raw=raw, path_note=note)
 
 
@@ -170,8 +186,19 @@ def _param_bindings(params: dict, max_rank: int, where: str) -> List[Dict[str, i
 
 
 def _check_shapes(item: dict, where: str) -> None:
-    """`params` must map names to dicts; `cases`, when present, must be a
-    list of dicts, each with a `when`."""
+    """`factors` must be a list of 1 to 3 dicts and `real_form`, when
+    present, a string or a list of strings or nulls; `params` must map names
+    to dicts; `cases`, when present, must be a list of dicts, each with a
+    `when`."""
+    factors = _field(item, "factors", where, list, "a list")
+    if not 1 <= len(factors) <= 3 or not all(isinstance(f, dict) for f in factors):
+        raise ValueError(f"{where}: factors must be a list of 1 to 3 dicts, "
+                         f"got {factors!r}")
+    rf = item.get("real_form")
+    if not all(x is None or isinstance(x, str)
+               for x in (rf if isinstance(rf, list) else [rf])):
+        raise ValueError(f"{where}: real_form must be a string or a list of "
+                         f"strings, got {rf!r}")
     params = item.get("params", {})
     if not isinstance(params, dict) or \
             not all(isinstance(spec, dict) for spec in params.values()):
@@ -181,6 +208,13 @@ def _check_shapes(item: dict, where: str) -> None:
             not all(isinstance(case, dict) and "when" in case for case in cases):
         raise ValueError(f"{where}: cases must be a list of dicts, each with a "
                          f"'when', got {cases!r}")
+
+
+def _dict(row, where: str) -> dict:
+    """row, which must be a dict."""
+    if not isinstance(row, dict):
+        raise ValueError(f"{where}: must be a dict, got {row!r}")
+    return row
 
 
 def _field(row: dict, name: str, where: str, kind: type, what: str):
@@ -225,8 +259,10 @@ def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
     """
     table = tables.tables[table_name]
     out: Dict[int, List[ExpectedInstance]] = {}
-    for item in table["items"]:
-        where = f"{table_name} item {item.get('item')}"
+    for pos, item in enumerate(table["items"], 1):
+        row = f"{table_name} row {pos}"
+        number = _field(_dict(item, row), "item", row, int, "an integer")
+        where = f"{table_name} item {number}"
         _check_shapes(item, where)
         instances: List[ExpectedInstance] = []
         for binding in _param_bindings(item.get("params", {}), max_rank, where):
@@ -236,7 +272,9 @@ def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
             factors = []
             valid = True
             for fac in item["factors"]:
-                rank = _eval_int(str(fac["rank"]), fbind, where, "rank")
+                rank = _eval_int(str(_field(fac, "rank", where, (str, int),
+                                            "a string or an integer")),
+                                 fbind, where, "rank")
                 family = _field(fac, "family", where, str, "a string")
                 try:
                     lt = LieType(family, rank)
@@ -246,9 +284,12 @@ def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
                 nodes = tuple(sorted(_node(n, rank, fbind, where, "E")
                                      for n in _field(fac, "E", where, list, "a list")))
                 mu = [0] * rank
-                for node_expr, coeff_expr in _field(fac, "mu", where, list, "a list"):
-                    mu[_node(node_expr, rank, fbind, where, "mu") - 1] = \
-                        _eval_int(str(coeff_expr), fbind, where, "mu")
+                for pair in _field(fac, "mu", where, list, "a list"):
+                    if not (isinstance(pair, list) and len(pair) == 2):
+                        raise ValueError(f"{where}: mu entry must be a [node, coeff] "
+                                         f"pair, got {pair!r}")
+                    mu[_node(pair[0], rank, fbind, where, "mu") - 1] = \
+                        _eval_int(str(pair[1]), fbind, where, "mu")
                 factors.append((lt, nodes, tuple(mu)))
             if not valid:
                 continue
@@ -258,7 +299,7 @@ def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
                 rf = [rf]
             instances.append(ExpectedInstance(
                 table=table_name,
-                item=item["item"],
+                item=number,
                 bindings=binding,
                 factors=tuple(factors),
                 c=_eval(_field(item, "c", where, str, "a string"), fbind, where, "c",
@@ -270,5 +311,5 @@ def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
                 paper_label=item.get("paper_label"),
                 notes=item.get("notes"),
             ))
-        out[item["item"]] = instances
+        out[number] = instances
     return out

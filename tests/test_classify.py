@@ -210,33 +210,44 @@ def _drop_from_cases(field):
 
 
 @pytest.mark.parametrize("mutate,message", [
-    (_set_factor("family", ["A"]), "family must be a string"),
-    (_set_factor("E", {"n": "1"}), "E must be a list"),
-    (_set_factor("E", 1), "E must be a list"),
-    (_set_factor("E", [{"n": 1}]), "E node must be a string or an integer"),
-    (_set_factor("mu", [["r+1", 1]]), "mu node 2 outside 1..1"),
-    (_set_factor("mu", [["0", 1]]), "mu node 0 outside 1..1"),
-    (lambda item: item.pop("c"), "missing field 'c'"),
-    (_drop_from_cases("h"), "missing field 'h'"),
-    (_drop_from_cases("reality"), "missing field 'reality'"),
-    (_set_item("c", "foo"), "cannot evaluate c expression 'foo' (NameError"),
-    (_set_item("c", "1/"), "cannot evaluate c expression '1/' (SyntaxError"),
-    (_set_item("c", "'x'"), "cannot evaluate c expression \"'x'\" (ValueError"),
-    (_set_item("params", 5), "params must be a dict of dicts, got 5"),
-    (_set_item("params", {"r": 5}), "params must be a dict of dicts, got {'r': 5}"),
-    (_set_item("cases", 5), "cases must be a list of dicts, each with a 'when', got 5"),
-    (_drop_from_cases("when"), "cases must be a list of dicts, each with a 'when'"),
+    (_set_factor("family", ["A"]), "item 1: family must be a string"),
+    (_set_factor("E", {"n": "1"}), "item 1: E must be a list"),
+    (_set_factor("E", 1), "item 1: E must be a list"),
+    (_set_factor("E", [{"n": 1}]), "item 1: E node must be a string or an integer"),
+    (_set_factor("mu", [["r+1", 1]]), "item 1: mu node 2 outside 1..1"),
+    (_set_factor("mu", [["0", 1]]), "item 1: mu node 0 outside 1..1"),
+    (lambda item: item.pop("c"), "item 1: missing field 'c'"),
+    (_drop_from_cases("h"), "item 1: missing field 'h'"),
+    (_drop_from_cases("reality"), "item 1: missing field 'reality'"),
+    (_set_item("c", "foo"), "item 1: cannot evaluate c expression 'foo' (NameError"),
+    (_set_item("c", "1/"), "item 1: cannot evaluate c expression '1/' (SyntaxError"),
+    (_set_item("c", "'x'"), "item 1: cannot evaluate c expression \"'x'\" (ValueError"),
+    (_set_item("params", 5), "item 1: params must be a dict of dicts, got 5"),
+    (_set_item("params", {"r": 5}), "item 1: params must be a dict of dicts, got {'r': 5}"),
+    (_set_item("cases", 5), "item 1: cases must be a list of dicts, each with a 'when', got 5"),
+    (_drop_from_cases("when"), "item 1: cases must be a list of dicts, each with a 'when'"),
+    (lambda item: item.pop("factors"), "item 1: missing field 'factors'"),
+    (_set_item("factors", 5), "item 1: factors must be a list, got 5"),
+    (_set_item("factors", []), "item 1: factors must be a list of 1 to 3 dicts, got []"),
+    (_set_item("factors", [7]), "item 1: factors must be a list of 1 to 3 dicts, got [7]"),
+    (lambda item: item["factors"][0].pop("rank"), "item 1: missing field 'rank'"),
+    (lambda item: item.pop("item"), "row 1: missing field 'item'"),
+    (_set_factor("mu", [5]), "item 1: mu entry must be a [node, coeff] pair, got 5"),
+    (_set_item("real_form", 5),
+     "item 1: real_form must be a string or a list of strings, got 5"),
 ], ids=["list-family", "dict-E", "int-E", "dict-E-node", "mu-node-above-rank",
         "mu-node-0", "missing-c", "missing-h", "missing-reality", "c-unknown-name",
         "c-syntax-error", "c-not-a-number", "int-params", "int-param-spec",
-        "int-cases", "case-without-when"])
+        "int-cases", "case-without-when", "missing-factors", "int-factors",
+        "empty-factors", "int-factor", "factor-without-rank", "missing-item",
+        "int-mu-entry", "int-real-form"])
 def test_malformed_expected_row_raises(tmp_path, mutate, message):
     tables = load_expected()
     raw = json.loads(json.dumps(tables.raw))
     mutate(raw["tables"]["thm2.1"]["items"][0])
     path = tmp_path / "expected.json"
     path.write_text(json.dumps(raw))
-    with pytest.raises(ValueError, match=r"thm2\.1 item 1: " + re.escape(message)):
+    with pytest.raises(ValueError, match=r"thm2\.1 " + re.escape(message)):
         verify_paper(scope="thm2.1", max_rank=4, expected_path=str(path),
                      include_computed_only=False)
     assert main(["verify-paper", "--scope", "thm2.1", "--max-rank", "4",

@@ -52,6 +52,47 @@ def test_usage_error_exit_64(capsys):
     assert code == 64
 
 
+def test_inspect_product_below_level_3_exit_64(capsys):
+    code, out, err = run(capsys, "inspect", "A1xA1", "--E", "1x1", "--mu", "1x1",
+                         "--level", "1")
+    assert (code, out) == (64, "")
+    assert "--level 1 needs one factor" in err
+
+
+def test_classify_empty_family_list_exit_64(capsys):
+    code, out, err = run(capsys, "classify", "--level", "1", "--max-rank", "3",
+                         "--families", ",")
+    assert (code, out) == (64, "")
+    assert "families must name at least one family" in err
+
+
+def _drop(*path):
+    def mutate(raw):
+        *outer, last = path
+        for key in outer:
+            raw = raw[key]
+        raw.pop(last)
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_drop("tables", "thm2.1", "level"), "table thm2.1: missing field 'level'"),
+    (_drop("tables", "thm2.1", "items"), "table thm2.1: missing field 'items'"),
+    (_drop("allowlist", 0, "item"), "allowlist entry 1: missing field 'item'"),
+], ids=["table-without-level", "table-without-items", "allowlist-entry-without-item"])
+def test_malformed_expected_file_exit_64(capsys, tmp_path, mutate, message):
+    from hodgerep.expected import load_expected
+
+    raw = json.loads(json.dumps(load_expected().raw))
+    mutate(raw)
+    path = tmp_path / "expected.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "verify-paper", "--scope", "thm2.1",
+                         "--expected-file", str(path))
+    assert (code, out) == (64, "")
+    assert err == f"error: {path}: {message}\n"
+
+
 def test_removed_max_coord_sum_flag_exit_64(capsys):
     code, _, _ = run(capsys, "classify", "--level", "3", "--max-rank", "3",
                      "--max-coord-sum", "3")
