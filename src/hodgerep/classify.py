@@ -6,11 +6,11 @@ node i adds a fixed w_i = (omega_i + omega_i*)(E) >= |supp E| per unit of
 mu_i, and span = (mu + mu*)(E) = sum_i mu_i w_i.  `candidates` yields every
 nonzero dominant mu with span <= level (hence |supp E| <= level); at level
 3 the top eigenspace must be one-dimensional, so supp(mu) is inside
-supp(E).  `evaluate_simple` classifies each candidate.  The level-3
-candidates of span 1 and 2 form the factor pools of
-`products.product_tuples`, which summarises each factor once and assembles
-only the 1+1, 1+2 and 1+1+1 combinations its pattern and reality rule
-admits.
+supp(E).  `evaluate_simple` classifies each candidate as the one-factor
+case of `products.assemble`.  The level-3 candidates of span 1 and 2 form
+the factor pools of `products.product_tuples`, which summarises each
+factor once and assembles only the 1+1, 1+2 and 1+1+1 combinations its
+pattern and reality rule admits.
 """
 from __future__ import annotations
 
@@ -20,25 +20,10 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, ShapeError
 from .expected import ExpectedInstance, ExpectedTables, instantiate, load_expected
-from .hodgecore import (
-    COMPLEX,
-    QUATERNIONIC,
-    REAL,
-    FactorSpec,
-    GradingElement,
-    HodgeTuple,
-    center_charge,
-    eigenspace_dims,
-    extremal_dim_is_one,
-    hodge_vector,
-    level,
-    mu_of_grading,
-    real_form,
-    reality_type,
-)
-from .products import combine, product_tuples
+from .hodgecore import FactorSpec, GradingElement, HodgeTuple, level, real_form
+from .products import assemble, product_tuples
 from .repweights import DEFAULT_MAX_DIM
-from .rootdata import RANK_BOUNDS, LieType, Weight, root_system
+from .rootdata import RANK_BOUNDS, LieType, Weight, catalogued_types, root_system
 
 
 @dataclass(frozen=True)
@@ -63,13 +48,9 @@ class SearchConfig:
 
 
 def _types_in_window(families, max_rank) -> List[LieType]:
-    out = []
-    for fam in sorted(families):
-        lo, hi = RANK_BOUNDS[fam]
-        top = min(max_rank, hi) if hi is not None else max_rank
-        for r in range(lo, top + 1):
-            out.append(LieType(fam, r))
-    return out
+    """The catalogued types of the families up to max_rank, by family
+    (RANK_BOUNDS is in alphabetical order) and then rank."""
+    return [t for t in catalogued_types(max_rank) if t.family in families]
 
 
 # ---------------------------------------------------------------------------
@@ -178,42 +159,12 @@ def b2c2_alias_key(key):
 def evaluate_simple(t: LieType, E: GradingElement, mu: Weight, target_level: int,
                     max_dim: int = DEFAULT_MAX_DIM) -> Optional[HodgeTuple]:
     """Classify one (algebra, E, mu) candidate, or None when it is not a
-    level-`target_level` Hodge representation.
-
-    Level 1 takes span exactly 1 with any reality type.  Level 3 takes
-    span 1 or 2 with the U + U* assembly (the center charge
-    3/2 - mu(E_ss) splits U from U*), or span 3 with U real; the top
-    eigenspace must be one-dimensional, i.e. support(mu) inside support(E).
-    """
-    span = level(t, mu, E)
-    reality = reality_type(t, mu, E)
-    mu_e = mu_of_grading(t, mu, E)
-
-    if target_level == 1:
-        if span != 1:
-            return None
-        case = reality
-    else:
-        if span not in (1, 2, 3) or not extremal_dim_is_one(mu, E):
-            return None
-        if span == 3:
-            if reality != REAL:
-                return None
-            case = REAL
-        else:
-            case = COMPLEX
-    c = center_charge(target_level, mu_e, case)
-    decomp = eigenspace_dims(t, mu, E, max_dim=max_dim)
-    vec = hodge_vector(decomp, case, c, target_level)
-    return HodgeTuple(
-        factors=(FactorSpec(t, E, tuple(mu)),),
-        span=span,
-        level=target_level,
-        reality=reality,
-        c=c,
-        hodge=vec,
-        real_forms=(real_form(t, E),),
-    )
+    level-`target_level` Hodge representation: the one-factor case of
+    `products.assemble`."""
+    try:
+        return assemble([FactorSpec(t, E, tuple(mu))], target_level, max_dim)
+    except ShapeError:
+        return None
 
 
 def _grading_elements(rank: int, max_support: int):
@@ -336,18 +287,14 @@ def _check_instance(inst: ExpectedInstance, target_level: int,
     diffs: List[Tuple[str, str, str]] = []
     factors = [FactorSpec(t, GradingElement.from_nodes(t.rank, nodes), mu)
                for t, nodes, mu in inst.factors]
-    if inst.is_product:
-        try:
-            got = combine(factors, max_dim=max_dim)
-        except ShapeError as exc:
+    try:
+        got = assemble(factors, target_level, max_dim)
+    except ShapeError as exc:
+        if inst.is_product:
             diffs.append(("validity", "valid level-3 product", f"rejected: {exc}"))
-            return InstanceResult(inst, "mismatch", diffs)
-    else:
-        f = factors[0]
-        got = evaluate_simple(f.lie_type, f.E, f.mu, target_level, max_dim=max_dim)
-        if got is None:
+        else:
             diffs.append(("validity", f"valid level-{target_level} tuple", "rejected"))
-            return InstanceResult(inst, "mismatch", diffs)
+        return InstanceResult(inst, "mismatch", diffs)
 
     if tuple(inst.h) != got.hodge.dims:
         diffs.append(("h", str(list(inst.h)), str(list(got.hodge.dims))))

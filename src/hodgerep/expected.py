@@ -145,8 +145,18 @@ def load_expected(path: Optional[str] = None) -> ExpectedTables:
     for name, table in _field(raw, "tables", note, dict, "a dict").items():
         where = f"{note}: table {name}"
         _field(_dict(table, where), "items", where, list, "a list")
-        if _field(table, "level", where, int, "an integer") not in (1, 3):
-            raise ValueError(f"{where}: level must be 1 or 3, got {table['level']!r}")
+        lv = _field(table, "level", where, int, "an integer")
+        if type(lv) is not int or lv not in (1, 3):
+            raise ValueError(f"{where}: level must be 1 or 3, got {lv!r}")
+        span = table.get("span", lv)
+        if type(span) is not int or not 1 <= span <= lv:
+            raise ValueError(f"{where}: span must be an integer in 1..{lv}, got {span!r}")
+        if "pattern" in table:
+            pattern = table["pattern"]
+            if lv != 3 or not isinstance(pattern, list) or not 2 <= len(pattern) <= 3 \
+                    or not all(type(x) is int and x >= 1 for x in pattern):
+                raise ValueError(f"{where}: pattern must be a list of 2 or 3 positive "
+                                 f"integers on a level-3 table, got {pattern!r}")
     allowlist = raw.get("allowlist", [])
     if not isinstance(allowlist, list):
         raise ValueError(f"{note}: allowlist must be a list, got {allowlist!r}")
@@ -264,6 +274,10 @@ def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
         number = _field(_dict(item, row), "item", row, int, "an integer")
         where = f"{table_name} item {number}"
         _check_shapes(item, where)
+        if table["level"] == 1 and len(item["factors"]) > 1:
+            raise ValueError(f"{where}: factors must be one factor on a level-1 table "
+                             f"(factor levels add, so no product has level 1), got "
+                             f"{len(item['factors'])}")
         instances: List[ExpectedInstance] = []
         for binding in _param_bindings(item.get("params", {}), max_rank, where):
             fbind = {k: Fraction(v) for k, v in binding.items()}

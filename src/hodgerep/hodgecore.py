@@ -189,7 +189,15 @@ def level(t: LieType, mu, E: GradingElement) -> int:
 
 def eigenspace_dims(t: LieType, mu, E: GradingElement,
                     max_dim: int = DEFAULT_MAX_DIM) -> EigenDecomp:
-    """Dimensions of the eigenspaces of E_ss on the weight spaces of V(mu).
+    """Dimensions of the eigenspaces of E_ss on the weight spaces of V(mu):
+    `eigen_ladder` with the span and the top computed here."""
+    return eigen_ladder(t, mu, E, level(t, mu, E), mu_of_grading(t, mu, E), max_dim)
+
+
+def eigen_ladder(t: LieType, mu, E: GradingElement, span: int, top: Fraction,
+                 max_dim: int = DEFAULT_MAX_DIM) -> EigenDecomp:
+    """The eigenspace ladder of E_ss on V(mu) for a caller that already
+    holds span = level(t, mu, E) and top = mu_of_grading(t, mu, E).
 
     The size guard runs first, on weyl_dim.  The ladder then comes from
     the Levi closed form at span 1 or 2, or at span 3 with mu = mu*, and
@@ -197,15 +205,14 @@ def eigenspace_dims(t: LieType, mu, E: GradingElement,
     """
     mu = tuple(int(c) for c in mu)
     dim = guarded_dim(t, mu, max_dim)
-    span = level(t, mu, E)
     dual = dual_weight(t, mu)
     if span in (1, 2) or (span == 3 and dual == mu):
-        return _levi_ladder(t, mu, dual, E, span, dim)
+        return _levi_ladder(t, mu, dual, E, span, top, dim)
     return _orbit_ladder(t, mu, E, max_dim)
 
 
 def _levi_ladder(t: LieType, mu: Weight, dual: Weight, E: GradingElement,
-                 span: int, dim: int) -> EigenDecomp:
+                 span: int, top: Fraction, dim: int) -> EigenDecomp:
     """The ladder from Weyl dimensions.  The top eigenspace is the
     irreducible l_E-module of highest weight mu, and the bottom one is dual
     to the top one of V(mu*); a span-3 ladder of a self-dual mu is
@@ -226,7 +233,7 @@ def _levi_ladder(t: LieType, mu: Weight, dual: Weight, E: GradingElement,
     if min(dims) <= 0 or sum(dims) != dim:
         raise ConsistencyError(f"Levi ladder {dims} of {mu} on {t} under E = {E} "
                                f"does not fill weyl_dim {dim}")
-    return EigenDecomp(top=mu_of_grading(t, mu, E), dims=dims)
+    return EigenDecomp(top=top, dims=dims)
 
 
 def _orbit_ladder(t: LieType, mu: Weight, E: GradingElement, max_dim: int) -> EigenDecomp:

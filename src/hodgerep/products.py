@@ -1,26 +1,25 @@
-"""Products of 2 or 3 simple factors: the semisimple level-3 cases.
+"""Assembly of a Hodge tuple from one to three simple factors.
 
-A product representation is a tensor product of per-factor irreducibles.
-Its eigenspace ladder has the sum of the factor tops as its top and the
-integer polynomial product of the factor dimension ladders as its
-dimensions; its reality type follows the tensor rule (any complex factor
-makes the product complex; otherwise parity of the quaternionic count
-decides).  Only the factor-level patterns (1,1), (1,2) and (1,1,1) can
-produce a CY3-shaped vector, and the center charge comes from
-`hodgecore.center_charge` like that of a simple factor.
+A Hodge representation of g1 x ... x gk is the tensor product of per-factor
+irreducibles, so a simple algebra is the one-factor case.  The eigenspace
+ladder has the sum of the factor tops as its top and the integer
+polynomial product of the factor dimension ladders as its dimensions; its
+reality type follows the tensor rule (any complex factor makes the product
+complex; otherwise parity of the quaternionic count decides).  One rule,
+`_assembly_case`, reads the level, the factor spans and the joint type and
+picks the assembly case; the center charge comes from
+`hodgecore.center_charge` at the top of the joint ladder.
 
-Everything the rules read of one factor (the top-eigenspace check, its
-level, reality type, mu(E) and eigenspace decomposition) sits in a
-per-factor summary; mu(E) and the decomposition are computed on first
-use, since only admitted combinations read them.  `combine` builds
-summaries for the factors it is given; `product_tuples` builds one per
-pool factor and asks the pattern and reality rule about every 1+1, 1+2
-and 1+1+1 combination, assembling only those it admits.
+Everything the rule reads of one factor (its level, reality type and the
+top-eigenspace flag) sits in a per-factor summary; the ladder, whose top
+is mu(E), is computed on first use, since only admitted combinations read
+it.  `assemble` builds summaries for the factors it is given;
+`product_tuples` builds one per pool factor and asks the rule about every
+1+1, 1+2 and 1+1+1 combination, assembling only those it admits.
 """
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from operator import attrgetter
 from typing import List, Optional, Sequence
 
@@ -33,7 +32,7 @@ from .hodgecore import (
     FactorSpec,
     HodgeTuple,
     center_charge,
-    eigenspace_dims,
+    eigen_ladder,
     extremal_dim_is_one,
     hodge_vector,
     level,
@@ -45,9 +44,12 @@ from .repweights import DEFAULT_MAX_DIM
 
 
 def convolve_eigen(decomps: Sequence[EigenDecomp]) -> EigenDecomp:
-    """Tops add; the dimension ladders multiply as integer polynomials."""
-    if not 2 <= len(decomps) <= 3:
-        raise ValueError("convolution takes 2 or 3 decompositions")
+    """Tops add; the dimension ladders multiply as integer polynomials.
+    A single ladder is its own product."""
+    if not 1 <= len(decomps) <= 3:
+        raise ValueError("convolution takes 1 to 3 decompositions")
+    if len(decomps) == 1:
+        return decomps[0]
     dims = [1]
     for dec in decomps:
         nxt = [0] * (len(dims) + len(dec.dims) - 1)
@@ -60,8 +62,10 @@ def convolve_eigen(decomps: Sequence[EigenDecomp]) -> EigenDecomp:
 
 def tensor_reality(types: Sequence[str]) -> str:
     """Reality type of a tensor product from the factor types."""
-    if not 2 <= len(types) <= 3:
-        raise ValueError("tensor rule takes 2 or 3 factors")
+    if not 1 <= len(types) <= 3:
+        raise ValueError("tensor rule takes 1 to 3 factors")
+    if len(types) == 1:
+        return types[0]
     if any(t == COMPLEX for t in types):
         return COMPLEX
     quats = sum(1 for t in types if t == QUATERNIONIC)
@@ -69,59 +73,69 @@ def tensor_reality(types: Sequence[str]) -> str:
 
 
 class _FactorSummary:
-    """What the product rules read of one factor.  Construction runs the
-    top-eigenspace and level checks (ShapeError) and the reality type;
-    mu(E) and the eigenspace decomposition, which only an admitted
-    combination reads, are computed on first use with the caller's max_dim."""
+    """What the assembly rule reads of one factor: its level, reality type
+    and whether its top eigenspace is one-dimensional.  The ladder, which
+    only an admitted combination reads, is computed on first use with the
+    caller's max_dim, from the span held here and mu(E)."""
 
-    __slots__ = ("factor", "max_dim", "key", "span", "reality", "_mu_e", "_eigen")
+    __slots__ = ("factor", "max_dim", "key", "span", "reality", "top_is_one", "_eigen")
 
     def __init__(self, f: FactorSpec, max_dim: int):
-        if not extremal_dim_is_one(f.mu, f.E):
+        self.factor = f
+        self.max_dim = max_dim
+        self.key = f.sort_key()
+        self.span = level(f.lie_type, f.mu, f.E)
+        self.reality = reality_type(f.lie_type, f.mu, f.E)
+        self.top_is_one = extremal_dim_is_one(f.mu, f.E)
+        self._eigen: Optional[EigenDecomp] = None
+
+    def check_level3(self) -> None:
+        """ShapeError unless the factor can sit in a level-3 tuple: a
+        one-dimensional top eigenspace and a positive level."""
+        if not self.top_is_one:
+            f = self.factor
             raise ShapeError(
                 f"factor ({f.lie_type}, {f.E}, {f.mu}) has top eigenspace "
                 "dimension > 1 (support of mu not inside support of E)"
             )
-        span = level(f.lie_type, f.mu, f.E)
-        if span < 1:
-            raise ShapeError(f"factor level {span} is not a positive integer")
-        self.factor = f
-        self.max_dim = max_dim
-        self.key = f.sort_key()
-        self.span = span
-        self.reality = reality_type(f.lie_type, f.mu, f.E)
-        self._mu_e: Optional[Fraction] = None
-        self._eigen: Optional[EigenDecomp] = None
-
-    def mu_e(self) -> Fraction:
-        if self._mu_e is None:
-            f = self.factor
-            self._mu_e = mu_of_grading(f.lie_type, f.mu, f.E)
-        return self._mu_e
+        if self.span < 1:
+            raise ShapeError(f"factor level {self.span} is not a positive integer")
 
     def eigen(self) -> EigenDecomp:
         if self._eigen is None:
             f = self.factor
-            self._eigen = eigenspace_dims(f.lie_type, f.mu, f.E, max_dim=self.max_dim)
+            self._eigen = eigen_ladder(f.lie_type, f.mu, f.E, self.span,
+                                       mu_of_grading(f.lie_type, f.mu, f.E), self.max_dim)
         return self._eigen
 
 
-def _assembly_case(spans: List[int], joint: str) -> str:
-    """Hodge-assembly case of factor levels `spans` with joint reality type
-    `joint`, or ShapeError.
+def _assembly_case(level_n: int, spans: List[int], joint: str) -> str:
+    """Hodge-assembly case at level `level_n` of factor levels `spans`
+    with joint reality type `joint`, or ShapeError.
 
-    (1,1) needs the joint type complex or quaternionic (the center charge
-    3/2 - sum mu_i(E_i) then splits U from U*); (1,2) and (1,1,1) need the
-    joint type real with c = 0.
+    One factor: at level 1 it needs span 1, and the case is its own type.
+    At level 3 every tuple of total span below 3, i.e. one factor of span
+    1 or 2 and 1+1, is the U + U* (complex) case, where the center charge
+    3/2 - mu(E_ss) splits U from U*; 1+1 also needs the joint type complex
+    or quaternionic.  Total span 3, i.e. one factor of span 3, 1+2 and
+    1+1+1, needs the joint type real with c = 0.
     """
     pattern = tuple(sorted(spans))
-    if pattern not in ((1, 1), (1, 2), (1, 1, 1)):
+    if level_n == 1:
+        if pattern != (1,):
+            raise ShapeError(f"factor levels {spans} cannot produce a level-1 tuple "
+                             "(allowed: one factor of level 1)")
+        return joint
+    if len(pattern) == 1:
+        if not 1 <= pattern[0] <= 3:
+            raise ShapeError(f"factor level {pattern[0]} is outside 1..3")
+    elif pattern not in ((1, 1), (1, 2), (1, 1, 1)):
         raise ShapeError(
             f"factor levels {spans} cannot produce a level-3 product "
             "(allowed patterns: 1+1, 1+2, 1+1+1)"
         )
-    if pattern == (1, 1):
-        if joint == REAL:
+    if sum(pattern) < 3:
+        if pattern == (1, 1) and joint == REAL:
             raise ShapeError(
                 "1+1 products with joint real type stay at level 2; "
                 "the tables keep only complex or quaternionic joint types"
@@ -134,18 +148,20 @@ def _assembly_case(spans: List[int], joint: str) -> str:
     return REAL
 
 
-def _assemble(summaries: Sequence[_FactorSummary]) -> HodgeTuple:
-    """The product tuple of summaries in factor order, or ShapeError."""
+def _assemble(summaries: Sequence[_FactorSummary], level_n: int) -> HodgeTuple:
+    """The level-`level_n` tuple of summaries in factor order, or ShapeError."""
     spans = [s.span for s in summaries]
     joint = tensor_reality([s.reality for s in summaries])
-    case = _assembly_case(spans, joint)
-    c = center_charge(3, sum(s.mu_e() for s in summaries), case)
-    vec = hodge_vector(convolve_eigen([s.eigen() for s in summaries]), case, c, 3)
+    case = _assembly_case(level_n, spans, joint)
+    ladder = convolve_eigen([s.eigen() for s in summaries])
+    # the top of the joint ladder is mu(E_ss), summed over the factors
+    c = center_charge(level_n, ladder.top, case)
+    vec = hodge_vector(ladder, case, c, level_n)
     factors = tuple(s.factor for s in summaries)
     return HodgeTuple(
         factors=factors,
         span=sum(spans),
-        level=3,
+        level=level_n,
         reality=joint,
         c=c,
         hodge=vec,
@@ -153,29 +169,43 @@ def _assemble(summaries: Sequence[_FactorSummary]) -> HodgeTuple:
     )
 
 
+def assemble(factors: Sequence[FactorSpec], level_n: int,
+             max_dim: int = DEFAULT_MAX_DIM) -> HodgeTuple:
+    """The level-`level_n` Hodge tuple of one to three factors, in
+    FactorSpec.sort_key order, or ShapeError.
+
+    At level 3 every factor must first have a one-dimensional top
+    eigenspace and a positive level; the factor levels and the joint
+    reality type must then pass `_assembly_case`.
+    """
+    summaries = [_FactorSummary(f, max_dim)
+                 for f in sorted(factors, key=FactorSpec.sort_key)]
+    if level_n == 3:
+        for s in summaries:
+            s.check_level3()
+    return _assemble(summaries, level_n)
+
+
 def combine(factors: Sequence[FactorSpec],
             max_dim: int = DEFAULT_MAX_DIM) -> HodgeTuple:
-    """Assemble a level-3 product tuple, or raise ShapeError.
-
-    Every factor must have a one-dimensional top eigenspace and a positive
-    level; the factor levels and the joint reality type must then pass
-    `_assembly_case`.
-    """
-    factors = tuple(sorted(factors, key=FactorSpec.sort_key))
+    """Assemble a level-3 product tuple of 2 or 3 factors, or raise
+    ShapeError."""
     if not 2 <= len(factors) <= 3:
         raise ShapeError("products need 2 or 3 simple factors")
-    return _assemble([_FactorSummary(f, max_dim) for f in factors])
+    return assemble(factors, 3, max_dim)
 
 
 def _summaries(pool: Sequence[FactorSpec], max_dim: int) -> List[_FactorSummary]:
-    """Summaries of the pool factors that pass the per-factor checks; every
-    combination holding any other factor is rejected."""
+    """Summaries of the pool factors that pass the level-3 factor check;
+    every combination holding any other factor is rejected."""
     out = []
     for f in pool:
+        s = _FactorSummary(f, max_dim)
         try:
-            out.append(_FactorSummary(f, max_dim))
+            s.check_level3()
         except ShapeError:
-            pass
+            continue
+        out.append(s)
     return out
 
 
@@ -196,7 +226,7 @@ def product_tuples(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec],
             itertools.product(one, two),
             itertools.combinations_with_replacement(one, 3)):
         try:
-            out.append(_assemble(sorted(combo, key=attrgetter("key"))))
+            out.append(_assemble(sorted(combo, key=attrgetter("key")), 3))
         except ShapeError:
             pass
     return out

@@ -24,6 +24,11 @@ every span-1/span-2 extremal pair offered to `combine`.
 The product oracle is the sweep the per-factor summaries replaced: every
 1+1, 1+2 and 1+1+1 combination of the pools handed to `combine` whole.
 
+The simple-candidate oracle is the engine's former second evaluation
+route: span, reality type, case choice, center charge and ladder of one
+factor computed beside the product assembly, which now covers a simple
+candidate as its one-factor case.
+
 The ladder oracles are the engine's former `Fraction`-keyed routes for
 convolution and Hodge-vector assembly: eigenvalues as dict keys, summed
 and re-sorted, on (eigenvalue, dimension) level tuples rather than the
@@ -35,7 +40,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from hodgerep.classify import SearchConfig, _annotate_canonical, evaluate_simple, tuple_key
 from hodgerep.errors import ConsistencyError, ShapeError
@@ -44,12 +49,19 @@ from hodgerep.hodgecore import (
     QUATERNIONIC,
     REAL,
     GradingElement,
+    FactorSpec,
     HodgeTuple,
     HodgeVector,
+    center_charge,
+    eigenspace_dims,
     extremal_dim_is_one,
+    hodge_vector,
     level,
+    mu_of_grading,
+    real_form,
+    reality_type,
 )
-from hodgerep.products import FactorSpec, combine
+from hodgerep.products import combine
 from hodgerep.repweights import DEFAULT_MAX_DIM, weight_system
 from hodgerep.rootdata import (
     RANK_BOUNDS,
@@ -164,6 +176,46 @@ def enumerate_level_brute(config: SearchConfig) -> list:
     return results
 
 
+def evaluate_simple_direct(t: LieType, E: GradingElement, mu, target_level: int,
+                           max_dim: int = DEFAULT_MAX_DIM) -> Optional[HodgeTuple]:
+    """`classify.evaluate_simple` by its own route.
+
+    Level 1 takes span exactly 1 with any reality type.  Level 3 takes
+    span 1 or 2 with the U + U* assembly (the center charge
+    3/2 - mu(E_ss) splits U from U*), or span 3 with U real; the top
+    eigenspace must be one-dimensional, i.e. support(mu) inside support(E).
+    """
+    span = level(t, mu, E)
+    reality = reality_type(t, mu, E)
+    mu_e = mu_of_grading(t, mu, E)
+
+    if target_level == 1:
+        if span != 1:
+            return None
+        case = reality
+    else:
+        if span not in (1, 2, 3) or not extremal_dim_is_one(mu, E):
+            return None
+        if span == 3:
+            if reality != REAL:
+                return None
+            case = REAL
+        else:
+            case = COMPLEX
+    c = center_charge(target_level, mu_e, case)
+    decomp = eigenspace_dims(t, mu, E, max_dim=max_dim)
+    vec = hodge_vector(decomp, case, c, target_level)
+    return HodgeTuple(
+        factors=(FactorSpec(t, E, tuple(mu)),),
+        span=span,
+        level=target_level,
+        reality=reality,
+        c=c,
+        hodge=vec,
+        real_forms=(real_form(t, E),),
+    )
+
+
 def products_brute(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec],
                    max_dim: int = DEFAULT_MAX_DIM) -> List[HodgeTuple]:
     """Every 1+1, 1+2 and 1+1+1 factor combination that `combine` accepts,
@@ -253,9 +305,10 @@ def eigenspace_dims_full(t: LieType, mu, E: GradingElement,
 
 def convolve_levels(decomps: Sequence[Levels]) -> Levels:
     """Convolution of (eigenvalue, dimension) levels: eigenvalues add,
-    dimensions multiply and accumulate under `Fraction` dict keys."""
-    if not 2 <= len(decomps) <= 3:
-        raise ValueError("convolution takes 2 or 3 decompositions")
+    dimensions multiply and accumulate under `Fraction` dict keys.  A
+    single decomposition is its own product."""
+    if not 1 <= len(decomps) <= 3:
+        raise ValueError("convolution takes 1 to 3 decompositions")
     acc = {ev: d for ev, d in decomps[0]}
     for dec in decomps[1:]:
         nxt = {}

@@ -1,12 +1,17 @@
 import itertools
 import json
 import re
+from collections import Counter
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hodgerep.classify as classify
+import hodgerep.cli as cli
+import hodgerep.hodgecore as hodgecore
+import hodgerep.products as products
 from hodgerep.classify import (
     SearchConfig,
     _types_in_window,
@@ -23,15 +28,17 @@ from hodgerep.cli import main, record_of
 from hodgerep.errors import ShapeError
 from hodgerep.expected import load_expected
 from hodgerep.hodgecore import (
+    REAL,
     GradingElement,
     eigenspace_dims,
     extremal_dim_is_one,
     level,
+    reality_type,
 )
 from hodgerep.products import FactorSpec, combine, product_tuples
 from hodgerep.rootdata import RANK_BOUNDS, LieType
 
-from oracles import enumerate_level_brute
+from oracles import dominant_weights_up_to, enumerate_level_brute, evaluate_simple_direct
 
 E = GradingElement.from_nodes
 
@@ -197,6 +204,66 @@ def test_candidates_respect_level_bound():
     assert ((1,), (0, 0, 1)) not in spans   # supp(mu) outside supp(E)
 
 
+@pytest.mark.parametrize("target", [1, 3])
+def test_evaluate_simple_matches_direct_route_on_candidates(target):
+    """The one-factor assembly agrees with the former simple route on every
+    candidate of every type of rank <= 8."""
+    count = 0
+    for t in _types_in_window("ABCDEFG", 8):
+        for g, mu, _ in candidates(t, target):
+            assert evaluate_simple(t, g, mu, target) == \
+                evaluate_simple_direct(t, g, mu, target), (t, g, mu)
+            count += 1
+    assert count > 100
+
+
+def _off_window_inputs():
+    """Inputs of rank <= 5 outside the level-3 window, by reason; mu has
+    coordinate sum <= 2 and E support <= 3."""
+    out = {"supp(mu) outside supp(E)": [], "span above 3": [], "span 3, not real": []}
+    for t in _types_in_window("ABCDEFG", 5):
+        for mu in dominant_weights_up_to(t.rank, 2):
+            for size in range(1, min(t.rank, 3) + 1):
+                for nodes in itertools.combinations(range(1, t.rank + 1), size):
+                    g = E(t.rank, nodes)
+                    if not extremal_dim_is_one(mu, g):
+                        out["supp(mu) outside supp(E)"].append((t, g, mu))
+                    elif level(t, mu, g) > 3:
+                        out["span above 3"].append((t, g, mu))
+                    elif level(t, mu, g) == 3 and reality_type(t, mu, g) != REAL:
+                        out["span 3, not real"].append((t, g, mu))
+    return out
+
+
+def test_evaluate_simple_matches_direct_route_on_rejected_inputs():
+    for reason, inputs in _off_window_inputs().items():
+        assert inputs, reason
+        for t, g, mu in inputs:
+            assert evaluate_simple(t, g, mu, 3) is None, (reason, t, g, mu)
+            for target in (1, 3):
+                assert evaluate_simple(t, g, mu, target) == \
+                    evaluate_simple_direct(t, g, mu, target), (target, t, g, mu)
+
+
+def test_verify_reads_each_factor_once(monkeypatch):
+    """Every row factor has its level and reality type computed once, and
+    mu(E_ss) once per ladder built; a factor the rule rejects builds none."""
+    seen = Counter()
+    for name in ("level", "reality_type", "mu_of_grading", "eigen_ladder"):
+        real = getattr(hodgecore, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            seen[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in (hodgecore, products, classify, cli):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    verify_paper(scope="all", max_rank=8, include_computed_only=False)
+    assert seen["level"] == seen["reality_type"] > 0
+    assert 0 < seen["mu_of_grading"] == seen["eigen_ladder"] <= seen["reality_type"]
+
+
 def _set_factor(field, value):
     return lambda item: item["factors"][0].__setitem__(field, value)
 
@@ -235,12 +302,15 @@ def _drop_from_cases(field):
     (_set_factor("mu", [5]), "item 1: mu entry must be a [node, coeff] pair, got 5"),
     (_set_item("real_form", 5),
      "item 1: real_form must be a string or a list of strings, got 5"),
+    (lambda item: item["factors"].append(dict(item["factors"][0])),
+     "item 1: factors must be one factor on a level-1 table (factor levels add, "
+     "so no product has level 1), got 2"),
 ], ids=["list-family", "dict-E", "int-E", "dict-E-node", "mu-node-above-rank",
         "mu-node-0", "missing-c", "missing-h", "missing-reality", "c-unknown-name",
         "c-syntax-error", "c-not-a-number", "int-params", "int-param-spec",
         "int-cases", "case-without-when", "missing-factors", "int-factors",
         "empty-factors", "int-factor", "factor-without-rank", "missing-item",
-        "int-mu-entry", "int-real-form"])
+        "int-mu-entry", "int-real-form", "level1-product"])
 def test_malformed_expected_row_raises(tmp_path, mutate, message):
     tables = load_expected()
     raw = json.loads(json.dumps(tables.raw))

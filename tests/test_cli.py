@@ -75,11 +75,21 @@ def _drop(*path):
     return mutate
 
 
+def _set(table, name, value):
+    return lambda raw: raw["tables"][table].__setitem__(name, value)
+
+
 @pytest.mark.parametrize("mutate, message", [
     (_drop("tables", "thm2.1", "level"), "table thm2.1: missing field 'level'"),
     (_drop("tables", "thm2.1", "items"), "table thm2.1: missing field 'items'"),
     (_drop("allowlist", 0, "item"), "allowlist entry 1: missing field 'item'"),
-], ids=["table-without-level", "table-without-items", "allowlist-entry-without-item"])
+    (_set("prop3.7", "pattern", 5), "table prop3.7: pattern must be a list of 2 or 3 "
+                                    "positive integers on a level-3 table, got 5"),
+    (_set("thm2.1", "span", "x"), "table thm2.1: span must be an integer in 1..1, "
+                                  "got 'x'"),
+    (_set("thm2.1", "level", True), "table thm2.1: level must be 1 or 3, got True"),
+], ids=["table-without-level", "table-without-items", "allowlist-entry-without-item",
+        "int-pattern", "string-span", "bool-level"])
 def test_malformed_expected_file_exit_64(capsys, tmp_path, mutate, message):
     from hodgerep.expected import load_expected
 

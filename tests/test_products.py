@@ -280,13 +280,13 @@ def test_product_sweep_property(pool1, pool2):
 
 def test_product_sweep_decomposes_each_factor_once(monkeypatch):
     seen = Counter()
-    real = products.eigenspace_dims
+    real = products.eigen_ladder
 
-    def counting(t, mu, g, max_dim):
+    def counting(t, mu, g, span, top, max_dim):
         seen[(t, tuple(mu), g)] += 1
-        return real(t, mu, g, max_dim=max_dim)
+        return real(t, mu, g, span, top, max_dim)
 
-    monkeypatch.setattr(products, "eigenspace_dims", counting)
+    monkeypatch.setattr(products, "eigen_ladder", counting)
     pool1, pool2 = _level3_pools(8)
     product_tuples(pool1, pool2)
     assert seen and max(seen.values()) == 1

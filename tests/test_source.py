@@ -39,6 +39,38 @@ def test_guard_detects_each_violation():
         "assert statement", "float literal 0.5", "float(...) call"]
 
 
+def _unused_imports(tree):
+    """(line, name) of each name a module imports and never reads; the
+    `__future__` import binds no name."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports_in_engine():
+    """`__init__.py` re-exports; every other module reads what it imports."""
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+             for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, found
+
+
+def test_unused_import_guard_detects_each_form():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os\nimport os.path\nimport json as j\n"
+        "from .a import b, c as d\nfrom .e import (f,\n    g)\n"
+        "print(b, g, os.sep)\n")
+    assert _unused_imports(tree) == [(4, "j"), (5, "d"), (6, "f")]
+
+
 CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
 
 CACHE_ALLOWLIST = {
