@@ -13,16 +13,10 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .classify import (
-    ReconciliationReport,
-    SearchConfig,
-    enumerate_level,
-    evaluate_simple,
-    verify_paper,
-)
+from .classify import ReconciliationReport, SearchConfig, enumerate_level, verify_paper
 from .errors import HodgeRepError, ResourceLimitError, ShapeError
-from .hodgecore import FactorSpec, GradingElement, eigenspace_dims, level
-from .products import combine
+from .hodgecore import FactorSpec, GradingElement
+from .products import assemble_summaries, summarise
 from .repweights import DEFAULT_MAX_DIM
 from .rootdata import RANK_BOUNDS, LieType
 
@@ -143,40 +137,34 @@ def _cmd_inspect(args) -> int:
     factors = _parse_factor_lists(args.algebra, args.E, args.mu)
     out = sys.stdout
     target = args.level
-
-    if len(factors) == 1:
-        f = factors[0]
-        span = level(f.lie_type, f.mu, f.E)
-        decomp = eigenspace_dims(f.lie_type, f.mu, f.E, max_dim=args.max_dim)
-        out.write(f"algebra:    {f.lie_type}\n")
-        out.write(f"E:          {f.E}\n")
-        out.write(f"mu:         {','.join(str(c) for c in f.mu)}\n")
-        out.write(f"(mu+mu*)(E): {span}\n")
-        out.write("eigenspaces of E_ss on U (raw eigenvalues):\n")
-        for ev, d in decomp.levels:
-            out.write(f"  {_frac_str(ev):>8}  dim {d}\n")
-        got = evaluate_simple(f.lie_type, f.E, f.mu, target, max_dim=args.max_dim)
-        if got is None:
-            out.write(f"result:     not a level-{target} Hodge representation "
-                      "(shape-invalid)\n")
-            return EXIT_SHAPE_INVALID
-        rec = record_of(got)
-    else:
-        if target == 1:
-            raise ValueError("--level 1 needs one factor: factor levels add, "
-                             "so no product has level 1")
-        try:
-            p = combine(factors, max_dim=args.max_dim)
-        except ShapeError as exc:
-            out.write(f"result:     shape-invalid product: {exc}\n")
-            return EXIT_SHAPE_INVALID
-        for f in p.factors:
-            d = eigenspace_dims(f.lie_type, f.mu, f.E, max_dim=args.max_dim)
+    simple = len(factors) == 1
+    if target == 1 and not simple:
+        raise ValueError("--level 1 needs one factor: factor levels add, "
+                         "so no product has level 1")
+    try:
+        summaries = summarise(factors, max_dim=args.max_dim)
+        if simple:
+            s = summaries[0]
+            f, decomp = s.factor, s.eigen()  # the size guard runs before any output
+            out.write(f"algebra:    {f.lie_type}\n")
+            out.write(f"E:          {f.E}\n")
+            out.write(f"mu:         {','.join(str(c) for c in f.mu)}\n")
+            out.write(f"(mu+mu*)(E): {s.span}\n")
+            out.write("eigenspaces of E_ss on U (raw eigenvalues):\n")
+            for ev, d in decomp.levels:
+                out.write(f"  {_frac_str(ev):>8}  dim {d}\n")
+        got = assemble_summaries(summaries, target)
+    except ShapeError as exc:
+        out.write(f"result:     not a level-{target} Hodge representation (shape-invalid)\n"
+                  if simple else f"result:     shape-invalid product: {exc}\n")
+        return EXIT_SHAPE_INVALID
+    if not simple:
+        for s in summaries:
+            f = s.factor
             out.write(f"factor {f.lie_type} {f.E}: levels "
-                      + " ".join(f"{_frac_str(ev)}:{dim}" for ev, dim in d.levels)
+                      + " ".join(f"{_frac_str(ev)}:{dim}" for ev, dim in s.eigen().levels)
                       + "\n")
-        rec = record_of(p)
-
+    rec = record_of(got)
     for key in _FIELDS:
         out.write(f"{key}: {rec[key]}\n")
     return EXIT_OK

@@ -22,14 +22,8 @@ class ResourceLimitError(HodgeRepError, RuntimeError):
 
 
 class ShapeError(HodgeRepError, ValueError):
-    """An assembled Hodge vector is not of weight-1 or CY3 shape.
-
-    Carries the offending dimension vector so callers can show diagnostics.
-    """
-
-    def __init__(self, message: str, vector=None):
-        super().__init__(message)
-        self.vector = tuple(vector) if vector is not None else None
+    """A candidate fits no Hodge-assembly case: the assembly rule in
+    `products` rejects its factor levels, reality type or top eigenspace."""
 
 
 class ConsistencyError(HodgeRepError, AssertionError):

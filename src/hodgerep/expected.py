@@ -136,7 +136,10 @@ def load_expected(path: Optional[str] = None) -> ExpectedTables:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         note = path
-    raw = json.loads(text)
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{note}: not valid JSON: {exc}") from None
     fmt = raw.get("format") if isinstance(raw, dict) else None
     if fmt != EXPECTED_FORMAT:
         raise ValueError(
@@ -297,13 +300,21 @@ def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
                     break
                 nodes = tuple(sorted(_node(n, rank, fbind, where, "E")
                                      for n in _field(fac, "E", where, list, "a list")))
-                mu = [0] * rank
+                if not nodes or len(set(nodes)) < len(nodes):
+                    raise ValueError(f"{where}: E must name one or more distinct nodes, "
+                                     f"got {list(nodes)}")
+                mu, seen = [0] * rank, set()
                 for pair in _field(fac, "mu", where, list, "a list"):
                     if not (isinstance(pair, list) and len(pair) == 2):
                         raise ValueError(f"{where}: mu entry must be a [node, coeff] "
                                          f"pair, got {pair!r}")
-                    mu[_node(pair[0], rank, fbind, where, "mu") - 1] = \
-                        _eval_int(str(pair[1]), fbind, where, "mu")
+                    node = _node(pair[0], rank, fbind, where, "mu")
+                    if node in seen:
+                        raise ValueError(f"{where}: mu node {node} repeated")
+                    seen.add(node)
+                    mu[node - 1] = _eval_int(str(pair[1]), fbind, where, "mu")
+                if min(mu) < 0 or not any(mu):
+                    raise ValueError(f"{where}: mu must be dominant and nonzero, got {mu}")
                 factors.append((lt, nodes, tuple(mu)))
             if not valid:
                 continue

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter, mul
+from operator import add, mul
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import ConsistencyError, ShapeError
+from .errors import ConsistencyError
 from .repweights import DEFAULT_MAX_DIM, guarded_dim, levi_dim, weight_system, weyl_orbit
 from .rootdata import LieType, RootSystemData, Weight, dual_weight, root_system
 
@@ -298,50 +297,24 @@ def center_charge(level_n: int, mu_of_E: Fraction, reality: str) -> Fraction:
 
 def hodge_vector(decomp: EigenDecomp, reality: str, c: Fraction,
                  level_n: int) -> HodgeVector:
-    """Assemble the Hodge vector of V_C at the requested level.
+    """The Hodge vector of V_C at level n: the U + U* fold.
 
-    real: V_C = U and the raw eigenvalues are already at the half-integer
-    grid.  complex/quaternionic: shift U by c and adjoin U*, whose ladder
-    is U's reversed with eigenvalues negated; the two add level-wise.
+    The charge c puts the top of U at n/2, so level k of V_C holds dims[k]
+    in the real case (V_C = U) and dims[k] + dims[n - k] in the complex and
+    quaternionic cases, where U* is U's ladder reversed.  The assembly rule
+    in `products` admits only candidates whose fold is (a, a) at level 1 or
+    (1, a, a, 1) at level 3, so anything else is a ConsistencyError.
     """
-    top = decomp.top + c
-    dims = list(decomp.dims)
+    n, dims = level_n, decomp.dims
+    if decomp.top + c != Fraction(n, 2) or len(dims) > n + 1:
+        raise ConsistencyError(f"ladder {dims} with top {decomp.top} and c = {c} "
+                               f"does not start at the top of level {n}")
+    dims += (0,) * (n + 1 - len(dims))
     if reality != REAL:
-        # U* carries dims[k] at eigenvalue k - top, so its top sits
-        # gap = 2 top - span unit steps below the top of U; a gap off the
-        # integers leaves 2 top off them too, so the grid check rejects it
-        gap = 2 * top - decomp.span
-        if gap.denominator == 1:
-            gap = int(gap)
-            u_at, star_at = max(-gap, 0), max(gap, 0)
-            merged = [0] * (len(dims) + abs(gap))
-            for k, d in enumerate(dims):
-                merged[u_at + k] += d
-                merged[star_at + len(dims) - 1 - k] += d
-            top, dims = top + u_at, merged
-    if 2 * top != level_n or len(dims) != level_n + 1 or 0 in dims:
-        # off the grid: name the eigenvalues that did appear
-        pairs = [(ev + c, d) for ev, d in decomp.levels]
-        if reality != REAL:
-            pairs += [(-ev, d) for ev, d in pairs]
-        levels, dims = [], []
-        for ev, group in groupby(sorted(pairs, reverse=True), key=itemgetter(0)):
-            levels.append(ev)
-            dims.append(sum(d for _, d in group))
-        grid = [Fraction(level_n, 2) - k for k in range(level_n + 1)]
-        raise ShapeError(
-            f"eigenvalues {[str(x) for x in levels]} do not fill the grid "
-            f"{[str(x) for x in grid]} for level {level_n}",
-            vector=tuple(dims),
-        )
-    # past the grid check every level is positive, so a palindromic level-1
-    # vector is (a, a); only level 3 has a shape left to check
-    dims = tuple(dims)
+        dims = tuple(map(add, dims, reversed(dims)))
     vec = HodgeVector(dims=dims)
-    if not vec.is_palindromic:
-        raise ShapeError(f"assembled vector {dims} is not palindromic", vector=dims)
-    if level_n == 3 and not vec.is_cy3:
-        raise ShapeError(f"assembled vector {dims} is not of shape (1,a,a,1)", vector=dims)
+    if not (vec.is_weight1 if n == 1 else vec.is_cy3):
+        raise ConsistencyError(f"assembled vector {dims} is not of level-{n} shape")
     return vec
 
 

@@ -8,12 +8,15 @@ reality type follows the tensor rule (any complex factor makes the product
 complex; otherwise parity of the quaternionic count decides).  One rule,
 `_assembly_case`, reads the level, the factor spans and the joint type and
 picks the assembly case; the center charge comes from
-`hodgecore.center_charge` at the top of the joint ladder.
+`hodgecore.center_charge` at the top of the joint ladder.  This rule,
+with the level-3 factor check, is the engine's only validity test: every
+ShapeError is raised here, and `hodgecore.hodge_vector` only folds.
 
 Everything the rule reads of one factor (its level, reality type and the
-top-eigenspace flag) sits in a per-factor summary; the ladder, whose top
-is mu(E), is computed on first use, since only admitted combinations read
-it.  `assemble` builds summaries for the factors it is given;
+top-eigenspace flag) sits in a per-factor summary, and so does the
+factor's ladder, whose top is mu(E): it is built on first use, and once,
+since only admitted combinations and `inspect` read it.  `assemble` and
+`inspect` build summaries for the factors they are given;
 `product_tuples` builds one per pool factor and asks the rule about every
 1+1, 1+2 and 1+1+1 combination, assembling only those it admits.
 """
@@ -75,8 +78,8 @@ def tensor_reality(types: Sequence[str]) -> str:
 class _FactorSummary:
     """What the assembly rule reads of one factor: its level, reality type
     and whether its top eigenspace is one-dimensional.  The ladder, which
-    only an admitted combination reads, is computed on first use with the
-    caller's max_dim, from the span held here and mu(E)."""
+    only an admitted combination or `inspect` reads, is built once, on
+    first use, with the caller's max_dim, from the span held here and mu(E)."""
 
     __slots__ = ("factor", "max_dim", "key", "span", "reality", "top_is_one", "_eigen")
 
@@ -169,28 +172,40 @@ def _assemble(summaries: Sequence[_FactorSummary], level_n: int) -> HodgeTuple:
     )
 
 
-def assemble(factors: Sequence[FactorSpec], level_n: int,
-             max_dim: int = DEFAULT_MAX_DIM) -> HodgeTuple:
-    """The level-`level_n` Hodge tuple of one to three factors, in
-    FactorSpec.sort_key order, or ShapeError.
+def summarise(factors: Sequence[FactorSpec],
+              max_dim: int = DEFAULT_MAX_DIM) -> List[_FactorSummary]:
+    """One summary per factor, in FactorSpec.sort_key order, or ShapeError
+    for more than 3 factors."""
+    if len(factors) > 3:
+        raise ShapeError("products need 2 or 3 simple factors")
+    return [_FactorSummary(f, max_dim) for f in sorted(factors, key=FactorSpec.sort_key)]
+
+
+def assemble_summaries(summaries: Sequence[_FactorSummary], level_n: int) -> HodgeTuple:
+    """The level-`level_n` Hodge tuple of `summarise`d factors, or ShapeError.
 
     At level 3 every factor must first have a one-dimensional top
     eigenspace and a positive level; the factor levels and the joint
     reality type must then pass `_assembly_case`.
     """
-    summaries = [_FactorSummary(f, max_dim)
-                 for f in sorted(factors, key=FactorSpec.sort_key)]
     if level_n == 3:
         for s in summaries:
             s.check_level3()
     return _assemble(summaries, level_n)
 
 
+def assemble(factors: Sequence[FactorSpec], level_n: int,
+             max_dim: int = DEFAULT_MAX_DIM) -> HodgeTuple:
+    """The level-`level_n` Hodge tuple of one to three factors, or
+    ShapeError: `assemble_summaries` of their summaries."""
+    return assemble_summaries(summarise(factors, max_dim), level_n)
+
+
 def combine(factors: Sequence[FactorSpec],
             max_dim: int = DEFAULT_MAX_DIM) -> HodgeTuple:
     """Assemble a level-3 product tuple of 2 or 3 factors, or raise
     ShapeError."""
-    if not 2 <= len(factors) <= 3:
+    if len(factors) < 2:
         raise ShapeError("products need 2 or 3 simple factors")
     return assemble(factors, 3, max_dim)
 

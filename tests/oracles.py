@@ -347,17 +347,16 @@ def hodge_vector_levels(levels: Levels, reality: str, c: Fraction,
     if evs != expected:
         raise ShapeError(
             f"eigenvalues {[str(x) for x in evs]} do not fill the grid "
-            f"{[str(x) for x in expected]} for level {level_n}",
-            vector=dims,
+            f"{[str(x) for x in expected]} for level {level_n}"
         )
     if not vec.is_palindromic:
-        raise ShapeError(f"assembled vector {dims} is not palindromic", vector=dims)
+        raise ShapeError(f"assembled vector {dims} is not palindromic")
     if any(d <= 0 for d in dims):
-        raise ShapeError(f"assembled vector {dims} has an empty level", vector=dims)
+        raise ShapeError(f"assembled vector {dims} has an empty level")
     if level_n == 3 and not vec.is_cy3:
-        raise ShapeError(f"assembled vector {dims} is not of shape (1,a,a,1)", vector=dims)
+        raise ShapeError(f"assembled vector {dims} is not of shape (1,a,a,1)")
     if level_n == 1 and not vec.is_weight1:
-        raise ShapeError(f"assembled vector {dims} is not of shape (a,a)", vector=dims)
+        raise ShapeError(f"assembled vector {dims} is not of shape (a,a)")
     return vec
 
 

@@ -28,6 +28,7 @@ from hodgerep.cli import main, record_of
 from hodgerep.errors import ShapeError
 from hodgerep.expected import load_expected
 from hodgerep.hodgecore import (
+    COMPLEX,
     REAL,
     GradingElement,
     eigenspace_dims,
@@ -35,10 +36,15 @@ from hodgerep.hodgecore import (
     level,
     reality_type,
 )
-from hodgerep.products import FactorSpec, combine, product_tuples
+from hodgerep.products import FactorSpec, combine, convolve_eigen, product_tuples
 from hodgerep.rootdata import RANK_BOUNDS, LieType
 
-from oracles import dominant_weights_up_to, enumerate_level_brute, evaluate_simple_direct
+from oracles import (
+    dominant_weights_up_to,
+    enumerate_level_brute,
+    evaluate_simple_direct,
+    hodge_vector_levels,
+)
 
 E = GradingElement.from_nodes
 
@@ -305,12 +311,18 @@ def _drop_from_cases(field):
     (lambda item: item["factors"].append(dict(item["factors"][0])),
      "item 1: factors must be one factor on a level-1 table (factor levels add, "
      "so no product has level 1), got 2"),
+    (_set_factor("E", []), "item 1: E must name one or more distinct nodes, got []"),
+    (_set_factor("E", [1, 1]), "item 1: E must name one or more distinct nodes, got [1, 1]"),
+    (_set_factor("mu", []), "item 1: mu must be dominant and nonzero, got [0]"),
+    (_set_factor("mu", [[1, -1]]), "item 1: mu must be dominant and nonzero, got [-1]"),
+    (_set_factor("mu", [[1, 1], [1, 2]]), "item 1: mu node 1 repeated"),
 ], ids=["list-family", "dict-E", "int-E", "dict-E-node", "mu-node-above-rank",
         "mu-node-0", "missing-c", "missing-h", "missing-reality", "c-unknown-name",
         "c-syntax-error", "c-not-a-number", "int-params", "int-param-spec",
         "int-cases", "case-without-when", "missing-factors", "int-factors",
         "empty-factors", "int-factor", "factor-without-rank", "missing-item",
-        "int-mu-entry", "int-real-form", "level1-product"])
+        "int-mu-entry", "int-real-form", "level1-product", "empty-E",
+        "repeated-E-node", "empty-mu", "negative-mu", "repeated-mu-node"])
 def test_malformed_expected_row_raises(tmp_path, mutate, message):
     tables = load_expected()
     raw = json.loads(json.dumps(tables.raw))
@@ -388,6 +400,22 @@ def test_canonical_key_is_invariant_under_diagram_automorphisms(data):
                        for f, perm in zip(p.factors, perms)])
         assert (img.hodge, img.c, img.reality) == (p.hodge, p.c, p.reality)
         assert canonicalize(img).canonical_key == key
+
+
+def test_accepted_vectors_match_fraction_oracle():
+    """Every simple tuple of rank <= 8 at levels 1 and 3, and every tuple of
+    the rank-8 product sweep, carries the vector that the Fraction oracle
+    assembles from its joint ladder in its assembly case."""
+    simple = [t for target in (1, 3)
+              for t in enumerate_level(SearchConfig(max_rank=8, level=target))]
+    prods = [t for t in enumerate_level(SearchConfig(max_rank=8, level=3,
+                                                     include_products=True))
+             if len(t.factors) > 1]
+    assert (len(simple), len(prods)) == (287, 137)
+    for t in simple + prods:
+        ladder = convolve_eigen([eigenspace_dims(f.lie_type, f.mu, f.E) for f in t.factors])
+        case = t.reality if t.level == 1 else COMPLEX if t.span < 3 else REAL
+        assert hodge_vector_levels(ladder.levels, case, t.c, t.level) == t.hodge, record_of(t)
 
 
 def _palindromic(dims):

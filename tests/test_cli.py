@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+import hodgerep.hodgecore as hodgecore
+import hodgerep.products as products
 from hodgerep.cli import main
 
 pytestmark = pytest.mark.usefixtures("capsys")
@@ -38,6 +40,27 @@ def test_inspect_product(capsys):
     code, out, _ = run(capsys, "inspect", "A1xB3", "--E", "1x1", "--mu", "1x1,0,0")
     assert code == 0
     assert "hodge: [1, 6, 6, 1]" in out
+
+
+@pytest.mark.parametrize("argv,code,ladders", [
+    (["C3", "--E", "3", "--mu", "0,0,1"], 0, 1),
+    (["A1xD4", "--E", "1x1", "--mu", "1x1,0,0,0"], 0, 2),
+    (["A2", "--E", "1", "--mu", "1,1"], 2, 1),
+], ids=["simple", "product", "simple-shape-invalid"])
+def test_inspect_builds_one_ladder_per_factor(capsys, monkeypatch, argv, code, ladders):
+    """The span, the printed ladders and the assembly read one summary per
+    factor, so each factor's ladder is built once."""
+    calls = []
+    real = hodgecore.eigen_ladder
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for module in (hodgecore, products):
+        monkeypatch.setattr(module, "eigen_ladder", counting)
+    assert run(capsys, "inspect", *argv)[0] == code
+    assert len(calls) == ladders, calls
 
 
 def test_inspect_parse_error_exit_64(capsys):
@@ -79,6 +102,11 @@ def _set(table, name, value):
     return lambda raw: raw["tables"][table].__setitem__(name, value)
 
 
+def _truncate(length):
+    """The file cut after `length` characters, so it is not valid JSON."""
+    return lambda raw: json.dumps(raw)[:length]
+
+
 @pytest.mark.parametrize("mutate, message", [
     (_drop("tables", "thm2.1", "level"), "table thm2.1: missing field 'level'"),
     (_drop("tables", "thm2.1", "items"), "table thm2.1: missing field 'items'"),
@@ -88,15 +116,17 @@ def _set(table, name, value):
     (_set("thm2.1", "span", "x"), "table thm2.1: span must be an integer in 1..1, "
                                   "got 'x'"),
     (_set("thm2.1", "level", True), "table thm2.1: level must be 1 or 3, got True"),
+    (_truncate(11), "not valid JSON: Expecting value: line 1 column 12 (char 11)"),
 ], ids=["table-without-level", "table-without-items", "allowlist-entry-without-item",
-        "int-pattern", "string-span", "bool-level"])
+        "int-pattern", "string-span", "bool-level", "truncated-json"])
 def test_malformed_expected_file_exit_64(capsys, tmp_path, mutate, message):
+    """`mutate` edits the packaged tables in place, or returns the file text."""
     from hodgerep.expected import load_expected
 
     raw = json.loads(json.dumps(load_expected().raw))
-    mutate(raw)
+    text = mutate(raw)
     path = tmp_path / "expected.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(raw) if text is None else text)
     code, out, err = run(capsys, "verify-paper", "--scope", "thm2.1",
                          "--expected-file", str(path))
     assert (code, out) == (64, "")

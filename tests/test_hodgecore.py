@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -117,11 +118,27 @@ def test_quaternionic_charge_check_survives_optimize():
             "        center_charge(3, Fraction(1), case)\n"
             "    except ConsistencyError:\n"
             "        print('raised', case)\n")
+    assert _run_optimized(code) == "raised quaternionic\nraised real\n"
+
+
+def test_fold_shape_check_survives_optimize():
+    # a lone top at 3/2 folds to (1, 0, 0, 1): a hole the rule never admits
+    code = ("from fractions import Fraction\n"
+            "from hodgerep.errors import ConsistencyError\n"
+            "from hodgerep.hodgecore import EigenDecomp, hodge_vector\n"
+            "try:\n"
+            "    hodge_vector(EigenDecomp(Fraction(1, 2), (1,)), 'complex', Fraction(1), 3)\n"
+            "except ConsistencyError:\n"
+            "    print('raised')\n")
+    assert _run_optimized(code) == "raised\n"
+
+
+def _run_optimized(code):
+    """The stdout of `code` run under `python -O` against this checkout."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout == "raised quaternionic\nraised real\n"
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
 
 
 def test_hodge_vector_real():
@@ -150,13 +167,15 @@ def test_hodge_vector_quaternionic_doubles():
 
 
 def test_hodge_vector_shape_errors():
-    # adjoint of sl(3) under A1 assembles to (2,6,6,2): not CY3
-    t = LieType("A", 2)
-    d = eigenspace_dims(t, (1, 1), E(2, [1]))
-    c = center_charge(3, mu_of_grading(t, (1, 1), E(2, [1])), COMPLEX)
-    with pytest.raises(ShapeError) as exc:
+    # adjoint of sl(3) under A1 folds to (2,6,6,2): not CY3.  The assembly
+    # rule rejects it first, since its top eigenspace has dimension 2, so
+    # only a direct call reaches the fold, which raises an invariant failure
+    t, mu, g = LieType("A", 2), (1, 1), E(2, [1])
+    d = eigenspace_dims(t, mu, g)
+    c = center_charge(3, mu_of_grading(t, mu, g), COMPLEX)
+    with pytest.raises(ConsistencyError, match=re.escape("(2, 6, 6, 2)")):
         hodge_vector(d, COMPLEX, c, 3)
-    assert exc.value.vector == (2, 6, 6, 2)
+    assert evaluate_simple(t, g, mu, 3) is None
 
 
 def test_real_form_names():
@@ -229,14 +248,6 @@ def test_eigen_decomp_validation():
     assert d.span == 2 and type(d.span) is int
 
 
-def _assembly(fn, *args):
-    """The assembled dims, or the ShapeError's message and vector."""
-    try:
-        return fn(*args).dims
-    except ShapeError as exc:
-        return str(exc), exc.vector
-
-
 @st.composite
 def _assembly_cases(draw):
     """A unit-step ladder (top p/q with q <= 4, 1-4 positive dims), a
@@ -255,16 +266,27 @@ def _assembly_cases(draw):
 @settings(max_examples=200)
 @given(_assembly_cases())
 @example((EigenDecomp(Q(1, 2), (1, 4)), COMPLEX, Q(1), 3))       # accepted (1,4,4,1)
-@example((EigenDecomp(Q(-1, 2), (4, 1)), COMPLEX, Q(0), 3))      # U* on top (1,4,4,1)
+@example((EigenDecomp(Q(-1, 2), (4, 1)), COMPLEX, Q(0), 3))      # U* on top: fold raises
 @example((EigenDecomp(Q(1, 2), (1,)), COMPLEX, Q(1), 3))         # hole in the grid
 @example((EigenDecomp(Q(1, 3), (1, 2)), COMPLEX, Q(0), 3))       # U, U* interleave
 @example((EigenDecomp(Q(3, 2), (1, 2, 1, 3)), REAL, Q(0), 3))    # not palindromic
 @example((EigenDecomp(Q(3, 2), (2, 1, 1, 2)), REAL, Q(0), 3))    # not (1,a,a,1)
 @example((EigenDecomp(Q(1, 2), (1, 2)), QUATERNIONIC, Q(0), 1))  # accepted (3,3)
 def test_hodge_vector_matches_fraction_oracle(case):
+    """The fold gives the oracle's vector where the oracle accepts with the
+    top of U at n/2.  Where the oracle raises, or accepts with U* on top,
+    which the assembly rule never produces, the fold is an invariant
+    failure."""
     decomp, reality, c, level_n = case
-    assert _assembly(hodge_vector, decomp, reality, c, level_n) == \
-        _assembly(hodge_vector_levels, decomp.levels, reality, c, level_n)
+    try:
+        want = hodge_vector_levels(decomp.levels, reality, c, level_n).dims
+    except ShapeError:
+        want = None
+    if want is None or decomp.top + c != Q(level_n, 2):
+        with pytest.raises(ConsistencyError):
+            hodge_vector(decomp, reality, c, level_n)
+    else:
+        assert hodge_vector(decomp, reality, c, level_n).dims == want
 
 
 def test_hodge_vector_predicates():

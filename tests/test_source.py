@@ -3,7 +3,9 @@
 Invariants are `ConsistencyError` raises, not `assert`s, so they hold under
 `python -O`; and the engine is exact, so it has no float literal and no
 `float(...)` call.  Every cache is on a named allowlist with its reason, so
-a cache that only hides a slow layer cannot be added unseen.
+a cache that only hides a slow layer cannot be added unseen.  The assembly
+rule in `products` is the only validity test, so no other module raises
+`ShapeError`.
 """
 import ast
 from pathlib import Path
@@ -140,3 +142,24 @@ def test_cache_guard_detects_each_form():
         "@staticmethod\ndef i(): pass\n")
     assert [name for name, _ in _caches(tree)] == [
         "a", "b", "c", "d", "e", "K.f", "K.g", "<call>", "<call>"]
+
+
+def _shape_error_raises(tree):
+    """Lines of each `raise` of ShapeError, bare, called or qualified."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and _base_name(node.exc) == "ShapeError"]
+
+
+def test_only_products_raises_shape_error():
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "products.py"
+             for line in _shape_error_raises(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, found
+
+
+def test_shape_error_guard_detects_each_form():
+    tree = ast.parse(
+        "raise ShapeError('a')\nraise ShapeError\nraise errors.ShapeError('b')\n"
+        "raise ValueError('c')\nraise\nexcept_ = ShapeError('d')\n")
+    assert _shape_error_raises(tree) == [1, 2, 3]
