@@ -22,8 +22,20 @@ from .errors import ConsistencyError, ShapeError
 from .expected import ExpectedInstance, ExpectedTables, instantiate, load_expected
 from .hodgecore import FactorSpec, GradingElement, HodgeTuple, level, real_form
 from .products import assemble, product_tuples
-from .repweights import DEFAULT_MAX_DIM
 from .rootdata import RANK_BOUNDS, LieType, Weight, catalogued_types, root_system
+
+
+# every ladder a sweep admits is the Levi closed form, which builds no
+# weight system, so this bounds only a run's time (verify-paper: about 15 s)
+MAX_RANK = 32
+
+
+def _check_max_rank(max_rank: int) -> None:
+    """ValueError unless 1 <= max_rank <= MAX_RANK."""
+    if max_rank < 1:
+        raise ValueError("max_rank must be at least 1")
+    if max_rank > MAX_RANK:
+        raise ValueError(f"max_rank must be at most {MAX_RANK}, got {max_rank}")
 
 
 @dataclass(frozen=True)
@@ -33,11 +45,9 @@ class SearchConfig:
     families: FrozenSet[str] = frozenset("ABCDEFG")
     include_products: bool = False
     dedupe_automorphisms: bool = False
-    max_dim: int = DEFAULT_MAX_DIM
 
     def __post_init__(self):
-        if self.max_rank < 1:
-            raise ValueError("max_rank must be at least 1")
+        _check_max_rank(self.max_rank)
         if self.level not in (1, 3):
             raise ValueError("level must be 1 or 3")
         if not self.families:
@@ -156,13 +166,13 @@ def b2c2_alias_key(key):
 # ---------------------------------------------------------------------------
 # Candidate evaluation
 
-def evaluate_simple(t: LieType, E: GradingElement, mu: Weight, target_level: int,
-                    max_dim: int = DEFAULT_MAX_DIM) -> Optional[HodgeTuple]:
+def evaluate_simple(t: LieType, E: GradingElement, mu: Weight, target_level: int
+                    ) -> Optional[HodgeTuple]:
     """Classify one (algebra, E, mu) candidate, or None when it is not a
     level-`target_level` Hodge representation: the one-factor case of
     `products.assemble`."""
     try:
-        return assemble([FactorSpec(t, E, tuple(mu))], target_level, max_dim)
+        return assemble([FactorSpec(t, E, tuple(mu))], target_level)
     except ShapeError:
         return None
 
@@ -218,7 +228,7 @@ def enumerate_level(config: SearchConfig) -> List[HodgeTuple]:
     pools: Dict[int, List[FactorSpec]] = {1: [], 2: []}
     for t in _types_in_window(config.families, config.max_rank):
         for E, mu, span in candidates(t, config.level):
-            got = evaluate_simple(t, E, mu, config.level, config.max_dim)
+            got = evaluate_simple(t, E, mu, config.level)
             if got is not None:
                 simple.append(got)
             if with_products and span in pools:
@@ -226,8 +236,7 @@ def enumerate_level(config: SearchConfig) -> List[HodgeTuple]:
 
     results = _annotate_canonical(simple)
     if with_products:
-        results.extend(_annotate_canonical(
-            product_tuples(pools[1], pools[2], config.max_dim)))
+        results.extend(_annotate_canonical(product_tuples(pools[1], pools[2])))
     if config.dedupe_automorphisms:
         results = [t for t in results if t.is_canonical]
     results.sort(key=tuple_key)
@@ -282,13 +291,12 @@ class ReconciliationReport:
         return all(r.allowlisted for r in self.mismatches)
 
 
-def _check_instance(inst: ExpectedInstance, target_level: int,
-                    max_dim: int) -> InstanceResult:
+def _check_instance(inst: ExpectedInstance, target_level: int) -> InstanceResult:
     diffs: List[Tuple[str, str, str]] = []
     factors = [FactorSpec(t, GradingElement.from_nodes(t.rank, nodes), mu)
                for t, nodes, mu in inst.factors]
     try:
-        got = assemble(factors, target_level, max_dim)
+        got = assemble(factors, target_level)
     except ShapeError as exc:
         if inst.is_product:
             diffs.append(("validity", "valid level-3 product", f"rejected: {exc}"))
@@ -351,8 +359,7 @@ def _scope_predicate(tables: ExpectedTables, names):
 
 def verify_paper(scope: str = "all", max_rank: int = 8,
                  expected_path: Optional[str] = None,
-                 include_computed_only: bool = True,
-                 max_dim: int = DEFAULT_MAX_DIM) -> ReconciliationReport:
+                 include_computed_only: bool = True) -> ReconciliationReport:
     """Recompute every embedded table row and bucket the comparisons.
 
     A row matches when every concrete instantiation (ranks up to max_rank)
@@ -361,6 +368,7 @@ def verify_paper(scope: str = "all", max_rank: int = 8,
     with no instantiation in range land in paper_only.  computed_only
     lists canonical enumeration output not covered by any row.
     """
+    _check_max_rank(max_rank)
     tables = load_expected(expected_path)
     names = tables.table_names(scope)
     report = ReconciliationReport(scope=scope, max_rank=max_rank)
@@ -382,7 +390,7 @@ def verify_paper(scope: str = "all", max_rank: int = 8,
                 report.paper_only.append(row)
                 continue
             for inst in instances:
-                res = _check_instance(inst, target_level, max_dim)
+                res = _check_instance(inst, target_level)
                 row.instances.append(res)
                 covered_keys.add(inst.key)
             row.status = "mismatch" if row.failing() else "match"

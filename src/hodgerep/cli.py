@@ -2,8 +2,10 @@
 
 Exit codes: 0 success (clean verify), 1 verify found non-allowlisted
 mismatches, 2 inspect hit a shape-invalid candidate, 64 usage error,
-70 resource guard.  Output is deterministic; rationals are rendered as
-"p/q" strings, never as decimals.
+70 resource guard: `inspect --max-dim` on a ladder that builds a weight
+system.  The sweeps build none, so `classify` and `verify-paper` take no
+size guard.  Output is deterministic; rationals are rendered as "p/q"
+strings, never as decimals.
 """
 from __future__ import annotations
 
@@ -177,7 +179,6 @@ def _cmd_classify(args) -> int:
         families=_parse_families(args.families),
         include_products=args.products,
         dedupe_automorphisms=args.dedupe,
-        max_dim=args.max_dim,
     )
     records = [record_of(t) for t in enumerate_level(cfg)]
     _emit_records(records, args.format, sys.stdout)
@@ -253,7 +254,6 @@ def _cmd_verify(args) -> int:
         scope=args.scope,
         max_rank=args.max_rank,
         expected_path=args.expected_file,
-        max_dim=args.max_dim,
     )
     _emit_report(report, args.format, sys.stdout)
     clean = (not report.mismatches) if args.strict else report.ok
@@ -286,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dedupe", action="store_true",
                    help="keep only canonical representatives under diagram automorphisms")
     p.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
-    p.add_argument("--max-dim", type=_max_dim, default=DEFAULT_MAX_DIM)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("verify-paper", help="reconcile against the embedded tables")
@@ -298,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the packaged expected-results file")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 on any mismatch, allowlisted or not")
-    p.add_argument("--max-dim", type=_max_dim, default=DEFAULT_MAX_DIM)
     p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -17,7 +17,7 @@ from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InvalidTypeError
-from .rootdata import LieType
+from .rootdata import RANK_BOUNDS, LieType
 
 EXPECTED_FORMAT = "hodgerep-expected/1"
 
@@ -293,6 +293,9 @@ def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
                                             "a string or an integer")),
                                  fbind, where, "rank")
                 family = _field(fac, "family", where, str, "a string")
+                if family not in RANK_BOUNDS:
+                    raise ValueError(f"{where}: family must be one of "
+                                     f"{', '.join(RANK_BOUNDS)}, got {family!r}")
                 try:
                     lt = LieType(family, rank)
                 except InvalidTypeError:

@@ -8,12 +8,13 @@ integer dimensions below it.  These raw eigenvalues are shifted to the
 Hodge normalization (top eigenvalue n/2) only when the vector is
 assembled, so the center charge stays a single auditable step.
 
-A ladder has two routes behind one size guard.  At span (mu + mu*)(E)
-of 1 or 2, and at span 3 with mu = mu*, it is read off Weyl dimensions:
-the top eigenspace is the irreducible module of the Levi factor l_E with
-highest weight mu (Green-Griffiths-Kerr), the bottom one that of mu*,
-and weyl_dim fixes the rest; no weight is visited.  Every other ladder
-is bucketed from Weyl-orbit walks of the Freudenthal dominant weights.
+A ladder has two routes.  At span (mu + mu*)(E) of 1 or 2, and at span
+3 with mu = mu*, it is read off Weyl dimensions: the top eigenspace is
+the irreducible module of the Levi factor l_E with highest weight mu
+(Green-Griffiths-Kerr), the bottom one that of mu*, and weyl_dim fixes
+the rest; no weight is visited, so nothing is size-guarded.  Every other
+ladder is bucketed from Weyl-orbit walks of the Freudenthal dominant
+weights, behind the size guard of `weight_system`.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from operator import add, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError
-from .repweights import DEFAULT_MAX_DIM, guarded_dim, levi_dim, weight_system, weyl_orbit
+from .repweights import DEFAULT_MAX_DIM, levi_dim, weight_system, weyl_dim, weyl_orbit
 from .rootdata import LieType, RootSystemData, Weight, dual_weight, root_system
 
 REAL = "real"
@@ -85,10 +86,6 @@ class EigenDecomp:
         return tuple(self.top - k for k in range(len(self.dims)))
 
     @property
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
-    @property
     def span(self) -> int:
         return len(self.dims) - 1
 
@@ -98,10 +95,6 @@ class HodgeVector:
     """Eigenspace dimensions read from the top eigenvalue down."""
 
     dims: Tuple[int, ...]
-
-    @property
-    def is_palindromic(self) -> bool:
-        return self.dims == tuple(reversed(self.dims))
 
     @property
     def is_weight1(self) -> bool:
@@ -198,25 +191,25 @@ def eigen_ladder(t: LieType, mu, E: GradingElement, span: int, top: Fraction,
     """The eigenspace ladder of E_ss on V(mu) for a caller that already
     holds span = level(t, mu, E) and top = mu_of_grading(t, mu, E).
 
-    The size guard runs first, on weyl_dim.  The ladder then comes from
-    the Levi closed form at span 1 or 2, or at span 3 with mu = mu*, and
-    from the orbit walk otherwise.
+    The ladder comes from the Levi closed form at span 1 or 2, or at span
+    3 with mu = mu*, and from the orbit walk otherwise; only the orbit walk
+    builds a weight system, so only it runs behind the size guard max_dim.
     """
     mu = tuple(int(c) for c in mu)
-    dim = guarded_dim(t, mu, max_dim)
     dual = dual_weight(t, mu)
     if span in (1, 2) or (span == 3 and dual == mu):
-        return _levi_ladder(t, mu, dual, E, span, top, dim)
+        return _levi_ladder(t, mu, dual, E, span, top)
     return _orbit_ladder(t, mu, E, max_dim)
 
 
 def _levi_ladder(t: LieType, mu: Weight, dual: Weight, E: GradingElement,
-                 span: int, top: Fraction, dim: int) -> EigenDecomp:
+                 span: int, top: Fraction) -> EigenDecomp:
     """The ladder from Weyl dimensions.  The top eigenspace is the
     irreducible l_E-module of highest weight mu, and the bottom one is dual
     to the top one of V(mu*); a span-3 ladder of a self-dual mu is
     symmetric, since its weights are closed under negation.  The middle
     takes what weyl_dim leaves."""
+    dim = weyl_dim(t, mu)
     d_top = levi_dim(t, mu, E.support)
     d_bot = d_top if dual == mu else levi_dim(t, dual, E.support)
     if span == 1:

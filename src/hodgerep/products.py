@@ -79,11 +79,12 @@ class _FactorSummary:
     """What the assembly rule reads of one factor: its level, reality type
     and whether its top eigenspace is one-dimensional.  The ladder, which
     only an admitted combination or `inspect` reads, is built once, on
-    first use, with the caller's max_dim, from the span held here and mu(E)."""
+    first use, from the span held here and mu(E); max_dim guards it only
+    where it takes the orbit route, which `inspect` alone reaches."""
 
     __slots__ = ("factor", "max_dim", "key", "span", "reality", "top_is_one", "_eigen")
 
-    def __init__(self, f: FactorSpec, max_dim: int):
+    def __init__(self, f: FactorSpec, max_dim: int = DEFAULT_MAX_DIM):
         self.factor = f
         self.max_dim = max_dim
         self.key = f.sort_key()
@@ -194,28 +195,26 @@ def assemble_summaries(summaries: Sequence[_FactorSummary], level_n: int) -> Hod
     return _assemble(summaries, level_n)
 
 
-def assemble(factors: Sequence[FactorSpec], level_n: int,
-             max_dim: int = DEFAULT_MAX_DIM) -> HodgeTuple:
+def assemble(factors: Sequence[FactorSpec], level_n: int) -> HodgeTuple:
     """The level-`level_n` Hodge tuple of one to three factors, or
     ShapeError: `assemble_summaries` of their summaries."""
-    return assemble_summaries(summarise(factors, max_dim), level_n)
+    return assemble_summaries(summarise(factors), level_n)
 
 
-def combine(factors: Sequence[FactorSpec],
-            max_dim: int = DEFAULT_MAX_DIM) -> HodgeTuple:
+def combine(factors: Sequence[FactorSpec]) -> HodgeTuple:
     """Assemble a level-3 product tuple of 2 or 3 factors, or raise
     ShapeError."""
     if len(factors) < 2:
         raise ShapeError("products need 2 or 3 simple factors")
-    return assemble(factors, 3, max_dim)
+    return assemble(factors, 3)
 
 
-def _summaries(pool: Sequence[FactorSpec], max_dim: int) -> List[_FactorSummary]:
+def _summaries(pool: Sequence[FactorSpec]) -> List[_FactorSummary]:
     """Summaries of the pool factors that pass the level-3 factor check;
     every combination holding any other factor is rejected."""
     out = []
     for f in pool:
-        s = _FactorSummary(f, max_dim)
+        s = _FactorSummary(f)
         try:
             s.check_level3()
         except ShapeError:
@@ -224,8 +223,8 @@ def _summaries(pool: Sequence[FactorSpec], max_dim: int) -> List[_FactorSummary]
     return out
 
 
-def product_tuples(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec],
-                   max_dim: int = DEFAULT_MAX_DIM) -> List[HodgeTuple]:
+def product_tuples(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec]
+                   ) -> List[HodgeTuple]:
     """Every 1+1 and 1+1+1 combination of pool1 and 1+2 combination of
     pool1 x pool2 that `combine` accepts, in combination order.
 
@@ -234,7 +233,7 @@ def product_tuples(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec],
     reality types, and a factor in many accepted combinations is
     decomposed once.
     """
-    one, two = _summaries(pool1, max_dim), _summaries(pool2, max_dim)
+    one, two = _summaries(pool1), _summaries(pool2)
     out = []
     for combo in itertools.chain(
             itertools.combinations_with_replacement(one, 2),

@@ -102,20 +102,6 @@ def levi_dim(t: LieType, mu, nodes) -> int:
     return num // den
 
 
-def guarded_dim(t: LieType, mu, max_dim: int) -> int:
-    """weyl_dim(mu), or ResourceLimitError when it exceeds max_dim: the
-    size guard in front of every eigenspace and weight-system route."""
-    mu = tuple(int(c) for c in mu)
-    dim = weyl_dim(t, mu)
-    if dim > max_dim:
-        raise ResourceLimitError(
-            f"weight system of {t} with highest weight {mu} has dimension "
-            f"{dim}, above the size guard {max_dim}",
-            dimension=dim,
-        )
-    return dim
-
-
 def _reflect(v, i: int, neighbours) -> List[int]:
     """s_i(v) as a list: v_i changes sign and only i's Dynkin neighbours move."""
     c = v[i]
@@ -241,9 +227,18 @@ def _dominant_multiplicities(t: LieType, mu: Weight) -> Tuple[Tuple[Weight, int]
 def weight_system(t: LieType, mu, max_dim: int = DEFAULT_MAX_DIM) -> WeightSystem:
     """Weight system of the irreducible with highest weight mu.
 
-    Aborts with ResourceLimitError when weyl_dim(mu) exceeds max_dim.  The
-    guard runs on every call, before the cache of dominant multiplicities.
+    The size guard: aborts with ResourceLimitError when weyl_dim(mu)
+    exceeds max_dim, on every call and before the cache of dominant
+    multiplicities.  Only what builds weights runs behind it; the Levi
+    closed form of a ladder multiplies integers and is not guarded.
     """
     mu = tuple(int(c) for c in mu)
-    return WeightSystem(lie_type=t, highest=mu, dimension=guarded_dim(t, mu, max_dim),
+    dim = weyl_dim(t, mu)
+    if dim > max_dim:
+        raise ResourceLimitError(
+            f"weight system of {t} with highest weight {mu} has dimension "
+            f"{dim}, above the size guard {max_dim}",
+            dimension=dim,
+        )
+    return WeightSystem(lie_type=t, highest=mu, dimension=dim,
                         dominant=_dominant_multiplicities(t, mu))

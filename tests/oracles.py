@@ -153,7 +153,7 @@ def enumerate_level_brute(config: SearchConfig) -> list:
                 for size in range(1, min(r, config.level) + 1):
                     for nodes in itertools.combinations(range(1, r + 1), size):
                         E = GradingElement.from_nodes(r, nodes)
-                        got = evaluate_simple(t, E, mu, config.level, config.max_dim)
+                        got = evaluate_simple(t, E, mu, config.level)
                         if got is not None:
                             simple.append(got)
                         if config.include_products and config.level == 3 \
@@ -167,7 +167,7 @@ def enumerate_level_brute(config: SearchConfig) -> list:
     results = _annotate_canonical(simple)
     if config.include_products and config.level == 3:
         products = {}
-        for p in products_brute(span1, span2, config.max_dim):
+        for p in products_brute(span1, span2):
             products.setdefault(tuple_key(p), p)
         results.extend(_annotate_canonical(products.values()))
     if config.dedupe_automorphisms:
@@ -176,8 +176,8 @@ def enumerate_level_brute(config: SearchConfig) -> list:
     return results
 
 
-def evaluate_simple_direct(t: LieType, E: GradingElement, mu, target_level: int,
-                           max_dim: int = DEFAULT_MAX_DIM) -> Optional[HodgeTuple]:
+def evaluate_simple_direct(t: LieType, E: GradingElement, mu, target_level: int
+                           ) -> Optional[HodgeTuple]:
     """`classify.evaluate_simple` by its own route.
 
     Level 1 takes span exactly 1 with any reality type.  Level 3 takes
@@ -203,7 +203,7 @@ def evaluate_simple_direct(t: LieType, E: GradingElement, mu, target_level: int,
         else:
             case = COMPLEX
     c = center_charge(target_level, mu_e, case)
-    decomp = eigenspace_dims(t, mu, E, max_dim=max_dim)
+    decomp = eigenspace_dims(t, mu, E)
     vec = hodge_vector(decomp, case, c, target_level)
     return HodgeTuple(
         factors=(FactorSpec(t, E, tuple(mu)),),
@@ -216,8 +216,8 @@ def evaluate_simple_direct(t: LieType, E: GradingElement, mu, target_level: int,
     )
 
 
-def products_brute(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec],
-                   max_dim: int = DEFAULT_MAX_DIM) -> List[HodgeTuple]:
+def products_brute(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec]
+                   ) -> List[HodgeTuple]:
     """Every 1+1, 1+2 and 1+1+1 factor combination that `combine` accepts,
     each combination offered to `combine` whole."""
     out = []
@@ -226,7 +226,7 @@ def products_brute(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec],
             itertools.product(pool1, pool2),
             itertools.combinations_with_replacement(pool1, 3)):
         try:
-            out.append(combine(factors, max_dim=max_dim))
+            out.append(combine(factors))
         except ShapeError:
             pass
     return out
@@ -349,7 +349,7 @@ def hodge_vector_levels(levels: Levels, reality: str, c: Fraction,
             f"eigenvalues {[str(x) for x in evs]} do not fill the grid "
             f"{[str(x) for x in expected]} for level {level_n}"
         )
-    if not vec.is_palindromic:
+    if dims != dims[::-1]:
         raise ShapeError(f"assembled vector {dims} is not palindromic")
     if any(d <= 0 for d in dims):
         raise ShapeError(f"assembled vector {dims} has an empty level")

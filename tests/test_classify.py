@@ -26,7 +26,7 @@ from hodgerep.classify import (
 )
 from hodgerep.cli import main, record_of
 from hodgerep.errors import ShapeError
-from hodgerep.expected import load_expected
+from hodgerep.expected import instantiate, load_expected
 from hodgerep.hodgecore import (
     COMPLEX,
     REAL,
@@ -37,6 +37,7 @@ from hodgerep.hodgecore import (
     reality_type,
 )
 from hodgerep.products import FactorSpec, combine, convolve_eigen, product_tuples
+from hodgerep.repweights import weyl_dim
 from hodgerep.rootdata import RANK_BOUNDS, LieType
 
 from oracles import (
@@ -284,6 +285,8 @@ def _drop_from_cases(field):
 
 @pytest.mark.parametrize("mutate,message", [
     (_set_factor("family", ["A"]), "item 1: family must be a string"),
+    (_set_factor("family", "Q"), "item 1: family must be one of A, B, C, D, E, F, G, "
+                                 "got 'Q'"),
     (_set_factor("E", {"n": "1"}), "item 1: E must be a list"),
     (_set_factor("E", 1), "item 1: E must be a list"),
     (_set_factor("E", [{"n": 1}]), "item 1: E node must be a string or an integer"),
@@ -316,7 +319,7 @@ def _drop_from_cases(field):
     (_set_factor("mu", []), "item 1: mu must be dominant and nonzero, got [0]"),
     (_set_factor("mu", [[1, -1]]), "item 1: mu must be dominant and nonzero, got [-1]"),
     (_set_factor("mu", [[1, 1], [1, 2]]), "item 1: mu node 1 repeated"),
-], ids=["list-family", "dict-E", "int-E", "dict-E-node", "mu-node-above-rank",
+], ids=["list-family", "unknown-family", "dict-E", "int-E", "dict-E-node", "mu-node-above-rank",
         "mu-node-0", "missing-c", "missing-h", "missing-reality", "c-unknown-name",
         "c-syntax-error", "c-not-a-number", "int-params", "int-param-spec",
         "int-cases", "case-without-when", "missing-factors", "int-factors",
@@ -334,6 +337,17 @@ def test_malformed_expected_row_raises(tmp_path, mutate, message):
                      include_computed_only=False)
     assert main(["verify-paper", "--scope", "thm2.1", "--max-rank", "4",
                  "--expected-file", str(path)]) == 64
+
+
+def test_out_of_range_rank_skips_its_binding(tmp_path):
+    """A catalogued family drops only the bindings outside its ranks:
+    thm2.1 item 1 read as B_r keeps r = 2..4, since there is no B1."""
+    raw = json.loads(json.dumps(load_expected().raw))
+    raw["tables"]["thm2.1"]["items"][0]["factors"][0]["family"] = "B"
+    path = tmp_path / "expected.json"
+    path.write_text(json.dumps(raw))
+    got = instantiate("thm2.1", load_expected(str(path)), 4)[1]
+    assert {inst.bindings["r"] for inst in got} == {2, 3, 4}
 
 
 @lru_cache(maxsize=None)
@@ -494,3 +508,33 @@ def test_computed_only_reports_spin_families():
     extras = {coverage_key(t) for t in rep.computed_only}
     assert (("D", 5, (1,), fundamental(5, 5)),) in extras
     assert (("D", 6, (1,), fundamental(6, 6)),) in extras
+
+
+def _no_orbit_ladder(*args, **kwargs):
+    raise AssertionError("a sweep built an orbit ladder")
+
+
+def test_sweeps_build_no_orbit_ladder(monkeypatch):
+    """The assembly rule rejects every candidate of span above 3, and every
+    span-3 candidate that is not real, before its ladder is built; so every
+    ladder a sweep or a verify run builds is the Levi closed form, and no
+    size guard is needed on them."""
+    monkeypatch.setattr(hodgecore, "_orbit_ladder", _no_orbit_ladder)
+    assert enumerate_level(SearchConfig(max_rank=12, level=1))
+    assert enumerate_level(SearchConfig(max_rank=12, level=3, include_products=True))
+    assert verify_paper(max_rank=12).ok
+
+
+def test_level1_sweep_crosses_the_old_size_ceiling():
+    """At rank 22 the level-1 sweep holds A22, omega_10 (dimension
+    1,144,066) and B20 spin (2^20), which the former size guard of 10^6
+    stopped; every vector fills V_C, of dimension weyl_dim in the real case
+    (V_C = U) and 2 weyl_dim otherwise (V_C = U + U*)."""
+    results = enumerate_level(SearchConfig(max_rank=22, level=1))
+    assert find(results, "A", 22, [1], fundamental(22, 10)) is not None
+    assert find(results, "B", 20, [1], fundamental(20, 20)) is not None
+    for t in results:
+        f = t.factors[0]
+        dim = weyl_dim(f.lie_type, f.mu)
+        assert sum(t.hodge.dims) == (dim if t.reality == REAL else 2 * dim), f
+    assert max(weyl_dim(t.factors[0].lie_type, t.factors[0].mu) for t in results) > 10 ** 6

@@ -139,24 +139,55 @@ def test_removed_max_coord_sum_flag_exit_64(capsys):
     assert code == 64
 
 
-@pytest.mark.parametrize("command", [
-    ["inspect", "C3", "--E", "3", "--mu", "0,0,1"],
-    ["classify", "--level", "3", "--max-rank", "3"],
-    ["verify-paper", "--scope", "thm2.1", "--max-rank", "3"],
+@pytest.mark.parametrize("command, message", [
+    (["inspect", "C3", "--E", "3", "--mu", "0,0,1"], "--max-dim: expected a positive integer"),
+    (["classify", "--level", "3", "--max-rank", "3"], "unrecognized arguments: --max-dim"),
+    (["verify-paper", "--scope", "thm2.1", "--max-rank", "3"],
+     "unrecognized arguments: --max-dim"),
 ], ids=["inspect", "classify", "verify-paper"])
 @pytest.mark.parametrize("value", ["0", "-1"])
-def test_non_positive_max_dim_exit_64(capsys, command, value):
+def test_non_positive_max_dim_exit_64(capsys, command, message, value):
+    """Only inspect takes --max-dim; the sweeps build no weight system."""
     code, out, err = run(capsys, *command, f"--max-dim={value}")
     assert code == 64
-    assert "--max-dim: expected a positive integer" in err
+    assert message in err
     assert out == ""
 
 
+@pytest.mark.parametrize("command", [
+    ["classify", "--level", "1", "--max-rank", "3"],
+    ["verify-paper", "--scope", "thm2.1", "--max-rank", "3"],
+], ids=["classify", "verify-paper"])
+def test_removed_max_dim_flag_exit_64(capsys, command):
+    code, out, err = run(capsys, *command, "--max-dim", "10")
+    assert (code, out) == (64, "")
+    assert "unrecognized arguments: --max-dim 10" in err
+    code, out, _ = run(capsys, command[0], "--help")
+    assert code == 0 and "--max-rank" in out and "--max-dim" not in out
+
+
+@pytest.mark.parametrize("command", [
+    ["classify", "--level", "1"],
+    ["verify-paper", "--scope", "thm2.1"],
+], ids=["classify", "verify-paper"])
+def test_max_rank_above_32_exit_64(capsys, command):
+    code, out, err = run(capsys, *command, "--max-rank", "33")
+    assert (code, out, err) == (64, "", "error: max_rank must be at most 32, got 33\n")
+
+
 def test_resource_guard_exit_70(capsys):
-    code, _, err = run(capsys, "inspect", "C3", "--E", "3", "--mu", "0,0,1",
+    """C3, 2 omega_3 under E = A3 has span 6: its ladder takes the orbit
+    route, which builds a weight system of dimension 84, so the guard stops
+    it before any output.  C3, omega_3 (span 3, self-dual) takes the Levi
+    closed form, which builds none, so the same guard lets it through."""
+    code, out, err = run(capsys, "inspect", "C3", "--E", "3", "--mu", "0,0,2",
+                         "--max-dim", "10")
+    assert (code, out) == (70, "")
+    assert err == ("resource limit: weight system of C3 with highest weight (0, 0, 2) "
+                   "has dimension 84, above the size guard 10\n")
+    code, out, _ = run(capsys, "inspect", "C3", "--E", "3", "--mu", "0,0,1",
                        "--max-dim", "10")
-    assert code == 70
-    assert "resource" in err.lower()
+    assert code == 0 and "hodge: [1, 6, 6, 1]" in out
 
 
 def test_classify_json_includes_c3(capsys):

@@ -56,7 +56,7 @@ def test_convolution_conserves_dimension():
     for _ in range(50):
         a, b = _random_decomp(rng), _random_decomp(rng)
         conv = convolve_eigen([a, b])
-        assert conv.total_dim == a.total_dim * b.total_dim
+        assert sum(conv.dims) == sum(a.dims) * sum(b.dims)
 
 
 def test_convolution_commutative_associative():

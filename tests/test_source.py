@@ -5,7 +5,9 @@ Invariants are `ConsistencyError` raises, not `assert`s, so they hold under
 `float(...)` call.  Every cache is on a named allowlist with its reason, so
 a cache that only hides a slow layer cannot be added unseen.  The assembly
 rule in `products` is the only validity test, so no other module raises
-`ShapeError`.
+`ShapeError`.  The size guard fronts only the weight systems that are
+built, which `inspect` alone reaches, so the `max_dim` knob cannot creep
+back into the sweeps.
 """
 import ast
 from pathlib import Path
@@ -163,3 +165,44 @@ def test_shape_error_guard_detects_each_form():
         "raise ShapeError('a')\nraise ShapeError\nraise errors.ShapeError('b')\n"
         "raise ValueError('c')\nraise\nexcept_ = ShapeError('d')\n")
     assert _shape_error_raises(tree) == [1, 2, 3]
+
+
+# modules that may name max_dim anywhere, and the one cli function that
+# may: the guard sits on weight_system and the orbit route, which only
+# inspect reaches, through a products summary
+MAX_DIM_MODULES = {"repweights.py", "hodgecore.py", "products.py"}
+MAX_DIM_FUNCTIONS = {"cli.py": {"_cmd_inspect"}}
+
+
+def _max_dim_names(tree, allowed=frozenset()):
+    """Lines naming the identifier max_dim (a name, attribute, parameter,
+    keyword or definition) outside the top-level functions `allowed`."""
+    found = []
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name in allowed:
+            continue
+        for node in ast.walk(top):
+            names = {getattr(node, attr, None) for attr in ("id", "attr", "arg", "name")}
+            if "max_dim" in names:
+                found.append(node.lineno)
+    return found
+
+
+def test_max_dim_only_where_weight_systems_are_built():
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name not in MAX_DIM_MODULES
+             for line in _max_dim_names(ast.parse(path.read_text(encoding="utf-8")),
+                                        MAX_DIM_FUNCTIONS.get(path.name, frozenset()))]
+    assert not found, found
+
+
+def test_max_dim_guard_detects_each_form():
+    tree = ast.parse(
+        "def f(max_dim): pass\n"
+        "g(max_dim=1)\n"
+        "x = cfg.max_dim\n"
+        "max_dim = 2\n"
+        "def max_dim(): pass\n"
+        "def inspect(args):\n    return g(max_dim=args.max_dim)\n"
+        "DEFAULT_MAX_DIM = _max_dim = 'max_dim'\n")
+    assert _max_dim_names(tree, {"inspect"}) == [1, 2, 3, 4, 5]
