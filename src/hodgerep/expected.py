@@ -1,13 +1,18 @@
-"""Loader for the embedded expected-results tables.
+"""Loader and compiler for the expected-results tables.
 
 The file data/expected_tables.json carries one record per table row, with
-per-row parameter ranges (r, i, r1, r2) and exact expressions for the
-printed center charge, Hodge vector, reality type and real-form label.
-Expressions are evaluated over Fraction-valued bindings so that division
-never leaves exact arithmetic.
+per-row parameter ranges (r, i, r1, r2) and exact expressions for each
+factor and for the printed center charge, Hodge vector, reality type and
+real-form label.  `instantiate` checks each record against `_FIELDS` and
+compiles each expression once, before any binding, in the row grammar:
+int constants, the row's parameters, `+ - * / // % **`, unary `- + not`,
+`and`, `or`, comparisons (`in` only over a tuple), and calls of `Q`
+(Fraction) and `binom` with positional arguments.  Expressions are
+evaluated over Fraction-valued bindings, so division stays exact.
 """
 from __future__ import annotations
 
+import ast
 import json
 import re
 from dataclasses import dataclass
@@ -24,36 +29,121 @@ EXPECTED_FORMAT = "hodgerep-expected/1"
 _ALL_TABLES = ("thm2.1", "prop3.1", "prop3.3", "prop3.5",
                "prop3.7", "prop3.9", "prop3.11")
 
+_WHAT = {str: "a string", int: "an integer", list: "a list", dict: "a dict",
+         type(None): "null"}
 
-def _binom(n, k) -> int:
-    return comb(int(n), int(k))
+
+def _is(*types):
+    return lambda value: isinstance(value, types), " or ".join(_WHAT[t] for t in types)
 
 
-def _eval(expr, bindings: Dict[str, Fraction], where: str, name: str, convert):
-    """convert(value of a row expression), or ValueError naming the row
-    (`where`) and field (`name`) when it cannot be evaluated or converted."""
-    env = {"Q": Fraction, "binom": _binom}
-    env.update(bindings)
+# record kind -> field -> (required, (check, what it asks for), ...); a
+# field with no check is known, and checked elsewhere or read by nothing
+_FIELDS = {
+    "file": {"format": (False,), "description": (False,), "tables": (True, _is(dict)),
+             "allowlist": (False, _is(list))},
+    "table": {"items": (True, _is(list)), "level": (True, _is(int)),
+              "span": (False,), "pattern": (False,)},
+    "allowlist entry": {"table": (True, _is(str)), "item": (True, _is(int)),
+                        "reason": (True, _is(str)), "computed_h": (False,)},
+    # a row without cases is its own one case, and is checked as a case
+    "item": {"item": (True, _is(int)),
+             "factors": (True, _is(list), (lambda v: 1 <= len(v) <= 3 and all(
+                 isinstance(f, dict) for f in v), "a list of 1 to 3 dicts")),
+             "params": (False, (lambda v: isinstance(v, dict) and all(
+                 isinstance(spec, dict) for spec in v.values()), "a dict of dicts")),
+             "cases": (False, (lambda v: isinstance(v, list) and all(
+                 isinstance(case, dict) and "when" in case for case in v),
+                 "a list of dicts, each with a 'when'")),
+             "reality": (False,), "h": (False,), "c": (True, _is(str)),
+             "real_form": (False, (lambda v: all(
+                 x is None or isinstance(x, str) for x in (v if isinstance(v, list) else [v])),
+                 "a string or a list of strings")),
+             "notes": (False,), "paper_label": (False,), "equiv": (False,)},
+    "factor": {"family": (True, _is(str), (lambda v: v in RANK_BOUNDS,
+                                           f"one of {', '.join(RANK_BOUNDS)}")),
+               "rank": (True, _is(str, int)), "E": (True, _is(list)), "mu": (True, _is(list))},
+    "case": {"when": (False, _is(str)), "reality": (True, _is(str)), "h": (True, _is(list))},
+    "param": {"min": (False, _is(str, int)), "max": (False, _is(str, int, type(None)))},
+}
+
+
+def _check(record, kind: str, where: str) -> dict:
+    """`record`, which must be a dict holding every required field of
+    `kind`, each passing its checks in order, and no other field."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where}: must be a dict, got {record!r}")
+    fields = _FIELDS[kind]
+    for key, (required, *checks) in fields.items():
+        if required and key not in record:
+            raise ValueError(f"{where}: missing field {key!r}")
+        for ok, what in checks if key in record else ():
+            if not ok(record[key]):
+                raise ValueError(f"{where}: {key} must be {what}, got {record[key]!r}")
+    unknown = [key for key in record if key not in fields]
+    if unknown:
+        raise ValueError(f"{where}: unknown field {unknown[0]!r}; known fields are "
+                         f"{', '.join(fields)}")
+    return record
+
+
+_GLOBALS = {"__builtins__": {}, "Q": Fraction, "binom": lambda n, k: comb(int(n), int(k))}
+_NODES = (ast.Expression, ast.Load, ast.Name, ast.Tuple, ast.BinOp, ast.UnaryOp,
+          ast.BoolOp, ast.Compare, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv,
+          ast.Mod, ast.Pow, ast.UAdd, ast.USub, ast.Not, ast.And, ast.Or,
+          ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.In, ast.NotIn)
+
+
+def _check_grammar(tree: ast.Expression, names: List[str]) -> None:
+    """NameError for a name other than `names`, Q and binom; ValueError for
+    any other node outside the row grammar."""
+    in_operands = {id(right) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                   for op, right in zip(node.ops, node.comparators)
+                   if isinstance(op, (ast.In, ast.NotIn))}
+    for node in ast.walk(tree):
+        if (id(node) in in_operands) != isinstance(node, ast.Tuple):
+            raise ValueError(f"{ast.unparse(node)!r}: a tuple must follow 'in' or "
+                             f"'not in', and only there")
+        if isinstance(node, ast.Name) and node.id not in names \
+                and node.id not in ("Q", "binom"):
+            raise NameError(f"name {node.id!r} is not defined")
+        if not (isinstance(node, _NODES)
+                or isinstance(node, ast.Constant) and type(node.value) is int
+                or isinstance(node, ast.Call) and not node.keywords
+                and isinstance(node.func, ast.Name) and node.func.id in ("Q", "binom")):
+            raise ValueError(f"{ast.unparse(node)!r} is outside the row grammar")
+
+
+def _compile(entry, names: List[str], where: str, field: str, integral: bool = True):
+    """`entry` (a string, or an integer read as its digits) checked against
+    the row grammar and compiled once, as a function from a binding to the
+    entry's Fraction value, which must be an integer when `integral`, and a
+    node in 1..rank when a rank is passed.  Leading blanks are dropped, as
+    `eval` drops them."""
+    text = str(entry)
+
+    def fault(exc):
+        return ValueError(f"{where}: cannot evaluate {field} expression {text!r} "
+                          f"({type(exc).__name__}: {exc})")
     try:
-        return convert(eval(expr, {"__builtins__": {}}, env))
-    except (NameError, SyntaxError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{where}: cannot evaluate {name} expression {expr!r} "
-                         f"({type(exc).__name__}: {exc})") from None
+        tree = ast.parse(text.lstrip(" \t"), "<string>", "eval")
+        _check_grammar(tree, names)
+    except (NameError, SyntaxError, ValueError) as exc:
+        raise fault(exc) from None
+    code = compile(tree, "<string>", "eval")
 
-
-def _eval_int(expr, bindings, where: str, name: str) -> int:
-    val = _eval(expr, bindings, where, name, Fraction)
-    if val.denominator != 1:
-        raise ValueError(f"{where}: {name} expression {expr!r} not integral under {bindings}")
-    return int(val)
-
-
-def _render_label(template: Optional[str], bindings, where: str) -> Optional[str]:
-    if template is None:
-        return None
-    return re.sub(r"\{([^}]+)\}",
-                  lambda m: str(_eval_int(m.group(1), bindings, where, "real_form")),
-                  template)
+    def value(bindings: Dict[str, Fraction], rank: Optional[int] = None):
+        try:
+            val = Fraction(eval(code, _GLOBALS, bindings))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise fault(exc) from None
+        if integral and val.denominator != 1:
+            raise ValueError(f"{where}: {field} expression {text!r} not integral "
+                             f"under {bindings}")
+        if rank is not None and not 1 <= val <= rank:
+            raise ValueError(f"{where}: {field} node {val} outside 1..{rank}")
+        return int(val) if integral else val
+    return value
 
 
 @dataclass(frozen=True)
@@ -68,8 +158,6 @@ class ExpectedInstance:
     h: Tuple[int, ...]
     reality: str
     real_forms: Optional[Tuple[Optional[str], ...]]
-    paper_label: Optional[str]
-    notes: Optional[str]
 
     @property
     def is_product(self) -> bool:
@@ -127,7 +215,8 @@ class ExpectedTables:
 
 
 def load_expected(path: Optional[str] = None) -> ExpectedTables:
-    """Load the expected-results file, by default the packaged copy."""
+    """Load the expected-results file, by default the packaged copy, and
+    check its tables and allowlist; `instantiate` checks the rows."""
     if path is None:
         text = resources.files("hodgerep").joinpath(
             "data/expected_tables.json").read_text(encoding="utf-8")
@@ -145,10 +234,9 @@ def load_expected(path: Optional[str] = None) -> ExpectedTables:
         raise ValueError(
             f"expected-results file {note} has format {fmt!r}, need {EXPECTED_FORMAT!r}"
         )
-    for name, table in _field(raw, "tables", note, dict, "a dict").items():
+    for name, table in _check(raw, "file", note)["tables"].items():
         where = f"{note}: table {name}"
-        _field(_dict(table, where), "items", where, list, "a list")
-        lv = _field(table, "level", where, int, "an integer")
+        lv = _check(table, "table", where)["level"]
         if type(lv) is not int or lv not in (1, 3):
             raise ValueError(f"{where}: level must be 1 or 3, got {lv!r}")
         span = table.get("span", lv)
@@ -160,184 +248,131 @@ def load_expected(path: Optional[str] = None) -> ExpectedTables:
                     or not all(type(x) is int and x >= 1 for x in pattern):
                 raise ValueError(f"{where}: pattern must be a list of 2 or 3 positive "
                                  f"integers on a level-3 table, got {pattern!r}")
-    allowlist = raw.get("allowlist", [])
-    if not isinstance(allowlist, list):
-        raise ValueError(f"{note}: allowlist must be a list, got {allowlist!r}")
-    for pos, entry in enumerate(allowlist, 1):
-        where = f"{note}: allowlist entry {pos}"
-        _field(_dict(entry, where), "table", where, str, "a string")
-        _field(entry, "item", where, int, "an integer")
-        _field(entry, "reason", where, str, "a string")
+    for pos, entry in enumerate(raw.get("allowlist", []), 1):
+        _check(entry, "allowlist entry", f"{note}: allowlist entry {pos}")
     return ExpectedTables(raw=raw, path_note=note)
 
 
-def _param_bindings(params: dict, max_rank: int, where: str) -> List[Dict[str, int]]:
-    """Expand the declared parameter ranges into concrete bindings."""
-    names = list(params)
-    out: List[Dict[str, int]] = []
+def _compile_factor(fac, names: List[str], where: str):
+    """One factor, checked and compiled, as a function from a binding to
+    its (type, nodes, mu); LieType raises InvalidTypeError for a rank
+    outside the family's bounds."""
+    _check(fac, "factor", where)
+    for node in fac["E"]:
+        if not isinstance(node, (str, int)):
+            raise ValueError(f"{where}: E node must be a string or an integer, "
+                             f"got {node!r}")
+    for pair in fac["mu"]:
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValueError(f"{where}: mu entry must be a [node, coeff] pair, got {pair!r}")
+    rank_of = _compile(fac["rank"], names, where, "rank")
+    nodes_of = [_compile(node, names, where, "E") for node in fac["E"]]
+    mu_of = [(_compile(node, names, where, "mu"), _compile(coeff, names, where, "mu"))
+             for node, coeff in fac["mu"]]
 
-    def rec(idx: int, acc: Dict[str, int]):
-        if idx == len(names):
-            out.append(dict(acc))
-            return
-        name = names[idx]
-        spec = params[name]
-        frac_acc = {k: Fraction(v) for k, v in acc.items()}
-        lo = _eval_int(str(spec.get("min", 1)), frac_acc, where, "params")
-        hi_spec = spec.get("max")
-        if hi_spec is None:
-            hi = max_rank
-        else:
-            hi = min(_eval_int(str(hi_spec), frac_acc, where, "params"), max_rank)
-        for val in range(lo, hi + 1):
-            acc[name] = val
-            rec(idx + 1, acc)
-        acc.pop(name, None)
+    def factor(fbind: Dict[str, Fraction]):
+        rank = rank_of(fbind)
+        lie_type = LieType(fac["family"], rank)
+        nodes = tuple(sorted(node_of(fbind, rank) for node_of in nodes_of))
+        if not nodes or len(set(nodes)) < len(nodes):
+            raise ValueError(f"{where}: E must name one or more distinct nodes, "
+                             f"got {list(nodes)}")
+        mu = [0] * rank
+        seen = set()
+        for node_of, coeff_of in mu_of:
+            at = node_of(fbind, rank)
+            if at in seen:
+                raise ValueError(f"{where}: mu node {at} repeated")
+            seen.add(at)
+            mu[at - 1] = coeff_of(fbind)
+        if min(mu) < 0 or not any(mu):
+            raise ValueError(f"{where}: mu must be dominant and nonzero, got {mu}")
+        return lie_type, nodes, tuple(mu)
+    return factor
 
-    rec(0, {})
-    return out
 
-
-def _check_shapes(item: dict, where: str) -> None:
-    """`factors` must be a list of 1 to 3 dicts and `real_form`, when
-    present, a string or a list of strings or nulls; `params` must map names
-    to dicts; `cases`, when present, must be a list of dicts, each with a
-    `when`."""
-    factors = _field(item, "factors", where, list, "a list")
-    if not 1 <= len(factors) <= 3 or not all(isinstance(f, dict) for f in factors):
-        raise ValueError(f"{where}: factors must be a list of 1 to 3 dicts, "
-                         f"got {factors!r}")
+def _compile_row(table_name: str, level: int, pos: int, item):
+    """One row, checked and compiled: its item number, its parameter
+    ranges, and a function from a binding to the row's ExpectedInstance."""
+    number = item.get("item") if isinstance(item, dict) else None
+    where = (f"{table_name} item {number}" if isinstance(number, int)
+             else f"{table_name} row {pos}")
+    _check(item, "item", where)
+    if level == 1 and len(item["factors"]) > 1:
+        raise ValueError(f"{where}: factors must be one factor on a level-1 table "
+                         f"(factor levels add, so no product has level 1), got "
+                         f"{len(item['factors'])}")
+    names, params = [], []
+    for name, spec in item.get("params", {}).items():
+        _check(spec, "param", where)
+        hi = spec.get("max")
+        params.append((name, _compile(spec.get("min", 1), names, where, "params"),
+                       None if hi is None else _compile(hi, names, where, "params")))
+        names.append(name)
+    factors_of = [_compile_factor(fac, names, where) for fac in item["factors"]]
+    cases = []
+    for case in item["cases"] if "cases" in item else [
+            {key: item[key] for key in ("reality", "h") if key in item}]:
+        _check(case, "case", where)
+        cases.append((None if "when" not in case
+                      else _compile(case["when"], names, where, "cases.when",
+                                    integral=False),
+                      case["reality"], [_compile(e, names, where, "h") for e in case["h"]]))
+    c_of = _compile(item["c"], names, where, "c", integral=False)
     rf = item.get("real_form")
-    if not all(x is None or isinstance(x, str)
-               for x in (rf if isinstance(rf, list) else [rf])):
-        raise ValueError(f"{where}: real_form must be a string or a list of "
-                         f"strings, got {rf!r}")
-    params = item.get("params", {})
-    if not isinstance(params, dict) or \
-            not all(isinstance(spec, dict) for spec in params.values()):
-        raise ValueError(f"{where}: params must be a dict of dicts, got {params!r}")
-    cases = item.get("cases", [])
-    if not isinstance(cases, list) or \
-            not all(isinstance(case, dict) and "when" in case for case in cases):
-        raise ValueError(f"{where}: cases must be a list of dicts, each with a "
-                         f"'when', got {cases!r}")
+    labels = None if rf is None else [
+        None if template is None else [  # text, {expr}, text, ...
+            _compile(part, names, where, "real_form") if k % 2 else part
+            for k, part in enumerate(re.split(r"\{([^}]+)\}", template))]
+        for template in (rf if isinstance(rf, list) else [rf])]
 
-
-def _dict(row, where: str) -> dict:
-    """row, which must be a dict."""
-    if not isinstance(row, dict):
-        raise ValueError(f"{where}: must be a dict, got {row!r}")
-    return row
-
-
-def _field(row: dict, name: str, where: str, kind: type, what: str):
-    """row[name], which must be present and a `kind`."""
-    if name not in row:
-        raise ValueError(f"{where}: missing field {name!r}")
-    if not isinstance(row[name], kind):
-        raise ValueError(f"{where}: {name} must be {what}, got {row[name]!r}")
-    return row[name]
-
-
-def _node(expr, rank: int, bindings, where: str, name: str) -> int:
-    """A 1-based node index from a row's E or mu field, within 1..rank."""
-    if not isinstance(expr, (str, int)):
-        raise ValueError(f"{where}: {name} node must be a string or an integer, "
-                         f"got {expr!r}")
-    node = _eval_int(str(expr), bindings, where, name)
-    if not 1 <= node <= rank:
-        raise ValueError(f"{where}: {name} node {node} outside 1..{rank}")
-    return node
-
-
-def _resolve_case(item: dict, fbind: Dict[str, Fraction], where: str
-                  ) -> Tuple[str, List[str]]:
-    """Pick the (reality, h) pair whose guard holds under the binding."""
-    row = item
-    if "cases" in item:
-        row = next((case for case in item["cases"]
-                    if _eval(case["when"], fbind, where, "cases.when", bool)), None)
-        if row is None:
+    def instance(binding: Dict[str, int]) -> ExpectedInstance:
+        fbind = {k: Fraction(v) for k, v in binding.items()}
+        factors = tuple(factor_of(fbind) for factor_of in factors_of)
+        reality, h_of = next(((reality, h_of) for when, reality, h_of in cases
+                              if when is None or when(fbind)), (None, None))
+        if reality is None:
             raise ValueError(f"{where}: no case guard matched")
-    return (_field(row, "reality", where, str, "a string"),
-            _field(row, "h", where, list, "a list"))
+        return ExpectedInstance(
+            table=table_name, item=number, bindings=binding, factors=factors,
+            c=c_of(fbind), h=tuple(h(fbind) for h in h_of), reality=reality,
+            real_forms=None if labels is None else tuple(
+                None if parts is None else "".join(
+                    part if isinstance(part, str) else str(part(fbind)) for part in parts)
+                for parts in labels))
+    return number, params, instance
+
+
+def _bindings(params, max_rank: int, binding: Dict[str, int]) -> List[Dict[str, int]]:
+    """The concrete bindings that extend `binding` over the declared ranges."""
+    if len(binding) == len(params):
+        return [binding]
+    name, lo, hi = params[len(binding)]
+    fbind = {k: Fraction(v) for k, v in binding.items()}
+    low = lo(fbind)
+    top = max_rank if hi is None else min(hi(fbind), max_rank)
+    return [full for val in range(low, top + 1)
+            for full in _bindings(params, max_rank, {**binding, name: val})]
 
 
 def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
                 ) -> Dict[int, List[ExpectedInstance]]:
     """All concrete instances of every row of one table, keyed by item.
 
-    A malformed row raises ValueError naming the table, the item and the
-    field.
+    Every row is checked and compiled before any binding, whatever
+    `max_rank` is; a malformed row raises ValueError naming the table, the
+    item and the field.  A binding that puts a rank outside its family's
+    bounds is dropped.
     """
     table = tables.tables[table_name]
+    rows = [_compile_row(table_name, table["level"], pos, item)
+            for pos, item in enumerate(table["items"], 1)]
     out: Dict[int, List[ExpectedInstance]] = {}
-    for pos, item in enumerate(table["items"], 1):
-        row = f"{table_name} row {pos}"
-        number = _field(_dict(item, row), "item", row, int, "an integer")
-        where = f"{table_name} item {number}"
-        _check_shapes(item, where)
-        if table["level"] == 1 and len(item["factors"]) > 1:
-            raise ValueError(f"{where}: factors must be one factor on a level-1 table "
-                             f"(factor levels add, so no product has level 1), got "
-                             f"{len(item['factors'])}")
-        instances: List[ExpectedInstance] = []
-        for binding in _param_bindings(item.get("params", {}), max_rank, where):
-            fbind = {k: Fraction(v) for k, v in binding.items()}
-            if "exclude" in item and _eval(item["exclude"], fbind, where, "exclude", bool):
+    for number, params, instance in rows:
+        out[number] = []
+        for binding in _bindings(params, max_rank, {}):
+            try:
+                out[number].append(instance(binding))
+            except InvalidTypeError:  # a rank outside its family's bounds
                 continue
-            factors = []
-            valid = True
-            for fac in item["factors"]:
-                rank = _eval_int(str(_field(fac, "rank", where, (str, int),
-                                            "a string or an integer")),
-                                 fbind, where, "rank")
-                family = _field(fac, "family", where, str, "a string")
-                if family not in RANK_BOUNDS:
-                    raise ValueError(f"{where}: family must be one of "
-                                     f"{', '.join(RANK_BOUNDS)}, got {family!r}")
-                try:
-                    lt = LieType(family, rank)
-                except InvalidTypeError:
-                    valid = False
-                    break
-                nodes = tuple(sorted(_node(n, rank, fbind, where, "E")
-                                     for n in _field(fac, "E", where, list, "a list")))
-                if not nodes or len(set(nodes)) < len(nodes):
-                    raise ValueError(f"{where}: E must name one or more distinct nodes, "
-                                     f"got {list(nodes)}")
-                mu, seen = [0] * rank, set()
-                for pair in _field(fac, "mu", where, list, "a list"):
-                    if not (isinstance(pair, list) and len(pair) == 2):
-                        raise ValueError(f"{where}: mu entry must be a [node, coeff] "
-                                         f"pair, got {pair!r}")
-                    node = _node(pair[0], rank, fbind, where, "mu")
-                    if node in seen:
-                        raise ValueError(f"{where}: mu node {node} repeated")
-                    seen.add(node)
-                    mu[node - 1] = _eval_int(str(pair[1]), fbind, where, "mu")
-                if min(mu) < 0 or not any(mu):
-                    raise ValueError(f"{where}: mu must be dominant and nonzero, got {mu}")
-                factors.append((lt, nodes, tuple(mu)))
-            if not valid:
-                continue
-            reality, h_exprs = _resolve_case(item, fbind, where)
-            rf = item.get("real_form")
-            if rf is not None and not isinstance(rf, list):
-                rf = [rf]
-            instances.append(ExpectedInstance(
-                table=table_name,
-                item=number,
-                bindings=binding,
-                factors=tuple(factors),
-                c=_eval(_field(item, "c", where, str, "a string"), fbind, where, "c",
-                        Fraction),
-                h=tuple(_eval_int(e, fbind, where, "h") for e in h_exprs),
-                reality=reality,
-                real_forms=None if rf is None else tuple(
-                    _render_label(x, fbind, where) for x in rf),
-                paper_label=item.get("paper_label"),
-                notes=item.get("notes"),
-            ))
-        out[number] = instances
     return out

@@ -223,13 +223,14 @@ def _positive_roots(cartan: IntMatrix) -> Tuple[Tuple[RootCoords, ...], Tuple[We
     return roots, tuple(fund[b] for b in roots)
 
 
-def _level_matrix(t: LieType) -> IntMatrix:
-    """Row i: omega_i + omega_i* in simple-root coordinates, by the closed forms."""
-    r = t.rank
-    rows = [mu_plus_mu_star_closed_form(t, [int(j == i) for j in range(r)]) for i in range(r)]
-    if any(x.denominator != 1 for row in rows for x in row):
+def _level_matrix(t: LieType, inverse_num: IntMatrix, inverse_den: int) -> IntMatrix:
+    """Row i: omega_i + omega_i* in simple-root coordinates, read off the
+    integer inverse: (inverse_num[i] + inverse_num[i*]) / inverse_den."""
+    perm = duality_permutation(t)
+    rows = [tuple(map(add, inverse_num[i], inverse_num[perm[i]])) for i in range(t.rank)]
+    if any(x % inverse_den for row in rows for x in row):
         raise ConsistencyError(f"some omega_i + omega_i* on {t} is not in the root lattice")
-    return tuple(tuple(map(int, row)) for row in rows)
+    return tuple(tuple(x // inverse_den for x in row) for row in rows)
 
 
 @lru_cache(maxsize=None)
@@ -247,7 +248,7 @@ def root_system(t: LieType) -> RootSystemData:
         cartan=cartan,
         inverse_num=inverse_num,
         inverse_den=inverse_den,
-        level_matrix=_level_matrix(t),
+        level_matrix=_level_matrix(t, inverse_num, inverse_den),
         positive_roots=roots,
         positive_roots_fund=roots_fund,
         neighbours=tuple(
@@ -269,13 +270,6 @@ def weight_to_root_coords(t: LieType, w) -> RationalVector:
     rsd = root_system(t)
     return tuple(Fraction(sum(map(mul, w, col)), rsd.inverse_den)
                  for col in zip(*rsd.inverse_num))
-
-
-def root_to_weight_coords(t: LieType, rc) -> RationalVector:
-    """Fundamental coordinates of a vector given in simple-root coordinates."""
-    cartan = root_system(t).cartan
-    n = t.rank
-    return tuple(sum(Fraction(rc[j]) * cartan[j][i] for j in range(n)) for i in range(n))
 
 
 def duality_permutation(t: LieType) -> Tuple[int, ...]:

@@ -33,17 +33,24 @@ The ladder oracles are the engine's former `Fraction`-keyed routes for
 convolution and Hodge-vector assembly: eigenvalues as dict keys, summed
 and re-sorted, on (eigenvalue, dimension) level tuples rather than the
 engine's (top, dims) ladders.
+
+The table-row oracle is the engine's former instantiation route: every
+row expression handed to `eval` as source text at every binding, with no
+grammar check, where the engine now checks and compiles each expression
+once per row.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from hodgerep.classify import SearchConfig, _annotate_canonical, evaluate_simple, tuple_key
-from hodgerep.errors import ConsistencyError, ShapeError
+from hodgerep.errors import ConsistencyError, InvalidTypeError, ShapeError
+from hodgerep.expected import ExpectedInstance, ExpectedTables
 from hodgerep.hodgecore import (
     COMPLEX,
     QUATERNIONIC,
@@ -90,6 +97,13 @@ def invert_exact(matrix) -> Tuple[Tuple[Fraction, ...], ...]:
                 f = aug[i][col]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def root_to_weight_coords(t: LieType, rc) -> Tuple[Fraction, ...]:
+    """Fundamental coordinates of a vector given in simple-root coordinates."""
+    cartan = root_system(t).cartan
+    n = t.rank
+    return tuple(sum(Fraction(rc[j]) * cartan[j][i] for j in range(n)) for i in range(n))
 
 
 # the engine's former LRUs in front of its Fraction vectors, keyed on (type, mu)
@@ -438,3 +452,77 @@ def kostant_multiplicity(t: LieType, mu: Tuple[int, ...], lam: Tuple[int, ...]) 
             continue
         total += sgn * _partition_count(t, tuple(int(x) for x in rc))
     return total
+
+
+def _eval_row(expr, bindings: Dict[str, Fraction]):
+    env = {"Q": Fraction, "binom": lambda n, k: math.comb(int(n), int(k))}
+    env.update(bindings)
+    return eval(expr, {"__builtins__": {}}, env)
+
+
+def _eval_int(expr, bindings: Dict[str, Fraction]) -> int:
+    val = Fraction(_eval_row(str(expr), bindings))
+    if val.denominator != 1:
+        raise ValueError(f"{expr!r} not integral under {bindings}")
+    return int(val)
+
+
+def _param_bindings(params: dict, max_rank: int) -> List[Dict[str, int]]:
+    names = list(params)
+    out: List[Dict[str, int]] = []
+
+    def rec(idx: int, acc: Dict[str, int]):
+        if idx == len(names):
+            out.append(dict(acc))
+            return
+        spec = params[names[idx]]
+        frac_acc = {k: Fraction(v) for k, v in acc.items()}
+        lo = _eval_int(spec.get("min", 1), frac_acc)
+        hi = max_rank if spec.get("max") is None else \
+            min(_eval_int(spec["max"], frac_acc), max_rank)
+        for val in range(lo, hi + 1):
+            acc[names[idx]] = val
+            rec(idx + 1, acc)
+        acc.pop(names[idx], None)
+
+    rec(0, {})
+    return out
+
+
+def instantiate_eval(table_name: str, tables: ExpectedTables, max_rank: int
+                     ) -> Dict[int, List[ExpectedInstance]]:
+    """`expected.instantiate` by `eval` of each expression's source text at
+    each binding, for well-formed tables."""
+    out: Dict[int, List[ExpectedInstance]] = {}
+    for item in tables.tables[table_name]["items"]:
+        instances = []
+        for binding in _param_bindings(item.get("params", {}), max_rank):
+            fbind = {k: Fraction(v) for k, v in binding.items()}
+            factors = []
+            for fac in item["factors"]:
+                rank = _eval_int(fac["rank"], fbind)
+                try:
+                    lt = LieType(fac["family"], rank)
+                except InvalidTypeError:
+                    break
+                mu = [0] * rank
+                for node, coeff in fac["mu"]:
+                    mu[_eval_int(node, fbind) - 1] = _eval_int(coeff, fbind)
+                factors.append((lt, tuple(sorted(_eval_int(n, fbind) for n in fac["E"])),
+                                tuple(mu)))
+            else:
+                case = next((case for case in item["cases"] if _eval_row(case["when"], fbind)),
+                            None) if "cases" in item else item
+                rf = item.get("real_form")
+                instances.append(ExpectedInstance(
+                    table=table_name, item=item["item"], bindings=binding,
+                    factors=tuple(factors),
+                    c=Fraction(_eval_row(item["c"], fbind)),
+                    h=tuple(_eval_int(e, fbind) for e in case["h"]),
+                    reality=case["reality"],
+                    real_forms=None if rf is None else tuple(
+                        None if x is None else re.sub(
+                            r"\{([^}]+)\}", lambda m: str(_eval_int(m.group(1), fbind)), x)
+                        for x in (rf if isinstance(rf, list) else [rf]))))
+        out[item["item"]] = instances
+    return out

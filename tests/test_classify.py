@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import re
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import hodgerep.classify as classify
 import hodgerep.cli as cli
+import hodgerep.expected as expected
 import hodgerep.hodgecore as hodgecore
 import hodgerep.products as products
 from hodgerep.classify import (
@@ -45,6 +47,7 @@ from oracles import (
     enumerate_level_brute,
     evaluate_simple_direct,
     hodge_vector_levels,
+    instantiate_eval,
 )
 
 E = GradingElement.from_nodes
@@ -283,6 +286,17 @@ def _drop_from_cases(field):
     return lambda item: [case.pop(field) for case in item["cases"]]
 
 
+def _prop39_item3(item):
+    """Faults in a row whose bindings start at r = 4, checked at rank 3."""
+    item["factors"][1].update(family="Q", E=5)
+    item.update(c="__import__", h="oops")
+
+
+# (table, row index, max_rank) of a mutation; the rest edit thm2.1 item 1
+# and verify at rank 4
+_prop39_item3.row = ("prop3.9", 2, 3)
+
+
 @pytest.mark.parametrize("mutate,message", [
     (_set_factor("family", ["A"]), "item 1: family must be a string"),
     (_set_factor("family", "Q"), "item 1: family must be one of A, B, C, D, E, F, G, "
@@ -319,24 +333,88 @@ def _drop_from_cases(field):
     (_set_factor("mu", []), "item 1: mu must be dominant and nonzero, got [0]"),
     (_set_factor("mu", [[1, -1]]), "item 1: mu must be dominant and nonzero, got [-1]"),
     (_set_factor("mu", [[1, 1], [1, 2]]), "item 1: mu node 1 repeated"),
+    (_set_item("c", "(2*i-r-1)/(2*(r+1)) + ().__class__.__base__.__subclasses__()"
+                    ".__len__() * 0"),
+     "item 1: cannot evaluate c expression '(2*i-r-1)/(2*(r+1)) + ().__class__.__base__"
+     ".__subclasses__().__len__() * 0' (ValueError: '().__class__.__base__.__subclasses__()"
+     ".__len__()' is outside the row grammar)"),
+    (_set_item("c", "r.numerator"), "item 1: cannot evaluate c expression 'r.numerator' "
+                                    "(ValueError: 'r.numerator' is outside the row grammar)"),
+    (_set_item("c", "Q(r)[0]"), "item 1: cannot evaluate c expression 'Q(r)[0]' "
+                                "(ValueError: 'Q(r)[0]' is outside the row grammar)"),
+    (_set_item("c", "(lambda: r)()"), "item 1: cannot evaluate c expression '(lambda: r)()' "
+                                      "(ValueError: '(lambda: r)()' is outside the row "
+                                      "grammar)"),
+    (_set_item("c", "Q(sum([r for _ in (1, 2)]))"),
+     "item 1: cannot evaluate c expression 'Q(sum([r for _ in (1, 2)]))' (ValueError: "
+     "'sum([r for _ in (1, 2)])' is outside the row grammar)"),
+    (_set_item("c", "Q(r, _normalize=False)"),
+     "item 1: cannot evaluate c expression 'Q(r, _normalize=False)' (ValueError: "
+     "'Q(r, _normalize=False)' is outside the row grammar)"),
+    (lambda item: item["cases"][0].__setitem__("when", "abs(r) != 1"),
+     "item 1: cannot evaluate cases.when expression 'abs(r) != 1' (ValueError: 'abs(r)' "
+     "is outside the row grammar)"),
+    (lambda item: item["cases"][0].__setitem__("when", "(r, 1)"),
+     "item 1: cannot evaluate cases.when expression '(r, 1)' (ValueError: '(r, 1)': a "
+     "tuple must follow 'in' or 'not in', and only there)"),
+    (_set_item("exclude", "r == 2"), "item 1: unknown field 'exclude'; known fields are "
+                                     "item, factors, params, cases, reality, h, c, "
+                                     "real_form, notes, paper_label, equiv"),
+    (_prop39_item3, "item 3: family must be one of A, B, C, D, E, F, G, got 'Q'"),
 ], ids=["list-family", "unknown-family", "dict-E", "int-E", "dict-E-node", "mu-node-above-rank",
         "mu-node-0", "missing-c", "missing-h", "missing-reality", "c-unknown-name",
         "c-syntax-error", "c-not-a-number", "int-params", "int-param-spec",
         "int-cases", "case-without-when", "missing-factors", "int-factors",
         "empty-factors", "int-factor", "factor-without-rank", "missing-item",
         "int-mu-entry", "int-real-form", "level1-product", "empty-E",
-        "repeated-E-node", "empty-mu", "negative-mu", "repeated-mu-node"])
+        "repeated-E-node", "empty-mu", "negative-mu", "repeated-mu-node",
+        "c-subclasses-walk", "c-attribute", "c-subscript", "c-lambda", "c-comprehension",
+        "c-keyword-argument", "when-calls-abs", "when-bare-tuple", "unknown-row-key",
+        "prop39-item3-below-its-ranks"])
 def test_malformed_expected_row_raises(tmp_path, mutate, message):
+    table, index, max_rank = getattr(mutate, "row", ("thm2.1", 0, 4))
     tables = load_expected()
     raw = json.loads(json.dumps(tables.raw))
-    mutate(raw["tables"]["thm2.1"]["items"][0])
+    mutate(raw["tables"][table]["items"][index])
     path = tmp_path / "expected.json"
     path.write_text(json.dumps(raw))
-    with pytest.raises(ValueError, match=r"thm2\.1 " + re.escape(message)):
-        verify_paper(scope="thm2.1", max_rank=4, expected_path=str(path),
+    with pytest.raises(ValueError, match=re.escape(f"{table} {message}")):
+        verify_paper(scope=table, max_rank=max_rank, expected_path=str(path),
                      include_computed_only=False)
-    assert main(["verify-paper", "--scope", "thm2.1", "--max-rank", "4",
+    assert main(["verify-paper", "--scope", table, "--max-rank", str(max_rank),
                  "--expected-file", str(path)]) == 64
+
+
+def test_compiled_rows_match_the_eval_route():
+    """Every packaged table instantiates to the same instances through the
+    compiled rows as through `eval` of each expression's text, at every
+    max_rank in 1..16."""
+    tables = load_expected()
+    for max_rank in range(1, 17):
+        for name in tables.table_names("all"):
+            assert instantiate(name, tables, max_rank) == \
+                instantiate_eval(name, tables, max_rank), (name, max_rank)
+
+
+def test_expressions_are_parsed_once_per_instantiate(monkeypatch):
+    """`load_expected` parses no expression, and a verify run parses as
+    many at max_rank 16 as at 4: each expression once, not per binding."""
+    parsed = Counter()
+    real = ast.parse
+
+    def counting(*args, **kwargs):
+        parsed["calls"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(expected.ast, "parse", counting)
+    load_expected()
+    assert parsed["calls"] == 0
+    counts = []
+    for max_rank in (4, 16):
+        parsed.clear()
+        verify_paper(max_rank=max_rank, include_computed_only=False)
+        counts.append(parsed["calls"])
+    assert counts[0] == counts[1] > 0
 
 
 def test_out_of_range_rank_skips_its_binding(tmp_path):

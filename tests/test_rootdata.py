@@ -3,19 +3,19 @@ import itertools
 import pytest
 from fractions import Fraction
 
-from hodgerep.errors import InvalidTypeError
+from hodgerep.errors import ConsistencyError, InvalidTypeError
 from hodgerep.rootdata import (
     LieType,
+    _level_matrix,
     catalogued_types,
     dual_weight,
     duality_permutation,
     mu_plus_mu_star_closed_form,
     root_system,
-    root_to_weight_coords,
     weight_to_root_coords,
 )
 
-from oracles import invert_exact
+from oracles import invert_exact, root_to_weight_coords
 
 Q = Fraction
 
@@ -130,12 +130,24 @@ def test_inverse_den_is_index_of_connection():
 
 
 def test_level_matrix_is_closed_form_of_fundamentals():
+    """The level matrix, read off the integer inverse, equals the paper's
+    per-type closed forms of omega_i + omega_i* on every type to rank 16."""
     for t in catalogued_types(16):
         rows = root_system(t).level_matrix
         for i in range(1, t.rank + 1):
             row = rows[i - 1]
             assert all(type(x) is int for x in row), (str(t), i)
             assert row == mu_plus_mu_star_closed_form(t, fundamental(t.rank, i)), (str(t), i)
+
+
+def test_level_matrix_rejects_a_non_integral_row():
+    """An inverse whose omega_i + omega_i* leaves the root lattice raises,
+    under `python -O` too."""
+    rsd = root_system(LieType("A", 2))
+    assert _level_matrix(rsd.lie_type, rsd.inverse_num, rsd.inverse_den) == rsd.level_matrix
+    bad = ((rsd.inverse_num[0][0] + 1,) + rsd.inverse_num[0][1:],) + rsd.inverse_num[1:]
+    with pytest.raises(ConsistencyError, match="not in the root lattice"):
+        _level_matrix(rsd.lie_type, bad, rsd.inverse_den)
 
 
 def test_symmetrizer_makes_cartan_symmetric():

@@ -7,7 +7,8 @@ a cache that only hides a slow layer cannot be added unseen.  The assembly
 rule in `products` is the only validity test, so no other module raises
 `ShapeError`.  The size guard fronts only the weight systems that are
 built, which `inspect` alone reaches, so the `max_dim` knob cannot creep
-back into the sweeps.
+back into the sweeps.  Only `expected` runs dynamic code, and only rows it
+has checked against its grammar and compiled.
 """
 import ast
 from pathlib import Path
@@ -206,3 +207,32 @@ def test_max_dim_guard_detects_each_form():
         "def inspect(args):\n    return g(max_dim=args.max_dim)\n"
         "DEFAULT_MAX_DIM = _max_dim = 'max_dim'\n")
     assert _max_dim_names(tree, {"inspect"}) == [1, 2, 3, 4, 5]
+
+
+DYNAMIC_CODE = {"eval", "exec", "compile"}
+
+
+def _dynamic_code_calls(tree):
+    """Lines of each call of eval, exec or compile, bare or through
+    `builtins`; `re.compile` and other methods named compile are not
+    dynamic code."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _base_name(node.func) in DYNAMIC_CODE
+            and (isinstance(node.func, ast.Name)
+                 or isinstance(node.func.value, ast.Name)
+                 and node.func.value.id in ("builtins", "__builtins__"))]
+
+
+def test_dynamic_code_only_in_expected():
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "expected.py"
+             for line in _dynamic_code_calls(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, found
+
+
+def test_dynamic_code_guard_detects_each_form():
+    tree = ast.parse(
+        "eval('1')\nexec('x = 1')\ncompile('1', '<s>', 'eval')\n"
+        "builtins.eval('1')\n__builtins__.exec('x = 1')\n"
+        "re.compile('a')\nf = eval\nevaluate('1')\n")
+    assert _dynamic_code_calls(tree) == [1, 2, 3, 4, 5]
