@@ -11,6 +11,13 @@ case of `products.assemble`.  The level-3 candidates of span 1 and 2 form
 the factor pools of `products.product_tuples`, which summarises each
 factor once and assembles only the 1+1, 1+2 and 1+1+1 combinations its
 pattern and reality rule admits.
+
+`verify_paper` enumerates the window of its scope once, first, and looks
+every table-row instance up in it by (level, coverage key); only a key the
+window lacks is assembled.  The printed rows are independent input, so
+this checks the window's completeness on every run: a row candidate that
+the rule accepts inside the window but the enumeration lacks raises
+ConsistencyError.
 """
 from __future__ import annotations
 
@@ -55,6 +62,14 @@ class SearchConfig:
         unknown = set(self.families) - set(RANK_BOUNDS)
         if unknown:
             raise ValueError(f"unknown families {sorted(unknown)}")
+
+    def holds(self, types: Sequence[LieType]) -> bool:
+        """Does the window hold every level-`level` tuple on factors of these
+        types: each type in its families and ranks, and products only when
+        it includes them?"""
+        return ((len(types) == 1 or self.include_products and self.level == 3)
+                and all(t.family in self.families and t.rank <= self.max_rank
+                        for t in types))
 
 
 def _types_in_window(families, max_rank) -> List[LieType]:
@@ -291,18 +306,32 @@ class ReconciliationReport:
         return all(r.allowlisted for r in self.mismatches)
 
 
-def _check_instance(inst: ExpectedInstance, target_level: int) -> InstanceResult:
+def _check_instance(inst: ExpectedInstance, target_level: int,
+                    got: Optional[HodgeTuple],
+                    window: Optional[SearchConfig]) -> InstanceResult:
+    """Compare one row instance with the tuple it names.  `got` is that
+    tuple as found in `window`, the window enumerated at the instance's
+    level (None when nothing was enumerated); when `got` is None, `assemble`
+    builds it or gives the rejection text.  ConsistencyError when
+    `assemble` accepts a candidate that the window should hold: the
+    level-bound generator missed it."""
     diffs: List[Tuple[str, str, str]] = []
-    factors = [FactorSpec(t, GradingElement.from_nodes(t.rank, nodes), mu)
-               for t, nodes, mu in inst.factors]
-    try:
-        got = assemble(factors, target_level)
-    except ShapeError as exc:
-        if inst.is_product:
-            diffs.append(("validity", "valid level-3 product", f"rejected: {exc}"))
-        else:
-            diffs.append(("validity", f"valid level-{target_level} tuple", "rejected"))
-        return InstanceResult(inst, "mismatch", diffs)
+    if got is None:
+        factors = [FactorSpec(t, GradingElement.from_nodes(t.rank, nodes), mu)
+                   for t, nodes, mu in inst.factors]
+        try:
+            got = assemble(factors, target_level)
+        except ShapeError as exc:
+            if inst.is_product:
+                diffs.append(("validity", "valid level-3 product", f"rejected: {exc}"))
+            else:
+                diffs.append(("validity", f"valid level-{target_level} tuple", "rejected"))
+            return InstanceResult(inst, "mismatch", diffs)
+        if window is not None and window.holds([t for t, _, _ in inst.factors]):
+            raise ConsistencyError(
+                f"{inst.describe()}: a valid level-{target_level} tuple that the "
+                f"enumerated window (max_rank {window.max_rank}) lacks; the "
+                "level-bound generator is incomplete")
 
     if tuple(inst.h) != got.hodge.dims:
         diffs.append(("h", str(list(inst.h)), str(list(got.hodge.dims))))
@@ -324,7 +353,8 @@ def _factor_pattern(p: HodgeTuple) -> Tuple[int, ...]:
 
 
 def _scope_window(tables: ExpectedTables, names, max_rank: int):
-    """Enumeration configs covering the scope, for computed_only reporting."""
+    """Enumeration configs covering the scope, one per level: the window the
+    row instances are looked up in and computed_only is read from."""
     levels = {tables.level_of(n) for n in names}
     configs = []
     for lv in sorted(levels):
@@ -367,15 +397,32 @@ def verify_paper(scope: str = "all", max_rank: int = 8,
     cannot be reproduced land in mismatches with field-level diffs; rows
     with no instantiation in range land in paper_only.  computed_only
     lists canonical enumeration output not covered by any row.
+
+    With include_computed_only the scope's window is enumerated first, and
+    each instance takes its tuple from it; only a key the window lacks is
+    assembled, and ConsistencyError is raised when the assembly rule
+    accepts such a key although the window should hold it.  Without it
+    every instance is assembled.
     """
     _check_max_rank(max_rank)
     tables = load_expected(expected_path)
     names = tables.table_names(scope)
     report = ReconciliationReport(scope=scope, max_rank=max_rank)
 
+    # the window is enumerated first, once: the row checks look each
+    # instance up in it and computed_only reads it
+    configs: Dict[int, SearchConfig] = {}
+    enumerated: List[HodgeTuple] = []
+    if include_computed_only:
+        for cfg in _scope_window(tables, names, max_rank):
+            configs[cfg.level] = cfg
+            enumerated.extend(enumerate_level(cfg))
+    found = {(t.level, coverage_key(t)): t for t in enumerated}
+
     covered_keys = set()
     for name in names:
         target_level = tables.level_of(name)
+        window = configs.get(target_level)
         for item, instances in instantiate(name, tables, max_rank).items():
             entry = tables.allowlisted(name, item)
             row = RowResult(
@@ -390,18 +437,17 @@ def verify_paper(scope: str = "all", max_rank: int = 8,
                 report.paper_only.append(row)
                 continue
             for inst in instances:
-                res = _check_instance(inst, target_level)
-                row.instances.append(res)
-                covered_keys.add(inst.key)
+                key = inst.key
+                row.instances.append(_check_instance(
+                    inst, target_level, found.get((target_level, key)), window))
+                covered_keys.add(key)
             row.status = "mismatch" if row.failing() else "match"
             (report.mismatches if row.status == "mismatch" else report.matches).append(row)
 
     if include_computed_only:
         accept = _scope_predicate(tables, names)
-        for cfg in _scope_window(tables, names, max_rank):
-            for t in enumerate_level(cfg):
-                if accept(t) and coverage_key(t) not in covered_keys:
-                    report.computed_only.append(t)
+        report.computed_only = [t for t in enumerated
+                                if accept(t) and coverage_key(t) not in covered_keys]
         report.computed_only.sort(key=tuple_key)
         if report.computed_only:
             report.notes.append(

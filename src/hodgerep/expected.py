@@ -8,7 +8,9 @@ compiles each expression once, before any binding, in the row grammar:
 int constants, the row's parameters, `+ - * / // % **`, unary `- + not`,
 `and`, `or`, comparisons (`in` only over a tuple), and calls of `Q`
 (Fraction) and `binom` with positional arguments.  Expressions are
-evaluated over Fraction-valued bindings, so division stays exact.
+evaluated over Fraction-valued bindings, and every `/` or `**` whose
+operands may both be ints is compiled with its left operand sent through
+`Q`, so division and negative powers stay exact.
 """
 from __future__ import annotations
 
@@ -114,6 +116,35 @@ def _check_grammar(tree: ast.Expression, names: List[str]) -> None:
             raise ValueError(f"{ast.unparse(node)!r} is outside the row grammar")
 
 
+def _is_fraction(node) -> bool:
+    """Is the (rewritten) expression node Fraction-valued at every binding?
+    Parameters and Q are; constants, binom, // and comparisons give ints or
+    bools, and an int ** Fraction is an int when the exponent is."""
+    if isinstance(node, ast.Name):
+        return True
+    if isinstance(node, ast.Call):
+        return node.func.id == "Q"
+    if isinstance(node, ast.UnaryOp) and not isinstance(node.op, ast.Not):
+        return _is_fraction(node.operand)
+    if isinstance(node, ast.BinOp) and not isinstance(node.op, ast.FloorDiv):
+        return _is_fraction(node.left) or (
+            not isinstance(node.op, ast.Pow) and _is_fraction(node.right))
+    return False
+
+
+class _Exact(ast.NodeTransformer):
+    """Send the left operand of every `/` and `**` whose operands may both
+    be ints through Q, so int / int and int ** -int stay exact instead of
+    going through float."""
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if isinstance(node.op, (ast.Div, ast.Pow)) \
+                and not _is_fraction(node.left) and not _is_fraction(node.right):
+            node.left = ast.Call(ast.Name("Q", ast.Load()), [node.left], [])
+        return node
+
+
 def _compile(entry, names: List[str], where: str, field: str, integral: bool = True):
     """`entry` (a string, or an integer read as its digits) checked against
     the row grammar and compiled once, as a function from a binding to the
@@ -130,6 +161,8 @@ def _compile(entry, names: List[str], where: str, field: str, integral: bool = T
         _check_grammar(tree, names)
     except (NameError, SyntaxError, ValueError) as exc:
         raise fault(exc) from None
+    if "/" in text or "**" in text:  # else there is nothing to rewrite
+        tree = ast.fix_missing_locations(_Exact().visit(tree))
     code = compile(tree, "<string>", "eval")
 
     def value(bindings: Dict[str, Fraction], rank: Optional[int] = None):

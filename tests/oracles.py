@@ -38,6 +38,11 @@ The table-row oracle is the engine's former instantiation route: every
 row expression handed to `eval` as source text at every binding, with no
 grammar check, where the engine now checks and compiles each expression
 once per row.
+
+The row-check oracle is the engine's former reconciliation route: every
+row instance handed to `assemble` on its own, where the engine now looks
+each instance up in the enumerated window and assembles only the keys the
+window lacks.
 """
 from __future__ import annotations
 
@@ -50,7 +55,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from hodgerep.classify import SearchConfig, _annotate_canonical, evaluate_simple, tuple_key
 from hodgerep.errors import ConsistencyError, InvalidTypeError, ShapeError
-from hodgerep.expected import ExpectedInstance, ExpectedTables
+from hodgerep.expected import ExpectedInstance, ExpectedTables, instantiate, load_expected
 from hodgerep.hodgecore import (
     COMPLEX,
     QUATERNIONIC,
@@ -68,7 +73,7 @@ from hodgerep.hodgecore import (
     real_form,
     reality_type,
 )
-from hodgerep.products import combine
+from hodgerep.products import assemble, combine
 from hodgerep.repweights import DEFAULT_MAX_DIM, weight_system
 from hodgerep.rootdata import (
     RANK_BOUNDS,
@@ -525,4 +530,47 @@ def instantiate_eval(table_name: str, tables: ExpectedTables, max_rank: int
                             r"\{([^}]+)\}", lambda m: str(_eval_int(m.group(1), fbind)), x)
                         for x in (rf if isinstance(rf, list) else [rf]))))
         out[item["item"]] = instances
+    return out
+
+
+def check_instance_assembled(inst: ExpectedInstance, target_level: int
+                             ) -> Tuple[str, List[Tuple[str, str, str]]]:
+    """(status, diffs) of one row instance against `assemble` of its factors."""
+    diffs: List[Tuple[str, str, str]] = []
+    factors = [FactorSpec(t, GradingElement.from_nodes(t.rank, nodes), mu)
+               for t, nodes, mu in inst.factors]
+    try:
+        got = assemble(factors, target_level)
+    except ShapeError as exc:
+        if inst.is_product:
+            diffs.append(("validity", "valid level-3 product", f"rejected: {exc}"))
+        else:
+            diffs.append(("validity", f"valid level-{target_level} tuple", "rejected"))
+        return "mismatch", diffs
+
+    if tuple(inst.h) != got.hodge.dims:
+        diffs.append(("h", str(list(inst.h)), str(list(got.hodge.dims))))
+    if inst.c != got.c:
+        diffs.append(("c", str(inst.c), str(got.c)))
+    if inst.reality != got.reality:
+        diffs.append(("reality", inst.reality, got.reality))
+    computed_rf = sorted(d.label() for d in got.real_forms)
+    if inst.real_forms is not None:
+        expected_rf = sorted(x for x in inst.real_forms if x is not None)
+        if expected_rf and expected_rf != computed_rf:
+            diffs.append(("real_form", "+".join(expected_rf), "+".join(computed_rf)))
+    return ("match" if not diffs else "mismatch"), diffs
+
+
+def row_checks_assembled(scope: str, max_rank: int, expected_path: Optional[str] = None
+                         ) -> Dict[Tuple[str, int], list]:
+    """(table, item) -> [(instance, status, diffs)] for every row of the
+    scope, each instance checked by `check_instance_assembled`."""
+    tables = load_expected(expected_path)
+    out: Dict[Tuple[str, int], list] = {}
+    for name in tables.table_names(scope):
+        for item, instances in instantiate(name, tables, max_rank).items():
+            out[(name, item)] = [
+                (inst,) + check_instance_assembled(inst, tables.level_of(name))
+                for inst in instances]
     return out

@@ -1,8 +1,11 @@
 import ast
 import itertools
 import json
+import math
 import re
+import sys
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -27,7 +30,7 @@ from hodgerep.classify import (
     verify_paper,
 )
 from hodgerep.cli import main, record_of
-from hodgerep.errors import ShapeError
+from hodgerep.errors import ConsistencyError, ShapeError
 from hodgerep.expected import instantiate, load_expected
 from hodgerep.hodgecore import (
     COMPLEX,
@@ -48,7 +51,9 @@ from oracles import (
     evaluate_simple_direct,
     hodge_vector_levels,
     instantiate_eval,
+    row_checks_assembled,
 )
+from test_hodgecore import _run_optimized
 
 E = GradingElement.from_nodes
 
@@ -586,6 +591,134 @@ def test_computed_only_reports_spin_families():
     extras = {coverage_key(t) for t in rep.computed_only}
     assert (("D", 5, (1,), fundamental(5, 5)),) in extras
     assert (("D", 6, (1,), fundamental(6, 6)),) in extras
+
+
+@pytest.mark.parametrize("max_rank", (4, 8, 12))
+@pytest.mark.parametrize("scope", ("all",) + expected._ALL_TABLES)
+def test_row_checks_match_the_assembly_oracle(scope, max_rank):
+    """Looking each instance up in the enumerated window gives every row
+    instance the status and diffs that assembling it on its own gives."""
+    rep = verify_paper(scope=scope, max_rank=max_rank)
+    got = {(row.table, row.item): [(r.instance, r.status, r.diffs) for r in row.instances]
+           for row in rep.rows}
+    assert got == row_checks_assembled(scope, max_rank)
+
+
+def _row_assemblies(monkeypatch):
+    """The factor keys of every `assemble` call made outside
+    `evaluate_simple`, that is from the row checks, in call order."""
+    keys = []
+    real = classify.assemble
+
+    def counting(factors, level_n):
+        if sys._getframe(1).f_code.co_name != "evaluate_simple":
+            keys.append(tuple(sorted((f.lie_type.family, f.lie_type.rank, f.E.support, f.mu)
+                                     for f in factors)))
+        return real(factors, level_n)
+
+    monkeypatch.setattr(classify, "assemble", counting)
+    return keys
+
+
+@pytest.mark.parametrize("max_rank", (8, 16))
+def test_row_checks_assemble_only_what_the_window_lacks(monkeypatch, max_rank):
+    """With computed_only the enumerated window holds every row instance
+    but prop3.9 item 4 (factor levels 1 and 4), which the rule rejects, so
+    that is the one instance the row checks assemble."""
+    keys = _row_assemblies(monkeypatch)
+    rep = verify_paper(max_rank=max_rank)
+    item4, = instantiate("prop3.9", load_expected(), max_rank)[4]
+    assert keys == [item4.key]
+    row = next(r for r in rep.mismatches if (r.table, r.item) == ("prop3.9", 4))
+    assert row.allowlisted and row.instances[0].diffs[0][0] == "validity"
+
+
+def test_row_checks_without_computed_only_assemble_every_instance(monkeypatch):
+    """Without computed_only nothing is enumerated, and each of the 496 row
+    instances at max_rank 8 is assembled once."""
+    keys = _row_assemblies(monkeypatch)
+    rep = verify_paper(max_rank=8, include_computed_only=False)
+    assert len(keys) == sum(row.n_instances for row in rep.rows) == 496
+
+
+def _first_instance(key, max_rank):
+    """The first row instance, in table order, that names `key`."""
+    tables = load_expected()
+    return next(inst for name in tables.table_names("all")
+                for instances in instantiate(name, tables, max_rank).values()
+                for inst in instances if inst.key == key)
+
+
+# E7 of prop3.5 item 8, and the A1 x A1 x A1 of prop3.11 item 1
+_E7 = (("E", 7, (7,), (0, 0, 0, 0, 0, 0, 1)),)
+_A1_CUBED = (("A", 1, (1,), (1,)),) * 3
+
+
+@pytest.mark.parametrize("key", (_E7, _A1_CUBED), ids=["simple", "product"])
+def test_verify_checks_window_completeness(monkeypatch, key):
+    """A window that lacks a tuple some row names ends the run with a
+    ConsistencyError naming the table, the item and the candidate, which
+    the command line reports with exit 64."""
+    inst = _first_instance(key, 8)
+    real = classify.enumerate_level
+    monkeypatch.setattr(classify, "enumerate_level", lambda config: [
+        t for t in real(config) if coverage_key(t) != key])
+    with pytest.raises(ConsistencyError, match=re.escape(inst.describe())):
+        verify_paper(max_rank=8)
+    assert main(["verify-paper", "--max-rank", "8"]) == 64
+
+
+def test_window_completeness_check_survives_optimize():
+    inst = _first_instance(_E7, 8)
+    code = ("import hodgerep.classify as classify\n"
+            "from hodgerep.errors import ConsistencyError\n"
+            "real = classify.enumerate_level\n"
+            f"classify.enumerate_level = lambda config: [t for t in real(config)\n"
+            f"                                           if classify.coverage_key(t) != {_E7!r}]\n"
+            "try:\n"
+            "    classify.verify_paper(max_rank=8)\n"
+            "except ConsistencyError as exc:\n"
+            "    print(exc)\n")
+    assert inst.describe() in _run_optimized(code)
+
+
+def test_rows_outside_the_window_fall_back_to_assembly(tmp_path):
+    """A row instance the enumerated window cannot hold is assembled and
+    checked without a completeness error: prop3.3 item 12 is D5 at
+    max_rank 4, and a product row in a table without a pattern sits in a
+    level-3 window without products."""
+    rep = verify_paper(scope="prop3.3", max_rank=4)
+    row = next(r for r in rep.rows if r.item == 12)
+    (t, _, _), = row.instances[0].instance.factors
+    assert (t.family, t.rank, row.status) == ("D", 5, "match")
+
+    raw = json.loads(json.dumps(load_expected().raw))
+    product = dict(raw["tables"]["prop3.11"]["items"][0], item=99)
+    raw["tables"]["prop3.1"]["items"].append(product)
+    path = tmp_path / "expected.json"
+    path.write_text(json.dumps(raw))
+    rep = verify_paper(scope="prop3.1", max_rank=8, expected_path=str(path))
+    row = next(r for r in rep.rows if r.item == 99)
+    assert row.status == "match" and row.instances[0].instance.key == _A1_CUBED
+
+
+def test_row_division_is_exact(tmp_path):
+    """`/` and `**` on ints stay exact: "c": "1/3" is 1/3, not its float,
+    and the real-case h of thm2.1 items 1 and 2 is exact above 2**53."""
+    raw = json.loads(json.dumps(load_expected().raw))
+    raw["tables"]["thm2.1"]["items"][0]["c"] = "1/3"
+    path = tmp_path / "expected.json"
+    path.write_text(json.dumps(raw))
+    got = instantiate("thm2.1", load_expected(str(path)), 2)[1]
+    assert {inst.c for inst in got} == {Fraction(1, 3)}
+
+    text = "(binom(r,i-1)+binom(r,i))/2"
+    assert text in raw["tables"]["thm2.1"]["items"][0]["cases"][2]["h"]
+    h = expected._compile(text, ["r", "i"], "thm2.1 item 1", "h")
+    value = h({"r": Fraction(60), "i": Fraction(30)})
+    assert value == (math.comb(60, 29) + math.comb(60, 30)) // 2 > 2 ** 53
+    power = expected._compile("2**-2 + binom(r,2)**-1", ["r"], "w", "c", integral=False)
+    assert power({"r": Fraction(5)}) == Fraction(1, 4) + Fraction(1, 10)
 
 
 def _no_orbit_ladder(*args, **kwargs):

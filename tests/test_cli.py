@@ -274,13 +274,14 @@ def test_verify_csv_and_markdown_smoke(capsys):
         assert code == 0 and "prop3.11" in out
 
 
-@pytest.mark.parametrize("fmt, digest", [
-    ("csv", "d7147c45d1fc99123048f145cb5ad02995f3260616b7279c4b55467980e339a9"),
-    ("markdown", "df0575c4662b2cf25d606aad470fbcf43f753e8a6715a91283cc0a11d0f26a48"),
-    ("json", "20610238ea6fb996ca0cdd11c94ba3ee65707130bc9f902f9dcf9f9470e68f8a"),
-], ids=["csv", "markdown", "json"])
-def test_verify_report_bytes_are_pinned(capsys, fmt, digest):
-    code, out, _ = run(capsys, "verify-paper", "--scope", "all", "--max-rank", "8",
+@pytest.mark.parametrize("fmt, max_rank, digest", [
+    ("csv", 8, "d7147c45d1fc99123048f145cb5ad02995f3260616b7279c4b55467980e339a9"),
+    ("markdown", 8, "df0575c4662b2cf25d606aad470fbcf43f753e8a6715a91283cc0a11d0f26a48"),
+    ("json", 8, "20610238ea6fb996ca0cdd11c94ba3ee65707130bc9f902f9dcf9f9470e68f8a"),
+    ("json", 16, "4302237339a5251eb496eeb24d094094db042e0e895f3815f2146b9cf5c17228"),
+], ids=["csv", "markdown", "json", "json-rank16"])
+def test_verify_report_bytes_are_pinned(capsys, fmt, max_rank, digest):
+    code, out, _ = run(capsys, "verify-paper", "--scope", "all", "--max-rank", str(max_rank),
                        "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
