@@ -124,13 +124,15 @@ def canonical_form(t: LieType, E: GradingElement, mu: Weight
     return GradingElement(best[1]), best[2]
 
 
+def _canonical_factors(factors: Sequence[FactorSpec]) -> List[FactorSpec]:
+    """Each factor in its canonical form, in canonical order."""
+    return sorted((FactorSpec(f.lie_type, *canonical_form(f.lie_type, f.E, f.mu))
+                   for f in factors), key=FactorSpec.sort_key)
+
+
 def canonicalize(t: HodgeTuple) -> HodgeTuple:
     """Canonical representative of a tuple; level, reality and h unchanged."""
-    factors = []
-    for f in t.factors:
-        e2, m2 = canonical_form(f.lie_type, f.E, f.mu)
-        factors.append(FactorSpec(f.lie_type, e2, m2))
-    factors.sort(key=FactorSpec.sort_key)
+    factors = _canonical_factors(t.factors)
     return replace(
         t,
         factors=tuple(factors),
@@ -223,12 +225,8 @@ def candidates(t: LieType, target_level: int
 def _annotate_canonical(tuples: List[HodgeTuple]) -> List[HodgeTuple]:
     out = []
     for t in tuples:
-        canon = canonicalize(t)
-        out.append(replace(
-            t,
-            canonical_key=canon.canonical_key,
-            is_canonical=(_factor_keys(t.factors) == canon.canonical_key),
-        ))
+        key = _factor_keys(_canonical_factors(t.factors))
+        out.append(replace(t, canonical_key=key, is_canonical=_factor_keys(t.factors) == key))
     return out
 
 

@@ -4,21 +4,22 @@ The file data/expected_tables.json carries one record per table row, with
 per-row parameter ranges (r, i, r1, r2) and exact expressions for each
 factor and for the printed center charge, Hodge vector, reality type and
 real-form label.  `instantiate` checks each record against `_FIELDS` and
-compiles each expression once, before any binding, in the row grammar:
-int constants, the row's parameters, `+ - * / // % **`, unary `- + not`,
-`and`, `or`, comparisons (`in` only over a tuple), and calls of `Q`
-(Fraction) and `binom` with positional arguments.  Expressions are
-evaluated over Fraction-valued bindings, and every `/` or `**` whose
-operands may both be ints is compiled with its left operand sent through
-`Q`, so division and negative powers stay exact.
+builds each expression once, before any binding, from its parse tree into
+nested functions of the row's int parameters; no expression runs as code.
+The row grammar is the nodes `_build` knows: int constants, the row's
+parameters, the operators in `_OPS`, `and`, `or`, and calls of `Q`
+(Fraction) and `binom` with positional arguments.  `/` is exact, and a
+`**` exponent or a `binom` argument that is not an integer is an error.
 """
 from __future__ import annotations
 
 import ast
 import json
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from importlib import resources
 from math import comb
 from typing import Dict, List, Optional, Tuple
@@ -89,93 +90,94 @@ def _check(record, kind: str, where: str) -> dict:
     return record
 
 
-_GLOBALS = {"__builtins__": {}, "Q": Fraction, "binom": lambda n, k: comb(int(n), int(k))}
-_NODES = (ast.Expression, ast.Load, ast.Name, ast.Tuple, ast.BinOp, ast.UnaryOp,
-          ast.BoolOp, ast.Compare, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv,
-          ast.Mod, ast.Pow, ast.UAdd, ast.USub, ast.Not, ast.And, ast.Or,
-          ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.In, ast.NotIn)
+def _integer(value, what: str) -> int:
+    """`value` as an int; ValueError if it is not integral."""
+    if value.denominator != 1:
+        raise ValueError(f"{what} {value} is not an integer")
+    return int(value)
 
 
-def _check_grammar(tree: ast.Expression, names: List[str]) -> None:
-    """NameError for a name other than `names`, Q and binom; ValueError for
-    any other node outside the row grammar."""
-    in_operands = {id(right) for node in ast.walk(tree) if isinstance(node, ast.Compare)
-                   for op, right in zip(node.ops, node.comparators)
-                   if isinstance(op, (ast.In, ast.NotIn))}
-    for node in ast.walk(tree):
-        if (id(node) in in_operands) != isinstance(node, ast.Tuple):
-            raise ValueError(f"{ast.unparse(node)!r}: a tuple must follow 'in' or "
-                             f"'not in', and only there")
-        if isinstance(node, ast.Name) and node.id not in names \
-                and node.id not in ("Q", "binom"):
+# the row grammar: each operator and function it allows, as an exact operation
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+        ast.Div: lambda a, b: Fraction(a) / b, ast.FloorDiv: operator.floordiv,
+        ast.Mod: operator.mod, ast.Pow: lambda a, b: Fraction(a) ** _integer(b, "exponent"),
+        ast.USub: operator.neg, ast.UAdd: operator.pos, ast.Not: operator.not_,
+        ast.Eq: operator.eq, ast.NotEq: operator.ne, ast.Lt: operator.lt,
+        ast.LtE: operator.le, ast.Gt: operator.gt, ast.GtE: operator.ge,
+        ast.In: lambda a, b: a in b, ast.NotIn: lambda a, b: a not in b}
+_CALLS = {"Q": Fraction, "binom": lambda n, k: comb(_integer(n, "binom argument"),
+                                                    _integer(k, "binom argument"))}
+# `and` and `or` of two built operands, by Python's own short-circuit operators
+_JOIN = {ast.And: lambda a, b: lambda binding: a(binding) and b(binding),
+         ast.Or: lambda a, b: lambda binding: a(binding) or b(binding)}
+
+
+def _apply(op, *operands):
+    """`op` of the operands' values, as a function from a binding."""
+    return lambda binding: op(*[operand(binding) for operand in operands])
+
+
+def _build(node, names: List[str], after_in: bool = False):
+    """The expression `node` as a function from a binding of `names` to its
+    value.  NameError for any other name; ValueError for a node outside the
+    row grammar, and for a tuple anywhere but after `in` or `not in`."""
+    kind = type(node)
+    if (kind is ast.Tuple) != after_in:
+        raise ValueError(f"{ast.unparse(node)!r}: a tuple must follow 'in' or "
+                         f"'not in', and only there")
+    if kind is ast.Tuple:
+        return _apply(lambda *items: items, *[_build(item, names) for item in node.elts])
+    if kind is ast.Constant and type(node.value) is int:
+        return lambda binding, value=node.value: value
+    if kind is ast.Name:
+        if node.id not in names:
             raise NameError(f"name {node.id!r} is not defined")
-        if not (isinstance(node, _NODES)
-                or isinstance(node, ast.Constant) and type(node.value) is int
-                or isinstance(node, ast.Call) and not node.keywords
-                and isinstance(node.func, ast.Name) and node.func.id in ("Q", "binom")):
-            raise ValueError(f"{ast.unparse(node)!r} is outside the row grammar")
-
-
-def _is_fraction(node) -> bool:
-    """Is the (rewritten) expression node Fraction-valued at every binding?
-    Parameters and Q are; constants, binom, // and comparisons give ints or
-    bools, and an int ** Fraction is an int when the exponent is."""
-    if isinstance(node, ast.Name):
-        return True
-    if isinstance(node, ast.Call):
-        return node.func.id == "Q"
-    if isinstance(node, ast.UnaryOp) and not isinstance(node.op, ast.Not):
-        return _is_fraction(node.operand)
-    if isinstance(node, ast.BinOp) and not isinstance(node.op, ast.FloorDiv):
-        return _is_fraction(node.left) or (
-            not isinstance(node.op, ast.Pow) and _is_fraction(node.right))
-    return False
-
-
-class _Exact(ast.NodeTransformer):
-    """Send the left operand of every `/` and `**` whose operands may both
-    be ints through Q, so int / int and int ** -int stay exact instead of
-    going through float."""
-
-    def visit_BinOp(self, node):
-        self.generic_visit(node)
-        if isinstance(node.op, (ast.Div, ast.Pow)) \
-                and not _is_fraction(node.left) and not _is_fraction(node.right):
-            node.left = ast.Call(ast.Name("Q", ast.Load()), [node.left], [])
-        return node
+        return operator.itemgetter(node.id)
+    if kind is ast.BinOp and type(node.op) in _OPS:
+        return _apply(_OPS[type(node.op)], _build(node.left, names), _build(node.right, names))
+    if kind is ast.UnaryOp and type(node.op) in _OPS:
+        return _apply(_OPS[type(node.op)], _build(node.operand, names))
+    if kind is ast.BoolOp:
+        return reduce(_JOIN[type(node.op)], [_build(value, names) for value in node.values])
+    if kind is ast.Compare and all(type(op) in _OPS for op in node.ops):
+        terms = [_build(node.left, names)] + [
+            _build(right, names, type(op) in (ast.In, ast.NotIn))
+            for op, right in zip(node.ops, node.comparators)]
+        # a < b < c is a < b and b < c, so a chain stops at its first false link
+        return reduce(_JOIN[ast.And], [_apply(_OPS[type(op)], left, right)
+                                       for op, left, right in zip(node.ops, terms, terms[1:])])
+    if kind is ast.Call and not node.keywords and isinstance(node.func, ast.Name) \
+            and node.func.id in _CALLS:
+        return _apply(_CALLS[node.func.id], *[_build(arg, names) for arg in node.args])
+    raise ValueError(f"{ast.unparse(node)!r} is outside the row grammar")
 
 
 def _compile(entry, names: List[str], where: str, field: str, integral: bool = True):
-    """`entry` (a string, or an integer read as its digits) checked against
-    the row grammar and compiled once, as a function from a binding to the
-    entry's Fraction value, which must be an integer when `integral`, and a
-    node in 1..rank when a rank is passed.  Leading blanks are dropped, as
-    `eval` drops them."""
+    """`entry` (a string, or an integer read as its digits) parsed and built
+    once into a function from an int binding to the entry's value, which
+    must be an integer when `integral`, and a node in 1..rank when a rank
+    is passed.  Leading blanks are dropped."""
     text = str(entry)
 
     def fault(exc):
         return ValueError(f"{where}: cannot evaluate {field} expression {text!r} "
                           f"({type(exc).__name__}: {exc})")
     try:
-        tree = ast.parse(text.lstrip(" \t"), "<string>", "eval")
-        _check_grammar(tree, names)
-    except (NameError, SyntaxError, ValueError) as exc:
+        evaluate = _build(ast.parse(text.lstrip(" \t"), "<string>", "eval").body, names)
+    except (NameError, SyntaxError, ValueError, RecursionError) as exc:
         raise fault(exc) from None
-    if "/" in text or "**" in text:  # else there is nothing to rewrite
-        tree = ast.fix_missing_locations(_Exact().visit(tree))
-    code = compile(tree, "<string>", "eval")
 
-    def value(bindings: Dict[str, Fraction], rank: Optional[int] = None):
+    def value(binding: Dict[str, int], rank: Optional[int] = None):
         try:
-            val = Fraction(eval(code, _GLOBALS, bindings))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            val = evaluate(binding)
+        except (TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
             raise fault(exc) from None
         if integral and val.denominator != 1:
             raise ValueError(f"{where}: {field} expression {text!r} not integral "
-                             f"under {bindings}")
+                             f"under {binding}")
         if rank is not None and not 1 <= val <= rank:
             raise ValueError(f"{where}: {field} node {val} outside 1..{rank}")
-        return int(val) if integral else val
+        return int(val) if integral else Fraction(val)
     return value
 
 
@@ -303,21 +305,21 @@ def _compile_factor(fac, names: List[str], where: str):
     mu_of = [(_compile(node, names, where, "mu"), _compile(coeff, names, where, "mu"))
              for node, coeff in fac["mu"]]
 
-    def factor(fbind: Dict[str, Fraction]):
-        rank = rank_of(fbind)
+    def factor(binding: Dict[str, int]):
+        rank = rank_of(binding)
         lie_type = LieType(fac["family"], rank)
-        nodes = tuple(sorted(node_of(fbind, rank) for node_of in nodes_of))
+        nodes = tuple(sorted(node_of(binding, rank) for node_of in nodes_of))
         if not nodes or len(set(nodes)) < len(nodes):
             raise ValueError(f"{where}: E must name one or more distinct nodes, "
                              f"got {list(nodes)}")
         mu = [0] * rank
         seen = set()
         for node_of, coeff_of in mu_of:
-            at = node_of(fbind, rank)
+            at = node_of(binding, rank)
             if at in seen:
                 raise ValueError(f"{where}: mu node {at} repeated")
             seen.add(at)
-            mu[at - 1] = coeff_of(fbind)
+            mu[at - 1] = coeff_of(binding)
         if min(mu) < 0 or not any(mu):
             raise ValueError(f"{where}: mu must be dominant and nonzero, got {mu}")
         return lie_type, nodes, tuple(mu)
@@ -360,18 +362,17 @@ def _compile_row(table_name: str, level: int, pos: int, item):
         for template in (rf if isinstance(rf, list) else [rf])]
 
     def instance(binding: Dict[str, int]) -> ExpectedInstance:
-        fbind = {k: Fraction(v) for k, v in binding.items()}
-        factors = tuple(factor_of(fbind) for factor_of in factors_of)
+        factors = tuple(factor_of(binding) for factor_of in factors_of)
         reality, h_of = next(((reality, h_of) for when, reality, h_of in cases
-                              if when is None or when(fbind)), (None, None))
+                              if when is None or when(binding)), (None, None))
         if reality is None:
             raise ValueError(f"{where}: no case guard matched")
         return ExpectedInstance(
             table=table_name, item=number, bindings=binding, factors=factors,
-            c=c_of(fbind), h=tuple(h(fbind) for h in h_of), reality=reality,
+            c=c_of(binding), h=tuple(h(binding) for h in h_of), reality=reality,
             real_forms=None if labels is None else tuple(
                 None if parts is None else "".join(
-                    part if isinstance(part, str) else str(part(fbind)) for part in parts)
+                    part if isinstance(part, str) else str(part(binding)) for part in parts)
                 for parts in labels))
     return number, params, instance
 
@@ -381,9 +382,8 @@ def _bindings(params, max_rank: int, binding: Dict[str, int]) -> List[Dict[str, 
     if len(binding) == len(params):
         return [binding]
     name, lo, hi = params[len(binding)]
-    fbind = {k: Fraction(v) for k, v in binding.items()}
-    low = lo(fbind)
-    top = max_rank if hi is None else min(hi(fbind), max_rank)
+    low = lo(binding)
+    top = max_rank if hi is None else min(hi(binding), max_rank)
     return [full for val in range(low, top + 1)
             for full in _bindings(params, max_rank, {**binding, name: val})]
 

@@ -46,6 +46,7 @@ from hodgerep.repweights import weyl_dim
 from hodgerep.rootdata import RANK_BOUNDS, LieType
 
 from oracles import (
+    _eval_row,
     dominant_weights_up_to,
     enumerate_level_brute,
     evaluate_simple_direct,
@@ -366,6 +367,15 @@ _prop39_item3.row = ("prop3.9", 2, 3)
                                      "item, factors, params, cases, reality, h, c, "
                                      "real_form, notes, paper_label, equiv"),
     (_prop39_item3, "item 3: family must be one of A, B, C, D, E, F, G, got 'Q'"),
+    (_set_item("c", "2**(r/2)"), "item 1: cannot evaluate c expression '2**(r/2)' "
+                                 "(ValueError: exponent 1/2 is not an integer)"),
+    (lambda item: item["cases"][0].__setitem__("when", "2**(r/2) > 1"),
+     "item 1: cannot evaluate cases.when expression '2**(r/2) > 1' (ValueError: exponent "
+     "1/2 is not an integer)"),
+    # the first case holds from r = 2, and r/2 is first fractional at r = 3
+    (lambda item: item["cases"][0]["h"].__setitem__(0, "binom(r/2, 1)"),
+     "item 1: cannot evaluate h expression 'binom(r/2, 1)' (ValueError: binom argument "
+     "3/2 is not an integer)"),
 ], ids=["list-family", "unknown-family", "dict-E", "int-E", "dict-E-node", "mu-node-above-rank",
         "mu-node-0", "missing-c", "missing-h", "missing-reality", "c-unknown-name",
         "c-syntax-error", "c-not-a-number", "int-params", "int-param-spec",
@@ -375,7 +385,8 @@ _prop39_item3.row = ("prop3.9", 2, 3)
         "repeated-E-node", "empty-mu", "negative-mu", "repeated-mu-node",
         "c-subclasses-walk", "c-attribute", "c-subscript", "c-lambda", "c-comprehension",
         "c-keyword-argument", "when-calls-abs", "when-bare-tuple", "unknown-row-key",
-        "prop39-item3-below-its-ranks"])
+        "prop39-item3-below-its-ranks", "c-fractional-power", "when-fractional-power",
+        "h-binom-of-a-fraction"])
 def test_malformed_expected_row_raises(tmp_path, mutate, message):
     table, index, max_rank = getattr(mutate, "row", ("thm2.1", 0, 4))
     tables = load_expected()
@@ -399,6 +410,47 @@ def test_compiled_rows_match_the_eval_route():
         for name in tables.table_names("all"):
             assert instantiate(name, tables, max_rank) == \
                 instantiate_eval(name, tables, max_rank), (name, max_rank)
+
+
+_ROW_FORMS = ("({} + {})", "({} - {})", "({} * {})", "({} / {})", "({} % {})",
+              "Q({} // {})", "-({})", "+({})", "Q(not {})", "Q({})", "Q({}, {})",
+              "({} and {})", "({} or {})", "Q({} == {})", "Q({} != {})", "Q({} < {})",
+              "Q({} <= {})", "Q({} > {})", "Q({} >= {})", "Q({} < {} <= {})",
+              "Q({} >= {} > {})", "Q({} in ({}, {}))", "Q({} not in ({},))")
+
+
+def _row_expressions():
+    """Random row-grammar expressions in r and i on which `eval` over
+    Fraction bindings is exact: every constant is `Q(n)`, every exponent a
+    small int constant, every binom argument an integer of bounded size,
+    and every int- or bool-valued form is sent through `Q`."""
+    leaf = st.sampled_from(["r", "i"]) | st.integers(-2, 4).map("Q({})".format)
+    small = leaf | st.builds("({} {} {})".format, leaf, st.sampled_from("+-*%"), leaf)
+    expr = leaf
+    for _ in range(3):
+        forms = [(form, [expr] * form.count("{}")) for form in _ROW_FORMS] + [
+            ("({})**{}", [expr, st.integers(0, 3)]), ("Q(binom({}, {}))", [small, small])]
+        compound = st.sampled_from(forms).flatmap(
+            lambda form: st.builds(form[0].format, *form[1]))
+        expr = leaf | compound
+    return compound
+
+
+@settings(max_examples=300)
+@given(_row_expressions())
+def test_built_expressions_match_the_eval_route(text):
+    """At every int binding with r and i in -3..6, a built expression has
+    the value that `eval` of its text gives at the Fraction binding, or
+    fails with the same exception."""
+    value = expected._compile(text, ["r", "i"], "row", "c", integral=False)
+    for r, i in itertools.product(range(-3, 7), repeat=2):
+        try:
+            want = Fraction(_eval_row(text, {"r": Fraction(r), "i": Fraction(i)}))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(ValueError, match=re.escape(f"({type(exc).__name__}: ")):
+                value({"r": r, "i": i})
+        else:
+            assert value({"r": r, "i": i}) == want, (r, i)
 
 
 def test_expressions_are_parsed_once_per_instantiate(monkeypatch):

@@ -7,8 +7,8 @@ a cache that only hides a slow layer cannot be added unseen.  The assembly
 rule in `products` is the only validity test, so no other module raises
 `ShapeError`.  The size guard fronts only the weight systems that are
 built, which `inspect` alone reaches, so the `max_dim` knob cannot creep
-back into the sweeps.  Only `expected` runs dynamic code, and only rows it
-has checked against its grammar and compiled.
+back into the sweeps.  No engine module runs dynamic code: `expected`
+builds each row expression into exact functions from its parse tree.
 """
 import ast
 from pathlib import Path
@@ -223,9 +223,9 @@ def _dynamic_code_calls(tree):
                  and node.func.value.id in ("builtins", "__builtins__"))]
 
 
-def test_dynamic_code_only_in_expected():
+def test_no_dynamic_code_in_engine():
     found = [f"{path.name}:{line}"
-             for path in sorted(PACKAGE.glob("*.py")) if path.name != "expected.py"
+             for path in sorted(PACKAGE.glob("*.py"))
              for line in _dynamic_code_calls(ast.parse(path.read_text(encoding="utf-8")))]
     assert not found, found
 
