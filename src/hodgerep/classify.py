@@ -8,16 +8,18 @@ nonzero dominant mu with span <= level (hence |supp E| <= level); at level
 3 the top eigenspace must be one-dimensional, so supp(mu) is inside
 supp(E).  `evaluate_simple` classifies each candidate as the one-factor
 case of `products.assemble`.  The level-3 candidates of span 1 and 2 form
-the factor pools of `products.product_tuples`, which summarises each
-factor once and assembles only the 1+1, 1+2 and 1+1+1 combinations its
-pattern and reality rule admits.
+the factor pools of `products.product_tuples`, which assembles only the
+1+1, 1+2 and 1+1+1 combinations its pattern and reality rule admits.  A
+sweep keeps one `products.SummaryTable`, so the pools take the summaries
+the candidate pass built.
 
 `verify_paper` enumerates the window of its scope once, first, and looks
 every table-row instance up in it by (level, coverage key); only a key the
 window lacks is assembled.  The printed rows are independent input, so
 this checks the window's completeness on every run: a row candidate that
 the rule accepts inside the window but the enumeration lacks raises
-ConsistencyError.
+ConsistencyError.  The sweeps and the row checks share the run's one
+`SummaryTable`, so a factor that recurs within the run is summarised once.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 from .errors import ConsistencyError, ShapeError
 from .expected import ExpectedInstance, ExpectedTables, instantiate, load_expected
 from .hodgecore import FactorSpec, GradingElement, HodgeTuple, level, real_form
-from .products import assemble, product_tuples
+from .products import SummaryTable, assemble_summaries, product_tuples
 from .rootdata import RANK_BOUNDS, LieType, Weight, catalogued_types, root_system
 
 
@@ -57,6 +59,9 @@ class SearchConfig:
         _check_max_rank(self.max_rank)
         if self.level not in (1, 3):
             raise ValueError("level must be 1 or 3")
+        if self.include_products and self.level != 3:
+            raise ValueError("products need level 3: factor levels add, "
+                             "so no product has level 1")
         if not self.families:
             raise ValueError("families must name at least one family")
         unknown = set(self.families) - set(RANK_BOUNDS)
@@ -67,7 +72,7 @@ class SearchConfig:
         """Does the window hold every level-`level` tuple on factors of these
         types: each type in its families and ranks, and products only when
         it includes them?"""
-        return ((len(types) == 1 or self.include_products and self.level == 3)
+        return ((len(types) == 1 or self.include_products)
                 and all(t.family in self.families and t.rank <= self.max_rank
                         for t in types))
 
@@ -183,13 +188,16 @@ def b2c2_alias_key(key):
 # ---------------------------------------------------------------------------
 # Candidate evaluation
 
-def evaluate_simple(t: LieType, E: GradingElement, mu: Weight, target_level: int
-                    ) -> Optional[HodgeTuple]:
+def evaluate_simple(t: LieType, E: GradingElement, mu: Weight, target_level: int,
+                    table: Optional[SummaryTable] = None) -> Optional[HodgeTuple]:
     """Classify one (algebra, E, mu) candidate, or None when it is not a
     level-`target_level` Hodge representation: the one-factor case of
-    `products.assemble`."""
+    `products.assemble`, with the summary taken from `table` (a new one
+    when None)."""
+    table = SummaryTable() if table is None else table
     try:
-        return assemble([FactorSpec(t, E, tuple(mu))], target_level)
+        return assemble_summaries(table.summarise([FactorSpec(t, E, tuple(mu))]),
+                                  target_level)
     except ShapeError:
         return None
 
@@ -230,26 +238,29 @@ def _annotate_canonical(tuples: List[HodgeTuple]) -> List[HodgeTuple]:
     return out
 
 
-def enumerate_level(config: SearchConfig) -> List[HodgeTuple]:
+def enumerate_level(config: SearchConfig,
+                    table: Optional[SummaryTable] = None) -> List[HodgeTuple]:
     """All Hodge tuples of the configured level in the search window.
 
     Output is canonically sorted and deterministic; diagram-automorphism
     duplicates are retained and marked unless dedupe_automorphisms is set.
+    One summary table (`table`, or a new one when None) serves the sweep,
+    so each pool factor keeps the summary its candidate built.
     """
-    with_products = config.include_products and config.level == 3
+    table = SummaryTable() if table is None else table
     simple: List[HodgeTuple] = []
     pools: Dict[int, List[FactorSpec]] = {1: [], 2: []}
     for t in _types_in_window(config.families, config.max_rank):
         for E, mu, span in candidates(t, config.level):
-            got = evaluate_simple(t, E, mu, config.level)
+            got = evaluate_simple(t, E, mu, config.level, table)
             if got is not None:
                 simple.append(got)
-            if with_products and span in pools:
+            if config.include_products and span in pools:
                 pools[span].append(FactorSpec(t, E, mu))
 
     results = _annotate_canonical(simple)
-    if with_products:
-        results.extend(_annotate_canonical(product_tuples(pools[1], pools[2])))
+    if config.include_products:
+        results.extend(_annotate_canonical(product_tuples(pools[1], pools[2], table)))
     if config.dedupe_automorphisms:
         results = [t for t in results if t.is_canonical]
     results.sort(key=tuple_key)
@@ -306,19 +317,20 @@ class ReconciliationReport:
 
 def _check_instance(inst: ExpectedInstance, target_level: int,
                     got: Optional[HodgeTuple],
-                    window: Optional[SearchConfig]) -> InstanceResult:
+                    window: Optional[SearchConfig],
+                    table: SummaryTable) -> InstanceResult:
     """Compare one row instance with the tuple it names.  `got` is that
     tuple as found in `window`, the window enumerated at the instance's
-    level (None when nothing was enumerated); when `got` is None, `assemble`
-    builds it or gives the rejection text.  ConsistencyError when
-    `assemble` accepts a candidate that the window should hold: the
-    level-bound generator missed it."""
+    level (None when nothing was enumerated); when `got` is None, it is
+    assembled from the run's summary `table`, or the rule gives the
+    rejection text.  ConsistencyError when the rule accepts a candidate
+    that the window should hold: the level-bound generator missed it."""
     diffs: List[Tuple[str, str, str]] = []
     if got is None:
         factors = [FactorSpec(t, GradingElement.from_nodes(t.rank, nodes), mu)
                    for t, nodes, mu in inst.factors]
         try:
-            got = assemble(factors, target_level)
+            got = assemble_summaries(table.summarise(factors), target_level)
         except ShapeError as exc:
             if inst.is_product:
                 diffs.append(("validity", "valid level-3 product", f"rejected: {exc}"))
@@ -400,7 +412,9 @@ def verify_paper(scope: str = "all", max_rank: int = 8,
     each instance takes its tuple from it; only a key the window lacks is
     assembled, and ConsistencyError is raised when the assembly rule
     accepts such a key although the window should hold it.  Without it
-    every instance is assembled.
+    every instance is assembled.  The sweeps and the assembled instances
+    share one summary table per call, so each distinct factor is
+    summarised once per run.
     """
     _check_max_rank(max_rank)
     tables = load_expected(expected_path)
@@ -408,13 +422,15 @@ def verify_paper(scope: str = "all", max_rank: int = 8,
     report = ReconciliationReport(scope=scope, max_rank=max_rank)
 
     # the window is enumerated first, once: the row checks look each
-    # instance up in it and computed_only reads it
+    # instance up in it and computed_only reads it; one summary table
+    # serves the sweeps and the row checks
+    table = SummaryTable()
     configs: Dict[int, SearchConfig] = {}
     enumerated: List[HodgeTuple] = []
     if include_computed_only:
         for cfg in _scope_window(tables, names, max_rank):
             configs[cfg.level] = cfg
-            enumerated.extend(enumerate_level(cfg))
+            enumerated.extend(enumerate_level(cfg, table))
     found = {(t.level, coverage_key(t)): t for t in enumerated}
 
     covered_keys = set()
@@ -437,7 +453,7 @@ def verify_paper(scope: str = "all", max_rank: int = 8,
             for inst in instances:
                 key = inst.key
                 row.instances.append(_check_instance(
-                    inst, target_level, found.get((target_level, key)), window))
+                    inst, target_level, found.get((target_level, key)), window, table))
                 covered_keys.add(key)
             row.status = "mismatch" if row.failing() else "match"
             (report.mismatches if row.status == "mismatch" else report.matches).append(row)

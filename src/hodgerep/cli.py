@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 from .classify import ReconciliationReport, SearchConfig, enumerate_level, verify_paper
 from .errors import HodgeRepError, ResourceLimitError, ShapeError
 from .hodgecore import FactorSpec, GradingElement
-from .products import assemble_summaries, summarise
+from .products import SummaryTable, assemble_summaries
 from .repweights import DEFAULT_MAX_DIM
 from .rootdata import RANK_BOUNDS, LieType
 
@@ -144,7 +144,7 @@ def _cmd_inspect(args) -> int:
         raise ValueError("--level 1 needs one factor: factor levels add, "
                          "so no product has level 1")
     try:
-        summaries = summarise(factors, max_dim=args.max_dim)
+        summaries = SummaryTable(args.max_dim).summarise(factors)
         if simple:
             s = summaries[0]
             f, decomp = s.factor, s.eigen()  # the size guard runs before any output

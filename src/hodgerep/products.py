@@ -15,16 +15,20 @@ ShapeError is raised here, and `hodgecore.hodge_vector` only folds.
 Everything the rule reads of one factor (its level, reality type and the
 top-eigenspace flag) sits in a per-factor summary, and so does the
 factor's ladder, whose top is mu(E): it is built on first use, and once,
-since only admitted combinations and `inspect` read it.  `assemble` and
-`inspect` build summaries for the factors they are given;
-`product_tuples` builds one per pool factor and asks the rule about every
-1+1, 1+2 and 1+1+1 combination, assembling only those it admits.
+since only admitted combinations and `inspect` read it.  A
+`SummaryTable` holds one run's summaries keyed by (type, E, mu) and is
+the only place a summary is built, so a factor that recurs within a run
+is summarised once; the table dies with its run.  `assemble` and
+`inspect` use a table of their own for the factors they are given; a
+sweep passes its table to `product_tuples`, which takes each pool
+factor's summary from it and asks the rule about every 1+1, 1+2 and
+1+1+1 combination, assembling only those it admits.
 """
 from __future__ import annotations
 
 import itertools
 from operator import attrgetter
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .errors import ShapeError
 from .hodgecore import (
@@ -80,14 +84,15 @@ class _FactorSummary:
     and whether its top eigenspace is one-dimensional.  The ladder, which
     only an admitted combination or `inspect` reads, is built once, on
     first use, from the span held here and mu(E); max_dim guards it only
-    where it takes the orbit route, which `inspect` alone reaches."""
+    where it takes the orbit route, which `inspect` alone reaches.  Only
+    `SummaryTable.summary` builds one."""
 
     __slots__ = ("factor", "max_dim", "key", "span", "reality", "top_is_one", "_eigen")
 
-    def __init__(self, f: FactorSpec, max_dim: int = DEFAULT_MAX_DIM):
+    def __init__(self, f: FactorSpec, key, max_dim: int):
         self.factor = f
         self.max_dim = max_dim
-        self.key = f.sort_key()
+        self.key = key
         self.span = level(f.lie_type, f.mu, f.E)
         self.reality = reality_type(f.lie_type, f.mu, f.E)
         self.top_is_one = extremal_dim_is_one(f.mu, f.E)
@@ -111,6 +116,33 @@ class _FactorSummary:
             self._eigen = eigen_ladder(f.lie_type, f.mu, f.E, self.span,
                                        mu_of_grading(f.lie_type, f.mu, f.E), self.max_dim)
         return self._eigen
+
+
+class SummaryTable:
+    """One run's factor summaries, one per distinct (type, E, mu), and the
+    only place a summary is built.  Each run makes its own table, so
+    nothing outlives the run; max_dim guards the ladders of its summaries."""
+
+    __slots__ = ("max_dim", "_summaries")
+
+    def __init__(self, max_dim: int = DEFAULT_MAX_DIM):
+        self.max_dim = max_dim
+        self._summaries: Dict[tuple, _FactorSummary] = {}
+
+    def summary(self, f: FactorSpec) -> _FactorSummary:
+        """The summary of `f`, built on the first request for its key."""
+        key = f.sort_key()
+        s = self._summaries.get(key)
+        if s is None:
+            s = self._summaries[key] = _FactorSummary(f, key, self.max_dim)
+        return s
+
+    def summarise(self, factors: Sequence[FactorSpec]) -> List[_FactorSummary]:
+        """One summary per factor, in FactorSpec.sort_key order, or
+        ShapeError for more than 3 factors."""
+        if len(factors) > 3:
+            raise ShapeError("products need 2 or 3 simple factors")
+        return sorted(map(self.summary, factors), key=attrgetter("key"))
 
 
 def _assembly_case(level_n: int, spans: List[int], joint: str) -> str:
@@ -173,17 +205,9 @@ def _assemble(summaries: Sequence[_FactorSummary], level_n: int) -> HodgeTuple:
     )
 
 
-def summarise(factors: Sequence[FactorSpec],
-              max_dim: int = DEFAULT_MAX_DIM) -> List[_FactorSummary]:
-    """One summary per factor, in FactorSpec.sort_key order, or ShapeError
-    for more than 3 factors."""
-    if len(factors) > 3:
-        raise ShapeError("products need 2 or 3 simple factors")
-    return [_FactorSummary(f, max_dim) for f in sorted(factors, key=FactorSpec.sort_key)]
-
-
 def assemble_summaries(summaries: Sequence[_FactorSummary], level_n: int) -> HodgeTuple:
-    """The level-`level_n` Hodge tuple of `summarise`d factors, or ShapeError.
+    """The level-`level_n` Hodge tuple of summaries in factor order (as
+    `SummaryTable.summarise` gives them), or ShapeError.
 
     At level 3 every factor must first have a one-dimensional top
     eigenspace and a positive level; the factor levels and the joint
@@ -197,8 +221,9 @@ def assemble_summaries(summaries: Sequence[_FactorSummary], level_n: int) -> Hod
 
 def assemble(factors: Sequence[FactorSpec], level_n: int) -> HodgeTuple:
     """The level-`level_n` Hodge tuple of one to three factors, or
-    ShapeError: `assemble_summaries` of their summaries."""
-    return assemble_summaries(summarise(factors), level_n)
+    ShapeError: `assemble_summaries` of their summaries, in a table of
+    their own."""
+    return assemble_summaries(SummaryTable().summarise(factors), level_n)
 
 
 def combine(factors: Sequence[FactorSpec]) -> HodgeTuple:
@@ -209,12 +234,12 @@ def combine(factors: Sequence[FactorSpec]) -> HodgeTuple:
     return assemble(factors, 3)
 
 
-def _summaries(pool: Sequence[FactorSpec]) -> List[_FactorSummary]:
-    """Summaries of the pool factors that pass the level-3 factor check;
-    every combination holding any other factor is rejected."""
+def _level3_summaries(table: SummaryTable, pool: Sequence[FactorSpec]
+                      ) -> List[_FactorSummary]:
+    """The table's summaries of the pool factors that pass the level-3
+    factor check; every combination holding any other factor is rejected."""
     out = []
-    for f in pool:
-        s = _FactorSummary(f)
+    for s in map(table.summary, pool):
         try:
             s.check_level3()
         except ShapeError:
@@ -223,17 +248,19 @@ def _summaries(pool: Sequence[FactorSpec]) -> List[_FactorSummary]:
     return out
 
 
-def product_tuples(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec]
-                   ) -> List[HodgeTuple]:
+def product_tuples(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec],
+                   table: Optional[SummaryTable] = None) -> List[HodgeTuple]:
     """Every 1+1 and 1+1+1 combination of pool1 and 1+2 combination of
     pool1 x pool2 that `combine` accepts, in combination order.
 
-    Each pool factor is summarised once, so a combination that
-    `_assembly_case` rejects costs only that rule on cached levels and
-    reality types, and a factor in many accepted combinations is
-    decomposed once.
+    Each pool factor's summary comes from `table` (a new one when None); a
+    sweep passes the table its candidate pass filled, so no pool factor is
+    summarised again.  A combination that `_assembly_case` rejects costs
+    only that rule on held levels and reality types, and a factor in many
+    accepted combinations is decomposed once.
     """
-    one, two = _summaries(pool1), _summaries(pool2)
+    table = SummaryTable() if table is None else table
+    one, two = _level3_summaries(table, pool1), _level3_summaries(table, pool2)
     out = []
     for combo in itertools.chain(
             itertools.combinations_with_replacement(one, 2),

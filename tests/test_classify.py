@@ -176,6 +176,13 @@ def test_completeness_at_small_rank():
                     assert inst.key in enumerated, inst.describe()
 
 
+def test_products_need_level_3():
+    """Factor levels add, so a level-1 window holds no product: asking for
+    one is an error, not a silently ignored flag."""
+    with pytest.raises(ValueError, match="products need level 3"):
+        SearchConfig(max_rank=3, level=1, include_products=True)
+
+
 def test_determinism():
     cfg = SearchConfig(max_rank=4, level=3, families=frozenset("ABCD"),
                        include_products=True)
@@ -197,11 +204,12 @@ def test_level_bound_matches_brute_force_sweep(target, products):
 @settings(max_examples=60)
 @given(families=st.sets(st.sampled_from(sorted(RANK_BOUNDS)), min_size=1, max_size=3),
        max_rank=st.integers(1, 6), target=st.sampled_from([1, 3]),
-       products=st.booleans(), dedupe=st.booleans())
+       dedupe=st.booleans(), data=st.data())
 def test_level_bound_matches_brute_force_on_random_windows(families, max_rank, target,
-                                                            products, dedupe):
+                                                            dedupe, data):
     """Random small windows: a family subset, rank <= 6, level 1 or 3,
-    with and without products and deduplication."""
+    with and without products (level 3 only) and deduplication."""
+    products = target == 3 and data.draw(st.booleans(), label="products")
     cfg = SearchConfig(max_rank=max_rank, level=target, families=frozenset(families),
                        include_products=products, dedupe_automorphisms=dedupe)
     got = json.dumps([record_of(t) for t in enumerate_level(cfg)])
@@ -261,9 +269,9 @@ def test_evaluate_simple_matches_direct_route_on_rejected_inputs():
                     evaluate_simple_direct(t, g, mu, target), (target, t, g, mu)
 
 
-def test_verify_reads_each_factor_once(monkeypatch):
-    """Every row factor has its level and reality type computed once, and
-    mu(E_ss) once per ladder built; a factor the rule rejects builds none."""
+def _factor_work(monkeypatch):
+    """Counts of the summaries built and of the per-factor computations
+    they make, by name."""
     seen = Counter()
     for name in ("level", "reality_type", "mu_of_grading", "eigen_ladder"):
         real = getattr(hodgecore, name)
@@ -275,9 +283,30 @@ def test_verify_reads_each_factor_once(monkeypatch):
         for module in (hodgecore, products, classify, cli):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting)
-    verify_paper(scope="all", max_rank=8, include_computed_only=False)
-    assert seen["level"] == seen["reality_type"] > 0
-    assert 0 < seen["mu_of_grading"] == seen["eigen_ladder"] <= seen["reality_type"]
+
+    class CountingSummary(products._FactorSummary):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            seen["summaries"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(products, "_FactorSummary", CountingSummary)
+    return seen
+
+
+def test_verify_reads_each_factor_once(monkeypatch):
+    """Each distinct row factor has one summary, with its level and reality
+    type computed once, and mu(E_ss) once per ladder built; only a factor
+    of an instance the rule admits builds a ladder."""
+    seen = _factor_work(monkeypatch)
+    rep = verify_paper(scope="all", max_rank=8, include_computed_only=False)
+    checks = [r for row in rep.rows for r in row.instances]
+    factors = {f for r in checks for f in r.instance.factors}
+    admitted = {f for r in checks if not any(d[0] == "validity" for d in r.diffs)
+                for f in r.instance.factors}
+    assert seen["summaries"] == seen["level"] == seen["reality_type"] == len(factors) == 263
+    assert seen["mu_of_grading"] == seen["eigen_ladder"] == len(admitted) == 262
 
 
 def _set_factor(field, value):
@@ -645,30 +674,43 @@ def test_computed_only_reports_spin_families():
     assert (("D", 6, (1,), fundamental(6, 6)),) in extras
 
 
+def _row_checks(rep):
+    return {(row.table, row.item): [(r.instance, r.status, r.diffs) for r in row.instances]
+            for row in rep.rows}
+
+
 @pytest.mark.parametrize("max_rank", (4, 8, 12))
 @pytest.mark.parametrize("scope", ("all",) + expected._ALL_TABLES)
 def test_row_checks_match_the_assembly_oracle(scope, max_rank):
     """Looking each instance up in the enumerated window gives every row
     instance the status and diffs that assembling it on its own gives."""
     rep = verify_paper(scope=scope, max_rank=max_rank)
-    got = {(row.table, row.item): [(r.instance, r.status, r.diffs) for r in row.instances]
-           for row in rep.rows}
-    assert got == row_checks_assembled(scope, max_rank)
+    assert _row_checks(rep) == row_checks_assembled(scope, max_rank)
+
+
+@pytest.mark.parametrize("max_rank", (4, 8, 12))
+@pytest.mark.parametrize("scope", ("all",) + expected._ALL_TABLES)
+def test_row_checks_without_enumeration_match_the_assembly_oracle(scope, max_rank):
+    """Without computed_only every instance is assembled from the run's
+    summary table, and gets the status and diffs that one `assemble` of
+    it gives."""
+    rep = verify_paper(scope=scope, max_rank=max_rank, include_computed_only=False)
+    assert _row_checks(rep) == row_checks_assembled(scope, max_rank)
 
 
 def _row_assemblies(monkeypatch):
-    """The factor keys of every `assemble` call made outside
-    `evaluate_simple`, that is from the row checks, in call order."""
+    """The factor keys of every assembly made outside `evaluate_simple`,
+    that is from the row checks, in call order."""
     keys = []
-    real = classify.assemble
+    real = classify.assemble_summaries
 
-    def counting(factors, level_n):
+    def counting(summaries, level_n):
         if sys._getframe(1).f_code.co_name != "evaluate_simple":
-            keys.append(tuple(sorted((f.lie_type.family, f.lie_type.rank, f.E.support, f.mu)
-                                     for f in factors)))
-        return real(factors, level_n)
+            keys.append(tuple(sorted((s.factor.lie_type.family, s.factor.lie_type.rank,
+                                      s.factor.E.support, s.factor.mu) for s in summaries)))
+        return real(summaries, level_n)
 
-    monkeypatch.setattr(classify, "assemble", counting)
+    monkeypatch.setattr(classify, "assemble_summaries", counting)
     return keys
 
 
@@ -685,12 +727,35 @@ def test_row_checks_assemble_only_what_the_window_lacks(monkeypatch, max_rank):
     assert row.allowlisted and row.instances[0].diffs[0][0] == "validity"
 
 
-def test_row_checks_without_computed_only_assemble_every_instance(monkeypatch):
-    """Without computed_only nothing is enumerated, and each of the 496 row
-    instances at max_rank 8 is assembled once."""
-    keys = _row_assemblies(monkeypatch)
-    rep = verify_paper(max_rank=8, include_computed_only=False)
-    assert len(keys) == sum(row.n_instances for row in rep.rows) == 496
+def test_row_checks_without_computed_only_summarise_each_factor_once(monkeypatch):
+    """Without computed_only the 1,372 row instances at max_rank 14 use
+    1,948 factors, 713 of them distinct: one summary each, with one level
+    and one reality type, and a ladder for all but the level-4 D4 factor
+    of prop3.9 item 4, which the rule rejects first.  A second run builds
+    its own summaries."""
+    seen = _factor_work(monkeypatch)
+    rep = verify_paper(max_rank=14, include_computed_only=False)
+    checks = [r for row in rep.rows for r in row.instances]
+    assert (len(checks), sum(len(r.instance.factors) for r in checks)) == (1372, 1948)
+    work = {"summaries": 713, "level": 713, "reality_type": 713,
+            "mu_of_grading": 712, "eigen_ladder": 712}
+    assert seen == work
+    verify_paper(max_rank=14, include_computed_only=False)
+    assert seen == {name: 2 * n for name, n in work.items()}
+
+
+def test_sweeps_summarise_each_candidate_once(monkeypatch):
+    """A sweep's product pools take the summaries its candidate pass built,
+    and a verify run's sweeps and row checks share one table: at rank 8
+    that is 446 summaries and 272 ladders, where one table per route built
+    586 and 319."""
+    seen = _factor_work(monkeypatch)
+    enumerate_level(SearchConfig(max_rank=8, level=3, include_products=True))
+    n = sum(1 for t in _types_in_window("ABCDEFG", 8) for _ in candidates(t, 3))
+    assert seen["summaries"] == n == 311
+    seen.clear()
+    verify_paper(max_rank=8)
+    assert (seen["summaries"], seen["eigen_ladder"]) == (446, 272)
 
 
 def _first_instance(key, max_rank):
@@ -713,8 +778,8 @@ def test_verify_checks_window_completeness(monkeypatch, key):
     the command line reports with exit 64."""
     inst = _first_instance(key, 8)
     real = classify.enumerate_level
-    monkeypatch.setattr(classify, "enumerate_level", lambda config: [
-        t for t in real(config) if coverage_key(t) != key])
+    monkeypatch.setattr(classify, "enumerate_level", lambda config, table=None: [
+        t for t in real(config, table) if coverage_key(t) != key])
     with pytest.raises(ConsistencyError, match=re.escape(inst.describe())):
         verify_paper(max_rank=8)
     assert main(["verify-paper", "--max-rank", "8"]) == 64
@@ -725,8 +790,8 @@ def test_window_completeness_check_survives_optimize():
     code = ("import hodgerep.classify as classify\n"
             "from hodgerep.errors import ConsistencyError\n"
             "real = classify.enumerate_level\n"
-            f"classify.enumerate_level = lambda config: [t for t in real(config)\n"
-            f"                                           if classify.coverage_key(t) != {_E7!r}]\n"
+            "classify.enumerate_level = lambda config, table=None: [\n"
+            f"    t for t in real(config, table) if classify.coverage_key(t) != {_E7!r}]\n"
             "try:\n"
             "    classify.verify_paper(max_rank=8)\n"
             "except ConsistencyError as exc:\n"

@@ -46,10 +46,12 @@ def test_inspect_product(capsys):
     (["C3", "--E", "3", "--mu", "0,0,1"], 0, 1),
     (["A1xD4", "--E", "1x1", "--mu", "1x1,0,0,0"], 0, 2),
     (["A2", "--E", "1", "--mu", "1,1"], 2, 1),
-], ids=["simple", "product", "simple-shape-invalid"])
+    (["A2xA2", "--E", "1x1", "--mu", "1,0x1,0"], 0, 1),
+], ids=["simple", "product", "simple-shape-invalid", "product-repeated-factor"])
 def test_inspect_builds_one_ladder_per_factor(capsys, monkeypatch, argv, code, ladders):
     """The span, the printed ladders and the assembly read one summary per
-    factor, so each factor's ladder is built once."""
+    distinct factor, so each factor's ladder is built once, also when a
+    product names the same factor twice."""
     calls = []
     real = hodgecore.eigen_ladder
 
@@ -87,6 +89,16 @@ def test_classify_empty_family_list_exit_64(capsys):
                          "--families", ",")
     assert (code, out) == (64, "")
     assert "families must name at least one family" in err
+
+
+def test_classify_level1_products_exit_64(capsys):
+    """--products at level 1 is refused, not ignored: no product has
+    level 1."""
+    code, out, err = run(capsys, "classify", "--level", "1", "--max-rank", "3",
+                         "--products")
+    assert (code, out, err) == (
+        64, "", "error: products need level 3: factor levels add, so no product "
+                "has level 1\n")
 
 
 def _drop(*path):

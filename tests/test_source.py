@@ -8,7 +8,9 @@ rule in `products` is the only validity test, so no other module raises
 `ShapeError`.  The size guard fronts only the weight systems that are
 built, which `inspect` alone reaches, so the `max_dim` knob cannot creep
 back into the sweeps.  No engine module runs dynamic code: `expected`
-builds each row expression into exact functions from its parse tree.
+builds each row expression into exact functions from its parse tree.  A
+factor summary is built at one site, the per-run `SummaryTable`, so no
+route can summarise a factor twice in a run.
 """
 import ast
 from pathlib import Path
@@ -236,3 +238,61 @@ def test_dynamic_code_guard_detects_each_form():
         "builtins.eval('1')\n__builtins__.exec('x = 1')\n"
         "re.compile('a')\nf = eval\nevaluate('1')\n")
     assert _dynamic_code_calls(tree) == [1, 2, 3, 4, 5]
+
+
+# the one place a factor summary is built: the per-run table
+SUMMARY_SITES = ["products.py:SummaryTable.summary"]
+
+
+def _summary_sites(tree):
+    """(enclosing definition, line) of each read of `_FactorSummary`, bare
+    or qualified, outside an annotation: a call builds a summary, and any
+    other read (an alias, an argument, a base class) can build one
+    elsewhere.  Annotations only name the type."""
+    annotations = set()
+    for node in ast.walk(tree):
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if ann is not None:
+                annotations.update(id(n) for n in ast.walk(ann))
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (id(child) not in annotations
+                    and (isinstance(child, ast.Name) and child.id == "_FactorSummary"
+                         or isinstance(child, ast.Attribute)
+                         and child.attr == "_FactorSummary")):
+                found.append((where, child.lineno))
+            inner = (f"{where}.{child.name}".lstrip(".") if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else where)
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def test_one_site_builds_factor_summaries():
+    found = [f"{path.name}:{where or '<module>'}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for where, _ in _summary_sites(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == SUMMARY_SITES
+
+
+def test_summary_guard_detects_each_form():
+    tree = ast.parse(
+        "class T:\n"
+        "    def summary(self, f):\n"
+        "        return _FactorSummary(f, 1, 2)\n"
+        "s = products._FactorSummary(f, 1, 2)\n"
+        "def g(pool):\n"
+        "    return [_FactorSummary(f, 1, 2) for f in pool]\n"
+        "h = lambda f: _FactorSummary(f, 1, 2)\n"
+        "make = _FactorSummary\n"
+        "out = list(map(_FactorSummary, pool))\n"
+        "class Sub(_FactorSummary):\n"
+        "    pass\n"
+        "def k(s: _FactorSummary, t: 'Sequence[_FactorSummary]') -> List[_FactorSummary]:\n"
+        "    x: Dict[tuple, _FactorSummary] = {}\n"
+        "    return '_FactorSummary(s)'\n")
+    assert _summary_sites(tree) == [
+        ("T.summary", 3), ("", 4), ("g", 6), ("", 7), ("", 8), ("", 9), ("Sub", 10)]
