@@ -3,7 +3,6 @@
 from .classify import (
     ReconciliationReport,
     SearchConfig,
-    canonicalize,
     enumerate_level,
     verify_paper,
 )
@@ -30,7 +29,7 @@ from .hodgecore import (
     real_form,
     reality_type,
 )
-from .products import combine, convolve_eigen, tensor_reality
+from .products import convolve_eigen, tensor_reality
 from .repweights import WeightSystem, weight_system, weyl_dim
 from .rootdata import (
     LieType,

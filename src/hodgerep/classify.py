@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, ShapeError
 from .expected import ExpectedInstance, ExpectedTables, instantiate, load_expected
-from .hodgecore import FactorSpec, GradingElement, HodgeTuple, level, real_form
+from .hodgecore import FactorSpec, GradingElement, HodgeTuple, level
 from .products import SummaryTable, assemble_summaries, product_tuples
 from .rootdata import RANK_BOUNDS, LieType, Weight, catalogued_types, root_system
 
@@ -135,18 +135,6 @@ def _canonical_factors(factors: Sequence[FactorSpec]) -> List[FactorSpec]:
                    for f in factors), key=FactorSpec.sort_key)
 
 
-def canonicalize(t: HodgeTuple) -> HodgeTuple:
-    """Canonical representative of a tuple; level, reality and h unchanged."""
-    factors = _canonical_factors(t.factors)
-    return replace(
-        t,
-        factors=tuple(factors),
-        real_forms=tuple(real_form(f.lie_type, f.E) for f in factors),
-        is_canonical=True,
-        canonical_key=_factor_keys(factors),
-    )
-
-
 def _factor_keys(factors: Sequence[FactorSpec]):
     return tuple((f.lie_type.family, f.lie_type.rank, f.E.support, f.mu)
                  for f in factors)
@@ -231,6 +219,8 @@ def candidates(t: LieType, target_level: int
 
 
 def _annotate_canonical(tuples: List[HodgeTuple]) -> List[HodgeTuple]:
+    """Each tuple with the factor keys of its canonical representative
+    and whether it is that representative."""
     out = []
     for t in tuples:
         key = _factor_keys(_canonical_factors(t.factors))

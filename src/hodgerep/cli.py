@@ -114,6 +114,15 @@ def _parse_families(text: str):
     return fams
 
 
+def _csv_ints(flag: str, t: LieType, text: str) -> List[int]:
+    """One factor's comma-separated integers; an empty field is an error,
+    not a field to skip."""
+    fields = text.split(",")
+    if not all(x.strip() for x in fields):
+        raise ValueError(f"{flag} for {t} has an empty field: {text!r}")
+    return [int(x) for x in fields]
+
+
 def _parse_factor_lists(algebra: str, e_text: str, mu_text: str):
     """Parse "A1xD4", "1x1", "1x1,0,0,0" into per-factor specs."""
     types = [LieType.parse(x) for x in algebra.split("x")]
@@ -125,8 +134,8 @@ def _parse_factor_lists(algebra: str, e_text: str, mu_text: str):
             f"and --mu has {len(mu_parts)}")
     factors = []
     for t, ep, mp in zip(types, e_parts, mu_parts):
-        nodes = [int(x) for x in ep.split(",") if x.strip()]
-        mu = tuple(int(x) for x in mp.split(",") if x.strip())
+        nodes = _csv_ints("--E", t, ep)
+        mu = tuple(_csv_ints("--mu", t, mp))
         if len(mu) != t.rank:
             raise ValueError(f"--mu for {t} needs {t.rank} coefficients, got {len(mu)}")
         if any(c < 0 for c in mu) or not any(mu):
@@ -144,10 +153,12 @@ def _cmd_inspect(args) -> int:
         raise ValueError("--level 1 needs one factor: factor levels add, "
                          "so no product has level 1")
     try:
-        summaries = SummaryTable(args.max_dim).summarise(factors)
+        summaries = SummaryTable().summarise(factors)
         if simple:
             s = summaries[0]
-            f, decomp = s.factor, s.eigen()  # the size guard runs before any output
+            # the only ladder that can take the orbit route: it is built
+            # before the rule runs, so the size guard runs before any output
+            f, decomp = s.factor, s.eigen(args.max_dim)
             out.write(f"algebra:    {f.lie_type}\n")
             out.write(f"E:          {f.E}\n")
             out.write(f"mu:         {','.join(str(c) for c in f.mu)}\n")

@@ -15,10 +15,13 @@ ShapeError is raised here, and `hodgecore.hodge_vector` only folds.
 Everything the rule reads of one factor (its level, reality type and the
 top-eigenspace flag) sits in a per-factor summary, and so does the
 factor's ladder, whose top is mu(E): it is built on first use, and once,
-since only admitted combinations and `inspect` read it.  A
-`SummaryTable` holds one run's summaries keyed by (type, E, mu) and is
-the only place a summary is built, so a factor that recurs within a run
-is summarised once; the table dies with its run.  `assemble` and
+since only admitted combinations and `inspect` read it.  Every ladder
+the rule admits is the Levi closed form, which builds no weight system;
+only `inspect`, which asks for a simple candidate's ladder before the
+rule runs, can reach the orbit route, so only it passes a size guard.
+A `SummaryTable` holds one run's summaries keyed by (type, E, mu) and
+is the only place a summary is built, so a factor that recurs within a
+run is summarised once; the table dies with its run.  `assemble` and
 `inspect` use a table of their own for the factors they are given; a
 sweep passes its table to `product_tuples`, which takes each pool
 factor's summary from it and asks the rule about every 1+1, 1+2 and
@@ -83,15 +86,13 @@ class _FactorSummary:
     """What the assembly rule reads of one factor: its level, reality type
     and whether its top eigenspace is one-dimensional.  The ladder, which
     only an admitted combination or `inspect` reads, is built once, on
-    first use, from the span held here and mu(E); max_dim guards it only
-    where it takes the orbit route, which `inspect` alone reaches.  Only
+    first use, from the span held here and mu(E).  Only
     `SummaryTable.summary` builds one."""
 
-    __slots__ = ("factor", "max_dim", "key", "span", "reality", "top_is_one", "_eigen")
+    __slots__ = ("factor", "key", "span", "reality", "top_is_one", "_eigen")
 
-    def __init__(self, f: FactorSpec, key, max_dim: int):
+    def __init__(self, f: FactorSpec, key):
         self.factor = f
-        self.max_dim = max_dim
         self.key = key
         self.span = level(f.lie_type, f.mu, f.E)
         self.reality = reality_type(f.lie_type, f.mu, f.E)
@@ -110,23 +111,25 @@ class _FactorSummary:
         if self.span < 1:
             raise ShapeError(f"factor level {self.span} is not a positive integer")
 
-    def eigen(self) -> EigenDecomp:
+    def eigen(self, max_dim: int = DEFAULT_MAX_DIM) -> EigenDecomp:
+        """The factor's ladder, built by the first call.  max_dim guards
+        that build only where it takes the orbit route, which no admitted
+        factor does; `inspect` passes its --max-dim here."""
         if self._eigen is None:
             f = self.factor
             self._eigen = eigen_ladder(f.lie_type, f.mu, f.E, self.span,
-                                       mu_of_grading(f.lie_type, f.mu, f.E), self.max_dim)
+                                       mu_of_grading(f.lie_type, f.mu, f.E), max_dim)
         return self._eigen
 
 
 class SummaryTable:
     """One run's factor summaries, one per distinct (type, E, mu), and the
     only place a summary is built.  Each run makes its own table, so
-    nothing outlives the run; max_dim guards the ladders of its summaries."""
+    nothing outlives the run."""
 
-    __slots__ = ("max_dim", "_summaries")
+    __slots__ = ("_summaries",)
 
-    def __init__(self, max_dim: int = DEFAULT_MAX_DIM):
-        self.max_dim = max_dim
+    def __init__(self):
         self._summaries: Dict[tuple, _FactorSummary] = {}
 
     def summary(self, f: FactorSpec) -> _FactorSummary:
@@ -134,7 +137,7 @@ class SummaryTable:
         key = f.sort_key()
         s = self._summaries.get(key)
         if s is None:
-            s = self._summaries[key] = _FactorSummary(f, key, self.max_dim)
+            s = self._summaries[key] = _FactorSummary(f, key)
         return s
 
     def summarise(self, factors: Sequence[FactorSpec]) -> List[_FactorSummary]:
@@ -226,14 +229,6 @@ def assemble(factors: Sequence[FactorSpec], level_n: int) -> HodgeTuple:
     return assemble_summaries(SummaryTable().summarise(factors), level_n)
 
 
-def combine(factors: Sequence[FactorSpec]) -> HodgeTuple:
-    """Assemble a level-3 product tuple of 2 or 3 factors, or raise
-    ShapeError."""
-    if len(factors) < 2:
-        raise ShapeError("products need 2 or 3 simple factors")
-    return assemble(factors, 3)
-
-
 def _level3_summaries(table: SummaryTable, pool: Sequence[FactorSpec]
                       ) -> List[_FactorSummary]:
     """The table's summaries of the pool factors that pass the level-3
@@ -251,7 +246,7 @@ def _level3_summaries(table: SummaryTable, pool: Sequence[FactorSpec]
 def product_tuples(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec],
                    table: Optional[SummaryTable] = None) -> List[HodgeTuple]:
     """Every 1+1 and 1+1+1 combination of pool1 and 1+2 combination of
-    pool1 x pool2 that `combine` accepts, in combination order.
+    pool1 x pool2 that `assemble(factors, 3)` accepts, in combination order.
 
     Each pool factor's summary comes from `table` (a new one when None); a
     sweep passes the table its candidate pass filled, so no pool factor is

@@ -19,10 +19,10 @@ integer level matrix.
 The enumeration oracle is the exhaustive sweep the engine's level-bound
 generator replaced: every dominant weight with coordinate sum <= 3
 against every grading element, each classified by `evaluate_simple`, and
-every span-1/span-2 extremal pair offered to `combine`.
+every span-1/span-2 extremal pair offered to `assemble` at level 3.
 
 The product oracle is the sweep the per-factor summaries replaced: every
-1+1, 1+2 and 1+1+1 combination of the pools handed to `combine` whole.
+1+1, 1+2 and 1+1+1 combination of the pools handed to `assemble` whole.
 
 The simple-candidate oracle is the engine's former second evaluation
 route: span, reality type, case choice, center charge and ladder of one
@@ -73,7 +73,7 @@ from hodgerep.hodgecore import (
     real_form,
     reality_type,
 )
-from hodgerep.products import assemble, combine
+from hodgerep.products import assemble
 from hodgerep.repweights import DEFAULT_MAX_DIM, weight_system
 from hodgerep.rootdata import (
     RANK_BOUNDS,
@@ -237,15 +237,15 @@ def evaluate_simple_direct(t: LieType, E: GradingElement, mu, target_level: int
 
 def products_brute(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec]
                    ) -> List[HodgeTuple]:
-    """Every 1+1, 1+2 and 1+1+1 factor combination that `combine` accepts,
-    each combination offered to `combine` whole."""
+    """Every 1+1, 1+2 and 1+1+1 factor combination that `assemble`
+    accepts at level 3, each combination offered to it whole."""
     out = []
     for factors in itertools.chain(
             itertools.combinations_with_replacement(pool1, 2),
             itertools.product(pool1, pool2),
             itertools.combinations_with_replacement(pool1, 3)):
         try:
-            out.append(combine(factors))
+            out.append(assemble(factors, 3))
         except ShapeError:
             pass
     return out

@@ -19,9 +19,11 @@ import hodgerep.hodgecore as hodgecore
 import hodgerep.products as products
 from hodgerep.classify import (
     SearchConfig,
+    _annotate_canonical,
+    _canonical_factors,
+    _factor_keys,
     _types_in_window,
     candidates,
-    canonicalize,
     coverage_key,
     diagram_automorphisms,
     enumerate_level,
@@ -41,7 +43,7 @@ from hodgerep.hodgecore import (
     level,
     reality_type,
 )
-from hodgerep.products import FactorSpec, combine, convolve_eigen, product_tuples
+from hodgerep.products import FactorSpec, assemble, convolve_eigen, product_tuples
 from hodgerep.repweights import weyl_dim
 from hodgerep.rootdata import RANK_BOUNDS, LieType
 
@@ -92,30 +94,39 @@ def test_enumerate_level1_a1():
     assert got is not None and got.hodge.dims == (1, 1)
 
 
+def _canonical_key(t):
+    """The canonical key that the sweeps give a tuple."""
+    return _annotate_canonical([t])[0].canonical_key
+
+
 def test_canonicalize_examples():
     t = evaluate_simple(LieType("A", 4), E(4, [4]), fundamental(4, 4), 3)
-    c, = canonicalize(t).factors
+    c, = _canonical_factors(t.factors)
     assert c.E.support == (1,) and c.mu == fundamental(4, 1)
     t = evaluate_simple(LieType("D", 5), E(5, [5]), fundamental(5, 5), 3)
-    c, = canonicalize(t).factors
+    c, = _canonical_factors(t.factors)
     assert c.E.support == (4,) and c.mu == fundamental(5, 4)
     t = evaluate_simple(LieType("B", 3), E(3, [1]), fundamental(3, 3), 1)
-    c, = canonicalize(t).factors
+    c, = _canonical_factors(t.factors)
     assert c.E.support == (1,) and c.mu == fundamental(3, 3)
 
 
 def test_canonicalize_idempotent_and_invariant():
+    """Every tuple's canonical representative is itself in the sweep,
+    marked canonical, with the same level, reality, c and h."""
     res = enumerate_level(SearchConfig(max_rank=4, level=3,
                                        families=frozenset("ABCD"),
                                        include_products=True))
+    by_key = {_factor_keys(t.factors): t for t in res}
     for t in res:
-        c = canonicalize(t)
-        cc = canonicalize(c)
-        assert tuple_key(c) == tuple_key(cc)
-        assert c.hodge.dims == t.hodge.dims
-        assert c.reality == t.reality
-        assert c.c == t.c
-        assert c.level == t.level
+        c = _canonical_factors(t.factors)
+        assert _canonical_factors(c) == c
+        rep = by_key[t.canonical_key]
+        assert rep.is_canonical and rep.canonical_key == t.canonical_key
+        assert rep.hodge.dims == t.hodge.dims
+        assert rep.reality == t.reality
+        assert rep.c == t.c
+        assert rep.level == t.level
 
 
 def test_d4_triality_orbit():
@@ -127,7 +138,7 @@ def test_d4_triality_orbit():
         t = evaluate_simple(LieType("D", 4), E(4, [e_node]),
                             fundamental(4, mu_node), 1)
         assert t is not None, (e_node, mu_node)
-        keys.add(canonicalize(t).canonical_key)
+        keys.add(_canonical_key(t))
     assert len(keys) == 1
 
 
@@ -553,31 +564,33 @@ def _image(perm, vec):
 @given(st.data())
 def test_canonicalize_is_idempotent(data):
     t = data.draw(st.sampled_from(_rank6_simple() + _rank6_products()))
-    once = canonicalize(t)
-    assert canonicalize(once) == once
+    once = _canonical_factors(t.factors)
+    assert _canonical_factors(once) == once
+    rep, = _annotate_canonical([assemble(once, t.level)])
+    assert rep.is_canonical and rep.canonical_key == _canonical_key(t)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.data())
 def test_canonical_key_is_invariant_under_diagram_automorphisms(data):
     t = data.draw(st.sampled_from(_rank6_simple()))
-    key = canonicalize(t).canonical_key
+    key = _canonical_key(t)
     f = t.factors[0]
     for perm in diagram_automorphisms(f.lie_type):
         g = GradingElement(_image(perm, f.E.coeffs))
         img = evaluate_simple(f.lie_type, g, _image(perm, f.mu), t.level)
         assert (img.hodge, img.c, img.reality) == (t.hodge, t.c, t.reality)
-        assert canonicalize(img).canonical_key == key
+        assert _canonical_key(img) == key
 
     p = data.draw(st.sampled_from(_rank6_products()))
-    key = canonicalize(p).canonical_key
+    key = _canonical_key(p)
     groups = [diagram_automorphisms(f.lie_type) for f in p.factors]
     for perms in itertools.product(*groups):
-        img = combine([FactorSpec(f.lie_type, GradingElement(_image(perm, f.E.coeffs)),
-                                  _image(perm, f.mu))
-                       for f, perm in zip(p.factors, perms)])
+        img = assemble([FactorSpec(f.lie_type, GradingElement(_image(perm, f.E.coeffs)),
+                                   _image(perm, f.mu))
+                        for f, perm in zip(p.factors, perms)], 3)
         assert (img.hodge, img.c, img.reality) == (p.hodge, p.c, p.reality)
-        assert canonicalize(img).canonical_key == key
+        assert _canonical_key(img) == key
 
 
 def test_accepted_vectors_match_fraction_oracle():
@@ -612,7 +625,7 @@ def test_accepted_hodge_vectors_are_palindromic(data):
     factors = data.draw(st.lists(st.sampled_from(_rank6_candidates(3)),
                                  min_size=2, max_size=3))
     try:
-        p = combine([FactorSpec(*f) for f in factors])
+        p = assemble([FactorSpec(*f) for f in factors], 3)
     except ShapeError:
         p = data.draw(st.sampled_from(_rank6_products()))
     assert _palindromic(p.hodge.dims)

@@ -65,6 +65,21 @@ def test_inspect_builds_one_ladder_per_factor(capsys, monkeypatch, argv, code, l
     assert len(calls) == ladders, calls
 
 
+@pytest.mark.parametrize("algebra, e_text, mu_text, message", [
+    ("A3", "1", "1,,0,0", "--mu for A3 has an empty field: '1,,0,0'"),
+    ("A3", "1", "1,0,0,", "--mu for A3 has an empty field: '1,0,0,'"),
+    ("A3", "1,,2", "1,0,0", "--E for A3 has an empty field: '1,,2'"),
+    ("A3", "", "1,0,0", "--E for A3 has an empty field: ''"),
+    ("A1xA1", "1x", "1x1", "--E for A1 has an empty field: ''"),
+    ("A1xA1", "1x1", "1x ", "--mu for A1 has an empty field: ' '"),
+], ids=["mu-inner", "mu-trailing", "E-inner", "E-empty", "E-factor", "mu-blank-factor"])
+def test_inspect_empty_field_exit_64(capsys, algebra, e_text, mu_text, message):
+    """An empty --E or --mu field is a usage error, not a field to skip:
+    "1,,0,0" is four fields, not the three of (1, 0, 0)."""
+    code, out, err = run(capsys, "inspect", algebra, "--E", e_text, "--mu", mu_text)
+    assert (code, out, err) == (64, "", f"error: {message}\n")
+
+
 def test_inspect_parse_error_exit_64(capsys):
     code, _, err = run(capsys, "inspect", "Z9", "--E", "1", "--mu", "1")
     assert code == 64
@@ -187,19 +202,32 @@ def test_max_rank_above_32_exit_64(capsys, command):
     assert (code, out, err) == (64, "", "error: max_rank must be at most 32, got 33\n")
 
 
-def test_resource_guard_exit_70(capsys):
+_GUARD_84 = ("resource limit: weight system of C3 with highest weight (0, 0, 2) "
+             "has dimension 84, above the size guard 10\n")
+
+
+@pytest.mark.parametrize("argv, code, shown, err", [
+    (["C3", "--E", "3", "--mu", "0,0,2", "--max-dim", "10"], 70, None, _GUARD_84),
+    (["C3", "--E", "3", "--mu", "0,0,2", "--level", "1", "--max-dim", "10"],
+     70, None, _GUARD_84),
+    (["C3", "--E", "3", "--mu", "0,0,1", "--max-dim", "10"], 0, "hodge: [1, 6, 6, 1]", ""),
+    (["A1xD4", "--E", "1x1", "--mu", "1x1,0,0,0", "--max-dim", "1"],
+     0, "hodge: [1, 7, 7, 1]", ""),
+    (["A1xA1", "--E", "1x1", "--mu", "1x1", "--max-dim", "1"],
+     2, "result:     shape-invalid product", ""),
+], ids=["orbit-route", "orbit-route-level1", "levi-span3", "product",
+        "product-shape-invalid"])
+def test_resource_guard_exit_70(capsys, argv, code, shown, err):
     """C3, 2 omega_3 under E = A3 has span 6: its ladder takes the orbit
     route, which builds a weight system of dimension 84, so the guard stops
-    it before any output.  C3, omega_3 (span 3, self-dual) takes the Levi
-    closed form, which builds none, so the same guard lets it through."""
-    code, out, err = run(capsys, "inspect", "C3", "--E", "3", "--mu", "0,0,2",
-                         "--max-dim", "10")
-    assert (code, out) == (70, "")
-    assert err == ("resource limit: weight system of C3 with highest weight (0, 0, 2) "
-                   "has dimension 84, above the size guard 10\n")
-    code, out, _ = run(capsys, "inspect", "C3", "--E", "3", "--mu", "0,0,1",
-                       "--max-dim", "10")
-    assert code == 0 and "hodge: [1, 6, 6, 1]" in out
+    it before any output, at either level.  C3, omega_3 (span 3, self-dual)
+    takes the Levi closed form, which builds none, so the same guard lets
+    it through.  A product's factors have span 1 or 2 whenever the rule
+    admits them, and the rule runs before any product ladder is built, so
+    even a guard of 1 never fires on a product."""
+    got_code, out, got_err = run(capsys, "inspect", *argv)
+    assert (got_code, got_err) == (code, err)
+    assert (shown in out) if shown else out == ""
 
 
 def test_classify_json_includes_c3(capsys):
@@ -362,7 +390,7 @@ def test_inspect_output_is_pinned(capsys, argv, expected):
 def test_records_round_trip_losslessly(capsys):
     from fractions import Fraction
 
-    from hodgerep.classify import SearchConfig, enumerate_level, evaluate_simple
+    from hodgerep.classify import SearchConfig, enumerate_level
     from hodgerep.cli import _parse_factor_lists, record_of
 
     cfg = SearchConfig(max_rank=3, level=3, families=frozenset("ABC"),
@@ -381,12 +409,6 @@ def test_records_round_trip_losslessly(capsys):
             e_text = "x".join(",".join(str(n) for n in part) for part in rec["E"])
             mu_text = "x".join(",".join(str(c) for c in part) for part in rec["mu"])
         factors = _parse_factor_lists(rec["algebra"], e_text, mu_text)
-        if len(t.factors) == 1:
-            rebuilt = evaluate_simple(factors[0].lie_type, factors[0].E,
-                                      factors[0].mu, rec["level"])
-        else:
-            from hodgerep.products import combine
-            rebuilt = combine(factors)
-        back = record_of(rebuilt)
+        back = record_of(products.assemble(factors, rec["level"]))
         back["canonical"] = rec["canonical"]  # annotation, not identity
         assert back == rec

@@ -23,7 +23,7 @@ from hodgerep.hodgecore import (
 )
 from hodgerep.products import (
     FactorSpec,
-    combine,
+    assemble,
     convolve_eigen,
     product_tuples,
     tensor_reality,
@@ -106,14 +106,14 @@ SL2 = FactorSpec(LieType("A", 1), E(1, [1]), (1,))
 
 def test_combine_examples():
     so8 = FactorSpec(LieType("D", 4), E(4, [1]), (1, 0, 0, 0))
-    p = combine([SL2, so8])
+    p = assemble([SL2, so8], 3)
     assert p.hodge.dims == (1, 7, 7, 1) and p.reality == REAL and p.c == 0
 
     so7 = FactorSpec(LieType("B", 3), E(3, [1]), (1, 0, 0))
-    p = combine([SL2, so7])
+    p = assemble([SL2, so7], 3)
     assert p.hodge.dims == (1, 6, 6, 1)
 
-    p = combine([SL2, SL2, SL2])
+    p = assemble([SL2, SL2, SL2], 3)
     assert p.hodge.dims == (1, 3, 3, 1) and p.reality == REAL and p.c == 0
 
 
@@ -121,7 +121,7 @@ def test_combine_level_charge():
     # sl(2) x sl(r2+1): c = 3/2 - 1/2 - r2/(r2+1)
     for r2 in range(2, 5):
         f2 = FactorSpec(LieType("A", r2), E(r2, [1]), (1,) + (0,) * (r2 - 1))
-        p = combine([SL2, f2])
+        p = assemble([SL2, f2], 3)
         assert p.c == Q(3, 2) - Q(1, 2) - Q(r2, r2 + 1)
         assert p.hodge.dims == (1, 1 + 2 * r2, 1 + 2 * r2, 1)
         assert p.reality == COMPLEX
@@ -146,33 +146,33 @@ def test_combine_rejects_noncanonical_patterns():
         if tuple(sorted(sizes)) in accepted:
             continue
         with pytest.raises(ShapeError):
-            combine(factors)
+            assemble(factors, 3)
 
     # the accepted patterns do build, with compatible reality choices
-    assert combine([span1_real, span1_cplx]).hodge.dims == (1, 5, 5, 1)
-    assert combine([span1_real, span2_real]).hodge.dims == (1, 4, 4, 1)
-    assert combine([span1_real] * 3).hodge.dims == (1, 3, 3, 1)
+    assert assemble([span1_real, span1_cplx], 3).hodge.dims == (1, 5, 5, 1)
+    assert assemble([span1_real, span2_real], 3).hodge.dims == (1, 4, 4, 1)
+    assert assemble([span1_real] * 3, 3).hodge.dims == (1, 3, 3, 1)
 
 
 def test_combine_reality_constraints():
     # 1+1 with joint real type stays level 2: rejected
     with pytest.raises(ShapeError):
-        combine([SL2, SL2])
+        assemble([SL2, SL2], 3)
     # 1+2 with quaternionic second factor: joint quaternionic, rejected
     span2_quat = FactorSpec(LieType("C", 2), E(2, [1]), (1, 0))
     assert reality_type(span2_quat.lie_type, span2_quat.mu, span2_quat.E) == QUATERNIONIC
     with pytest.raises(ShapeError):
-        combine([SL2, span2_quat])
+        assemble([SL2, span2_quat], 3)
     # 1+2 with complex second factor: rejected
     span2_cplx = FactorSpec(LieType("A", 3), E(3, [1, 2]), (1, 0, 0))
     with pytest.raises(ShapeError):
-        combine([SL2, span2_cplx])
+        assemble([SL2, span2_cplx], 3)
 
 
 def test_combine_requires_extremal_factors():
     bad = FactorSpec(LieType("B", 2), E(2, [2]), (1, 0))  # support(mu) not in support(E)
     with pytest.raises(ShapeError):
-        combine([SL2, bad])
+        assemble([SL2, bad], 3)
 
 
 def test_joint_reality_matches_concatenated_parity_test():
@@ -210,7 +210,7 @@ def test_combine_messages():
     span2_quat = FactorSpec(LieType("C", 2), E(2, [1]), (1, 0))
     bad = FactorSpec(LieType("B", 2), E(2, [2]), (1, 0))
     cases = [
-        ([SL2], "products need 2 or 3 simple factors"),
+        ([SL2] * 4, "products need 2 or 3 simple factors"),
         ([SL2, bad], "factor (B2, A2, (1, 0)) has top eigenspace dimension > 1 "
                      "(support of mu not inside support of E)"),
         ([span2_real, span2_real], "factor levels [2, 2] cannot produce a level-3 "
@@ -224,7 +224,7 @@ def test_combine_messages():
     ]
     for factors, message in cases:
         with pytest.raises(ShapeError, match="^" + re.escape(message) + "$"):
-            combine(factors)
+            assemble(factors, 3)
 
 
 def _level3_pools(max_rank):
@@ -239,7 +239,7 @@ def _level3_pools(max_rank):
 
 def test_product_sweep_matches_brute_oracle():
     """The rule-pruned sweep returns exactly what offering every combination
-    to `combine` returns, in the same order."""
+    to `assemble` at level 3 returns, in the same order."""
     pool1, pool2 = _level3_pools(8)
     got = product_tuples(pool1, pool2)
     assert len(got) > 100

@@ -5,9 +5,13 @@ Invariants are `ConsistencyError` raises, not `assert`s, so they hold under
 `float(...)` call.  Every cache is on a named allowlist with its reason, so
 a cache that only hides a slow layer cannot be added unseen.  The assembly
 rule in `products` is the only validity test, so no other module raises
-`ShapeError`.  The size guard fronts only the weight systems that are
-built, which `inspect` alone reaches, so the `max_dim` knob cannot creep
-back into the sweeps.  No engine module runs dynamic code: `expected`
+`ShapeError`.  Every ladder the rule admits is the Levi closed form, so
+the orbit route and the weight systems it builds stay inside
+`repweights` and `hodgecore`, and the size guard that fronts them is
+named only there and on `inspect`'s path: `cli._cmd_inspect` passes it to
+`products._FactorSummary.eigen` for the one ladder built before the rule
+runs, so the `max_dim` knob cannot creep back into the sweeps, the
+summary table or the summaries.  No engine module runs dynamic code: `expected`
 builds each row expression into exact functions from its parse tree.  A
 factor summary is built at one site, the per-run `SummaryTable`, so no
 route can summarise a factor twice in a run.
@@ -170,32 +174,71 @@ def test_shape_error_guard_detects_each_form():
     assert _shape_error_raises(tree) == [1, 2, 3]
 
 
-# modules that may name max_dim anywhere, and the one cli function that
-# may: the guard sits on weight_system and the orbit route, which only
-# inspect reaches, through a products summary
-MAX_DIM_MODULES = {"repweights.py", "hodgecore.py", "products.py"}
-MAX_DIM_FUNCTIONS = {"cli.py": {"_cmd_inspect"}}
+def _names(tree, idents, allowed=frozenset()):
+    """Lines naming one of the identifiers `idents` (a name, attribute,
+    parameter, keyword, definition or import) outside the definitions
+    `allowed`, each given by its qualified name: "f" for a top-level
+    function, "C.m" for a method."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}".lstrip(".")
+                if inner in allowed:
+                    continue
+            attrs = ("id", "attr", "arg", "name", "asname")
+            if idents & {getattr(child, attr, None) for attr in attrs}:
+                found.add(child.lineno)
+            visit(child, inner)
+
+    visit(tree, "")
+    return sorted(found)
 
 
-def _max_dim_names(tree, allowed=frozenset()):
-    """Lines naming the identifier max_dim (a name, attribute, parameter,
-    keyword or definition) outside the top-level functions `allowed`."""
-    found = []
-    for top in tree.body:
-        if isinstance(top, ast.FunctionDef) and top.name in allowed:
-            continue
-        for node in ast.walk(top):
-            names = {getattr(node, attr, None) for attr in ("id", "attr", "arg", "name")}
-            if "max_dim" in names:
-                found.append(node.lineno)
-    return found
+# the orbit route, its weight systems, and the library entry that reaches
+# it: every ladder the rule admits is the Levi closed form, so only the
+# modules that implement the route, and the re-exporting package, name it
+ORBIT_ROUTE = {"weight_system", "weyl_orbit", "_orbit_ladder", "eigenspace_dims"}
+ORBIT_ROUTE_MODULES = {"repweights.py", "hodgecore.py", "__init__.py"}
+
+
+def test_orbit_route_stays_in_repweights_and_hodgecore():
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name not in ORBIT_ROUTE_MODULES
+             for line in _names(ast.parse(path.read_text(encoding="utf-8")), ORBIT_ROUTE)]
+    assert not found, found
+
+
+def test_orbit_route_guard_detects_each_form():
+    tree = ast.parse(
+        "from .repweights import weight_system\n"
+        "from .hodgecore import eigenspace_dims as dims\n"
+        "import hodgecore\n"
+        "x = hodgecore.weyl_orbit(t, w)\n"
+        "y = _orbit_ladder\n"
+        "def f(eigenspace_dims): pass\n"
+        "g(weight_system=1)\n"
+        "def weyl_orbit(): pass\n"
+        "z = eigen_ladder(t, mu, E, 1, top)\n"
+        "s = 'weight_system'\n"
+        "weight_systems = levi_dim\n")
+    assert _names(tree, ORBIT_ROUTE) == [1, 2, 4, 5, 6, 7, 8]
+
+
+# the size guard fronts only the weight systems that the orbit route
+# builds: the modules that build them may name max_dim anywhere; elsewhere
+# only inspect names it, and the one summary method it passes it to
+MAX_DIM_MODULES = {"repweights.py", "hodgecore.py"}
+MAX_DIM_DEFINITIONS = {"cli.py": {"_cmd_inspect"}, "products.py": {"_FactorSummary.eigen"}}
 
 
 def test_max_dim_only_where_weight_systems_are_built():
     found = [f"{path.name}:{line}"
              for path in sorted(PACKAGE.glob("*.py")) if path.name not in MAX_DIM_MODULES
-             for line in _max_dim_names(ast.parse(path.read_text(encoding="utf-8")),
-                                        MAX_DIM_FUNCTIONS.get(path.name, frozenset()))]
+             for line in _names(ast.parse(path.read_text(encoding="utf-8")), {"max_dim"},
+                                MAX_DIM_DEFINITIONS.get(path.name, frozenset()))]
     assert not found, found
 
 
@@ -207,8 +250,15 @@ def test_max_dim_guard_detects_each_form():
         "max_dim = 2\n"
         "def max_dim(): pass\n"
         "def inspect(args):\n    return g(max_dim=args.max_dim)\n"
-        "DEFAULT_MAX_DIM = _max_dim = 'max_dim'\n")
-    assert _max_dim_names(tree, {"inspect"}) == [1, 2, 3, 4, 5]
+        "DEFAULT_MAX_DIM = _max_dim = 'max_dim'\n"
+        "class S:\n"
+        "    __slots__ = ('max_dim',)\n"
+        "    def __init__(self, max_dim):\n"
+        "        self.max_dim = max_dim\n"
+        "    def eigen(self, max_dim=1):\n"
+        "        return g(max_dim)\n"
+        "def eigen(max_dim): pass\n")
+    assert _names(tree, {"max_dim"}, {"inspect", "S.eigen"}) == [1, 2, 3, 4, 5, 11, 12, 15]
 
 
 DYNAMIC_CODE = {"eval", "exec", "compile"}
