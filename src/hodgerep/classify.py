@@ -1,17 +1,22 @@
 """Enumeration drivers and reconciliation against the embedded tables.
 
 The search window is complete by construction.  mu + mu* has strictly
-positive integer simple-root coordinates, so for a grading element E each
-node i adds a fixed w_i = (omega_i + omega_i*)(E) >= |supp E| per unit of
-mu_i, and span = (mu + mu*)(E) = sum_i mu_i w_i.  `candidates` yields every
-nonzero dominant mu with span <= level (hence |supp E| <= level); at level
-3 the top eigenspace must be one-dimensional, so supp(mu) is inside
-supp(E).  `evaluate_simple` classifies each candidate as the one-factor
-case of `products.assemble`.  The level-3 candidates of span 1 and 2 form
-the factor pools of `products.product_tuples`, which assembles only the
-1+1, 1+2 and 1+1+1 combinations its pattern and reality rule admits.  A
-sweep keeps one `products.SummaryTable`, so the pools take the summaries
-the candidate pass built.
+positive integer simple-root coordinates: every entry L[i][j] of the level
+matrix (row i is omega_i + omega_i* in simple-root coordinates) is at
+least 1, which `candidates` checks once per type.  So for a grading
+element E of support S each node i adds a fixed
+w_i = sum_{j in S} L[i][j] >= |S| per unit of mu_i, and
+span = (mu + mu*)(E) = sum_i mu_i w_i.  `candidates` yields every nonzero
+dominant mu with span <= level; at level 3 the top eigenspace must be
+one-dimensional, so supp(mu) is inside supp(E).  A node i can carry mu
+only on a support inside its short list {j : L[i][j] <= level}, so the
+supports come from those lists alone, and a grading element is built only
+for a support that yields.  `evaluate_simple` classifies each candidate
+as the one-factor case of `products.assemble`.  The level-3 candidates of
+span 1 and 2 form the factor pools of `products.product_tuples`, which
+forms only the 1+1, 1+2 and 1+1+1 combinations its pattern and reality
+rule admits.  A sweep keeps one `products.SummaryTable`, so the pools
+take the summaries the candidate pass built.
 
 `verify_paper` enumerates the window of its scope once, first, and looks
 every table-row instance up in it by (level, coverage key); only a key the
@@ -35,7 +40,8 @@ from .rootdata import RANK_BOUNDS, LieType, Weight, catalogued_types, root_syste
 
 
 # every ladder a sweep admits is the Levi closed form, which builds no
-# weight system, so this bounds only a run's time (verify-paper: about 15 s)
+# weight system, so this bounds only a run's time (verify-paper: about 4 s
+# on a 2-core VM)
 MAX_RANK = 32
 
 
@@ -190,26 +196,58 @@ def evaluate_simple(t: LieType, E: GradingElement, mu: Weight, target_level: int
         return None
 
 
-def _grading_elements(rank: int, max_support: int):
-    for size in range(1, min(rank, max_support) + 1):
-        for nodes in itertools.combinations(range(1, rank + 1), size):
-            yield GradingElement.from_nodes(rank, nodes)
+def _light_subsets(row: Sequence[int], nodes: Sequence[int], budget: int,
+                   max_size: int, start: int = 0) -> Iterator[Tuple[int, ...]]:
+    """The nonempty subsets of nodes[start:] with at most max_size members
+    whose entries of `row` sum to at most budget."""
+    for k in range(start, len(nodes)):
+        j = nodes[k]
+        if row[j] <= budget:
+            yield (j,)
+            if max_size > 1:
+                for rest in _light_subsets(row, nodes, budget - row[j], max_size - 1, k + 1):
+                    yield (j,) + rest
+
+
+def _supports(t: LieType, level_matrix, target_level: int
+              ) -> List[Tuple[Tuple[int, ...], List[int]]]:
+    """Each 0-based support S on which some node i can carry mu, with those
+    nodes i in order, sorted by (size, nodes): the S with
+    sum_{j in S} L[i][j] <= target_level, and i in S at level 3.  Every
+    entry of L is at least 1, so S lies in i's short list
+    {j : L[i][j] <= target_level}; ConsistencyError otherwise."""
+    if min(map(min, level_matrix)) < 1:
+        raise ConsistencyError(
+            f"the level matrix of {t} has an entry below 1; "
+            "the level bound would miss candidates")
+    users: Dict[Tuple[int, ...], List[int]] = {}
+    for i, row in enumerate(level_matrix):
+        short = [j for j, x in enumerate(row) if x <= target_level]
+        if target_level == 1:
+            found = [(j,) for j in short]
+        elif row[i] <= target_level:
+            # supp(mu) inside supp(E): i joins at most two more short-list nodes
+            rests = _light_subsets(row, [j for j in short if j != i],
+                                   target_level - row[i], target_level - 1)
+            found = (tuple(sorted((i,) + rest)) for rest in itertools.chain([()], rests))
+        else:
+            continue
+        for S in found:
+            users.setdefault(S, []).append(i)
+    return sorted(users.items(), key=lambda item: (len(item[0]), item[0]))
 
 
 def candidates(t: LieType, target_level: int
                ) -> Iterator[Tuple[GradingElement, Weight, int]]:
     """Every (E, mu, span) with 1 <= span = (mu + mu*)(E) <= target_level
-    on t; at level 3 also supp(mu) inside supp(E)."""
+    on t; at level 3 also supp(mu) inside supp(E).  E runs over the
+    supports by (size, nodes) and mu over multisets of the nodes that can
+    carry it, by size, so only a support that yields builds its E."""
     rank = t.rank
     level_matrix = root_system(t).level_matrix
-    for E in _grading_elements(rank, target_level):
-        sup = [i - 1 for i in E.support]
-        w = [sum(row[i] for i in sup) for row in level_matrix]
-        if min(w) < 1:
-            raise ConsistencyError(
-                f"node weights {w} of {t} on E = {E} are not all positive; "
-                "the level bound would miss candidates")
-        nodes = sup if target_level == 3 else range(rank)
+    for S, nodes in _supports(t, level_matrix, target_level):
+        E = GradingElement.from_nodes(rank, [j + 1 for j in S])
+        w = {i: sum(level_matrix[i][j] for j in S) for i in nodes}
         # every w_i >= 1, so mu is a multiset of at most target_level nodes
         for size in range(1, target_level + 1):
             for picks in itertools.combinations_with_replacement(nodes, size):

@@ -24,8 +24,10 @@ is the only place a summary is built, so a factor that recurs within a
 run is summarised once; the table dies with its run.  `assemble` and
 `inspect` use a table of their own for the factors they are given; a
 sweep passes its table to `product_tuples`, which takes each pool
-factor's summary from it and asks the rule about every 1+1, 1+2 and
-1+1+1 combination, assembling only those it admits.
+factor's summary from it.  The rule reads only spans and reality types,
+so the sweep groups each pool by (span, reality type), asks the rule once
+per pair or triple of groups, and forms only the 1+1, 1+2 and 1+1+1
+combinations of the groups it admits, each through `_assemble`.
 """
 from __future__ import annotations
 
@@ -243,6 +245,34 @@ def _level3_summaries(table: SummaryTable, pool: Sequence[FactorSpec]
     return out
 
 
+def _groups(summaries: Sequence[_FactorSummary]) -> Dict[tuple, List[int]]:
+    """The positions of the summaries by (span, reality type): all the
+    assembly rule reads of a factor once it passes the level-3 check."""
+    groups: Dict[tuple, List[int]] = {}
+    for pos, s in enumerate(summaries):
+        groups.setdefault((s.span, s.reality), []).append(pos)
+    return groups
+
+
+def _admits(keys: Sequence[tuple]) -> bool:
+    """Does `_assembly_case` admit level 3 on factors of these
+    (span, reality type) keys?"""
+    try:
+        _assembly_case(3, [span for span, _ in keys], tensor_reality([r for _, r in keys]))
+    except ShapeError:
+        return False
+    return True
+
+
+def _positions(groups: Dict[tuple, List[int]], keys: Sequence[tuple]):
+    """Every ascending position tuple with one member of each group in the
+    multiset `keys`, in which equal keys are adjacent."""
+    runs = [itertools.combinations_with_replacement(groups[k], len(list(same)))
+            for k, same in itertools.groupby(keys)]
+    for parts in itertools.product(*runs):
+        yield tuple(sorted(itertools.chain.from_iterable(parts)))
+
+
 def product_tuples(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec],
                    table: Optional[SummaryTable] = None) -> List[HodgeTuple]:
     """Every 1+1 and 1+1+1 combination of pool1 and 1+2 combination of
@@ -250,19 +280,23 @@ def product_tuples(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec],
 
     Each pool factor's summary comes from `table` (a new one when None); a
     sweep passes the table its candidate pass filled, so no pool factor is
-    summarised again.  A combination that `_assembly_case` rejects costs
-    only that rule on held levels and reality types, and a factor in many
-    accepted combinations is decomposed once.
+    summarised again.  Each pool is grouped by (span, reality type), and
+    `_assembly_case` is asked once per pair or triple of groups; only the
+    combinations of groups it admits are formed, each one assembled by
+    `_assemble`, and a factor in many of them is decomposed once.
     """
     table = SummaryTable() if table is None else table
     one, two = _level3_summaries(table, pool1), _level3_summaries(table, pool2)
+    g1, g2 = _groups(one), _groups(two)
+    pairs = [p for keys in itertools.combinations_with_replacement(g1, 2) if _admits(keys)
+             for p in _positions(g1, keys)]
+    mixed = [p for keys in itertools.product(g1, g2) if _admits(keys)
+             for p in itertools.product(g1[keys[0]], g2[keys[1]])]
+    triples = [p for keys in itertools.combinations_with_replacement(g1, 3) if _admits(keys)
+               for p in _positions(g1, keys)]
     out = []
-    for combo in itertools.chain(
-            itertools.combinations_with_replacement(one, 2),
-            itertools.product(one, two),
-            itertools.combinations_with_replacement(one, 3)):
-        try:
+    for formed, pools in ((pairs, (one, one)), (mixed, (one, two)), (triples, (one, one, one))):
+        for pos in sorted(formed):
+            combo = [pool[i] for pool, i in zip(pools, pos)]
             out.append(_assemble(sorted(combo, key=attrgetter("key")), 3))
-        except ShapeError:
-            pass
     return out

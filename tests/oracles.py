@@ -21,6 +21,10 @@ generator replaced: every dominant weight with coordinate sum <= 3
 against every grading element, each classified by `evaluate_simple`, and
 every span-1/span-2 extremal pair offered to `assemble` at level 3.
 
+The candidate oracle is the generator the short-list supports replaced:
+every support of at most `level` nodes becomes a grading element, and the
+node weights w_i = sum_{j in S} L[i][j] are summed over every node.
+
 The product oracle is the sweep the per-factor summaries replaced: every
 1+1, 1+2 and 1+1+1 combination of the pools handed to `assemble` whole.
 
@@ -233,6 +237,30 @@ def evaluate_simple_direct(t: LieType, E: GradingElement, mu, target_level: int
         hodge=vec,
         real_forms=(real_form(t, E),),
     )
+
+
+def candidates_all_supports(t: LieType, target_level: int
+                            ) -> Iterator[Tuple[GradingElement, Tuple[int, ...], int]]:
+    """`classify.candidates` by visiting every support of at most
+    target_level nodes, in (size, nodes) order, with a grading element and
+    every node's weight built for each."""
+    rank = t.rank
+    level_matrix = root_system(t).level_matrix
+    for size in range(1, min(rank, target_level) + 1):
+        for support in itertools.combinations(range(1, rank + 1), size):
+            E = GradingElement.from_nodes(rank, support)
+            sup = [i - 1 for i in E.support]
+            w = [sum(row[i] for i in sup) for row in level_matrix]
+            if min(w) < 1:
+                raise ConsistencyError(
+                    f"node weights {w} of {t} on E = {E} are not all positive; "
+                    "the level bound would miss candidates")
+            nodes = sup if target_level == 3 else range(rank)
+            for n in range(1, target_level + 1):
+                for picks in itertools.combinations_with_replacement(nodes, n):
+                    span = sum(w[i] for i in picks)
+                    if span <= target_level:
+                        yield E, tuple(picks.count(i) for i in range(rank)), span
 
 
 def products_brute(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec]

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import json
 import math
@@ -49,6 +50,7 @@ from hodgerep.rootdata import RANK_BOUNDS, LieType
 
 from oracles import (
     _eval_row,
+    candidates_all_supports,
     dominant_weights_up_to,
     enumerate_level_brute,
     evaluate_simple_direct,
@@ -237,6 +239,75 @@ def test_candidates_respect_level_bound():
     spans = {(g.support, mu): s for g, mu, s in candidates(t, 3)}
     assert spans[((3,), (0, 0, 1))] == 3
     assert ((1,), (0, 0, 1)) not in spans   # supp(mu) outside supp(E)
+
+
+@pytest.mark.parametrize("target", [1, 3])
+def test_candidates_match_the_all_supports_oracle(target):
+    """The short-list supports yield the same sequence as visiting every
+    support, on every type of rank <= 16."""
+    for t in _types_in_window("ABCDEFG", 16):
+        assert list(candidates(t, target)) == list(candidates_all_supports(t, target)), t
+
+
+def _count_grading_elements(monkeypatch):
+    seen = Counter()
+    real = GradingElement.__post_init__
+
+    def counting(self):
+        seen["built"] += 1
+        real(self)
+
+    monkeypatch.setattr(GradingElement, "__post_init__", counting)
+    return seen
+
+
+def test_candidates_build_a_grading_element_only_for_a_yielding_support(monkeypatch):
+    """The rank-8 level-3 pass builds 226 grading elements, one per support
+    that yields a candidate; visiting every support of at most 3 nodes
+    builds 1,184."""
+    types = _types_in_window("ABCDEFG", 8)
+    seen = _count_grading_elements(monkeypatch)
+    yielded = {(t, g) for t in types for g, _, _ in candidates(t, 3)}
+    assert seen["built"] == len(yielded) == 226
+    seen.clear()
+    for t in types:
+        list(candidates_all_supports(t, 3))
+    assert seen["built"] == 1184
+
+
+def _zero_first_entry(rsd):
+    """The root data with entry L[0][0] of its level matrix set to 0."""
+    rows = rsd.level_matrix
+    return dataclasses.replace(rsd, level_matrix=((0,) + rows[0][1:],) + rows[1:])
+
+
+@pytest.mark.parametrize("target", [1, 3])
+def test_candidates_check_the_level_matrix(monkeypatch, target):
+    """The level bound needs every entry of the level matrix to be at least
+    1; a type whose matrix breaks that ends the sweep with a
+    ConsistencyError naming it, before any candidate."""
+    real = classify.root_system
+    monkeypatch.setattr(classify, "root_system", lambda t: _zero_first_entry(real(t)))
+    with pytest.raises(ConsistencyError, match="level matrix of C3"):
+        next(candidates(LieType("C", 3), target))
+
+
+def test_level_matrix_check_survives_optimize():
+    code = ("import dataclasses\n"
+            "import hodgerep.classify as classify\n"
+            "from hodgerep.errors import ConsistencyError\n"
+            "from hodgerep.rootdata import LieType\n"
+            "real = classify.root_system\n"
+            "def patched(t):\n"
+            "    rows = real(t).level_matrix\n"
+            "    rows = ((0,) + rows[0][1:],) + rows[1:]\n"
+            "    return dataclasses.replace(real(t), level_matrix=rows)\n"
+            "classify.root_system = patched\n"
+            "try:\n"
+            "    next(classify.candidates(LieType('C', 3), 3))\n"
+            "except ConsistencyError as exc:\n"
+            "    print(exc)\n")
+    assert "level matrix of C3" in _run_optimized(code)
 
 
 @pytest.mark.parametrize("target", [1, 3])

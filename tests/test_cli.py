@@ -319,7 +319,8 @@ def test_verify_csv_and_markdown_smoke(capsys):
     ("markdown", 8, "df0575c4662b2cf25d606aad470fbcf43f753e8a6715a91283cc0a11d0f26a48"),
     ("json", 8, "20610238ea6fb996ca0cdd11c94ba3ee65707130bc9f902f9dcf9f9470e68f8a"),
     ("json", 16, "4302237339a5251eb496eeb24d094094db042e0e895f3815f2146b9cf5c17228"),
-], ids=["csv", "markdown", "json", "json-rank16"])
+    ("json", 32, "ef5a080977bc5560bc8a4bb0907c9b6cb7f021f013bd666a29d517c81372a9b2"),
+], ids=["csv", "markdown", "json", "json-rank16", "json-rank32"])
 def test_verify_report_bytes_are_pinned(capsys, fmt, max_rank, digest):
     code, out, _ = run(capsys, "verify-paper", "--scope", "all", "--max-rank", str(max_rank),
                        "--format", fmt)

@@ -239,10 +239,54 @@ def _level3_pools(max_rank):
 
 def test_product_sweep_matches_brute_oracle():
     """The rule-pruned sweep returns exactly what offering every combination
-    to `assemble` at level 3 returns, in the same order."""
+    to `assemble` at level 3 returns, in the same order, on the rank-8 and
+    rank-16 windows."""
+    for max_rank in (8, 16):
+        pool1, pool2 = _level3_pools(max_rank)
+        got = product_tuples(pool1, pool2)
+        assert len(got) > 100
+        assert got == products_brute(pool1, pool2), max_rank
+
+
+def _count_assembled(monkeypatch):
+    """The sorted factor spans of every combination `_assemble` is handed."""
+    formed = []
+    real = products._assemble
+
+    def counting(summaries, level_n):
+        formed.append(tuple(sorted(s.span for s in summaries)))
+        return real(summaries, level_n)
+
+    monkeypatch.setattr(products, "_assemble", counting)
+    return formed
+
+
+@pytest.mark.parametrize("max_rank, accepted", [(8, 137), (16, 529)])
+def test_product_sweep_forms_only_what_it_accepts(monkeypatch, max_rank, accepted):
+    """Every combination the sweep forms is accepted: one `_assemble` call
+    per product it returns."""
+    pool1, pool2 = _level3_pools(max_rank)
+    formed = _count_assembled(monkeypatch)
+    assert len(product_tuples(pool1, pool2)) == len(formed) == accepted
+
+
+def test_product_groups_come_from_the_rule(monkeypatch):
+    """The sweep asks `_assembly_case` which groups to form, rather than a
+    copy of the rule: with 1+2 also rejected it forms no 1+2 combination,
+    and still returns what the brute oracle returns under that rule."""
     pool1, pool2 = _level3_pools(8)
+    assert any(len(p.factors) == 2 and p.span == 3 for p in product_tuples(pool1, pool2))
+    real = products._assembly_case
+
+    def stricter(level_n, spans, joint):
+        if sorted(spans) == [1, 2]:
+            raise ShapeError("1+2 rejected")
+        return real(level_n, spans, joint)
+
+    monkeypatch.setattr(products, "_assembly_case", stricter)
+    formed = _count_assembled(monkeypatch)
     got = product_tuples(pool1, pool2)
-    assert len(got) > 100
+    assert got and (1, 2) not in formed and len(formed) == len(got)
     assert got == products_brute(pool1, pool2)
 
 
