@@ -40,7 +40,7 @@ from .rootdata import RANK_BOUNDS, LieType, Weight, catalogued_types, root_syste
 
 
 # every ladder a sweep admits is the Levi closed form, which builds no
-# weight system, so this bounds only a run's time (verify-paper: about 4 s
+# weight system, so this bounds only a run's time (verify-paper: about 3 s
 # on a 2-core VM)
 MAX_RANK = 32
 

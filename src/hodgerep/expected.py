@@ -97,10 +97,24 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _div(a, b):
+    """a / b, exactly: an int when both are ints and b divides a, else a
+    Fraction."""
+    if type(a) is int and type(b) is int and b and not a % b:
+        return a // b
+    return Fraction(a) / b
+
+
+def _pow(a, b):
+    """a ** b for an integral b: an int for an int a and b >= 0, else a
+    Fraction."""
+    exponent = _integer(b, "exponent")
+    return a ** exponent if type(a) is int and exponent >= 0 else Fraction(a) ** exponent
+
+
 # the row grammar: each operator and function it allows, as an exact operation
 _OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-        ast.Div: lambda a, b: Fraction(a) / b, ast.FloorDiv: operator.floordiv,
-        ast.Mod: operator.mod, ast.Pow: lambda a, b: Fraction(a) ** _integer(b, "exponent"),
+        ast.Div: _div, ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod, ast.Pow: _pow,
         ast.USub: operator.neg, ast.UAdd: operator.pos, ast.Not: operator.not_,
         ast.Eq: operator.eq, ast.NotEq: operator.ne, ast.Lt: operator.lt,
         ast.LtE: operator.le, ast.Gt: operator.gt, ast.GtE: operator.ge,
@@ -115,6 +129,14 @@ _JOIN = {ast.And: lambda a, b: lambda binding: a(binding) and b(binding),
 def _apply(op, *operands):
     """`op` of the operands' values, as a function from a binding."""
     return lambda binding: op(*[operand(binding) for operand in operands])
+
+
+def _unary(op, operand):
+    return lambda binding: op(operand(binding))
+
+
+def _binary(op, left, right):
+    return lambda binding: op(left(binding), right(binding))
 
 
 def _build(node, names: List[str], after_in: bool = False):
@@ -134,9 +156,9 @@ def _build(node, names: List[str], after_in: bool = False):
             raise NameError(f"name {node.id!r} is not defined")
         return operator.itemgetter(node.id)
     if kind is ast.BinOp and type(node.op) in _OPS:
-        return _apply(_OPS[type(node.op)], _build(node.left, names), _build(node.right, names))
+        return _binary(_OPS[type(node.op)], _build(node.left, names), _build(node.right, names))
     if kind is ast.UnaryOp and type(node.op) in _OPS:
-        return _apply(_OPS[type(node.op)], _build(node.operand, names))
+        return _unary(_OPS[type(node.op)], _build(node.operand, names))
     if kind is ast.BoolOp:
         return reduce(_JOIN[type(node.op)], [_build(value, names) for value in node.values])
     if kind is ast.Compare and all(type(op) in _OPS for op in node.ops):
@@ -144,7 +166,7 @@ def _build(node, names: List[str], after_in: bool = False):
             _build(right, names, type(op) in (ast.In, ast.NotIn))
             for op, right in zip(node.ops, node.comparators)]
         # a < b < c is a < b and b < c, so a chain stops at its first false link
-        return reduce(_JOIN[ast.And], [_apply(_OPS[type(op)], left, right)
+        return reduce(_JOIN[ast.And], [_binary(_OPS[type(op)], left, right)
                                        for op, left, right in zip(node.ops, terms, terms[1:])])
     if kind is ast.Call and not node.keywords and isinstance(node.func, ast.Name) \
             and node.func.id in _CALLS:
@@ -153,21 +175,29 @@ def _build(node, names: List[str], after_in: bool = False):
 
 
 def _compile(entry, names: List[str], where: str, field: str, integral: bool = True):
-    """`entry` (a string, or an integer read as its digits) parsed and built
-    once into a function from an int binding to the entry's value, which
-    must be an integer when `integral`, and a node in 1..rank when a rank
-    is passed.  Leading blanks are dropped."""
+    """`entry` (a string, or an integer) parsed and built once into a
+    function from an int binding to the entry's value: an int, which must
+    be integral, when `integral`, else a Fraction.  Leading blanks are
+    dropped.  An int literal or a bare parameter name needs no check at a
+    binding, so it is read without one."""
+    if type(entry) is int:
+        return _constant(entry, integral)
     text = str(entry)
 
     def fault(exc):
         return ValueError(f"{where}: cannot evaluate {field} expression {text!r} "
                           f"({type(exc).__name__}: {exc})")
     try:
-        evaluate = _build(ast.parse(text.lstrip(" \t"), "<string>", "eval").body, names)
+        tree = ast.parse(text.lstrip(" \t"), "<string>", "eval").body
+        evaluate = _build(tree, names)
     except (NameError, SyntaxError, ValueError, RecursionError) as exc:
         raise fault(exc) from None
+    if type(tree) is ast.Constant:
+        return _constant(tree.value, integral)
+    if type(tree) is ast.Name:
+        return evaluate if integral else lambda binding: Fraction(evaluate(binding))
 
-    def value(binding: Dict[str, int], rank: Optional[int] = None):
+    def value(binding: Dict[str, int]):
         try:
             val = evaluate(binding)
         except (TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
@@ -175,10 +205,15 @@ def _compile(entry, names: List[str], where: str, field: str, integral: bool = T
         if integral and val.denominator != 1:
             raise ValueError(f"{where}: {field} expression {text!r} not integral "
                              f"under {binding}")
-        if rank is not None and not 1 <= val <= rank:
-            raise ValueError(f"{where}: {field} node {val} outside 1..{rank}")
         return int(val) if integral else Fraction(val)
     return value
+
+
+def _constant(number: int, integral: bool):
+    """The function of a binding that is always `number`, as an int when
+    `integral`, else as a Fraction."""
+    value = number if integral else Fraction(number)
+    return lambda binding: value
 
 
 @dataclass(frozen=True)
@@ -300,22 +335,29 @@ def _compile_factor(fac, names: List[str], where: str):
     for pair in fac["mu"]:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ValueError(f"{where}: mu entry must be a [node, coeff] pair, got {pair!r}")
+    family, lie_types = fac["family"], {}
     rank_of = _compile(fac["rank"], names, where, "rank")
     nodes_of = [_compile(node, names, where, "E") for node in fac["E"]]
     mu_of = [(_compile(node, names, where, "mu"), _compile(coeff, names, where, "mu"))
              for node, coeff in fac["mu"]]
 
+    def node(node_of, binding: Dict[str, int], rank: int, field: str) -> int:
+        at = node_of(binding)
+        if not 1 <= at <= rank:
+            raise ValueError(f"{where}: {field} node {at} outside 1..{rank}")
+        return at
+
     def factor(binding: Dict[str, int]):
         rank = rank_of(binding)
-        lie_type = LieType(fac["family"], rank)
-        nodes = tuple(sorted(node_of(binding, rank) for node_of in nodes_of))
+        lie_type = lie_types.get(rank) or lie_types.setdefault(rank, LieType(family, rank))
+        nodes = tuple(sorted(node(node_of, binding, rank, "E") for node_of in nodes_of))
         if not nodes or len(set(nodes)) < len(nodes):
             raise ValueError(f"{where}: E must name one or more distinct nodes, "
                              f"got {list(nodes)}")
         mu = [0] * rank
         seen = set()
         for node_of, coeff_of in mu_of:
-            at = node_of(binding, rank)
+            at = node(node_of, binding, rank, "mu")
             if at in seen:
                 raise ValueError(f"{where}: mu node {at} repeated")
             seen.add(at)

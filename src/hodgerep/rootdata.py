@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
+from itertools import compress
+from operator import add, gt, mul
 from typing import Dict, Iterator, List, Tuple
 
 from .errors import ConsistencyError, InvalidTypeError
@@ -93,6 +94,8 @@ class RootSystemData:
     root_masks      per positive root, the bitmask of its support: beta is
                     a root of the Levi factor off a node set S iff
                     mask & S == 0
+    duality         the -w0 node involution as a 0-based index permutation,
+                    so mu* = (mu[duality[0]], ..., mu[duality[r-1]])
     """
 
     lie_type: LieType
@@ -109,6 +112,7 @@ class RootSystemData:
     rho_pairings: Tuple[int, ...]
     rho_product: int
     root_masks: Tuple[int, ...]
+    duality: Tuple[int, ...]
 
     @property
     def rank(self) -> int:
@@ -172,62 +176,63 @@ def _inverse(matrix: IntMatrix) -> Tuple[IntMatrix, int]:
     """(adj, det) of a Cartan matrix of finite type by fraction-free
     Gauss-Jordan (Bareiss): the pivots are the leading principal minors,
     positive for finite type, every division is exact, and [matrix | I]
-    ends as [det I | adj]."""
+    ends as [det I | adj].  A row with 0 in the pivot column is only
+    rescaled."""
     n = len(matrix)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
     prev = 1
     for k in range(n):
         pivot_row = aug[k]
         pivot = pivot_row[k]
-        for i in range(n):
+        for i, row in enumerate(aug):
             if i != k:
-                f = aug[i][k]
-                aug[i] = [(pivot * x - f * y) // prev for x, y in zip(aug[i], pivot_row)]
+                f = row[k]
+                aug[i] = ([(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)] if f
+                          else [pivot * x // prev for x in row])
         prev = pivot
     return tuple(tuple(row[n:]) for row in aug), prev
 
 
 def _positive_roots(cartan: IntMatrix) -> Tuple[Tuple[RootCoords, ...], Tuple[Weight, ...]]:
-    """Positive roots by closure under simple-root addition, processed by
-    height, each with its fundamental coordinates.
+    """Positive roots in simple-root and in fundamental coordinates, sorted
+    by height and then by coordinates, found one height at a time.
 
-    beta + alpha_i is a root iff q > 0 in the alpha_i-string through beta,
-    where q = p - <beta, alpha_i^vee> and p counts how far the string
-    extends below beta.  <beta, alpha_i^vee> is beta's i-th fundamental
-    coordinate, and adding alpha_i adds row i of the Cartan matrix to them.
+    Each root beta carries its fundamental coordinates <beta, alpha_i^vee>
+    and its string depths p_i, how far the alpha_i-string through beta
+    reaches below it.  beta + alpha_i is a root iff p_i > <beta,
+    alpha_i^vee> (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 9.4 and 10.2).  Every root gamma of the next
+    height is found from each root beta = gamma - alpha_i, which sets
+    p_i(gamma) = p_i(beta) + 1; an i with gamma - alpha_i not a root keeps
+    p_i(gamma) = 0.  Adding alpha_i adds row i of the Cartan matrix to the
+    fundamental coordinates.
     """
     r = len(cartan)
-    fund: Dict[RootCoords, Weight] = {
-        tuple(int(i == j) for j in range(r)): cartan[i] for i in range(r)}
-    frontier = list(fund)
-    while frontier:
-        new: List[RootCoords] = []
-        for beta in frontier:
-            pairings = fund[beta]
-            for i in range(r):
-                p = 0
-                lower = list(beta)
-                lower[i] -= 1
-                while tuple(lower) in fund:
-                    p += 1
-                    lower[i] -= 1
-                if p > pairings[i]:
-                    up = list(beta)
-                    up[i] += 1
-                    cand = tuple(up)
-                    if cand not in fund:
-                        fund[cand] = tuple(map(add, pairings, cartan[i]))
-                        new.append(cand)
-        frontier = new
-    roots = tuple(sorted(fund, key=lambda b: (sum(b), b)))
-    return roots, tuple(fund[b] for b in roots)
+    nodes = range(r)
+    layer = [(tuple(int(i == j) for j in nodes), cartan[i], [0] * r) for i in reversed(nodes)]
+    roots: List[RootCoords] = []
+    fund: List[Weight] = []
+    while layer:
+        above: Dict[RootCoords, Tuple[Weight, List[int]]] = {}
+        for beta, pairings, depths in layer:
+            roots.append(beta)
+            fund.append(pairings)
+            for i in compress(nodes, map(gt, depths, pairings)):
+                gamma = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                entry = above.get(gamma)
+                if entry is None:
+                    entry = above[gamma] = (tuple(map(add, pairings, cartan[i])), [0] * r)
+                entry[1][i] = depths[i] + 1
+        layer = [(gamma, pairings, depths) for gamma, (pairings, depths) in sorted(above.items())]
+    return tuple(roots), tuple(fund)
 
 
-def _level_matrix(t: LieType, inverse_num: IntMatrix, inverse_den: int) -> IntMatrix:
+def _level_matrix(t: LieType, duality: Tuple[int, ...], inverse_num: IntMatrix,
+                  inverse_den: int) -> IntMatrix:
     """Row i: omega_i + omega_i* in simple-root coordinates, read off the
-    integer inverse: (inverse_num[i] + inverse_num[i*]) / inverse_den."""
-    perm = duality_permutation(t)
-    rows = [tuple(map(add, inverse_num[i], inverse_num[perm[i]])) for i in range(t.rank)]
+    integer inverse: (inverse_num[i] + inverse_num[i*]) / inverse_den, with
+    i* = duality[i]."""
+    rows = [tuple(map(add, row, inverse_num[j])) for row, j in zip(inverse_num, duality)]
     if any(x % inverse_den for row in rows for x in row):
         raise ConsistencyError(f"some omega_i + omega_i* on {t} is not in the root lattice")
     return tuple(tuple(x // inverse_den for x in row) for row in rows)
@@ -241,14 +246,16 @@ def root_system(t: LieType) -> RootSystemData:
     inverse_num, inverse_den = _inverse(cartan)
     roots, roots_fund = _positive_roots(cartan)
     sym = _symmetrizer(t)
-    columns = tuple(tuple(beta[j] * sym[j] for beta in roots) for j in range(r))
-    rho_pairings = tuple(map(sum, zip(*columns)))
+    duality = duality_permutation(t)
+    scaled = [tuple(map(mul, beta, sym)) for beta in roots]  # beta_j d_j, row by row
+    rho_pairings = tuple(map(sum, scaled))
+    bits = [1 << j for j in range(r)]
     return RootSystemData(
         lie_type=t,
         cartan=cartan,
         inverse_num=inverse_num,
         inverse_den=inverse_den,
-        level_matrix=_level_matrix(t, inverse_num, inverse_den),
+        level_matrix=_level_matrix(t, duality, inverse_num, inverse_den),
         positive_roots=roots,
         positive_roots_fund=roots_fund,
         neighbours=tuple(
@@ -256,10 +263,11 @@ def root_system(t: LieType) -> RootSystemData:
             for i in range(r)),
         weyl_vector=tuple([1] * t.rank),
         symmetrizer=sym,
-        root_columns=columns,
+        root_columns=tuple(zip(*scaled)),
         rho_pairings=rho_pairings,
         rho_product=math.prod(rho_pairings),
-        root_masks=tuple(sum(1 << j for j, b in enumerate(beta) if b) for beta in roots),
+        root_masks=tuple(sum(compress(bits, beta)) for beta in roots),
+        duality=duality,
     )
 
 
@@ -287,8 +295,7 @@ def duality_permutation(t: LieType) -> Tuple[int, ...]:
 
 def dual_weight(t: LieType, mu) -> Weight:
     """Highest weight of the dual representation, mu* = -w0(mu)."""
-    perm = duality_permutation(t)
-    return tuple(mu[perm[i]] for i in range(t.rank))
+    return tuple([mu[j] for j in root_system(t).duality])
 
 
 def _ar_profile(r: int, i: int) -> List[Fraction]:

@@ -10,6 +10,10 @@ full simple reflections into one weight -> multiplicity map, which is
 then grouped by eigenvalue.  It shares only the size guard and the
 Freudenthal dominant multiplicities with the engine.
 
+The positive-root oracle is the engine's former closure: every root
+string's depth found by probing lowered tuples, where the engine now
+carries each root's string depths from height to height.
+
 The root-data and level oracles are the engine's former `Fraction`
 routes: Gauss-Jordan inversion of the Cartan matrix over `Fraction`, and
 level, reality type and mu(E_ss) read off `Fraction` simple-root
@@ -106,6 +110,40 @@ def invert_exact(matrix) -> Tuple[Tuple[Fraction, ...], ...]:
                 f = aug[i][col]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def positive_roots_probing(cartan) -> Tuple[Tuple[Tuple[int, ...], ...],
+                                            Tuple[Tuple[int, ...], ...]]:
+    """Positive roots, and their fundamental coordinates, by closure under
+    simple-root addition, sorted by (height, coordinates).
+
+    beta + alpha_i is a root iff q > 0 in the alpha_i-string through beta,
+    where q = p - <beta, alpha_i^vee>, and p is found by probing beta -
+    alpha_i, beta - 2 alpha_i, ... until one is not a root found so far."""
+    r = len(cartan)
+    fund = {tuple(int(i == j) for j in range(r)): tuple(cartan[i]) for i in range(r)}
+    frontier = list(fund)
+    while frontier:
+        new = []
+        for beta in frontier:
+            pairings = fund[beta]
+            for i in range(r):
+                p = 0
+                lower = list(beta)
+                lower[i] -= 1
+                while tuple(lower) in fund:
+                    p += 1
+                    lower[i] -= 1
+                if p > pairings[i]:
+                    up = list(beta)
+                    up[i] += 1
+                    cand = tuple(up)
+                    if cand not in fund:
+                        fund[cand] = tuple(x + y for x, y in zip(pairings, cartan[i]))
+                        new.append(cand)
+        frontier = new
+    roots = tuple(sorted(fund, key=lambda b: (sum(b), b)))
+    return roots, tuple(fund[b] for b in roots)
 
 
 def root_to_weight_coords(t: LieType, rc) -> Tuple[Fraction, ...]:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hodgerep.classify as classify
@@ -523,6 +523,23 @@ def test_compiled_rows_match_the_eval_route():
                 instantiate_eval(name, tables, max_rank), (name, max_rank)
 
 
+def test_instance_values_are_ints_and_c_a_fraction():
+    """Every rank, E node, mu entry, h entry and binding of every packaged
+    instance is an int, and every c a Fraction, at every max_rank in
+    1..16; the eval route's equality cannot see this, since Fraction(1) ==
+    1."""
+    tables = load_expected()
+    for max_rank in range(1, 17):
+        for name in tables.table_names("all"):
+            for instances in instantiate(name, tables, max_rank).values():
+                for inst in instances:
+                    values = [*inst.h, *inst.bindings.values()]
+                    for t, nodes, mu in inst.factors:
+                        values += [t.rank, *nodes, *mu]
+                    assert {type(x) for x in values} == {int}, inst.describe()
+                    assert type(inst.c) is Fraction, inst.describe()
+
+
 _ROW_FORMS = ("({} + {})", "({} - {})", "({} * {})", "({} / {})", "({} % {})",
               "Q({} // {})", "-({})", "+({})", "Q(not {})", "Q({})", "Q({}, {})",
               "({} and {})", "({} or {})", "Q({} == {})", "Q({} != {})", "Q({} < {})",
@@ -532,10 +549,12 @@ _ROW_FORMS = ("({} + {})", "({} - {})", "({} * {})", "({} / {})", "({} % {})",
 
 def _row_expressions():
     """Random row-grammar expressions in r and i on which `eval` over
-    Fraction bindings is exact: every constant is `Q(n)`, every exponent a
-    small int constant, every binom argument an integer of bounded size,
-    and every int- or bool-valued form is sent through `Q`."""
-    leaf = st.sampled_from(["r", "i"]) | st.integers(-2, 4).map("Q({})".format)
+    Fraction bindings, with every int literal read as `Q(n)`, is exact:
+    every constant is `n` or `Q(n)`, every exponent a small int constant,
+    every binom argument an integer of bounded size, and every int- or
+    bool-valued form is sent through `Q`."""
+    leaf = st.sampled_from(["r", "i"]) | st.integers(-2, 4).map("Q({})".format) \
+        | st.integers(0, 4).map(str)
     small = leaf | st.builds("({} {} {})".format, leaf, st.sampled_from("+-*%"), leaf)
     expr = leaf
     for _ in range(3):
@@ -549,19 +568,32 @@ def _row_expressions():
 
 @settings(max_examples=300)
 @given(_row_expressions())
+# a bare literal and name, int quotients, exact and not, and int powers,
+# negative exponents included
+@example("4")
+@example("r")
+@example("(r / i)")
+@example("((r + 4) / 2 - 6 / 4)")
+@example("(3 ** i + r ** 2 / 3)")
+@example("(0 ** i)")
 def test_built_expressions_match_the_eval_route(text):
     """At every int binding with r and i in -3..6, a built expression has
-    the value that `eval` of its text gives at the Fraction binding, or
-    fails with the same exception."""
+    the value that `eval` of its text gives at the Fraction binding, with
+    every int literal read as a Fraction, or fails with the same
+    exception.  The engine keeps int literals and exact int quotients as
+    ints inside the expression, so the two routes meet in value, and the
+    result is a Fraction."""
     value = expected._compile(text, ["r", "i"], "row", "c", integral=False)
+    as_fractions = re.sub(r"\d+", r"Q(\g<0>)", text)
     for r, i in itertools.product(range(-3, 7), repeat=2):
         try:
-            want = Fraction(_eval_row(text, {"r": Fraction(r), "i": Fraction(i)}))
+            want = Fraction(_eval_row(as_fractions, {"r": Fraction(r), "i": Fraction(i)}))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             with pytest.raises(ValueError, match=re.escape(f"({type(exc).__name__}: ")):
                 value({"r": r, "i": i})
         else:
-            assert value({"r": r, "i": i}) == want, (r, i)
+            got = value({"r": r, "i": i})
+            assert got == want and type(got) is Fraction, (r, i)
 
 
 def test_expressions_are_parsed_once_per_instantiate(monkeypatch):

@@ -15,7 +15,7 @@ from hodgerep.rootdata import (
     weight_to_root_coords,
 )
 
-from oracles import invert_exact, root_to_weight_coords
+from oracles import invert_exact, positive_roots_probing, root_to_weight_coords
 
 Q = Fraction
 
@@ -74,6 +74,34 @@ def test_positive_root_counts_match_algebra_dims():
             tuple(sum(beta[j] * rsd.cartan[j][i] for j in range(t.rank))
                   for i in range(t.rank))
             for beta in rsd.positive_roots), str(t)
+
+
+@pytest.mark.parametrize("t", list(catalogued_types(20)) + [
+    LieType(family, 32) for family in "ABCD"], ids=str)
+def test_positive_roots_match_the_probing_closure(t):
+    """The closure by height, with string depths, yields the roots and
+    their fundamental coordinates in the order of the former closure,
+    which probes every lowered tuple of every root string."""
+    rsd = root_system(t)
+    assert (rsd.positive_roots, rsd.positive_roots_fund) == positive_roots_probing(rsd.cartan)
+
+
+COXETER_NUMBER = {
+    "A": lambda r: r + 1, "B": lambda r: 2 * r, "C": lambda r: 2 * r,
+    "D": lambda r: 2 * r - 2, "E": lambda r: {6: 12, 7: 18, 8: 30}[r],
+    "F": lambda r: 12, "G": lambda r: 6,
+}
+
+
+def test_root_counts_and_highest_root_height_to_rank_32():
+    """On all 128 types to rank 32, |Phi+| = (dim g - rank) / 2, and the
+    highest root has height h - 1 for the Coxeter number h."""
+    types = list(catalogued_types(32))
+    assert len(types) == 128
+    for t in types:
+        roots = root_system(t).positive_roots
+        assert len(roots) == (ALGEBRA_DIMS[t.family](t.rank) - t.rank) // 2, str(t)
+        assert max(map(sum, roots)) == COXETER_NUMBER[t.family](t.rank) - 1, str(t)
 
 
 def test_weyl_vector_is_half_sum_of_positive_roots():
@@ -144,10 +172,11 @@ def test_level_matrix_rejects_a_non_integral_row():
     """An inverse whose omega_i + omega_i* leaves the root lattice raises,
     under `python -O` too."""
     rsd = root_system(LieType("A", 2))
-    assert _level_matrix(rsd.lie_type, rsd.inverse_num, rsd.inverse_den) == rsd.level_matrix
+    assert _level_matrix(rsd.lie_type, rsd.duality, rsd.inverse_num,
+                         rsd.inverse_den) == rsd.level_matrix
     bad = ((rsd.inverse_num[0][0] + 1,) + rsd.inverse_num[0][1:],) + rsd.inverse_num[1:]
     with pytest.raises(ConsistencyError, match="not in the root lattice"):
-        _level_matrix(rsd.lie_type, bad, rsd.inverse_den)
+        _level_matrix(rsd.lie_type, rsd.duality, bad, rsd.inverse_den)
 
 
 def test_symmetrizer_makes_cartan_symmetric():
@@ -195,6 +224,7 @@ def test_dual_weight_is_involution():
 def test_duality_permutation_is_diagram_automorphism():
     for t in catalogued_types(8):
         perm = duality_permutation(t)
+        assert root_system(t).duality == perm, str(t)
         cartan = root_system(t).cartan
         for i in range(t.rank):
             for j in range(t.rank):
