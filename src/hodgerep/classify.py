@@ -29,8 +29,7 @@ ConsistencyError.  The sweeps and the row checks share the run's one
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, ShapeError
 from .expected import ExpectedInstance, ExpectedTables, instantiate, load_expected
@@ -53,26 +52,27 @@ def _check_max_rank(max_rank: int) -> None:
         raise ValueError(f"max_rank must be at most {MAX_RANK}, got {max_rank}")
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    max_rank: int
-    level: int
-    families: FrozenSet[str] = frozenset("ABCDEFG")
-    include_products: bool = False
-    dedupe_automorphisms: bool = False
+class SearchConfig(NamedTuple("SearchConfig", [
+        ("max_rank", int), ("level", int), ("families", FrozenSet[str]),
+        ("include_products", bool), ("dedupe_automorphisms", bool)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_max_rank(self.max_rank)
-        if self.level not in (1, 3):
+    def __new__(cls, max_rank: int, level: int,
+                families: FrozenSet[str] = frozenset("ABCDEFG"),
+                include_products: bool = False, dedupe_automorphisms: bool = False):
+        _check_max_rank(max_rank)
+        if level not in (1, 3):
             raise ValueError("level must be 1 or 3")
-        if self.include_products and self.level != 3:
+        if include_products and level != 3:
             raise ValueError("products need level 3: factor levels add, "
                              "so no product has level 1")
-        if not self.families:
+        if not families:
             raise ValueError("families must name at least one family")
-        unknown = set(self.families) - set(RANK_BOUNDS)
+        unknown = set(families) - set(RANK_BOUNDS)
         if unknown:
             raise ValueError(f"unknown families {sorted(unknown)}")
+        return super().__new__(cls, max_rank, level, families, include_products,
+                               dedupe_automorphisms)
 
     def holds(self, types: Sequence[LieType]) -> bool:
         """Does the window hold every level-`level` tuple on factors of these
@@ -262,7 +262,7 @@ def _annotate_canonical(tuples: List[HodgeTuple]) -> List[HodgeTuple]:
     out = []
     for t in tuples:
         key = _factor_keys(_canonical_factors(t.factors))
-        out.append(replace(t, canonical_key=key, is_canonical=_factor_keys(t.factors) == key))
+        out.append(t._replace(canonical_key=key, is_canonical=_factor_keys(t.factors) == key))
     return out
 
 
@@ -298,22 +298,48 @@ def enumerate_level(config: SearchConfig,
 # ---------------------------------------------------------------------------
 # Reconciliation against the embedded tables
 
-@dataclass
+def _slot_repr(record) -> str:
+    """Name(field=value, ...) over the record's slots, in order."""
+    fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in record.__slots__)
+    return f"{type(record).__name__}({fields})"
+
+
+def _slot_eq(record, other):
+    """Equal when of the same class with equal slot values; a class with
+    this __eq__ and no __hash__ of its own is unhashable."""
+    if other.__class__ is record.__class__:
+        return ([getattr(record, name) for name in record.__slots__]
+                == [getattr(other, name) for name in other.__slots__])
+    return NotImplemented
+
+
 class InstanceResult:
-    instance: ExpectedInstance
-    status: str                       # "match" | "mismatch"
-    diffs: List[Tuple[str, str, str]] = field(default_factory=list)
+    __slots__ = ("instance", "status", "diffs")
+    __repr__, __eq__ = _slot_repr, _slot_eq
+
+    def __init__(self, instance: ExpectedInstance, status: str,
+                 diffs: Optional[List[Tuple[str, str, str]]] = None):
+        self.instance = instance
+        self.status = status          # "match" | "mismatch"
+        self.diffs = [] if diffs is None else diffs
 
 
-@dataclass
 class RowResult:
-    table: str
-    item: int
-    status: str                       # "match" | "mismatch" | "paper_only"
-    allowlisted: bool
-    allowlist_reason: Optional[str]
-    instances: List[InstanceResult] = field(default_factory=list)
-    note: Optional[str] = None
+    __slots__ = ("table", "item", "status", "allowlisted", "allowlist_reason",
+                 "instances", "note")
+    __repr__, __eq__ = _slot_repr, _slot_eq
+
+    def __init__(self, table: str, item: int, status: str, allowlisted: bool,
+                 allowlist_reason: Optional[str],
+                 instances: Optional[List[InstanceResult]] = None,
+                 note: Optional[str] = None):
+        self.table = table
+        self.item = item
+        self.status = status          # "match" | "mismatch" | "paper_only"
+        self.allowlisted = allowlisted
+        self.allowlist_reason = allowlist_reason
+        self.instances = [] if instances is None else instances
+        self.note = note
 
     @property
     def n_instances(self) -> int:
@@ -323,15 +349,24 @@ class RowResult:
         return [r for r in self.instances if r.status != "match"]
 
 
-@dataclass
 class ReconciliationReport:
-    scope: str
-    max_rank: int
-    matches: List[RowResult] = field(default_factory=list)
-    mismatches: List[RowResult] = field(default_factory=list)
-    paper_only: List[RowResult] = field(default_factory=list)
-    computed_only: List[HodgeTuple] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
+    __slots__ = ("scope", "max_rank", "matches", "mismatches", "paper_only",
+                 "computed_only", "notes")
+    __repr__, __eq__ = _slot_repr, _slot_eq
+
+    def __init__(self, scope: str, max_rank: int,
+                 matches: Optional[List[RowResult]] = None,
+                 mismatches: Optional[List[RowResult]] = None,
+                 paper_only: Optional[List[RowResult]] = None,
+                 computed_only: Optional[List[HodgeTuple]] = None,
+                 notes: Optional[List[str]] = None):
+        self.scope = scope
+        self.max_rank = max_rank
+        self.matches = [] if matches is None else matches
+        self.mismatches = [] if mismatches is None else mismatches
+        self.paper_only = [] if paper_only is None else paper_only
+        self.computed_only = [] if computed_only is None else computed_only
+        self.notes = [] if notes is None else notes
 
     @property
     def rows(self) -> List[RowResult]:

@@ -16,13 +16,12 @@ from __future__ import annotations
 import ast
 import json
 import operator
+import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from importlib import resources
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import InvalidTypeError
 from .rootdata import RANK_BOUNDS, LieType
@@ -216,8 +215,7 @@ def _constant(number: int, integral: bool):
     return lambda binding: value
 
 
-@dataclass(frozen=True)
-class ExpectedInstance:
+class ExpectedInstance(NamedTuple):
     """One printed table row at one concrete parameter binding."""
 
     table: str
@@ -249,10 +247,20 @@ class ExpectedInstance:
         return f"{self.table} item {self.item} [{binds}] " + " x ".join(parts)
 
 
-@dataclass
 class ExpectedTables:
-    raw: dict
-    path_note: str = ""
+    __slots__ = ("raw", "path_note")
+
+    def __init__(self, raw: dict, path_note: str = ""):
+        self.raw = raw
+        self.path_note = path_note
+
+    def __repr__(self) -> str:
+        return f"ExpectedTables(raw={self.raw!r}, path_note={self.path_note!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.raw, self.path_note) == (other.raw, other.path_note)
+        return NotImplemented
 
     @property
     def tables(self) -> dict:
@@ -284,17 +292,19 @@ class ExpectedTables:
         return self.tables[table]["level"]
 
 
+_PACKAGED = os.path.join(os.path.dirname(__file__), "data", "expected_tables.json")
+
+
 def load_expected(path: Optional[str] = None) -> ExpectedTables:
     """Load the expected-results file, by default the packaged copy, and
-    check its tables and allowlist; `instantiate` checks the rows."""
-    if path is None:
-        text = resources.files("hodgerep").joinpath(
-            "data/expected_tables.json").read_text(encoding="utf-8")
-        note = "packaged data/expected_tables.json"
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        note = path
+    check its tables and allowlist; `instantiate` checks the rows.
+
+    The packaged copy is read as a plain file beside this module, without
+    `importlib.resources` and its imports; a package imported from a zip
+    archive is not supported."""
+    note = "packaged data/expected_tables.json" if path is None else path
+    with open(_PACKAGED if path is None else path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -18,10 +18,9 @@ weights, behind the size guard of `weight_system`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError
 from .repweights import DEFAULT_MAX_DIM, levi_dim, weight_system, weyl_dim, weyl_orbit
@@ -32,22 +31,42 @@ COMPLEX = "complex"
 QUATERNIONIC = "quaternionic"
 
 
-@dataclass(frozen=True)
 class GradingElement:
-    """0/1 coefficients over simple-root indices; E_ss = sum coeffs_i A^i."""
+    """0/1 coefficients over simple-root indices; E_ss = sum coeffs_i A^i.
 
-    coeffs: Tuple[int, ...]
-    # 1-based indices of the painted nodes, set once from coeffs; equality,
-    # hashing and repr read coeffs alone
-    support: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    Frozen.  `support`, the 1-based indices of the painted nodes, is set
+    once from coeffs; equality, hashing and repr read coeffs alone.
+    """
 
-    def __post_init__(self):
-        if not all(c in (0, 1) for c in self.coeffs):
-            raise ValueError(f"grading coefficients must be 0/1, got {self.coeffs}")
-        if not any(self.coeffs):
+    __slots__ = ("coeffs", "support")
+
+    def __init__(self, coeffs: Tuple[int, ...]):
+        if not all(c in (0, 1) for c in coeffs):
+            raise ValueError(f"grading coefficients must be 0/1, got {coeffs}")
+        if not any(coeffs):
             raise ValueError("grading element must be nonzero")
-        object.__setattr__(self, "support",
-                           tuple(i + 1 for i, c in enumerate(self.coeffs) if c))
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "support", tuple(i + 1 for i, c in enumerate(coeffs) if c))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"GradingElement(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return GradingElement, (self.coeffs,)
 
     @staticmethod
     def from_nodes(rank: int, nodes: Sequence[int]) -> "GradingElement":
@@ -65,17 +84,16 @@ class GradingElement:
         return "+".join(f"A{i}" for i in self.support)
 
 
-@dataclass(frozen=True)
-class EigenDecomp:
+class EigenDecomp(NamedTuple("EigenDecomp", [("top", Fraction), ("dims", Tuple[int, ...])])):
     """Eigenspace dimensions on a unit-step ladder: dims[k] sits at
     eigenvalue top - k."""
 
-    top: Fraction
-    dims: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.dims or any(d <= 0 for d in self.dims):
-            raise ValueError(f"ladder dimensions must be positive, got {self.dims}")
+    def __new__(cls, top: Fraction, dims: Tuple[int, ...]):
+        if not dims or any(d <= 0 for d in dims):
+            raise ValueError(f"ladder dimensions must be positive, got {dims}")
+        return super().__new__(cls, top, dims)
 
     @property
     def levels(self) -> Tuple[Tuple[Fraction, int], ...]:
@@ -90,8 +108,7 @@ class EigenDecomp:
         return len(self.dims) - 1
 
 
-@dataclass(frozen=True)
-class HodgeVector:
+class HodgeVector(NamedTuple):
     """Eigenspace dimensions read from the top eigenvalue down."""
 
     dims: Tuple[int, ...]
@@ -106,8 +123,7 @@ class HodgeVector:
         return len(d) == 4 and d[0] == d[3] == 1 and d[1] == d[2] >= 1
 
 
-@dataclass(frozen=True)
-class RealFormDescriptor:
+class RealFormDescriptor(NamedTuple):
     """Painted-node set (the Vogan data) plus a name when catalogued."""
 
     painted: Tuple[int, ...]
@@ -119,8 +135,7 @@ class RealFormDescriptor:
         return "painted{" + ",".join(str(i) for i in self.painted) + "}"
 
 
-@dataclass(frozen=True)
-class FactorSpec:
+class FactorSpec(NamedTuple):
     """One simple factor of a Hodge tuple: (algebra, grading element, weight)."""
 
     lie_type: LieType
@@ -131,8 +146,7 @@ class FactorSpec:
         return (self.lie_type.family, self.lie_type.rank, self.E.coeffs, self.mu)
 
 
-@dataclass(frozen=True)
-class HodgeTuple:
+class HodgeTuple(NamedTuple):
     """One classified record of g = g1 x ... x gk: one factor for a simple
     algebra, two or three (in FactorSpec.sort_key order) for a product,
     whose representation is the tensor product of the factors'.

@@ -5,18 +5,17 @@ and extended to the other chambers by walking Weyl orbits down from the
 dominant weights.  Everything runs in exact integer arithmetic; the
 invariant form is the symmetrized pairing (lambda, beta) =
 sum_j beta_j d_j lambda^j for lambda in fundamental coordinates and beta a
-root in simple-root coordinates.  One route computes it for every positive
-root at once, from the type's root columns over the support of lambda; the
-Weyl dimension formula, its product over the roots of a Levi factor, and
-Freudenthal's recursion all read it.
+root in simple-root coordinates.  It is read from the type's root columns
+over the support of lambda: for every positive root at once by the Weyl
+dimension formula and Freudenthal's recursion, and for the roots of a Levi
+factor alone by its Weyl product.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import ConsistencyError, NonDominantError, ResourceLimitError
 from .rootdata import LieType, RootSystemData, Weight, root_system
@@ -24,19 +23,16 @@ from .rootdata import LieType, RootSystemData, Weight, root_system
 DEFAULT_MAX_DIM = 10 ** 6
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(NamedTuple("WeightSystem", [
+        ("lie_type", LieType), ("highest", Weight), ("dimension", int),
+        ("dominant", Tuple[Tuple[Weight, int], ...])])):
     """Weight system of one irreducible representation.
 
     Held as its dominant weights with their multiplicities; the full
     multiplicity map, the union of their Weyl orbits, is built on first
-    access.
+    access and kept in the instance dict, which is outside equality,
+    hashing and repr.
     """
-
-    lie_type: LieType
-    highest: Weight
-    dimension: int
-    dominant: Tuple[Tuple[Weight, int], ...]
 
     @cached_property
     def multiplicities(self) -> Dict[Weight, int]:
@@ -85,7 +81,7 @@ def levi_dim(t: LieType, mu, nodes) -> int:
     Levi factor on the nodes outside `nodes` (1-based): the Weyl product
     over the positive roots with no support on `nodes`.  A root with no
     support on supp(mu) pairs with mu to 0, so only the others add a
-    factor other than 1."""
+    factor other than 1, and (mu + rho, beta) is paired for those alone."""
     _check_dominant(mu)
     rsd = root_system(t)
     painted = sum(1 << (i - 1) for i in nodes)
@@ -93,9 +89,12 @@ def levi_dim(t: LieType, mu, nodes) -> int:
     levi = [k for k, m in enumerate(rsd.root_masks) if m & touched and not m & painted]
     if not levi:
         return 1
-    pairs, rho = _pairings(rsd, mu, rsd.rho_pairings), rsd.rho_pairings
-    num = math.prod(pairs[k] for k in levi)
-    den = math.prod(rho[k] for k in levi)
+    rho = [rsd.rho_pairings[k] for k in levi]
+    pairs = rho
+    for c, col in zip(mu, rsd.root_columns):
+        if c:
+            pairs = [x + c * col[k] for x, k in zip(pairs, levi)]
+    num, den = math.prod(pairs), math.prod(rho)
     if num % den:
         raise ConsistencyError(f"Levi dimension of {tuple(mu)} on {t} off the "
                                f"nodes {tuple(nodes)} is not integral")

@@ -15,12 +15,11 @@ alpha_1..alpha_r labelling of Dynkin diagrams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from operator import add, gt, mul
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from .errors import ConsistencyError, InvalidTypeError
 
@@ -41,22 +40,22 @@ RANK_BOUNDS: Dict[str, Tuple[int, int]] = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class LieType:
-    """A simple type letter with a rank, e.g. C3 for sp(6, C)."""
+class LieType(NamedTuple("LieType", [("family", str), ("rank", int)])):
+    """A simple type letter with a rank, e.g. C3 for sp(6, C); ordered by
+    (family, rank)."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in RANK_BOUNDS:
-            raise InvalidTypeError(f"unknown family {self.family!r}")
-        lo, hi = RANK_BOUNDS[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
+    def __new__(cls, family: str, rank: int):
+        if family not in RANK_BOUNDS:
+            raise InvalidTypeError(f"unknown family {family!r}")
+        lo, hi = RANK_BOUNDS[family]
+        if rank < lo or (hi is not None and rank > hi):
             raise InvalidTypeError(
-                f"{self.family}{self.rank}: rank out of bounds for family "
-                f"{self.family} (allowed {lo}..{hi if hi is not None else 'inf'})"
+                f"{family}{rank}: rank out of bounds for family "
+                f"{family} (allowed {lo}..{hi if hi is not None else 'inf'})"
             )
+        return super().__new__(cls, family, rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -70,8 +69,7 @@ class LieType:
         return LieType(text[0].upper(), int(text[1:]))
 
 
-@dataclass(frozen=True)
-class RootSystemData:
+class RootSystemData(NamedTuple):
     """Immutable root-system catalog entry for one simple type.
 
     cartan          row i = alpha_i in fundamental-weight coordinates

@@ -10,6 +10,10 @@ full simple reflections into one weight -> multiplicity map, which is
 then grouped by eigenvalue.  It shares only the size guard and the
 Freudenthal dominant multiplicities with the engine.
 
+The Levi-dimension oracle is the engine's former `levi_dim`: (mu + rho,
+beta) paired for every positive root at once, of which only the roots of
+the Levi factor are read, where the engine now pairs those roots alone.
+
 The positive-root oracle is the engine's former closure: every root
 string's depth found by probing lowered tuples, where the engine now
 carries each root's string depths from height to height.
@@ -82,7 +86,7 @@ from hodgerep.hodgecore import (
     reality_type,
 )
 from hodgerep.products import assemble
-from hodgerep.repweights import DEFAULT_MAX_DIM, weight_system
+from hodgerep.repweights import DEFAULT_MAX_DIM, _pairings, weight_system
 from hodgerep.rootdata import (
     RANK_BOUNDS,
     LieType,
@@ -315,6 +319,24 @@ def products_brute(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec]
         except ShapeError:
             pass
     return out
+
+
+def levi_dim_all_pairings(t: LieType, mu, nodes) -> int:
+    """The Weyl product over the positive roots with support on supp(mu)
+    and none on `nodes` (1-based), read from the pairings of every root."""
+    rsd = root_system(t)
+    painted = sum(1 << (i - 1) for i in nodes)
+    touched = sum(1 << j for j, c in enumerate(mu) if c)
+    levi = [k for k, m in enumerate(rsd.root_masks) if m & touched and not m & painted]
+    if not levi:
+        return 1
+    pairs, rho = _pairings(rsd, mu, rsd.rho_pairings), rsd.rho_pairings
+    num = math.prod(pairs[k] for k in levi)
+    den = math.prod(rho[k] for k in levi)
+    if num % den:
+        raise ConsistencyError(f"Levi dimension of {tuple(mu)} on {t} off the "
+                               f"nodes {tuple(nodes)} is not integral")
+    return num // den
 
 
 def reflect(t: LieType, w, i: int) -> Tuple[int, ...]:

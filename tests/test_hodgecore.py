@@ -539,14 +539,16 @@ def test_levi_ladder_checks_survive_optimize():
     makes the Levi quotient of omega_2 on A3 under E = A1 non-integral, and
     a doubled Weyl denominator leaves an odd middle for C3, omega_3,
     E = A3."""
-    code = ("from hodgerep.errors import ConsistencyError\n"
+    code = ("import hodgerep.repweights as repweights\n"
+            "from hodgerep.errors import ConsistencyError\n"
             "from hodgerep.hodgecore import GradingElement, eigenspace_dims\n"
             "from hodgerep.rootdata import LieType, root_system\n"
             "a3, c3 = root_system(LieType('A', 3)), root_system(LieType('C', 3))\n"
             "masks = list(a3.root_masks)\n"
             "masks[a3.positive_roots.index((1, 1, 0))] = 0b010\n"
-            "object.__setattr__(a3, 'root_masks', tuple(masks))\n"
-            "object.__setattr__(c3, 'rho_product', 2 * c3.rho_product)\n"
+            "a3 = a3._replace(root_masks=tuple(masks))\n"
+            "c3 = c3._replace(rho_product=2 * c3.rho_product)\n"
+            "repweights.root_system = {a3.lie_type: a3, c3.lie_type: c3}.__getitem__\n"
             "for rsd, mu, node in ((a3, (0, 1, 0), 1), (c3, (0, 0, 1), 3)):\n"
             "    g = GradingElement.from_nodes(rsd.rank, [node])\n"
             "    try:\n"

@@ -1,0 +1,163 @@
+"""The engine's record contract: fields in order, repr text, equality and
+hashing by the fields, immutability of the frozen records, `LieType`
+ordering and every validation error's type and message.  The repr strings
+are those of the engine's former `dataclasses` records."""
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from hodgerep.classify import InstanceResult, ReconciliationReport, RowResult, SearchConfig
+from hodgerep.errors import InvalidTypeError
+from hodgerep.expected import ExpectedInstance, ExpectedTables
+from hodgerep.hodgecore import (
+    EigenDecomp,
+    FactorSpec,
+    GradingElement,
+    HodgeTuple,
+    HodgeVector,
+    RealFormDescriptor,
+)
+from hodgerep.repweights import WeightSystem, weight_system
+from hodgerep.rootdata import LieType, RootSystemData, root_system
+
+A1 = LieType("A", 1)
+A1_DATA = dict(
+    lie_type=A1, cartan=((2,),), inverse_num=((1,),), inverse_den=2, level_matrix=((1,),),
+    positive_roots=((1,),), positive_roots_fund=((2,),), neighbours=((),), weyl_vector=(1,),
+    symmetrizer=(1,), root_columns=((1,),), rho_pairings=(1,), rho_product=1,
+    root_masks=(1,), duality=(0,))
+INSTANCE = dict(table="thm2.1", item=1, bindings={"r": 1}, factors=((A1, (1,), (1,)),),
+                c=Fraction(0), h=(1, 1), reality="complex", real_forms=("su(1,1)",))
+INSTANCE_RESULT = dict(instance=ExpectedInstance(**INSTANCE), status="mismatch",
+                       diffs=[("h", "[1, 1]", "[2, 2]")])
+WEIGHTS = dict(lie_type=A1, highest=(2,), dimension=3, dominant=(((2,), 1), ((0,), 1)))
+ROW = dict(table="thm2.1", item=1, status="mismatch", allowlisted=False, allowlist_reason=None,
+           instances=[InstanceResult(**INSTANCE_RESULT)])
+
+INSTANCE_REPR = ("ExpectedInstance(table='thm2.1', item=1, bindings={'r': 1}, "
+                 "factors=((LieType(family='A', rank=1), (1,), (1,)),), c=Fraction(0, 1), "
+                 "h=(1, 1), reality='complex', real_forms=('su(1,1)',))")
+INSTANCE_RESULT_REPR = (f"InstanceResult(instance={INSTANCE_REPR}, status='mismatch', "
+                        "diffs=[('h', '[1, 1]', '[2, 2]')])")
+ROW_REPR = ("RowResult(table='thm2.1', item=1, status='mismatch', allowlisted=False, "
+            f"allowlist_reason=None, instances=[{INSTANCE_RESULT_REPR}], note=None)")
+
+# (record, fields of a sample, one changed field, repr of the sample,
+# frozen); a frozen record hashes by its fields unless one is a dict, and a
+# mutable one does not hash
+RECORDS = [
+    (LieType, dict(family="A", rank=2), dict(rank=3), "LieType(family='A', rank=2)", True),
+    (RootSystemData, A1_DATA, dict(rho_product=2),
+     "RootSystemData(lie_type=LieType(family='A', rank=1), cartan=((2,),), "
+     "inverse_num=((1,),), inverse_den=2, level_matrix=((1,),), positive_roots=((1,),), "
+     "positive_roots_fund=((2,),), neighbours=((),), weyl_vector=(1,), symmetrizer=(1,), "
+     "root_columns=((1,),), rho_pairings=(1,), rho_product=1, root_masks=(1,), "
+     "duality=(0,))", True),
+    (WeightSystem, WEIGHTS, dict(dimension=4),
+     "WeightSystem(lie_type=LieType(family='A', rank=1), highest=(2,), dimension=3, "
+     "dominant=(((2,), 1), ((0,), 1)))", True),
+    (GradingElement, dict(coeffs=(1, 0)), dict(coeffs=(0, 1)),
+     "GradingElement(coeffs=(1, 0))", True),
+    (EigenDecomp, dict(top=Fraction(1, 2), dims=(1, 1)), dict(dims=(1, 2)),
+     "EigenDecomp(top=Fraction(1, 2), dims=(1, 1))", True),
+    (HodgeVector, dict(dims=(1, 2, 2, 1)), dict(dims=(1, 3, 3, 1)),
+     "HodgeVector(dims=(1, 2, 2, 1))", True),
+    (RealFormDescriptor, dict(painted=(1,), name="su(1,2)"), dict(name=None),
+     "RealFormDescriptor(painted=(1,), name='su(1,2)')", True),
+    (FactorSpec, dict(lie_type=LieType("A", 2), E=GradingElement((1, 0)), mu=(1, 0)),
+     dict(mu=(0, 1)),
+     "FactorSpec(lie_type=LieType(family='A', rank=2), E=GradingElement(coeffs=(1, 0)), "
+     "mu=(1, 0))", True),
+    (HodgeTuple, dict(factors=(FactorSpec(A1, GradingElement((1,)), (1,)),), span=1, level=1,
+                      reality="real", c=Fraction(0), hodge=HodgeVector((1, 1)),
+                      real_forms=(RealFormDescriptor((1,), "su(1,1)"),), is_canonical=True,
+                      canonical_key=(("A", 1, (1,), (1,)),)),
+     dict(is_canonical=False),
+     "HodgeTuple(factors=(FactorSpec(lie_type=LieType(family='A', rank=1), "
+     "E=GradingElement(coeffs=(1,)), mu=(1,)),), span=1, level=1, reality='real', "
+     "c=Fraction(0, 1), hodge=HodgeVector(dims=(1, 1)), "
+     "real_forms=(RealFormDescriptor(painted=(1,), name='su(1,1)'),), is_canonical=True, "
+     "canonical_key=(('A', 1, (1,), (1,)),))", True),
+    (SearchConfig, dict(max_rank=8, level=3, families=frozenset("A")), dict(level=1),
+     "SearchConfig(max_rank=8, level=3, families=frozenset({'A'}), include_products=False, "
+     "dedupe_automorphisms=False)", True),
+    (InstanceResult, INSTANCE_RESULT, dict(status="match"), INSTANCE_RESULT_REPR, False),
+    (RowResult, ROW, dict(note="x"), ROW_REPR, False),
+    (ReconciliationReport, dict(scope="thm2.1", max_rank=1, matches=[RowResult(**ROW)]),
+     dict(max_rank=2),
+     f"ReconciliationReport(scope='thm2.1', max_rank=1, matches=[{ROW_REPR}], mismatches=[], "
+     "paper_only=[], computed_only=[], notes=[])", False),
+    (ExpectedInstance, INSTANCE, dict(c=Fraction(1, 2)), INSTANCE_REPR, True),
+    (ExpectedTables, dict(raw={"tables": {}}, path_note="x.json"), dict(path_note="y.json"),
+     "ExpectedTables(raw={'tables': {}}, path_note='x.json')", False),
+]
+
+
+@pytest.mark.parametrize("record,fields,change,text,frozen", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_record_contract(record, fields, change, text, frozen):
+    sample = record(**fields)
+    assert repr(sample) == text
+    assert record(*fields.values()) == sample and not sample != record(**fields)
+    assert pickle.loads(pickle.dumps(sample)) == sample
+    changed = record(**dict(fields, **change))
+    assert changed != sample and not changed == sample
+    name = next(iter(fields))
+    if "bindings" in fields or not frozen:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(sample)
+    else:
+        assert hash(record(**fields)) == hash(sample)
+    if frozen:
+        with pytest.raises(AttributeError):
+            setattr(sample, name, fields[name])
+        assert repr(sample) == text
+    else:
+        setattr(sample, name, change.get(name, fields[name]))
+
+
+def test_records_equal_the_engine_built_ones():
+    assert root_system(A1) == RootSystemData(**A1_DATA)
+    assert weight_system(A1, (2,)) == WeightSystem(**WEIGHTS)
+
+
+def test_str_where_defined():
+    assert str(LieType("A", 2)) == "A2"
+    assert str(GradingElement((1, 0, 1))) == "A1+A3"
+
+
+def test_lie_type_order():
+    types = [LieType("G", 2), LieType("A", 10), LieType("A", 2), LieType("B", 3)]
+    assert [str(t) for t in sorted(types)] == ["A2", "A10", "B3", "G2"]
+    assert LieType("A", 2) < LieType("A", 10) < LieType("B", 2)
+
+
+def test_grading_element_support_stays_out_of_the_contract():
+    E = GradingElement((1, 0, 1))
+    assert E.support == (1, 3)
+    assert repr(E) == "GradingElement(coeffs=(1, 0, 1))"
+    with pytest.raises(AttributeError):
+        E.support = (1,)
+
+
+@pytest.mark.parametrize("make,error,message", [
+    (lambda: LieType("E", 9), InvalidTypeError,
+     "E9: rank out of bounds for family E (allowed 6..8)"),
+    (lambda: LieType("X", 1), InvalidTypeError, "unknown family 'X'"),
+    (lambda: GradingElement((0, 2)), ValueError, "grading coefficients must be 0/1, got (0, 2)"),
+    (lambda: GradingElement((0, 0)), ValueError, "grading element must be nonzero"),
+    (lambda: EigenDecomp(0, (1, 0)), ValueError, "ladder dimensions must be positive, got (1, 0)"),
+    (lambda: SearchConfig(8, 2), ValueError, "level must be 1 or 3"),
+    (lambda: SearchConfig(40, 3), ValueError, "max_rank must be at most 32, got 40"),
+    (lambda: SearchConfig(8, 1, include_products=True), ValueError,
+     "products need level 3: factor levels add, so no product has level 1"),
+    (lambda: SearchConfig(8, 3, families=frozenset()), ValueError,
+     "families must name at least one family"),
+    (lambda: SearchConfig(8, 3, families=frozenset("AZ")), ValueError,
+     "unknown families ['Z']"),
+])
+def test_validation_errors(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and str(info.value) == message

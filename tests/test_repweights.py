@@ -11,7 +11,12 @@ from hodgerep.repweights import (
 )
 from hodgerep.rootdata import LieType, catalogued_types, dual_weight, root_system
 
-from oracles import dominant_weights_up_to, kostant_multiplicity, weyl_orbit_bfs
+from oracles import (
+    dominant_weights_up_to,
+    kostant_multiplicity,
+    levi_dim_all_pairings,
+    weyl_orbit_bfs,
+)
 
 
 def w(*coords):
@@ -70,6 +75,23 @@ def test_levi_dim_without_painted_nodes_is_weyl_dim():
         r = t.rank
         for mu in [tuple(int(j == i) for j in range(r)) for i in range(r)] + [(1,) * r]:
             assert levi_dim(t, mu, ()) == weyl_dim(t, mu), (str(t), mu)
+
+
+def test_levi_dim_matches_the_all_pairings_oracle():
+    """Pairing only the Levi roots agrees with reading them off the
+    pairings of every root, on every type of rank <= 16, every fundamental
+    weight and its sum with omega_1, under several painted-node sets."""
+    count = 0
+    for t in catalogued_types(16):
+        r = t.rank
+        fund = [tuple(int(j == i) for j in range(r)) for i in range(r)]
+        for mu in fund + [tuple(x + y for x, y in zip(f, fund[0])) for f in fund]:
+            for nodes in ((), (1,), (r,), (1, r), tuple(range(2, r + 1, 2)),
+                          tuple(j + 1 for j, c in enumerate(mu) if c)):
+                assert levi_dim(t, mu, nodes) == levi_dim_all_pairings(t, mu, nodes), \
+                    (str(t), mu, nodes)
+                count += 1
+    assert count > 5000
 
 
 def test_sl2_string():

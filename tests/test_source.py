@@ -14,9 +14,14 @@ runs, so the `max_dim` knob cannot creep back into the sweeps, the
 summary table or the summaries.  No engine module runs dynamic code: `expected`
 builds each row expression into exact functions from its parse tree.  A
 factor summary is built at one site, the per-run `SummaryTable`, so no
-route can summarise a factor twice in a run.
+route can summarise a factor twice in a run.  The engine's records are
+built without `dataclasses`, and the packaged tables are read without
+`importlib.resources`, so a cold start imports neither, nor `inspect`.
 """
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import hodgerep
@@ -346,3 +351,57 @@ def test_summary_guard_detects_each_form():
         "    return '_FactorSummary(s)'\n")
     assert _summary_sites(tree) == [
         ("T.summary", 3), ("", 4), ("g", 6), ("", 7), ("", 8), ("", 9), ("Sub", 10)]
+
+
+def _dataclass_imports(tree):
+    """Lines importing the `dataclasses` module, by `import` (plain, aliased
+    or in a list) or by `from dataclasses import ...`."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0
+        and node.module.split(".")[0] == "dataclasses")
+
+
+def test_no_engine_module_imports_dataclasses():
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line in _dataclass_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, found
+
+
+def test_dataclass_import_guard_detects_each_form():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "import os, dataclasses as dc\n"
+        "from dataclasses import dataclass\n"
+        "from dataclasses import (field,\n    replace)\n"
+        "def f():\n    import dataclasses\n"
+        "from .dataclasses import x\n"
+        "import typing\n"
+        "from typing import NamedTuple\n"
+        "s = 'dataclasses'\n")
+    assert _dataclass_imports(tree) == [1, 2, 3, 4, 7]
+
+
+# what a cold `hodgerep` run must not import: `dataclasses` pulls in
+# `inspect`, and `importlib.resources` pulls in `pathlib`, `tempfile` and more
+COLD_START_ABSENT = ("dataclasses", "inspect", "importlib.resources")
+
+
+def test_cold_start_imports_no_dataclasses_inspect_or_resources():
+    """In a fresh `python -I -S`, importing the CLI and loading the packaged
+    tables leaves each module of COLD_START_ABSENT unimported."""
+    code = ("import json, sys\n"
+            f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+            "import hodgerep.cli\n"
+            "from hodgerep.expected import load_expected\n"
+            "load_expected()\n"
+            "print(json.dumps([hodgerep.__file__, sorted(sys.modules)]))\n")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                         capture_output=True, text=True, check=True)
+    origin, loaded = json.loads(out.stdout)
+    assert Path(origin).parent == PACKAGE
+    assert "hodgerep.cli" in loaded and "ast" in loaded
+    assert [name for name in COLD_START_ABSENT if name in loaded] == []
