@@ -13,8 +13,10 @@ A ladder has two routes.  At span (mu + mu*)(E) of 1 or 2, and at span
 the irreducible module of the Levi factor l_E with highest weight mu
 (Green-Griffiths-Kerr), the bottom one that of mu*, and weyl_dim fixes
 the rest; no weight is visited, so nothing is size-guarded.  Every other
-ladder is bucketed from Weyl-orbit walks of the Freudenthal dominant
-weights, behind the size guard of `weight_system`.
+ladder is counted along the Weyl-orbit walks of the Freudenthal dominant
+weights, behind the size guard of `weight_system`: each dominant weight
+starts at its integer depth (mu - lambda)(E_ss) below the top, and each
+step of its walk adds whole steps, so no orbit element is paired with E.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from operator import add, mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError
-from .repweights import DEFAULT_MAX_DIM, levi_dim, weight_system, weyl_dim, weyl_orbit
+from .repweights import DEFAULT_MAX_DIM, _orbit_walk, levi_dim, weight_system, weyl_dim
 from .rootdata import LieType, RootSystemData, Weight, dual_weight, root_system
 
 REAL = "real"
@@ -243,27 +245,31 @@ def _levi_ladder(t: LieType, mu: Weight, dual: Weight, E: GradingElement,
 
 
 def _orbit_ladder(t: LieType, mu: Weight, E: GradingElement, max_dim: int) -> EigenDecomp:
-    """The ladder bucketed from Weyl orbits: each dominant weight lambda
-    adds its Freudenthal multiplicity to the eigenvalue nu(E_ss) of every
-    nu in its orbit, without building the full weight map.  Eigenvalues
-    step down by the number of supported simple roots subtracted from mu,
-    so lambda(E) = mu(E) - k with k a nonnegative integer."""
+    """The ladder counted along Weyl-orbit walks: each dominant weight
+    lambda sits (mu - lambda)(E_ss) steps below the top mu(E_ss), and its
+    walk steps each orbit element down by whole steps, so lambda's
+    Freudenthal multiplicity is added at every depth its orbit reaches,
+    without building the full weight map or pairing any orbit element."""
     ws = weight_system(t, mu, max_dim=max_dim)
     rsd = root_system(t)
-    row = _grading_row(rsd, E)
+    row, den = _grading_row(rsd, E), rsd.inverse_den
+    top = sum(map(mul, row, mu))
     buckets = {}
     for lam, m in ws.dominant:
-        for nu in weyl_orbit(t, lam):
-            s = sum(map(mul, row, nu))
-            buckets[s] = buckets.get(s, 0) + m
+        diff = top - sum(map(mul, row, lam))
+        offset, rem = divmod(diff, den)
+        if rem:
+            raise ConsistencyError(f"(mu - lambda)(E) = {Fraction(diff, den)} is not an "
+                                   f"integer for lambda = {lam} in V{mu} on {t} under E = {E}")
+        for _, depth in _orbit_walk(lam, rsd.neighbours, E.coeffs):
+            depth += offset
+            buckets[depth] = buckets.get(depth, 0) + m
     ws.check_total(sum(buckets.values()))
-    # irreducibility makes the eigenvalue ladder contiguous with unit steps,
-    # one step being inverse_den in the bucket keys
-    den, top = rsd.inverse_den, max(buckets)
-    dims = tuple(buckets[s] for s in range(top, top - den * len(buckets), -den)
-                 if s in buckets)
+    # irreducibility makes the eigenvalue ladder contiguous with unit steps
+    dims = tuple(buckets[k] for k in range(len(buckets)) if k in buckets)
     if len(dims) != len(buckets):
-        raise ConsistencyError(f"eigenvalue ladder {sorted(buckets)}/{den} has a gap")
+        raise ConsistencyError(f"eigenvalue ladder with depths {sorted(buckets)} below "
+                               f"{Fraction(top, den)} has a gap")
     return EigenDecomp(top=Fraction(top, den), dims=dims)
 
 

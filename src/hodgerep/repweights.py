@@ -1,8 +1,10 @@
 """Weight systems of irreducible highest-weight representations.
 
-Multiplicities are computed at dominant weights by Freudenthal's recursion
-and extended to the other chambers by walking Weyl orbits down from the
-dominant weights.  Everything runs in exact integer arithmetic; the
+Multiplicities are computed at dominant weights by Freudenthal's recursion,
+which conjugates each weight it visits to the dominant chamber once per
+call, and extended to the other chambers by one orbit walk, which goes
+down from a dominant weight and gives each element with its depth under a
+grading element.  Everything runs in exact integer arithmetic; the
 invariant form is the symmetrized pairing (lambda, beta) =
 sum_j beta_j d_j lambda^j for lambda in fundamental coordinates and beta a
 root in simple-root coordinates.  It is read from the type's root columns
@@ -13,9 +15,10 @@ factor alone by its Weyl product.
 from __future__ import annotations
 
 import math
+from collections import deque
 from functools import cached_property, lru_cache
-from operator import mul
-from typing import Dict, List, NamedTuple, Tuple
+from operator import add, mul, sub
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from .errors import ConsistencyError, NonDominantError, ResourceLimitError
 from .rootdata import LieType, RootSystemData, Weight, root_system
@@ -112,13 +115,18 @@ def _reflect(v, i: int, neighbours) -> List[int]:
 
 
 def _dominant(w, neighbours) -> Weight:
-    """`dominant_conjugate` with the type's neighbour table looked up."""
+    """`dominant_conjugate` with the type's neighbour table looked up: the
+    first negative node reflected in place until none is left."""
     cur = list(w)
     while True:
-        neg = next((i for i, c in enumerate(cur) if c < 0), None)
-        if neg is None:
+        for i, c in enumerate(cur):
+            if c < 0:
+                break
+        else:
             return tuple(cur)
-        cur = _reflect(cur, neg, neighbours)
+        cur[i] = -c
+        for j, a in neighbours[i]:
+            cur[j] -= c * a
 
 
 def dominant_conjugate(t: LieType, w: Weight) -> Weight:
@@ -126,8 +134,10 @@ def dominant_conjugate(t: LieType, w: Weight) -> Weight:
     return _dominant(w, root_system(t).neighbours)
 
 
-def weyl_orbit(t: LieType, w: Weight) -> List[Weight]:
-    """Weyl orbit of a weight, walked down from its dominant conjugate.
+def _orbit_walk(top: Weight, neighbours, painted) -> Iterator[Tuple[Weight, int]]:
+    """(v, depth) for every v in the Weyl orbit of the dominant weight top,
+    top first; depth is the number of steps of E_ss from top(E) down to
+    v(E), for E the 0/1 node coefficients `painted`.
 
     Every orbit element v but the dominant one has a parent s_j(v), j the
     first node with v_j < 0, which lies higher; so the orbit is a tree
@@ -135,38 +145,53 @@ def weyl_orbit(t: LieType, w: Weight) -> List[Weight]:
     with v_i > 0 and keeps u = s_i(v) when i is the first negative node of
     u, which yields every element exactly once.  With f the first negative
     node of v, that holds for every i < f; for i > f, s_i leaves v_f < 0
-    unless i is a neighbour of f, so only those are tried.
+    unless i is a neighbour of f, so only those are tried.  The child
+    s_i(v) = v - v_i alpha_i sits v_i painted_i steps below v.
     """
-    neighbours = root_system(t).neighbours
-    orbit = [_dominant(w, neighbours)]
-    for v in orbit:  # grows while walked
+    queue = deque([(top, 0)])
+    while queue:
+        v, depth = queue.popleft()
+        yield v, depth
         for i, c in enumerate(v):
             if c > 0:
-                orbit.append(tuple(_reflect(v, i, neighbours)))
+                queue.append((tuple(_reflect(v, i, neighbours)), depth + c * painted[i]))
             elif c < 0:  # i is the first negative node
                 for j, _ in neighbours[i]:
                     if j > i and v[j] > 0:
                         u = _reflect(v, j, neighbours)
                         if min(u[:j]) >= 0:
-                            orbit.append(tuple(u))
+                            queue.append((tuple(u), depth + v[j] * painted[j]))
                 break
-    return orbit
+
+
+def weyl_orbit(t: LieType, w: Weight) -> List[Weight]:
+    """Weyl orbit of a weight, walked down from its dominant conjugate,
+    which comes first."""
+    rsd = root_system(t)
+    top = _dominant(w, rsd.neighbours)
+    return [v for v, _ in _orbit_walk(top, rsd.neighbours, (0,) * t.rank)]
 
 
 def _dominant_candidates(t: LieType, mu: Weight) -> List[Weight]:
-    """Dominant weights of V(mu): mu minus positive roots, staying dominant."""
+    """Dominant weights of V(mu): mu minus positive roots, staying dominant.
+    w - beta stays dominant iff w_i >= beta_i wherever beta_i > 0, so only
+    those coordinates are tested before the difference is built."""
     pos_fund = root_system(t).positive_roots_fund
-    rank = t.rank
+    tests = [[(i, b) for i, b in enumerate(pf) if b > 0] for pf in pos_fund]
     seen = {tuple(mu)}
     frontier = [tuple(mu)]
     while frontier:
         nxt = []
         for w in frontier:
-            for pf in pos_fund:
-                v = tuple(w[i] - pf[i] for i in range(rank))
-                if v not in seen and all(c >= 0 for c in v):
-                    seen.add(v)
-                    nxt.append(v)
+            for pf, test in zip(pos_fund, tests):
+                for i, b in test:
+                    if w[i] < b:
+                        break
+                else:
+                    v = tuple(map(sub, w, pf))
+                    if v not in seen:
+                        seen.add(v)
+                        nxt.append(v)
         frontier = nxt
     return sorted(seen)
 
@@ -201,15 +226,20 @@ def _dominant_multiplicities(t: LieType, mu: Weight) -> Tuple[Tuple[Weight, int]
              for lam in _dominant_candidates(t, mu)}
 
     mult: Dict[Weight, int] = {tuple(mu): 1}
+    # the multiplicity of each visited weight's dominant conjugate; that
+    # conjugate lies strictly above lambda, so it is final when first read
+    conjugated: Dict[Weight, int] = {}
     for lam in sorted(steps, key=lambda lam: sum(steps[lam])):
         if lam == tuple(mu):
             continue
         acc = 0
         for lam_beta, pf, bnorm in zip(_pairings(rsd, lam, zeros), pos_fund, norms):
-            k = 1
+            k, nu = 1, lam
             while True:
-                nu = tuple(lam[i] + k * pf[i] for i in range(rank))
-                m = mult.get(_dominant(nu, neighbours), 0)
+                nu = tuple(map(add, nu, pf))
+                m = conjugated.get(nu)
+                if m is None:
+                    m = conjugated[nu] = mult.get(_dominant(nu, neighbours), 0)
                 if m == 0:
                     break
                 acc += m * (lam_beta + k * bnorm)

@@ -55,6 +55,14 @@ The row-check oracle is the engine's former reconciliation route: every
 row instance handed to `assemble` on its own, where the engine now looks
 each instance up in the enumerated window and assembles only the keys the
 window lacks.
+
+The orbit-route oracles are the engine's former Freudenthal and ladder
+bodies: the recursion conjugates lambda + k beta to the dominant chamber
+on every lookup, the dominant-weight search builds mu minus every positive
+root before testing it, and the ladder pairs every orbit element with the
+grading row, where the engine now conjugates each weight once per call,
+tests a root's positive coordinates first, and counts depths along the
+orbit walk.
 """
 from __future__ import annotations
 
@@ -63,6 +71,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from hodgerep.classify import SearchConfig, _annotate_canonical, evaluate_simple, tuple_key
@@ -72,10 +81,12 @@ from hodgerep.hodgecore import (
     COMPLEX,
     QUATERNIONIC,
     REAL,
+    EigenDecomp,
     GradingElement,
     FactorSpec,
     HodgeTuple,
     HodgeVector,
+    _grading_row,
     center_charge,
     eigenspace_dims,
     extremal_dim_is_one,
@@ -86,7 +97,14 @@ from hodgerep.hodgecore import (
     reality_type,
 )
 from hodgerep.products import assemble
-from hodgerep.repweights import DEFAULT_MAX_DIM, _pairings, weight_system
+from hodgerep.repweights import (
+    DEFAULT_MAX_DIM,
+    _dominant,
+    _pairings,
+    _root_coords_of_difference,
+    weight_system,
+    weyl_orbit,
+)
 from hodgerep.rootdata import (
     RANK_BOUNDS,
     LieType,
@@ -408,6 +426,84 @@ def eigenspace_dims_full(t: LieType, mu, E: GradingElement,
     if any(a - b != 1 for (a, _), (b, _) in zip(levels, levels[1:])):
         raise ConsistencyError(f"eigenvalue ladder {levels} has a gap")
     return levels
+
+
+def dominant_candidates_all_roots(t: LieType, mu) -> List[Tuple[int, ...]]:
+    """Dominant weights of V(mu): mu minus positive roots, staying dominant,
+    each difference built as a tuple before its sign is tested."""
+    pos_fund = root_system(t).positive_roots_fund
+    rank = t.rank
+    seen = {tuple(mu)}
+    frontier = [tuple(mu)]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for pf in pos_fund:
+                v = tuple(w[i] - pf[i] for i in range(rank))
+                if v not in seen and all(c >= 0 for c in v):
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return sorted(seen)
+
+
+def dominant_multiplicities_conjugating(t: LieType, mu
+                                        ) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    """The nonzero multiplicities at the dominant weights of V(mu), by
+    Freudenthal's recursion, highest first; every lambda + k beta read is
+    conjugated to the dominant chamber anew."""
+    mu = tuple(mu)
+    rsd = root_system(t)
+    rank = t.rank
+    rho = rsd.weyl_vector
+    pos_fund = rsd.positive_roots_fund
+    neighbours = rsd.neighbours
+    norms = [sum(map(mul, beta, map(mul, pf, rsd.symmetrizer)))
+             for beta, pf in zip(rsd.positive_roots, pos_fund)]
+    zeros = [0] * len(pos_fund)
+    steps = {lam: _root_coords_of_difference(rsd, mu, lam)
+             for lam in dominant_candidates_all_roots(t, mu)}
+    mult = {mu: 1}
+    for lam in sorted(steps, key=lambda lam: sum(steps[lam])):
+        if lam == mu:
+            continue
+        acc = 0
+        for lam_beta, pf, bnorm in zip(_pairings(rsd, lam, zeros), pos_fund, norms):
+            k = 1
+            while True:
+                nu = tuple(lam[i] + k * pf[i] for i in range(rank))
+                m = mult.get(_dominant(nu, neighbours), 0)
+                if m == 0:
+                    break
+                acc += m * (lam_beta + k * bnorm)
+                k += 1
+        w = tuple(mu[i] + lam[i] + 2 * rho[i] for i in range(rank))
+        den = sum(steps[lam][j] * rsd.symmetrizer[j] * w[j] for j in range(rank))
+        if den <= 0 or (2 * acc) % den:
+            raise ConsistencyError(f"Freudenthal recursion inconsistent at {lam} in V{mu}")
+        mult[lam] = (2 * acc) // den
+    return tuple((lam, m) for lam, m in mult.items() if m)
+
+
+def orbit_ladder_by_pairing(t: LieType, mu, E: GradingElement,
+                            max_dim: int = DEFAULT_MAX_DIM) -> EigenDecomp:
+    """The orbit-route ladder with every orbit element paired with the
+    grading row and bucketed by the integer numerator of its eigenvalue."""
+    ws = weight_system(t, mu, max_dim=max_dim)
+    rsd = root_system(t)
+    row = _grading_row(rsd, E)
+    buckets = {}
+    for lam, m in ws.dominant:
+        for nu in weyl_orbit(t, lam):
+            s = sum(map(mul, row, nu))
+            buckets[s] = buckets.get(s, 0) + m
+    ws.check_total(sum(buckets.values()))
+    den, top = rsd.inverse_den, max(buckets)
+    dims = tuple(buckets[s] for s in range(top, top - den * len(buckets), -den)
+                 if s in buckets)
+    if len(dims) != len(buckets):
+        raise ConsistencyError(f"eigenvalue ladder {sorted(buckets)}/{den} has a gap")
+    return EigenDecomp(top=Fraction(top, den), dims=dims)
 
 
 def convolve_levels(decomps: Sequence[Levels]) -> Levels:

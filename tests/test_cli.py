@@ -388,6 +388,32 @@ def test_inspect_output_is_pinned(capsys, argv, expected):
     assert run(capsys, "inspect", *argv) == (0, expected, "")
 
 
+@pytest.mark.parametrize("argv, code, digest", [
+    ("C8 --E 3,6 --mu 0,0,0,1,0,0,0,0 --level 1", 2,
+     "f309fa8d6876190a2c0aaa3cb446a20afd5d217c14fcd6753c742d2a6bb92e83"),
+    ("E8 --E 8 --mu 0,0,0,0,0,0,0,1 --level 3", 2,
+     "1396bcd955a24c1f81da594191bcefd7da447be15c0b62a3669b9fe413b6d42f"),
+    ("D4 --E 1,2,4 --mu 0,1,2,1 --level 3", 2,
+     "43274fc83180bd4cd0a2f31500d4c6be76dc3c58ea472e2194f7fa1741183ad2"),
+    ("G2 --E 1,2 --mu 3,2 --level 3", 2,
+     "c8f997ec4b869b583e6e3505d7c3a681b3e0f6f7a0b5e9553c6de2cc557681bc"),
+    ("A2 --E 1 --mu 3,0 --level 3", 2,
+     "1eaa18f64ca7a5b54870773b0d1fbea62c28a503ff0a5ab2cec4c152ac95ee55"),
+    ("F4 --E 1,4 --mu 1,0,0,1 --level 3", 2,
+     "884b54b8149dfa1ac3a67b8216662bee0fe3acce87e55fb30a65db2c9a8e09dd"),
+    ("A5 --E 1,5 --mu 1,0,0,0,2 --level 3", 2,
+     "536fef81ccc051c8e83aa903902ce8a6f4f1ebe2c66af478bc8dc4a4b208a391"),
+    ("E8 --E 8 --mu 0,0,0,0,0,0,0,1 --level 3 --max-dim 100", 70,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+], ids=["C8", "E8", "D4", "G2", "A2", "F4", "A5", "E8-max-dim"])
+def test_orbit_route_inspect_bytes_are_pinned(capsys, argv, code, digest):
+    """Candidates whose ladder takes the orbit route: span above 3, or 3
+    with mu != mu*; every one is shape-invalid or stops at the guard."""
+    got, out, _ = run(capsys, "inspect", *argv.split())
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_records_round_trip_losslessly(capsys):
     from fractions import Fraction
 

@@ -28,7 +28,7 @@ from hodgerep.hodgecore import (
     real_form,
     reality_type,
 )
-from hodgerep.repweights import weight_system, weyl_dim
+from hodgerep.repweights import DEFAULT_MAX_DIM, weight_system, weyl_dim
 from hodgerep.rootdata import RANK_BOUNDS, LieType, catalogued_types, dual_weight, root_system
 
 from oracles import (
@@ -37,8 +37,10 @@ from oracles import (
     hodge_vector_levels,
     level_fraction,
     mu_of_grading_fraction,
+    orbit_ladder_by_pairing,
     reality_type_fraction,
 )
+from test_repweights import orbit_route_weights
 
 E = GradingElement.from_nodes
 
@@ -131,6 +133,31 @@ def test_fold_shape_check_survives_optimize():
             "except ConsistencyError:\n"
             "    print('raised')\n")
     assert _run_optimized(code) == "raised\n"
+
+
+def test_orbit_ladder_checks_survive_optimize():
+    """Under python -O, on A2, 2 omega_1 under E = A1 + A2 (span 4): a
+    doubled inverse denominator puts omega_2 half a step below the top,
+    and a doubled Weyl denominator halves weyl_dim below the total."""
+    code = ("import hodgerep.hodgecore as hodgecore\n"
+            "import hodgerep.repweights as repweights\n"
+            "from hodgerep.errors import ConsistencyError\n"
+            "from hodgerep.hodgecore import GradingElement, eigenspace_dims\n"
+            "from hodgerep.rootdata import LieType, root_system\n"
+            "a2 = root_system(LieType('A', 2))\n"
+            "g = GradingElement.from_nodes(2, [1, 2])\n"
+            "for module, field in ((hodgecore, 'inverse_den'), (repweights, 'rho_product')):\n"
+            "    patched = a2._replace(**{field: 2 * getattr(a2, field)})\n"
+            "    module.root_system = {a2.lie_type: patched}.__getitem__\n"
+            "    try:\n"
+            "        eigenspace_dims(a2.lie_type, (2, 0), g)\n"
+            "    except ConsistencyError as exc:\n"
+            "        print('raised', exc)\n"
+            "    module.root_system = root_system\n")
+    lines = _run_optimized(code).splitlines()
+    assert len(lines) == 2, lines
+    assert "(mu - lambda)(E) = 1/2 is not an integer" in lines[0]
+    assert "multiplicity total 6 != weyl_dim 3" in lines[1]
 
 
 def _run_optimized(code):
@@ -563,3 +590,47 @@ def test_levi_ladder_checks_survive_optimize():
     assert len(lines) == 2, out.stdout
     assert "Levi dimension" in lines[0] and "not integral" in lines[0]
     assert "odd middle" in lines[1]
+
+
+def _orbit_route_cases():
+    """(type, mu, E) for every type of rank <= 8, the oracle weights of
+    `orbit_route_weights`, and the painted sets {1}, {r}, {1, r},
+    {ceil(r/2)} and all nodes."""
+    for t in catalogued_types(8):
+        r = t.rank
+        painted = {(1,), (r,), tuple(sorted({1, r})), ((r + 1) // 2,), tuple(range(1, r + 1))}
+        for mu in orbit_route_weights(t):
+            for nodes in sorted(painted):
+                yield t, mu, E(r, nodes)
+
+
+def test_orbit_ladder_matches_the_pairing_oracle():
+    """Counting depths along the orbit walk gives the ladder that pairing
+    every orbit element with the grading row gave."""
+    count = 0
+    for t, mu, g in _orbit_route_cases():
+        assert hodgecore._orbit_ladder(t, mu, g, DEFAULT_MAX_DIM) == \
+            orbit_ladder_by_pairing(t, mu, g), (str(t), mu, g.support)
+        count += 1
+    assert count == 1037
+
+
+@pytest.mark.parametrize("family, rank, mu, nodes", [
+    ("E", 8, (0, 0, 0, 0, 0, 0, 0, 1), [8]),
+    ("B", 8, (0, 0, 1, 0, 0, 0, 0, 0), [1, 8]),
+    ("A", 6, (0, 0, 1, 0, 0, 1), [3]),
+])
+def test_orbit_ladder_reads_the_grading_row_once(monkeypatch, family, rank, mu, nodes):
+    """One grading row per ladder and one orbit walk per dominant weight,
+    where the pairing route paired the row with every orbit element."""
+    t, g = LieType(family, rank), E(rank, nodes)
+    rows, walks = [], []
+    row_of, walk = hodgecore._grading_row, hodgecore._orbit_walk
+    monkeypatch.setattr(hodgecore, "_grading_row",
+                        lambda rsd, e: rows.append(e) or row_of(rsd, e))
+    monkeypatch.setattr(hodgecore, "_orbit_walk",
+                        lambda lam, *args: walks.append(lam) or walk(lam, *args))
+    got = hodgecore._orbit_ladder(t, mu, g, DEFAULT_MAX_DIM)
+    assert got == orbit_ladder_by_pairing(t, mu, g)
+    assert rows == [g]
+    assert walks == [lam for lam, _ in weight_system(t, mu).dominant]

@@ -1,7 +1,12 @@
+from collections import Counter
+
 import pytest
 
+from hodgerep import repweights
 from hodgerep.errors import NonDominantError, ResourceLimitError
 from hodgerep.repweights import (
+    _dominant_candidates,
+    _dominant_multiplicities,
     _pairings,
     dominant_conjugate,
     levi_dim,
@@ -12,6 +17,8 @@ from hodgerep.repweights import (
 from hodgerep.rootdata import LieType, catalogued_types, dual_weight, root_system
 
 from oracles import (
+    dominant_candidates_all_roots,
+    dominant_multiplicities_conjugating,
     dominant_weights_up_to,
     kostant_multiplicity,
     levi_dim_all_pairings,
@@ -206,3 +213,52 @@ def test_weights_lie_below_highest_in_root_lattice():
         for lam in ws.multiplicities:
             rc = weight_to_root_coords(t, tuple(m - l for m, l in zip(mu, lam)))
             assert all(x.denominator == 1 and x >= 0 for x in rc), (mu, lam)
+
+
+def orbit_route_weights(t):
+    """omega_i, omega_i + omega_1 and 2 omega_i for i <= 3, those of Weyl
+    dimension <= 20,000: the weights the orbit-route oracles are run on."""
+    r = t.rank
+    out = set()
+    for i in range(min(r, 3)):
+        omega = tuple(int(j == i) for j in range(r))
+        for mu in (omega, tuple(c + int(j == 0) for j, c in enumerate(omega)),
+                   tuple(2 * c for c in omega)):
+            if weyl_dim(t, mu) <= 20000:
+                out.add(mu)
+    return sorted(out)
+
+
+def test_dominant_search_and_freudenthal_match_their_oracles():
+    """Testing a root's positive coordinates before building w - beta, and
+    conjugating each visited weight once per recursion, change nothing on
+    every type of rank <= 8."""
+    count = 0
+    for t in catalogued_types(8):
+        for mu in orbit_route_weights(t):
+            assert _dominant_candidates(t, mu) == dominant_candidates_all_roots(t, mu), \
+                (str(t), mu)
+            assert _dominant_multiplicities(t, mu) == \
+                dominant_multiplicities_conjugating(t, mu), (str(t), mu)
+            count += 1
+    assert count == 217
+
+
+@pytest.mark.parametrize("family, rank, mu", [
+    ("E", 8, (0, 0, 0, 0, 0, 0, 0, 1)),
+    ("B", 8, (0, 0, 1, 0, 0, 0, 0, 0)),
+    ("A", 6, (0, 0, 1, 0, 0, 1)),
+])
+def test_freudenthal_conjugates_each_weight_once(monkeypatch, family, rank, mu):
+    t = LieType(family, rank)
+    want = dominant_multiplicities_conjugating(t, mu)
+    conjugated = Counter()
+    inner = repweights._dominant
+
+    def counting(w, neighbours):
+        conjugated[w] += 1
+        return inner(w, neighbours)
+
+    monkeypatch.setattr(repweights, "_dominant", counting)
+    assert _dominant_multiplicities.__wrapped__(t, mu) == want
+    assert conjugated and max(conjugated.values()) == 1, conjugated.most_common(3)

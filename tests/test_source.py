@@ -205,7 +205,8 @@ def _names(tree, idents, allowed=frozenset()):
 # the orbit route, its weight systems, and the library entry that reaches
 # it: every ladder the rule admits is the Levi closed form, so only the
 # modules that implement the route, and the re-exporting package, name it
-ORBIT_ROUTE = {"weight_system", "weyl_orbit", "_orbit_ladder", "eigenspace_dims"}
+ORBIT_ROUTE = {"weight_system", "weyl_orbit", "_orbit_walk", "_orbit_ladder",
+               "eigenspace_dims"}
 ORBIT_ROUTE_MODULES = {"repweights.py", "hodgecore.py", "__init__.py"}
 
 
@@ -228,8 +229,9 @@ def test_orbit_route_guard_detects_each_form():
         "def weyl_orbit(): pass\n"
         "z = eigen_ladder(t, mu, E, 1, top)\n"
         "s = 'weight_system'\n"
-        "weight_systems = levi_dim\n")
-    assert _names(tree, ORBIT_ROUTE) == [1, 2, 4, 5, 6, 7, 8]
+        "weight_systems = levi_dim\n"
+        "depths = [d for _, d in repweights._orbit_walk(lam, nb, painted)]\n")
+    assert _names(tree, ORBIT_ROUTE) == [1, 2, 4, 5, 6, 7, 8, 12]
 
 
 # the size guard fronts only the weight systems that the orbit route
