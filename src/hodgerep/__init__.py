@@ -22,7 +22,6 @@ from .hodgecore import (
     HodgeVector,
     RealFormDescriptor,
     center_charge,
-    eigenspace_dims,
     extremal_dim_is_one,
     hodge_vector,
     level,
@@ -37,7 +36,6 @@ from .rootdata import (
     dual_weight,
     mu_plus_mu_star_closed_form,
     root_system,
-    weight_to_root_coords,
 )
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError
 from .repweights import DEFAULT_MAX_DIM, _orbit_walk, levi_dim, weight_system, weyl_dim
-from .rootdata import LieType, RootSystemData, Weight, dual_weight, root_system
+from .rootdata import LieType, RootSystemData, Weight, _check_length, dual_weight, root_system
 
 REAL = "real"
 COMPLEX = "complex"
@@ -102,10 +102,6 @@ class EigenDecomp(NamedTuple("EigenDecomp", [("top", Fraction), ("dims", Tuple[i
         return tuple((self.top - k, d) for k, d in enumerate(self.dims))
 
     @property
-    def eigenvalues(self) -> Tuple[Fraction, ...]:
-        return tuple(self.top - k for k in range(len(self.dims)))
-
-    @property
     def span(self) -> int:
         return len(self.dims) - 1
 
@@ -178,6 +174,7 @@ def _grading_row(rsd: RootSystemData, E: GradingElement) -> List[int]:
 
 def mu_of_grading(t: LieType, mu, E: GradingElement) -> Fraction:
     """mu(E_ss): sum of mu's simple-root coordinates over the support."""
+    _check_length(t, mu)
     rsd = root_system(t)
     return Fraction(sum(map(mul, _grading_row(rsd, E), mu)), rsd.inverse_den)
 
@@ -192,20 +189,14 @@ def _level_sum(t: LieType, mu, nodes: Sequence[int]) -> int:
 def level(t: LieType, mu, E: GradingElement) -> int:
     """(mu + mu*)(E_ss); an integer, since mu + mu* = mu - w0(mu) lies in
     the root lattice."""
+    _check_length(t, mu)
     return _level_sum(t, mu, [i - 1 for i in E.support])
-
-
-def eigenspace_dims(t: LieType, mu, E: GradingElement,
-                    max_dim: int = DEFAULT_MAX_DIM) -> EigenDecomp:
-    """Dimensions of the eigenspaces of E_ss on the weight spaces of V(mu):
-    `eigen_ladder` with the span and the top computed here."""
-    return eigen_ladder(t, mu, E, level(t, mu, E), mu_of_grading(t, mu, E), max_dim)
 
 
 def eigen_ladder(t: LieType, mu, E: GradingElement, span: int, top: Fraction,
                  max_dim: int = DEFAULT_MAX_DIM) -> EigenDecomp:
-    """The eigenspace ladder of E_ss on V(mu) for a caller that already
-    holds span = level(t, mu, E) and top = mu_of_grading(t, mu, E).
+    """The eigenspace ladder of E_ss on V(mu), given its span
+    level(t, mu, E) and its top mu_of_grading(t, mu, E).
 
     The ladder comes from the Levi closed form at span 1 or 2, or at span
     3 with mu = mu*, and from the orbit walk otherwise; only the orbit walk

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import add, mul, sub
 from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from .errors import ConsistencyError, NonDominantError, ResourceLimitError
-from .rootdata import LieType, RootSystemData, Weight, root_system
+from .rootdata import LieType, RootSystemData, Weight, _check_length, root_system
 
 DEFAULT_MAX_DIM = 10 ** 6
 
@@ -29,22 +29,11 @@ DEFAULT_MAX_DIM = 10 ** 6
 class WeightSystem(NamedTuple("WeightSystem", [
         ("lie_type", LieType), ("highest", Weight), ("dimension", int),
         ("dominant", Tuple[Tuple[Weight, int], ...])])):
-    """Weight system of one irreducible representation.
+    """Weight system of one irreducible representation, held as its
+    dominant weights with their multiplicities; every other weight shares
+    the multiplicity of its dominant conjugate."""
 
-    Held as its dominant weights with their multiplicities; the full
-    multiplicity map, the union of their Weyl orbits, is built on first
-    access and kept in the instance dict, which is outside equality,
-    hashing and repr.
-    """
-
-    @cached_property
-    def multiplicities(self) -> Dict[Weight, int]:
-        full = {w: m for lam, m in self.dominant for w in weyl_orbit(self.lie_type, lam)}
-        self.check_total(sum(full.values()))
-        return full
-
-    def items(self):
-        return self.multiplicities.items()
+    __slots__ = ()
 
     def check_total(self, total: int) -> None:
         """Raise unless a count over all weights equals the Weyl dimension."""
@@ -53,7 +42,8 @@ class WeightSystem(NamedTuple("WeightSystem", [
                                    f"{self.dimension} for {self.highest} on {self.lie_type}")
 
 
-def _check_dominant(mu) -> None:
+def _check_dominant(t: LieType, mu) -> None:
+    _check_length(t, mu)
     if any(c < 0 for c in mu):
         raise NonDominantError(f"weight {tuple(mu)} is not dominant")
 
@@ -71,7 +61,7 @@ def _pairings(rsd: RootSystemData, lam, base) -> List[int]:
 
 def weyl_dim(t: LieType, mu) -> int:
     """Dimension by the Weyl formula, prod (mu+rho, beta) / (rho, beta)."""
-    _check_dominant(mu)
+    _check_dominant(t, mu)
     rsd = root_system(t)
     num = math.prod(_pairings(rsd, mu, rsd.rho_pairings))
     if num % rsd.rho_product:
@@ -85,7 +75,7 @@ def levi_dim(t: LieType, mu, nodes) -> int:
     over the positive roots with no support on `nodes`.  A root with no
     support on supp(mu) pairs with mu to 0, so only the others add a
     factor other than 1, and (mu + rho, beta) is paired for those alone."""
-    _check_dominant(mu)
+    _check_dominant(t, mu)
     rsd = root_system(t)
     painted = sum(1 << (i - 1) for i in nodes)
     touched = sum(1 << j for j, c in enumerate(mu) if c)
@@ -115,8 +105,9 @@ def _reflect(v, i: int, neighbours) -> List[int]:
 
 
 def _dominant(w, neighbours) -> Weight:
-    """`dominant_conjugate` with the type's neighbour table looked up: the
-    first negative node reflected in place until none is left."""
+    """The dominant Weyl-chamber representative of the weight w, for a
+    type's neighbour table: the first negative node reflected in place
+    until none is left."""
     cur = list(w)
     while True:
         for i, c in enumerate(cur):
@@ -127,11 +118,6 @@ def _dominant(w, neighbours) -> Weight:
         cur[i] = -c
         for j, a in neighbours[i]:
             cur[j] -= c * a
-
-
-def dominant_conjugate(t: LieType, w: Weight) -> Weight:
-    """The dominant Weyl-chamber representative of a weight."""
-    return _dominant(w, root_system(t).neighbours)
 
 
 def _orbit_walk(top: Weight, neighbours, painted) -> Iterator[Tuple[Weight, int]]:
@@ -162,14 +148,6 @@ def _orbit_walk(top: Weight, neighbours, painted) -> Iterator[Tuple[Weight, int]
                         if min(u[:j]) >= 0:
                             queue.append((tuple(u), depth + v[j] * painted[j]))
                 break
-
-
-def weyl_orbit(t: LieType, w: Weight) -> List[Weight]:
-    """Weyl orbit of a weight, walked down from its dominant conjugate,
-    which comes first."""
-    rsd = root_system(t)
-    top = _dominant(w, rsd.neighbours)
-    return [v for v, _ in _orbit_walk(top, rsd.neighbours, (0,) * t.rank)]
 
 
 def _dominant_candidates(t: LieType, mu: Weight) -> List[Weight]:

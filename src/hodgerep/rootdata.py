@@ -269,13 +269,10 @@ def root_system(t: LieType) -> RootSystemData:
     )
 
 
-def weight_to_root_coords(t: LieType, w) -> RationalVector:
-    """Simple-root coordinates of a weight given in fundamental coordinates."""
+def _check_length(t: LieType, w) -> None:
+    """Raise ValueError unless the weight w has one coordinate per node of t."""
     if len(w) != t.rank:
         raise ValueError(f"weight length {len(w)} != rank {t.rank}")
-    rsd = root_system(t)
-    return tuple(Fraction(sum(map(mul, w, col)), rsd.inverse_den)
-                 for col in zip(*rsd.inverse_num))
 
 
 def duality_permutation(t: LieType) -> Tuple[int, ...]:
@@ -293,6 +290,7 @@ def duality_permutation(t: LieType) -> Tuple[int, ...]:
 
 def dual_weight(t: LieType, mu) -> Weight:
     """Highest weight of the dual representation, mu* = -w0(mu)."""
+    _check_length(t, mu)
     return tuple([mu[j] for j in root_system(t).duality])
 
 
@@ -370,8 +368,7 @@ def mu_plus_mu_star_closed_form(t: LieType, mu) -> RationalVector:
     for every i.  Cross-checked exactly against the inverse-Cartan route by
     the closed-form equivalence property.
     """
-    if len(mu) != t.rank:
-        raise ValueError(f"weight length {len(mu)} != rank {t.rank}")
+    _check_length(t, mu)
     f, r = t.family, t.rank
     total = [Fraction(0)] * r
 

@@ -8,7 +8,9 @@ The eigenspace oracle is the full-map route the orbit-walk bucketing
 replaced: every Weyl orbit expanded by all-node breadth-first search over
 full simple reflections into one weight -> multiplicity map, which is
 then grouped by eigenvalue.  It shares only the size guard and the
-Freudenthal dominant multiplicities with the engine.
+Freudenthal dominant multiplicities with the engine.  `eigenspace_dims`
+is not an oracle: it is the engine's `eigen_ladder` with its span and
+top computed first, for tests that hold only (type, mu, E).
 
 The Levi-dimension oracle is the engine's former `levi_dim`: (mu + rho,
 beta) paired for every positive root at once, of which only the roots of
@@ -19,10 +21,10 @@ string's depth found by probing lowered tuples, where the engine now
 carries each root's string depths from height to height.
 
 The root-data and level oracles are the engine's former `Fraction`
-routes: Gauss-Jordan inversion of the Cartan matrix over `Fraction`, and
-level, reality type and mu(E_ss) read off `Fraction` simple-root
-coordinates, which the engine now takes from its integer inverse and
-integer level matrix.
+routes: Gauss-Jordan inversion of the Cartan matrix over `Fraction`, a
+weight's simple-root coordinates read off that inverse, and level,
+reality type and mu(E_ss) read off those coordinates, which the engine
+now takes from its integer inverse and integer level matrix.
 
 The enumeration oracle is the exhaustive sweep the engine's level-bound
 generator replaced: every dominant weight with coordinate sum <= 3
@@ -88,7 +90,7 @@ from hodgerep.hodgecore import (
     HodgeVector,
     _grading_row,
     center_charge,
-    eigenspace_dims,
+    eigen_ladder,
     extremal_dim_is_one,
     hodge_vector,
     level,
@@ -100,10 +102,10 @@ from hodgerep.products import assemble
 from hodgerep.repweights import (
     DEFAULT_MAX_DIM,
     _dominant,
+    _orbit_walk,
     _pairings,
     _root_coords_of_difference,
     weight_system,
-    weyl_orbit,
 )
 from hodgerep.rootdata import (
     RANK_BOUNDS,
@@ -111,7 +113,6 @@ from hodgerep.rootdata import (
     dual_weight,
     mu_plus_mu_star_closed_form,
     root_system,
-    weight_to_root_coords,
 )
 
 Levels = Tuple[Tuple[Fraction, int], ...]
@@ -132,6 +133,21 @@ def invert_exact(matrix) -> Tuple[Tuple[Fraction, ...], ...]:
                 f = aug[i][col]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+@lru_cache(maxsize=None)
+def _inverse_cartan(t: LieType) -> Tuple[Tuple[Fraction, ...], ...]:
+    """The `Fraction` inverse of t's Cartan matrix, inverted once per type."""
+    return invert_exact(root_system(t).cartan)
+
+
+@lru_cache(maxsize=None)
+def weight_to_root_coords(t: LieType, w: Tuple[int, ...]) -> Tuple[Fraction, ...]:
+    """Simple-root coordinates of a weight given in fundamental coordinates,
+    read off the `Fraction` inverse of the Cartan matrix."""
+    inv = _inverse_cartan(t)
+    return tuple(sum((w[i] * inv[i][j] for i in range(t.rank)), Fraction(0))
+                 for j in range(t.rank))
 
 
 def positive_roots_probing(cartan) -> Tuple[Tuple[Tuple[int, ...], ...],
@@ -175,14 +191,13 @@ def root_to_weight_coords(t: LieType, rc) -> Tuple[Fraction, ...]:
     return tuple(sum(Fraction(rc[j]) * cartan[j][i] for j in range(n)) for i in range(n))
 
 
-# the engine's former LRUs in front of its Fraction vectors, keyed on (type, mu)
-_root_coords = lru_cache(maxsize=None)(weight_to_root_coords)
+# the engine's former LRU in front of its closed forms, keyed on (type, mu)
 _closed_form = lru_cache(maxsize=None)(mu_plus_mu_star_closed_form)
 
 
 def mu_of_grading_fraction(t: LieType, mu, E: GradingElement) -> Fraction:
     """mu(E_ss) summed over `Fraction` simple-root coordinates."""
-    rc = _root_coords(t, tuple(mu))
+    rc = weight_to_root_coords(t, tuple(mu))
     return sum((rc[i - 1] for i in E.support), Fraction(0))
 
 
@@ -382,12 +397,6 @@ def weyl_orbit_bfs(t: LieType, w) -> List[Tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _inverse_cartan(t: LieType) -> Tuple[Tuple[Fraction, ...], ...]:
-    """The `Fraction` inverse of t's Cartan matrix, inverted once per type."""
-    return invert_exact(root_system(t).cartan)
-
-
-@lru_cache(maxsize=None)
 def full_weight_map(t: LieType, mu: Tuple[int, ...]) -> Dict[Tuple[int, ...], int]:
     """Every weight of V(mu) with its multiplicity, each dominant weight's
     Freudenthal multiplicity spread over its breadth-first orbit."""
@@ -396,33 +405,28 @@ def full_weight_map(t: LieType, mu: Tuple[int, ...]) -> Dict[Tuple[int, ...], in
     for lam, m in ws.dominant:
         for w in weyl_orbit_bfs(t, lam):
             full[w] = m
-    if sum(full.values()) != ws.dimension:
-        raise ConsistencyError(f"multiplicity total {sum(full.values())} != "
-                               f"weyl_dim {ws.dimension}")
+    ws.check_total(sum(full.values()))
     return full
+
+
+def eigenspace_dims(t: LieType, mu, E: GradingElement,
+                    max_dim: int = DEFAULT_MAX_DIM) -> EigenDecomp:
+    """The engine's ladder of E_ss on V(mu), its span and top computed by
+    `level` and `mu_of_grading`."""
+    return eigen_ladder(t, mu, E, level(t, mu, E), mu_of_grading(t, mu, E), max_dim)
 
 
 def eigenspace_dims_full(t: LieType, mu, E: GradingElement,
                          max_dim: int = DEFAULT_MAX_DIM) -> Levels:
     """The (eigenvalue, dimension) levels of `eigenspace_dims`, by grouping
-    the full weight map by the eigenvalue lambda(E_ss)."""
+    the full weight map by the eigenvalue lambda(E_ss), summed over the
+    `Fraction` simple-root coordinates of lambda."""
     weight_system(t, mu, max_dim=max_dim)  # the size guard
-    rank = t.rank
-    inv = _inverse_cartan(t)
-    sup = [i - 1 for i in E.support]
-    row = [sum(inv[j][i] for i in sup) for j in range(rank)]
-    den = 1
-    for x in row:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    int_row = [int(x * den) for x in row]
-
     buckets = {}
     for lam, m in full_weight_map(t, tuple(mu)).items():
-        s = sum(int_row[j] * lam[j] for j in range(rank))
-        buckets[s] = buckets.get(s, 0) + m
-    levels = tuple(
-        (Fraction(s, den), buckets[s]) for s in sorted(buckets, reverse=True)
-    )
+        ev = mu_of_grading_fraction(t, lam, E)
+        buckets[ev] = buckets.get(ev, 0) + m
+    levels = tuple((ev, buckets[ev]) for ev in sorted(buckets, reverse=True))
     if any(a - b != 1 for (a, _), (b, _) in zip(levels, levels[1:])):
         raise ConsistencyError(f"eigenvalue ladder {levels} has a gap")
     return levels
@@ -494,7 +498,7 @@ def orbit_ladder_by_pairing(t: LieType, mu, E: GradingElement,
     row = _grading_row(rsd, E)
     buckets = {}
     for lam, m in ws.dominant:
-        for nu in weyl_orbit(t, lam):
+        for nu, _ in _orbit_walk(lam, rsd.neighbours, (0,) * t.rank):
             s = sum(map(mul, row, nu))
             buckets[s] = buckets.get(s, 0) + m
     ws.check_total(sum(buckets.values()))

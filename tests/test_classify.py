@@ -38,7 +38,6 @@ from hodgerep.hodgecore import (
     COMPLEX,
     REAL,
     GradingElement,
-    eigenspace_dims,
     extremal_dim_is_one,
     level,
     reality_type,
@@ -51,6 +50,7 @@ from oracles import (
     _eval_row,
     candidates_all_supports,
     dominant_weights_up_to,
+    eigenspace_dims,
     enumerate_level_brute,
     evaluate_simple_direct,
     hodge_vector_levels,

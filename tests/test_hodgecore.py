@@ -20,7 +20,6 @@ from hodgerep.hodgecore import (
     GradingElement,
     HodgeVector,
     center_charge,
-    eigenspace_dims,
     extremal_dim_is_one,
     hodge_vector,
     level,
@@ -28,11 +27,12 @@ from hodgerep.hodgecore import (
     real_form,
     reality_type,
 )
-from hodgerep.repweights import DEFAULT_MAX_DIM, weight_system, weyl_dim
+from hodgerep.repweights import DEFAULT_MAX_DIM, levi_dim, weight_system, weyl_dim
 from hodgerep.rootdata import RANK_BOUNDS, LieType, catalogued_types, dual_weight, root_system
 
 from oracles import (
     dominant_weights_up_to,
+    eigenspace_dims,
     eigenspace_dims_full,
     hodge_vector_levels,
     level_fraction,
@@ -74,6 +74,19 @@ def test_eigenspace_examples():
     assert d.levels == ((Q(3, 2), 1), (Q(1, 2), 1), (Q(-1, 2), 1), (Q(-3, 2), 1))
     d = eigenspace_dims(LieType("C", 3), fundamental(3, 1), E(3, [3]))
     assert d.levels == ((Q(1, 2), 3), (Q(-1, 2), 3))
+
+
+@pytest.mark.parametrize("fn, args", [
+    (weyl_dim, ()), (levi_dim, ((1,),)), (weight_system, ()), (dual_weight, ()),
+    (level, (E(2, [1]),)), (reality_type, (E(2, [1]),)), (mu_of_grading, (E(2, [1]),)),
+], ids=lambda x: getattr(x, "__name__", ""))
+@pytest.mark.parametrize("mu", [(1,), (1, 0, 5)])
+def test_weight_of_wrong_length_is_rejected(fn, args, mu):
+    """A weight with fewer or more coordinates than the rank raises rather
+    than being truncated or read past its end."""
+    with pytest.raises(ValueError) as info:
+        fn(LieType("A", 2), mu, *args)
+    assert str(info.value) == f"weight length {len(mu)} != rank 2"
 
 
 def test_extremal_examples():
@@ -142,15 +155,15 @@ def test_orbit_ladder_checks_survive_optimize():
     code = ("import hodgerep.hodgecore as hodgecore\n"
             "import hodgerep.repweights as repweights\n"
             "from hodgerep.errors import ConsistencyError\n"
-            "from hodgerep.hodgecore import GradingElement, eigenspace_dims\n"
+            "from hodgerep.hodgecore import GradingElement, eigen_ladder, level, mu_of_grading\n"
             "from hodgerep.rootdata import LieType, root_system\n"
             "a2 = root_system(LieType('A', 2))\n"
-            "g = GradingElement.from_nodes(2, [1, 2])\n"
+            "t, mu, g = a2.lie_type, (2, 0), GradingElement.from_nodes(2, [1, 2])\n"
             "for module, field in ((hodgecore, 'inverse_den'), (repweights, 'rho_product')):\n"
             "    patched = a2._replace(**{field: 2 * getattr(a2, field)})\n"
             "    module.root_system = {a2.lie_type: patched}.__getitem__\n"
             "    try:\n"
-            "        eigenspace_dims(a2.lie_type, (2, 0), g)\n"
+            "        eigen_ladder(t, mu, g, level(t, mu, g), mu_of_grading(t, mu, g))\n"
             "    except ConsistencyError as exc:\n"
             "        print('raised', exc)\n"
             "    module.root_system = root_system\n")
@@ -241,8 +254,9 @@ def test_self_dual_decomposition_symmetric():
         assert dual_weight(t, mu) == mu
         for g in _all_gradings(t.rank):
             d = eigenspace_dims(t, mu, g)
+            eigenvalues = [ev for ev, _ in d.levels]
             assert d.dims == tuple(reversed(d.dims))
-            assert d.eigenvalues == tuple(-e for e in reversed(d.eigenvalues))
+            assert eigenvalues == [-e for e in reversed(eigenvalues)]
 
 
 def test_duality_flips_decomposition():
@@ -253,7 +267,7 @@ def test_duality_flips_decomposition():
             d = eigenspace_dims(t, mu, g)
             dd = eigenspace_dims(t, dual_weight(t, mu), g)
             assert dd.dims == tuple(reversed(d.dims))
-            assert dd.eigenvalues == tuple(-e for e in reversed(d.eigenvalues))
+            assert [ev for ev, _ in dd.levels] == [-ev for ev, _ in reversed(d.levels)]
 
 
 def test_extremal_criterion_matches_top_eigenspace_small():
@@ -270,7 +284,7 @@ def test_eigen_decomp_validation():
             EigenDecomp(Q(1), dims)
     d = EigenDecomp(Q(1, 2), (2, 3, 1))
     assert d.levels == ((Q(1, 2), 2), (Q(-1, 2), 3), (Q(-3, 2), 1))
-    assert d.eigenvalues == (Q(1, 2), Q(-1, 2), Q(-3, 2))
+    assert tuple(ev for ev, _ in d.levels) == (Q(1, 2), Q(-1, 2), Q(-3, 2))
     assert sum(d.dims) == 6
     assert d.span == 2 and type(d.span) is int
 
@@ -568,7 +582,7 @@ def test_levi_ladder_checks_survive_optimize():
     E = A3."""
     code = ("import hodgerep.repweights as repweights\n"
             "from hodgerep.errors import ConsistencyError\n"
-            "from hodgerep.hodgecore import GradingElement, eigenspace_dims\n"
+            "from hodgerep.hodgecore import GradingElement, eigen_ladder, level, mu_of_grading\n"
             "from hodgerep.rootdata import LieType, root_system\n"
             "a3, c3 = root_system(LieType('A', 3)), root_system(LieType('C', 3))\n"
             "masks = list(a3.root_masks)\n"
@@ -577,17 +591,13 @@ def test_levi_ladder_checks_survive_optimize():
             "c3 = c3._replace(rho_product=2 * c3.rho_product)\n"
             "repweights.root_system = {a3.lie_type: a3, c3.lie_type: c3}.__getitem__\n"
             "for rsd, mu, node in ((a3, (0, 1, 0), 1), (c3, (0, 0, 1), 3)):\n"
-            "    g = GradingElement.from_nodes(rsd.rank, [node])\n"
+            "    t, g = rsd.lie_type, GradingElement.from_nodes(rsd.rank, [node])\n"
             "    try:\n"
-            "        eigenspace_dims(rsd.lie_type, mu, g)\n"
+            "        eigen_ladder(t, mu, g, level(t, mu, g), mu_of_grading(t, mu, g))\n"
             "    except ConsistencyError as exc:\n"
             "        print('raised', exc)\n")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    lines = out.stdout.splitlines()
-    assert len(lines) == 2, out.stdout
+    lines = _run_optimized(code).splitlines()
+    assert len(lines) == 2, lines
     assert "Levi dimension" in lines[0] and "not integral" in lines[0]
     assert "odd middle" in lines[1]
 

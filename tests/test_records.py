@@ -1,6 +1,6 @@
 """The engine's record contract: fields in order, repr text, equality and
-hashing by the fields, immutability of the frozen records, `LieType`
-ordering and every validation error's type and message.  The repr strings
+hashing by the fields, immutability of the frozen records, no instance
+`__dict__` on any record, `LieType` ordering and every validation error's type and message.  The repr strings
 are those of the engine's former `dataclasses` records."""
 import pickle
 from fractions import Fraction
@@ -99,6 +99,7 @@ RECORDS = [
 def test_record_contract(record, fields, change, text, frozen):
     sample = record(**fields)
     assert repr(sample) == text
+    assert not hasattr(sample, "__dict__")
     assert record(*fields.values()) == sample and not sample != record(**fields)
     assert pickle.loads(pickle.dumps(sample)) == sample
     changed = record(**dict(fields, **change))

@@ -12,10 +12,14 @@ from hodgerep.rootdata import (
     duality_permutation,
     mu_plus_mu_star_closed_form,
     root_system,
-    weight_to_root_coords,
 )
 
-from oracles import invert_exact, positive_roots_probing, root_to_weight_coords
+from oracles import (
+    invert_exact,
+    positive_roots_probing,
+    root_to_weight_coords,
+    weight_to_root_coords,
+)
 
 Q = Fraction
 

@@ -17,6 +17,9 @@ factor summary is built at one site, the per-run `SummaryTable`, so no
 route can summarise a factor twice in a run.  The engine's records are
 built without `dataclasses`, and the packaged tables are read without
 `importlib.resources`, so a cold start imports neither, nor `inspect`.
+Each computation has one route: every public module-level function is
+read by name somewhere in the engine, or is one of the named library
+entries, so a second entry that only tests call cannot be added unseen.
 """
 import ast
 import json
@@ -93,10 +96,8 @@ CACHE_ALLOWLIST = {
     "root_system": "one immutable catalog entry per simple type, read by every layer",
     "_dominant_multiplicities": "Freudenthal's recursion once per (type, highest "
                                 "weight) for its remaining callers: the orbit route "
-                                "of eigenspace_dims (inspect at span > 3, and span 3 "
+                                "of eigen_ladder (inspect at span > 3, and span 3 "
                                 "with mu != mu*) and the public weight_system",
-    "WeightSystem.multiplicities": "the full weight map, built from the dominant "
-                                   "weights only when a caller asks for it",
 }
 
 
@@ -158,6 +159,62 @@ def test_cache_guard_detects_each_form():
         "a", "b", "c", "d", "e", "K.f", "K.g", "<call>", "<call>"]
 
 
+# public module-level functions that no engine module reads, each with the
+# reason it stays
+LIBRARY_ENTRIES = {
+    "rootdata.mu_plus_mu_star_closed_form": "paper content: the per-type closed forms "
+                                            "of mu + mu*, checked by acceptance criterion 1",
+    "products.assemble": "the library's one-tuple entry, named in README",
+}
+
+
+def _unread_functions(modules):
+    """"module.function" of each public module-level function of `modules`
+    (module name -> parse tree) that no module reads by name: in its own
+    module outside its own body, or in a module that imports it.  Methods
+    are left out, since attribute names collide across records."""
+    public, read = set(), set()
+    for module, tree in modules.items():
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                bound[node.name] = f"{module}.{node.name}"
+                if not node.name.startswith("_"):
+                    public.add(bound[node.name])
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                bound.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names)
+        for node in tree.body:
+            read.update(bound[n.id] for n in ast.walk(node) if isinstance(n, ast.Name)
+                        and n.id in bound and n.id != getattr(node, "name", None))
+    return sorted(public - read)
+
+
+def test_every_public_function_has_an_engine_reader():
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    unread = _unread_functions(modules)
+    assert sorted(set(unread) - set(LIBRARY_ENTRIES)) == [], unread
+    assert sorted(set(LIBRARY_ENTRIES) - set(unread)) == [], "stale allowlist entry"
+
+
+def test_reader_guard_detects_each_form():
+    a = ast.parse(
+        "def used(): pass\n"
+        "def aliased(): pass\n"
+        "def by_attribute(): pass\n"
+        "def recursive():\n    return recursive()\n"
+        "def _private(): pass\n"
+        "def local():\n    return used\n"
+        "class K:\n    def method(self):\n        return local()\n")
+    b = ast.parse(
+        "from .a import aliased as al\n"
+        "from . import a\n"
+        "def shadowed(by_attribute, recursive):\n"
+        "    return a.by_attribute, by_attribute, recursive, al, 'shadowed'\n")
+    assert _unread_functions({"a": a, "b": b}) == [
+        "a.by_attribute", "a.recursive", "b.shadowed"]
+
+
 def _shape_error_raises(tree):
     """Lines of each `raise` of ShapeError, bare, called or qualified."""
     return [node.lineno for node in ast.walk(tree)
@@ -202,9 +259,10 @@ def _names(tree, idents, allowed=frozenset()):
     return sorted(found)
 
 
-# the orbit route, its weight systems, and the library entry that reaches
-# it: every ladder the rule admits is the Levi closed form, so only the
-# modules that implement the route, and the re-exporting package, name it
+# the orbit route and its weight systems: every ladder the rule admits is
+# the Levi closed form, so only the modules that implement the route, and
+# the re-exporting package, name it; `weyl_orbit` and `eigenspace_dims`,
+# its former second entries, are gone and stay forbidden elsewhere
 ORBIT_ROUTE = {"weight_system", "weyl_orbit", "_orbit_walk", "_orbit_ladder",
                "eigenspace_dims"}
 ORBIT_ROUTE_MODULES = {"repweights.py", "hodgecore.py", "__init__.py"}
