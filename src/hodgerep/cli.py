@@ -20,7 +20,7 @@ from .errors import HodgeRepError, ResourceLimitError, ShapeError
 from .hodgecore import FactorSpec, GradingElement
 from .products import SummaryTable, assemble_summaries
 from .repweights import DEFAULT_MAX_DIM
-from .rootdata import RANK_BOUNDS, LieType
+from .rootdata import LieType
 
 EXIT_OK = 0
 EXIT_VERIFY_MISMATCH = 1
@@ -106,14 +106,6 @@ def _emit_records(records: List[dict], fmt: str, out) -> None:
                                          for rec in records))
 
 
-def _parse_families(text: str):
-    fams = frozenset(x.strip().upper() for x in text.split(",") if x.strip())
-    bad = fams - set(RANK_BOUNDS)
-    if bad:
-        raise ValueError(f"unknown families: {','.join(sorted(bad))}")
-    return fams
-
-
 def _csv_ints(flag: str, t: LieType, text: str) -> List[int]:
     """One factor's comma-separated integers; an empty field is an error,
     not a field to skip."""
@@ -187,7 +179,8 @@ def _cmd_classify(args) -> int:
     cfg = SearchConfig(
         max_rank=args.max_rank,
         level=args.level,
-        families=_parse_families(args.families),
+        # SearchConfig rejects an unknown family
+        families=frozenset(x.strip().upper() for x in args.families.split(",") if x.strip()),
         include_products=args.products,
         dedupe_automorphisms=args.dedupe,
     )

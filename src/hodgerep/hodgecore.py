@@ -8,15 +8,16 @@ integer dimensions below it.  These raw eigenvalues are shifted to the
 Hodge normalization (top eigenvalue n/2) only when the vector is
 assembled, so the center charge stays a single auditable step.
 
-A ladder has two routes.  At span (mu + mu*)(E) of 1 or 2, and at span
-3 with mu = mu*, it is read off Weyl dimensions: the top eigenspace is
-the irreducible module of the Levi factor l_E with highest weight mu
-(Green-Griffiths-Kerr), the bottom one that of mu*, and weyl_dim fixes
-the rest; no weight is visited, so nothing is size-guarded.  Every other
-ladder is counted along the Weyl-orbit walks of the Freudenthal dominant
-weights, behind the size guard of `weight_system`: each dominant weight
-starts at its integer depth (mu - lambda)(E_ss) below the top, and each
-step of its walk adds whole steps, so no orbit element is paired with E.
+A ladder has one route per span.  At span (mu + mu*)(E) of 1 to 3 it
+is read off Weyl dimensions: the top eigenspace is the irreducible module
+of the Levi factor l_E with highest weight mu (Green-Griffiths-Kerr), the
+bottom one that of mu*, and weyl_dim and the zero trace of E_ss fix the
+middle; no weight is visited, so nothing is size-guarded.  Every other
+ladder (span 0, or above 3) is counted along the Weyl-orbit walks of the
+Freudenthal dominant weights, behind the size guard of `weight_system`:
+each dominant weight starts at its integer depth (mu - lambda)(E_ss)
+below the top, and each step of its walk adds whole steps, so no orbit
+element is paired with E.
 """
 from __future__ import annotations
 
@@ -172,9 +173,16 @@ def _grading_row(rsd: RootSystemData, E: GradingElement) -> List[int]:
     return [sum(row[i] for i in sup) for row in rsd.inverse_num]
 
 
+def _check_lengths(t: LieType, mu, E: GradingElement) -> None:
+    """Raise ValueError unless mu and E each have one coordinate per node of t."""
+    _check_length(t, mu)
+    if len(E.coeffs) != t.rank:
+        raise ValueError(f"grading element length {len(E.coeffs)} != rank {t.rank}")
+
+
 def mu_of_grading(t: LieType, mu, E: GradingElement) -> Fraction:
     """mu(E_ss): sum of mu's simple-root coordinates over the support."""
-    _check_length(t, mu)
+    _check_lengths(t, mu, E)
     rsd = root_system(t)
     return Fraction(sum(map(mul, _grading_row(rsd, E), mu)), rsd.inverse_den)
 
@@ -189,7 +197,7 @@ def _level_sum(t: LieType, mu, nodes: Sequence[int]) -> int:
 def level(t: LieType, mu, E: GradingElement) -> int:
     """(mu + mu*)(E_ss); an integer, since mu + mu* = mu - w0(mu) lies in
     the root lattice."""
-    _check_length(t, mu)
+    _check_lengths(t, mu, E)
     return _level_sum(t, mu, [i - 1 for i in E.support])
 
 
@@ -198,40 +206,32 @@ def eigen_ladder(t: LieType, mu, E: GradingElement, span: int, top: Fraction,
     """The eigenspace ladder of E_ss on V(mu), given its span
     level(t, mu, E) and its top mu_of_grading(t, mu, E).
 
-    The ladder comes from the Levi closed form at span 1 or 2, or at span
-    3 with mu = mu*, and from the orbit walk otherwise; only the orbit walk
-    builds a weight system, so only it runs behind the size guard max_dim.
+    At span 1 to 3 the ladder is the closed form: its ends are the Levi
+    dimensions of mu and mu*, and as the weights of V(mu) sum to 0,
+    sum_k d_k = weyl_dim and sum_k k d_k = top weyl_dim fix its middle and
+    check the rest.  Other spans take the orbit walk, which alone builds a
+    weight system and so runs behind the size guard max_dim.
     """
     mu = tuple(int(c) for c in mu)
-    dual = dual_weight(t, mu)
-    if span in (1, 2) or (span == 3 and dual == mu):
-        return _levi_ladder(t, mu, dual, E, span, top)
-    return _orbit_ladder(t, mu, E, max_dim)
-
-
-def _levi_ladder(t: LieType, mu: Weight, dual: Weight, E: GradingElement,
-                 span: int, top: Fraction) -> EigenDecomp:
-    """The ladder from Weyl dimensions.  The top eigenspace is the
-    irreducible l_E-module of highest weight mu, and the bottom one is dual
-    to the top one of V(mu*); a span-3 ladder of a self-dual mu is
-    symmetric, since its weights are closed under negation.  The middle
-    takes what weyl_dim leaves."""
+    if not 1 <= span <= 3:
+        return _orbit_ladder(t, mu, E, max_dim)
     dim = weyl_dim(t, mu)
+    dual = dual_weight(t, mu)
     d_top = levi_dim(t, mu, E.support)
     d_bot = d_top if dual == mu else levi_dim(t, dual, E.support)
-    if span == 1:
-        dims = (d_top, d_bot)
-    elif span == 2:
-        dims = (d_top, dim - d_top - d_bot, d_bot)
-    else:
-        rest = dim - 2 * d_top
-        if rest % 2:
-            raise ConsistencyError(f"self-dual {mu} on {t} leaves an odd middle "
-                                   f"{rest} under E = {E}")
-        dims = (d_top, rest // 2, rest // 2, d_top)
-    if min(dims) <= 0 or sum(dims) != dim:
-        raise ConsistencyError(f"Levi ladder {dims} of {mu} on {t} under E = {E} "
-                               f"does not fill weyl_dim {dim}")
+    depth_sum = top * dim
+    if depth_sum.denominator != 1:
+        raise ConsistencyError(f"top {top} times weyl_dim {dim} of {mu} on {t} "
+                               f"under E = {E} is not an integer")
+    # s0 = d_1 + ... + d_{n-1} and s1 = sum of k d_k over the same middle
+    s0 = dim - d_top - d_bot
+    s1 = depth_sum.numerator - span * d_bot
+    middle = {1: (), 2: (s0,), 3: (2 * s0 - s1, s1 - s0)}[span]
+    dims = (d_top, *middle, d_bot)
+    trace_free = sum(k * d for k, d in enumerate(dims)) == depth_sum
+    if min(dims) <= 0 or sum(dims) != dim or not trace_free:
+        raise ConsistencyError(f"ladder {dims} of {mu} on {t} under E = {E} does not "
+                               f"fill weyl_dim {dim} with trace 0 about top {top}")
     return EigenDecomp(top=top, dims=dims)
 
 
@@ -278,6 +278,7 @@ def reality_type(t: LieType, mu, E: GradingElement) -> str:
     mu(H_phi), H_phi = 2 sum of A^j over unsupported nodes, decides
     (odd: quaternionic, even: real).
     """
+    _check_lengths(t, mu, E)
     mu = tuple(mu)
     if mu != dual_weight(t, mu):
         return COMPLEX

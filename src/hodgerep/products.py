@@ -15,10 +15,11 @@ ShapeError is raised here, and `hodgecore.hodge_vector` only folds.
 Everything the rule reads of one factor (its level, reality type and the
 top-eigenspace flag) sits in a per-factor summary, and so does the
 factor's ladder, whose top is mu(E): it is built on first use, and once,
-since only admitted combinations and `inspect` read it.  Every ladder
-the rule admits is the Levi closed form, which builds no weight system;
-only `inspect`, which asks for a simple candidate's ladder before the
-rule runs, can reach the orbit route, so only it passes a size guard.
+since only admitted combinations and `inspect` read it.  A ladder is the
+closed form at spans 1 to 3, which builds no weight system, and takes
+the orbit route otherwise; every factor the rule admits has span 1 to 3,
+so only `inspect`, which asks for a simple candidate's ladder before the
+rule runs, can reach the orbit route, and only it passes a size guard.
 A `SummaryTable` holds one run's summaries keyed by (type, E, mu) and
 is the only place a summary is built, so a factor that recurs within a
 run is summarised once; the table dies with its run.  `assemble` and

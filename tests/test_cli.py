@@ -7,6 +7,8 @@ import hodgerep.hodgecore as hodgecore
 import hodgerep.products as products
 from hodgerep.cli import main
 
+from test_hodgecore import _no_orbit_route
+
 pytestmark = pytest.mark.usefixtures("capsys")
 
 
@@ -104,6 +106,14 @@ def test_classify_empty_family_list_exit_64(capsys):
                          "--families", ",")
     assert (code, out) == (64, "")
     assert "families must name at least one family" in err
+
+
+def test_classify_unknown_family_exit_64(capsys):
+    """SearchConfig holds the one unknown-family check; its message is the
+    usage error."""
+    code, out, err = run(capsys, "classify", "--level", "3", "--max-rank", "3",
+                         "--families", "A,z")
+    assert (code, out, err) == (64, "", "error: unknown families ['Z']\n")
 
 
 def test_classify_level1_products_exit_64(capsys):
@@ -220,14 +230,40 @@ _GUARD_84 = ("resource limit: weight system of C3 with highest weight (0, 0, 2) 
 def test_resource_guard_exit_70(capsys, argv, code, shown, err):
     """C3, 2 omega_3 under E = A3 has span 6: its ladder takes the orbit
     route, which builds a weight system of dimension 84, so the guard stops
-    it before any output, at either level.  C3, omega_3 (span 3, self-dual)
-    takes the Levi closed form, which builds none, so the same guard lets
-    it through.  A product's factors have span 1 or 2 whenever the rule
-    admits them, and the rule runs before any product ladder is built, so
-    even a guard of 1 never fires on a product."""
+    it before any output, at either level.  C3, omega_3 (span 3) takes the
+    closed form of spans 1 to 3, which builds none, so the same guard lets
+    it through, as it does any span-3 candidate, self-dual or not (see
+    test_complex_span3_inspect_passes_the_guard).  A product's factors have
+    span 1 or 2 whenever the rule admits them, and the rule runs before any
+    product ladder is built, so even a guard of 1 never fires on a
+    product."""
     got_code, out, got_err = run(capsys, "inspect", *argv)
     assert (got_code, got_err) == (code, err)
     assert (shown in out) if shown else out == ""
+
+
+INSPECT_A2_SPAN3 = """\
+algebra:    A2
+E:          A1
+mu:         3,0
+(mu+mu*)(E): 3
+eigenspaces of E_ss on U (raw eigenvalues):
+         2  dim 1
+         1  dim 2
+         0  dim 3
+        -1  dim 4
+result:     not a level-3 Hodge representation (shape-invalid)
+"""
+
+
+def test_complex_span3_inspect_passes_the_guard(capsys, monkeypatch):
+    """A2, 3 omega_1 under E = A1 has span 3 and mu != mu*: its ladder is
+    the closed form, which builds no weight system, so a guard of 1 lets it
+    through to the shape verdict (exit 2), where the orbit route stopped it
+    at the guard (exit 70)."""
+    monkeypatch.setattr(hodgecore, "_orbit_ladder", _no_orbit_route)
+    got = run(capsys, "inspect", "A2", "--E", "1", "--mu", "3,0", "--max-dim", "1")
+    assert got == (2, INSPECT_A2_SPAN3, "")
 
 
 def test_classify_json_includes_c3(capsys):
@@ -407,8 +443,11 @@ def test_inspect_output_is_pinned(capsys, argv, expected):
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ], ids=["C8", "E8", "D4", "G2", "A2", "F4", "A5", "E8-max-dim"])
 def test_orbit_route_inspect_bytes_are_pinned(capsys, argv, code, digest):
-    """Candidates whose ladder takes the orbit route: span above 3, or 3
-    with mu != mu*; every one is shape-invalid or stops at the guard."""
+    """Candidates whose ladder took the orbit route when it also served
+    span 3 with mu != mu*; every one is shape-invalid or stops at the
+    guard.  A2, 3 omega_1 under E = A1 (span 3, mu != mu*) now takes the
+    closed form of spans 1 to 3, with the same bytes; the others have span
+    above 3 and still take the orbit route."""
     got, out, _ = run(capsys, "inspect", *argv.split())
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -89,6 +89,16 @@ def test_weight_of_wrong_length_is_rejected(fn, args, mu):
     assert str(info.value) == f"weight length {len(mu)} != rank 2"
 
 
+@pytest.mark.parametrize("fn", [level, mu_of_grading, reality_type], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("coeffs", [(1,), (1, 0, 0)])
+def test_grading_element_of_wrong_length_is_rejected(fn, coeffs):
+    """On A2, an E with fewer or more coefficients than the rank raises
+    rather than being read short or past its end."""
+    with pytest.raises(ValueError) as info:
+        fn(LieType("A", 2), (1, 0), GradingElement(coeffs))
+    assert str(info.value) == f"grading element length {len(coeffs)} != rank 2"
+
+
 def test_extremal_examples():
     assert extremal_dim_is_one(fundamental(3, 3), E(3, [3]))
     assert not extremal_dim_is_one((1, 0, 1), E(3, [3]))
@@ -463,14 +473,13 @@ def _node_weights(t, g):
 
 
 def _in_closed_form(t, mu, g):
-    span = level(t, mu, g)
-    return span in (1, 2) or (span == 3 and dual_weight(t, mu) == mu)
+    return level(t, mu, g) in (1, 2, 3)
 
 
 def _closed_form_cases(max_rank):
     """(type, mu, E): every type of rank <= max_rank, every E of at most 3
-    nodes, and every dominant mu of span <= 3 in the closed-form domain
-    (span 1 or 2, or span 3 with mu = mu*), supp(mu) anywhere."""
+    nodes, and every nonzero dominant mu of span <= 3 (the closed-form
+    domain), supp(mu) anywhere."""
     for t in catalogued_types(max_rank):
         for g in _all_gradings(t.rank):
             if len(g.support) > 3:
@@ -484,24 +493,31 @@ def _closed_form_cases(max_rank):
                             yield t, mu, g
 
 
+def _complex_span3(t, mu, g):
+    return level(t, mu, g) == 3 and dual_weight(t, mu) != mu
+
+
 def _no_orbit_route(*args, **kwargs):
     raise AssertionError("the orbit route ran inside the closed-form domain")
 
 
 def test_levi_ladder_matches_orbit_oracle(monkeypatch):
     """Every closed-form ladder at rank <= 8 equals the orbit-walk ladder,
-    and eigenspace_dims reaches it without the orbit route."""
+    and eigenspace_dims reaches it without the orbit route.  Span-3 ladders
+    with mu != mu* stop at rank 7: at rank 8 their orbit oracle takes about
+    6 s more."""
     # the orbit oracle needs a guard above the default: the largest case is
     # B8, omega_7 + omega_8, of dimension 1,810,432; the closed form has none
     max_dim = 2 * 10 ** 6
-    cases = list(_closed_form_cases(8))
+    cases = [c for c in _closed_form_cases(8) if c[0].rank <= 7 or not _complex_span3(*c)]
     want = [hodgecore._orbit_ladder(t, mu, g, max_dim) for t, mu, g in cases]
     spans = {level(t, mu, g) for t, mu, g in cases}
     self_dual_span3 = sum(1 for t, mu, g in cases
                           if level(t, mu, g) == 3 and dual_weight(t, mu) == mu)
+    complex_span3 = sum(1 for c in cases if _complex_span3(*c))
     outside_e = sum(1 for t, mu, g in cases if not extremal_dim_is_one(mu, g))
-    assert len(cases) > 1200 and spans == {1, 2, 3}
-    assert self_dual_span3 > 250 and outside_e > 1000
+    assert len(cases) > 2000 and spans == {1, 2, 3}
+    assert self_dual_span3 > 250 and complex_span3 == 816 and outside_e > 1000
     monkeypatch.setattr(hodgecore, "_orbit_ladder", _no_orbit_route)
     for (t, mu, g), expected in zip(cases, want):
         assert eigenspace_dims(t, mu, g) == expected, (str(t), mu, g.support)
@@ -509,9 +525,9 @@ def test_levi_ladder_matches_orbit_oracle(monkeypatch):
 
 @st.composite
 def _closed_form_draws(draw):
-    """A type of rank <= 14, E of 1-3 nodes, and a dominant mu of span <= 3
-    in the closed-form domain, built one node at a time within the span
-    budget."""
+    """A type of rank <= 14, E of 1-3 nodes, and a nonzero dominant mu of
+    span <= 3 (the closed-form domain), built one node at a time within the
+    span budget."""
     family = draw(st.sampled_from(sorted(RANK_BOUNDS)))
     lo, hi = RANK_BOUNDS[family]
     rank = draw(st.integers(lo, min(hi or 14, 14)))
@@ -577,10 +593,12 @@ def test_closed_form_is_not_size_guarded():
 
 def test_levi_ladder_checks_survive_optimize():
     """Under python -O: a root mask that drops alpha_1 from alpha_1 + alpha_2
-    makes the Levi quotient of omega_2 on A3 under E = A1 non-integral, and
-    a doubled Weyl denominator leaves an odd middle for C3, omega_3,
-    E = A3."""
-    code = ("import hodgerep.repweights as repweights\n"
+    makes the Levi quotient of omega_2 on A3 under E = A1 non-integral; a
+    doubled Weyl denominator halves weyl_dim of C3, omega_3, E = A3 to 7,
+    so top 3/2 times it is not an integer; and on A1, omega_1 under E = A1,
+    a wrong top of 3/2 breaks the zero trace of the span-1 ladder (1, 1)."""
+    code = ("from fractions import Fraction\n"
+            "import hodgerep.repweights as repweights\n"
             "from hodgerep.errors import ConsistencyError\n"
             "from hodgerep.hodgecore import GradingElement, eigen_ladder, level, mu_of_grading\n"
             "from hodgerep.rootdata import LieType, root_system\n"
@@ -595,11 +613,19 @@ def test_levi_ladder_checks_survive_optimize():
             "    try:\n"
             "        eigen_ladder(t, mu, g, level(t, mu, g), mu_of_grading(t, mu, g))\n"
             "    except ConsistencyError as exc:\n"
-            "        print('raised', exc)\n")
+            "        print('raised', exc)\n"
+            "repweights.root_system = root_system\n"
+            "try:\n"
+            "    eigen_ladder(LieType('A', 1), (1,), GradingElement((1,)), 1, Fraction(3, 2))\n"
+            "except ConsistencyError as exc:\n"
+            "    print('raised', exc)\n")
     lines = _run_optimized(code).splitlines()
-    assert len(lines) == 2, lines
+    assert len(lines) == 3, lines
     assert "Levi dimension" in lines[0] and "not integral" in lines[0]
-    assert "odd middle" in lines[1]
+    assert lines[1] == ("raised top 3/2 times weyl_dim 7 of (0, 0, 1) on C3 under E = A3 "
+                        "is not an integer")
+    assert lines[2] == ("raised ladder (1, 1) of (1,) on A1 under E = A1 does not fill "
+                        "weyl_dim 2 with trace 0 about top 3/2")
 
 
 def _orbit_route_cases():

@@ -96,8 +96,8 @@ CACHE_ALLOWLIST = {
     "root_system": "one immutable catalog entry per simple type, read by every layer",
     "_dominant_multiplicities": "Freudenthal's recursion once per (type, highest "
                                 "weight) for its remaining callers: the orbit route "
-                                "of eigen_ladder (inspect at span > 3, and span 3 "
-                                "with mu != mu*) and the public weight_system",
+                                "of eigen_ladder (inspect at span 0 or above 3) and "
+                                "the public weight_system",
 }
 
 
