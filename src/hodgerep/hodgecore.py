@@ -212,6 +212,7 @@ def eigen_ladder(t: LieType, mu, E: GradingElement, span: int, top: Fraction,
     check the rest.  Other spans take the orbit walk, which alone builds a
     weight system and so runs behind the size guard max_dim.
     """
+    _check_lengths(t, mu, E)
     mu = tuple(int(c) for c in mu)
     if not 1 <= span <= 3:
         return _orbit_ladder(t, mu, E, max_dim)

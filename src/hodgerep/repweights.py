@@ -1,16 +1,18 @@
 """Weight systems of irreducible highest-weight representations.
 
 Multiplicities are computed at dominant weights by Freudenthal's recursion,
-which conjugates each weight it visits to the dominant chamber once per
-call, and extended to the other chambers by one orbit walk, which goes
-down from a dominant weight and gives each element with its depth under a
-grading element.  Everything runs in exact integer arithmetic; the
-invariant form is the symmetrized pairing (lambda, beta) =
-sum_j beta_j d_j lambda^j for lambda in fundamental coordinates and beta a
-root in simple-root coordinates.  It is read from the type's root columns
-over the support of lambda: for every positive root at once by the Weyl
-dimension formula and Freudenthal's recursion, and for the roots of a Levi
-factor alone by its Weyl product.
+which sums at each dominant weight over one positive root per orbit of its
+stabilizer (Moody and Patera, "Fast recursion formula for weight
+multiplicities", Bull. AMS 7, 1982) and conjugates each weight it visits
+to the dominant chamber once per call, and extended to the other chambers
+by one orbit walk, which goes down from a dominant weight and gives each
+element with its depth under a grading element.  Everything runs in exact
+integer arithmetic; the invariant form is the symmetrized pairing
+(lambda, beta) = sum_j beta_j d_j lambda^j for lambda in fundamental
+coordinates and beta a root in simple-root coordinates.  It is read from
+the type's root columns over the support of lambda: for every positive
+root at once by the Weyl dimension formula and Freudenthal's recursion,
+and for the roots of a Levi factor alone by its Weyl product.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from operator import add, mul, sub
 from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from .errors import ConsistencyError, NonDominantError, ResourceLimitError
-from .rootdata import LieType, RootSystemData, Weight, _check_length, root_system
+from .rootdata import LieType, RootCoords, RootSystemData, Weight, _check_length, root_system
 
 DEFAULT_MAX_DIM = 10 ** 6
 
@@ -150,46 +152,75 @@ def _orbit_walk(top: Weight, neighbours, painted) -> Iterator[Tuple[Weight, int]
                 break
 
 
-def _dominant_candidates(t: LieType, mu: Weight) -> List[Weight]:
-    """Dominant weights of V(mu): mu minus positive roots, staying dominant.
-    w - beta stays dominant iff w_i >= beta_i wherever beta_i > 0, so only
-    those coordinates are tested before the difference is built."""
-    pos_fund = root_system(t).positive_roots_fund
+def _dominant_candidates(t: LieType, mu: Weight) -> Dict[Weight, RootCoords]:
+    """Dominant weights lambda of V(mu), each with the simple-root
+    coordinates of mu - lambda: mu minus positive roots, staying dominant,
+    the coordinates gaining the root subtracted at each step.  w - beta
+    stays dominant iff w_i >= beta_i wherever beta_i > 0, so only those
+    coordinates are tested before the difference is built."""
+    rsd = root_system(t)
+    pos_fund = rsd.positive_roots_fund
     tests = [[(i, b) for i, b in enumerate(pf) if b > 0] for pf in pos_fund]
-    seen = {tuple(mu)}
-    frontier = [tuple(mu)]
+    found = {mu: (0,) * t.rank}
+    frontier = [mu]
     while frontier:
         nxt = []
         for w in frontier:
-            for pf, test in zip(pos_fund, tests):
+            below = found[w]
+            for pf, beta, test in zip(pos_fund, rsd.positive_roots, tests):
                 for i, b in test:
                     if w[i] < b:
                         break
                 else:
                     v = tuple(map(sub, w, pf))
-                    if v not in seen:
-                        seen.add(v)
+                    if v not in found:
+                        found[v] = tuple(map(add, below, beta))
                         nxt.append(v)
         frontier = nxt
-    return sorted(seen)
+    return found
 
 
-def _root_coords_of_difference(rsd: RootSystemData, mu: Weight, lam: Weight) -> List[int]:
-    """Simple-root coordinates of mu - lam, which must lie in the root lattice."""
-    diff = [m - l for m, l in zip(mu, lam)]
-    coords = []
-    for col in zip(*rsd.inverse_num):
-        q, rem = divmod(sum(map(mul, diff, col)), rsd.inverse_den)
-        if rem:
-            raise ConsistencyError(f"{tuple(mu)} - {tuple(lam)} is not in the root lattice")
-        coords.append(q)
-    return coords
+def _stabilizer_orbits(rsd: RootSystemData, fixed: Tuple[int, ...]) -> List[Tuple[int, int]]:
+    """(k, n) for each orbit of W_Z on the positive roots, Z the 0-based
+    nodes `fixed` and beta identified with -beta on the roots of W_Z's own
+    root system: k indexes the orbit's Z-dominant root, n counts the orbit.
+
+    From the highest root down, a root beta with <beta, alpha_j^vee> < 0
+    for some j in Z joins the orbit of s_j beta, a higher positive root
+    (beta is not alpha_j) and so placed already; a root with no such j is
+    Z-dominant and starts an orbit.  Each orbit meets the Z-dominant
+    chamber once, so the chains end at one root per orbit.
+    """
+    roots, pos_fund = rsd.positive_roots, rsd.positive_roots_fund
+    index = {beta: k for k, beta in enumerate(roots)}
+    rep = [0] * len(roots)
+    size = [0] * len(roots)
+    for k in range(len(roots) - 1, -1, -1):
+        pf = pos_fund[k]
+        for j in fixed:
+            if pf[j] < 0:
+                beta = list(roots[k])
+                beta[j] -= pf[j]
+                rep[k] = rep[index[tuple(beta)]]
+                break
+        else:
+            rep[k] = k
+        size[rep[k]] += 1
+    return [(k, n) for k, n in enumerate(size) if n]
 
 
 @lru_cache(maxsize=None)
 def _dominant_multiplicities(t: LieType, mu: Weight) -> Tuple[Tuple[Weight, int], ...]:
     """The nonzero multiplicities at the dominant weights of V(mu), by
-    Freudenthal's recursion, highest first."""
+    Freudenthal's recursion, highest first.
+
+    The recursion's sum at lambda runs over one positive root per orbit of
+    lambda's stabilizer W_Z, Z the nodes where lambda is 0, each term
+    weighted by its orbit's size (Moody and Patera, Bull. AMS 7, 1982):
+    F(beta) = sum over k >= 1 of m(lambda + k beta)(lambda + k beta, beta)
+    is constant on W_Z-orbits, and F(-beta) = F(beta) on the roots of W_Z,
+    which are orthogonal to lambda.
+    """
     rsd = root_system(t)
     rank = t.rank
     rho = rsd.weyl_vector
@@ -200,19 +231,26 @@ def _dominant_multiplicities(t: LieType, mu: Weight) -> Tuple[Tuple[Weight, int]
     zeros = [0] * len(pos_fund)
 
     # mu - lam in simple-root coordinates; its height orders the recursion
-    steps = {lam: _root_coords_of_difference(rsd, mu, lam)
-             for lam in _dominant_candidates(t, mu)}
-
-    mult: Dict[Weight, int] = {tuple(mu): 1}
+    steps = _dominant_candidates(t, mu)
+    # the stabilizer orbits of each zero-node set met in this call; with no
+    # zero node, every root is its own orbit
+    orbits = {(): [(k, 1) for k in range(len(pos_fund))]}
+    mult: Dict[Weight, int] = {mu: 1}
     # the multiplicity of each visited weight's dominant conjugate; that
     # conjugate lies strictly above lambda, so it is final when first read
     conjugated: Dict[Weight, int] = {}
-    for lam in sorted(steps, key=lambda lam: sum(steps[lam])):
-        if lam == tuple(mu):
+    for lam in sorted(steps, key=lambda lam: (sum(steps[lam]), lam)):
+        if lam == mu:
             continue
+        fixed = tuple(j for j, c in enumerate(lam) if not c)
+        terms = orbits.get(fixed)
+        if terms is None:
+            terms = orbits[fixed] = _stabilizer_orbits(rsd, fixed)
+        pairs = _pairings(rsd, lam, zeros)
         acc = 0
-        for lam_beta, pf, bnorm in zip(_pairings(rsd, lam, zeros), pos_fund, norms):
-            k, nu = 1, lam
+        for k, size in terms:
+            pf, bnorm, lam_beta = pos_fund[k], norms[k], pairs[k]
+            term, i, nu = 0, 1, lam
             while True:
                 nu = tuple(map(add, nu, pf))
                 m = conjugated.get(nu)
@@ -220,8 +258,9 @@ def _dominant_multiplicities(t: LieType, mu: Weight) -> Tuple[Tuple[Weight, int]
                     m = conjugated[nu] = mult.get(_dominant(nu, neighbours), 0)
                 if m == 0:
                     break
-                acc += m * (lam_beta + k * bnorm)
-                k += 1
+                term += m * (lam_beta + i * bnorm)
+                i += 1
+            acc += size * term
         # denominator (mu + lam + 2 rho, mu - lam), all integer coordinates
         w = tuple(mu[i] + lam[i] + 2 * rho[i] for i in range(rank))
         den = sum(steps[lam][j] * rsd.symmetrizer[j] * w[j] for j in range(rank))

@@ -59,12 +59,17 @@ each instance up in the enumerated window and assembles only the keys the
 window lacks.
 
 The orbit-route oracles are the engine's former Freudenthal and ladder
-bodies: the recursion conjugates lambda + k beta to the dominant chamber
-on every lookup, the dominant-weight search builds mu minus every positive
-root before testing it, and the ladder pairs every orbit element with the
-grading row, where the engine now conjugates each weight once per call,
-tests a root's positive coordinates first, and counts depths along the
-orbit walk.
+bodies: the recursion sums over every positive root, conjugates lambda +
+k beta to the dominant chamber on every lookup and reads mu - lambda's
+simple-root coordinates off the `Fraction` inverse, the dominant-weight
+search builds mu minus every positive root before testing it, and the
+ladder pairs every orbit element with the grading row, where the engine
+now sums over one root per stabilizer orbit, conjugates each weight once
+per call, carries mu - lambda's coordinates through its search, tests a
+root's positive coordinates first, and counts depths along the orbit
+walk.  The stabilizer-orbit oracle finds those orbits by breadth-first
+search under the stabilizer's simple reflections, where the engine chains
+each root to a higher one in a single pass.
 """
 from __future__ import annotations
 
@@ -74,7 +79,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from hodgerep.classify import SearchConfig, _annotate_canonical, evaluate_simple, tuple_key
 from hodgerep.errors import ConsistencyError, InvalidTypeError, ShapeError
@@ -104,7 +109,6 @@ from hodgerep.repweights import (
     _dominant,
     _orbit_walk,
     _pairings,
-    _root_coords_of_difference,
     weight_system,
 )
 from hodgerep.rootdata import (
@@ -396,6 +400,37 @@ def weyl_orbit_bfs(t: LieType, w) -> List[Tuple[int, ...]]:
     return sorted(seen)
 
 
+def stabilizer_orbits_bfs(t: LieType, zeros) -> List[FrozenSet[Tuple[int, ...]]]:
+    """The orbits of W_Z, Z the 0-based nodes `zeros`, on the positive roots
+    with beta and -beta identified: breadth-first search under s_j for j in
+    Z, each image made positive, every image checked to be a root."""
+    rsd = root_system(t)
+    cartan, roots = rsd.cartan, rsd.positive_roots
+    known = frozenset(roots)
+    left = set(roots)
+    orbits = []
+    for beta in roots:
+        if beta not in left:
+            continue
+        orbit, queue = {beta}, [beta]
+        while queue:
+            b = queue.pop()
+            for j in zeros:
+                u = list(b)
+                u[j] -= sum(b[i] * cartan[i][j] for i in range(t.rank))
+                if min(u) < 0:
+                    u = [-x for x in u]
+                u = tuple(u)
+                if u not in known:
+                    raise ConsistencyError(f"s_{j + 1} of root {b} on {t} is not a root")
+                if u not in orbit:
+                    orbit.add(u)
+                    queue.append(u)
+        left -= orbit
+        orbits.append(frozenset(orbit))
+    return orbits
+
+
 @lru_cache(maxsize=None)
 def full_weight_map(t: LieType, mu: Tuple[int, ...]) -> Dict[Tuple[int, ...], int]:
     """Every weight of V(mu) with its multiplicity, each dominant weight's
@@ -451,6 +486,14 @@ def dominant_candidates_all_roots(t: LieType, mu) -> List[Tuple[int, ...]]:
     return sorted(seen)
 
 
+def _root_coords_integral(t: LieType, w: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Simple-root coordinates of a weight that must lie in the root lattice."""
+    coords = weight_to_root_coords(t, w)
+    if any(x.denominator != 1 for x in coords):
+        raise ConsistencyError(f"{w} is not in the root lattice of {t}")
+    return tuple(int(x) for x in coords)
+
+
 def dominant_multiplicities_conjugating(t: LieType, mu
                                         ) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     """The nonzero multiplicities at the dominant weights of V(mu), by
@@ -465,7 +508,7 @@ def dominant_multiplicities_conjugating(t: LieType, mu
     norms = [sum(map(mul, beta, map(mul, pf, rsd.symmetrizer)))
              for beta, pf in zip(rsd.positive_roots, pos_fund)]
     zeros = [0] * len(pos_fund)
-    steps = {lam: _root_coords_of_difference(rsd, mu, lam)
+    steps = {lam: _root_coords_integral(t, tuple(m - l for m, l in zip(mu, lam)))
              for lam in dominant_candidates_all_roots(t, mu)}
     mult = {mu: 1}
     for lam in sorted(steps, key=lambda lam: sum(steps[lam])):

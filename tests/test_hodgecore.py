@@ -20,6 +20,7 @@ from hodgerep.hodgecore import (
     GradingElement,
     HodgeVector,
     center_charge,
+    eigen_ladder,
     extremal_dim_is_one,
     hodge_vector,
     level,
@@ -96,6 +97,15 @@ def test_grading_element_of_wrong_length_is_rejected(fn, coeffs):
     rather than being read short or past its end."""
     with pytest.raises(ValueError) as info:
         fn(LieType("A", 2), (1, 0), GradingElement(coeffs))
+    assert str(info.value) == f"grading element length {len(coeffs)} != rank 2"
+
+
+@pytest.mark.parametrize("coeffs", [(1,), (1, 0, 1)])
+def test_eigen_ladder_rejects_grading_element_of_wrong_length(coeffs):
+    """On A2 with mu = (1, 0), an E with fewer or more coefficients than the
+    rank raises rather than giving the ladder of a neighbouring E."""
+    with pytest.raises(ValueError) as info:
+        eigen_ladder(LieType("A", 2), (1, 0), GradingElement(coeffs), 1, Q(2, 3))
     assert str(info.value) == f"grading element length {len(coeffs)} != rank 2"
 
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from hodgerep.repweights import (
     _dominant_multiplicities,
     _orbit_walk,
     _pairings,
+    _stabilizer_orbits,
     levi_dim,
     weight_system,
     weyl_dim,
@@ -23,6 +25,7 @@ from oracles import (
     full_weight_map,
     kostant_multiplicity,
     levi_dim_all_pairings,
+    stabilizer_orbits_bfs,
     weight_to_root_coords,
     weyl_orbit_bfs,
 )
@@ -230,14 +233,18 @@ def orbit_route_weights(t):
 
 
 def test_dominant_search_and_freudenthal_match_their_oracles():
-    """Testing a root's positive coordinates before building w - beta, and
-    conjugating each visited weight once per recursion, change nothing on
-    every type of rank <= 8."""
+    """Testing a root's positive coordinates before building w - beta,
+    carrying mu - lambda's root coordinates through the search, summing
+    over stabilizer orbits and conjugating each visited weight once per
+    recursion change nothing on every type of rank <= 8."""
     count = 0
     for t in catalogued_types(8):
         for mu in orbit_route_weights(t):
-            assert _dominant_candidates(t, mu) == dominant_candidates_all_roots(t, mu), \
-                (str(t), mu)
+            found = _dominant_candidates(t, mu)
+            assert sorted(found) == dominant_candidates_all_roots(t, mu), (str(t), mu)
+            for lam, coords in found.items():
+                diff = tuple(m - l for m, l in zip(mu, lam))
+                assert coords == weight_to_root_coords(t, diff), (str(t), mu, lam)
             assert _dominant_multiplicities(t, mu) == \
                 dominant_multiplicities_conjugating(t, mu), (str(t), mu)
             count += 1
@@ -262,3 +269,50 @@ def test_freudenthal_conjugates_each_weight_once(monkeypatch, family, rank, mu):
     monkeypatch.setattr(repweights, "_dominant", counting)
     assert _dominant_multiplicities.__wrapped__(t, mu) == want
     assert conjugated and max(conjugated.values()) == 1, conjugated.most_common(3)
+
+
+@pytest.mark.parametrize("family, rank, mu", [
+    ("E", 8, (0, 0, 0, 0, 0, 0, 0, 1)),
+    ("B", 8, (0, 0, 0, 1, 0, 0, 0, 0)),
+    ("B", 8, (1, 1, 0, 0, 0, 0, 0, 0)),
+    ("B", 6, (0, 2, 0, 0, 0, 0)),
+    ("C", 6, (2, 1, 0, 0, 0, 0)),
+    ("E", 7, (0, 0, 0, 0, 0, 1, 0)),
+    ("G", 2, (1, 3)),
+])
+def test_freudenthal_stabilizer_sums_on_many_zero_weights(family, rank, mu):
+    """Weights with many zero nodes, where one root stands for a large
+    stabilizer orbit, match the every-root oracle in value and order and
+    fill the Weyl dimension."""
+    t = LieType(family, rank)
+    got = _dominant_multiplicities.__wrapped__(t, mu)
+    assert got == dominant_multiplicities_conjugating(t, mu)
+    assert sum(m * len(weyl_orbit_bfs(t, lam)) for lam, m in got) == weyl_dim(t, mu)
+    if family == "E" and rank == 8:
+        assert got == ((mu, 1), ((0,) * 8, 8))
+
+
+def test_stabilizer_orbits_match_bfs():
+    """On every type of rank <= 8 and for no node, each node, each pair of
+    nodes and all nodes fixed, the single-pass grouping finds the
+    breadth-first orbits: one Z-dominant root per orbit, counted by the
+    orbit's size."""
+    cases = 0
+    for t in catalogued_types(8):
+        rsd = root_system(t)
+        r = t.rank
+        roots = rsd.positive_roots
+        node_sets = [()] + list(combinations(range(r), 1)) + \
+            list(combinations(range(r), 2)) + [tuple(range(r))]
+        for zeros in set(node_sets):
+            got = _stabilizer_orbits(rsd, zeros)
+            assert sum(n for _, n in got) == len(roots), (str(t), zeros)
+            assert all(rsd.positive_roots_fund[k][j] >= 0 for k, _ in got for j in zeros), \
+                (str(t), zeros)
+            orbits = stabilizer_orbits_bfs(t, zeros)
+            orbit_of = {beta: i for i, o in enumerate(orbits) for beta in o}
+            assert sorted(orbit_of[roots[k]] for k, _ in got) == list(range(len(orbits))), \
+                (str(t), zeros)
+            assert all(n == len(orbits[orbit_of[roots[k]]]) for k, n in got), (str(t), zeros)
+            cases += 1
+    assert cases == 625

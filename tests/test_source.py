@@ -94,10 +94,12 @@ CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
 
 CACHE_ALLOWLIST = {
     "root_system": "one immutable catalog entry per simple type, read by every layer",
-    "_dominant_multiplicities": "Freudenthal's recursion once per (type, highest "
-                                "weight) for its remaining callers: the orbit route "
-                                "of eigen_ladder (inspect at span 0 or above 3) and "
-                                "the public weight_system",
+    "_dominant_multiplicities": "Freudenthal's recursion, summed over stabilizer-orbit "
+                                "roots, once per (type, highest weight) for its "
+                                "remaining callers: the orbit route of eigen_ladder "
+                                "(inspect at span 0 or above 3) and the public "
+                                "weight_system; its stabilizer orbits live for one "
+                                "call only",
 }
 
 
