@@ -17,7 +17,9 @@ ladder (span 0, or above 3) is counted along the Weyl-orbit walks of the
 Freudenthal dominant weights, behind the size guard of `weight_system`:
 each dominant weight starts at its integer depth (mu - lambda)(E_ss)
 below the top, and each step of its walk adds whole steps, so no orbit
-element is paired with E.
+element is paired with E.  The weights are invariant under w0, so the
+walks under E and under sigma(E) = -w0(E) each stop at half the span and
+give one half of the ladder each.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from operator import add, mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError
-from .repweights import DEFAULT_MAX_DIM, _orbit_walk, levi_dim, weight_system, weyl_dim
+from .repweights import DEFAULT_MAX_DIM, _orbit_depths, levi_dim, weight_system, weyl_dim
 from .rootdata import LieType, RootSystemData, Weight, _check_length, dual_weight, root_system
 
 REAL = "real"
@@ -215,7 +217,7 @@ def eigen_ladder(t: LieType, mu, E: GradingElement, span: int, top: Fraction,
     _check_lengths(t, mu, E)
     mu = tuple(int(c) for c in mu)
     if not 1 <= span <= 3:
-        return _orbit_ladder(t, mu, E, max_dim)
+        return _orbit_ladder(t, mu, E, span, max_dim)
     dim = weyl_dim(t, mu)
     dual = dual_weight(t, mu)
     d_top = levi_dim(t, mu, E.support)
@@ -236,33 +238,58 @@ def eigen_ladder(t: LieType, mu, E: GradingElement, span: int, top: Fraction,
     return EigenDecomp(top=top, dims=dims)
 
 
-def _orbit_ladder(t: LieType, mu: Weight, E: GradingElement, max_dim: int) -> EigenDecomp:
-    """The ladder counted along Weyl-orbit walks: each dominant weight
-    lambda sits (mu - lambda)(E_ss) steps below the top mu(E_ss), and its
-    walk steps each orbit element down by whole steps, so lambda's
-    Freudenthal multiplicity is added at every depth its orbit reaches,
-    without building the full weight map or pairing any orbit element."""
+def _orbit_ladder(t: LieType, mu: Weight, E: GradingElement, span: int,
+                  max_dim: int) -> EigenDecomp:
+    """The ladder counted along Weyl-orbit walks, given its span
+    n = (mu + mu*)(E_ss).  Each dominant weight lambda sits (mu -
+    lambda)(E_ss) steps below the top mu(E_ss), and its walk steps each
+    orbit element down by whole steps, so lambda's Freudenthal
+    multiplicity is added at every depth its orbit reaches, without
+    building the full weight map or pairing any orbit element.
+
+    The weights of V(mu) are invariant under w0 = -sigma, sigma the
+    duality of the nodes, and depth_E(w0 nu) = n - depth_sigma(E)(nu); so
+    d_k(mu, E) = d_(n-k)(mu, sigma E), and the walks under E stop at depth
+    floor(n/2) and those under sigma E, read upwards, give the rest.  When
+    sigma E = E one set of walks gives both halves.  The tops under E and
+    sigma E are mu(E) and mu*(E), so they check the given span.
+    """
     ws = weight_system(t, mu, max_dim=max_dim)
     rsd = root_system(t)
-    row, den = _grading_row(rsd, E), rsd.inverse_den
-    top = sum(map(mul, row, mu))
-    buckets = {}
-    for lam, m in ws.dominant:
-        diff = top - sum(map(mul, row, lam))
-        offset, rem = divmod(diff, den)
-        if rem:
-            raise ConsistencyError(f"(mu - lambda)(E) = {Fraction(diff, den)} is not an "
-                                   f"integer for lambda = {lam} in V{mu} on {t} under E = {E}")
-        for _, depth in _orbit_walk(lam, rsd.neighbours, E.coeffs):
-            depth += offset
-            buckets[depth] = buckets.get(depth, 0) + m
-    ws.check_total(sum(buckets.values()))
+    den = rsd.inverse_den
+    flipped = GradingElement(tuple(E.coeffs[j] for j in rsd.duality))
+    gradings = (E,) if flipped == E else (E, flipped)
+    tops, starts = [], []
+    for g in gradings:
+        row = _grading_row(rsd, g)
+        top = sum(map(mul, row, mu))
+        depths = []
+        for lam, _ in ws.dominant:
+            diff = top - sum(map(mul, row, lam))
+            depth, rem = divmod(diff, den)
+            if rem or depth < 0:
+                raise ConsistencyError(f"(mu - lambda)(E) = {Fraction(diff, den)} is not an "
+                                       f"integer >= 0 for lambda = {lam} in V{mu} on {t} "
+                                       f"under E = {g}")
+            depths.append(depth)
+        tops.append(top)
+        starts.append(depths)
+    if span * den != tops[0] + tops[-1]:
+        raise ConsistencyError(f"span {span} of {mu} on {t} under E = {E} is not "
+                               f"(mu + mu*)(E) = {Fraction(tops[0] + tops[-1], den)}")
+    halves = []
+    for g, depths, size in zip(gradings, starts, (span // 2 + 1, (span + 1) // 2)):
+        counts = [0] * size
+        for (lam, m), depth in zip(ws.dominant, depths):
+            _orbit_depths(lam, rsd.neighbours, g.coeffs, depth, m, counts)
+        halves.append(counts)
+    dims = halves[0] + halves[-1][:(span + 1) // 2][::-1]
+    ws.check_total(sum(dims))
     # irreducibility makes the eigenvalue ladder contiguous with unit steps
-    dims = tuple(buckets[k] for k in range(len(buckets)) if k in buckets)
-    if len(dims) != len(buckets):
-        raise ConsistencyError(f"eigenvalue ladder with depths {sorted(buckets)} below "
-                               f"{Fraction(top, den)} has a gap")
-    return EigenDecomp(top=Fraction(top, den), dims=dims)
+    if 0 in dims:
+        raise ConsistencyError(f"eigenvalue ladder {dims} below "
+                               f"{Fraction(tops[0], den)} has a gap")
+    return EigenDecomp(top=Fraction(tops[0], den), dims=tuple(dims))
 
 
 def extremal_dim_is_one(mu, E: GradingElement) -> bool:

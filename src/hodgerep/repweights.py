@@ -5,22 +5,22 @@ which sums at each dominant weight over one positive root per orbit of its
 stabilizer (Moody and Patera, "Fast recursion formula for weight
 multiplicities", Bull. AMS 7, 1982) and conjugates each weight it visits
 to the dominant chamber once per call, and extended to the other chambers
-by one orbit walk, which goes down from a dominant weight and gives each
-element with its depth under a grading element.  Everything runs in exact
-integer arithmetic; the invariant form is the symmetrized pairing
-(lambda, beta) = sum_j beta_j d_j lambda^j for lambda in fundamental
-coordinates and beta a root in simple-root coordinates.  It is read from
-the type's root columns over the support of lambda: for every positive
-root at once by the Weyl dimension formula and Freudenthal's recursion,
-and for the roots of a Levi factor alone by its Weyl product.
+by one orbit walk, which goes down from a dominant weight and counts its
+elements by their depth under a grading element, no deeper than asked.
+Everything runs in exact integer arithmetic; the invariant form is the
+symmetrized pairing (lambda, beta) = sum_j beta_j d_j lambda^j for lambda
+in fundamental coordinates and beta a root in simple-root coordinates.  It
+is read from the type's root columns over the support of lambda: for
+every positive root at once by the Weyl dimension formula and
+Freudenthal's recursion, and for the roots of a Levi factor alone by its
+Weyl product.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from functools import lru_cache
 from operator import add, mul, sub
-from typing import Dict, Iterator, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import ConsistencyError, NonDominantError, ResourceLimitError
 from .rootdata import LieType, RootCoords, RootSystemData, Weight, _check_length, root_system
@@ -122,34 +122,46 @@ def _dominant(w, neighbours) -> Weight:
             cur[j] -= c * a
 
 
-def _orbit_walk(top: Weight, neighbours, painted) -> Iterator[Tuple[Weight, int]]:
-    """(v, depth) for every v in the Weyl orbit of the dominant weight top,
-    top first; depth is the number of steps of E_ss from top(E) down to
-    v(E), for E the 0/1 node coefficients `painted`.
+def _orbit_depths(top: Weight, neighbours, painted, depth: int, m: int,
+                  counts: List[int]) -> None:
+    """Add m to counts[d] for every v in the Weyl orbit of the dominant
+    weight top with d < len(counts), where d is depth plus the number of
+    steps of E_ss from top(E) down to v(E), for E the 0/1 node
+    coefficients `painted`.
 
     Every orbit element v but the dominant one has a parent s_j(v), j the
     first node with v_j < 0, which lies higher; so the orbit is a tree
     rooted at the dominant weight.  The walk reflects v only in nodes i
     with v_i > 0 and keeps u = s_i(v) when i is the first negative node of
-    u, which yields every element exactly once.  With f the first negative
+    u, which reaches every element exactly once.  With f the first negative
     node of v, that holds for every i < f; for i > f, s_i leaves v_f < 0
     unless i is a neighbour of f, so only those are tried.  The child
-    s_i(v) = v - v_i alpha_i sits v_i painted_i steps below v.
+    s_i(v) = v - v_i alpha_i sits v_i painted_i steps below v.  Depth never
+    falls down the tree, so a child past the last count is not kept, and
+    nothing below it is visited.
     """
-    queue = deque([(top, 0)])
-    while queue:
-        v, depth = queue.popleft()
-        yield v, depth
-        for i, c in enumerate(v):
-            if c > 0:
-                queue.append((tuple(_reflect(v, i, neighbours)), depth + c * painted[i]))
-            elif c < 0:  # i is the first negative node
-                for j, _ in neighbours[i]:
-                    if j > i and v[j] > 0:
-                        u = _reflect(v, j, neighbours)
-                        if min(u[:j]) >= 0:
-                            queue.append((tuple(u), depth + v[j] * painted[j]))
-                break
+    cap = len(counts) - 1
+    frontier = [(top, depth)] if depth <= cap else []
+    while frontier:
+        nxt = []
+        for v, depth in frontier:
+            counts[depth] += m
+            for i, c in enumerate(v):
+                if c > 0:
+                    d = depth + c * painted[i]
+                    if d <= cap:
+                        nxt.append((_reflect(v, i, neighbours), d))
+                elif c < 0:  # i is the first negative node
+                    for j, _ in neighbours[i]:
+                        b = v[j]
+                        if j > i and b > 0:
+                            d = depth + b * painted[j]
+                            if d <= cap:
+                                u = _reflect(v, j, neighbours)
+                                if min(u[:j]) >= 0:
+                                    nxt.append((u, d))
+                    break
+        frontier = nxt
 
 
 def _dominant_candidates(t: LieType, mu: Weight) -> Dict[Weight, RootCoords]:

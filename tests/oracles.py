@@ -70,12 +70,20 @@ root's positive coordinates first, and counts depths along the orbit
 walk.  The stabilizer-orbit oracle finds those orbits by breadth-first
 search under the stabilizer's simple reflections, where the engine chains
 each root to a higher one in a single pass.
+
+The full-walk ladder oracle is the engine's former orbit-route ladder:
+every Weyl orbit walked to its end under E alone by `orbit_walk`, the
+engine's former generator, and bucketed by depth, where the engine now
+walks E and sigma(E) = -w0(E) each to half the span and reads the lower
+half of the ladder off the sigma(E) walks by d_k(mu, E) = d_(n-k)(mu,
+sigma E).
 """
 from __future__ import annotations
 
 import itertools
 import math
 import re
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -107,8 +115,8 @@ from hodgerep.products import assemble
 from hodgerep.repweights import (
     DEFAULT_MAX_DIM,
     _dominant,
-    _orbit_walk,
     _pairings,
+    _reflect,
     weight_system,
 )
 from hodgerep.rootdata import (
@@ -532,6 +540,58 @@ def dominant_multiplicities_conjugating(t: LieType, mu
     return tuple((lam, m) for lam, m in mult.items() if m)
 
 
+def orbit_walk(top: Tuple[int, ...], neighbours, painted
+               ) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """(v, depth) for every v in the Weyl orbit of the dominant weight top,
+    top first; depth is the number of steps of E_ss from top(E) down to
+    v(E), for E the 0/1 node coefficients `painted`.  The engine's tree
+    walk, uncapped: each v is reflected in the nodes i with v_i > 0, and
+    u = s_i(v) is kept when i is u's first negative node (for i past v's
+    first negative node f, only f's neighbours are tried)."""
+    queue = deque([(top, 0)])
+    while queue:
+        v, depth = queue.popleft()
+        yield v, depth
+        for i, c in enumerate(v):
+            if c > 0:
+                queue.append((tuple(_reflect(v, i, neighbours)), depth + c * painted[i]))
+            elif c < 0:  # i is the first negative node
+                for j, _ in neighbours[i]:
+                    if j > i and v[j] > 0:
+                        u = _reflect(v, j, neighbours)
+                        if min(u[:j]) >= 0:
+                            queue.append((tuple(u), depth + v[j] * painted[j]))
+                break
+
+
+def orbit_ladder_full_walk(t: LieType, mu, E: GradingElement,
+                           max_dim: int = DEFAULT_MAX_DIM) -> EigenDecomp:
+    """The orbit-route ladder with every orbit walked to its end under E
+    alone: each dominant weight lambda starts (mu - lambda)(E_ss) steps
+    below the top and adds its multiplicity at every depth its walk
+    yields."""
+    ws = weight_system(t, mu, max_dim=max_dim)
+    rsd = root_system(t)
+    row, den = _grading_row(rsd, E), rsd.inverse_den
+    top = sum(map(mul, row, mu))
+    buckets = {}
+    for lam, m in ws.dominant:
+        diff = top - sum(map(mul, row, lam))
+        offset, rem = divmod(diff, den)
+        if rem:
+            raise ConsistencyError(f"(mu - lambda)(E) = {Fraction(diff, den)} is not an "
+                                   f"integer for lambda = {lam} in V{mu} on {t} under E = {E}")
+        for _, depth in orbit_walk(lam, rsd.neighbours, E.coeffs):
+            depth += offset
+            buckets[depth] = buckets.get(depth, 0) + m
+    ws.check_total(sum(buckets.values()))
+    dims = tuple(buckets[k] for k in range(len(buckets)) if k in buckets)
+    if len(dims) != len(buckets):
+        raise ConsistencyError(f"eigenvalue ladder with depths {sorted(buckets)} below "
+                               f"{Fraction(top, den)} has a gap")
+    return EigenDecomp(top=Fraction(top, den), dims=dims)
+
+
 def orbit_ladder_by_pairing(t: LieType, mu, E: GradingElement,
                             max_dim: int = DEFAULT_MAX_DIM) -> EigenDecomp:
     """The orbit-route ladder with every orbit element paired with the
@@ -541,7 +601,7 @@ def orbit_ladder_by_pairing(t: LieType, mu, E: GradingElement,
     row = _grading_row(rsd, E)
     buckets = {}
     for lam, m in ws.dominant:
-        for nu, _ in _orbit_walk(lam, rsd.neighbours, (0,) * t.rank):
+        for nu, _ in orbit_walk(lam, rsd.neighbours, (0,) * t.rank):
             s = sum(map(mul, row, nu))
             buckets[s] = buckets.get(s, 0) + m
     ws.check_total(sum(buckets.values()))

@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import re
 import subprocess
 import sys
@@ -39,6 +40,7 @@ from oracles import (
     level_fraction,
     mu_of_grading_fraction,
     orbit_ladder_by_pairing,
+    orbit_ladder_full_walk,
     reality_type_fraction,
 )
 from test_repweights import orbit_route_weights
@@ -520,7 +522,7 @@ def test_levi_ladder_matches_orbit_oracle(monkeypatch):
     # B8, omega_7 + omega_8, of dimension 1,810,432; the closed form has none
     max_dim = 2 * 10 ** 6
     cases = [c for c in _closed_form_cases(8) if c[0].rank <= 7 or not _complex_span3(*c)]
-    want = [hodgecore._orbit_ladder(t, mu, g, max_dim) for t, mu, g in cases]
+    want = [hodgecore._orbit_ladder(t, mu, g, level(t, mu, g), max_dim) for t, mu, g in cases]
     spans = {level(t, mu, g) for t, mu, g in cases}
     self_dual_span3 = sum(1 for t, mu, g in cases
                           if level(t, mu, g) == 3 and dual_weight(t, mu) == mu)
@@ -565,7 +567,7 @@ def test_levi_ladder_property(case):
     t, mu, g = case
     got = eigenspace_dims(t, mu, g, max_dim=1)
     assert sum(got.dims) == weyl_dim(t, mu)
-    want = _outcome(hodgecore._orbit_ladder, t, mu, g, 20000)
+    want = _outcome(hodgecore._orbit_ladder, t, mu, g, level(t, mu, g), 20000)
     assert want is ResourceLimitError or got == want
 
 
@@ -655,7 +657,7 @@ def test_orbit_ladder_matches_the_pairing_oracle():
     every orbit element with the grading row gave."""
     count = 0
     for t, mu, g in _orbit_route_cases():
-        assert hodgecore._orbit_ladder(t, mu, g, DEFAULT_MAX_DIM) == \
+        assert hodgecore._orbit_ladder(t, mu, g, level(t, mu, g), DEFAULT_MAX_DIM) == \
             orbit_ladder_by_pairing(t, mu, g), (str(t), mu, g.support)
         count += 1
     assert count == 1037
@@ -667,16 +669,120 @@ def test_orbit_ladder_matches_the_pairing_oracle():
     ("A", 6, (0, 0, 1, 0, 0, 1), [3]),
 ])
 def test_orbit_ladder_reads_the_grading_row_once(monkeypatch, family, rank, mu, nodes):
-    """One grading row per ladder and one orbit walk per dominant weight,
-    where the pairing route paired the row with every orbit element."""
+    """One grading row per ladder when sigma(E) = E and two otherwise, and
+    one capped walk per dominant weight and row, where the pairing route
+    paired the row with every orbit element."""
     t, g = LieType(family, rank), E(rank, nodes)
     rows, walks = [], []
-    row_of, walk = hodgecore._grading_row, hodgecore._orbit_walk
+    row_of, walk = hodgecore._grading_row, hodgecore._orbit_depths
     monkeypatch.setattr(hodgecore, "_grading_row",
                         lambda rsd, e: rows.append(e) or row_of(rsd, e))
-    monkeypatch.setattr(hodgecore, "_orbit_walk",
-                        lambda lam, *args: walks.append(lam) or walk(lam, *args))
-    got = hodgecore._orbit_ladder(t, mu, g, DEFAULT_MAX_DIM)
+    monkeypatch.setattr(hodgecore, "_orbit_depths",
+                        lambda lam, nb, painted, *args: walks.append((lam, painted))
+                        or walk(lam, nb, painted, *args))
+    got = hodgecore._orbit_ladder(t, mu, g, level(t, mu, g), DEFAULT_MAX_DIM)
     assert got == orbit_ladder_by_pairing(t, mu, g)
-    assert rows == [g]
-    assert walks == [lam for lam, _ in weight_system(t, mu).dominant]
+    flipped = _flipped(t, g)
+    gradings = [g] if flipped == g else [g, flipped]
+    assert rows == gradings and len(gradings) == (2 if family == "A" else 1)
+    assert walks == [(lam, h.coeffs) for h in gradings for lam, _ in weight_system(t, mu).dominant]
+
+
+def _flipped(t, g):
+    """sigma(E): E's nodes moved by the duality involution -w0."""
+    return GradingElement(tuple(g.coeffs[j] for j in root_system(t).duality))
+
+
+def _random_weights(t, rng, count, max_dim):
+    """`count` distinct nonzero dominant weights of Weyl dimension <= max_dim,
+    each 1 or 2 nodes with coordinates 1 to 5, drawn from rng."""
+    found = set()
+    while len(found) < count:
+        mu = [0] * t.rank
+        for i in rng.sample(range(t.rank), min(t.rank, rng.choice((1, 1, 2)))):
+            mu[i] = rng.randint(1, 5)
+        if weyl_dim(t, mu) <= max_dim:
+            found.add(tuple(mu))
+    return sorted(found)
+
+
+def test_orbit_ladder_matches_the_full_walk_oracle():
+    """The two capped walks give the ladder that walking every orbit to its
+    end under E gave: every type of rank <= 6, four random weights per type
+    of Weyl dimension <= 3000, every E of 1 to 3 nodes.  The cases include
+    odd and even spans with sigma(E) != E on A_r, D5 and E6."""
+    rng = random.Random(24)
+    count, flipped_spans, flipped_types = 0, set(), set()
+    for t in catalogued_types(6):
+        for mu in _random_weights(t, rng, 4, 3000):
+            for g in _all_gradings(t.rank):
+                if len(g.support) > 3:
+                    continue
+                span = level(t, mu, g)
+                got = hodgecore._orbit_ladder(t, mu, g, span, DEFAULT_MAX_DIM)
+                assert got == orbit_ladder_full_walk(t, mu, g), (str(t), mu, g.support)
+                if _flipped(t, g) != g:
+                    flipped_spans.add(span % 2)
+                    flipped_types.add(str(t) if t.family != "A" else "A")
+                count += 1
+    assert count == 1636
+    assert flipped_spans == {0, 1} and flipped_types == {"A", "D5", "E6"}
+
+
+@st.composite
+def _small_systems(draw):
+    """A type of rank <= 6, a dominant weight of Weyl dimension <= 2000
+    with coordinates 0 to 2, and any nonzero E."""
+    family = draw(st.sampled_from(sorted(RANK_BOUNDS)))
+    lo, hi = RANK_BOUNDS[family]
+    rank = draw(st.integers(lo, max(lo, min(hi or 6, 6))))
+    mu = tuple(draw(st.lists(st.sampled_from((0, 0, 0, 1, 2)), min_size=rank, max_size=rank)))
+    t = LieType(family, rank)
+    assume(weyl_dim(t, mu) <= 2000)
+    nodes = draw(st.sets(st.integers(1, rank), min_size=1))
+    return t, mu, E(rank, sorted(nodes))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_small_systems())
+@example((LieType("E", 6), (1, 0, 0, 0, 0, 1), E(6, [1, 2])))
+@example((LieType("D", 5), (0, 0, 0, 2, 0), E(5, [4])))
+def test_ladder_w0_symmetry_property(case):
+    """dims(mu, E) reversed is dims(mu, sigma E) and dims(mu*, E); when
+    sigma(E) = E the ladder is a palindrome."""
+    t, mu, g = case
+    dims = eigenspace_dims(t, mu, g).dims
+    flipped = _flipped(t, g)
+    assert eigenspace_dims(t, mu, flipped).dims == dims[::-1]
+    assert eigenspace_dims(t, dual_weight(t, mu), g).dims == dims[::-1]
+    if flipped == g:
+        assert dims == dims[::-1]
+
+
+def test_orbit_ladder_span_check_survives_optimize():
+    """Under python -O, a span off (mu + mu*)(E) by 1 or 2 raises on the
+    orbit route, at span 0 (the trivial module of A2) and above 3, with
+    sigma(E) = E (A2, 2 omega_1 under A1 + A2; E8, omega_8 under A8) and
+    sigma(E) != E (A6, omega_3 + omega_6 under A3)."""
+    code = ("from hodgerep import hodgecore\n"
+            "from hodgerep.errors import ConsistencyError\n"
+            "from hodgerep.hodgecore import GradingElement, level\n"
+            "from hodgerep.rootdata import LieType\n"
+            "cases = [(LieType('A', 2), (0, 0), [1]), (LieType('A', 2), (2, 0), [1, 2]),\n"
+            "         (LieType('E', 8), (0,) * 7 + (1,), [8]),\n"
+            "         (LieType('A', 6), (0, 0, 1, 0, 0, 1), [3])]\n"
+            "for t, mu, nodes in cases:\n"
+            "    g = GradingElement.from_nodes(t.rank, nodes)\n"
+            "    n = level(t, mu, g)\n"
+            "    for delta in (-2, -1, 1, 2):\n"
+            "        try:\n"
+            "            hodgecore._orbit_ladder(t, mu, g, n + delta, 10 ** 6)\n"
+            "        except ConsistencyError as exc:\n"
+            "            print('raised', exc)\n"
+            "    print('ok', n, sum(hodgecore._orbit_ladder(t, mu, g, n, 10 ** 6).dims))\n")
+    lines = _run_optimized(code).splitlines()
+    assert [line.split()[0] for line in lines] == (["raised"] * 4 + ["ok"]) * 4, lines
+    assert [line for line in lines if line.startswith("ok")] == [
+        "ok 0 1", "ok 4 6", "ok 4 248", "ok 4 224"]
+    assert lines[0] == ("raised span -2 of (0, 0) on A2 under E = A1 is not "
+                        "(mu + mu*)(E) = 0")

@@ -9,7 +9,7 @@ from hodgerep.repweights import (
     _dominant,
     _dominant_candidates,
     _dominant_multiplicities,
-    _orbit_walk,
+    _orbit_depths,
     _pairings,
     _stabilizer_orbits,
     levi_dim,
@@ -25,6 +25,7 @@ from oracles import (
     full_weight_map,
     kostant_multiplicity,
     levi_dim_all_pairings,
+    orbit_walk,
     stabilizer_orbits_bfs,
     weight_to_root_coords,
     weyl_orbit_bfs,
@@ -184,7 +185,7 @@ def test_weyl_orbit_of_dominant_regular_weight_has_group_order():
     # regular dominant weight: orbit size = |W|
     for family, order in [("A", 6), ("B", 8), ("C", 8), ("G", 12)]:
         neighbours = root_system(LieType(family, 2)).neighbours
-        orbit = [v for v, _ in _orbit_walk((1, 1), neighbours, (0, 0))]
+        orbit = [v for v, _ in orbit_walk((1, 1), neighbours, (0, 0))]
         assert len(orbit) == len(set(orbit)) == order, family
 
 
@@ -198,10 +199,31 @@ def test_weyl_orbit_walk_matches_bfs_oracle():
             expected = weyl_orbit_bfs(t, lam)
             for start in (lam, expected[0], expected[-1]):
                 top = _dominant(start, neighbours)
-                orbit = [v for v, _ in _orbit_walk(top, neighbours, (0,) * r)]
+                orbit = [v for v, _ in orbit_walk(top, neighbours, (0,) * r)]
                 assert len(orbit) == len(set(orbit)), (str(t), start)
                 assert sorted(orbit) == expected, (str(t), start)
                 assert orbit[0] == top == lam
+
+
+def test_capped_orbit_depths_match_the_full_walk():
+    """Counting orbit elements by depth, from a start depth and up to a
+    cap, gives the full walk's depth histogram cut at the cap, on every
+    type of rank <= 5, the fundamental weights and rho, under E on node 1,
+    on the last node and on every node."""
+    for t in catalogued_types(5):
+        r = t.rank
+        neighbours = root_system(t).neighbours
+        for lam in [tuple(int(j == i) for j in range(r)) for i in range(r)] + [(1,) * r]:
+            for painted in {tuple(int(j == 0) for j in range(r)),
+                            tuple(int(j == r - 1) for j in range(r)), (1,) * r}:
+                depths = Counter(d for _, d in orbit_walk(lam, neighbours, painted))
+                deepest = max(depths)
+                for start, cap in ((0, deepest), (2, deepest + 2), (0, deepest // 2),
+                                   (1, 0), (0, -1)):
+                    counts = [0] * (cap + 1)
+                    _orbit_depths(lam, neighbours, painted, start, 3, counts)
+                    want = [3 * depths[k - start] for k in range(cap + 1)]
+                    assert counts == want, (str(t), lam, painted, start, cap)
 
 
 def test_dominant_weights_up_to():

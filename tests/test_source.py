@@ -265,7 +265,7 @@ def _names(tree, idents, allowed=frozenset()):
 # the Levi closed form, so only the modules that implement the route, and
 # the re-exporting package, name it; `weyl_orbit` and `eigenspace_dims`,
 # its former second entries, are gone and stay forbidden elsewhere
-ORBIT_ROUTE = {"weight_system", "weyl_orbit", "_orbit_walk", "_orbit_ladder",
+ORBIT_ROUTE = {"weight_system", "weyl_orbit", "_orbit_depths", "_orbit_ladder",
                "eigenspace_dims"}
 ORBIT_ROUTE_MODULES = {"repweights.py", "hodgecore.py", "__init__.py"}
 
@@ -290,7 +290,7 @@ def test_orbit_route_guard_detects_each_form():
         "z = eigen_ladder(t, mu, E, 1, top)\n"
         "s = 'weight_system'\n"
         "weight_systems = levi_dim\n"
-        "depths = [d for _, d in repweights._orbit_walk(lam, nb, painted)]\n")
+        "repweights._orbit_depths(lam, nb, painted, 0, m, counts)\n")
     assert _names(tree, ORBIT_ROUTE) == [1, 2, 4, 5, 6, 7, 8, 12]
 
 
