@@ -29,7 +29,8 @@ ConsistencyError.  The sweeps and the row checks share the run's one
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 
 from .errors import ConsistencyError, ShapeError
 from .expected import ExpectedInstance, ExpectedTables, instantiate, load_expected
@@ -52,13 +53,12 @@ def _check_max_rank(max_rank: int) -> None:
         raise ValueError(f"max_rank must be at most {MAX_RANK}, got {max_rank}")
 
 
-class SearchConfig(NamedTuple("SearchConfig", [
-        ("max_rank", int), ("level", int), ("families", FrozenSet[str]),
-        ("include_products", bool), ("dedupe_automorphisms", bool)])):
+class SearchConfig(namedtuple("SearchConfig", (
+        "max_rank level families include_products dedupe_automorphisms"))):
     __slots__ = ()
 
     def __new__(cls, max_rank: int, level: int,
-                families: FrozenSet[str] = frozenset("ABCDEFG"),
+                families: frozenset[str] = frozenset("ABCDEFG"),
                 include_products: bool = False, dedupe_automorphisms: bool = False):
         _check_max_rank(max_rank)
         if level not in (1, 3):
@@ -83,7 +83,7 @@ class SearchConfig(NamedTuple("SearchConfig", [
                         for t in types))
 
 
-def _types_in_window(families, max_rank) -> List[LieType]:
+def _types_in_window(families, max_rank) -> list[LieType]:
     """The catalogued types of the families up to max_rank, by family
     (RANK_BOUNDS is in alphabetical order) and then rank."""
     return [t for t in catalogued_types(max_rank) if t.family in families]
@@ -92,7 +92,7 @@ def _types_in_window(families, max_rank) -> List[LieType]:
 # ---------------------------------------------------------------------------
 # Dynkin diagram automorphisms and canonical representatives
 
-def diagram_automorphisms(t: LieType) -> List[Tuple[int, ...]]:
+def diagram_automorphisms(t: LieType) -> list[tuple[int, ...]]:
     """The diagram automorphism group as 0-based node permutations."""
     f, r = t.family, t.rank
     idem = tuple(range(r))
@@ -115,7 +115,7 @@ def diagram_automorphisms(t: LieType) -> List[Tuple[int, ...]]:
     return [idem]
 
 
-def _apply_perm(perm: Tuple[int, ...], vec: Sequence[int]) -> Tuple[int, ...]:
+def _apply_perm(perm: tuple[int, ...], vec: Sequence[int]) -> tuple[int, ...]:
     out = [0] * len(vec)
     for src, dst in enumerate(perm):
         out[dst] = vec[src]
@@ -123,7 +123,7 @@ def _apply_perm(perm: Tuple[int, ...], vec: Sequence[int]) -> Tuple[int, ...]:
 
 
 def canonical_form(t: LieType, E: GradingElement, mu: Weight
-                   ) -> Tuple[GradingElement, Weight]:
+                   ) -> tuple[GradingElement, Weight]:
     """Lexicographically least (E, mu) under the diagram automorphisms."""
     best = None
     for perm in diagram_automorphisms(t):
@@ -135,7 +135,7 @@ def canonical_form(t: LieType, E: GradingElement, mu: Weight
     return GradingElement(best[1]), best[2]
 
 
-def _canonical_factors(factors: Sequence[FactorSpec]) -> List[FactorSpec]:
+def _canonical_factors(factors: Sequence[FactorSpec]) -> list[FactorSpec]:
     """Each factor in its canonical form, in canonical order."""
     return sorted((FactorSpec(f.lie_type, *canonical_form(f.lie_type, f.E, f.mu))
                    for f in factors), key=FactorSpec.sort_key)
@@ -183,7 +183,7 @@ def b2c2_alias_key(key):
 # Candidate evaluation
 
 def evaluate_simple(t: LieType, E: GradingElement, mu: Weight, target_level: int,
-                    table: Optional[SummaryTable] = None) -> Optional[HodgeTuple]:
+                    table: SummaryTable | None = None) -> HodgeTuple | None:
     """Classify one (algebra, E, mu) candidate, or None when it is not a
     level-`target_level` Hodge representation: the one-factor case of
     `products.assemble`, with the summary taken from `table` (a new one
@@ -197,7 +197,7 @@ def evaluate_simple(t: LieType, E: GradingElement, mu: Weight, target_level: int
 
 
 def _light_subsets(row: Sequence[int], nodes: Sequence[int], budget: int,
-                   max_size: int, start: int = 0) -> Iterator[Tuple[int, ...]]:
+                   max_size: int, start: int = 0) -> Iterator[tuple[int, ...]]:
     """The nonempty subsets of nodes[start:] with at most max_size members
     whose entries of `row` sum to at most budget."""
     for k in range(start, len(nodes)):
@@ -210,7 +210,7 @@ def _light_subsets(row: Sequence[int], nodes: Sequence[int], budget: int,
 
 
 def _supports(t: LieType, level_matrix, target_level: int
-              ) -> List[Tuple[Tuple[int, ...], List[int]]]:
+              ) -> list[tuple[tuple[int, ...], list[int]]]:
     """Each 0-based support S on which some node i can carry mu, with those
     nodes i in order, sorted by (size, nodes): the S with
     sum_{j in S} L[i][j] <= target_level, and i in S at level 3.  Every
@@ -220,7 +220,7 @@ def _supports(t: LieType, level_matrix, target_level: int
         raise ConsistencyError(
             f"the level matrix of {t} has an entry below 1; "
             "the level bound would miss candidates")
-    users: Dict[Tuple[int, ...], List[int]] = {}
+    users: dict[tuple[int, ...], list[int]] = {}
     for i, row in enumerate(level_matrix):
         short = [j for j, x in enumerate(row) if x <= target_level]
         if target_level == 1:
@@ -238,7 +238,7 @@ def _supports(t: LieType, level_matrix, target_level: int
 
 
 def candidates(t: LieType, target_level: int
-               ) -> Iterator[Tuple[GradingElement, Weight, int]]:
+               ) -> Iterator[tuple[GradingElement, Weight, int]]:
     """Every (E, mu, span) with 1 <= span = (mu + mu*)(E) <= target_level
     on t; at level 3 also supp(mu) inside supp(E).  E runs over the
     supports by (size, nodes) and mu over multisets of the nodes that can
@@ -256,7 +256,7 @@ def candidates(t: LieType, target_level: int
                     yield E, tuple(picks.count(i) for i in range(rank)), span
 
 
-def _annotate_canonical(tuples: List[HodgeTuple]) -> List[HodgeTuple]:
+def _annotate_canonical(tuples: list[HodgeTuple]) -> list[HodgeTuple]:
     """Each tuple with the factor keys of its canonical representative
     and whether it is that representative."""
     out = []
@@ -267,7 +267,7 @@ def _annotate_canonical(tuples: List[HodgeTuple]) -> List[HodgeTuple]:
 
 
 def enumerate_level(config: SearchConfig,
-                    table: Optional[SummaryTable] = None) -> List[HodgeTuple]:
+                    table: SummaryTable | None = None) -> list[HodgeTuple]:
     """All Hodge tuples of the configured level in the search window.
 
     Output is canonically sorted and deterministic; diagram-automorphism
@@ -276,8 +276,8 @@ def enumerate_level(config: SearchConfig,
     so each pool factor keeps the summary its candidate built.
     """
     table = SummaryTable() if table is None else table
-    simple: List[HodgeTuple] = []
-    pools: Dict[int, List[FactorSpec]] = {1: [], 2: []}
+    simple: list[HodgeTuple] = []
+    pools: dict[int, list[FactorSpec]] = {1: [], 2: []}
     for t in _types_in_window(config.families, config.max_rank):
         for E, mu, span in candidates(t, config.level):
             got = evaluate_simple(t, E, mu, config.level, table)
@@ -298,78 +298,52 @@ def enumerate_level(config: SearchConfig,
 # ---------------------------------------------------------------------------
 # Reconciliation against the embedded tables
 
-def _slot_repr(record) -> str:
-    """Name(field=value, ...) over the record's slots, in order."""
-    fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in record.__slots__)
-    return f"{type(record).__name__}({fields})"
+class InstanceResult(namedtuple("InstanceResult", "instance status diffs")):
+    """One row instance checked: status "match" or "mismatch"."""
+
+    __slots__ = ()
+
+    def __new__(cls, instance: ExpectedInstance, status: str,
+                diffs: list[tuple[str, str, str]] | None = None):
+        return super().__new__(cls, instance, status, [] if diffs is None else diffs)
 
 
-def _slot_eq(record, other):
-    """Equal when of the same class with equal slot values; a class with
-    this __eq__ and no __hash__ of its own is unhashable."""
-    if other.__class__ is record.__class__:
-        return ([getattr(record, name) for name in record.__slots__]
-                == [getattr(other, name) for name in other.__slots__])
-    return NotImplemented
+class RowResult(namedtuple("RowResult", (
+        "table item status allowlisted allowlist_reason instances note"))):
+    """One table row: status "match", "mismatch" or "paper_only"."""
 
+    __slots__ = ()
 
-class InstanceResult:
-    __slots__ = ("instance", "status", "diffs")
-    __repr__, __eq__ = _slot_repr, _slot_eq
-
-    def __init__(self, instance: ExpectedInstance, status: str,
-                 diffs: Optional[List[Tuple[str, str, str]]] = None):
-        self.instance = instance
-        self.status = status          # "match" | "mismatch"
-        self.diffs = [] if diffs is None else diffs
-
-
-class RowResult:
-    __slots__ = ("table", "item", "status", "allowlisted", "allowlist_reason",
-                 "instances", "note")
-    __repr__, __eq__ = _slot_repr, _slot_eq
-
-    def __init__(self, table: str, item: int, status: str, allowlisted: bool,
-                 allowlist_reason: Optional[str],
-                 instances: Optional[List[InstanceResult]] = None,
-                 note: Optional[str] = None):
-        self.table = table
-        self.item = item
-        self.status = status          # "match" | "mismatch" | "paper_only"
-        self.allowlisted = allowlisted
-        self.allowlist_reason = allowlist_reason
-        self.instances = [] if instances is None else instances
-        self.note = note
+    def __new__(cls, table: str, item: int, status: str, allowlisted: bool,
+                allowlist_reason: str | None,
+                instances: list[InstanceResult] | None = None, note: str | None = None):
+        return super().__new__(cls, table, item, status, allowlisted, allowlist_reason,
+                               [] if instances is None else instances, note)
 
     @property
     def n_instances(self) -> int:
         return len(self.instances)
 
-    def failing(self) -> List[InstanceResult]:
+    def failing(self) -> list[InstanceResult]:
         return [r for r in self.instances if r.status != "match"]
 
 
-class ReconciliationReport:
-    __slots__ = ("scope", "max_rank", "matches", "mismatches", "paper_only",
-                 "computed_only", "notes")
-    __repr__, __eq__ = _slot_repr, _slot_eq
+class ReconciliationReport(namedtuple("ReconciliationReport", (
+        "scope max_rank matches mismatches paper_only computed_only notes"))):
+    __slots__ = ()
 
-    def __init__(self, scope: str, max_rank: int,
-                 matches: Optional[List[RowResult]] = None,
-                 mismatches: Optional[List[RowResult]] = None,
-                 paper_only: Optional[List[RowResult]] = None,
-                 computed_only: Optional[List[HodgeTuple]] = None,
-                 notes: Optional[List[str]] = None):
-        self.scope = scope
-        self.max_rank = max_rank
-        self.matches = [] if matches is None else matches
-        self.mismatches = [] if mismatches is None else mismatches
-        self.paper_only = [] if paper_only is None else paper_only
-        self.computed_only = [] if computed_only is None else computed_only
-        self.notes = [] if notes is None else notes
+    def __new__(cls, scope: str, max_rank: int,
+                matches: list[RowResult] | None = None,
+                mismatches: list[RowResult] | None = None,
+                paper_only: list[RowResult] | None = None,
+                computed_only: list[HodgeTuple] | None = None,
+                notes: list[str] | None = None):
+        return super().__new__(cls, scope, max_rank, *(
+            [] if x is None else x
+            for x in (matches, mismatches, paper_only, computed_only, notes)))
 
     @property
-    def rows(self) -> List[RowResult]:
+    def rows(self) -> list[RowResult]:
         return self.matches + self.mismatches + self.paper_only
 
     @property
@@ -379,8 +353,8 @@ class ReconciliationReport:
 
 
 def _check_instance(inst: ExpectedInstance, target_level: int,
-                    got: Optional[HodgeTuple],
-                    window: Optional[SearchConfig],
+                    got: HodgeTuple | None,
+                    window: SearchConfig | None,
                     table: SummaryTable) -> InstanceResult:
     """Compare one row instance with the tuple it names.  `got` is that
     tuple as found in `window`, the window enumerated at the instance's
@@ -388,7 +362,7 @@ def _check_instance(inst: ExpectedInstance, target_level: int,
     assembled from the run's summary `table`, or the rule gives the
     rejection text.  ConsistencyError when the rule accepts a candidate
     that the window should hold: the level-bound generator missed it."""
-    diffs: List[Tuple[str, str, str]] = []
+    diffs: list[tuple[str, str, str]] = []
     if got is None:
         factors = [FactorSpec(t, GradingElement.from_nodes(t.rank, nodes), mu)
                    for t, nodes, mu in inst.factors]
@@ -421,7 +395,7 @@ def _check_instance(inst: ExpectedInstance, target_level: int,
     return InstanceResult(inst, status, diffs)
 
 
-def _factor_pattern(p: HodgeTuple) -> Tuple[int, ...]:
+def _factor_pattern(p: HodgeTuple) -> tuple[int, ...]:
     return tuple(sorted(level(f.lie_type, f.mu, f.E) for f in p.factors))
 
 
@@ -461,7 +435,7 @@ def _scope_predicate(tables: ExpectedTables, names):
 
 
 def verify_paper(scope: str = "all", max_rank: int = 8,
-                 expected_path: Optional[str] = None,
+                 expected_path: str | None = None,
                  include_computed_only: bool = True) -> ReconciliationReport:
     """Recompute every embedded table row and bucket the comparisons.
 
@@ -482,63 +456,61 @@ def verify_paper(scope: str = "all", max_rank: int = 8,
     _check_max_rank(max_rank)
     tables = load_expected(expected_path)
     names = tables.table_names(scope)
-    report = ReconciliationReport(scope=scope, max_rank=max_rank)
 
     # the window is enumerated first, once: the row checks look each
     # instance up in it and computed_only reads it; one summary table
     # serves the sweeps and the row checks
     table = SummaryTable()
-    configs: Dict[int, SearchConfig] = {}
-    enumerated: List[HodgeTuple] = []
+    configs: dict[int, SearchConfig] = {}
+    enumerated: list[HodgeTuple] = []
     if include_computed_only:
         for cfg in _scope_window(tables, names, max_rank):
             configs[cfg.level] = cfg
             enumerated.extend(enumerate_level(cfg, table))
     found = {(t.level, coverage_key(t)): t for t in enumerated}
 
+    by_status: dict[str, list[RowResult]] = {"match": [], "mismatch": [], "paper_only": []}
     covered_keys = set()
     for name in names:
         target_level = tables.level_of(name)
         window = configs.get(target_level)
         for item, instances in instantiate(name, tables, max_rank).items():
             entry = tables.allowlisted(name, item)
-            row = RowResult(
-                table=name, item=item,
-                status="match",
-                allowlisted=entry is not None,
-                allowlist_reason=entry["reason"] if entry else None,
-            )
+            allowlist = (entry is not None, entry["reason"] if entry else None)
             if not instances:
-                row.status = "paper_only"
-                row.note = "no instantiation within max_rank"
-                report.paper_only.append(row)
+                by_status["paper_only"].append(RowResult(
+                    name, item, "paper_only", *allowlist,
+                    note="no instantiation within max_rank"))
                 continue
+            results = []
             for inst in instances:
                 key = inst.key
-                row.instances.append(_check_instance(
+                results.append(_check_instance(
                     inst, target_level, found.get((target_level, key)), window, table))
                 covered_keys.add(key)
-            row.status = "mismatch" if row.failing() else "match"
-            (report.mismatches if row.status == "mismatch" else report.matches).append(row)
+            status = "match" if all(r.status == "match" for r in results) else "mismatch"
+            by_status[status].append(RowResult(name, item, status, *allowlist, results))
 
+    computed_only, notes = [], []
     if include_computed_only:
         accept = _scope_predicate(tables, names)
-        report.computed_only = [t for t in enumerated
-                                if accept(t) and coverage_key(t) not in covered_keys]
-        report.computed_only.sort(key=tuple_key)
-        if report.computed_only:
-            report.notes.append(
+        computed_only = sorted((t for t in enumerated
+                                if accept(t) and coverage_key(t) not in covered_keys),
+                               key=tuple_key)
+        if computed_only:
+            notes.append(
                 "computed_only entries are sound tuples produced by the "
                 "exhaustive search that no embedded row covers."
             )
-        for t in report.computed_only:
+        for t in computed_only:
             alias = b2c2_alias_key(coverage_key(t))
             if alias is not None and alias in covered_keys:
-                report.notes.append(
+                notes.append(
                     f"{_key_text(coverage_key(t))} is the B2=C2 alias of the "
                     f"covered row candidate {_key_text(alias)}."
                 )
-    return report
+    return ReconciliationReport(scope, max_rank, by_status["match"], by_status["mismatch"],
+                                by_status["paper_only"], computed_only, notes)
 
 
 def _key_text(key) -> str:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import List, Optional, Sequence
 
 from .classify import ReconciliationReport, SearchConfig, enumerate_level, verify_paper
 from .errors import HodgeRepError, ResourceLimitError, ShapeError
@@ -97,7 +97,7 @@ def _cell(v, fmt: str) -> str:
     return f'"{v}"' if fmt == "csv" and "," in v else v
 
 
-def _emit_records(records: List[dict], fmt: str, out) -> None:
+def _emit_records(records: list[dict], fmt: str, out) -> None:
     if fmt == "json":
         json.dump(records, out, indent=2)
         out.write("\n")
@@ -106,7 +106,7 @@ def _emit_records(records: List[dict], fmt: str, out) -> None:
                                          for rec in records))
 
 
-def _csv_ints(flag: str, t: LieType, text: str) -> List[int]:
+def _csv_ints(flag: str, t: LieType, text: str) -> list[int]:
     """One factor's comma-separated integers; an empty field is an error,
     not a field to skip."""
     fields = text.split(",")
@@ -189,7 +189,7 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _report_rows(report: ReconciliationReport) -> List[dict]:
+def _report_rows(report: ReconciliationReport) -> list[dict]:
     rows = []
     for row in sorted(report.rows, key=lambda r: (r.table, r.item)):
         entry = {
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -18,10 +18,10 @@ import json
 import operator
 import os
 import re
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from math import comb
-from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import InvalidTypeError
 from .rootdata import RANK_BOUNDS, LieType
@@ -138,7 +138,7 @@ def _binary(op, left, right):
     return lambda binding: op(left(binding), right(binding))
 
 
-def _build(node, names: List[str], after_in: bool = False):
+def _build(node, names: list[str], after_in: bool = False):
     """The expression `node` as a function from a binding of `names` to its
     value.  NameError for any other name; ValueError for a node outside the
     row grammar, and for a tuple anywhere but after `in` or `not in`."""
@@ -173,7 +173,7 @@ def _build(node, names: List[str], after_in: bool = False):
     raise ValueError(f"{ast.unparse(node)!r} is outside the row grammar")
 
 
-def _compile(entry, names: List[str], where: str, field: str, integral: bool = True):
+def _compile(entry, names: list[str], where: str, field: str, integral: bool = True):
     """`entry` (a string, or an integer) parsed and built once into a
     function from an int binding to the entry's value: an int, which must
     be integral, when `integral`, else a Fraction.  Leading blanks are
@@ -196,7 +196,7 @@ def _compile(entry, names: List[str], where: str, field: str, integral: bool = T
     if type(tree) is ast.Name:
         return evaluate if integral else lambda binding: Fraction(evaluate(binding))
 
-    def value(binding: Dict[str, int]):
+    def value(binding: dict[str, int]):
         try:
             val = evaluate(binding)
         except (TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
@@ -215,17 +215,12 @@ def _constant(number: int, integral: bool):
     return lambda binding: value
 
 
-class ExpectedInstance(NamedTuple):
-    """One printed table row at one concrete parameter binding."""
+class ExpectedInstance(namedtuple("ExpectedInstance", (
+        "table item bindings factors c h reality real_forms"))):
+    """One printed table row at one concrete parameter binding: factors
+    holds a (type, E nodes, mu) triple per factor."""
 
-    table: str
-    item: int
-    bindings: Dict[str, int]
-    factors: Tuple[Tuple[LieType, Tuple[int, ...], Tuple[int, ...]], ...]
-    c: Fraction
-    h: Tuple[int, ...]
-    reality: str
-    real_forms: Optional[Tuple[Optional[str], ...]]
+    __slots__ = ()
 
     @property
     def is_product(self) -> bool:
@@ -247,36 +242,24 @@ class ExpectedInstance(NamedTuple):
         return f"{self.table} item {self.item} [{binds}] " + " x ".join(parts)
 
 
-class ExpectedTables:
-    __slots__ = ("raw", "path_note")
-
-    def __init__(self, raw: dict, path_note: str = ""):
-        self.raw = raw
-        self.path_note = path_note
-
-    def __repr__(self) -> str:
-        return f"ExpectedTables(raw={self.raw!r}, path_note={self.path_note!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.raw, self.path_note) == (other.raw, other.path_note)
-        return NotImplemented
+class ExpectedTables(namedtuple("ExpectedTables", "raw path_note", defaults=("",))):
+    __slots__ = ()
 
     @property
     def tables(self) -> dict:
         return self.raw["tables"]
 
     @property
-    def allowlist(self) -> List[dict]:
+    def allowlist(self) -> list[dict]:
         return self.raw.get("allowlist", [])
 
-    def allowlisted(self, table: str, item: int) -> Optional[dict]:
+    def allowlisted(self, table: str, item: int) -> dict | None:
         for entry in self.allowlist:
             if entry["table"] == table and entry["item"] == item:
                 return entry
         return None
 
-    def table_names(self, scope: str) -> Tuple[str, ...]:
+    def table_names(self, scope: str) -> tuple[str, ...]:
         if scope == "all":
             missing = [n for n in _ALL_TABLES if n not in self.tables]
             if missing:
@@ -295,7 +278,7 @@ class ExpectedTables:
 _PACKAGED = os.path.join(os.path.dirname(__file__), "data", "expected_tables.json")
 
 
-def load_expected(path: Optional[str] = None) -> ExpectedTables:
+def load_expected(path: str | None = None) -> ExpectedTables:
     """Load the expected-results file, by default the packaged copy, and
     check its tables and allowlist; `instantiate` checks the rows.
 
@@ -333,7 +316,7 @@ def load_expected(path: Optional[str] = None) -> ExpectedTables:
     return ExpectedTables(raw=raw, path_note=note)
 
 
-def _compile_factor(fac, names: List[str], where: str):
+def _compile_factor(fac, names: list[str], where: str):
     """One factor, checked and compiled, as a function from a binding to
     its (type, nodes, mu); LieType raises InvalidTypeError for a rank
     outside the family's bounds."""
@@ -351,13 +334,13 @@ def _compile_factor(fac, names: List[str], where: str):
     mu_of = [(_compile(node, names, where, "mu"), _compile(coeff, names, where, "mu"))
              for node, coeff in fac["mu"]]
 
-    def node(node_of, binding: Dict[str, int], rank: int, field: str) -> int:
+    def node(node_of, binding: dict[str, int], rank: int, field: str) -> int:
         at = node_of(binding)
         if not 1 <= at <= rank:
             raise ValueError(f"{where}: {field} node {at} outside 1..{rank}")
         return at
 
-    def factor(binding: Dict[str, int]):
+    def factor(binding: dict[str, int]):
         rank = rank_of(binding)
         lie_type = lie_types.get(rank) or lie_types.setdefault(rank, LieType(family, rank))
         nodes = tuple(sorted(node(node_of, binding, rank, "E") for node_of in nodes_of))
@@ -413,7 +396,7 @@ def _compile_row(table_name: str, level: int, pos: int, item):
             for k, part in enumerate(re.split(r"\{([^}]+)\}", template))]
         for template in (rf if isinstance(rf, list) else [rf])]
 
-    def instance(binding: Dict[str, int]) -> ExpectedInstance:
+    def instance(binding: dict[str, int]) -> ExpectedInstance:
         factors = tuple(factor_of(binding) for factor_of in factors_of)
         reality, h_of = next(((reality, h_of) for when, reality, h_of in cases
                               if when is None or when(binding)), (None, None))
@@ -429,7 +412,7 @@ def _compile_row(table_name: str, level: int, pos: int, item):
     return number, params, instance
 
 
-def _bindings(params, max_rank: int, binding: Dict[str, int]) -> List[Dict[str, int]]:
+def _bindings(params, max_rank: int, binding: dict[str, int]) -> list[dict[str, int]]:
     """The concrete bindings that extend `binding` over the declared ranges."""
     if len(binding) == len(params):
         return [binding]
@@ -441,7 +424,7 @@ def _bindings(params, max_rank: int, binding: Dict[str, int]) -> List[Dict[str, 
 
 
 def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
-                ) -> Dict[int, List[ExpectedInstance]]:
+                ) -> dict[int, list[ExpectedInstance]]:
     """All concrete instances of every row of one table, keyed by item.
 
     Every row is checked and compiled before any binding, whatever
@@ -452,7 +435,7 @@ def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
     table = tables.tables[table_name]
     rows = [_compile_row(table_name, table["level"], pos, item)
             for pos, item in enumerate(table["items"], 1)]
-    out: Dict[int, List[ExpectedInstance]] = {}
+    out: dict[int, list[ExpectedInstance]] = {}
     for number, params, instance in rows:
         out[number] = []
         for binding in _bindings(params, max_rank, {}):

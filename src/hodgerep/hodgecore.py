@@ -23,9 +23,10 @@ give one half of the ladder each.
 """
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import add, mul
-from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError
 from .repweights import DEFAULT_MAX_DIM, _orbit_depths, levi_dim, weight_system, weyl_dim
@@ -45,7 +46,7 @@ class GradingElement:
 
     __slots__ = ("coeffs", "support")
 
-    def __init__(self, coeffs: Tuple[int, ...]):
+    def __init__(self, coeffs: tuple[int, ...]):
         if not all(c in (0, 1) for c in coeffs):
             raise ValueError(f"grading coefficients must be 0/1, got {coeffs}")
         if not any(coeffs):
@@ -89,19 +90,19 @@ class GradingElement:
         return "+".join(f"A{i}" for i in self.support)
 
 
-class EigenDecomp(NamedTuple("EigenDecomp", [("top", Fraction), ("dims", Tuple[int, ...])])):
+class EigenDecomp(namedtuple("EigenDecomp", "top dims")):
     """Eigenspace dimensions on a unit-step ladder: dims[k] sits at
     eigenvalue top - k."""
 
     __slots__ = ()
 
-    def __new__(cls, top: Fraction, dims: Tuple[int, ...]):
+    def __new__(cls, top: Fraction, dims: tuple[int, ...]):
         if not dims or any(d <= 0 for d in dims):
             raise ValueError(f"ladder dimensions must be positive, got {dims}")
         return super().__new__(cls, top, dims)
 
     @property
-    def levels(self) -> Tuple[Tuple[Fraction, int], ...]:
+    def levels(self) -> tuple[tuple[Fraction, int], ...]:
         return tuple((self.top - k, d) for k, d in enumerate(self.dims))
 
     @property
@@ -109,10 +110,10 @@ class EigenDecomp(NamedTuple("EigenDecomp", [("top", Fraction), ("dims", Tuple[i
         return len(self.dims) - 1
 
 
-class HodgeVector(NamedTuple):
+class HodgeVector(namedtuple("HodgeVector", "dims")):
     """Eigenspace dimensions read from the top eigenvalue down."""
 
-    dims: Tuple[int, ...]
+    __slots__ = ()
 
     @property
     def is_weight1(self) -> bool:
@@ -124,11 +125,10 @@ class HodgeVector(NamedTuple):
         return len(d) == 4 and d[0] == d[3] == 1 and d[1] == d[2] >= 1
 
 
-class RealFormDescriptor(NamedTuple):
+class RealFormDescriptor(namedtuple("RealFormDescriptor", "painted name", defaults=(None,))):
     """Painted-node set (the Vogan data) plus a name when catalogued."""
 
-    painted: Tuple[int, ...]
-    name: Optional[str] = None
+    __slots__ = ()
 
     def label(self) -> str:
         if self.name is not None:
@@ -136,18 +136,18 @@ class RealFormDescriptor(NamedTuple):
         return "painted{" + ",".join(str(i) for i in self.painted) + "}"
 
 
-class FactorSpec(NamedTuple):
+class FactorSpec(namedtuple("FactorSpec", "lie_type E mu")):
     """One simple factor of a Hodge tuple: (algebra, grading element, weight)."""
 
-    lie_type: LieType
-    E: GradingElement
-    mu: Weight
+    __slots__ = ()
 
     def sort_key(self):
         return (self.lie_type.family, self.lie_type.rank, self.E.coeffs, self.mu)
 
 
-class HodgeTuple(NamedTuple):
+class HodgeTuple(namedtuple("HodgeTuple", (
+        "factors span level reality c hodge real_forms is_canonical canonical_key"),
+        defaults=(True, None))):
     """One classified record of g = g1 x ... x gk: one factor for a simple
     algebra, two or three (in FactorSpec.sort_key order) for a product,
     whose representation is the tensor product of the factors'.
@@ -157,18 +157,10 @@ class HodgeTuple(NamedTuple):
     makes U complex with respect to the full reductive algebra.
     """
 
-    factors: Tuple[FactorSpec, ...]
-    span: int
-    level: int
-    reality: str
-    c: Fraction
-    hodge: HodgeVector
-    real_forms: Tuple[RealFormDescriptor, ...]
-    is_canonical: bool = True
-    canonical_key: Optional[Tuple] = None
+    __slots__ = ()
 
 
-def _grading_row(rsd: RootSystemData, E: GradingElement) -> List[int]:
+def _grading_row(rsd: RootSystemData, E: GradingElement) -> list[int]:
     """Integer g with lambda(E_ss) = (g . lambda) / inverse_den for lambda in
     fundamental coordinates: inverse_num's support columns summed."""
     sup = [i - 1 for i in E.support]

@@ -33,8 +33,8 @@ combinations of the groups it admits, each through `_assemble`.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence
 
 from .errors import ShapeError
 from .hodgecore import (
@@ -100,7 +100,7 @@ class _FactorSummary:
         self.span = level(f.lie_type, f.mu, f.E)
         self.reality = reality_type(f.lie_type, f.mu, f.E)
         self.top_is_one = extremal_dim_is_one(f.mu, f.E)
-        self._eigen: Optional[EigenDecomp] = None
+        self._eigen: EigenDecomp | None = None
 
     def check_level3(self) -> None:
         """ShapeError unless the factor can sit in a level-3 tuple: a
@@ -133,7 +133,7 @@ class SummaryTable:
     __slots__ = ("_summaries",)
 
     def __init__(self):
-        self._summaries: Dict[tuple, _FactorSummary] = {}
+        self._summaries: dict[tuple, _FactorSummary] = {}
 
     def summary(self, f: FactorSpec) -> _FactorSummary:
         """The summary of `f`, built on the first request for its key."""
@@ -143,7 +143,7 @@ class SummaryTable:
             s = self._summaries[key] = _FactorSummary(f, key)
         return s
 
-    def summarise(self, factors: Sequence[FactorSpec]) -> List[_FactorSummary]:
+    def summarise(self, factors: Sequence[FactorSpec]) -> list[_FactorSummary]:
         """One summary per factor, in FactorSpec.sort_key order, or
         ShapeError for more than 3 factors."""
         if len(factors) > 3:
@@ -151,7 +151,7 @@ class SummaryTable:
         return sorted(map(self.summary, factors), key=attrgetter("key"))
 
 
-def _assembly_case(level_n: int, spans: List[int], joint: str) -> str:
+def _assembly_case(level_n: int, spans: list[int], joint: str) -> str:
     """Hodge-assembly case at level `level_n` of factor levels `spans`
     with joint reality type `joint`, or ShapeError.
 
@@ -233,7 +233,7 @@ def assemble(factors: Sequence[FactorSpec], level_n: int) -> HodgeTuple:
 
 
 def _level3_summaries(table: SummaryTable, pool: Sequence[FactorSpec]
-                      ) -> List[_FactorSummary]:
+                      ) -> list[_FactorSummary]:
     """The table's summaries of the pool factors that pass the level-3
     factor check; every combination holding any other factor is rejected."""
     out = []
@@ -246,10 +246,10 @@ def _level3_summaries(table: SummaryTable, pool: Sequence[FactorSpec]
     return out
 
 
-def _groups(summaries: Sequence[_FactorSummary]) -> Dict[tuple, List[int]]:
+def _groups(summaries: Sequence[_FactorSummary]) -> dict[tuple, list[int]]:
     """The positions of the summaries by (span, reality type): all the
     assembly rule reads of a factor once it passes the level-3 check."""
-    groups: Dict[tuple, List[int]] = {}
+    groups: dict[tuple, list[int]] = {}
     for pos, s in enumerate(summaries):
         groups.setdefault((s.span, s.reality), []).append(pos)
     return groups
@@ -265,7 +265,7 @@ def _admits(keys: Sequence[tuple]) -> bool:
     return True
 
 
-def _positions(groups: Dict[tuple, List[int]], keys: Sequence[tuple]):
+def _positions(groups: dict[tuple, list[int]], keys: Sequence[tuple]):
     """Every ascending position tuple with one member of each group in the
     multiset `keys`, in which equal keys are adjacent."""
     runs = [itertools.combinations_with_replacement(groups[k], len(list(same)))
@@ -275,7 +275,7 @@ def _positions(groups: Dict[tuple, List[int]], keys: Sequence[tuple]):
 
 
 def product_tuples(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec],
-                   table: Optional[SummaryTable] = None) -> List[HodgeTuple]:
+                   table: SummaryTable | None = None) -> list[HodgeTuple]:
     """Every 1+1 and 1+1+1 combination of pool1 and 1+2 combination of
     pool1 x pool2 that `assemble(factors, 3)` accepts, in combination order.
 

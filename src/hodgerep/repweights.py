@@ -18,9 +18,9 @@ Weyl product.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 from operator import add, mul, sub
-from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import ConsistencyError, NonDominantError, ResourceLimitError
 from .rootdata import LieType, RootCoords, RootSystemData, Weight, _check_length, root_system
@@ -28,9 +28,7 @@ from .rootdata import LieType, RootCoords, RootSystemData, Weight, _check_length
 DEFAULT_MAX_DIM = 10 ** 6
 
 
-class WeightSystem(NamedTuple("WeightSystem", [
-        ("lie_type", LieType), ("highest", Weight), ("dimension", int),
-        ("dominant", Tuple[Tuple[Weight, int], ...])])):
+class WeightSystem(namedtuple("WeightSystem", "lie_type highest dimension dominant")):
     """Weight system of one irreducible representation, held as its
     dominant weights with their multiplicities; every other weight shares
     the multiplicity of its dominant conjugate."""
@@ -50,7 +48,7 @@ def _check_dominant(t: LieType, mu) -> None:
         raise NonDominantError(f"weight {tuple(mu)} is not dominant")
 
 
-def _pairings(rsd: RootSystemData, lam, base) -> List[int]:
+def _pairings(rsd: RootSystemData, lam, base) -> list[int]:
     """base[k] + (lambda, beta_k) for every positive root beta_k, lambda in
     fundamental coordinates: the root columns of supp(lambda), scaled by
     lambda's coordinates, added to base."""
@@ -96,7 +94,7 @@ def levi_dim(t: LieType, mu, nodes) -> int:
     return num // den
 
 
-def _reflect(v, i: int, neighbours) -> List[int]:
+def _reflect(v, i: int, neighbours) -> list[int]:
     """s_i(v) as a list: v_i changes sign and only i's Dynkin neighbours move."""
     c = v[i]
     u = list(v)
@@ -123,7 +121,7 @@ def _dominant(w, neighbours) -> Weight:
 
 
 def _orbit_depths(top: Weight, neighbours, painted, depth: int, m: int,
-                  counts: List[int]) -> None:
+                  counts: list[int]) -> None:
     """Add m to counts[d] for every v in the Weyl orbit of the dominant
     weight top with d < len(counts), where d is depth plus the number of
     steps of E_ss from top(E) down to v(E), for E the 0/1 node
@@ -164,7 +162,7 @@ def _orbit_depths(top: Weight, neighbours, painted, depth: int, m: int,
         frontier = nxt
 
 
-def _dominant_candidates(t: LieType, mu: Weight) -> Dict[Weight, RootCoords]:
+def _dominant_candidates(t: LieType, mu: Weight) -> dict[Weight, RootCoords]:
     """Dominant weights lambda of V(mu), each with the simple-root
     coordinates of mu - lambda: mu minus positive roots, staying dominant,
     the coordinates gaining the root subtracted at each step.  w - beta
@@ -192,7 +190,7 @@ def _dominant_candidates(t: LieType, mu: Weight) -> Dict[Weight, RootCoords]:
     return found
 
 
-def _stabilizer_orbits(rsd: RootSystemData, fixed: Tuple[int, ...]) -> List[Tuple[int, int]]:
+def _stabilizer_orbits(rsd: RootSystemData, fixed: tuple[int, ...]) -> list[tuple[int, int]]:
     """(k, n) for each orbit of W_Z on the positive roots, Z the 0-based
     nodes `fixed` and beta identified with -beta on the roots of W_Z's own
     root system: k indexes the orbit's Z-dominant root, n counts the orbit.
@@ -222,7 +220,7 @@ def _stabilizer_orbits(rsd: RootSystemData, fixed: Tuple[int, ...]) -> List[Tupl
 
 
 @lru_cache(maxsize=None)
-def _dominant_multiplicities(t: LieType, mu: Weight) -> Tuple[Tuple[Weight, int], ...]:
+def _dominant_multiplicities(t: LieType, mu: Weight) -> tuple[tuple[Weight, int], ...]:
     """The nonzero multiplicities at the dominant weights of V(mu), by
     Freudenthal's recursion, highest first.
 
@@ -247,10 +245,10 @@ def _dominant_multiplicities(t: LieType, mu: Weight) -> Tuple[Tuple[Weight, int]
     # the stabilizer orbits of each zero-node set met in this call; with no
     # zero node, every root is its own orbit
     orbits = {(): [(k, 1) for k in range(len(pos_fund))]}
-    mult: Dict[Weight, int] = {mu: 1}
+    mult: dict[Weight, int] = {mu: 1}
     # the multiplicity of each visited weight's dominant conjugate; that
     # conjugate lies strictly above lambda, so it is final when first read
-    conjugated: Dict[Weight, int] = {}
+    conjugated: dict[Weight, int] = {}
     for lam in sorted(steps, key=lambda lam: (sum(steps[lam]), lam)):
         if lam == mu:
             continue

@@ -15,21 +15,22 @@ alpha_1..alpha_r labelling of Dynkin diagrams.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from operator import add, gt, mul
-from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from .errors import ConsistencyError, InvalidTypeError
 
-Weight = Tuple[int, ...]
-RootCoords = Tuple[int, ...]
-RationalVector = Tuple[Fraction, ...]
-IntMatrix = Tuple[Tuple[int, ...], ...]
+Weight = tuple[int, ...]
+RootCoords = tuple[int, ...]
+RationalVector = tuple[Fraction, ...]
+IntMatrix = tuple[tuple[int, ...], ...]
 
 # (min rank, max rank or None for unbounded)
-RANK_BOUNDS: Dict[str, Tuple[int, int]] = {
+RANK_BOUNDS: dict[str, tuple[int, int | None]] = {
     "A": (1, None),
     "B": (2, None),
     "C": (2, None),
@@ -40,7 +41,7 @@ RANK_BOUNDS: Dict[str, Tuple[int, int]] = {
 }
 
 
-class LieType(NamedTuple("LieType", [("family", str), ("rank", int)])):
+class LieType(namedtuple("LieType", "family rank")):
     """A simple type letter with a rank, e.g. C3 for sp(6, C); ordered by
     (family, rank)."""
 
@@ -69,7 +70,10 @@ class LieType(NamedTuple("LieType", [("family", str), ("rank", int)])):
         return LieType(text[0].upper(), int(text[1:]))
 
 
-class RootSystemData(NamedTuple):
+class RootSystemData(namedtuple("RootSystemData", (
+        "lie_type cartan inverse_num inverse_den level_matrix positive_roots "
+        "positive_roots_fund neighbours weyl_vector symmetrizer root_columns "
+        "rho_pairings rho_product root_masks duality"))):
     """Immutable root-system catalog entry for one simple type.
 
     cartan          row i = alpha_i in fundamental-weight coordinates
@@ -96,28 +100,14 @@ class RootSystemData(NamedTuple):
                     so mu* = (mu[duality[0]], ..., mu[duality[r-1]])
     """
 
-    lie_type: LieType
-    cartan: IntMatrix
-    inverse_num: IntMatrix
-    inverse_den: int
-    level_matrix: IntMatrix
-    positive_roots: Tuple[RootCoords, ...]
-    positive_roots_fund: Tuple[Weight, ...]
-    neighbours: Tuple[Tuple[Tuple[int, int], ...], ...]
-    weyl_vector: Weight
-    symmetrizer: Tuple[int, ...]
-    root_columns: IntMatrix
-    rho_pairings: Tuple[int, ...]
-    rho_product: int
-    root_masks: Tuple[int, ...]
-    duality: Tuple[int, ...]
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
         return self.lie_type.rank
 
 
-def _chain_cartan(r: int) -> List[List[int]]:
+def _chain_cartan(r: int) -> list[list[int]]:
     a = [[0] * r for _ in range(r)]
     for i in range(r):
         a[i][i] = 2
@@ -157,7 +147,7 @@ def _cartan_matrix(t: LieType) -> IntMatrix:
     return tuple(tuple(row) for row in a)
 
 
-def _symmetrizer(t: LieType) -> Tuple[int, ...]:
+def _symmetrizer(t: LieType) -> tuple[int, ...]:
     f, r = t.family, t.rank
     if f == "B":
         return tuple([2] * (r - 1) + [1])
@@ -170,7 +160,7 @@ def _symmetrizer(t: LieType) -> Tuple[int, ...]:
     return tuple([1] * r)
 
 
-def _inverse(matrix: IntMatrix) -> Tuple[IntMatrix, int]:
+def _inverse(matrix: IntMatrix) -> tuple[IntMatrix, int]:
     """(adj, det) of a Cartan matrix of finite type by fraction-free
     Gauss-Jordan (Bareiss): the pivots are the leading principal minors,
     positive for finite type, every division is exact, and [matrix | I]
@@ -191,7 +181,7 @@ def _inverse(matrix: IntMatrix) -> Tuple[IntMatrix, int]:
     return tuple(tuple(row[n:]) for row in aug), prev
 
 
-def _positive_roots(cartan: IntMatrix) -> Tuple[Tuple[RootCoords, ...], Tuple[Weight, ...]]:
+def _positive_roots(cartan: IntMatrix) -> tuple[tuple[RootCoords, ...], tuple[Weight, ...]]:
     """Positive roots in simple-root and in fundamental coordinates, sorted
     by height and then by coordinates, found one height at a time.
 
@@ -208,10 +198,10 @@ def _positive_roots(cartan: IntMatrix) -> Tuple[Tuple[RootCoords, ...], Tuple[We
     r = len(cartan)
     nodes = range(r)
     layer = [(tuple(int(i == j) for j in nodes), cartan[i], [0] * r) for i in reversed(nodes)]
-    roots: List[RootCoords] = []
-    fund: List[Weight] = []
+    roots: list[RootCoords] = []
+    fund: list[Weight] = []
     while layer:
-        above: Dict[RootCoords, Tuple[Weight, List[int]]] = {}
+        above: dict[RootCoords, tuple[Weight, list[int]]] = {}
         for beta, pairings, depths in layer:
             roots.append(beta)
             fund.append(pairings)
@@ -225,7 +215,7 @@ def _positive_roots(cartan: IntMatrix) -> Tuple[Tuple[RootCoords, ...], Tuple[We
     return tuple(roots), tuple(fund)
 
 
-def _level_matrix(t: LieType, duality: Tuple[int, ...], inverse_num: IntMatrix,
+def _level_matrix(t: LieType, duality: tuple[int, ...], inverse_num: IntMatrix,
                   inverse_den: int) -> IntMatrix:
     """Row i: omega_i + omega_i* in simple-root coordinates, read off the
     integer inverse: (inverse_num[i] + inverse_num[i*]) / inverse_den, with
@@ -275,7 +265,7 @@ def _check_length(t: LieType, w) -> None:
         raise ValueError(f"weight length {len(w)} != rank {t.rank}")
 
 
-def duality_permutation(t: LieType) -> Tuple[int, ...]:
+def duality_permutation(t: LieType) -> tuple[int, ...]:
     """The -w0 node involution as a 0-based index permutation."""
     f, r = t.family, t.rank
     perm = list(range(r))
@@ -294,32 +284,32 @@ def dual_weight(t: LieType, mu) -> Weight:
     return tuple([mu[j] for j in root_system(t).duality])
 
 
-def _ar_profile(r: int, i: int) -> List[Fraction]:
+def _ar_profile(r: int, i: int) -> list[Fraction]:
     # ramp 1,2,..,m, plateau m, ramp down; m = min{i, r+1-i}
     m = min(i, r + 1 - i)
     return [Fraction(min(j, r + 1 - j, m)) for j in range(1, r + 1)]
 
 
-def _br_profile(r: int, i: int) -> List[Fraction]:
+def _br_profile(r: int, i: int) -> list[Fraction]:
     if i < r:
         return [Fraction(min(j, i)) for j in range(1, r + 1)]
     return [Fraction(j) for j in range(1, r + 1)]
 
 
-def _cr_profile(r: int, i: int) -> List[Fraction]:
+def _cr_profile(r: int, i: int) -> list[Fraction]:
     prof = [Fraction(min(j, i)) for j in range(1, r)]
     prof.append(Fraction(i, 2))
     return prof
 
 
-def _dr_tail_rows(r: int) -> Tuple[List[Fraction], List[Fraction]]:
+def _dr_tail_rows(r: int) -> tuple[list[Fraction], list[Fraction]]:
     body = [Fraction(j) for j in range(1, r - 1)]
     row_a = body + [Fraction(r, 2), Fraction(r - 2, 2)]
     row_b = body + [Fraction(r - 2, 2), Fraction(r, 2)]
     return row_a, row_b
 
 
-def _e6_rows() -> Dict[int, List[int]]:
+def _e6_rows() -> dict[int, list[int]]:
     return {
         1: [2, 2, 3, 4, 3, 2],
         3: [3, 4, 6, 8, 6, 3],

@@ -1,7 +1,8 @@
 """The engine's record contract: fields in order, repr text, equality and
-hashing by the fields, immutability of the frozen records, no instance
-`__dict__` on any record, `LieType` ordering and every validation error's type and message.  The repr strings
-are those of the engine's former `dataclasses` records."""
+hashing by the fields, immutability, no instance `__dict__` on any record,
+`LieType` ordering and every validation error's type and message.  Every
+record but `GradingElement` is a `collections.namedtuple` subclass.  The
+repr strings are those of the engine's former `dataclasses` records."""
 import pickle
 from fractions import Fraction
 
@@ -43,32 +44,31 @@ INSTANCE_RESULT_REPR = (f"InstanceResult(instance={INSTANCE_REPR}, status='misma
 ROW_REPR = ("RowResult(table='thm2.1', item=1, status='mismatch', allowlisted=False, "
             f"allowlist_reason=None, instances=[{INSTANCE_RESULT_REPR}], note=None)")
 
-# (record, fields of a sample, one changed field, repr of the sample,
-# frozen); a frozen record hashes by its fields unless one is a dict, and a
-# mutable one does not hash
+# (record, fields of a sample, one changed field, repr of the sample); every
+# record is frozen, and hashes by its fields unless one holds a list or dict
 RECORDS = [
-    (LieType, dict(family="A", rank=2), dict(rank=3), "LieType(family='A', rank=2)", True),
+    (LieType, dict(family="A", rank=2), dict(rank=3), "LieType(family='A', rank=2)"),
     (RootSystemData, A1_DATA, dict(rho_product=2),
      "RootSystemData(lie_type=LieType(family='A', rank=1), cartan=((2,),), "
      "inverse_num=((1,),), inverse_den=2, level_matrix=((1,),), positive_roots=((1,),), "
      "positive_roots_fund=((2,),), neighbours=((),), weyl_vector=(1,), symmetrizer=(1,), "
      "root_columns=((1,),), rho_pairings=(1,), rho_product=1, root_masks=(1,), "
-     "duality=(0,))", True),
+     "duality=(0,))"),
     (WeightSystem, WEIGHTS, dict(dimension=4),
      "WeightSystem(lie_type=LieType(family='A', rank=1), highest=(2,), dimension=3, "
-     "dominant=(((2,), 1), ((0,), 1)))", True),
+     "dominant=(((2,), 1), ((0,), 1)))"),
     (GradingElement, dict(coeffs=(1, 0)), dict(coeffs=(0, 1)),
-     "GradingElement(coeffs=(1, 0))", True),
+     "GradingElement(coeffs=(1, 0))"),
     (EigenDecomp, dict(top=Fraction(1, 2), dims=(1, 1)), dict(dims=(1, 2)),
-     "EigenDecomp(top=Fraction(1, 2), dims=(1, 1))", True),
+     "EigenDecomp(top=Fraction(1, 2), dims=(1, 1))"),
     (HodgeVector, dict(dims=(1, 2, 2, 1)), dict(dims=(1, 3, 3, 1)),
-     "HodgeVector(dims=(1, 2, 2, 1))", True),
+     "HodgeVector(dims=(1, 2, 2, 1))"),
     (RealFormDescriptor, dict(painted=(1,), name="su(1,2)"), dict(name=None),
-     "RealFormDescriptor(painted=(1,), name='su(1,2)')", True),
+     "RealFormDescriptor(painted=(1,), name='su(1,2)')"),
     (FactorSpec, dict(lie_type=LieType("A", 2), E=GradingElement((1, 0)), mu=(1, 0)),
      dict(mu=(0, 1)),
      "FactorSpec(lie_type=LieType(family='A', rank=2), E=GradingElement(coeffs=(1, 0)), "
-     "mu=(1, 0))", True),
+     "mu=(1, 0))"),
     (HodgeTuple, dict(factors=(FactorSpec(A1, GradingElement((1,)), (1,)),), span=1, level=1,
                       reality="real", c=Fraction(0), hodge=HodgeVector((1, 1)),
                       real_forms=(RealFormDescriptor((1,), "su(1,1)"),), is_canonical=True,
@@ -78,25 +78,26 @@ RECORDS = [
      "E=GradingElement(coeffs=(1,)), mu=(1,)),), span=1, level=1, reality='real', "
      "c=Fraction(0, 1), hodge=HodgeVector(dims=(1, 1)), "
      "real_forms=(RealFormDescriptor(painted=(1,), name='su(1,1)'),), is_canonical=True, "
-     "canonical_key=(('A', 1, (1,), (1,)),))", True),
+     "canonical_key=(('A', 1, (1,), (1,)),))"),
     (SearchConfig, dict(max_rank=8, level=3, families=frozenset("A")), dict(level=1),
      "SearchConfig(max_rank=8, level=3, families=frozenset({'A'}), include_products=False, "
-     "dedupe_automorphisms=False)", True),
-    (InstanceResult, INSTANCE_RESULT, dict(status="match"), INSTANCE_RESULT_REPR, False),
-    (RowResult, ROW, dict(note="x"), ROW_REPR, False),
+     "dedupe_automorphisms=False)"),
+    (InstanceResult, INSTANCE_RESULT, dict(status="match"), INSTANCE_RESULT_REPR),
+    (RowResult, ROW, dict(note="x"), ROW_REPR),
     (ReconciliationReport, dict(scope="thm2.1", max_rank=1, matches=[RowResult(**ROW)]),
      dict(max_rank=2),
      f"ReconciliationReport(scope='thm2.1', max_rank=1, matches=[{ROW_REPR}], mismatches=[], "
-     "paper_only=[], computed_only=[], notes=[])", False),
-    (ExpectedInstance, INSTANCE, dict(c=Fraction(1, 2)), INSTANCE_REPR, True),
+     "paper_only=[], computed_only=[], notes=[])"),
+    (ExpectedInstance, INSTANCE, dict(c=Fraction(1, 2)), INSTANCE_REPR),
     (ExpectedTables, dict(raw={"tables": {}}, path_note="x.json"), dict(path_note="y.json"),
-     "ExpectedTables(raw={'tables': {}}, path_note='x.json')", False),
+     "ExpectedTables(raw={'tables': {}}, path_note='x.json')"),
 ]
 
 
-@pytest.mark.parametrize("record,fields,change,text,frozen", RECORDS,
+@pytest.mark.parametrize("record,fields,change,text", RECORDS,
                          ids=[r[0].__name__ for r in RECORDS])
-def test_record_contract(record, fields, change, text, frozen):
+def test_record_contract(record, fields, change, text):
+    assert issubclass(record, tuple) == (record is not GradingElement)
     sample = record(**fields)
     assert repr(sample) == text
     assert not hasattr(sample, "__dict__")
@@ -105,17 +106,19 @@ def test_record_contract(record, fields, change, text, frozen):
     changed = record(**dict(fields, **change))
     assert changed != sample and not changed == sample
     name = next(iter(fields))
-    if "bindings" in fields or not frozen:
+    if any(isinstance(value, (list, dict)) for value in fields.values()):
         with pytest.raises(TypeError, match="unhashable"):
             hash(sample)
     else:
         assert hash(record(**fields)) == hash(sample)
-    if frozen:
-        with pytest.raises(AttributeError):
-            setattr(sample, name, fields[name])
-        assert repr(sample) == text
-    else:
-        setattr(sample, name, change.get(name, fields[name]))
+    with pytest.raises(AttributeError):
+        setattr(sample, name, fields[name])
+    assert repr(sample) == text
+
+
+def test_report_defaults_are_fresh_lists():
+    first, second = ReconciliationReport("all", 8), ReconciliationReport("all", 8)
+    assert all(a == [] and a is not b for a, b in zip(first[2:], second[2:]))
 
 
 def test_records_equal_the_engine_built_ones():

@@ -15,8 +15,9 @@ summary table or the summaries.  No engine module runs dynamic code: `expected`
 builds each row expression into exact functions from its parse tree.  A
 factor summary is built at one site, the per-run `SummaryTable`, so no
 route can summarise a factor twice in a run.  The engine's records are
-built without `dataclasses`, and the packaged tables are read without
-`importlib.resources`, so a cold start imports neither, nor `inspect`.
+`collections.namedtuple` subclasses, built without `dataclasses` or
+`typing`, and the packaged tables are read without `importlib.resources`,
+so a cold start imports none of them, nor `inspect`.
 Each computation has one route: every public module-level function is
 read by name somewhere in the engine, or is one of the named library
 entries, so a second entry that only tests call cannot be added unseen.
@@ -99,7 +100,11 @@ CACHE_ALLOWLIST = {
                                 "remaining callers: the orbit route of eigen_ladder "
                                 "(inspect at span 0 or above 3) and the public "
                                 "weight_system; its stabilizer orbits live for one "
-                                "call only",
+                                "call only.  Not a cache that hides a slow layer: "
+                                "without it, bench/run.py inspect_seeded seed 1 read "
+                                "op_p50_ms +5% and wall_s +6% at the median, each "
+                                "worse in 6 of 6 alternating 10 s pairs (2-core "
+                                "x86-64 container, CPython 3.11)",
 }
 
 
@@ -415,15 +420,19 @@ def test_summary_guard_detects_each_form():
         ("T.summary", 3), ("", 4), ("g", 6), ("", 7), ("", 8), ("", 9), ("Sub", 10)]
 
 
+# record libraries the engine does without: the records are namedtuples
+RECORD_LIBRARIES = {"dataclasses", "typing"}
+
+
 def _dataclass_imports(tree):
-    """Lines importing the `dataclasses` module, by `import` (plain, aliased
-    or in a list) or by `from dataclasses import ...`."""
+    """Lines importing one of RECORD_LIBRARIES, by `import` (plain, aliased
+    or in a list) or by `from <library> import ...`."""
     return sorted(
         node.lineno for node in ast.walk(tree)
         if isinstance(node, ast.Import)
-        and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+        and any(alias.name.split(".")[0] in RECORD_LIBRARIES for alias in node.names)
         or isinstance(node, ast.ImportFrom) and node.level == 0
-        and node.module.split(".")[0] == "dataclasses")
+        and node.module.split(".")[0] in RECORD_LIBRARIES)
 
 
 def test_no_engine_module_imports_dataclasses():
@@ -444,12 +453,13 @@ def test_dataclass_import_guard_detects_each_form():
         "import typing\n"
         "from typing import NamedTuple\n"
         "s = 'dataclasses'\n")
-    assert _dataclass_imports(tree) == [1, 2, 3, 4, 7]
+    assert _dataclass_imports(tree) == [1, 2, 3, 4, 7, 9, 10]
 
 
 # what a cold `hodgerep` run must not import: `dataclasses` pulls in
-# `inspect`, and `importlib.resources` pulls in `pathlib`, `tempfile` and more
-COLD_START_ABSENT = ("dataclasses", "inspect", "importlib.resources")
+# `inspect`, `typing` compiles a ForwardRef per annotated record field, and
+# `importlib.resources` pulls in `pathlib`, `tempfile` and more
+COLD_START_ABSENT = ("dataclasses", "inspect", "typing", "importlib.resources")
 
 
 def test_cold_start_imports_no_dataclasses_inspect_or_resources():
