@@ -11,12 +11,10 @@ dominant mu with span <= level; at level 3 the top eigenspace must be
 one-dimensional, so supp(mu) is inside supp(E).  A node i can carry mu
 only on a support inside its short list {j : L[i][j] <= level}, so the
 supports come from those lists alone, and a grading element is built only
-for a support that yields.  `evaluate_simple` classifies each candidate
-as the one-factor case of `products.assemble`.  The level-3 candidates of
-span 1 and 2 form the factor pools of `products.product_tuples`, which
-forms only the 1+1, 1+2 and 1+1+1 combinations its pattern and reality
-rule admits.  A sweep keeps one `products.SummaryTable`, so the pools
-take the summaries the candidate pass built.
+for a support that yields.  A sweep summarises every candidate into one
+`products.SummaryTable` and hands the summaries to
+`products.product_tuples`, which forms every tuple of one factor (of one
+to three with products) that the assembly rule admits.
 
 `verify_paper` enumerates the window of its scope once, first, and looks
 every table-row instance up in it by (level, coverage key); only a key the
@@ -35,7 +33,7 @@ from collections.abc import Iterator, Sequence
 from .errors import ConsistencyError, ShapeError
 from .expected import ExpectedInstance, ExpectedTables, instantiate, load_expected
 from .hodgecore import FactorSpec, GradingElement, HodgeTuple, level
-from .products import SummaryTable, assemble_summaries, product_tuples
+from .products import SummaryTable, assemble, assemble_summaries, product_tuples
 from .rootdata import RANK_BOUNDS, LieType, Weight, catalogued_types, root_system
 
 
@@ -182,16 +180,13 @@ def b2c2_alias_key(key):
 # ---------------------------------------------------------------------------
 # Candidate evaluation
 
-def evaluate_simple(t: LieType, E: GradingElement, mu: Weight, target_level: int,
-                    table: SummaryTable | None = None) -> HodgeTuple | None:
+def evaluate_simple(t: LieType, E: GradingElement, mu: Weight,
+                    target_level: int) -> HodgeTuple | None:
     """Classify one (algebra, E, mu) candidate, or None when it is not a
-    level-`target_level` Hodge representation: the one-factor case of
-    `products.assemble`, with the summary taken from `table` (a new one
-    when None)."""
-    table = SummaryTable() if table is None else table
+    level-`target_level` Hodge representation: `products.assemble` of the
+    one factor.  The sweeps take `products.product_tuples` instead."""
     try:
-        return assemble_summaries(table.summarise([FactorSpec(t, E, tuple(mu))]),
-                                  target_level)
+        return assemble([FactorSpec(t, E, tuple(mu))], target_level)
     except ShapeError:
         return None
 
@@ -272,23 +267,16 @@ def enumerate_level(config: SearchConfig,
 
     Output is canonically sorted and deterministic; diagram-automorphism
     duplicates are retained and marked unless dedupe_automorphisms is set.
-    One summary table (`table`, or a new one when None) serves the sweep,
-    so each pool factor keeps the summary its candidate built.
+    Every candidate is summarised into one summary table (`table`, or a
+    new one when None), and `products.product_tuples` forms the tuples of
+    one to three factors (one without products) from those summaries.
     """
     table = SummaryTable() if table is None else table
-    simple: list[HodgeTuple] = []
-    pools: dict[int, list[FactorSpec]] = {1: [], 2: []}
-    for t in _types_in_window(config.families, config.max_rank):
-        for E, mu, span in candidates(t, config.level):
-            got = evaluate_simple(t, E, mu, config.level, table)
-            if got is not None:
-                simple.append(got)
-            if config.include_products and span in pools:
-                pools[span].append(FactorSpec(t, E, mu))
-
-    results = _annotate_canonical(simple)
-    if config.include_products:
-        results.extend(_annotate_canonical(product_tuples(pools[1], pools[2], table)))
+    summaries = [table.summary(FactorSpec(t, E, mu))
+                 for t in _types_in_window(config.families, config.max_rank)
+                 for E, mu, _ in candidates(t, config.level)]
+    results = _annotate_canonical(
+        product_tuples(summaries, config.level, 3 if config.include_products else 1))
     if config.dedupe_automorphisms:
         results = [t for t in results if t.is_canonical]
     results.sort(key=tuple_key)

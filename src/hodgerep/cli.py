@@ -1,7 +1,8 @@
 """Command-line surface: inspect, classify, verify-paper.
 
 Exit codes: 0 success (clean verify), 1 verify found non-allowlisted
-mismatches, 2 inspect hit a shape-invalid candidate, 64 usage error,
+mismatches, 2 inspect hit a shape-invalid candidate (a simple one writes
+the rule's reason to stderr, a product to stdout), 64 usage error,
 70 resource guard: `inspect --max-dim` on a ladder that builds a weight
 system.  The sweeps build none, so `classify` and `verify-paper` take no
 size guard.  Output is deterministic; rationals are rendered as "p/q"
@@ -160,8 +161,11 @@ def _cmd_inspect(args) -> int:
                 out.write(f"  {_frac_str(ev):>8}  dim {d}\n")
         got = assemble_summaries(summaries, target)
     except ShapeError as exc:
-        out.write(f"result:     not a level-{target} Hodge representation (shape-invalid)\n"
-                  if simple else f"result:     shape-invalid product: {exc}\n")
+        if simple:
+            out.write(f"result:     not a level-{target} Hodge representation (shape-invalid)\n")
+            print(f"reason: {exc}", file=sys.stderr)
+        else:
+            out.write(f"result:     shape-invalid product: {exc}\n")
         return EXIT_SHAPE_INVALID
     if not simple:
         for s in summaries:

@@ -40,8 +40,9 @@ QUATERNIONIC = "quaternionic"
 class GradingElement:
     """0/1 coefficients over simple-root indices; E_ss = sum coeffs_i A^i.
 
-    Frozen.  `support`, the 1-based indices of the painted nodes, is set
-    once from coeffs; equality, hashing and repr read coeffs alone.
+    Frozen.  coeffs is kept as a tuple of ints, whatever 0/1 sequence it
+    is given as; `support`, the 1-based indices of the painted nodes, is
+    set once from it; equality, hashing and repr read coeffs alone.
     """
 
     __slots__ = ("coeffs", "support")
@@ -51,6 +52,7 @@ class GradingElement:
             raise ValueError(f"grading coefficients must be 0/1, got {coeffs}")
         if not any(coeffs):
             raise ValueError("grading element must be nonzero")
+        coeffs = tuple(int(c) for c in coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "support", tuple(i + 1 for i, c in enumerate(coeffs) if c))
 

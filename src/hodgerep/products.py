@@ -23,12 +23,12 @@ rule runs, can reach the orbit route, and only it passes a size guard.
 A `SummaryTable` holds one run's summaries keyed by (type, E, mu) and
 is the only place a summary is built, so a factor that recurs within a
 run is summarised once; the table dies with its run.  `assemble` and
-`inspect` use a table of their own for the factors they are given; a
-sweep passes its table to `product_tuples`, which takes each pool
-factor's summary from it.  The rule reads only spans and reality types,
-so the sweep groups each pool by (span, reality type), asks the rule once
-per pair or triple of groups, and forms only the 1+1, 1+2 and 1+1+1
-combinations of the groups it admits, each through `_assemble`.
+`inspect` use a table of their own for the factors they are given.  A
+sweep summarises every candidate into its run's table and hands the
+summaries to `product_tuples`, its one route to tuples of one to three
+factors.  The rule reads only spans and reality types, so the sweep
+groups the summaries by (span, reality type), asks the rule once per
+multiset of groups, and assembles only the multisets it admits.
 """
 from __future__ import annotations
 
@@ -190,8 +190,17 @@ def _assembly_case(level_n: int, spans: list[int], joint: str) -> str:
     return REAL
 
 
-def _assemble(summaries: Sequence[_FactorSummary], level_n: int) -> HodgeTuple:
-    """The level-`level_n` tuple of summaries in factor order, or ShapeError."""
+def assemble_summaries(summaries: Sequence[_FactorSummary], level_n: int) -> HodgeTuple:
+    """The level-`level_n` Hodge tuple of summaries in factor order (as
+    `SummaryTable.summarise` gives them), or ShapeError.
+
+    At level 3 every factor must first have a one-dimensional top
+    eigenspace and a positive level; the factor levels and the joint
+    reality type must then pass `_assembly_case`.
+    """
+    if level_n == 3:
+        for s in summaries:
+            s.check_level3()
     spans = [s.span for s in summaries]
     joint = tensor_reality([s.reality for s in summaries])
     case = _assembly_case(level_n, spans, joint)
@@ -211,20 +220,6 @@ def _assemble(summaries: Sequence[_FactorSummary], level_n: int) -> HodgeTuple:
     )
 
 
-def assemble_summaries(summaries: Sequence[_FactorSummary], level_n: int) -> HodgeTuple:
-    """The level-`level_n` Hodge tuple of summaries in factor order (as
-    `SummaryTable.summarise` gives them), or ShapeError.
-
-    At level 3 every factor must first have a one-dimensional top
-    eigenspace and a positive level; the factor levels and the joint
-    reality type must then pass `_assembly_case`.
-    """
-    if level_n == 3:
-        for s in summaries:
-            s.check_level3()
-    return _assemble(summaries, level_n)
-
-
 def assemble(factors: Sequence[FactorSpec], level_n: int) -> HodgeTuple:
     """The level-`level_n` Hodge tuple of one to three factors, or
     ShapeError: `assemble_summaries` of their summaries, in a table of
@@ -232,18 +227,14 @@ def assemble(factors: Sequence[FactorSpec], level_n: int) -> HodgeTuple:
     return assemble_summaries(SummaryTable().summarise(factors), level_n)
 
 
-def _level3_summaries(table: SummaryTable, pool: Sequence[FactorSpec]
-                      ) -> list[_FactorSummary]:
-    """The table's summaries of the pool factors that pass the level-3
-    factor check; every combination holding any other factor is rejected."""
-    out = []
-    for s in map(table.summary, pool):
-        try:
-            s.check_level3()
-        except ShapeError:
-            continue
-        out.append(s)
-    return out
+def _passes_level3(s: _FactorSummary) -> bool:
+    """Does the factor pass the level-3 factor check?  Every combination
+    holding a factor that fails it is rejected."""
+    try:
+        s.check_level3()
+    except ShapeError:
+        return False
+    return True
 
 
 def _groups(summaries: Sequence[_FactorSummary]) -> dict[tuple, list[int]]:
@@ -255,11 +246,12 @@ def _groups(summaries: Sequence[_FactorSummary]) -> dict[tuple, list[int]]:
     return groups
 
 
-def _admits(keys: Sequence[tuple]) -> bool:
-    """Does `_assembly_case` admit level 3 on factors of these
+def _admits(level_n: int, keys: Sequence[tuple]) -> bool:
+    """Does `_assembly_case` admit level `level_n` on factors of these
     (span, reality type) keys?"""
     try:
-        _assembly_case(3, [span for span, _ in keys], tensor_reality([r for _, r in keys]))
+        _assembly_case(level_n, [span for span, _ in keys],
+                       tensor_reality([r for _, r in keys]))
     except ShapeError:
         return False
     return True
@@ -274,30 +266,26 @@ def _positions(groups: dict[tuple, list[int]], keys: Sequence[tuple]):
         yield tuple(sorted(itertools.chain.from_iterable(parts)))
 
 
-def product_tuples(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec],
-                   table: SummaryTable | None = None) -> list[HodgeTuple]:
-    """Every 1+1 and 1+1+1 combination of pool1 and 1+2 combination of
-    pool1 x pool2 that `assemble(factors, 3)` accepts, in combination order.
+def product_tuples(summaries: Sequence[_FactorSummary], level_n: int,
+                   max_factors: int) -> list[HodgeTuple]:
+    """The level-`level_n` tuple of every multiset of 1 to `max_factors`
+    summaries that `assemble_summaries` accepts, by size and then by
+    position: the one route from a sweep's candidates to its tuples.
 
-    Each pool factor's summary comes from `table` (a new one when None); a
-    sweep passes the table its candidate pass filled, so no pool factor is
-    summarised again.  Each pool is grouped by (span, reality type), and
-    `_assembly_case` is asked once per pair or triple of groups; only the
-    combinations of groups it admits are formed, each one assembled by
-    `_assemble`, and a factor in many of them is decomposed once.
+    At level 3 the summaries that fail the level-3 factor check are
+    dropped.  The rest are grouped by (span, reality type), and
+    `_assembly_case` is asked once per multiset of groups; only the
+    multisets of the groups it admits are assembled, and a factor in many
+    of them builds its ladder once.
     """
-    table = SummaryTable() if table is None else table
-    one, two = _level3_summaries(table, pool1), _level3_summaries(table, pool2)
-    g1, g2 = _groups(one), _groups(two)
-    pairs = [p for keys in itertools.combinations_with_replacement(g1, 2) if _admits(keys)
-             for p in _positions(g1, keys)]
-    mixed = [p for keys in itertools.product(g1, g2) if _admits(keys)
-             for p in itertools.product(g1[keys[0]], g2[keys[1]])]
-    triples = [p for keys in itertools.combinations_with_replacement(g1, 3) if _admits(keys)
-               for p in _positions(g1, keys)]
+    if level_n == 3:
+        summaries = [s for s in summaries if _passes_level3(s)]
+    groups = _groups(summaries)
     out = []
-    for formed, pools in ((pairs, (one, one)), (mixed, (one, two)), (triples, (one, one, one))):
-        for pos in sorted(formed):
-            combo = [pool[i] for pool, i in zip(pools, pos)]
-            out.append(_assemble(sorted(combo, key=attrgetter("key")), 3))
+    for size in range(1, max_factors + 1):
+        formed = sorted(p for keys in itertools.combinations_with_replacement(groups, size)
+                        if _admits(level_n, keys) for p in _positions(groups, keys))
+        out.extend(assemble_summaries(sorted((summaries[i] for i in pos),
+                                             key=attrgetter("key")), level_n)
+                   for pos in formed)
     return out

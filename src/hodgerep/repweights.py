@@ -233,7 +233,6 @@ def _dominant_multiplicities(t: LieType, mu: Weight) -> tuple[tuple[Weight, int]
     """
     rsd = root_system(t)
     rank = t.rank
-    rho = rsd.weyl_vector
     pos_fund = rsd.positive_roots_fund
     neighbours = rsd.neighbours
     norms = [sum(map(mul, beta, map(mul, pf, rsd.symmetrizer)))
@@ -271,8 +270,9 @@ def _dominant_multiplicities(t: LieType, mu: Weight) -> tuple[tuple[Weight, int]
                 term += m * (lam_beta + i * bnorm)
                 i += 1
             acc += size * term
-        # denominator (mu + lam + 2 rho, mu - lam), all integer coordinates
-        w = tuple(mu[i] + lam[i] + 2 * rho[i] for i in range(rank))
+        # denominator (mu + lam + 2 rho, mu - lam), all integer coordinates;
+        # rho is all ones in fundamental coordinates
+        w = tuple(mu[i] + lam[i] + 2 for i in range(rank))
         den = sum(steps[lam][j] * rsd.symmetrizer[j] * w[j] for j in range(rank))
         if den <= 0 or (2 * acc) % den:
             raise ConsistencyError(f"Freudenthal recursion inconsistent at {lam} in V{mu}")

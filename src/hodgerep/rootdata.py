@@ -72,7 +72,7 @@ class LieType(namedtuple("LieType", "family rank")):
 
 class RootSystemData(namedtuple("RootSystemData", (
         "lie_type cartan inverse_num inverse_den level_matrix positive_roots "
-        "positive_roots_fund neighbours weyl_vector symmetrizer root_columns "
+        "positive_roots_fund neighbours symmetrizer root_columns "
         "rho_pairings rho_product root_masks duality"))):
     """Immutable root-system catalog entry for one simple type.
 
@@ -86,7 +86,6 @@ class RootSystemData(namedtuple("RootSystemData", (
     neighbours      per node i, the pairs (j, cartan[i][j]) with j != i and
                     cartan[i][j] != 0: the Dynkin neighbours that a simple
                     reflection s_i moves besides i itself
-    weyl_vector     rho, all ones in fundamental coordinates
     symmetrizer     d_i = (alpha_i, alpha_i)/2 with short roots of length^2 2
     root_columns    per node j, beta_j d_j for every positive root beta, so
                     (lambda, beta) sums lambda^j times column j over the
@@ -249,7 +248,6 @@ def root_system(t: LieType) -> RootSystemData:
         neighbours=tuple(
             tuple((j, cartan[i][j]) for j in range(r) if j != i and cartan[i][j])
             for i in range(r)),
-        weyl_vector=tuple([1] * t.rank),
         symmetrizer=sym,
         root_columns=tuple(zip(*scaled)),
         rho_pairings=rho_pairings,

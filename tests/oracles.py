@@ -28,15 +28,19 @@ now takes from its integer inverse and integer level matrix.
 
 The enumeration oracle is the exhaustive sweep the engine's level-bound
 generator replaced: every dominant weight with coordinate sum <= 3
-against every grading element, each classified by `evaluate_simple`, and
-every span-1/span-2 extremal pair offered to `assemble` at level 3.
+against every grading element, each classified by `evaluate_simple` on
+its own, and every span-1/span-2 extremal pair and span-1 triple offered
+to `assemble` at level 3, where the engine judges one pool of summaries
+by group through `products.product_tuples`.
 
 The candidate oracle is the generator the short-list supports replaced:
 every support of at most `level` nodes becomes a grading element, and the
 node weights w_i = sum_{j in S} L[i][j] are summed over every node.
 
 The product oracle is the sweep the per-factor summaries replaced: every
-1+1, 1+2 and 1+1+1 combination of the pools handed to `assemble` whole.
+multiset of one to `max_factors` factors of one pool handed to `assemble`
+whole, where the engine asks the rule once per multiset of (span, reality
+type) groups.
 
 The simple-candidate oracle is the engine's former second evaluation
 route: span, reality type, case choice, center charge and ladder of one
@@ -276,9 +280,13 @@ def enumerate_level_brute(config: SearchConfig) -> list:
 
     results = _annotate_canonical(simple)
     if config.include_products and config.level == 3:
+        # factor levels add: 1+1+1 takes span-1 factors, 1+1 and 1+2 take
+        # span-1 and span-2 ones
         products = {}
-        for p in products_brute(span1, span2):
-            products.setdefault(tuple_key(p), p)
+        for p in itertools.chain(products_brute(span1, 3, 3),
+                                 products_brute(span1 + span2, 3, 2)):
+            if len(p.factors) > 1:
+                products.setdefault(tuple_key(p), p)
         results.extend(_annotate_canonical(products.values()))
     if config.dedupe_automorphisms:
         results = [t for t in results if t.is_canonical]
@@ -350,19 +358,18 @@ def candidates_all_supports(t: LieType, target_level: int
                         yield E, tuple(picks.count(i) for i in range(rank)), span
 
 
-def products_brute(pool1: Sequence[FactorSpec], pool2: Sequence[FactorSpec]
+def products_brute(pool: Sequence[FactorSpec], level_n: int, max_factors: int
                    ) -> List[HodgeTuple]:
-    """Every 1+1, 1+2 and 1+1+1 factor combination that `assemble`
-    accepts at level 3, each combination offered to it whole."""
+    """Every multiset of 1 to max_factors factors of `pool` that `assemble`
+    accepts at level_n, each offered to it whole, by size and then in
+    `combinations_with_replacement` order."""
     out = []
-    for factors in itertools.chain(
-            itertools.combinations_with_replacement(pool1, 2),
-            itertools.product(pool1, pool2),
-            itertools.combinations_with_replacement(pool1, 3)):
-        try:
-            out.append(assemble(factors, 3))
-        except ShapeError:
-            pass
+    for size in range(1, max_factors + 1):
+        for factors in itertools.combinations_with_replacement(pool, size):
+            try:
+                out.append(assemble(factors, level_n))
+            except ShapeError:
+                pass
     return out
 
 
@@ -510,7 +517,6 @@ def dominant_multiplicities_conjugating(t: LieType, mu
     mu = tuple(mu)
     rsd = root_system(t)
     rank = t.rank
-    rho = rsd.weyl_vector
     pos_fund = rsd.positive_roots_fund
     neighbours = rsd.neighbours
     norms = [sum(map(mul, beta, map(mul, pf, rsd.symmetrizer)))
@@ -532,7 +538,7 @@ def dominant_multiplicities_conjugating(t: LieType, mu
                     break
                 acc += m * (lam_beta + k * bnorm)
                 k += 1
-        w = tuple(mu[i] + lam[i] + 2 * rho[i] for i in range(rank))
+        w = tuple(mu[i] + lam[i] + 2 for i in range(rank))  # rho is all ones
         den = sum(steps[lam][j] * rsd.symmetrizer[j] * w[j] for j in range(rank))
         if den <= 0 or (2 * acc) % den:
             raise ConsistencyError(f"Freudenthal recursion inconsistent at {lam} in V{mu}")

@@ -3,7 +3,6 @@ import itertools
 import json
 import math
 import re
-import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -42,7 +41,13 @@ from hodgerep.hodgecore import (
     level,
     reality_type,
 )
-from hodgerep.products import FactorSpec, assemble, convolve_eigen, product_tuples
+from hodgerep.products import (
+    FactorSpec,
+    SummaryTable,
+    assemble,
+    convolve_eigen,
+    product_tuples,
+)
 from hodgerep.repweights import weyl_dim
 from hodgerep.rootdata import RANK_BOUNDS, LieType
 
@@ -645,12 +650,10 @@ def _rank6_simple():
 @lru_cache(maxsize=None)
 def _rank6_products():
     """Every product of level-3 candidates of rank <= 6."""
-    pools = {1: [], 2: []}
-    for t, g, mu in _rank6_candidates(3):
-        span = level(t, mu, g)
-        if span in pools:
-            pools[span].append(FactorSpec(t, g, mu))
-    return tuple(product_tuples(pools[1], pools[2]))
+    table = SummaryTable()
+    got = product_tuples([table.summary(FactorSpec(t, g, mu))
+                          for t, g, mu in _rank6_candidates(3)], 3, 3)
+    return tuple(p for p in got if len(p.factors) > 1)
 
 
 def _image(perm, vec):
@@ -813,15 +816,15 @@ def test_row_checks_without_enumeration_match_the_assembly_oracle(scope, max_ran
 
 
 def _row_assemblies(monkeypatch):
-    """The factor keys of every assembly made outside `evaluate_simple`,
-    that is from the row checks, in call order."""
+    """The factor keys of every assembly that `classify` makes itself, that
+    is from the row checks (the sweeps assemble inside `products`), in call
+    order."""
     keys = []
     real = classify.assemble_summaries
 
     def counting(summaries, level_n):
-        if sys._getframe(1).f_code.co_name != "evaluate_simple":
-            keys.append(tuple(sorted((s.factor.lie_type.family, s.factor.lie_type.rank,
-                                      s.factor.E.support, s.factor.mu) for s in summaries)))
+        keys.append(tuple(sorted((s.factor.lie_type.family, s.factor.lie_type.rank,
+                                  s.factor.E.support, s.factor.mu) for s in summaries)))
         return real(summaries, level_n)
 
     monkeypatch.setattr(classify, "assemble_summaries", counting)
@@ -859,10 +862,10 @@ def test_row_checks_without_computed_only_summarise_each_factor_once(monkeypatch
 
 
 def test_sweeps_summarise_each_candidate_once(monkeypatch):
-    """A sweep's product pools take the summaries its candidate pass built,
-    and a verify run's sweeps and row checks share one table: at rank 8
-    that is 446 summaries and 272 ladders, where one table per route built
-    586 and 319."""
+    """A sweep summarises each candidate once and assembles its simple and
+    product tuples from those summaries; a verify run's sweeps and row
+    checks share one table: at rank 8 that is 446 summaries and 272
+    ladders, where one table per route built 586 and 319."""
     seen = _factor_work(monkeypatch)
     enumerate_level(SearchConfig(max_rank=8, level=3, include_products=True))
     n = sum(1 for t in _types_in_window("ABCDEFG", 8) for _ in candidates(t, 3))

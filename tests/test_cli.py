@@ -263,7 +263,28 @@ def test_complex_span3_inspect_passes_the_guard(capsys, monkeypatch):
     at the guard (exit 70)."""
     monkeypatch.setattr(hodgecore, "_orbit_ladder", _no_orbit_route)
     got = run(capsys, "inspect", "A2", "--E", "1", "--mu", "3,0", "--max-dim", "1")
-    assert got == (2, INSPECT_A2_SPAN3, "")
+    assert got == (2, INSPECT_A2_SPAN3, "reason: level pattern (3,) requires a real "
+                                        "joint type, got complex\n")
+
+
+@pytest.mark.parametrize("argv, reason", [
+    ("C3 --E 3 --mu 0,0,2", "factor level 6 is outside 1..3"),
+    ("A2 --E 1 --mu 0,1", "factor (A2, A1, (0, 1)) has top eigenspace dimension > 1 "
+                          "(support of mu not inside support of E)"),
+    ("A4 --E 1,2 --mu 0,1,0,0", "level pattern (3,) requires a real joint type, "
+                                "got complex"),
+    ("A2 --E 1 --mu 1,1 --level 1", "factor levels [2] cannot produce a level-1 tuple "
+                                    "(allowed: one factor of level 1)"),
+], ids=["level3-span", "level3-top-eigenspace", "level3-reality", "level1-span"])
+def test_inspect_names_the_rule_that_rejected_a_simple_candidate(capsys, argv, reason):
+    """Each rule that can reject a simple candidate writes its ShapeError
+    text to stderr as one `reason:` line; stdout ends with the same verdict
+    line as before, and the exit code stays 2."""
+    code, out, err = run(capsys, "inspect", *argv.split())
+    target = 1 if "--level 1" in argv else 3
+    assert (code, err) == (2, f"reason: {reason}\n")
+    assert out.endswith(f"result:     not a level-{target} Hodge representation "
+                        "(shape-invalid)\n")
 
 
 def test_classify_json_includes_c3(capsys):

@@ -64,6 +64,16 @@ def test_grading_element_validation():
     assert E(4, [1, 3]).support == (1, 3)
 
 
+def test_grading_element_keeps_a_tuple_of_ints():
+    """A list or float 0/1 input is kept as a tuple of ints: equal to, and
+    hashing like, the tuple input, and not open to mutation."""
+    g = GradingElement((1, 0))
+    for coeffs in ([1, 0], (1.0, 0), [True, False]):
+        got = GradingElement(coeffs)
+        assert got == g and hash(got) == hash(g) and got.support == (1,)
+        assert type(got.coeffs) is tuple and all(type(c) is int for c in got.coeffs)
+
+
 def test_level_examples():
     assert level(LieType("A", 4), fundamental(4, 1), E(4, [1])) == 1
     assert level(LieType("C", 3), fundamental(3, 3), E(3, [3])) == 3

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from collections import Counter
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hodgerep.products as products
-from hodgerep.classify import _types_in_window, candidates
+from hodgerep.classify import SearchConfig, _types_in_window, candidates, enumerate_level
 
 from hodgerep.errors import ShapeError
 from hodgerep.hodgecore import (
@@ -18,11 +19,13 @@ from hodgerep.hodgecore import (
     REAL,
     EigenDecomp,
     GradingElement,
+    extremal_dim_is_one,
     level,
     reality_type,
 )
 from hodgerep.products import (
     FactorSpec,
+    SummaryTable,
     assemble,
     convolve_eigen,
     product_tuples,
@@ -227,55 +230,87 @@ def test_combine_messages():
             assemble(factors, 3)
 
 
-def _level3_pools(max_rank):
-    """The span-1 and span-2 level-3 candidates of every type up to max_rank."""
-    pools = {1: [], 2: []}
-    for t in _types_in_window("ABCDEFG", max_rank):
-        for g, mu, span in candidates(t, 3):
-            if span in pools:
-                pools[span].append(FactorSpec(t, g, mu))
-    return pools[1], pools[2]
+def _level3_pool(max_rank, spans=(1, 2, 3)):
+    """The level-3 candidates of these spans of every type up to max_rank."""
+    return [FactorSpec(t, g, mu) for t in _types_in_window("ABCDEFG", max_rank)
+            for g, mu, span in candidates(t, 3) if span in spans]
+
+
+def _sweep(pool, level_n=3, max_factors=3):
+    """`product_tuples` on the summaries of `pool`, in a table of their own."""
+    table = SummaryTable()
+    return product_tuples([table.summary(f) for f in pool], level_n, max_factors)
+
+
+# (max_rank, spans, max_factors): every candidate with up to two factors
+# at rank 8, every candidate alone and the span-1 and span-2 ones in pairs
+# at rank 16, and the span-1 ones in triples at both
+_BRUTE_WINDOWS = [(8, (1, 2, 3), 2), (8, (1,), 3),
+                  (16, (1, 2, 3), 1), (16, (1, 2), 2), (16, (1,), 3)]
 
 
 def test_product_sweep_matches_brute_oracle():
-    """The rule-pruned sweep returns exactly what offering every combination
-    to `assemble` at level 3 returns, in the same order, on the rank-8 and
-    rank-16 windows."""
-    for max_rank in (8, 16):
-        pool1, pool2 = _level3_pools(max_rank)
-        got = product_tuples(pool1, pool2)
-        assert len(got) > 100
-        assert got == products_brute(pool1, pool2), max_rank
+    """The rule-pruned sweep returns exactly what offering every multiset
+    of 1 to max_factors pool factors to `assemble` at level 3 returns, in
+    the same order, on pools of the rank-8 and rank-16 windows."""
+    for max_rank, spans, max_factors in _BRUTE_WINDOWS:
+        pool = _level3_pool(max_rank, spans)
+        got = _sweep(pool, 3, max_factors)
+        assert len(got) > 10
+        assert got == products_brute(pool, 3, max_factors), (max_rank, spans)
 
 
 def _count_assembled(monkeypatch):
-    """The sorted factor spans of every combination `_assemble` is handed."""
+    """The sorted factor spans of every combination `assemble_summaries`
+    is handed."""
     formed = []
-    real = products._assemble
+    real = products.assemble_summaries
 
     def counting(summaries, level_n):
         formed.append(tuple(sorted(s.span for s in summaries)))
         return real(summaries, level_n)
 
-    monkeypatch.setattr(products, "_assemble", counting)
+    monkeypatch.setattr(products, "assemble_summaries", counting)
     return formed
 
 
-@pytest.mark.parametrize("max_rank, accepted", [(8, 137), (16, 529)])
+def _count_rule(monkeypatch):
+    """The arguments of every `_assembly_case` call."""
+    asked = []
+    real = products._assembly_case
+
+    def counting(level_n, spans, joint):
+        asked.append((level_n, tuple(spans), joint))
+        return real(level_n, spans, joint)
+
+    monkeypatch.setattr(products, "_assembly_case", counting)
+    return asked
+
+
+@pytest.mark.parametrize("max_rank, accepted", [(8, 275), (16, 931)])
 def test_product_sweep_forms_only_what_it_accepts(monkeypatch, max_rank, accepted):
-    """Every combination the sweep forms is accepted: one `_assemble` call
-    per product it returns."""
-    pool1, pool2 = _level3_pools(max_rank)
+    """Every combination the sweep forms is accepted: one
+    `assemble_summaries` call per tuple a level-3 products sweep returns,
+    simple or product.  The rule is asked inside those calls and once per
+    multiset of 1 to 3 of the 8 (span, reality type) groups, 164 in all,
+    whatever the number of candidates."""
     formed = _count_assembled(monkeypatch)
-    assert len(product_tuples(pool1, pool2)) == len(formed) == accepted
+    asked = _count_rule(monkeypatch)
+    got = enumerate_level(SearchConfig(max_rank=max_rank, level=3, include_products=True))
+    assert len(got) == len(formed) == accepted
+    groups = {(level(f.lie_type, f.mu, f.E), reality_type(f.lie_type, f.mu, f.E))
+              for f in _level3_pool(max_rank) if extremal_dim_is_one(f.mu, f.E)}
+    multisets = sum(math.comb(len(groups) + k - 1, k) for k in (1, 2, 3))
+    assert (len(groups), multisets) == (8, 164)
+    assert len(asked) == accepted + multisets
 
 
 def test_product_groups_come_from_the_rule(monkeypatch):
     """The sweep asks `_assembly_case` which groups to form, rather than a
     copy of the rule: with 1+2 also rejected it forms no 1+2 combination,
     and still returns what the brute oracle returns under that rule."""
-    pool1, pool2 = _level3_pools(8)
-    assert any(len(p.factors) == 2 and p.span == 3 for p in product_tuples(pool1, pool2))
+    pool = _level3_pool(8, (1, 2))
+    assert any(len(p.factors) == 2 and p.span == 3 for p in _sweep(pool))
     real = products._assembly_case
 
     def stricter(level_n, spans, joint):
@@ -285,9 +320,9 @@ def test_product_groups_come_from_the_rule(monkeypatch):
 
     monkeypatch.setattr(products, "_assembly_case", stricter)
     formed = _count_assembled(monkeypatch)
-    got = product_tuples(pool1, pool2)
+    got = _sweep(pool, 3, 2)
     assert got and (1, 2) not in formed and len(formed) == len(got)
-    assert got == products_brute(pool1, pool2)
+    assert got == products_brute(pool, 3, 2)
 
 
 def _rank6_factors():
@@ -313,13 +348,16 @@ def test_rank6_factors_cover_every_reality_type():
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(pool1=st.lists(st.sampled_from(_FACTORS), max_size=5, unique=True),
-       pool2=st.lists(st.sampled_from(_FACTORS), max_size=5, unique=True))
-@example(pool1=[], pool2=[SL2])
-@example(pool1=[_SPAN2_QUAT], pool2=[SL2])           # nothing accepted
-@example(pool1=[_NOT_EXTREMAL, SL2], pool2=[_SPAN2_QUAT])
-def test_product_sweep_property(pool1, pool2):
-    assert product_tuples(pool1, pool2) == products_brute(pool1, pool2)
+@given(pool=st.lists(st.sampled_from(_FACTORS), max_size=6, unique=True),
+       level_n=st.sampled_from([1, 3]), max_factors=st.integers(1, 3))
+@example(pool=[SL2], level_n=3, max_factors=3)
+@example(pool=[_SPAN2_QUAT, SL2], level_n=3, max_factors=2)     # no product accepted
+@example(pool=[_NOT_EXTREMAL, SL2, _SPAN2_QUAT], level_n=3, max_factors=3)
+@example(pool=[_NOT_EXTREMAL, SL2, _SPAN2_QUAT], level_n=1, max_factors=3)
+def test_product_sweep_property(pool, level_n, max_factors):
+    """On any pool of mixed-span factors, at level 1 or 3, the sweep
+    returns what the brute oracle returns."""
+    assert _sweep(pool, level_n, max_factors) == products_brute(pool, level_n, max_factors)
 
 
 def test_product_sweep_decomposes_each_factor_once(monkeypatch):
@@ -331,6 +369,5 @@ def test_product_sweep_decomposes_each_factor_once(monkeypatch):
         return real(t, mu, g, span, top, max_dim)
 
     monkeypatch.setattr(products, "eigen_ladder", counting)
-    pool1, pool2 = _level3_pools(8)
-    product_tuples(pool1, pool2)
+    _sweep(_level3_pool(8))
     assert seen and max(seen.values()) == 1

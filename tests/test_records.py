@@ -25,9 +25,8 @@ from hodgerep.rootdata import LieType, RootSystemData, root_system
 A1 = LieType("A", 1)
 A1_DATA = dict(
     lie_type=A1, cartan=((2,),), inverse_num=((1,),), inverse_den=2, level_matrix=((1,),),
-    positive_roots=((1,),), positive_roots_fund=((2,),), neighbours=((),), weyl_vector=(1,),
-    symmetrizer=(1,), root_columns=((1,),), rho_pairings=(1,), rho_product=1,
-    root_masks=(1,), duality=(0,))
+    positive_roots=((1,),), positive_roots_fund=((2,),), neighbours=((),), symmetrizer=(1,),
+    root_columns=((1,),), rho_pairings=(1,), rho_product=1, root_masks=(1,), duality=(0,))
 INSTANCE = dict(table="thm2.1", item=1, bindings={"r": 1}, factors=((A1, (1,), (1,)),),
                 c=Fraction(0), h=(1, 1), reality="complex", real_forms=("su(1,1)",))
 INSTANCE_RESULT = dict(instance=ExpectedInstance(**INSTANCE), status="mismatch",
@@ -51,7 +50,7 @@ RECORDS = [
     (RootSystemData, A1_DATA, dict(rho_product=2),
      "RootSystemData(lie_type=LieType(family='A', rank=1), cartan=((2,),), "
      "inverse_num=((1,),), inverse_den=2, level_matrix=((1,),), positive_roots=((1,),), "
-     "positive_roots_fund=((2,),), neighbours=((),), weyl_vector=(1,), symmetrizer=(1,), "
+     "positive_roots_fund=((2,),), neighbours=((),), symmetrizer=(1,), "
      "root_columns=((1,),), rho_pairings=(1,), rho_product=1, root_masks=(1,), "
      "duality=(0,))"),
     (WeightSystem, WEIGHTS, dict(dimension=4),

@@ -20,7 +20,9 @@ route can summarise a factor twice in a run.  The engine's records are
 so a cold start imports none of them, nor `inspect`.
 Each computation has one route: every public module-level function is
 read by name somewhere in the engine, or is one of the named library
-entries, so a second entry that only tests call cannot be added unseen.
+entries, so a second entry that only tests call cannot be added unseen;
+and only `products` names the assembly rule and the grouping the sweep
+asks it by, so no other module restates the rule or sweeps around it.
 """
 import ast
 import json
@@ -171,7 +173,8 @@ def test_cache_guard_detects_each_form():
 LIBRARY_ENTRIES = {
     "rootdata.mu_plus_mu_star_closed_form": "paper content: the per-type closed forms "
                                             "of mu + mu*, checked by acceptance criterion 1",
-    "products.assemble": "the library's one-tuple entry, named in README",
+    "classify.evaluate_simple": "the library's one-candidate entry, read by acceptance "
+                                "criterion 3; the sweeps take products.product_tuples",
 }
 
 
@@ -241,6 +244,18 @@ def test_shape_error_guard_detects_each_form():
         "raise ShapeError('a')\nraise ShapeError\nraise errors.ShapeError('b')\n"
         "raise ValueError('c')\nraise\nexcept_ = ShapeError('d')\n")
     assert _shape_error_raises(tree) == [1, 2, 3]
+
+
+# the assembly rule and the sweep's grouping by what it reads: one route
+# from candidates to tuples, so no other module restates or asks the rule
+RULE_NAMES = {"_assembly_case", "_admits", "_groups"}
+
+
+def test_only_products_names_the_assembly_rule():
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "products.py"
+             for line in _names(ast.parse(path.read_text(encoding="utf-8")), RULE_NAMES)]
+    assert not found, found
 
 
 def _names(tree, idents, allowed=frozenset()):
