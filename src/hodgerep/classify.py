@@ -413,7 +413,7 @@ def _scope_predicate(tables: ExpectedTables, names):
         product = len(t.factors) > 1
         for lv, span, pattern in specs:
             if pattern is not None:
-                if product and _factor_pattern(t) == tuple(pattern):
+                if product and _factor_pattern(t) == tuple(sorted(pattern)):
                     return True
             elif not product and t.level == lv and span in (None, t.span):
                 return True

@@ -6,29 +6,28 @@ ladder has the sum of the factor tops as its top and the integer
 polynomial product of the factor dimension ladders as its dimensions; its
 reality type follows the tensor rule (any complex factor makes the product
 complex; otherwise parity of the quaternionic count decides).  One rule,
-`_assembly_case`, reads the level, the factor spans and the joint type and
-picks the assembly case; the center charge comes from
-`hodgecore.center_charge` at the top of the joint ladder.  This rule,
-with the level-3 factor check, is the engine's only validity test: every
-ShapeError is raised here, and `hodgecore.hodge_vector` only folds.
+`_assembly_case`, is the engine's whole validity test: it reads the
+factor count, each factor's level, reality type and top-eigenspace flag,
+and the joint type, and picks the assembly case.  Every ShapeError is
+raised there, and `hodgecore.hodge_vector` only folds; the center charge
+comes from `hodgecore.center_charge` at the top of the joint ladder.
 
-Everything the rule reads of one factor (its level, reality type and the
-top-eigenspace flag) sits in a per-factor summary, and so does the
-factor's ladder, whose top is mu(E): it is built on first use, and once,
-since only admitted combinations and `inspect` read it.  A ladder is the
-closed form at spans 1 to 3, which builds no weight system, and takes
-the orbit route otherwise; every factor the rule admits has span 1 to 3,
-so only `inspect`, which asks for a simple candidate's ladder before the
-rule runs, can reach the orbit route, and only it passes a size guard.
-A `SummaryTable` holds one run's summaries keyed by (type, E, mu) and
-is the only place a summary is built, so a factor that recurs within a
-run is summarised once; the table dies with its run.  `assemble` and
-`inspect` use a table of their own for the factors they are given.  A
+Everything the rule reads of one factor sits in a per-factor summary, and
+so does the factor's ladder, whose top is mu(E): it is built on first use,
+and once, since only admitted combinations and `inspect` read it.  A
+ladder is the closed form at spans 1 to 3, which builds no weight system,
+and takes the orbit route otherwise; every factor the rule admits has
+span 1 to 3, so only `inspect`, which asks for a simple candidate's ladder
+before the rule runs, can reach the orbit route, and only it passes a
+size guard.  A `SummaryTable` holds one run's summaries keyed by (type,
+E, mu) and is the only place a summary is built, so a factor that recurs
+within a run is summarised once; the table dies with its run.  `assemble`
+and `inspect` use a table of their own for the factors they are given.  A
 sweep summarises every candidate into its run's table and hands the
 summaries to `product_tuples`, its one route to tuples of one to three
-factors.  The rule reads only spans and reality types, so the sweep
-groups the summaries by (span, reality type), asks the rule once per
-multiset of groups, and assembles only the multisets it admits.
+factors.  The sweep groups the summaries by what the rule reads, (span,
+reality type, top flag), asks the rule once per multiset of groups, and
+assembles only the multisets it admits.
 """
 from __future__ import annotations
 
@@ -102,18 +101,6 @@ class _FactorSummary:
         self.top_is_one = extremal_dim_is_one(f.mu, f.E)
         self._eigen: EigenDecomp | None = None
 
-    def check_level3(self) -> None:
-        """ShapeError unless the factor can sit in a level-3 tuple: a
-        one-dimensional top eigenspace and a positive level."""
-        if not self.top_is_one:
-            f = self.factor
-            raise ShapeError(
-                f"factor ({f.lie_type}, {f.E}, {f.mu}) has top eigenspace "
-                "dimension > 1 (support of mu not inside support of E)"
-            )
-        if self.span < 1:
-            raise ShapeError(f"factor level {self.span} is not a positive integer")
-
     def eigen(self, max_dim: int = DEFAULT_MAX_DIM) -> EigenDecomp:
         """The factor's ladder, built by the first call.  max_dim guards
         that build only where it takes the orbit route, which no admitted
@@ -144,30 +131,43 @@ class SummaryTable:
         return s
 
     def summarise(self, factors: Sequence[FactorSpec]) -> list[_FactorSummary]:
-        """One summary per factor, in FactorSpec.sort_key order, or
-        ShapeError for more than 3 factors."""
-        if len(factors) > 3:
-            raise ShapeError("products need 2 or 3 simple factors")
+        """One summary per factor, in FactorSpec.sort_key order."""
         return sorted(map(self.summary, factors), key=attrgetter("key"))
 
 
-def _assembly_case(level_n: int, spans: list[int], joint: str) -> str:
-    """Hodge-assembly case at level `level_n` of factor levels `spans`
-    with joint reality type `joint`, or ShapeError.
+def _assembly_case(level_n: int, summaries: Sequence[_FactorSummary]) -> tuple[str, str]:
+    """(Hodge-assembly case, joint reality type) of the factors `summaries`
+    at level `level_n`, or ShapeError: the engine's validity test.
 
-    One factor: at level 1 it needs span 1, and the case is its own type.
-    At level 3 every tuple of total span below 3, i.e. one factor of span
-    1 or 2 and 1+1, is the U + U* (complex) case, where the center charge
+    A tuple has at most 3 factors.  At level 3 each factor, in order, needs
+    a one-dimensional top eigenspace and a positive level.  One factor: at
+    level 1 it needs span 1, and the case is its own type.  At level 3
+    every tuple of total span below 3, i.e. one factor of span 1 or 2 and
+    1+1, is the U + U* (complex) case, where the center charge
     3/2 - mu(E_ss) splits U from U*; 1+1 also needs the joint type complex
     or quaternionic.  Total span 3, i.e. one factor of span 3, 1+2 and
     1+1+1, needs the joint type real with c = 0.
     """
+    if len(summaries) > 3:
+        raise ShapeError("products need 2 or 3 simple factors")
+    if level_n == 3:
+        for s in summaries:
+            if not s.top_is_one:
+                f = s.factor
+                raise ShapeError(
+                    f"factor ({f.lie_type}, {f.E}, {f.mu}) has top eigenspace "
+                    "dimension > 1 (support of mu not inside support of E)"
+                )
+            if s.span < 1:
+                raise ShapeError(f"factor level {s.span} is not a positive integer")
+    spans = [s.span for s in summaries]
+    joint = tensor_reality([s.reality for s in summaries])
     pattern = tuple(sorted(spans))
     if level_n == 1:
         if pattern != (1,):
             raise ShapeError(f"factor levels {spans} cannot produce a level-1 tuple "
                              "(allowed: one factor of level 1)")
-        return joint
+        return joint, joint
     if len(pattern) == 1:
         if not 1 <= pattern[0] <= 3:
             raise ShapeError(f"factor level {pattern[0]} is outside 1..3")
@@ -182,28 +182,19 @@ def _assembly_case(level_n: int, spans: list[int], joint: str) -> str:
                 "1+1 products with joint real type stay at level 2; "
                 "the tables keep only complex or quaternionic joint types"
             )
-        return COMPLEX
+        return COMPLEX, joint
     if joint != REAL:
         raise ShapeError(
             f"level pattern {pattern} requires a real joint type, got {joint}"
         )
-    return REAL
+    return REAL, joint
 
 
 def assemble_summaries(summaries: Sequence[_FactorSummary], level_n: int) -> HodgeTuple:
     """The level-`level_n` Hodge tuple of summaries in factor order (as
-    `SummaryTable.summarise` gives them), or ShapeError.
-
-    At level 3 every factor must first have a one-dimensional top
-    eigenspace and a positive level; the factor levels and the joint
-    reality type must then pass `_assembly_case`.
-    """
-    if level_n == 3:
-        for s in summaries:
-            s.check_level3()
-    spans = [s.span for s in summaries]
-    joint = tensor_reality([s.reality for s in summaries])
-    case = _assembly_case(level_n, spans, joint)
+    `SummaryTable.summarise` gives them), or ShapeError from
+    `_assembly_case`."""
+    case, joint = _assembly_case(level_n, summaries)
     ladder = convolve_eigen([s.eigen() for s in summaries])
     # the top of the joint ladder is mu(E_ss), summed over the factors
     c = center_charge(level_n, ladder.top, case)
@@ -211,7 +202,7 @@ def assemble_summaries(summaries: Sequence[_FactorSummary], level_n: int) -> Hod
     factors = tuple(s.factor for s in summaries)
     return HodgeTuple(
         factors=factors,
-        span=sum(spans),
+        span=sum(s.span for s in summaries),
         level=level_n,
         reality=joint,
         c=c,
@@ -227,31 +218,20 @@ def assemble(factors: Sequence[FactorSpec], level_n: int) -> HodgeTuple:
     return assemble_summaries(SummaryTable().summarise(factors), level_n)
 
 
-def _passes_level3(s: _FactorSummary) -> bool:
-    """Does the factor pass the level-3 factor check?  Every combination
-    holding a factor that fails it is rejected."""
-    try:
-        s.check_level3()
-    except ShapeError:
-        return False
-    return True
-
-
 def _groups(summaries: Sequence[_FactorSummary]) -> dict[tuple, list[int]]:
-    """The positions of the summaries by (span, reality type): all the
-    assembly rule reads of a factor once it passes the level-3 check."""
+    """The positions of the summaries by (span, reality type, top flag):
+    all the assembly rule reads of a factor."""
     groups: dict[tuple, list[int]] = {}
     for pos, s in enumerate(summaries):
-        groups.setdefault((s.span, s.reality), []).append(pos)
+        groups.setdefault((s.span, s.reality, s.top_is_one), []).append(pos)
     return groups
 
 
-def _admits(level_n: int, keys: Sequence[tuple]) -> bool:
-    """Does `_assembly_case` admit level `level_n` on factors of these
-    (span, reality type) keys?"""
+def _admits(level_n: int, reps: Sequence[_FactorSummary]) -> bool:
+    """Does `_assembly_case` admit level `level_n` on these factors, one
+    representative summary per group of a multiset?"""
     try:
-        _assembly_case(level_n, [span for span, _ in keys],
-                       tensor_reality([r for _, r in keys]))
+        _assembly_case(level_n, reps)
     except ShapeError:
         return False
     return True
@@ -272,19 +252,17 @@ def product_tuples(summaries: Sequence[_FactorSummary], level_n: int,
     summaries that `assemble_summaries` accepts, by size and then by
     position: the one route from a sweep's candidates to its tuples.
 
-    At level 3 the summaries that fail the level-3 factor check are
-    dropped.  The rest are grouped by (span, reality type), and
-    `_assembly_case` is asked once per multiset of groups; only the
-    multisets of the groups it admits are assembled, and a factor in many
-    of them builds its ladder once.
+    The summaries are grouped by what the rule reads, and `_assembly_case`
+    is asked once per multiset of groups, on one representative summary
+    per group; only the multisets it admits are assembled, and a factor in
+    many of them builds its ladder once.
     """
-    if level_n == 3:
-        summaries = [s for s in summaries if _passes_level3(s)]
     groups = _groups(summaries)
     out = []
     for size in range(1, max_factors + 1):
         formed = sorted(p for keys in itertools.combinations_with_replacement(groups, size)
-                        if _admits(level_n, keys) for p in _positions(groups, keys))
+                        if _admits(level_n, [summaries[groups[k][0]] for k in keys])
+                        for p in _positions(groups, keys))
         out.extend(assemble_summaries(sorted((summaries[i] for i in pos),
                                              key=attrgetter("key")), level_n)
                    for pos in formed)

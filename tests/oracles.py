@@ -40,7 +40,7 @@ node weights w_i = sum_{j in S} L[i][j] are summed over every node.
 The product oracle is the sweep the per-factor summaries replaced: every
 multiset of one to `max_factors` factors of one pool handed to `assemble`
 whole, where the engine asks the rule once per multiset of (span, reality
-type) groups.
+type, top flag) groups.
 
 The simple-candidate oracle is the engine's former second evaluation
 route: span, reality type, case choice, center charge and ladder of one

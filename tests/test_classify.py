@@ -791,6 +791,25 @@ def test_computed_only_reports_spin_families():
     assert (("D", 6, (1,), fundamental(6, 6)),) in extras
 
 
+def test_table_pattern_order_does_not_scope_computed_only(tmp_path):
+    """A table's factor-level pattern is a multiset: written [2, 1], the
+    prop3.9 scope keeps the same 2 computed_only products at rank 8 and
+    the same row statuses as the packaged [1, 2]."""
+    raw = json.loads(json.dumps(load_expected().raw))
+    for meta in raw["tables"].values():
+        if "pattern" in meta:
+            meta["pattern"] = meta["pattern"][::-1]
+    assert raw["tables"]["prop3.9"]["pattern"] == [2, 1]
+    path = tmp_path / "expected.json"
+    path.write_text(json.dumps(raw))
+    packaged = verify_paper(scope="prop3.9", max_rank=8)
+    reversed_ = verify_paper(scope="prop3.9", max_rank=8, expected_path=str(path))
+    assert len(packaged.computed_only) == 2
+    assert reversed_.computed_only == packaged.computed_only
+    assert ([(r.item, r.status) for r in reversed_.rows]
+            == [(r.item, r.status) for r in packaged.rows])
+
+
 def _row_checks(rep):
     return {(row.table, row.item): [(r.instance, r.status, r.diffs) for r in row.instances]
             for row in rep.rows}

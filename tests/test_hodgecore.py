@@ -134,11 +134,20 @@ def test_reality_examples():
 
 
 def test_spin_reality_mod4_pattern():
+    """The spin weights on node 1: B_r is real for r = 1, 2 mod 4 and
+    quaternionic otherwise; both D_r half-spin weights (r = 4..16) are
+    complex for odd r, where they are dual to each other, real for
+    r = 2 mod 4 and quaternionic for r = 0 mod 4."""
     for r in range(2, 9):
         t = LieType("B", r)
         got = reality_type(t, fundamental(r, r), E(r, [1]))
         expect = REAL if r % 4 in (1, 2) else QUATERNIONIC
         assert got == expect, r
+    for r in range(4, 17):
+        expect = COMPLEX if r % 2 else REAL if r % 4 == 2 else QUATERNIONIC
+        for node in (r - 1, r):
+            got = reality_type(LieType("D", r), fundamental(r, node), E(r, [1]))
+            assert got == expect, (r, node)
 
 
 def test_center_charge():

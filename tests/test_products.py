@@ -279,9 +279,9 @@ def _count_rule(monkeypatch):
     asked = []
     real = products._assembly_case
 
-    def counting(level_n, spans, joint):
-        asked.append((level_n, tuple(spans), joint))
-        return real(level_n, spans, joint)
+    def counting(level_n, summaries):
+        asked.append((level_n, tuple(s.key for s in summaries)))
+        return real(level_n, summaries)
 
     monkeypatch.setattr(products, "_assembly_case", counting)
     return asked
@@ -292,14 +292,14 @@ def test_product_sweep_forms_only_what_it_accepts(monkeypatch, max_rank, accepte
     """Every combination the sweep forms is accepted: one
     `assemble_summaries` call per tuple a level-3 products sweep returns,
     simple or product.  The rule is asked inside those calls and once per
-    multiset of 1 to 3 of the 8 (span, reality type) groups, 164 in all,
-    whatever the number of candidates."""
+    multiset of 1 to 3 of the 8 (span, reality type, top flag) groups, 164
+    in all, whatever the number of candidates."""
     formed = _count_assembled(monkeypatch)
     asked = _count_rule(monkeypatch)
     got = enumerate_level(SearchConfig(max_rank=max_rank, level=3, include_products=True))
     assert len(got) == len(formed) == accepted
-    groups = {(level(f.lie_type, f.mu, f.E), reality_type(f.lie_type, f.mu, f.E))
-              for f in _level3_pool(max_rank) if extremal_dim_is_one(f.mu, f.E)}
+    groups = {(level(f.lie_type, f.mu, f.E), reality_type(f.lie_type, f.mu, f.E),
+               extremal_dim_is_one(f.mu, f.E)) for f in _level3_pool(max_rank)}
     multisets = sum(math.comb(len(groups) + k - 1, k) for k in (1, 2, 3))
     assert (len(groups), multisets) == (8, 164)
     assert len(asked) == accepted + multisets
@@ -313,10 +313,10 @@ def test_product_groups_come_from_the_rule(monkeypatch):
     assert any(len(p.factors) == 2 and p.span == 3 for p in _sweep(pool))
     real = products._assembly_case
 
-    def stricter(level_n, spans, joint):
-        if sorted(spans) == [1, 2]:
+    def stricter(level_n, summaries):
+        if sorted(s.span for s in summaries) == [1, 2]:
             raise ShapeError("1+2 rejected")
-        return real(level_n, spans, joint)
+        return real(level_n, summaries)
 
     monkeypatch.setattr(products, "_assembly_case", stricter)
     formed = _count_assembled(monkeypatch)

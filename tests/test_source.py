@@ -4,10 +4,10 @@ Invariants are `ConsistencyError` raises, not `assert`s, so they hold under
 `python -O`; and the engine is exact, so it has no float literal and no
 `float(...)` call.  Every cache is on a named allowlist with its reason, so
 a cache that only hides a slow layer cannot be added unseen.  The assembly
-rule in `products` is the only validity test, so no other module raises
-`ShapeError`.  Every ladder the rule admits is the Levi closed form, so
-the orbit route and the weight systems it builds stay inside
-`repweights` and `hodgecore`, and the size guard that fronts them is
+rule `products._assembly_case` is the only validity test, so no other
+function raises `ShapeError`.  Every ladder the rule admits is the Levi
+closed form, so the orbit route and the weight systems it builds stay
+inside `repweights` and `hodgecore`, and the size guard that fronts them is
 named only there and on `inspect`'s path: `cli._cmd_inspect` passes it to
 `products._FactorSummary.eigen` for the one ladder built before the rule
 runs, so the `max_dim` knob cannot creep back into the sweeps, the
@@ -82,6 +82,16 @@ def test_no_unused_imports_in_engine():
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
              for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
     assert not found, found
+
+
+def test_bench_import_pins_hold():
+    """The benchmark's tracer wraps `hodgecore.level` where `classify` and
+    `products` import it, and its selfcheck pins both imports; a refactor
+    that drops either one fails here, not only in the benchmark."""
+    root = PACKAGE.parent.parent
+    out = subprocess.run([sys.executable, "bench/selfcheck.py", "TracerInstall"],
+                         cwd=root, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
 
 
 def test_unused_import_guard_detects_each_form():
@@ -226,24 +236,46 @@ def test_reader_guard_detects_each_form():
 
 
 def _shape_error_raises(tree):
-    """Lines of each `raise` of ShapeError, bare, called or qualified."""
-    return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Raise) and node.exc is not None
-            and _base_name(node.exc) == "ShapeError"]
+    """(line, enclosing definition) of each `raise` of ShapeError, bare,
+    called or qualified; the definition is qualified as in `_names`, and
+    "" at module level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}".lstrip(".")
+            if (isinstance(child, ast.Raise) and child.exc is not None
+                    and _base_name(child.exc) == "ShapeError"):
+                found.append((child.lineno, inner))
+            visit(child, inner)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+# the one validity test: every ShapeError the engine raises comes from it
+RULE_SITE = ("products.py", "_assembly_case")
 
 
 def test_only_products_raises_shape_error():
-    found = [f"{path.name}:{line}"
-             for path in sorted(PACKAGE.glob("*.py")) if path.name != "products.py"
-             for line in _shape_error_raises(ast.parse(path.read_text(encoding="utf-8")))]
+    """Every `raise ShapeError` in the engine sits in `products._assembly_case`."""
+    found = [f"{path.name}:{line} in {where or '<module>'}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, where in _shape_error_raises(ast.parse(path.read_text(encoding="utf-8")))
+             if (path.name, where) != RULE_SITE]
     assert not found, found
 
 
 def test_shape_error_guard_detects_each_form():
     tree = ast.parse(
         "raise ShapeError('a')\nraise ShapeError\nraise errors.ShapeError('b')\n"
-        "raise ValueError('c')\nraise\nexcept_ = ShapeError('d')\n")
-    assert _shape_error_raises(tree) == [1, 2, 3]
+        "raise ValueError('c')\nraise\nexcept_ = ShapeError('d')\n"
+        "class C:\n    def m(self):\n        raise ShapeError('e')\n"
+        "def f():\n    def g():\n        raise ShapeError('f')\n")
+    assert _shape_error_raises(tree) == [(1, ""), (2, ""), (3, ""), (9, "C.m"),
+                                         (12, "f.g")]
 
 
 # the assembly rule and the sweep's grouping by what it reads: one route
