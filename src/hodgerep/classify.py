@@ -14,7 +14,9 @@ supports come from those lists alone, and a grading element is built only
 for a support that yields.  A sweep summarises every candidate into one
 `products.SummaryTable` and hands the summaries to
 `products.product_tuples`, which forms every tuple of one factor (of one
-to three with products) that the assembly rule admits.
+to three with products) that the assembly rule admits.  It marks each
+tuple with its canonical key under the diagram automorphisms, read from
+its factors' summaries, so each distinct factor is canonicalised once.
 
 `verify_paper` enumerates the window of its scope once, first, and looks
 every table-row instance up in it by (level, coverage key); only a key the
@@ -22,7 +24,9 @@ window lacks is assembled.  The printed rows are independent input, so
 this checks the window's completeness on every run: a row candidate that
 the rule accepts inside the window but the enumeration lacks raises
 ConsistencyError.  The sweeps and the row checks share the run's one
-`SummaryTable`, so a factor that recurs within the run is summarised once.
+`SummaryTable`, so a factor that recurs within the run is summarised once;
+a row check reaches its summaries through the (type, E nodes, mu) factors
+its instance holds, and builds a grading element only for a new one.
 """
 from __future__ import annotations
 
@@ -88,56 +92,7 @@ def _types_in_window(families, max_rank) -> list[LieType]:
 
 
 # ---------------------------------------------------------------------------
-# Dynkin diagram automorphisms and canonical representatives
-
-def diagram_automorphisms(t: LieType) -> list[tuple[int, ...]]:
-    """The diagram automorphism group as 0-based node permutations."""
-    f, r = t.family, t.rank
-    idem = tuple(range(r))
-    if f == "A" and r >= 2:
-        return [idem, tuple(reversed(idem))]
-    if f == "D" and r == 4:
-        perms = []
-        for img in itertools.permutations((0, 2, 3)):
-            p = list(range(4))
-            for src, dst in zip((0, 2, 3), img):
-                p[src] = dst
-            perms.append(tuple(p))
-        return perms
-    if f == "D" and r >= 5:
-        swap = list(idem)
-        swap[r - 2], swap[r - 1] = swap[r - 1], swap[r - 2]
-        return [idem, tuple(swap)]
-    if f == "E" and r == 6:
-        return [idem, (5, 1, 4, 3, 2, 0)]
-    return [idem]
-
-
-def _apply_perm(perm: tuple[int, ...], vec: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(vec)
-    for src, dst in enumerate(perm):
-        out[dst] = vec[src]
-    return tuple(out)
-
-
-def canonical_form(t: LieType, E: GradingElement, mu: Weight
-                   ) -> tuple[GradingElement, Weight]:
-    """Lexicographically least (E, mu) under the diagram automorphisms."""
-    best = None
-    for perm in diagram_automorphisms(t):
-        e2 = _apply_perm(perm, E.coeffs)
-        m2 = _apply_perm(perm, mu)
-        key = (tuple(i + 1 for i, c in enumerate(e2) if c), m2)
-        if best is None or key < best[0]:
-            best = (key, e2, m2)
-    return GradingElement(best[1]), best[2]
-
-
-def _canonical_factors(factors: Sequence[FactorSpec]) -> list[FactorSpec]:
-    """Each factor in its canonical form, in canonical order."""
-    return sorted((FactorSpec(f.lie_type, *canonical_form(f.lie_type, f.E, f.mu))
-                   for f in factors), key=FactorSpec.sort_key)
-
+# Factor keys and the B2 = C2 alias
 
 def _factor_keys(factors: Sequence[FactorSpec]):
     return tuple((f.lie_type.family, f.lie_type.rank, f.E.support, f.mu)
@@ -251,12 +206,13 @@ def candidates(t: LieType, target_level: int
                     yield E, tuple(picks.count(i) for i in range(rank)), span
 
 
-def _annotate_canonical(tuples: list[HodgeTuple]) -> list[HodgeTuple]:
+def _annotate_canonical(tuples: list[HodgeTuple], table: SummaryTable) -> list[HodgeTuple]:
     """Each tuple with the factor keys of its canonical representative
-    and whether it is that representative."""
+    under the diagram automorphisms, read from its factors' summaries in
+    `table`, and whether it is that representative."""
     out = []
     for t in tuples:
-        key = _factor_keys(_canonical_factors(t.factors))
+        key = tuple(k for _, k in sorted(table.summary(f).canonical() for f in t.factors))
         out.append(t._replace(canonical_key=key, is_canonical=_factor_keys(t.factors) == key))
     return out
 
@@ -268,15 +224,16 @@ def enumerate_level(config: SearchConfig,
     Output is canonically sorted and deterministic; diagram-automorphism
     duplicates are retained and marked unless dedupe_automorphisms is set.
     Every candidate is summarised into one summary table (`table`, or a
-    new one when None), and `products.product_tuples` forms the tuples of
-    one to three factors (one without products) from those summaries.
+    new one when None), `products.product_tuples` forms the tuples of one
+    to three factors (one without products) from those summaries, and
+    each tuple's canonical key is read from its factors' summaries.
     """
     table = SummaryTable() if table is None else table
     summaries = [table.summary(FactorSpec(t, E, mu))
                  for t in _types_in_window(config.families, config.max_rank)
                  for E, mu, _ in candidates(t, config.level)]
     results = _annotate_canonical(
-        product_tuples(summaries, config.level, 3 if config.include_products else 1))
+        product_tuples(summaries, config.level, 3 if config.include_products else 1), table)
     if config.dedupe_automorphisms:
         results = [t for t in results if t.is_canonical]
     results.sort(key=tuple_key)
@@ -352,10 +309,8 @@ def _check_instance(inst: ExpectedInstance, target_level: int,
     that the window should hold: the level-bound generator missed it."""
     diffs: list[tuple[str, str, str]] = []
     if got is None:
-        factors = [FactorSpec(t, GradingElement.from_nodes(t.rank, nodes), mu)
-                   for t, nodes, mu in inst.factors]
         try:
-            got = assemble_summaries(table.summarise(factors), target_level)
+            got = assemble_summaries(table.summarise_row(inst.factors), target_level)
         except ShapeError as exc:
             if inst.is_product:
                 diffs.append(("validity", "valid level-3 product", f"rejected: {exc}"))

@@ -6,6 +6,7 @@ factor and for the printed center charge, Hodge vector, reality type and
 real-form label.  `instantiate` checks each record against `_FIELDS` and
 builds each expression once, before any binding, from its parse tree into
 nested functions of the row's int parameters; no expression runs as code.
+It parses each distinct text once per call, and keeps no tree past it.
 The row grammar is the nodes `_build` knows: int constants, the row's
 parameters, the operators in `_OPS`, `and`, `or`, and calls of `Q`
 (Fraction) and `binom` with positional arguments.  `/` is exact, and a
@@ -99,8 +100,8 @@ def _integer(value, what: str) -> int:
 def _div(a, b):
     """a / b, exactly: an int when both are ints and b divides a, else a
     Fraction."""
-    if type(a) is int and type(b) is int and b and not a % b:
-        return a // b
+    if type(a) is int and type(b) is int and b:
+        return Fraction(a, b) if a % b else a // b
     return Fraction(a) / b
 
 
@@ -173,45 +174,56 @@ def _build(node, names: list[str], after_in: bool = False):
     raise ValueError(f"{ast.unparse(node)!r} is outside the row grammar")
 
 
-def _compile(entry, names: list[str], where: str, field: str, integral: bool = True):
-    """`entry` (a string, or an integer) parsed and built once into a
-    function from an int binding to the entry's value: an int, which must
-    be integral, when `integral`, else a Fraction.  Leading blanks are
-    dropped.  An int literal or a bare parameter name needs no check at a
-    binding, so it is read without one."""
+def _compile(entry, names: list[str], where: str, field: str, trees: dict,
+             as_type=int):
+    """`entry` (a string, or an integer) built once into a function from an
+    int binding to the entry's value: an int, which must be integral, when
+    `as_type` is int; a Fraction when it is Fraction; and the value as it
+    is when it is None, for a guard, whose truth the row tests.  Leading
+    blanks are dropped, and a text is parsed only the first time `trees`,
+    the calling `instantiate`'s parse trees by text, meets it.  An int
+    literal or a bare parameter name needs no check at a binding, so it is
+    read without one."""
     if type(entry) is int:
-        return _constant(entry, integral)
+        return _constant(entry, as_type)
     text = str(entry)
 
     def fault(exc):
         return ValueError(f"{where}: cannot evaluate {field} expression {text!r} "
                           f"({type(exc).__name__}: {exc})")
+    source = text.lstrip(" \t")
     try:
-        tree = ast.parse(text.lstrip(" \t"), "<string>", "eval").body
+        tree = trees.get(source)
+        if tree is None:
+            tree = trees[source] = ast.parse(source, "<string>", "eval").body
         evaluate = _build(tree, names)
     except (NameError, SyntaxError, ValueError, RecursionError) as exc:
         raise fault(exc) from None
     if type(tree) is ast.Constant:
-        return _constant(tree.value, integral)
+        return _constant(tree.value, as_type)
     if type(tree) is ast.Name:
-        return evaluate if integral else lambda binding: Fraction(evaluate(binding))
+        if as_type is Fraction:
+            return lambda binding: Fraction(evaluate(binding))
+        return evaluate
 
     def value(binding: dict[str, int]):
         try:
             val = evaluate(binding)
         except (TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
             raise fault(exc) from None
-        if integral and val.denominator != 1:
-            raise ValueError(f"{where}: {field} expression {text!r} not integral "
-                             f"under {binding}")
-        return int(val) if integral else Fraction(val)
+        if as_type is int:
+            if val.denominator != 1:
+                raise ValueError(f"{where}: {field} expression {text!r} not integral "
+                                 f"under {binding}")
+            return int(val)
+        return val if as_type is None else Fraction(val)
     return value
 
 
-def _constant(number: int, integral: bool):
-    """The function of a binding that is always `number`, as an int when
-    `integral`, else as a Fraction."""
-    value = number if integral else Fraction(number)
+def _constant(number: int, as_type):
+    """The function of a binding that is always `number`, as a Fraction
+    when `as_type` is Fraction, else as it is."""
+    value = Fraction(number) if as_type is Fraction else number
     return lambda binding: value
 
 
@@ -316,7 +328,7 @@ def load_expected(path: str | None = None) -> ExpectedTables:
     return ExpectedTables(raw=raw, path_note=note)
 
 
-def _compile_factor(fac, names: list[str], where: str):
+def _compile_factor(fac, names: list[str], where: str, trees: dict):
     """One factor, checked and compiled, as a function from a binding to
     its (type, nodes, mu); LieType raises InvalidTypeError for a rank
     outside the family's bounds."""
@@ -329,10 +341,10 @@ def _compile_factor(fac, names: list[str], where: str):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ValueError(f"{where}: mu entry must be a [node, coeff] pair, got {pair!r}")
     family, lie_types = fac["family"], {}
-    rank_of = _compile(fac["rank"], names, where, "rank")
-    nodes_of = [_compile(node, names, where, "E") for node in fac["E"]]
-    mu_of = [(_compile(node, names, where, "mu"), _compile(coeff, names, where, "mu"))
-             for node, coeff in fac["mu"]]
+    rank_of = _compile(fac["rank"], names, where, "rank", trees)
+    nodes_of = [_compile(node, names, where, "E", trees) for node in fac["E"]]
+    mu_of = [(_compile(node, names, where, "mu", trees),
+              _compile(coeff, names, where, "mu", trees)) for node, coeff in fac["mu"]]
 
     def node(node_of, binding: dict[str, int], rank: int, field: str) -> int:
         at = node_of(binding)
@@ -361,8 +373,9 @@ def _compile_factor(fac, names: list[str], where: str):
     return factor
 
 
-def _compile_row(table_name: str, level: int, pos: int, item):
-    """One row, checked and compiled: its item number, its parameter
+def _compile_row(table_name: str, level: int, pos: int, item, trees: dict):
+    """One row, checked and compiled, with `trees` the calling
+    `instantiate`'s parse trees by text: its item number, its parameter
     ranges, and a function from a binding to the row's ExpectedInstance."""
     number = item.get("item") if isinstance(item, dict) else None
     where = (f"{table_name} item {number}" if isinstance(number, int)
@@ -376,23 +389,23 @@ def _compile_row(table_name: str, level: int, pos: int, item):
     for name, spec in item.get("params", {}).items():
         _check(spec, "param", where)
         hi = spec.get("max")
-        params.append((name, _compile(spec.get("min", 1), names, where, "params"),
-                       None if hi is None else _compile(hi, names, where, "params")))
+        params.append((name, _compile(spec.get("min", 1), names, where, "params", trees),
+                       None if hi is None else _compile(hi, names, where, "params", trees)))
         names.append(name)
-    factors_of = [_compile_factor(fac, names, where) for fac in item["factors"]]
+    factors_of = [_compile_factor(fac, names, where, trees) for fac in item["factors"]]
     cases = []
     for case in item["cases"] if "cases" in item else [
             {key: item[key] for key in ("reality", "h") if key in item}]:
         _check(case, "case", where)
         cases.append((None if "when" not in case
-                      else _compile(case["when"], names, where, "cases.when",
-                                    integral=False),
-                      case["reality"], [_compile(e, names, where, "h") for e in case["h"]]))
-    c_of = _compile(item["c"], names, where, "c", integral=False)
+                      else _compile(case["when"], names, where, "cases.when", trees, None),
+                      case["reality"],
+                      [_compile(e, names, where, "h", trees) for e in case["h"]]))
+    c_of = _compile(item["c"], names, where, "c", trees, Fraction)
     rf = item.get("real_form")
     labels = None if rf is None else [
         None if template is None else [  # text, {expr}, text, ...
-            _compile(part, names, where, "real_form") if k % 2 else part
+            _compile(part, names, where, "real_form", trees) if k % 2 else part
             for k, part in enumerate(re.split(r"\{([^}]+)\}", template))]
         for template in (rf if isinstance(rf, list) else [rf])]
 
@@ -430,10 +443,12 @@ def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
     Every row is checked and compiled before any binding, whatever
     `max_rank` is; a malformed row raises ValueError naming the table, the
     item and the field.  A binding that puts a rank outside its family's
-    bounds is dropped.
+    bounds is dropped.  Each distinct expression text is parsed once per
+    call; the parse trees die with the call.
     """
     table = tables.tables[table_name]
-    rows = [_compile_row(table_name, table["level"], pos, item)
+    trees: dict[str, ast.expr] = {}
+    rows = [_compile_row(table_name, table["level"], pos, item, trees)
             for pos, item in enumerate(table["items"], 1)]
     out: dict[int, list[ExpectedInstance]] = {}
     for number, params, instance in rows:

@@ -13,21 +13,25 @@ raised there, and `hodgecore.hodge_vector` only folds; the center charge
 comes from `hodgecore.center_charge` at the top of the joint ladder.
 
 Everything the rule reads of one factor sits in a per-factor summary, and
-so does the factor's ladder, whose top is mu(E): it is built on first use,
-and once, since only admitted combinations and `inspect` read it.  A
-ladder is the closed form at spans 1 to 3, which builds no weight system,
-and takes the orbit route otherwise; every factor the rule admits has
-span 1 to 3, so only `inspect`, which asks for a simple candidate's ladder
-before the rule runs, can reach the orbit route, and only it passes a
-size guard.  A `SummaryTable` holds one run's summaries keyed by (type,
-E, mu) and is the only place a summary is built, so a factor that recurs
-within a run is summarised once; the table dies with its run.  `assemble`
-and `inspect` use a table of their own for the factors they are given.  A
-sweep summarises every candidate into its run's table and hands the
-summaries to `product_tuples`, its one route to tuples of one to three
-factors.  The sweep groups the summaries by what the rule reads, (span,
-reality type, top flag), asks the rule once per multiset of groups, and
-assembles only the multisets it admits.
+so do three facts that only assembled tuples and `inspect` read, each
+built on first use and once: the factor's ladder, whose top is mu(E), its
+real form, and its canonical key, the least image of (E nodes, mu) under
+the diagram automorphisms, found from permuted coefficients.  A ladder is
+the closed form at spans 1 to 3, which builds no weight system, and takes
+the orbit route otherwise; every factor the rule admits has span 1 to 3,
+so only `inspect`, which asks for a simple candidate's ladder before the
+rule runs, can reach the orbit route, and only it passes a size guard.  A
+`SummaryTable` holds one run's summaries keyed by (type, E nodes, mu) and
+is the only place a summary is built, so a factor that recurs within a
+run is summarised once; the table dies with its run.  A table row names
+its factors by exactly that key, so a row check looks its summaries up
+with it and builds a factor's grading element only for a key the table
+lacks.  `assemble` and `inspect` use a table of their own for the factors
+they are given.  A sweep summarises every candidate into its run's table
+and hands the summaries to `product_tuples`, its one route to tuples of
+one to three factors.  The sweep groups the summaries by what the rule
+reads, (span, reality type, top flag), asks the rule once per multiset of
+groups, and assembles only the multisets it admits.
 """
 from __future__ import annotations
 
@@ -42,7 +46,9 @@ from .hodgecore import (
     REAL,
     EigenDecomp,
     FactorSpec,
+    GradingElement,
     HodgeTuple,
+    RealFormDescriptor,
     center_charge,
     eigen_ladder,
     extremal_dim_is_one,
@@ -53,6 +59,7 @@ from .hodgecore import (
     reality_type,
 )
 from .repweights import DEFAULT_MAX_DIM
+from .rootdata import LieType
 
 
 def convolve_eigen(decomps: Sequence[EigenDecomp]) -> EigenDecomp:
@@ -84,22 +91,57 @@ def tensor_reality(types: Sequence[str]) -> str:
     return QUATERNIONIC if quats % 2 == 1 else REAL
 
 
+def diagram_automorphisms(t: LieType) -> list[tuple[int, ...]]:
+    """The diagram automorphism group as 0-based node permutations, the
+    identity first."""
+    f, r = t.family, t.rank
+    idem = tuple(range(r))
+    if f == "A" and r >= 2:
+        return [idem, tuple(reversed(idem))]
+    if f == "D" and r == 4:
+        perms = []
+        for img in itertools.permutations((0, 2, 3)):
+            p = list(range(4))
+            for src, dst in zip((0, 2, 3), img):
+                p[src] = dst
+            perms.append(tuple(p))
+        return perms
+    if f == "D" and r >= 5:
+        swap = list(idem)
+        swap[r - 2], swap[r - 1] = swap[r - 1], swap[r - 2]
+        return [idem, tuple(swap)]
+    if f == "E" and r == 6:
+        return [idem, (5, 1, 4, 3, 2, 0)]
+    return [idem]
+
+
+def _apply_perm(perm: tuple[int, ...], vec: Sequence[int]) -> tuple[int, ...]:
+    out = [0] * len(vec)
+    for src, dst in enumerate(perm):
+        out[dst] = vec[src]
+    return tuple(out)
+
+
 class _FactorSummary:
     """What the assembly rule reads of one factor: its level, reality type
-    and whether its top eigenspace is one-dimensional.  The ladder, which
-    only an admitted combination or `inspect` reads, is built once, on
-    first use, from the span held here and mu(E).  Only
-    `SummaryTable.summary` builds one."""
+    and whether its top eigenspace is one-dimensional.  The ladder, the
+    real form and the canonical key, which only assembled tuples and
+    `inspect` read, are each built once, on first use.  `key` is the
+    factor's FactorSpec.sort_key, by which a tuple orders its factors.
+    Only `SummaryTable.summary` builds one."""
 
-    __slots__ = ("factor", "key", "span", "reality", "top_is_one", "_eigen")
+    __slots__ = ("factor", "key", "span", "reality", "top_is_one", "_eigen",
+                 "_real_form", "_canonical")
 
-    def __init__(self, f: FactorSpec, key):
+    def __init__(self, f: FactorSpec):
         self.factor = f
-        self.key = key
+        self.key = f.sort_key()
         self.span = level(f.lie_type, f.mu, f.E)
         self.reality = reality_type(f.lie_type, f.mu, f.E)
         self.top_is_one = extremal_dim_is_one(f.mu, f.E)
         self._eigen: EigenDecomp | None = None
+        self._real_form: RealFormDescriptor | None = None
+        self._canonical: tuple | None = None
 
     def eigen(self, max_dim: int = DEFAULT_MAX_DIM) -> EigenDecomp:
         """The factor's ladder, built by the first call.  max_dim guards
@@ -111,11 +153,37 @@ class _FactorSummary:
                                        mu_of_grading(f.lie_type, f.mu, f.E), max_dim)
         return self._eigen
 
+    def real_form(self) -> RealFormDescriptor:
+        """The factor's real form, built by the first call."""
+        if self._real_form is None:
+            self._real_form = real_form(self.factor.lie_type, self.factor.E)
+        return self._real_form
+
+    def canonical(self) -> tuple:
+        """(sort key, factor key) of the factor's canonical form, the
+        lexicographically least (E nodes, mu) of its images under the
+        diagram automorphisms: the FactorSpec.sort_key (type, E
+        coefficients, mu) that orders a canonical tuple's factors, and the
+        (family, rank, E nodes, mu) that its canonical key lists.  Built
+        by the first call, from permuted coefficients."""
+        if self._canonical is None:
+            f = self.factor
+            t, E = f.lie_type, f.E
+            # the identity's image is the factor itself
+            best = (E.support, f.mu, E.coeffs)
+            for perm in diagram_automorphisms(t)[1:]:
+                coeffs = _apply_perm(perm, E.coeffs)
+                best = min(best, (tuple(i + 1 for i, c in enumerate(coeffs) if c),
+                                  _apply_perm(perm, f.mu), coeffs))
+            nodes, mu, coeffs = best
+            self._canonical = ((t.family, t.rank, coeffs, mu), (t.family, t.rank, nodes, mu))
+        return self._canonical
+
 
 class SummaryTable:
-    """One run's factor summaries, one per distinct (type, E, mu), and the
-    only place a summary is built.  Each run makes its own table, so
-    nothing outlives the run."""
+    """One run's factor summaries, one per distinct (type, E nodes, mu),
+    and the only place a summary is built.  Each run makes its own table,
+    so nothing outlives the run."""
 
     __slots__ = ("_summaries",)
 
@@ -124,15 +192,27 @@ class SummaryTable:
 
     def summary(self, f: FactorSpec) -> _FactorSummary:
         """The summary of `f`, built on the first request for its key."""
-        key = f.sort_key()
+        key = (f.lie_type, f.E.support, f.mu)
         s = self._summaries.get(key)
         if s is None:
-            s = self._summaries[key] = _FactorSummary(f, key)
+            s = self._summaries[key] = _FactorSummary(f)
         return s
 
     def summarise(self, factors: Sequence[FactorSpec]) -> list[_FactorSummary]:
         """One summary per factor, in FactorSpec.sort_key order."""
         return sorted(map(self.summary, factors), key=attrgetter("key"))
+
+    def summarise_row(self, factors) -> list[_FactorSummary]:
+        """One summary per factor (type, E nodes, mu) of a table row, in
+        FactorSpec.sort_key order.  The nodes are sorted, so they are the
+        table's key as they stand: a factor's FactorSpec and grading
+        element are built only when its key is first summarised."""
+        found = []
+        for t, nodes, mu in factors:
+            s = self._summaries.get((t, nodes, mu))
+            found.append(s if s is not None else self.summary(
+                FactorSpec(t, GradingElement.from_nodes(t.rank, nodes), mu)))
+        return sorted(found, key=attrgetter("key"))
 
 
 def _assembly_case(level_n: int, summaries: Sequence[_FactorSummary]) -> tuple[str, str]:
@@ -199,15 +279,14 @@ def assemble_summaries(summaries: Sequence[_FactorSummary], level_n: int) -> Hod
     # the top of the joint ladder is mu(E_ss), summed over the factors
     c = center_charge(level_n, ladder.top, case)
     vec = hodge_vector(ladder, case, c, level_n)
-    factors = tuple(s.factor for s in summaries)
     return HodgeTuple(
-        factors=factors,
+        factors=tuple(s.factor for s in summaries),
         span=sum(s.span for s in summaries),
         level=level_n,
         reality=joint,
         c=c,
         hodge=vec,
-        real_forms=tuple(real_form(f.lie_type, f.E) for f in factors),
+        real_forms=tuple(s.real_form() for s in summaries),
     )
 
 

@@ -42,6 +42,12 @@ multiset of one to `max_factors` factors of one pool handed to `assemble`
 whole, where the engine asks the rule once per multiset of (span, reality
 type, top flag) groups.
 
+The canonical-key oracle is the engine's former per-tuple annotation:
+every factor of every tuple brought to its least image under the diagram
+automorphisms as a new grading element and FactorSpec, where the engine
+reads each factor's canonical key from its summary, built once per
+distinct factor from permuted coefficients.
+
 The simple-candidate oracle is the engine's former second evaluation
 route: span, reality type, case choice, center charge and ladder of one
 factor computed beside the product assembly, which now covers a simple
@@ -93,7 +99,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from hodgerep.classify import SearchConfig, _annotate_canonical, evaluate_simple, tuple_key
+from hodgerep.classify import SearchConfig, _factor_keys, evaluate_simple, tuple_key
 from hodgerep.errors import ConsistencyError, InvalidTypeError, ShapeError
 from hodgerep.expected import ExpectedInstance, ExpectedTables, instantiate, load_expected
 from hodgerep.hodgecore import (
@@ -115,7 +121,7 @@ from hodgerep.hodgecore import (
     real_form,
     reality_type,
 )
-from hodgerep.products import assemble
+from hodgerep.products import assemble, diagram_automorphisms
 from hodgerep.repweights import (
     DEFAULT_MAX_DIM,
     _dominant,
@@ -278,7 +284,7 @@ def enumerate_level_brute(config: SearchConfig) -> list:
                             elif s == 2:
                                 span2.append(FactorSpec(t, E, mu))
 
-    results = _annotate_canonical(simple)
+    results = annotate_canonical(simple)
     if config.include_products and config.level == 3:
         # factor levels add: 1+1+1 takes span-1 factors, 1+1 and 1+2 take
         # span-1 and span-2 ones
@@ -287,7 +293,7 @@ def enumerate_level_brute(config: SearchConfig) -> list:
                                  products_brute(span1 + span2, 3, 2)):
             if len(p.factors) > 1:
                 products.setdefault(tuple_key(p), p)
-        results.extend(_annotate_canonical(products.values()))
+        results.extend(annotate_canonical(products.values()))
     if config.dedupe_automorphisms:
         results = [t for t in results if t.is_canonical]
     results.sort(key=tuple_key)
@@ -370,6 +376,36 @@ def products_brute(pool: Sequence[FactorSpec], level_n: int, max_factors: int
                 out.append(assemble(factors, level_n))
             except ShapeError:
                 pass
+    return out
+
+
+def canonical_form(t: LieType, E: GradingElement, mu
+                   ) -> Tuple[GradingElement, Tuple[int, ...]]:
+    """Lexicographically least (E, mu) under the diagram automorphisms."""
+    best = None
+    for perm in diagram_automorphisms(t):
+        e2, m2 = [0] * t.rank, [0] * t.rank
+        for src, dst in enumerate(perm):
+            e2[dst], m2[dst] = E.coeffs[src], mu[src]
+        key = (tuple(i + 1 for i, c in enumerate(e2) if c), tuple(m2))
+        if best is None or key < best[0]:
+            best = (key, tuple(e2), tuple(m2))
+    return GradingElement(best[1]), best[2]
+
+
+def canonical_factors(factors: Sequence[FactorSpec]) -> List[FactorSpec]:
+    """Each factor in its canonical form, in canonical order."""
+    return sorted((FactorSpec(f.lie_type, *canonical_form(f.lie_type, f.E, f.mu))
+                   for f in factors), key=FactorSpec.sort_key)
+
+
+def annotate_canonical(tuples) -> List[HodgeTuple]:
+    """Each tuple with the factor keys of its canonical representative
+    and whether it is that representative."""
+    out = []
+    for t in tuples:
+        key = _factor_keys(canonical_factors(t.factors))
+        out.append(t._replace(canonical_key=key, is_canonical=_factor_keys(t.factors) == key))
     return out
 
 

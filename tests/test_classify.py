@@ -19,12 +19,10 @@ import hodgerep.products as products
 from hodgerep.classify import (
     SearchConfig,
     _annotate_canonical,
-    _canonical_factors,
     _factor_keys,
     _types_in_window,
     candidates,
     coverage_key,
-    diagram_automorphisms,
     enumerate_level,
     evaluate_simple,
     tuple_key,
@@ -46,6 +44,7 @@ from hodgerep.products import (
     SummaryTable,
     assemble,
     convolve_eigen,
+    diagram_automorphisms,
     product_tuples,
 )
 from hodgerep.repweights import weyl_dim
@@ -53,6 +52,7 @@ from hodgerep.rootdata import RANK_BOUNDS, LieType
 
 from oracles import (
     _eval_row,
+    annotate_canonical,
     candidates_all_supports,
     dominant_weights_up_to,
     eigenspace_dims,
@@ -101,20 +101,38 @@ def test_enumerate_level1_a1():
 
 
 def _canonical_key(t):
-    """The canonical key that the sweeps give a tuple."""
-    return _annotate_canonical([t])[0].canonical_key
+    """The canonical key that the sweeps give a tuple, read from the
+    summaries of a table of its own."""
+    return _annotate_canonical([t], SummaryTable())[0].canonical_key
+
+
+def _representative(t):
+    """The tuple that `t`'s canonical key names, assembled afresh."""
+    return assemble([FactorSpec(LieType(family, rank), E(rank, nodes), mu)
+                     for family, rank, nodes, mu in _canonical_key(t)], t.level)
 
 
 def test_canonicalize_examples():
     t = evaluate_simple(LieType("A", 4), E(4, [4]), fundamental(4, 4), 3)
-    c, = _canonical_factors(t.factors)
-    assert c.E.support == (1,) and c.mu == fundamental(4, 1)
+    assert _canonical_key(t) == (("A", 4, (1,), fundamental(4, 1)),)
     t = evaluate_simple(LieType("D", 5), E(5, [5]), fundamental(5, 5), 3)
-    c, = _canonical_factors(t.factors)
-    assert c.E.support == (4,) and c.mu == fundamental(5, 4)
+    assert _canonical_key(t) == (("D", 5, (4,), fundamental(5, 4)),)
     t = evaluate_simple(LieType("B", 3), E(3, [1]), fundamental(3, 3), 1)
-    c, = _canonical_factors(t.factors)
-    assert c.E.support == (1,) and c.mu == fundamental(3, 3)
+    assert _canonical_key(t) == (("B", 3, (1,), fundamental(3, 3)),)
+
+
+@pytest.mark.parametrize("level_n", (1, 3))
+def test_canonical_keys_match_the_per_tuple_oracle(level_n):
+    """Every tuple of the level-1 sweep and of the level-3 sweep with
+    products, to rank 12, carries the canonical key and flag that
+    canonicalising each of its factors on its own gives, and --dedupe
+    keeps exactly the tuples marked canonical."""
+    config = dict(max_rank=12, level=level_n, include_products=level_n == 3)
+    got = enumerate_level(SearchConfig(**config))
+    assert got == annotate_canonical(got)
+    assert 0 < sum(t.is_canonical for t in got) < len(got)
+    deduped = enumerate_level(SearchConfig(**config, dedupe_automorphisms=True))
+    assert deduped == [t for t in got if t.is_canonical]
 
 
 def test_canonicalize_idempotent_and_invariant():
@@ -125,8 +143,6 @@ def test_canonicalize_idempotent_and_invariant():
                                        include_products=True))
     by_key = {_factor_keys(t.factors): t for t in res}
     for t in res:
-        c = _canonical_factors(t.factors)
-        assert _canonical_factors(c) == c
         rep = by_key[t.canonical_key]
         assert rep.is_canonical and rep.canonical_key == t.canonical_key
         assert rep.hodge.dims == t.hodge.dims
@@ -358,8 +374,10 @@ def _factor_work(monkeypatch):
     """Counts of the summaries built and of the per-factor computations
     they make, by name."""
     seen = Counter()
-    for name in ("level", "reality_type", "mu_of_grading", "eigen_ladder"):
-        real = getattr(hodgecore, name)
+    for home, name in ((hodgecore, "level"), (hodgecore, "reality_type"),
+                       (hodgecore, "mu_of_grading"), (hodgecore, "eigen_ladder"),
+                       (hodgecore, "real_form"), (products, "diagram_automorphisms")):
+        real = getattr(home, name)
 
         def counting(*args, _real=real, _name=name, **kwargs):
             seen[_name] += 1
@@ -586,7 +604,7 @@ def test_built_expressions_match_the_eval_route(text):
     exception.  The engine keeps int literals and exact int quotients as
     ints inside the expression, so the two routes meet in value, and the
     result is a Fraction."""
-    value = expected._compile(text, ["r", "i"], "row", "c", integral=False)
+    value = expected._compile(text, ["r", "i"], "row", "c", {}, Fraction)
     as_fractions = re.sub(r"\d+", r"Q(\g<0>)", text)
     for r, i in itertools.product(range(-3, 7), repeat=2):
         try:
@@ -599,9 +617,26 @@ def test_built_expressions_match_the_eval_route(text):
             assert got == want and type(got) is Fraction, (r, i)
 
 
+def _expression_texts(item):
+    """The texts `expected._compile` parses for one packaged row: every
+    expression entry that is not an int, leading blanks dropped."""
+    entries = [value for spec in item.get("params", {}).values() for value in spec.values()]
+    for fac in item["factors"]:
+        entries += [fac["rank"], *fac["E"], *itertools.chain.from_iterable(fac["mu"])]
+    for case in item.get("cases", [item]):
+        entries += [case.get("when"), *case.get("h", ())]
+    entries.append(item["c"])
+    rf = item.get("real_form")
+    for template in rf if isinstance(rf, list) else [rf]:
+        entries += re.findall(r"\{([^}]+)\}", template or "")
+    return {str(e).lstrip(" \t") for e in entries if e is not None and type(e) is not int}
+
+
 def test_expressions_are_parsed_once_per_instantiate(monkeypatch):
-    """`load_expected` parses no expression, and a verify run parses as
-    many at max_rank 16 as at 4: each expression once, not per binding."""
+    """`load_expected` parses no expression, and a verify run parses one
+    tree per distinct expression text of each table (89 with the packaged
+    tables), at max_rank 4 as at 16: no tree is parsed per binding or per
+    row, and none outlives its `instantiate` call."""
     parsed = Counter()
     real = ast.parse
 
@@ -610,14 +645,44 @@ def test_expressions_are_parsed_once_per_instantiate(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(expected.ast, "parse", counting)
-    load_expected()
+    tables = load_expected()
     assert parsed["calls"] == 0
+    distinct = sum(len(set().union(*map(_expression_texts, tables.tables[name]["items"])))
+                   for name in tables.table_names("all"))
     counts = []
     for max_rank in (4, 16):
         parsed.clear()
         verify_paper(max_rank=max_rank, include_computed_only=False)
         counts.append(parsed["calls"])
-    assert counts[0] == counts[1] > 0
+    assert counts == [distinct, distinct] and distinct > 0
+
+
+def test_compiled_guards_return_their_truth_values():
+    """Every packaged `cases.when` guard compiles to a function that
+    returns the guard's own value, a bool, at every binding of r and i in
+    1..8, and every row's c to one that returns a Fraction."""
+    tables = load_expected()
+    for name in tables.table_names("all"):
+        for item in tables.tables[name]["items"]:
+            names = list(item.get("params", {}))
+            c_of = expected._compile(item["c"], names, name, "c", {}, Fraction)
+            guards = [expected._compile(case["when"], names, name, "cases.when", {}, None)
+                      for case in item.get("cases", ()) if "when" in case]
+            for values in itertools.product(range(1, 9), repeat=len(names)):
+                binding = dict(zip(names, values))
+                assert type(c_of(binding)) is Fraction, (name, item["item"], binding)
+                assert {type(guard(binding)) for guard in guards} <= {bool}, (name, binding)
+
+
+def test_int_division_builds_one_fraction():
+    """Two ints that do not divide give their exact Fraction, and a zero
+    divisor the message `Fraction(a) / 0` gives."""
+    assert expected._div(6, -3) == -2 and type(expected._div(6, -3)) is int
+    assert expected._div(3, -6) == Fraction(-1, 2)
+    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(1, 0\)$"):
+        expected._div(1, 0)
+    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(1, 0\)$"):
+        Fraction(1) / 0
 
 
 def test_out_of_range_rank_skips_its_binding(tmp_path):
@@ -668,9 +733,7 @@ def _image(perm, vec):
 @given(st.data())
 def test_canonicalize_is_idempotent(data):
     t = data.draw(st.sampled_from(_rank6_simple() + _rank6_products()))
-    once = _canonical_factors(t.factors)
-    assert _canonical_factors(once) == once
-    rep, = _annotate_canonical([assemble(once, t.level)])
+    rep, = _annotate_canonical([_representative(t)], SummaryTable())
     assert rep.is_canonical and rep.canonical_key == _canonical_key(t)
 
 
@@ -865,16 +928,26 @@ def test_row_checks_assemble_only_what_the_window_lacks(monkeypatch, max_rank):
 
 def test_row_checks_without_computed_only_summarise_each_factor_once(monkeypatch):
     """Without computed_only the 1,372 row instances at max_rank 14 use
-    1,948 factors, 713 of them distinct: one summary each, with one level
-    and one reality type, and a ladder for all but the level-4 D4 factor
-    of prop3.9 item 4, which the rule rejects first.  A second run builds
-    its own summaries."""
+    1,948 factors, 713 of them distinct: one grading element and one
+    summary each, with one level and one reality type, and a ladder and a
+    real form for all but the level-4 D4 factor of prop3.9 item 4, which
+    the rule rejects first.  Building them per factor use took 1,948
+    grading elements and 1,946 real forms.  A second run builds its own
+    summaries."""
     seen = _factor_work(monkeypatch)
+    real_from_nodes = GradingElement.from_nodes
+
+    def from_nodes(*args):
+        seen["from_nodes"] += 1
+        return real_from_nodes(*args)
+
+    monkeypatch.setattr(GradingElement, "from_nodes", staticmethod(from_nodes))
     rep = verify_paper(max_rank=14, include_computed_only=False)
     checks = [r for row in rep.rows for r in row.instances]
     assert (len(checks), sum(len(r.instance.factors) for r in checks)) == (1372, 1948)
-    work = {"summaries": 713, "level": 713, "reality_type": 713,
-            "mu_of_grading": 712, "eigen_ladder": 712}
+    assert len({f for r in checks for f in r.instance.factors}) == 713
+    work = {"from_nodes": 713, "summaries": 713, "level": 713, "reality_type": 713,
+            "mu_of_grading": 712, "eigen_ladder": 712, "real_form": 712}
     assert seen == work
     verify_paper(max_rank=14, include_computed_only=False)
     assert seen == {name: 2 * n for name, n in work.items()}
@@ -884,14 +957,21 @@ def test_sweeps_summarise_each_candidate_once(monkeypatch):
     """A sweep summarises each candidate once and assembles its simple and
     product tuples from those summaries; a verify run's sweeps and row
     checks share one table: at rank 8 that is 446 summaries and 272
-    ladders, where one table per route built 586 and 319."""
+    ladders, where one table per route built 586 and 319.  Each of the
+    272 distinct factors of the enumerated tuples builds its real form
+    and its canonical key once, where annotating and assembling each
+    tuple's factors built 562 of each."""
     seen = _factor_work(monkeypatch)
     enumerate_level(SearchConfig(max_rank=8, level=3, include_products=True))
     n = sum(1 for t in _types_in_window("ABCDEFG", 8) for _ in candidates(t, 3))
     assert seen["summaries"] == n == 311
     seen.clear()
     verify_paper(max_rank=8)
-    assert (seen["summaries"], seen["eigen_ladder"]) == (446, 272)
+    work = dict(seen)
+    distinct = {f for lv in (1, 3) for t in enumerate_level(SearchConfig(
+        max_rank=8, level=lv, include_products=lv == 3)) for f in t.factors}
+    assert (work["summaries"], work["eigen_ladder"]) == (446, 272)
+    assert work["real_form"] == work["diagram_automorphisms"] == len(distinct) == 272
 
 
 def _first_instance(key, max_rank):
@@ -967,10 +1047,10 @@ def test_row_division_is_exact(tmp_path):
 
     text = "(binom(r,i-1)+binom(r,i))/2"
     assert text in raw["tables"]["thm2.1"]["items"][0]["cases"][2]["h"]
-    h = expected._compile(text, ["r", "i"], "thm2.1 item 1", "h")
+    h = expected._compile(text, ["r", "i"], "thm2.1 item 1", "h", {})
     value = h({"r": Fraction(60), "i": Fraction(30)})
     assert value == (math.comb(60, 29) + math.comb(60, 30)) // 2 > 2 ** 53
-    power = expected._compile("2**-2 + binom(r,2)**-1", ["r"], "w", "c", integral=False)
+    power = expected._compile("2**-2 + binom(r,2)**-1", ["r"], "w", "c", {}, Fraction)
     assert power({"r": Fraction(5)}) == Fraction(1, 4) + Fraction(1, 10)
 
 

@@ -3,7 +3,8 @@
 Invariants are `ConsistencyError` raises, not `assert`s, so they hold under
 `python -O`; and the engine is exact, so it has no float literal and no
 `float(...)` call.  Every cache is on a named allowlist with its reason, so
-a cache that only hides a slow layer cannot be added unseen.  The assembly
+a cache that only hides a slow layer cannot be added unseen, whether it is
+a decorator or a module-level dict, list or set that a function fills.  The assembly
 rule `products._assembly_case` is the only validity test, so no other
 function raises `ShapeError`.  Every ladder the rule admits is the Levi
 closed form, so the orbit route and the weight systems it builds stay
@@ -176,6 +177,106 @@ def test_cache_guard_detects_each_form():
         "@staticmethod\ndef i(): pass\n")
     assert [name for name, _ in _caches(tree)] == [
         "a", "b", "c", "d", "e", "K.f", "K.g", "<call>", "<call>"]
+
+
+# calls that build an empty or filled container, and the methods that
+# change one in place
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+MUTATORS = {"setdefault", "update", "add", "append", "appendleft", "extend", "extendleft",
+            "insert", "pop", "popitem", "popleft", "remove", "discard", "clear", "sort",
+            "reverse", "difference_update", "intersection_update",
+            "symmetric_difference_update", "__setitem__", "__delitem__"}
+
+
+def _is_container(value):
+    return (isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                               ast.SetComp))
+            or isinstance(value, ast.Call) and _base_name(value.func) in CONTAINER_CALLS)
+
+
+def _root_name(expr):
+    """`x` for x, x[k], x.attr and any chain of them; else None."""
+    while isinstance(expr, (ast.Subscript, ast.Attribute)):
+        expr = expr.value
+    return expr.id if isinstance(expr, ast.Name) else None
+
+
+def _module_memos(tree):
+    """(name, line) of each change, inside a function or lambda, of a
+    dict, list or set bound at module level: a store, augmented store or
+    `del` through a subscript of it, an augmented store to it, or a call
+    of one of MUTATORS on it.  Names are read as written: a local that
+    shadows a module-level container is reported too, and a local alias
+    of one is not followed."""
+    containers = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            pairs = [(target, node.value) for target in node.targets]
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            pairs = [(node.target, node.value)]
+        else:
+            continue
+        while pairs:
+            target, value = pairs.pop()
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple) \
+                    and len(target.elts) == len(value.elts):
+                pairs.extend(zip(target.elts, value.elts))
+            elif isinstance(target, ast.Name) and _is_container(value):
+                containers.add(target.id)
+    found = set()
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    for function in functions:
+        for node in ast.walk(function):
+            changed = []
+            if isinstance(node, (ast.Subscript, ast.Attribute)) \
+                    and isinstance(node.ctx, (ast.Store, ast.Del)):
+                changed.append(node)
+            elif isinstance(node, ast.AugAssign):
+                changed.append(node.target)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in MUTATORS:
+                changed.append(node.func.value)
+            found.update((name, node.lineno) for name in map(_root_name, changed)
+                         if name in containers)
+    return sorted(found, key=lambda item: (item[1], item[0]))
+
+
+def test_no_module_level_memo_outlives_a_run():
+    """No engine function changes a module-level dict, list or set, so no
+    memo outlives the run that filled it, unless it is on the cache
+    allowlist."""
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for name, line in _module_memos(ast.parse(path.read_text(encoding="utf-8")))
+             if name not in CACHE_ALLOWLIST]
+    assert not found, found
+
+
+def test_module_memo_guard_detects_each_form():
+    tree = ast.parse(
+        "A = {}\nB: dict = dict()\nC, D = [], set()\nE = F = defaultdict(list)\n"
+        "G = {k: 0 for k in 'ab'}\nH = (1, 2)\nI = {'x': []}\nJ = frozenset()\n"
+        "def f(k):\n"
+        "    A[k] = 1\n"
+        "    B.setdefault(k, 2)\n"
+        "    C.append(k)\n"
+        "    D.add(k)\n"
+        "    del E[k]\n"
+        "    F[k] += 1\n"
+        "    I['x'].append(k)\n"
+        "    G.update(a=1)\n"
+        "    return H[0], A.get(k), J, I['x'][0]\n"
+        "g = lambda k: C.extend([k])\n"
+        "class K:\n"
+        "    def m(self, k):\n"
+        "        self.cache[k] = 1\n"
+        "        global D\n"
+        "        D |= {k}\n"
+        "A['top'] = 0\n")
+    assert _module_memos(tree) == [
+        ("A", 10), ("B", 11), ("C", 12), ("D", 13), ("E", 14), ("F", 15), ("I", 16),
+        ("G", 17), ("C", 19), ("D", 24)]
 
 
 # public module-level functions that no engine module reads, each with the
