@@ -15,15 +15,16 @@ for a support that yields.  A sweep summarises every candidate into one
 `products.SummaryTable` and hands the summaries to
 `products.product_tuples`, which forms every tuple of one factor (of one
 to three with products) that the assembly rule admits.  It marks each
-tuple with its canonical key under the diagram automorphisms, read from
-its factors' summaries, so each distinct factor is canonicalised once.
+tuple canonical under the diagram automorphisms when each of its factors'
+summaries is, so each distinct factor is canonicalised once.
 
 `verify_paper` enumerates the window of its scope once, first, and looks
-every table-row instance up in it by (level, coverage key); only a key the
-window lacks is assembled.  The printed rows are independent input, so
-this checks the window's completeness on every run: a row candidate that
-the rule accepts inside the window but the enumeration lacks raises
-ConsistencyError.  The sweeps and the row checks share the run's one
+every table-row instance up in it by (level, coverage key), the sorted
+(type, E nodes, mu) keys of a tuple's factors, which is also the key of a
+row instance; only a key the window lacks is assembled.  The printed rows
+are independent input, so this checks the window's completeness on every
+run: a row candidate that the rule accepts inside the window but the
+enumeration lacks raises ConsistencyError.  The sweeps and the row checks share the run's one
 `SummaryTable`, so a factor that recurs within the run is summarised once;
 a row check reaches its summaries through the (type, E nodes, mu) factors
 its instance holds, and builds a grading element only for a new one.
@@ -95,8 +96,8 @@ def _types_in_window(families, max_rank) -> list[LieType]:
 # Factor keys and the B2 = C2 alias
 
 def _factor_keys(factors: Sequence[FactorSpec]):
-    return tuple((f.lie_type.family, f.lie_type.rank, f.E.support, f.mu)
-                 for f in factors)
+    """Each factor's (type, E nodes, mu): the summary-table key."""
+    return tuple((f.lie_type, f.E.support, f.mu) for f in factors)
 
 
 def tuple_key(t: HodgeTuple):
@@ -109,27 +110,21 @@ def coverage_key(t: HodgeTuple):
     return tuple(sorted(_factor_keys(t.factors)))
 
 
-def _b2c2_mirror(family: str, rank: int, nodes, mu):
-    """Image of one factor under the B2 = C2 isomorphism (node swap)."""
-    if rank != 2 or family not in "BC":
-        return None
-    other = "C" if family == "B" else "B"
-    return (other, 2, tuple(sorted(3 - n for n in nodes)), tuple(reversed(mu)))
+def _b2c2_mirror(factor):
+    """Image of one factor key under the B2 = C2 isomorphism (node swap),
+    or the key itself on any other type."""
+    t, nodes, mu = factor
+    if t.rank != 2 or t.family not in "BC":
+        return factor
+    return (LieType("C" if t.family == "B" else "B", 2),
+            tuple(sorted(3 - n for n in nodes)), mu[::-1])
 
 
 def b2c2_alias_key(key):
     """Coverage key with every B2/C2 factor replaced by its isomorphic image,
     or None when no factor is affected."""
-    changed = False
-    out = []
-    for family, rank, nodes, mu in key:
-        mirror = _b2c2_mirror(family, rank, nodes, mu)
-        if mirror is None:
-            out.append((family, rank, nodes, mu))
-        else:
-            out.append(mirror)
-            changed = True
-    return tuple(sorted(out)) if changed else None
+    alias = tuple(sorted(map(_b2c2_mirror, key)))
+    return None if alias == key else alias
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +201,6 @@ def candidates(t: LieType, target_level: int
                     yield E, tuple(picks.count(i) for i in range(rank)), span
 
 
-def _annotate_canonical(tuples: list[HodgeTuple], table: SummaryTable) -> list[HodgeTuple]:
-    """Each tuple with the factor keys of its canonical representative
-    under the diagram automorphisms, read from its factors' summaries in
-    `table`, and whether it is that representative."""
-    out = []
-    for t in tuples:
-        key = tuple(k for _, k in sorted(table.summary(f).canonical() for f in t.factors))
-        out.append(t._replace(canonical_key=key, is_canonical=_factor_keys(t.factors) == key))
-    return out
-
-
 def enumerate_level(config: SearchConfig,
                     table: SummaryTable | None = None) -> list[HodgeTuple]:
     """All Hodge tuples of the configured level in the search window.
@@ -225,15 +209,16 @@ def enumerate_level(config: SearchConfig,
     duplicates are retained and marked unless dedupe_automorphisms is set.
     Every candidate is summarised into one summary table (`table`, or a
     new one when None), `products.product_tuples` forms the tuples of one
-    to three factors (one without products) from those summaries, and
-    each tuple's canonical key is read from its factors' summaries.
+    to three factors (one without products) from those summaries, and a
+    tuple is marked canonical when each of its factors' summaries is.
     """
     table = SummaryTable() if table is None else table
     summaries = [table.summary(FactorSpec(t, E, mu))
                  for t in _types_in_window(config.families, config.max_rank)
                  for E, mu, _ in candidates(t, config.level)]
-    results = _annotate_canonical(
-        product_tuples(summaries, config.level, 3 if config.include_products else 1), table)
+    results = [t._replace(is_canonical=all(table.summary(f).is_canonical() for f in t.factors))
+               for t in product_tuples(summaries, config.level,
+                                       3 if config.include_products else 1)]
     if config.dedupe_automorphisms:
         results = [t for t in results if t.is_canonical]
     results.sort(key=tuple_key)
@@ -457,7 +442,4 @@ def verify_paper(scope: str = "all", max_rank: int = 8,
 
 
 def _key_text(key) -> str:
-    return " x ".join(
-        f"({family}{rank}, E={list(nodes)}, mu={list(mu)})"
-        for family, rank, nodes, mu in key
-    )
+    return " x ".join(f"({t}, E={list(nodes)}, mu={list(mu)})" for t, nodes, mu in key)

@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
-from fractions import Fraction
 
 from .classify import ReconciliationReport, SearchConfig, enumerate_level, verify_paper
 from .errors import HodgeRepError, ResourceLimitError, ShapeError
@@ -48,11 +47,6 @@ def _max_dim(text: str) -> int:
     return value
 
 
-def _frac_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def record_of(t) -> dict:
     """Flat, schema-stable serialization of a classified tuple; E and mu
     are flat lists for one factor and per-factor lists for a product."""
@@ -63,7 +57,7 @@ def record_of(t) -> dict:
         "algebra": "x".join(str(f.lie_type) for f in t.factors),
         "E": E[0] if one else E,
         "mu": mu[0] if one else mu,
-        "c": _frac_str(t.c),
+        "c": str(t.c),
         "span": t.span,
         "level": t.level,
         "reality": t.reality,
@@ -158,7 +152,7 @@ def _cmd_inspect(args) -> int:
             out.write(f"(mu+mu*)(E): {s.span}\n")
             out.write("eigenspaces of E_ss on U (raw eigenvalues):\n")
             for ev, d in decomp.levels:
-                out.write(f"  {_frac_str(ev):>8}  dim {d}\n")
+                out.write(f"  {str(ev):>8}  dim {d}\n")
         got = assemble_summaries(summaries, target)
     except ShapeError as exc:
         if simple:
@@ -171,7 +165,7 @@ def _cmd_inspect(args) -> int:
         for s in summaries:
             f = s.factor
             out.write(f"factor {f.lie_type} {f.E}: levels "
-                      + " ".join(f"{_frac_str(ev)}:{dim}" for ev, dim in s.eigen().levels)
+                      + " ".join(f"{ev}:{dim}" for ev, dim in s.eigen().levels)
                       + "\n")
     rec = record_of(got)
     for key in _FIELDS:

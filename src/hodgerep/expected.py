@@ -241,9 +241,7 @@ class ExpectedInstance(namedtuple("ExpectedInstance", (
     @property
     def key(self):
         """Order-independent identity of the candidate this row names."""
-        return tuple(sorted(
-            (t.family, t.rank, nodes, mu) for t, nodes, mu in self.factors
-        ))
+        return tuple(sorted(self.factors))
 
     def describe(self) -> str:
         parts = []
@@ -292,7 +290,9 @@ _PACKAGED = os.path.join(os.path.dirname(__file__), "data", "expected_tables.jso
 
 def load_expected(path: str | None = None) -> ExpectedTables:
     """Load the expected-results file, by default the packaged copy, and
-    check its tables and allowlist; `instantiate` checks the rows.
+    check its tables and its allowlist, each entry of which must name a
+    table of the file and an item number of one of its rows; `instantiate`
+    checks the rows.
 
     The packaged copy is read as a plain file beside this module, without
     `importlib.resources` and its imports; a package imported from a zip
@@ -324,7 +324,13 @@ def load_expected(path: str | None = None) -> ExpectedTables:
                 raise ValueError(f"{where}: pattern must be a list of 2 or 3 positive "
                                  f"integers on a level-3 table, got {pattern!r}")
     for pos, entry in enumerate(raw.get("allowlist", []), 1):
-        _check(entry, "allowlist entry", f"{note}: allowlist entry {pos}")
+        where = f"{note}: allowlist entry {pos}"
+        name, item = _check(entry, "allowlist entry", where)["table"], entry["item"]
+        if name not in raw["tables"]:
+            raise ValueError(f"{where}: no table {name!r} in the file")
+        if not any(isinstance(row, dict) and row.get("item") == item
+                   for row in raw["tables"][name]["items"]):
+            raise ValueError(f"{where}: table {name} has no item {item}")
     return ExpectedTables(raw=raw, path_note=note)
 
 
@@ -442,9 +448,10 @@ def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
 
     Every row is checked and compiled before any binding, whatever
     `max_rank` is; a malformed row raises ValueError naming the table, the
-    item and the field.  A binding that puts a rank outside its family's
-    bounds is dropped.  Each distinct expression text is parsed once per
-    call; the parse trees die with the call.
+    item and the field, and so does a repeated item number.  A binding
+    that puts a rank outside its family's bounds is dropped.  Each
+    distinct expression text is parsed once per call; the parse trees die
+    with the call.
     """
     table = tables.tables[table_name]
     trees: dict[str, ast.expr] = {}
@@ -452,6 +459,8 @@ def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
             for pos, item in enumerate(table["items"], 1)]
     out: dict[int, list[ExpectedInstance]] = {}
     for number, params, instance in rows:
+        if number in out:
+            raise ValueError(f"{table_name} item {number}: item number repeated")
         out[number] = []
         for binding in _bindings(params, max_rank, {}):
             try:

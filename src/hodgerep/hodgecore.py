@@ -30,7 +30,8 @@ from operator import add, mul
 
 from .errors import ConsistencyError
 from .repweights import DEFAULT_MAX_DIM, _orbit_depths, levi_dim, weight_system, weyl_dim
-from .rootdata import LieType, RootSystemData, Weight, _check_length, dual_weight, root_system
+from .rootdata import (LieType, RootSystemData, Weight, _check_length, _node_mask, dual_weight,
+                       root_system)
 
 REAL = "real"
 COMPLEX = "complex"
@@ -79,14 +80,8 @@ class GradingElement:
     @staticmethod
     def from_nodes(rank: int, nodes: Sequence[int]) -> "GradingElement":
         """Build from 1-based node indices, e.g. [1, 3] on rank 4."""
-        coeffs = [0] * rank
-        for n in nodes:
-            if not 1 <= n <= rank:
-                raise ValueError(f"node {n} outside 1..{rank}")
-            if coeffs[n - 1]:
-                raise ValueError(f"node {n} repeated; coefficients must stay 0/1")
-            coeffs[n - 1] = 1
-        return GradingElement(tuple(coeffs))
+        mask = _node_mask(rank, nodes)
+        return GradingElement(tuple(mask >> j & 1 for j in range(rank)))
 
     def __str__(self) -> str:
         return "+".join(f"A{i}" for i in self.support)
@@ -148,8 +143,8 @@ class FactorSpec(namedtuple("FactorSpec", "lie_type E mu")):
 
 
 class HodgeTuple(namedtuple("HodgeTuple", (
-        "factors span level reality c hodge real_forms is_canonical canonical_key"),
-        defaults=(True, None))):
+        "factors span level reality c hodge real_forms is_canonical"),
+        defaults=(True,))):
     """One classified record of g = g1 x ... x gk: one factor for a simple
     algebra, two or three (in FactorSpec.sort_key order) for a product,
     whose representation is the tensor product of the factors'.

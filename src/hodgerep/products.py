@@ -13,15 +13,18 @@ raised there, and `hodgecore.hodge_vector` only folds; the center charge
 comes from `hodgecore.center_charge` at the top of the joint ladder.
 
 Everything the rule reads of one factor sits in a per-factor summary, and
-so do three facts that only assembled tuples and `inspect` read, each
-built on first use and once: the factor's ladder, whose top is mu(E), its
-real form, and its canonical key, the least image of (E nodes, mu) under
-the diagram automorphisms, found from permuted coefficients.  A ladder is
-the closed form at spans 1 to 3, which builds no weight system, and takes
-the orbit route otherwise; every factor the rule admits has span 1 to 3,
-so only `inspect`, which asks for a simple candidate's ladder before the
-rule runs, can reach the orbit route, and only it passes a size guard.  A
-`SummaryTable` holds one run's summaries keyed by (type, E nodes, mu) and
+so do three facts, each built on first use and once: the factor's
+ladder, whose top is mu(E), and its real form, which only assembled
+tuples and `inspect` read, and its canonical mark, which only a sweep
+reads: is its (E nodes, mu) the least of its images under the diagram
+automorphisms?  Those act on each factor alone, so a tuple is the
+canonical representative of its orbit exactly when every factor is.  A
+ladder is the closed form at spans 1 to 3, which builds no weight system,
+and takes the orbit route otherwise; every factor the rule admits has
+span 1 to 3, so only `inspect`, which asks for a simple candidate's
+ladder before the rule runs, can reach the orbit route, and only it
+passes a size guard.  A `SummaryTable` holds one run's summaries keyed by
+(type, E nodes, mu), the one key by which the engine names a factor, and
 is the only place a summary is built, so a factor that recurs within a
 run is summarised once; the table dies with its run.  A table row names
 its factors by exactly that key, so a row check looks its summaries up
@@ -125,10 +128,9 @@ def _apply_perm(perm: tuple[int, ...], vec: Sequence[int]) -> tuple[int, ...]:
 class _FactorSummary:
     """What the assembly rule reads of one factor: its level, reality type
     and whether its top eigenspace is one-dimensional.  The ladder, the
-    real form and the canonical key, which only assembled tuples and
-    `inspect` read, are each built once, on first use.  `key` is the
-    factor's FactorSpec.sort_key, by which a tuple orders its factors.
-    Only `SummaryTable.summary` builds one."""
+    real form and the canonical mark are each built once, on first use.
+    `key` is the factor's FactorSpec.sort_key, by which a tuple orders its
+    factors.  Only `SummaryTable.summary` builds one."""
 
     __slots__ = ("factor", "key", "span", "reality", "top_is_one", "_eigen",
                  "_real_form", "_canonical")
@@ -141,7 +143,7 @@ class _FactorSummary:
         self.top_is_one = extremal_dim_is_one(f.mu, f.E)
         self._eigen: EigenDecomp | None = None
         self._real_form: RealFormDescriptor | None = None
-        self._canonical: tuple | None = None
+        self._canonical: bool | None = None
 
     def eigen(self, max_dim: int = DEFAULT_MAX_DIM) -> EigenDecomp:
         """The factor's ladder, built by the first call.  max_dim guards
@@ -159,24 +161,18 @@ class _FactorSummary:
             self._real_form = real_form(self.factor.lie_type, self.factor.E)
         return self._real_form
 
-    def canonical(self) -> tuple:
-        """(sort key, factor key) of the factor's canonical form, the
-        lexicographically least (E nodes, mu) of its images under the
-        diagram automorphisms: the FactorSpec.sort_key (type, E
-        coefficients, mu) that orders a canonical tuple's factors, and the
-        (family, rank, E nodes, mu) that its canonical key lists.  Built
-        by the first call, from permuted coefficients."""
+    def is_canonical(self) -> bool:
+        """Is the factor the lexicographically least (E nodes, mu) of its
+        images under the diagram automorphisms?  Built by the first call,
+        from permuted nodes and coefficients."""
         if self._canonical is None:
             f = self.factor
-            t, E = f.lie_type, f.E
+            own = (f.E.support, f.mu)
             # the identity's image is the factor itself
-            best = (E.support, f.mu, E.coeffs)
-            for perm in diagram_automorphisms(t)[1:]:
-                coeffs = _apply_perm(perm, E.coeffs)
-                best = min(best, (tuple(i + 1 for i, c in enumerate(coeffs) if c),
-                                  _apply_perm(perm, f.mu), coeffs))
-            nodes, mu, coeffs = best
-            self._canonical = ((t.family, t.rank, coeffs, mu), (t.family, t.rank, nodes, mu))
+            self._canonical = all(
+                own <= (tuple(sorted(perm[n - 1] + 1 for n in f.E.support)),
+                        _apply_perm(perm, f.mu))
+                for perm in diagram_automorphisms(f.lie_type)[1:])
         return self._canonical
 
 

@@ -23,7 +23,8 @@ from functools import lru_cache
 from operator import add, mul, sub
 
 from .errors import ConsistencyError, NonDominantError, ResourceLimitError
-from .rootdata import LieType, RootCoords, RootSystemData, Weight, _check_length, root_system
+from .rootdata import (LieType, RootCoords, RootSystemData, Weight, _check_length, _node_mask,
+                       root_system)
 
 DEFAULT_MAX_DIM = 10 ** 6
 
@@ -71,13 +72,14 @@ def weyl_dim(t: LieType, mu) -> int:
 
 def levi_dim(t: LieType, mu, nodes) -> int:
     """Dimension of the irreducible module of highest weight mu over the
-    Levi factor on the nodes outside `nodes` (1-based): the Weyl product
-    over the positive roots with no support on `nodes`.  A root with no
-    support on supp(mu) pairs with mu to 0, so only the others add a
-    factor other than 1, and (mu + rho, beta) is paired for those alone."""
+    Levi factor on the nodes outside `nodes` (1-based, distinct): the Weyl
+    product over the positive roots with no support on `nodes`.  A root
+    with no support on supp(mu) pairs with mu to 0, so only the others add
+    a factor other than 1, and (mu + rho, beta) is paired for those alone.
+    ValueError for a node outside 1..rank or repeated."""
     _check_dominant(t, mu)
+    painted = _node_mask(t.rank, nodes)
     rsd = root_system(t)
-    painted = sum(1 << (i - 1) for i in nodes)
     touched = sum(1 << j for j, c in enumerate(mu) if c)
     levi = [k for k, m in enumerate(rsd.root_masks) if m & touched and not m & painted]
     if not levi:

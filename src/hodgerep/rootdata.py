@@ -263,6 +263,19 @@ def _check_length(t: LieType, w) -> None:
         raise ValueError(f"weight length {len(w)} != rank {t.rank}")
 
 
+def _node_mask(rank: int, nodes) -> int:
+    """The bitmask of distinct 1-based nodes on a rank-`rank` diagram, bit
+    i - 1 for node i; ValueError for a node outside 1..rank or repeated."""
+    mask = 0
+    for n in nodes:
+        if not 1 <= n <= rank:
+            raise ValueError(f"node {n} outside 1..{rank}")
+        if mask >> (n - 1) & 1:
+            raise ValueError(f"node {n} repeated; coefficients must stay 0/1")
+        mask |= 1 << (n - 1)
+    return mask
+
+
 def duality_permutation(t: LieType) -> tuple[int, ...]:
     """The -w0 node involution as a 0-based index permutation."""
     f, r = t.family, t.rank

@@ -44,9 +44,10 @@ type, top flag) groups.
 
 The canonical-key oracle is the engine's former per-tuple annotation:
 every factor of every tuple brought to its least image under the diagram
-automorphisms as a new grading element and FactorSpec, where the engine
-reads each factor's canonical key from its summary, built once per
-distinct factor from permuted coefficients.
+automorphisms as a new grading element and FactorSpec, and the tuple
+compared whole with its canonical factors in canonical order, where the
+engine marks a tuple canonical when each factor's summary is, a mark
+built once per distinct factor from permuted coefficients.
 
 The simple-candidate oracle is the engine's former second evaluation
 route: span, reality type, case choice, center charge and ladder of one
@@ -99,7 +100,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from hodgerep.classify import SearchConfig, _factor_keys, evaluate_simple, tuple_key
+from hodgerep.classify import SearchConfig, evaluate_simple, tuple_key
 from hodgerep.errors import ConsistencyError, InvalidTypeError, ShapeError
 from hodgerep.expected import ExpectedInstance, ExpectedTables, instantiate, load_expected
 from hodgerep.hodgecore import (
@@ -400,13 +401,10 @@ def canonical_factors(factors: Sequence[FactorSpec]) -> List[FactorSpec]:
 
 
 def annotate_canonical(tuples) -> List[HodgeTuple]:
-    """Each tuple with the factor keys of its canonical representative
-    and whether it is that representative."""
-    out = []
-    for t in tuples:
-        key = _factor_keys(canonical_factors(t.factors))
-        out.append(t._replace(canonical_key=key, is_canonical=_factor_keys(t.factors) == key))
-    return out
+    """Each tuple marked with whether it is its canonical representative:
+    its factors compared whole with the canonical factors of the tuple."""
+    return [t._replace(is_canonical=tuple(t.factors) == tuple(canonical_factors(t.factors)))
+            for t in tuples]
 
 
 def levi_dim_all_pairings(t: LieType, mu, nodes) -> int:

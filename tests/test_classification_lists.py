@@ -16,9 +16,12 @@ The lists, the marks and the domain dimensions are written below as data
 from those papers and Bourbaki's plates (Bourbaki, "Groupes et algèbres de
 Lie", ch. VI, planches I-IX), in Bourbaki's node numbering; none of it is
 read from the engine.  The tests read only the records that `classify`
-prints.
+prints.  The same in-process rank-32 runs also pin the exact bytes that
+`classify` prints to recorded digests, so a change to any record, to
+their order or to their rendering fails here.
 """
 import contextlib
+import hashlib
 import io
 import json
 from functools import lru_cache
@@ -117,12 +120,18 @@ def gross_list(max_rank):
 
 
 @lru_cache(maxsize=None)
-def classify_records(*args):
-    """The JSON records `hodgerep classify ARGS` prints."""
+def classify_stdout(*args):
+    """What `hodgerep classify ARGS --format json` prints."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["classify", *args, "--format", "json"]) == 0
-    return json.loads(out.getvalue())
+    return out.getvalue()
+
+
+@lru_cache(maxsize=None)
+def classify_records(*args):
+    """The JSON records `hodgerep classify ARGS` prints."""
+    return json.loads(classify_stdout(*args))
 
 
 def factor_keys(rec):
@@ -167,3 +176,20 @@ def test_level3_hermitian_span3_is_gross_list(max_rank, count):
     for rec, key in zip(tubes, keys):
         h21 = sum(domain_dim(family, r, E[0]) for family, r, E, _ in key)
         assert rec["hodge"] == [1, h21, h21, 1], key
+
+
+# sha256 of the stdout of `classify ARGS --format json`
+CLASSIFY_DIGESTS = {
+    ("--level", "1", "--max-rank", "32"):
+        "245516e70d78dca49024b702b8ea50a2352e3e06599ef423c58b31648d62ac51",
+    ("--level", "3", "--products", "--max-rank", "32"):
+        "2ec15576e55a853f0148ddd59a9671c2eb5bc2c44fd08b390243ea9ad042a92b",
+}
+
+
+@pytest.mark.parametrize("args", list(CLASSIFY_DIGESTS), ids=["level1", "level3-products"])
+def test_rank32_classify_bytes_are_pinned(args):
+    """The rank-32 sweeps that the list checks above run print the
+    recorded bytes."""
+    assert hashlib.sha256(classify_stdout(*args).encode("utf-8")).hexdigest() \
+        == CLASSIFY_DIGESTS[args]

@@ -18,8 +18,6 @@ import hodgerep.hodgecore as hodgecore
 import hodgerep.products as products
 from hodgerep.classify import (
     SearchConfig,
-    _annotate_canonical,
-    _factor_keys,
     _types_in_window,
     candidates,
     coverage_key,
@@ -54,6 +52,7 @@ from oracles import (
     _eval_row,
     annotate_canonical,
     candidates_all_supports,
+    canonical_factors,
     dominant_weights_up_to,
     eigenspace_dims,
     enumerate_level_brute,
@@ -101,67 +100,90 @@ def test_enumerate_level1_a1():
 
 
 def _canonical_key(t):
-    """The canonical key that the sweeps give a tuple, read from the
-    summaries of a table of its own."""
-    return _annotate_canonical([t], SummaryTable())[0].canonical_key
+    """The factors of `t`'s canonical representative, by the per-tuple
+    oracle."""
+    return tuple(canonical_factors(t.factors))
+
+
+def _is_canonical(t):
+    """The mark that the sweeps give a tuple, read from the summaries of a
+    table of its own."""
+    return all(s.is_canonical() for s in SummaryTable().summarise(t.factors))
 
 
 def _representative(t):
     """The tuple that `t`'s canonical key names, assembled afresh."""
-    return assemble([FactorSpec(LieType(family, rank), E(rank, nodes), mu)
-                     for family, rank, nodes, mu in _canonical_key(t)], t.level)
+    return assemble(_canonical_key(t), t.level)
 
 
 def test_canonicalize_examples():
     t = evaluate_simple(LieType("A", 4), E(4, [4]), fundamental(4, 4), 3)
-    assert _canonical_key(t) == (("A", 4, (1,), fundamental(4, 1)),)
+    assert _canonical_key(t) == (FactorSpec(LieType("A", 4), E(4, [1]), fundamental(4, 1)),)
+    assert not _is_canonical(t) and _is_canonical(_representative(t))
     t = evaluate_simple(LieType("D", 5), E(5, [5]), fundamental(5, 5), 3)
-    assert _canonical_key(t) == (("D", 5, (4,), fundamental(5, 4)),)
+    assert _canonical_key(t) == (FactorSpec(LieType("D", 5), E(5, [4]), fundamental(5, 4)),)
+    assert not _is_canonical(t) and _is_canonical(_representative(t))
     t = evaluate_simple(LieType("B", 3), E(3, [1]), fundamental(3, 3), 1)
-    assert _canonical_key(t) == (("B", 3, (1,), fundamental(3, 3)),)
+    assert _canonical_key(t) == t.factors and _is_canonical(t)
+
+
+# the sweep windows of the canonical-mark tests, by level: level 1 without
+# products, level 3 with them
+_SWEEP_RANKS = {1: 16, 3: 12}
+
+
+@lru_cache(maxsize=None)
+def _sweep(level_n, dedupe=False):
+    return tuple(enumerate_level(SearchConfig(
+        max_rank=_SWEEP_RANKS[level_n], level=level_n, include_products=level_n == 3,
+        dedupe_automorphisms=dedupe)))
 
 
 @pytest.mark.parametrize("level_n", (1, 3))
 def test_canonical_keys_match_the_per_tuple_oracle(level_n):
-    """Every tuple of the level-1 sweep and of the level-3 sweep with
-    products, to rank 12, carries the canonical key and flag that
-    canonicalising each of its factors on its own gives, and --dedupe
+    """Every tuple of the level-1 sweep to rank 16 and of the level-3
+    sweep with products to rank 12 carries the canonical flag that
+    comparing it whole with its canonical factors gives, and --dedupe
     keeps exactly the tuples marked canonical."""
-    config = dict(max_rank=12, level=level_n, include_products=level_n == 3)
-    got = enumerate_level(SearchConfig(**config))
+    got = list(_sweep(level_n))
     assert got == annotate_canonical(got)
     assert 0 < sum(t.is_canonical for t in got) < len(got)
-    deduped = enumerate_level(SearchConfig(**config, dedupe_automorphisms=True))
-    assert deduped == [t for t in got if t.is_canonical]
+    assert list(_sweep(level_n, dedupe=True)) == [t for t in got if t.is_canonical]
 
 
 def test_canonicalize_idempotent_and_invariant():
-    """Every tuple's canonical representative is itself in the sweep,
-    marked canonical, with the same level, reality, c and h."""
-    res = enumerate_level(SearchConfig(max_rank=4, level=3,
-                                       families=frozenset("ABCD"),
-                                       include_products=True))
-    by_key = {_factor_keys(t.factors): t for t in res}
-    for t in res:
-        rep = by_key[t.canonical_key]
-        assert rep.is_canonical and rep.canonical_key == t.canonical_key
-        assert rep.hodge.dims == t.hodge.dims
-        assert rep.reality == t.reality
-        assert rep.c == t.c
-        assert rep.level == t.level
+    """Grouped by the oracle's canonical key, the tuples of the level-1
+    sweep to rank 16 and of the level-3 sweep with products to rank 12,
+    on every family, hold exactly one tuple marked canonical per group,
+    whose factors are the key, and every tuple of a group has that
+    tuple's level, reality, c and h: --dedupe keeps one tuple per
+    orbit."""
+    for level_n in (1, 3):
+        groups = {}
+        for t in _sweep(level_n):
+            groups.setdefault(_canonical_key(t), []).append(t)
+        assert len(groups) < len(_sweep(level_n))
+        for key, orbit in groups.items():
+            rep, = [t for t in orbit if t.is_canonical]
+            assert rep.factors == key
+            for t in orbit:
+                assert (t.level, t.reality, t.c, t.hodge) == \
+                    (rep.level, rep.reality, rep.c, rep.hodge)
 
 
 def test_d4_triality_orbit():
     perms = diagram_automorphisms(LieType("D", 4))
     assert len(perms) == 6
-    # the six level-1 (E-node, mu-node) pairs on {1,3,4} form one orbit
-    keys = set()
+    # the six level-1 (E-node, mu-node) pairs on {1,3,4} form one orbit,
+    # with one canonical representative
+    keys, marked = set(), 0
     for e_node, mu_node in [(3, 1), (4, 1), (1, 3), (4, 3), (1, 4), (3, 4)]:
         t = evaluate_simple(LieType("D", 4), E(4, [e_node]),
                             fundamental(4, mu_node), 1)
         assert t is not None, (e_node, mu_node)
         keys.add(_canonical_key(t))
-    assert len(keys) == 1
+        marked += _is_canonical(t)
+    assert len(keys) == 1 and marked == 1
 
 
 def test_soundness_of_emitted_tuples():
@@ -463,6 +485,8 @@ _prop39_item3.row = ("prop3.9", 2, 3)
     (_set_factor("mu", [5]), "item 1: mu entry must be a [node, coeff] pair, got 5"),
     (_set_item("real_form", 5),
      "item 1: real_form must be a string or a list of strings, got 5"),
+    # two rows numbered 2: the second once replaced the first unchecked
+    (_set_item("item", 2), "item 2: item number repeated"),
     (lambda item: item["factors"].append(dict(item["factors"][0])),
      "item 1: factors must be one factor on a level-1 table (factor levels add, "
      "so no product has level 1), got 2"),
@@ -513,7 +537,7 @@ _prop39_item3.row = ("prop3.9", 2, 3)
         "c-syntax-error", "c-not-a-number", "int-params", "int-param-spec",
         "int-cases", "case-without-when", "missing-factors", "int-factors",
         "empty-factors", "int-factor", "factor-without-rank", "missing-item",
-        "int-mu-entry", "int-real-form", "level1-product", "empty-E",
+        "int-mu-entry", "int-real-form", "repeated-item", "level1-product", "empty-E",
         "repeated-E-node", "empty-mu", "negative-mu", "repeated-mu-node",
         "c-subclasses-walk", "c-attribute", "c-subscript", "c-lambda", "c-comprehension",
         "c-keyword-argument", "when-calls-abs", "when-bare-tuple", "unknown-row-key",
@@ -733,8 +757,9 @@ def _image(perm, vec):
 @given(st.data())
 def test_canonicalize_is_idempotent(data):
     t = data.draw(st.sampled_from(_rank6_simple() + _rank6_products()))
-    rep, = _annotate_canonical([_representative(t)], SummaryTable())
-    assert rep.is_canonical and rep.canonical_key == _canonical_key(t)
+    rep = _representative(t)
+    assert _is_canonical(rep) and _canonical_key(rep) == _canonical_key(t)
+    assert _is_canonical(t) == (t.factors == _canonical_key(t))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -748,6 +773,7 @@ def test_canonical_key_is_invariant_under_diagram_automorphisms(data):
         img = evaluate_simple(f.lie_type, g, _image(perm, f.mu), t.level)
         assert (img.hodge, img.c, img.reality) == (t.hodge, t.c, t.reality)
         assert _canonical_key(img) == key
+        assert _is_canonical(img) == (img.factors == key)
 
     p = data.draw(st.sampled_from(_rank6_products()))
     key = _canonical_key(p)
@@ -758,6 +784,7 @@ def test_canonical_key_is_invariant_under_diagram_automorphisms(data):
                         for f, perm in zip(p.factors, perms)], 3)
         assert (img.hodge, img.c, img.reality) == (p.hodge, p.c, p.reality)
         assert _canonical_key(img) == key
+        assert _is_canonical(img) == (img.factors == key)
 
 
 def test_accepted_vectors_match_fraction_oracle():
@@ -850,8 +877,8 @@ def test_expected_file_override(tmp_path):
 def test_computed_only_reports_spin_families():
     rep = verify_paper(scope="thm2.1", max_rank=6)
     extras = {coverage_key(t) for t in rep.computed_only}
-    assert (("D", 5, (1,), fundamental(5, 5)),) in extras
-    assert (("D", 6, (1,), fundamental(6, 6)),) in extras
+    assert ((LieType("D", 5), (1,), fundamental(5, 5)),) in extras
+    assert ((LieType("D", 6), (1,), fundamental(6, 6)),) in extras
 
 
 def test_table_pattern_order_does_not_scope_computed_only(tmp_path):
@@ -905,8 +932,8 @@ def _row_assemblies(monkeypatch):
     real = classify.assemble_summaries
 
     def counting(summaries, level_n):
-        keys.append(tuple(sorted((s.factor.lie_type.family, s.factor.lie_type.rank,
-                                  s.factor.E.support, s.factor.mu) for s in summaries)))
+        keys.append(tuple(sorted((s.factor.lie_type, s.factor.E.support, s.factor.mu)
+                                 for s in summaries)))
         return real(summaries, level_n)
 
     monkeypatch.setattr(classify, "assemble_summaries", counting)
@@ -959,7 +986,7 @@ def test_sweeps_summarise_each_candidate_once(monkeypatch):
     checks share one table: at rank 8 that is 446 summaries and 272
     ladders, where one table per route built 586 and 319.  Each of the
     272 distinct factors of the enumerated tuples builds its real form
-    and its canonical key once, where annotating and assembling each
+    and its canonical mark once, where annotating and assembling each
     tuple's factors built 562 of each."""
     seen = _factor_work(monkeypatch)
     enumerate_level(SearchConfig(max_rank=8, level=3, include_products=True))
@@ -983,8 +1010,8 @@ def _first_instance(key, max_rank):
 
 
 # E7 of prop3.5 item 8, and the A1 x A1 x A1 of prop3.11 item 1
-_E7 = (("E", 7, (7,), (0, 0, 0, 0, 0, 0, 1)),)
-_A1_CUBED = (("A", 1, (1,), (1,)),) * 3
+_E7 = ((LieType("E", 7), (7,), (0, 0, 0, 0, 0, 0, 1)),)
+_A1_CUBED = ((LieType("A", 1), (1,), (1,)),) * 3
 
 
 @pytest.mark.parametrize("key", (_E7, _A1_CUBED), ids=["simple", "product"])
@@ -1005,6 +1032,7 @@ def test_window_completeness_check_survives_optimize():
     inst = _first_instance(_E7, 8)
     code = ("import hodgerep.classify as classify\n"
             "from hodgerep.errors import ConsistencyError\n"
+            "from hodgerep.rootdata import LieType\n"
             "real = classify.enumerate_level\n"
             "classify.enumerate_level = lambda config, table=None: [\n"
             f"    t for t in real(config, table) if classify.coverage_key(t) != {_E7!r}]\n"

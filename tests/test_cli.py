@@ -139,6 +139,10 @@ def _set(table, name, value):
     return lambda raw: raw["tables"][table].__setitem__(name, value)
 
 
+def _set_entry(pos, name, value):
+    return lambda raw: raw["allowlist"][pos].__setitem__(name, value)
+
+
 def _truncate(length):
     """The file cut after `length` characters, so it is not valid JSON."""
     return lambda raw: json.dumps(raw)[:length]
@@ -154,8 +158,11 @@ def _truncate(length):
                                   "got 'x'"),
     (_set("thm2.1", "level", True), "table thm2.1: level must be 1 or 3, got True"),
     (_truncate(11), "not valid JSON: Expecting value: line 1 column 12 (char 11)"),
+    (_set_entry(0, "item", 70), "allowlist entry 1: table prop3.3 has no item 70"),
+    (_set_entry(0, "table", "prop9.9"), "allowlist entry 1: no table 'prop9.9' in the file"),
 ], ids=["table-without-level", "table-without-items", "allowlist-entry-without-item",
-        "int-pattern", "string-span", "bool-level", "truncated-json"])
+        "int-pattern", "string-span", "bool-level", "truncated-json",
+        "allowlist-entry-names-no-item", "allowlist-entry-names-no-table"])
 def test_malformed_expected_file_exit_64(capsys, tmp_path, mutate, message):
     """`mutate` edits the packaged tables in place, or returns the file text."""
     from hodgerep.expected import load_expected

@@ -112,6 +112,23 @@ def test_grading_element_of_wrong_length_is_rejected(fn, coeffs):
     assert str(info.value) == f"grading element length {len(coeffs)} != rank 2"
 
 
+@pytest.mark.parametrize("fn", [levi_dim, lambda t, mu, nodes: E(t.rank, nodes)],
+                         ids=["levi_dim", "from_nodes"])
+@pytest.mark.parametrize("rank, nodes, message", [
+    (3, (1, 1), "node 1 repeated; coefficients must stay 0/1"),
+    (2, (5,), "node 5 outside 1..2"),
+    (2, (0,), "node 0 outside 1..2"),
+])
+def test_node_outside_the_diagram_or_repeated_is_rejected(fn, rank, nodes, message):
+    """levi_dim checks its painted nodes as GradingElement.from_nodes does.
+    It once read a repeated node as another node (on A3, mu = (1, 1, 0)
+    off nodes (1, 1) gave 2, the answer off node 2), ignored a node above
+    the rank and failed on node 0 with a bare negative shift count."""
+    with pytest.raises(ValueError) as info:
+        fn(LieType("A", rank), (1, 1, 0)[:rank], nodes)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("coeffs", [(1,), (1, 0, 1)])
 def test_eigen_ladder_rejects_grading_element_of_wrong_length(coeffs):
     """On A2 with mu = (1, 0), an E with fewer or more coefficients than the

@@ -70,14 +70,12 @@ RECORDS = [
      "mu=(1, 0))"),
     (HodgeTuple, dict(factors=(FactorSpec(A1, GradingElement((1,)), (1,)),), span=1, level=1,
                       reality="real", c=Fraction(0), hodge=HodgeVector((1, 1)),
-                      real_forms=(RealFormDescriptor((1,), "su(1,1)"),), is_canonical=True,
-                      canonical_key=(("A", 1, (1,), (1,)),)),
+                      real_forms=(RealFormDescriptor((1,), "su(1,1)"),), is_canonical=True),
      dict(is_canonical=False),
      "HodgeTuple(factors=(FactorSpec(lie_type=LieType(family='A', rank=1), "
      "E=GradingElement(coeffs=(1,)), mu=(1,)),), span=1, level=1, reality='real', "
      "c=Fraction(0, 1), hodge=HodgeVector(dims=(1, 1)), "
-     "real_forms=(RealFormDescriptor(painted=(1,), name='su(1,1)'),), is_canonical=True, "
-     "canonical_key=(('A', 1, (1,), (1,)),))"),
+     "real_forms=(RealFormDescriptor(painted=(1,), name='su(1,1)'),), is_canonical=True)"),
     (SearchConfig, dict(max_rank=8, level=3, families=frozenset("A")), dict(level=1),
      "SearchConfig(max_rank=8, level=3, families=frozenset({'A'}), include_products=False, "
      "dedupe_automorphisms=False)"),

@@ -99,7 +99,7 @@ def test_levi_dim_matches_the_all_pairings_oracle():
         r = t.rank
         fund = [tuple(int(j == i) for j in range(r)) for i in range(r)]
         for mu in fund + [tuple(x + y for x, y in zip(f, fund[0])) for f in fund]:
-            for nodes in ((), (1,), (r,), (1, r), tuple(range(2, r + 1, 2)),
+            for nodes in ((), (1,), (r,), tuple(sorted({1, r})), tuple(range(2, r + 1, 2)),
                           tuple(j + 1 for j, c in enumerate(mu) if c)):
                 assert levi_dim(t, mu, nodes) == levi_dim_all_pairings(t, mu, nodes), \
                     (str(t), mu, nodes)
