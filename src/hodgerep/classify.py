@@ -10,13 +10,13 @@ span = (mu + mu*)(E) = sum_i mu_i w_i.  `candidates` yields every nonzero
 dominant mu with span <= level; at level 3 the top eigenspace must be
 one-dimensional, so supp(mu) is inside supp(E).  A node i can carry mu
 only on a support inside its short list {j : L[i][j] <= level}, so the
-supports come from those lists alone, and a grading element is built only
-for a support that yields.  A sweep summarises every candidate into one
-`products.SummaryTable` and hands the summaries to
-`products.product_tuples`, which forms every tuple of one factor (of one
-to three with products) that the assembly rule admits.  It marks each
-tuple canonical under the diagram automorphisms when each of its factors'
-summaries is, so each distinct factor is canonicalised once.
+supports come from those lists alone.  A candidate is its (type, E nodes,
+mu) summary-table key, so no grading element is built here.  A sweep
+summarises every candidate into one `products.SummaryTable` and hands the
+summaries to `products.product_tuples`, which forms every tuple of one
+factor (of one to three with products) that the assembly rule admits and
+marks it canonical under the diagram automorphisms when each of its
+factors' summaries is, so each distinct factor is canonicalised once.
 
 `verify_paper` enumerates the window of its scope once, first, and looks
 every table-row instance up in it by (level, coverage key), the sorted
@@ -26,8 +26,8 @@ are independent input, so this checks the window's completeness on every
 run: a row candidate that the rule accepts inside the window but the
 enumeration lacks raises ConsistencyError.  The sweeps and the row checks share the run's one
 `SummaryTable`, so a factor that recurs within the run is summarised once;
-a row check reaches its summaries through the (type, E nodes, mu) factors
-its instance holds, and builds a grading element only for a new one.
+a row check passes the (type, E nodes, mu) factors its instance holds to
+it, which builds a grading element only for a new one.
 """
 from __future__ import annotations
 
@@ -183,22 +183,23 @@ def _supports(t: LieType, level_matrix, target_level: int
 
 
 def candidates(t: LieType, target_level: int
-               ) -> Iterator[tuple[GradingElement, Weight, int]]:
-    """Every (E, mu, span) with 1 <= span = (mu + mu*)(E) <= target_level
-    on t; at level 3 also supp(mu) inside supp(E).  E runs over the
+               ) -> Iterator[tuple[tuple[int, ...], Weight, int]]:
+    """Every (E nodes, mu, span) with 1 <= span = (mu + mu*)(E) <=
+    target_level on t, E's nodes 1-based and sorted as in a summary-table
+    key; at level 3 also supp(mu) inside supp(E).  The nodes run over the
     supports by (size, nodes) and mu over multisets of the nodes that can
-    carry it, by size, so only a support that yields builds its E."""
+    carry it, by size."""
     rank = t.rank
     level_matrix = root_system(t).level_matrix
     for S, nodes in _supports(t, level_matrix, target_level):
-        E = GradingElement.from_nodes(rank, [j + 1 for j in S])
+        support = tuple(j + 1 for j in S)
         w = {i: sum(level_matrix[i][j] for j in S) for i in nodes}
         # every w_i >= 1, so mu is a multiset of at most target_level nodes
         for size in range(1, target_level + 1):
             for picks in itertools.combinations_with_replacement(nodes, size):
                 span = sum(w[i] for i in picks)
                 if span <= target_level:
-                    yield E, tuple(picks.count(i) for i in range(rank)), span
+                    yield support, tuple(picks.count(i) for i in range(rank)), span
 
 
 def enumerate_level(config: SearchConfig,
@@ -207,18 +208,16 @@ def enumerate_level(config: SearchConfig,
 
     Output is canonically sorted and deterministic; diagram-automorphism
     duplicates are retained and marked unless dedupe_automorphisms is set.
-    Every candidate is summarised into one summary table (`table`, or a
-    new one when None), `products.product_tuples` forms the tuples of one
-    to three factors (one without products) from those summaries, and a
-    tuple is marked canonical when each of its factors' summaries is.
+    Every candidate is summarised by its key into one summary table
+    (`table`, or a new one when None), and `products.product_tuples` forms
+    the tuples of one to three factors (one without products) from those
+    summaries, each marked canonical when each of its factors is.
     """
     table = SummaryTable() if table is None else table
-    summaries = [table.summary(FactorSpec(t, E, mu))
-                 for t in _types_in_window(config.families, config.max_rank)
-                 for E, mu, _ in candidates(t, config.level)]
-    results = [t._replace(is_canonical=all(table.summary(f).is_canonical() for f in t.factors))
-               for t in product_tuples(summaries, config.level,
-                                       3 if config.include_products else 1)]
+    summaries = table.summarise((t, nodes, mu)
+                                for t in _types_in_window(config.families, config.max_rank)
+                                for nodes, mu, _ in candidates(t, config.level))
+    results = product_tuples(summaries, config.level, 3 if config.include_products else 1)
     if config.dedupe_automorphisms:
         results = [t for t in results if t.is_canonical]
     results.sort(key=tuple_key)
@@ -295,7 +294,7 @@ def _check_instance(inst: ExpectedInstance, target_level: int,
     diffs: list[tuple[str, str, str]] = []
     if got is None:
         try:
-            got = assemble_summaries(table.summarise_row(inst.factors), target_level)
+            got = assemble_summaries(table.summarise(inst.factors), target_level)
         except ShapeError as exc:
             if inst.is_product:
                 diffs.append(("validity", "valid level-3 product", f"rejected: {exc}"))

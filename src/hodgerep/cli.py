@@ -17,10 +17,9 @@ from collections.abc import Sequence
 
 from .classify import ReconciliationReport, SearchConfig, enumerate_level, verify_paper
 from .errors import HodgeRepError, ResourceLimitError, ShapeError
-from .hodgecore import FactorSpec, GradingElement
 from .products import SummaryTable, assemble_summaries
 from .repweights import DEFAULT_MAX_DIM
-from .rootdata import LieType
+from .rootdata import LieType, _node_mask
 
 EXIT_OK = 0
 EXIT_VERIFY_MISMATCH = 1
@@ -111,7 +110,7 @@ def _csv_ints(flag: str, t: LieType, text: str) -> list[int]:
 
 
 def _parse_factor_lists(algebra: str, e_text: str, mu_text: str):
-    """Parse "A1xD4", "1x1", "1x1,0,0,0" into per-factor specs."""
+    """Parse "A1xD4", "1x1", "1x1,0,0,0" into (type, E nodes, mu) keys."""
     types = [LieType.parse(x) for x in algebra.split("x")]
     e_parts = e_text.split("x")
     mu_parts = mu_text.split("x")
@@ -127,7 +126,8 @@ def _parse_factor_lists(algebra: str, e_text: str, mu_text: str):
             raise ValueError(f"--mu for {t} needs {t.rank} coefficients, got {len(mu)}")
         if any(c < 0 for c in mu) or not any(mu):
             raise ValueError(f"--mu for {t} must be dominant and nonzero")
-        factors.append(FactorSpec(t, GradingElement.from_nodes(t.rank, nodes), mu))
+        _node_mask(t.rank, nodes)   # the node errors, in the order given
+        factors.append((t, tuple(sorted(nodes)), mu))
     return factors
 
 

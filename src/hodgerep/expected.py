@@ -37,7 +37,9 @@ _WHAT = {str: "a string", int: "an integer", list: "a list", dict: "a dict",
 
 
 def _is(*types):
-    return lambda value: isinstance(value, types), " or ".join(_WHAT[t] for t in types)
+    """A field check for exactly these JSON types: a JSON true or false is
+    a bool, which is no integer here."""
+    return lambda value: type(value) in types, " or ".join(_WHAT[t] for t in types)
 
 
 # record kind -> field -> (required, (check, what it asks for), ...); a
@@ -45,7 +47,7 @@ def _is(*types):
 _FIELDS = {
     "file": {"format": (False,), "description": (False,), "tables": (True, _is(dict)),
              "allowlist": (False, _is(list))},
-    "table": {"items": (True, _is(list)), "level": (True, _is(int)),
+    "table": {"items": (True, _is(list)), "level": (True,),
               "span": (False,), "pattern": (False,)},
     "allowlist entry": {"table": (True, _is(str)), "item": (True, _is(int)),
                         "reason": (True, _is(str)), "computed_h": (False,)},
@@ -340,7 +342,7 @@ def _compile_factor(fac, names: list[str], where: str, trees: dict):
     outside the family's bounds."""
     _check(fac, "factor", where)
     for node in fac["E"]:
-        if not isinstance(node, (str, int)):
+        if type(node) not in (str, int):
             raise ValueError(f"{where}: E node must be a string or an integer, "
                              f"got {node!r}")
     for pair in fac["mu"]:
@@ -384,7 +386,7 @@ def _compile_row(table_name: str, level: int, pos: int, item, trees: dict):
     `instantiate`'s parse trees by text: its item number, its parameter
     ranges, and a function from a binding to the row's ExpectedInstance."""
     number = item.get("item") if isinstance(item, dict) else None
-    where = (f"{table_name} item {number}" if isinstance(number, int)
+    where = (f"{table_name} item {number}" if type(number) is int
              else f"{table_name} row {pos}")
     _check(item, "item", where)
     if level == 1 and len(item["factors"]) > 1:

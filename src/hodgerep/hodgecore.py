@@ -38,50 +38,40 @@ COMPLEX = "complex"
 QUATERNIONIC = "quaternionic"
 
 
-class GradingElement:
+class GradingElement(namedtuple("GradingElement", "coeffs support")):
     """0/1 coefficients over simple-root indices; E_ss = sum coeffs_i A^i.
 
-    Frozen.  coeffs is kept as a tuple of ints, whatever 0/1 sequence it
-    is given as; `support`, the 1-based indices of the painted nodes, is
-    set once from it; equality, hashing and repr read coeffs alone.
+    coeffs is kept as a tuple of ints, whatever 0/1 sequence it is given
+    as; `support`, the 1-based indices of the painted nodes, follows from
+    it, so the constructor, the repr and pickling take coeffs alone.
     """
 
-    __slots__ = ("coeffs", "support")
+    __slots__ = ()
 
-    def __init__(self, coeffs: tuple[int, ...]):
+    def __new__(cls, coeffs: tuple[int, ...]):
         if not all(c in (0, 1) for c in coeffs):
             raise ValueError(f"grading coefficients must be 0/1, got {coeffs}")
         if not any(coeffs):
             raise ValueError("grading element must be nonzero")
         coeffs = tuple(int(c) for c in coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "support", tuple(i + 1 for i, c in enumerate(coeffs) if c))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
+        return super().__new__(cls, coeffs, tuple(i + 1 for i, c in enumerate(coeffs) if c))
 
     def __repr__(self) -> str:
         return f"GradingElement(coeffs={self.coeffs!r})"
 
-    def __reduce__(self):
-        return GradingElement, (self.coeffs,)
+    def __getnewargs__(self):
+        return (self.coeffs,)
 
-    @staticmethod
-    def from_nodes(rank: int, nodes: Sequence[int]) -> "GradingElement":
+    @classmethod
+    def from_nodes(cls, rank: int, nodes: Sequence[int]) -> GradingElement:
         """Build from 1-based node indices, e.g. [1, 3] on rank 4."""
-        mask = _node_mask(rank, nodes)
-        return GradingElement(tuple(mask >> j & 1 for j in range(rank)))
+        if not _node_mask(rank, nodes):
+            raise ValueError("grading element must be nonzero")
+        support = tuple(sorted(nodes))
+        coeffs = [0] * rank
+        for n in support:
+            coeffs[n - 1] = 1
+        return cls._make((tuple(coeffs), support))
 
     def __str__(self) -> str:
         return "+".join(f"A{i}" for i in self.support)

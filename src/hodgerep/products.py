@@ -24,17 +24,17 @@ and takes the orbit route otherwise; every factor the rule admits has
 span 1 to 3, so only `inspect`, which asks for a simple candidate's
 ladder before the rule runs, can reach the orbit route, and only it
 passes a size guard.  A `SummaryTable` holds one run's summaries keyed by
-(type, E nodes, mu), the one key by which the engine names a factor, and
-is the only place a summary is built, so a factor that recurs within a
-run is summarised once; the table dies with its run.  A table row names
-its factors by exactly that key, so a row check looks its summaries up
-with it and builds a factor's grading element only for a key the table
-lacks.  `assemble` and `inspect` use a table of their own for the factors
-they are given.  A sweep summarises every candidate into its run's table
-and hands the summaries to `product_tuples`, its one route to tuples of
-one to three factors.  The sweep groups the summaries by what the rule
-reads, (span, reality type, top flag), asks the rule once per multiset of
-groups, and assembles only the multisets it admits.
+(type, sorted E nodes, mu), the one key by which the engine names a
+factor, and its one method, `summarise`, is the one way in for a factor:
+it builds a key's FactorSpec, grading element and summary on the key's
+first request, so a factor that recurs within a run is summarised once;
+the table dies with its run.  Sweep candidates and table rows are keys as
+they stand; `assemble` and `inspect` pass theirs to a table of their own.
+A sweep hands its candidates' summaries to `product_tuples`, its one route
+to tuples of one to three factors, which marks each tuple canonical from
+its summaries.  The sweep groups the summaries by what the rule reads,
+(span, reality type, top flag), asks the rule once per multiset of groups,
+and assembles only the multisets it admits.
 """
 from __future__ import annotations
 
@@ -52,6 +52,7 @@ from .hodgecore import (
     GradingElement,
     HodgeTuple,
     RealFormDescriptor,
+    _check_lengths,
     center_charge,
     eigen_ladder,
     extremal_dim_is_one,
@@ -62,7 +63,7 @@ from .hodgecore import (
     reality_type,
 )
 from .repweights import DEFAULT_MAX_DIM
-from .rootdata import LieType
+from .rootdata import diagram_automorphisms
 
 
 def convolve_eigen(decomps: Sequence[EigenDecomp]) -> EigenDecomp:
@@ -94,30 +95,6 @@ def tensor_reality(types: Sequence[str]) -> str:
     return QUATERNIONIC if quats % 2 == 1 else REAL
 
 
-def diagram_automorphisms(t: LieType) -> list[tuple[int, ...]]:
-    """The diagram automorphism group as 0-based node permutations, the
-    identity first."""
-    f, r = t.family, t.rank
-    idem = tuple(range(r))
-    if f == "A" and r >= 2:
-        return [idem, tuple(reversed(idem))]
-    if f == "D" and r == 4:
-        perms = []
-        for img in itertools.permutations((0, 2, 3)):
-            p = list(range(4))
-            for src, dst in zip((0, 2, 3), img):
-                p[src] = dst
-            perms.append(tuple(p))
-        return perms
-    if f == "D" and r >= 5:
-        swap = list(idem)
-        swap[r - 2], swap[r - 1] = swap[r - 1], swap[r - 2]
-        return [idem, tuple(swap)]
-    if f == "E" and r == 6:
-        return [idem, (5, 1, 4, 3, 2, 0)]
-    return [idem]
-
-
 def _apply_perm(perm: tuple[int, ...], vec: Sequence[int]) -> tuple[int, ...]:
     out = [0] * len(vec)
     for src, dst in enumerate(perm):
@@ -130,7 +107,7 @@ class _FactorSummary:
     and whether its top eigenspace is one-dimensional.  The ladder, the
     real form and the canonical mark are each built once, on first use.
     `key` is the factor's FactorSpec.sort_key, by which a tuple orders its
-    factors.  Only `SummaryTable.summary` builds one."""
+    factors.  Only `SummaryTable.summarise` builds one."""
 
     __slots__ = ("factor", "key", "span", "reality", "top_is_one", "_eigen",
                  "_real_form", "_canonical")
@@ -186,28 +163,18 @@ class SummaryTable:
     def __init__(self):
         self._summaries: dict[tuple, _FactorSummary] = {}
 
-    def summary(self, f: FactorSpec) -> _FactorSummary:
-        """The summary of `f`, built on the first request for its key."""
-        key = (f.lie_type, f.E.support, f.mu)
-        s = self._summaries.get(key)
-        if s is None:
-            s = self._summaries[key] = _FactorSummary(f)
-        return s
-
-    def summarise(self, factors: Sequence[FactorSpec]) -> list[_FactorSummary]:
-        """One summary per factor, in FactorSpec.sort_key order."""
-        return sorted(map(self.summary, factors), key=attrgetter("key"))
-
-    def summarise_row(self, factors) -> list[_FactorSummary]:
-        """One summary per factor (type, E nodes, mu) of a table row, in
-        FactorSpec.sort_key order.  The nodes are sorted, so they are the
-        table's key as they stand: a factor's FactorSpec and grading
-        element are built only when its key is first summarised."""
+    def summarise(self, keys) -> list[_FactorSummary]:
+        """One summary per factor key (type, sorted E nodes, mu), in
+        FactorSpec.sort_key order.  A key's FactorSpec and grading element
+        are built on its first request, here and nowhere else."""
         found = []
-        for t, nodes, mu in factors:
-            s = self._summaries.get((t, nodes, mu))
-            found.append(s if s is not None else self.summary(
-                FactorSpec(t, GradingElement.from_nodes(t.rank, nodes), mu)))
+        for key in keys:
+            s = self._summaries.get(key)
+            if s is None:
+                t, nodes, mu = key
+                s = self._summaries[key] = _FactorSummary(
+                    FactorSpec(t, GradingElement.from_nodes(t.rank, nodes), mu))
+            found.append(s)
         return sorted(found, key=attrgetter("key"))
 
 
@@ -216,13 +183,13 @@ def _assembly_case(level_n: int, summaries: Sequence[_FactorSummary]) -> tuple[s
     at level `level_n`, or ShapeError: the engine's validity test.
 
     A tuple has at most 3 factors.  At level 3 each factor, in order, needs
-    a one-dimensional top eigenspace and a positive level.  One factor: at
-    level 1 it needs span 1, and the case is its own type.  At level 3
-    every tuple of total span below 3, i.e. one factor of span 1 or 2 and
-    1+1, is the U + U* (complex) case, where the center charge
-    3/2 - mu(E_ss) splits U from U*; 1+1 also needs the joint type complex
-    or quaternionic.  Total span 3, i.e. one factor of span 3, 1+2 and
-    1+1+1, needs the joint type real with c = 0.
+    a one-dimensional top eigenspace.  One factor: at level 1 it needs
+    span 1, and the case is its own type.  At level 3 every tuple of total
+    span below 3, i.e. one factor of span 1 or 2 and 1+1, is the U + U*
+    (complex) case, where the center charge 3/2 - mu(E_ss) splits U from
+    U*; 1+1 also needs the joint type complex or quaternionic.  Total span
+    3, i.e. one factor of span 3, 1+2 and 1+1+1, needs the joint type real
+    with c = 0.  A zero weight has span 0, which the level patterns refuse.
     """
     if len(summaries) > 3:
         raise ShapeError("products need 2 or 3 simple factors")
@@ -234,8 +201,6 @@ def _assembly_case(level_n: int, summaries: Sequence[_FactorSummary]) -> tuple[s
                     f"factor ({f.lie_type}, {f.E}, {f.mu}) has top eigenspace "
                     "dimension > 1 (support of mu not inside support of E)"
                 )
-            if s.span < 1:
-                raise ShapeError(f"factor level {s.span} is not a positive integer")
     spans = [s.span for s in summaries]
     joint = tensor_reality([s.reality for s in summaries])
     pattern = tuple(sorted(spans))
@@ -288,9 +253,12 @@ def assemble_summaries(summaries: Sequence[_FactorSummary], level_n: int) -> Hod
 
 def assemble(factors: Sequence[FactorSpec], level_n: int) -> HodgeTuple:
     """The level-`level_n` Hodge tuple of one to three factors, or
-    ShapeError: `assemble_summaries` of their summaries, in a table of
-    their own."""
-    return assemble_summaries(SummaryTable().summarise(factors), level_n)
+    ShapeError: `assemble_summaries` of their keys' summaries, in a table
+    of their own; ValueError for an E whose length is not the rank."""
+    for f in factors:
+        _check_lengths(f.lie_type, f.mu, f.E)
+    return assemble_summaries(SummaryTable().summarise(
+        [(f.lie_type, f.E.support, f.mu) for f in factors]), level_n)
 
 
 def _groups(summaries: Sequence[_FactorSummary]) -> dict[tuple, list[int]]:
@@ -325,12 +293,13 @@ def product_tuples(summaries: Sequence[_FactorSummary], level_n: int,
                    max_factors: int) -> list[HodgeTuple]:
     """The level-`level_n` tuple of every multiset of 1 to `max_factors`
     summaries that `assemble_summaries` accepts, by size and then by
-    position: the one route from a sweep's candidates to its tuples.
+    position, marked canonical when each of its summaries is: the one
+    route from a sweep's candidates to its tuples.
 
     The summaries are grouped by what the rule reads, and `_assembly_case`
     is asked once per multiset of groups, on one representative summary
     per group; only the multisets it admits are assembled, and a factor in
-    many of them builds its ladder once.
+    many of them builds its ladder and its canonical mark once.
     """
     groups = _groups(summaries)
     out = []
@@ -338,7 +307,7 @@ def product_tuples(summaries: Sequence[_FactorSummary], level_n: int,
         formed = sorted(p for keys in itertools.combinations_with_replacement(groups, size)
                         if _admits(level_n, [summaries[groups[k][0]] for k in keys])
                         for p in _positions(groups, keys))
-        out.extend(assemble_summaries(sorted((summaries[i] for i in pos),
-                                             key=attrgetter("key")), level_n)
-                   for pos in formed)
+        chosen = [sorted((summaries[i] for i in pos), key=attrgetter("key")) for pos in formed]
+        out.extend(assemble_summaries(c, level_n)._replace(
+            is_canonical=all(s.is_canonical() for s in c)) for c in chosen)
     return out

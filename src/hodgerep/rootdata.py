@@ -19,7 +19,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, permutations
 from operator import add, gt, mul
 
 from .errors import ConsistencyError, InvalidTypeError
@@ -276,17 +276,35 @@ def _node_mask(rank: int, nodes) -> int:
     return mask
 
 
-def duality_permutation(t: LieType) -> tuple[int, ...]:
-    """The -w0 node involution as a 0-based index permutation."""
+def diagram_automorphisms(t: LieType) -> list[tuple[int, ...]]:
+    """The diagram automorphism group as 0-based node permutations, the
+    identity first."""
     f, r = t.family, t.rank
-    perm = list(range(r))
-    if f == "A":
-        perm = list(reversed(perm))
-    elif f == "D" and r % 2 == 1:
-        perm[r - 2], perm[r - 1] = perm[r - 1], perm[r - 2]
-    elif f == "E" and r == 6:
-        perm = [5, 1, 4, 3, 2, 0]
-    return tuple(perm)
+    idem = tuple(range(r))
+    if f == "A" and r >= 2:
+        return [idem, idem[::-1]]
+    if f == "D" and r == 4:
+        perms = []
+        for img in permutations((0, 2, 3)):
+            p = list(range(4))
+            for src, dst in zip((0, 2, 3), img):
+                p[src] = dst
+            perms.append(tuple(p))
+        return perms
+    if f == "D" and r >= 5:
+        return [idem, idem[:-2] + (r - 1, r - 2)]
+    if f == "E" and r == 6:
+        return [idem, (5, 1, 4, 3, 2, 0)]
+    return [idem]
+
+
+def duality_permutation(t: LieType) -> tuple[int, ...]:
+    """The -w0 node involution as a 0-based index permutation: the
+    nontrivial diagram automorphism on A_r, on D_r with r odd and on E6,
+    and the identity elsewhere."""
+    if t.family == "A" or t.family == "D" and t.rank % 2 or t == ("E", 6):
+        return diagram_automorphisms(t)[-1]
+    return tuple(range(t.rank))
 
 
 def dual_weight(t: LieType, mu) -> Weight:

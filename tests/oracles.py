@@ -342,10 +342,10 @@ def evaluate_simple_direct(t: LieType, E: GradingElement, mu, target_level: int
 
 
 def candidates_all_supports(t: LieType, target_level: int
-                            ) -> Iterator[Tuple[GradingElement, Tuple[int, ...], int]]:
+                            ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
     """`classify.candidates` by visiting every support of at most
     target_level nodes, in (size, nodes) order, with a grading element and
-    every node's weight built for each."""
+    every node's weight built for each; it yields the element's support."""
     rank = t.rank
     level_matrix = root_system(t).level_matrix
     for size in range(1, min(rank, target_level) + 1):
@@ -362,7 +362,7 @@ def candidates_all_supports(t: LieType, target_level: int
                 for picks in itertools.combinations_with_replacement(nodes, n):
                     span = sum(w[i] for i in picks)
                     if span <= target_level:
-                        yield E, tuple(picks.count(i) for i in range(rank)), span
+                        yield E.support, tuple(picks.count(i) for i in range(rank)), span
 
 
 def products_brute(pool: Sequence[FactorSpec], level_n: int, max_factors: int

@@ -18,6 +18,7 @@ import hodgerep.hodgecore as hodgecore
 import hodgerep.products as products
 from hodgerep.classify import (
     SearchConfig,
+    _factor_keys,
     _types_in_window,
     candidates,
     coverage_key,
@@ -108,7 +109,7 @@ def _canonical_key(t):
 def _is_canonical(t):
     """The mark that the sweeps give a tuple, read from the summaries of a
     table of its own."""
-    return all(s.is_canonical() for s in SummaryTable().summarise(t.factors))
+    return all(s.is_canonical() for s in SummaryTable().summarise(_factor_keys(t.factors)))
 
 
 def _representative(t):
@@ -274,11 +275,12 @@ def test_level_bound_matches_brute_force_on_random_windows(families, max_rank, t
 def test_candidates_respect_level_bound():
     t = LieType("C", 3)
     for target in (1, 3):
-        for g, mu, span in candidates(t, target):
-            assert 1 <= span == level(t, mu, g) <= target
+        for nodes, mu, span in candidates(t, target):
+            g = E(t.rank, nodes)
+            assert 1 <= span == level(t, mu, g) <= target and g.support == nodes
             if target == 3:
                 assert extremal_dim_is_one(mu, g)
-    spans = {(g.support, mu): s for g, mu, s in candidates(t, 3)}
+    spans = {(nodes, mu): s for nodes, mu, s in candidates(t, 3)}
     assert spans[((3,), (0, 0, 1))] == 3
     assert ((1,), (0, 0, 1)) not in spans   # supp(mu) outside supp(E)
 
@@ -292,27 +294,34 @@ def test_candidates_match_the_all_supports_oracle(target):
 
 
 def _count_grading_elements(monkeypatch):
+    """Counts every grading element built, by the constructor or by
+    `from_nodes`, which builds through `_make`."""
     seen = Counter()
-    real = GradingElement.__init__
+    real_new, real_make = GradingElement.__new__, GradingElement._make.__func__
 
-    def counting(self, coeffs):
+    def counting_new(cls, coeffs):
         seen["built"] += 1
-        real(self, coeffs)
+        return real_new(cls, coeffs)
 
-    monkeypatch.setattr(GradingElement, "__init__", counting)
+    def counting_make(cls, fields):
+        seen["built"] += 1
+        return real_make(cls, fields)
+
+    monkeypatch.setattr(GradingElement, "__new__", counting_new)
+    monkeypatch.setattr(GradingElement, "_make", classmethod(counting_make))
     return seen
 
 
-def test_candidates_build_a_grading_element_only_for_a_yielding_support(monkeypatch):
-    """The rank-8 level-3 pass builds 226 grading elements, one per support
-    that yields a candidate; visiting every support of at most 3 nodes
-    builds 1,184."""
-    types = _types_in_window("ABCDEFG", 8)
+def test_candidates_build_no_grading_element(monkeypatch):
+    """The generator yields each candidate's E nodes, its summary-table
+    key, and builds no grading element: none for the 565 and 1,663
+    candidates of the rank-16 passes at levels 1 and 3, where visiting
+    every support of at most 3 nodes builds 1,184 at rank 8 and level 3."""
     seen = _count_grading_elements(monkeypatch)
-    yielded = {(t, g) for t in types for g, _, _ in candidates(t, 3)}
-    assert seen["built"] == len(yielded) == 226
-    seen.clear()
-    for t in types:
+    assert [sum(1 for t in _types_in_window("ABCDEFG", 16) for _ in candidates(t, target))
+            for target in (1, 3)] == [565, 1663]
+    assert seen["built"] == 0
+    for t in _types_in_window("ABCDEFG", 8):
         list(candidates_all_supports(t, 3))
     assert seen["built"] == 1184
 
@@ -357,7 +366,8 @@ def test_evaluate_simple_matches_direct_route_on_candidates(target):
     candidate of every type of rank <= 8."""
     count = 0
     for t in _types_in_window("ABCDEFG", 8):
-        for g, mu, _ in candidates(t, target):
+        for nodes, mu, _ in candidates(t, target):
+            g = E(t.rank, nodes)
             assert evaluate_simple(t, g, mu, target) == \
                 evaluate_simple_direct(t, g, mu, target), (t, g, mu)
             count += 1
@@ -483,6 +493,10 @@ _prop39_item3.row = ("prop3.9", 2, 3)
     (lambda item: item["factors"][0].pop("rank"), "item 1: missing field 'rank'"),
     (lambda item: item.pop("item"), "row 1: missing field 'item'"),
     (_set_factor("mu", [5]), "item 1: mu entry must be a [node, coeff] pair, got 5"),
+    # a JSON true is no integer: as an item number it once passed as item 1
+    (_set_item("item", True), "row 1: item must be an integer, got True"),
+    (_set_factor("rank", True), "item 1: rank must be a string or an integer, got True"),
+    (_set_factor("E", [True]), "item 1: E node must be a string or an integer, got True"),
     (_set_item("real_form", 5),
      "item 1: real_form must be a string or a list of strings, got 5"),
     # two rows numbered 2: the second once replaced the first unchecked
@@ -537,7 +551,8 @@ _prop39_item3.row = ("prop3.9", 2, 3)
         "c-syntax-error", "c-not-a-number", "int-params", "int-param-spec",
         "int-cases", "case-without-when", "missing-factors", "int-factors",
         "empty-factors", "int-factor", "factor-without-rank", "missing-item",
-        "int-mu-entry", "int-real-form", "repeated-item", "level1-product", "empty-E",
+        "int-mu-entry", "bool-item", "bool-rank", "bool-E-node", "int-real-form",
+        "repeated-item", "level1-product", "empty-E",
         "repeated-E-node", "empty-mu", "negative-mu", "repeated-mu-node",
         "c-subclasses-walk", "c-attribute", "c-subscript", "c-lambda", "c-comprehension",
         "c-keyword-argument", "when-calls-abs", "when-bare-tuple", "unknown-row-key",
@@ -723,8 +738,8 @@ def test_out_of_range_rank_skips_its_binding(tmp_path):
 @lru_cache(maxsize=None)
 def _rank6_candidates(target):
     """Every (type, E, mu) that `candidates` yields at rank <= 6."""
-    return tuple((t, g, mu) for t in _types_in_window("ABCDEFG", 6)
-                 for g, mu, _ in candidates(t, target))
+    return tuple((t, E(t.rank, nodes), mu) for t in _types_in_window("ABCDEFG", 6)
+                 for nodes, mu, _ in candidates(t, target))
 
 
 @lru_cache(maxsize=None)
@@ -740,8 +755,8 @@ def _rank6_simple():
 def _rank6_products():
     """Every product of level-3 candidates of rank <= 6."""
     table = SummaryTable()
-    got = product_tuples([table.summary(FactorSpec(t, g, mu))
-                          for t, g, mu in _rank6_candidates(3)], 3, 3)
+    got = product_tuples(table.summarise((t, g.support, mu)
+                                         for t, g, mu in _rank6_candidates(3)), 3, 3)
     return tuple(p for p in got if len(p.factors) > 1)
 
 

@@ -160,9 +160,11 @@ def _truncate(length):
     (_truncate(11), "not valid JSON: Expecting value: line 1 column 12 (char 11)"),
     (_set_entry(0, "item", 70), "allowlist entry 1: table prop3.3 has no item 70"),
     (_set_entry(0, "table", "prop9.9"), "allowlist entry 1: no table 'prop9.9' in the file"),
+    (_set_entry(0, "item", True), "allowlist entry 1: item must be an integer, got True"),
 ], ids=["table-without-level", "table-without-items", "allowlist-entry-without-item",
         "int-pattern", "string-span", "bool-level", "truncated-json",
-        "allowlist-entry-names-no-item", "allowlist-entry-names-no-table"])
+        "allowlist-entry-names-no-item", "allowlist-entry-names-no-table",
+        "bool-allowlist-item"])
 def test_malformed_expected_file_exit_64(capsys, tmp_path, mutate, message):
     """`mutate` edits the packaged tables in place, or returns the file text."""
     from hodgerep.expected import load_expected
@@ -502,7 +504,9 @@ def test_records_round_trip_losslessly(capsys):
         else:
             e_text = "x".join(",".join(str(n) for n in part) for part in rec["E"])
             mu_text = "x".join(",".join(str(c) for c in part) for part in rec["mu"])
-        factors = _parse_factor_lists(rec["algebra"], e_text, mu_text)
-        back = record_of(products.assemble(factors, rec["level"]))
+        keys = _parse_factor_lists(rec["algebra"], e_text, mu_text)
+        assert keys == [(f.lie_type, f.E.support, f.mu) for f in t.factors]
+        back = record_of(products.assemble_summaries(
+            products.SummaryTable().summarise(keys), rec["level"]))
         back["canonical"] = rec["canonical"]  # annotation, not identity
         assert back == rec

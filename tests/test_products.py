@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hodgerep.products as products
-from hodgerep.classify import SearchConfig, _types_in_window, candidates, enumerate_level
+from hodgerep.classify import (SearchConfig, _factor_keys, _types_in_window, candidates,
+                               enumerate_level)
 
 from hodgerep.errors import ShapeError
 from hodgerep.hodgecore import (
@@ -33,7 +34,7 @@ from hodgerep.products import (
 )
 from hodgerep.rootdata import LieType, dual_weight, mu_plus_mu_star_closed_form
 
-from oracles import convolve_levels, products_brute
+from oracles import annotate_canonical, convolve_levels, products_brute
 
 E = GradingElement.from_nodes
 
@@ -230,16 +231,52 @@ def test_combine_messages():
             assemble(factors, 3)
 
 
+@pytest.mark.parametrize("coeffs", [(1,), (1, 0, 0)])
+def test_assemble_rejects_grading_element_of_wrong_length(coeffs):
+    """`assemble` hands the summary table each factor's support, so it
+    checks the lengths first: on A2, an E with fewer or more coefficients
+    than the rank raises rather than being rebuilt at the rank."""
+    with pytest.raises(ValueError) as info:
+        assemble([FactorSpec(LieType("A", 2), GradingElement(coeffs), (1, 0))], 3)
+    assert str(info.value) == f"grading element length {len(coeffs)} != rank 2"
+
+
+def test_zero_weight_is_refused_by_the_level_patterns():
+    """A zero weight has span 0 on any E, and its top eigenspace is
+    one-dimensional; the level patterns refuse it at both levels, alone or
+    in a product, with no raise of its own."""
+    zero = FactorSpec(LieType("A", 2), E(2, [1]), (0, 0))
+    cases = [
+        ([zero], 1, "factor levels [0] cannot produce a level-1 tuple "
+                    "(allowed: one factor of level 1)"),
+        ([zero], 3, "factor level 0 is outside 1..3"),
+        ([zero, SL2], 3, "factor levels [1, 0] cannot produce a level-3 product "
+                         "(allowed patterns: 1+1, 1+2, 1+1+1)"),
+        ([zero, SL2, SL2], 3, "factor levels [1, 1, 0] cannot produce a level-3 "
+                              "product (allowed patterns: 1+1, 1+2, 1+1+1)"),
+    ]
+    for factors, level_n, message in cases:
+        with pytest.raises(ShapeError, match="^" + re.escape(message) + "$"):
+            assemble(factors, level_n)
+
+
 def _level3_pool(max_rank, spans=(1, 2, 3)):
     """The level-3 candidates of these spans of every type up to max_rank."""
-    return [FactorSpec(t, g, mu) for t in _types_in_window("ABCDEFG", max_rank)
-            for g, mu, span in candidates(t, 3) if span in spans]
+    return [FactorSpec(t, E(t.rank, nodes), mu) for t in _types_in_window("ABCDEFG", max_rank)
+            for nodes, mu, span in candidates(t, 3) if span in spans]
 
 
 def _sweep(pool, level_n=3, max_factors=3):
-    """`product_tuples` on the summaries of `pool`, in a table of their own."""
-    table = SummaryTable()
-    return product_tuples([table.summary(f) for f in pool], level_n, max_factors)
+    """`product_tuples` on the summaries of `pool`, in a table of their
+    own, which returns them in FactorSpec.sort_key order."""
+    return product_tuples(SummaryTable().summarise(_factor_keys(pool)), level_n, max_factors)
+
+
+def _brute(pool, level_n=3, max_factors=3):
+    """`products_brute` on `pool` in the order the sweep sees it, each
+    tuple marked canonical by the per-tuple oracle."""
+    return annotate_canonical(products_brute(sorted(pool, key=FactorSpec.sort_key),
+                                             level_n, max_factors))
 
 
 # (max_rank, spans, max_factors): every candidate with up to two factors
@@ -257,7 +294,7 @@ def test_product_sweep_matches_brute_oracle():
         pool = _level3_pool(max_rank, spans)
         got = _sweep(pool, 3, max_factors)
         assert len(got) > 10
-        assert got == products_brute(pool, 3, max_factors), (max_rank, spans)
+        assert got == _brute(pool, 3, max_factors), (max_rank, spans)
 
 
 def _count_assembled(monkeypatch):
@@ -322,7 +359,7 @@ def test_product_groups_come_from_the_rule(monkeypatch):
     formed = _count_assembled(monkeypatch)
     got = _sweep(pool, 3, 2)
     assert got and (1, 2) not in formed and len(formed) == len(got)
-    assert got == products_brute(pool, 3, 2)
+    assert got == _brute(pool, 3, 2)
 
 
 def _rank6_factors():
@@ -331,8 +368,8 @@ def _rank6_factors():
     out = {}
     for t in _types_in_window("ABCDEFG", 6):
         for target in (1, 3):
-            for g, mu, _ in candidates(t, target):
-                out.setdefault((t, g, mu), FactorSpec(t, g, mu))
+            for nodes, mu, _ in candidates(t, target):
+                out.setdefault((t, nodes, mu), FactorSpec(t, E(t.rank, nodes), mu))
     return list(out.values())
 
 
@@ -357,7 +394,7 @@ def test_rank6_factors_cover_every_reality_type():
 def test_product_sweep_property(pool, level_n, max_factors):
     """On any pool of mixed-span factors, at level 1 or 3, the sweep
     returns what the brute oracle returns."""
-    assert _sweep(pool, level_n, max_factors) == products_brute(pool, level_n, max_factors)
+    assert _sweep(pool, level_n, max_factors) == _brute(pool, level_n, max_factors)
 
 
 def test_product_sweep_decomposes_each_factor_once(monkeypatch):

@@ -1,8 +1,9 @@
 """The engine's record contract: fields in order, repr text, equality and
 hashing by the fields, immutability, no instance `__dict__` on any record,
 `LieType` ordering and every validation error's type and message.  Every
-record but `GradingElement` is a `collections.namedtuple` subclass.  The
-repr strings are those of the engine's former `dataclasses` records."""
+record is a `collections.namedtuple` subclass.  The repr strings are those
+of the engine's former `dataclasses` records."""
+import itertools
 import pickle
 from fractions import Fraction
 
@@ -94,7 +95,7 @@ RECORDS = [
 @pytest.mark.parametrize("record,fields,change,text", RECORDS,
                          ids=[r[0].__name__ for r in RECORDS])
 def test_record_contract(record, fields, change, text):
-    assert issubclass(record, tuple) == (record is not GradingElement)
+    assert issubclass(record, tuple) and record._fields
     sample = record(**fields)
     assert repr(sample) == text
     assert not hasattr(sample, "__dict__")
@@ -135,11 +136,39 @@ def test_lie_type_order():
 
 
 def test_grading_element_support_stays_out_of_the_contract():
+    """`support` is the record's second field, but it follows from coeffs:
+    the constructor, the repr and pickling take coeffs alone.  As a tuple
+    the record equals its plain (coeffs, support) and orders by it."""
     E = GradingElement((1, 0, 1))
-    assert E.support == (1, 3)
+    assert E.support == (1, 3) and E == ((1, 0, 1), (1, 3))
     assert repr(E) == "GradingElement(coeffs=(1, 0, 1))"
+    assert E.__getnewargs__() == ((1, 0, 1),)
+    assert GradingElement((0, 1, 1)) < E
     with pytest.raises(AttributeError):
         E.support = (1,)
+    with pytest.raises(TypeError):
+        GradingElement((1, 0, 1), (1, 3))
+
+
+def test_grading_element_from_nodes_is_the_constructor():
+    """For every nonempty node set up to rank 4, in every order, from_nodes
+    builds the element the constructor builds from its coefficients, with
+    the same support, and it survives a pickle round trip."""
+    count = 0
+    for rank in range(1, 5):
+        for size in range(1, rank + 1):
+            for nodes in itertools.permutations(range(1, rank + 1), size):
+                got = GradingElement.from_nodes(rank, nodes)
+                want = GradingElement(tuple(int(j + 1 in nodes) for j in range(rank)))
+                assert type(got) is GradingElement and got == want, (rank, nodes)
+                assert got.support == want.support == tuple(sorted(nodes))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                    back = pickle.loads(pickle.dumps(got, protocol))
+                    assert type(back) is GradingElement and back == got
+                count += 1
+    assert count == 1 + 4 + 15 + 64   # ordered node sets at ranks 1 to 4
+    with pytest.raises(ValueError, match="^grading element must be nonzero$"):
+        GradingElement.from_nodes(3, [])
 
 
 @pytest.mark.parametrize("make,error,message", [

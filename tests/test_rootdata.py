@@ -8,6 +8,7 @@ from hodgerep.rootdata import (
     LieType,
     _level_matrix,
     catalogued_types,
+    diagram_automorphisms,
     dual_weight,
     duality_permutation,
     mu_plus_mu_star_closed_form,
@@ -225,12 +226,33 @@ def test_dual_weight_is_involution():
             assert dual_weight(t, dual_weight(t, mu)) == mu
 
 
+def _minus_w0_fundamental(cartan, i):
+    """-w0(omega_i) in fundamental coordinates: omega_i reflected by simple
+    reflections down to the antidominant chamber, where it is w0(omega_i),
+    and negated."""
+    lam = [int(j == i) for j in range(len(cartan))]
+    while True:
+        j = next((k for k, c in enumerate(lam) if c > 0), None)
+        if j is None:
+            return tuple(-c for c in lam)
+        lam = [a - lam[j] * b for a, b in zip(lam, cartan[j])]
+
+
 def test_duality_permutation_is_diagram_automorphism():
-    for t in catalogued_types(8):
+    """On every type up to rank 32, the duality is -w0 on each fundamental
+    weight, as reflecting it to the antidominant chamber finds, and one of
+    the diagram automorphisms: the nontrivial one on A_r (r >= 2), on D_r
+    with r odd and on E6.  It fixes the Cartan matrix."""
+    for t in catalogued_types(32):
         perm = duality_permutation(t)
         assert root_system(t).duality == perm, str(t)
+        assert perm in diagram_automorphisms(t), str(t)
+        flips = t.family == "A" and t.rank >= 2 or t.family == "D" and t.rank % 2 \
+            or t == LieType("E", 6)
+        assert (perm != tuple(range(t.rank))) == flips, str(t)
         cartan = root_system(t).cartan
         for i in range(t.rank):
+            assert _minus_w0_fundamental(cartan, i) == fundamental(t.rank, perm[i] + 1), (t, i)
             for j in range(t.rank):
                 assert cartan[perm[i]][perm[j]] == cartan[i][j], str(t)
 

@@ -15,7 +15,9 @@ runs, so the `max_dim` knob cannot creep back into the sweeps, the
 summary table or the summaries.  No engine module runs dynamic code: `expected`
 builds each row expression into exact functions from its parse tree.  A
 factor summary is built at one site, the per-run `SummaryTable`, so no
-route can summarise a factor twice in a run.  The engine's records are
+route can summarise a factor twice in a run, and a factor's grading
+element is built from its nodes only there: only `hodgecore`, which
+defines it, and `products` name `from_nodes`.  The engine's records are
 `collections.namedtuple` subclasses, built without `dataclasses` or
 `typing`, and the packaged tables are read without `importlib.resources`,
 so a cold start imports none of them, nor `inspect`.
@@ -511,7 +513,7 @@ def test_dynamic_code_guard_detects_each_form():
 
 
 # the one place a factor summary is built: the per-run table
-SUMMARY_SITES = ["products.py:SummaryTable.summary"]
+SUMMARY_SITES = ["products.py:SummaryTable.summarise"]
 
 
 def _summary_sites(tree):
@@ -566,6 +568,45 @@ def test_summary_guard_detects_each_form():
         "    return '_FactorSummary(s)'\n")
     assert _summary_sites(tree) == [
         ("T.summary", 3), ("", 4), ("g", 6), ("", 7), ("", 8), ("", 9), ("Sub", 10)]
+
+
+# the modules that name `GradingElement.from_nodes`: hodgecore defines it,
+# and the summary table is the one engine site that builds a factor's
+# grading element from its key's nodes
+FROM_NODES_MODULES = ["hodgecore.py", "products.py"]
+
+
+def _from_nodes_names(tree):
+    """Lines that name `from_nodes`: an attribute, a bare name, a
+    definition, an import or a string that is the name."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "from_nodes"
+        or isinstance(node, ast.Name) and node.id == "from_nodes"
+        or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name == "from_nodes"
+        or isinstance(node, ast.alias) and node.name.split(".")[-1] == "from_nodes"
+        or isinstance(node, ast.Constant) and node.value == "from_nodes")
+
+
+def test_from_nodes_is_named_only_where_defined_and_in_the_summary_table():
+    found = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if _from_nodes_names(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == FROM_NODES_MODULES
+
+
+def test_from_nodes_guard_detects_each_form():
+    tree = ast.parse(
+        "E = GradingElement.from_nodes(3, [1])\n"
+        "make = hodgecore.GradingElement.from_nodes\n"
+        "from .hodgecore import from_nodes\n"
+        "build = getattr(GradingElement, 'from_nodes')\n"
+        "def from_nodes(rank, nodes):\n"
+        "    return rank\n"
+        "x = [from_nodes]\n"
+        "s = 'GradingElement.from_nodes(3, [1])'\n"
+        "nodes_from = E.from_node\n")
+    assert _from_nodes_names(tree) == [1, 2, 3, 4, 5, 7]
 
 
 # record libraries the engine does without: the records are namedtuples
