@@ -29,13 +29,15 @@ from fractions import Fraction
 from operator import add, mul
 
 from .errors import ConsistencyError
-from .repweights import DEFAULT_MAX_DIM, _orbit_depths, levi_dim, weight_system, weyl_dim
+from .repweights import DEFAULT_MAX_DIM, _orbit_depths, levi_dim, weight_system, weyl_levi_dims
 from .rootdata import (LieType, RootSystemData, Weight, _check_length, _node_mask, dual_weight,
                        root_system)
 
 REAL = "real"
 COMPLEX = "complex"
 QUATERNIONIC = "quaternionic"
+
+_ZERO = Fraction(0)
 
 
 class GradingElement(namedtuple("GradingElement", "coeffs support")):
@@ -190,24 +192,26 @@ def eigen_ladder(t: LieType, mu, E: GradingElement, span: int, top: Fraction,
     At span 1 to 3 the ladder is the closed form: its ends are the Levi
     dimensions of mu and mu*, and as the weights of V(mu) sum to 0,
     sum_k d_k = weyl_dim and sum_k k d_k = top weyl_dim fix its middle and
-    check the rest.  Other spans take the orbit walk, which alone builds a
-    weight system and so runs behind the size guard max_dim.
+    check the rest, in integers.  weyl_dim and the Levi dimension of mu
+    come from one pass over the roots that meet supp(mu), and that of mu*
+    from a second pass only when mu* != mu.  Other spans take the orbit
+    walk, which alone builds a weight system and so runs behind the size
+    guard max_dim.
     """
     _check_lengths(t, mu, E)
-    mu = tuple(int(c) for c in mu)
+    mu = tuple(map(int, mu))
     if not 1 <= span <= 3:
         return _orbit_ladder(t, mu, E, span, max_dim)
-    dim = weyl_dim(t, mu)
+    dim, d_top = weyl_levi_dims(t, mu, E.support)
     dual = dual_weight(t, mu)
-    d_top = levi_dim(t, mu, E.support)
     d_bot = d_top if dual == mu else levi_dim(t, dual, E.support)
-    depth_sum = top * dim
-    if depth_sum.denominator != 1:
+    depth_sum, rem = divmod(top.numerator * dim, top.denominator)
+    if rem:
         raise ConsistencyError(f"top {top} times weyl_dim {dim} of {mu} on {t} "
                                f"under E = {E} is not an integer")
     # s0 = d_1 + ... + d_{n-1} and s1 = sum of k d_k over the same middle
     s0 = dim - d_top - d_bot
-    s1 = depth_sum.numerator - span * d_bot
+    s1 = depth_sum - span * d_bot
     middle = {1: (), 2: (s0,), 3: (2 * s0 - s1, s1 - s0)}[span]
     dims = (d_top, *middle, d_bot)
     trace_free = sum(k * d for k, d in enumerate(dims)) == depth_sum
@@ -301,10 +305,12 @@ def center_charge(level_n: int, mu_of_E: Fraction, reality: str) -> Fraction:
     V_C = U + U*, where c splits U from U*; real (V_C = U) and quaternionic
     (V_C = U + U* with U = U*) need mu(E_ss) = n/2 already, so c = 0.
     """
-    c = Fraction(level_n, 2) - mu_of_E
-    if reality != COMPLEX and c != 0:
-        raise ConsistencyError(f"{reality} case requires mu(E_ss) = n/2")
-    return c
+    p, q = mu_of_E.numerator, mu_of_E.denominator
+    if reality != COMPLEX:
+        if 2 * p != level_n * q:
+            raise ConsistencyError(f"{reality} case requires mu(E_ss) = n/2")
+        return _ZERO
+    return Fraction(level_n * q - 2 * p, 2 * q)
 
 
 def hodge_vector(decomp: EigenDecomp, reality: str, c: Fraction,
@@ -318,9 +324,11 @@ def hodge_vector(decomp: EigenDecomp, reality: str, c: Fraction,
     (1, a, a, 1) at level 3, so anything else is a ConsistencyError.
     """
     n, dims = level_n, decomp.dims
-    if decomp.top + c != Fraction(n, 2) or len(dims) > n + 1:
+    start = decomp.top + c
+    if 2 * start.numerator != n * start.denominator:
         raise ConsistencyError(f"ladder {dims} with top {decomp.top} and c = {c} "
                                f"does not start at the top of level {n}")
+    # a ladder longer than n + 1 stays longer, and the shape check refuses it
     dims += (0,) * (n + 1 - len(dims))
     if reality != REAL:
         dims = tuple(map(add, dims, reversed(dims)))

@@ -11,15 +11,17 @@ Everything runs in exact integer arithmetic; the invariant form is the
 symmetrized pairing (lambda, beta) = sum_j beta_j d_j lambda^j for lambda
 in fundamental coordinates and beta a root in simple-root coordinates.  It
 is read from the type's root columns over the support of lambda: for
-every positive root at once by the Weyl dimension formula and
-Freudenthal's recursion, and for the roots of a Levi factor alone by its
-Weyl product.
+every positive root at once by Freudenthal's recursion, and by the Weyl
+dimension formula and a Levi factor's Weyl product only for the roots
+whose support meets supp(lambda), from the type's per-node root lists;
+every other root adds a factor 1 to those products.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
 from functools import lru_cache
+from itertools import compress
 from operator import add, mul, sub
 
 from .errors import ConsistencyError, NonDominantError, ResourceLimitError
@@ -45,7 +47,7 @@ class WeightSystem(namedtuple("WeightSystem", "lie_type highest dimension domina
 
 def _check_dominant(t: LieType, mu) -> None:
     _check_length(t, mu)
-    if any(c < 0 for c in mu):
+    if min(mu) < 0:
         raise NonDominantError(f"weight {tuple(mu)} is not dominant")
 
 
@@ -60,40 +62,45 @@ def _pairings(rsd: RootSystemData, lam, base) -> list[int]:
     return out
 
 
-def weyl_dim(t: LieType, mu) -> int:
-    """Dimension by the Weyl formula, prod (mu+rho, beta) / (rho, beta)."""
-    _check_dominant(t, mu)
-    rsd = root_system(t)
-    num = math.prod(_pairings(rsd, mu, rsd.rho_pairings))
-    if num % rsd.rho_product:
-        raise ConsistencyError(f"Weyl dimension of {tuple(mu)} on {t} is not integral")
-    return num // rsd.rho_product
-
-
-def levi_dim(t: LieType, mu, nodes) -> int:
-    """Dimension of the irreducible module of highest weight mu over the
-    Levi factor on the nodes outside `nodes` (1-based, distinct): the Weyl
-    product over the positive roots with no support on `nodes`.  A root
-    with no support on supp(mu) pairs with mu to 0, so only the others add
-    a factor other than 1, and (mu + rho, beta) is paired for those alone.
-    ValueError for a node outside 1..rank or repeated."""
+def weyl_levi_dims(t: LieType, mu, nodes=()) -> tuple[int, int]:
+    """The dimension of V(mu) by the Weyl formula, prod (mu + rho, beta) /
+    (rho, beta), and that of the irreducible module of highest weight mu
+    over the Levi factor on the nodes outside `nodes` (1-based, distinct),
+    the same product over the roots with no support on `nodes`.  Both come
+    from one pass over the roots in the node lists of supp(mu): every other
+    root pairs with mu to 0 and adds a factor 1.  ValueError for a node
+    outside 1..rank or repeated."""
     _check_dominant(t, mu)
     painted = _node_mask(t.rank, nodes)
     rsd = root_system(t)
-    touched = sum(1 << j for j, c in enumerate(mu) if c)
-    levi = [k for k, m in enumerate(rsd.root_masks) if m & touched and not m & painted]
-    if not levi:
-        return 1
-    rho = [rsd.rho_pairings[k] for k in levi]
+    lists = [roots for c, roots in zip(mu, rsd.node_roots) if c]
+    touched = lists[0] if len(lists) == 1 else sorted(set().union(*lists))
+    rho = [rsd.rho_pairings[k] for k in touched]
     pairs = rho
     for c, col in zip(mu, rsd.root_columns):
         if c:
-            pairs = [x + c * col[k] for x, k in zip(pairs, levi)]
-    num, den = math.prod(pairs), math.prod(rho)
-    if num % den:
+            pairs = [x + c * col[k] for x, k in zip(pairs, touched)]
+    dim, rem = divmod(math.prod(pairs), math.prod(rho))
+    if rem:
+        raise ConsistencyError(f"Weyl dimension of {tuple(mu)} on {t} is not integral")
+    if not painted:
+        return dim, dim
+    levi = [not rsd.root_masks[k] & painted for k in touched]
+    d_levi, rem = divmod(math.prod(compress(pairs, levi)), math.prod(compress(rho, levi)))
+    if rem:
         raise ConsistencyError(f"Levi dimension of {tuple(mu)} on {t} off the "
                                f"nodes {tuple(nodes)} is not integral")
-    return num // den
+    return dim, d_levi
+
+
+def weyl_dim(t: LieType, mu) -> int:
+    """Dimension by the Weyl formula (see `weyl_levi_dims`)."""
+    return weyl_levi_dims(t, mu)[0]
+
+
+def levi_dim(t: LieType, mu, nodes) -> int:
+    """Dimension of the Levi module of mu off `nodes` (see `weyl_levi_dims`)."""
+    return weyl_levi_dims(t, mu, nodes)[1]
 
 
 def _reflect(v, i: int, neighbours) -> list[int]:

@@ -14,7 +14,6 @@ alpha_1..alpha_r labelling of Dynkin diagrams.
 """
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
@@ -72,8 +71,8 @@ class LieType(namedtuple("LieType", "family rank")):
 
 class RootSystemData(namedtuple("RootSystemData", (
         "lie_type cartan inverse_num inverse_den level_matrix positive_roots "
-        "positive_roots_fund neighbours symmetrizer root_columns "
-        "rho_pairings rho_product root_masks duality"))):
+        "positive_roots_fund neighbours symmetrizer root_columns node_roots "
+        "rho_pairings root_masks duality"))):
     """Immutable root-system catalog entry for one simple type.
 
     cartan          row i = alpha_i in fundamental-weight coordinates
@@ -90,8 +89,13 @@ class RootSystemData(namedtuple("RootSystemData", (
     root_columns    per node j, beta_j d_j for every positive root beta, so
                     (lambda, beta) sums lambda^j times column j over the
                     support of lambda
+    node_roots      per node j, the indices of the positive roots beta with
+                    beta_j > 0, in increasing order: for dominant lambda,
+                    the roots in the lists of supp(lambda) are the only
+                    ones with (lambda, beta) != 0, so a Weyl product over
+                    them alone is the whole product (each other root adds
+                    a factor 1)
     rho_pairings    (rho, beta) for every positive root beta
-    rho_product     the product of rho_pairings, the Weyl denominator
     root_masks      per positive root, the bitmask of its support: beta is
                     a root of the Levi factor off a node set S iff
                     mask & S == 0
@@ -235,7 +239,8 @@ def root_system(t: LieType) -> RootSystemData:
     sym = _symmetrizer(t)
     duality = duality_permutation(t)
     scaled = [tuple(map(mul, beta, sym)) for beta in roots]  # beta_j d_j, row by row
-    rho_pairings = tuple(map(sum, scaled))
+    columns = tuple(zip(*scaled))
+    indices = tuple(range(len(roots)))  # one int per index, shared by the node lists
     bits = [1 << j for j in range(r)]
     return RootSystemData(
         lie_type=t,
@@ -249,9 +254,9 @@ def root_system(t: LieType) -> RootSystemData:
             tuple((j, cartan[i][j]) for j in range(r) if j != i and cartan[i][j])
             for i in range(r)),
         symmetrizer=sym,
-        root_columns=tuple(zip(*scaled)),
-        rho_pairings=rho_pairings,
-        rho_product=math.prod(rho_pairings),
+        root_columns=columns,
+        node_roots=tuple(tuple(compress(indices, col)) for col in columns),
+        rho_pairings=tuple(map(sum, scaled)),
         root_masks=tuple(sum(compress(bits, beta)) for beta in roots),
         duality=duality,
     )

@@ -12,9 +12,12 @@ Freudenthal dominant multiplicities with the engine.  `eigenspace_dims`
 is not an oracle: it is the engine's `eigen_ladder` with its span and
 top computed first, for tests that hold only (type, mu, E).
 
-The Levi-dimension oracle is the engine's former `levi_dim`: (mu + rho,
-beta) paired for every positive root at once, of which only the roots of
-the Levi factor are read, where the engine now pairs those roots alone.
+The Weyl- and Levi-dimension oracles are the engine's former `weyl_dim`
+and `levi_dim`: (mu + rho, beta) paired for every positive root at once,
+multiplied whole for the Weyl dimension, and for the Levi dimension read
+only at the roots of the Levi factor, which every root's support mask
+picks; the engine now pairs only the roots that meet supp(mu), from the
+type's per-node root lists.
 
 The positive-root oracle is the engine's former closure: every root
 string's depth found by probing lowered tuples, where the engine now
@@ -405,6 +408,17 @@ def annotate_canonical(tuples) -> List[HodgeTuple]:
     its factors compared whole with the canonical factors of the tuple."""
     return [t._replace(is_canonical=tuple(t.factors) == tuple(canonical_factors(t.factors)))
             for t in tuples]
+
+
+def weyl_dim_all_pairings(t: LieType, mu) -> int:
+    """The Weyl product over every positive root, prod (mu + rho, beta) /
+    prod (rho, beta)."""
+    rsd = root_system(t)
+    num = math.prod(_pairings(rsd, mu, rsd.rho_pairings))
+    den = math.prod(rsd.rho_pairings)
+    if num % den:
+        raise ConsistencyError(f"Weyl dimension of {tuple(mu)} on {t} is not integral")
+    return num // den
 
 
 def levi_dim_all_pairings(t: LieType, mu, nodes) -> int:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import os
 import random
@@ -29,7 +30,8 @@ from hodgerep.hodgecore import (
     real_form,
     reality_type,
 )
-from hodgerep.repweights import DEFAULT_MAX_DIM, levi_dim, weight_system, weyl_dim
+from hodgerep.repweights import (DEFAULT_MAX_DIM, levi_dim, weight_system, weyl_dim,
+                                 weyl_levi_dims)
 from hodgerep.rootdata import RANK_BOUNDS, LieType, catalogued_types, dual_weight, root_system
 
 from oracles import (
@@ -38,10 +40,12 @@ from oracles import (
     eigenspace_dims_full,
     hodge_vector_levels,
     level_fraction,
+    levi_dim_all_pairings,
     mu_of_grading_fraction,
     orbit_ladder_by_pairing,
     orbit_ladder_full_walk,
     reality_type_fraction,
+    weyl_dim_all_pairings,
 )
 from test_repweights import orbit_route_weights
 
@@ -90,7 +94,8 @@ def test_eigenspace_examples():
 
 
 @pytest.mark.parametrize("fn, args", [
-    (weyl_dim, ()), (levi_dim, ((1,),)), (weight_system, ()), (dual_weight, ()),
+    (weyl_dim, ()), (levi_dim, ((1,),)), (weyl_levi_dims, ((1,),)), (weight_system, ()),
+    (dual_weight, ()),
     (level, (E(2, [1]),)), (reality_type, (E(2, [1]),)), (mu_of_grading, (E(2, [1]),)),
 ], ids=lambda x: getattr(x, "__name__", ""))
 @pytest.mark.parametrize("mu", [(1,), (1, 0, 5)])
@@ -112,15 +117,16 @@ def test_grading_element_of_wrong_length_is_rejected(fn, coeffs):
     assert str(info.value) == f"grading element length {len(coeffs)} != rank 2"
 
 
-@pytest.mark.parametrize("fn", [levi_dim, lambda t, mu, nodes: E(t.rank, nodes)],
-                         ids=["levi_dim", "from_nodes"])
+@pytest.mark.parametrize("fn", [levi_dim, weyl_levi_dims, lambda t, mu, nodes: E(t.rank, nodes)],
+                         ids=["levi_dim", "weyl_levi_dims", "from_nodes"])
 @pytest.mark.parametrize("rank, nodes, message", [
     (3, (1, 1), "node 1 repeated; coefficients must stay 0/1"),
     (2, (5,), "node 5 outside 1..2"),
     (2, (0,), "node 0 outside 1..2"),
 ])
 def test_node_outside_the_diagram_or_repeated_is_rejected(fn, rank, nodes, message):
-    """levi_dim checks its painted nodes as GradingElement.from_nodes does.
+    """levi_dim and weyl_levi_dims check their painted nodes as
+    GradingElement.from_nodes does.
     It once read a repeated node as another node (on A3, mu = (1, 1, 0)
     off nodes (1, 1) gave 2, the answer off node 2), ignored a node above
     the rank and failed on node 0 with a bare negative shift count."""
@@ -206,10 +212,36 @@ def test_fold_shape_check_survives_optimize():
     assert _run_optimized(code) == "raised\n"
 
 
+def test_weyl_quotient_check_survives_optimize():
+    """Under python -O, on A2 with a node list of alpha_1 that drops
+    alpha_1 itself, the Weyl product of omega_1 keeps only (omega_1 + rho,
+    alpha_1 + alpha_2) / (rho, alpha_1 + alpha_2) = 3/2: weyl_dim, the
+    closed-form ladder and the size guard of weight_system all raise."""
+    code = ("import hodgerep.repweights as repweights\n"
+            "from hodgerep.errors import ConsistencyError\n"
+            "from hodgerep.hodgecore import GradingElement, eigen_ladder, level, mu_of_grading\n"
+            "from hodgerep.rootdata import LieType, root_system\n"
+            "a2 = root_system(LieType('A', 2))\n"
+            "lists = ((a2.positive_roots.index((1, 1)),), a2.node_roots[1])\n"
+            "repweights.root_system = {a2.lie_type: a2._replace(node_roots=lists)}.__getitem__\n"
+            "t, mu, g = a2.lie_type, (1, 0), GradingElement((1, 0))\n"
+            "for call in (lambda: repweights.weyl_dim(t, mu),\n"
+            "             lambda: eigen_ladder(t, mu, g, level(t, mu, g), mu_of_grading(t, mu, g)),\n"
+            "             lambda: repweights.weight_system(t, mu)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ConsistencyError as exc:\n"
+            "        print('raised', exc)\n")
+    assert _run_optimized(code).splitlines() == ["raised Weyl dimension of (1, 0) on A2 is not "
+                                                 "integral"] * 3
+
+
 def test_orbit_ladder_checks_survive_optimize():
     """Under python -O, on A2, 2 omega_1 under E = A1 + A2 (span 4): a
     doubled inverse denominator puts omega_2 half a step below the top,
-    and a doubled Weyl denominator halves weyl_dim below the total."""
+    and a node list of alpha_1 without alpha_1 + alpha_2 drops the Weyl
+    factor (2 omega_1 + rho, alpha_1 + alpha_2) / (rho, alpha_1 + alpha_2)
+    = 2, which halves weyl_dim below the total."""
     code = ("import hodgerep.hodgecore as hodgecore\n"
             "import hodgerep.repweights as repweights\n"
             "from hodgerep.errors import ConsistencyError\n"
@@ -217,8 +249,9 @@ def test_orbit_ladder_checks_survive_optimize():
             "from hodgerep.rootdata import LieType, root_system\n"
             "a2 = root_system(LieType('A', 2))\n"
             "t, mu, g = a2.lie_type, (2, 0), GradingElement.from_nodes(2, [1, 2])\n"
-            "for module, field in ((hodgecore, 'inverse_den'), (repweights, 'rho_product')):\n"
-            "    patched = a2._replace(**{field: 2 * getattr(a2, field)})\n"
+            "lists = ((a2.positive_roots.index((1, 0)),), a2.node_roots[1])\n"
+            "for module, patched in ((hodgecore, a2._replace(inverse_den=2 * a2.inverse_den)),\n"
+            "                        (repweights, a2._replace(node_roots=lists))):\n"
             "    module.root_system = {a2.lie_type: patched}.__getitem__\n"
             "    try:\n"
             "        eigen_ladder(t, mu, g, level(t, mu, g), mu_of_grading(t, mu, g))\n"
@@ -232,9 +265,11 @@ def test_orbit_ladder_checks_survive_optimize():
 
 
 def _run_optimized(code):
-    """The stdout of `code` run under `python -O` against this checkout."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    """The stdout of `code` run under `python -O` against this checkout,
+    with the test modules importable."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(here, os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.abspath(src), here]))
     return subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, check=True).stdout
 
@@ -274,6 +309,22 @@ def test_hodge_vector_shape_errors():
     with pytest.raises(ConsistencyError, match=re.escape("(2, 6, 6, 2)")):
         hodge_vector(d, COMPLEX, c, 3)
     assert evaluate_simple(t, g, mu, 3) is None
+
+
+@pytest.mark.parametrize("decomp, level_n, folds", [
+    (EigenDecomp(Q(1, 2), (2, 2, 1)), 1, {REAL: (2, 2, 1), COMPLEX: (3, 4, 3)}),
+    (EigenDecomp(Q(3, 2), (1, 3, 3, 1, 1)), 3, {REAL: (1, 3, 3, 1, 1),
+                                                COMPLEX: (2, 4, 6, 4, 2)}),
+])
+def test_ladder_longer_than_the_level_fails_the_shape_check(decomp, level_n, folds):
+    """A ladder with more than n + 1 rungs, its top at n/2 and its first
+    n + 1 rungs of level-n shape, folds to a vector that is too long, which
+    the shape check refuses in every reality case."""
+    for reality in (REAL, COMPLEX, QUATERNIONIC):
+        fold = folds[REAL if reality == REAL else COMPLEX]
+        with pytest.raises(ConsistencyError, match=re.escape(
+                f"assembled vector {fold} is not of level-{level_n} shape")):
+            hodge_vector(decomp, reality, Q(0), level_n)
 
 
 def test_real_form_names():
@@ -639,25 +690,105 @@ def test_closed_form_is_not_size_guarded():
     assert exc.value.dimension == 1048576
 
 
+def _touched_root_cases():
+    """(type, mu, painted nodes): every type of rank <= 8 with every
+    weight of coordinate sum <= 2 (0 included) and every painted set of at
+    most 3 nodes (none included), and on each type of rank 9 to 14 a
+    seeded sample of 6 of those weights and 12 of those sets."""
+    rng = random.Random(31)
+    for t in catalogued_types(14):
+        r = t.rank
+        weights = [(0,) * r, *dominant_weights_up_to(r, 2)]
+        painted = [nodes for size in range(4)
+                   for nodes in itertools.combinations(range(1, r + 1), size)]
+        if r > 8:
+            weights, painted = rng.sample(weights, 6), rng.sample(painted, 12)
+        for mu in weights:
+            for nodes in painted:
+                yield t, mu, nodes
+
+
+def test_touched_root_products_match_the_all_pairings_oracles():
+    """weyl_dim, levi_dim and weyl_levi_dims, which pair only the roots
+    that meet supp(mu), against the Weyl and Levi products over every
+    root; and each closed-form ladder (span 1 to 3) has the oracle Levi
+    dimensions of mu and mu* at its ends, fills the oracle Weyl dimension
+    and has trace 0 about its top, which fix it."""
+    weyls, counts = {}, collections.Counter()
+    for t, mu, nodes in _touched_root_cases():
+        if (t, mu) not in weyls:
+            weyls[t, mu] = weyl_dim_all_pairings(t, mu)
+            assert weyl_dim(t, mu) == weyls[t, mu], (str(t), mu)
+        dim = weyls[t, mu]
+        d_top = levi_dim_all_pairings(t, mu, nodes)
+        assert levi_dim(t, mu, nodes) == d_top, (str(t), mu, nodes)
+        assert weyl_levi_dims(t, mu, nodes) == (dim, d_top), (str(t), mu, nodes)
+        counts["levi"] += 1
+        if not nodes:
+            continue
+        g = E(t.rank, nodes)
+        span, top = level(t, mu, g), mu_of_grading(t, mu, g)
+        if not 1 <= span <= 3:
+            continue
+        dims = eigen_ladder(t, mu, g, span, top).dims
+        assert len(dims) == span + 1, (str(t), mu, nodes)
+        assert dims[0] == d_top, (str(t), mu, nodes)
+        assert dims[-1] == levi_dim_all_pairings(t, dual_weight(t, mu), nodes), (str(t), mu, nodes)
+        assert sum(dims) == dim and sum(k * d for k, d in enumerate(dims)) == top * dim, \
+            (str(t), mu, nodes)
+        counts["ladder"] += 1
+        counts[f"span {span}, mu* {'=' if dual_weight(t, mu) == mu else '!='} mu"] += 1
+    assert counts == {"levi": 43704, "ladder": 1721,
+                      "span 1, mu* = mu": 39, "span 1, mu* != mu": 110,
+                      "span 2, mu* = mu": 302, "span 2, mu* != mu": 502,
+                      "span 3, mu* = mu": 210, "span 3, mu* != mu": 558}
+
+
+def _patched_a3_c3():
+    """Root data of A3 whose mask of alpha_1 + alpha_2 drops alpha_1, and of
+    C3 whose node list of alpha_3 drops alpha_3 itself: Levi products on A3
+    read alpha_1 + alpha_2 as a root off node 1, and C3's Weyl products lose
+    the factor (omega_3 + rho, alpha_3) / (rho, alpha_3) = 2."""
+    a3, c3 = root_system(LieType("A", 3)), root_system(LieType("C", 3))
+    masks = list(a3.root_masks)
+    masks[a3.positive_roots.index((1, 1, 0))] = 0b010
+    lists = list(c3.node_roots)
+    lists[2] = tuple(k for k in lists[2] if c3.positive_roots[k] != (0, 0, 1))
+    return a3._replace(root_masks=tuple(masks)), c3._replace(node_roots=tuple(lists))
+
+
+def test_zero_middle_rung_raises(monkeypatch):
+    """A3, omega_2 under E = A1 + A3 is the span-2 ladder (2, 2, 2); with
+    alpha_1 + alpha_2 read as off the painted nodes its Levi dimension is 3,
+    so the ends (3, 3) fill weyl_dim 6 with trace 0 and leave a middle
+    rung of exactly 0, which the closed form refuses."""
+    a3, _ = _patched_a3_c3()
+    t, mu, g = a3.lie_type, (0, 1, 0), E(3, [1, 3])
+    assert eigen_ladder(t, mu, g, level(t, mu, g), mu_of_grading(t, mu, g)).dims == (2, 2, 2)
+    monkeypatch.setattr(repweights, "root_system", {t: a3}.__getitem__)
+    with pytest.raises(ConsistencyError, match=re.escape(
+            "ladder (3, 0, 3) of (0, 1, 0) on A3 under E = A1+A3 does not fill weyl_dim 6")):
+        eigen_ladder(t, mu, g, level(t, mu, g), mu_of_grading(t, mu, g))
+
+
 def test_levi_ladder_checks_survive_optimize():
-    """Under python -O: a root mask that drops alpha_1 from alpha_1 + alpha_2
-    makes the Levi quotient of omega_2 on A3 under E = A1 non-integral; a
-    doubled Weyl denominator halves weyl_dim of C3, omega_3, E = A3 to 7,
-    so top 3/2 times it is not an integer; and on A1, omega_1 under E = A1,
-    a wrong top of 3/2 breaks the zero trace of the span-1 ladder (1, 1)."""
+    """Under python -O, with the root data of `_patched_a3_c3`: the Levi
+    quotient of omega_2 on A3 under E = A1 is not integral; the middle rung
+    of omega_2 on A3 under E = A1 + A3 is 0; weyl_dim of C3, omega_3 halves
+    to 7, so top 3/2 times it under E = A3 is not an integer; and on A1,
+    omega_1 under E = A1, a wrong top of 3/2 breaks the zero trace of the
+    span-1 ladder (1, 1)."""
     code = ("from fractions import Fraction\n"
             "import hodgerep.repweights as repweights\n"
             "from hodgerep.errors import ConsistencyError\n"
             "from hodgerep.hodgecore import GradingElement, eigen_ladder, level, mu_of_grading\n"
             "from hodgerep.rootdata import LieType, root_system\n"
-            "a3, c3 = root_system(LieType('A', 3)), root_system(LieType('C', 3))\n"
-            "masks = list(a3.root_masks)\n"
-            "masks[a3.positive_roots.index((1, 1, 0))] = 0b010\n"
-            "a3 = a3._replace(root_masks=tuple(masks))\n"
-            "c3 = c3._replace(rho_product=2 * c3.rho_product)\n"
+            "from test_hodgecore import _patched_a3_c3\n"
+            "a3, c3 = _patched_a3_c3()\n"
             "repweights.root_system = {a3.lie_type: a3, c3.lie_type: c3}.__getitem__\n"
-            "for rsd, mu, node in ((a3, (0, 1, 0), 1), (c3, (0, 0, 1), 3)):\n"
-            "    t, g = rsd.lie_type, GradingElement.from_nodes(rsd.rank, [node])\n"
+            "for rsd, mu, nodes in ((a3, (0, 1, 0), [1]), (a3, (0, 1, 0), [1, 3]),\n"
+            "                       (c3, (0, 0, 1), [3])):\n"
+            "    t, g = rsd.lie_type, GradingElement.from_nodes(rsd.rank, nodes)\n"
             "    try:\n"
             "        eigen_ladder(t, mu, g, level(t, mu, g), mu_of_grading(t, mu, g))\n"
             "    except ConsistencyError as exc:\n"
@@ -668,11 +799,13 @@ def test_levi_ladder_checks_survive_optimize():
             "except ConsistencyError as exc:\n"
             "    print('raised', exc)\n")
     lines = _run_optimized(code).splitlines()
-    assert len(lines) == 3, lines
+    assert len(lines) == 4, lines
     assert "Levi dimension" in lines[0] and "not integral" in lines[0]
-    assert lines[1] == ("raised top 3/2 times weyl_dim 7 of (0, 0, 1) on C3 under E = A3 "
+    assert lines[1] == ("raised ladder (3, 0, 3) of (0, 1, 0) on A3 under E = A1+A3 does not "
+                        "fill weyl_dim 6 with trace 0 about top 1")
+    assert lines[2] == ("raised top 3/2 times weyl_dim 7 of (0, 0, 1) on C3 under E = A3 "
                         "is not an integer")
-    assert lines[2] == ("raised ladder (1, 1) of (1,) on A1 under E = A1 does not fill "
+    assert lines[3] == ("raised ladder (1, 1) of (1,) on A1 under E = A1 does not fill "
                         "weyl_dim 2 with trace 0 about top 3/2")
 
 

@@ -27,7 +27,7 @@ A1 = LieType("A", 1)
 A1_DATA = dict(
     lie_type=A1, cartan=((2,),), inverse_num=((1,),), inverse_den=2, level_matrix=((1,),),
     positive_roots=((1,),), positive_roots_fund=((2,),), neighbours=((),), symmetrizer=(1,),
-    root_columns=((1,),), rho_pairings=(1,), rho_product=1, root_masks=(1,), duality=(0,))
+    root_columns=((1,),), node_roots=((0,),), rho_pairings=(1,), root_masks=(1,), duality=(0,))
 INSTANCE = dict(table="thm2.1", item=1, bindings={"r": 1}, factors=((A1, (1,), (1,)),),
                 c=Fraction(0), h=(1, 1), reality="complex", real_forms=("su(1,1)",))
 INSTANCE_RESULT = dict(instance=ExpectedInstance(**INSTANCE), status="mismatch",
@@ -48,11 +48,11 @@ ROW_REPR = ("RowResult(table='thm2.1', item=1, status='mismatch', allowlisted=Fa
 # record is frozen, and hashes by its fields unless one holds a list or dict
 RECORDS = [
     (LieType, dict(family="A", rank=2), dict(rank=3), "LieType(family='A', rank=2)"),
-    (RootSystemData, A1_DATA, dict(rho_product=2),
+    (RootSystemData, A1_DATA, dict(node_roots=((),)),
      "RootSystemData(lie_type=LieType(family='A', rank=1), cartan=((2,),), "
      "inverse_num=((1,),), inverse_den=2, level_matrix=((1,),), positive_roots=((1,),), "
      "positive_roots_fund=((2,),), neighbours=((),), symmetrizer=(1,), "
-     "root_columns=((1,),), rho_pairings=(1,), rho_product=1, root_masks=(1,), "
+     "root_columns=((1,),), node_roots=((0,),), rho_pairings=(1,), root_masks=(1,), "
      "duality=(0,))"),
     (WeightSystem, WEIGHTS, dict(dimension=4),
      "WeightSystem(lie_type=LieType(family='A', rank=1), highest=(2,), dimension=3, "

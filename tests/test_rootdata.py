@@ -121,10 +121,9 @@ def test_weyl_vector_is_half_sum_of_positive_roots():
 
 
 def test_pairing_fields_match_their_definitions():
-    """root_columns[j][k] = beta_j d_j, rho_pairings[k] = (rho, beta), their
-    product, and root_masks[k] = the support of beta, for every positive
-    root beta_k; the Weyl denominator is also (rho, beta) via the Cartan
-    matrix, sum_i beta_i d_i <alpha_i, rho> with <alpha_i, rho> = 1."""
+    """root_columns[j][k] = beta_j d_j, rho_pairings[k] = (rho, beta) and
+    root_masks[k] = the support of beta, for every positive root beta_k;
+    node_roots[j] holds exactly the k with beta_j > 0, in increasing order."""
     for t in catalogued_types(16):
         rsd = root_system(t)
         d = rsd.symmetrizer
@@ -132,10 +131,11 @@ def test_pairing_fields_match_their_definitions():
             assert [col[k] for col in rsd.root_columns] == [b * dj for b, dj in zip(beta, d)]
             assert rsd.rho_pairings[k] == sum(b * dj for b, dj in zip(beta, d)) > 0
             assert rsd.root_masks[k] == sum(1 << j for j, b in enumerate(beta) if b)
-        prod = 1
-        for x in rsd.rho_pairings:
-            prod *= x
-        assert rsd.rho_product == prod, str(t)
+        assert len(rsd.node_roots) == t.rank, str(t)
+        for j, roots in enumerate(rsd.node_roots):
+            assert type(roots) is tuple, str(t)
+            assert list(roots) == [k for k, beta in enumerate(rsd.positive_roots)
+                                   if beta[j] > 0], (str(t), j)
 
 
 def test_inverse_cartan_exact():
