@@ -44,7 +44,7 @@ from .rootdata import RANK_BOUNDS, LieType, Weight, catalogued_types, root_syste
 
 # every ladder a sweep admits is the Levi closed form, which builds no
 # weight system, so this bounds only a run's time (verify-paper --scope all:
-# about 1.3 s cold on a 2-core VM, CPython 3.11)
+# about 1.4 s cold on a 2-core VM, CPython 3.11)
 MAX_RANK = 32
 
 

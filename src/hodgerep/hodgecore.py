@@ -29,7 +29,7 @@ from fractions import Fraction
 from operator import add, mul
 
 from .errors import ConsistencyError
-from .repweights import DEFAULT_MAX_DIM, _orbit_depths, levi_dim, weight_system, weyl_levi_dims
+from .repweights import DEFAULT_MAX_DIM, _orbit_depths, weight_system, weyl_levi_dims
 from .rootdata import (LieType, RootSystemData, Weight, _check_length, _node_mask, dual_weight,
                        root_system)
 
@@ -164,10 +164,13 @@ def _check_lengths(t: LieType, mu, E: GradingElement) -> None:
 
 
 def mu_of_grading(t: LieType, mu, E: GradingElement) -> Fraction:
-    """mu(E_ss): sum of mu's simple-root coordinates over the support."""
+    """mu(E_ss): sum of mu's simple-root coordinates over the support, read
+    from the inverse_num rows of supp(mu) over the support's columns."""
     _check_lengths(t, mu, E)
     rsd = root_system(t)
-    return Fraction(sum(map(mul, _grading_row(rsd, E), mu)), rsd.inverse_den)
+    sup = [i - 1 for i in E.support]
+    num = sum(m * sum(row[i] for i in sup) for m, row in zip(mu, rsd.inverse_num) if m)
+    return Fraction(num, rsd.inverse_den)
 
 
 def _level_sum(t: LieType, mu, nodes: Sequence[int]) -> int:
@@ -192,19 +195,17 @@ def eigen_ladder(t: LieType, mu, E: GradingElement, span: int, top: Fraction,
     At span 1 to 3 the ladder is the closed form: its ends are the Levi
     dimensions of mu and mu*, and as the weights of V(mu) sum to 0,
     sum_k d_k = weyl_dim and sum_k k d_k = top weyl_dim fix its middle and
-    check the rest, in integers.  weyl_dim and the Levi dimension of mu
-    come from one pass over the roots that meet supp(mu), and that of mu*
-    from a second pass only when mu* != mu.  Other spans take the orbit
-    walk, which alone builds a weight system and so runs behind the size
-    guard max_dim.
+    check the rest, in integers.  weyl_dim and both Levi dimensions come
+    from one pass over the roots that meet supp(mu), that of mu* as mu's
+    off sigma(E) (`weyl_levi_dims`).  Other spans take the orbit walk,
+    which alone builds a weight system and so runs behind the size guard
+    max_dim.
     """
     _check_lengths(t, mu, E)
     mu = tuple(map(int, mu))
     if not 1 <= span <= 3:
         return _orbit_ladder(t, mu, E, span, max_dim)
-    dim, d_top = weyl_levi_dims(t, mu, E.support)
-    dual = dual_weight(t, mu)
-    d_bot = d_top if dual == mu else levi_dim(t, dual, E.support)
+    dim, d_top, d_bot = weyl_levi_dims(t, mu, E.support)
     depth_sum, rem = divmod(top.numerator * dim, top.denominator)
     if rem:
         raise ConsistencyError(f"top {top} times weyl_dim {dim} of {mu} on {t} "
@@ -324,8 +325,8 @@ def hodge_vector(decomp: EigenDecomp, reality: str, c: Fraction,
     (1, a, a, 1) at level 3, so anything else is a ConsistencyError.
     """
     n, dims = level_n, decomp.dims
-    start = decomp.top + c
-    if 2 * start.numerator != n * start.denominator:
+    tp, tq, cp, cq = decomp.top.numerator, decomp.top.denominator, c.numerator, c.denominator
+    if 2 * (tp * cq + cp * tq) != n * tq * cq:  # top + c = n/2
         raise ConsistencyError(f"ladder {dims} with top {decomp.top} and c = {c} "
                                f"does not start at the top of level {n}")
     # a ladder longer than n + 1 stays longer, and the shape check refuses it

@@ -71,16 +71,14 @@ def convolve_eigen(decomps: Sequence[EigenDecomp]) -> EigenDecomp:
     A single ladder is its own product."""
     if not 1 <= len(decomps) <= 3:
         raise ValueError("convolution takes 1 to 3 decompositions")
-    if len(decomps) == 1:
-        return decomps[0]
-    dims = [1]
-    for dec in decomps:
+    top, dims = decomps[0]
+    for dec in decomps[1:]:
         nxt = [0] * (len(dims) + len(dec.dims) - 1)
         for i, a in enumerate(dims):
             for j, b in enumerate(dec.dims):
                 nxt[i + j] += a * b
-        dims = nxt
-    return EigenDecomp(top=sum(d.top for d in decomps), dims=tuple(dims))
+        top, dims = top + dec.top, nxt
+    return EigenDecomp(top=top, dims=tuple(dims))
 
 
 def tensor_reality(types: Sequence[str]) -> str:

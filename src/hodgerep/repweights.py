@@ -12,8 +12,8 @@ symmetrized pairing (lambda, beta) = sum_j beta_j d_j lambda^j for lambda
 in fundamental coordinates and beta a root in simple-root coordinates.  It
 is read from the type's root columns over the support of lambda: for
 every positive root at once by Freudenthal's recursion, and by the Weyl
-dimension formula and a Levi factor's Weyl product only for the roots
-whose support meets supp(lambda), from the type's per-node root lists;
+dimension formula and the Levi products of lambda and lambda* only for
+the roots whose support meets supp(lambda), from the per-node root lists;
 every other root adds a factor 1 to those products.
 """
 from __future__ import annotations
@@ -26,7 +26,7 @@ from operator import add, mul, sub
 
 from .errors import ConsistencyError, NonDominantError, ResourceLimitError
 from .rootdata import (LieType, RootCoords, RootSystemData, Weight, _check_length, _node_mask,
-                       root_system)
+                       dual_weight, root_system)
 
 DEFAULT_MAX_DIM = 10 ** 6
 
@@ -62,14 +62,14 @@ def _pairings(rsd: RootSystemData, lam, base) -> list[int]:
     return out
 
 
-def weyl_levi_dims(t: LieType, mu, nodes=()) -> tuple[int, int]:
+def weyl_levi_dims(t: LieType, mu, nodes=()) -> tuple[int, int, int]:
     """The dimension of V(mu) by the Weyl formula, prod (mu + rho, beta) /
-    (rho, beta), and that of the irreducible module of highest weight mu
-    over the Levi factor on the nodes outside `nodes` (1-based, distinct),
-    the same product over the roots with no support on `nodes`.  Both come
-    from one pass over the roots in the node lists of supp(mu): every other
-    root pairs with mu to 0 and adds a factor 1.  ValueError for a node
-    outside 1..rank or repeated."""
+    (rho, beta), and those of the modules of highest weight mu and mu* over
+    the Levi factor off `nodes` (1-based, distinct): the same product over
+    the roots with no support on `nodes`, and for mu* = sigma(mu), sigma the
+    duality, mu's off sigma(nodes).  All three come from one pass over the
+    roots in the node lists of supp(mu): every other root pairs with mu to
+    0 and adds a factor 1.  ValueError for a node outside 1..rank or repeated."""
     _check_dominant(t, mu)
     painted = _node_mask(t.rank, nodes)
     rsd = root_system(t)
@@ -84,23 +84,23 @@ def weyl_levi_dims(t: LieType, mu, nodes=()) -> tuple[int, int]:
     if rem:
         raise ConsistencyError(f"Weyl dimension of {tuple(mu)} on {t} is not integral")
     if not painted:
-        return dim, dim
-    levi = [not rsd.root_masks[k] & painted for k in touched]
-    d_levi, rem = divmod(math.prod(compress(pairs, levi)), math.prod(compress(rho, levi)))
-    if rem:
-        raise ConsistencyError(f"Levi dimension of {tuple(mu)} on {t} off the "
-                               f"nodes {tuple(nodes)} is not integral")
-    return dim, d_levi
+        return dim, dim, dim
+    flipped = sum(1 << rsd.duality[n - 1] for n in nodes)
+    ends = []
+    for mask in (painted,) if flipped == painted else (painted, flipped):
+        levi = [not rsd.root_masks[k] & mask for k in touched]
+        d_levi, rem = divmod(math.prod(compress(pairs, levi)), math.prod(compress(rho, levi)))
+        if rem:
+            weight = tuple(mu) if mask == painted else dual_weight(t, mu)
+            raise ConsistencyError(f"Levi dimension of {weight} on {t} off the "
+                                   f"nodes {tuple(nodes)} is not integral")
+        ends.append(d_levi)
+    return dim, ends[0], ends[-1]
 
 
 def weyl_dim(t: LieType, mu) -> int:
-    """Dimension by the Weyl formula (see `weyl_levi_dims`)."""
+    """Dimension by the Weyl formula: `weyl_levi_dims` with no painted node."""
     return weyl_levi_dims(t, mu)[0]
-
-
-def levi_dim(t: LieType, mu, nodes) -> int:
-    """Dimension of the Levi module of mu off `nodes` (see `weyl_levi_dims`)."""
-    return weyl_levi_dims(t, mu, nodes)[1]
 
 
 def _reflect(v, i: int, neighbours) -> list[int]:

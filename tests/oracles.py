@@ -17,7 +17,9 @@ and `levi_dim`: (mu + rho, beta) paired for every positive root at once,
 multiplied whole for the Weyl dimension, and for the Levi dimension read
 only at the roots of the Levi factor, which every root's support mask
 picks; the engine now pairs only the roots that meet supp(mu), from the
-type's per-node root lists.
+type's per-node root lists, and reads the Levi dimension of mu* as mu's
+off the dual nodes in the same pass (`weyl_levi_dims`), where the oracle
+pairs mu* itself.
 
 The positive-root oracle is the engine's former closure: every root
 string's depth found by probing lowered tuples, where the engine now

@@ -16,6 +16,7 @@ import hodgerep.cli as cli
 import hodgerep.expected as expected
 import hodgerep.hodgecore as hodgecore
 import hodgerep.products as products
+import hodgerep.repweights as repweights
 from hodgerep.classify import (
     SearchConfig,
     _factor_keys,
@@ -993,6 +994,28 @@ def test_row_checks_without_computed_only_summarise_each_factor_once(monkeypatch
     assert seen == work
     verify_paper(max_rank=14, include_computed_only=False)
     assert seen == {name: 2 * n for name, n in work.items()}
+
+
+def test_one_touched_root_pass_per_closed_form_ladder(monkeypatch):
+    """Each closed-form ladder is one `weyl_levi_dims` pass, whose bottom
+    end is mu's Levi product off sigma(E), read from the same roots: 712
+    passes for the row checks without computed_only at max_rank 14 and 272
+    for a verify run at max_rank 8, where a second pass for mu* whenever
+    mu* != mu made 1,298 and 466."""
+    calls = []
+    real = repweights.weyl_levi_dims
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (repweights, hodgecore):
+        monkeypatch.setattr(module, "weyl_levi_dims", counting)
+    verify_paper(max_rank=14, include_computed_only=False)
+    assert len(calls) == 712
+    calls.clear()
+    verify_paper(max_rank=8)
+    assert len(calls) == 272
 
 
 def test_sweeps_summarise_each_candidate_once(monkeypatch):

@@ -30,8 +30,7 @@ from hodgerep.hodgecore import (
     real_form,
     reality_type,
 )
-from hodgerep.repweights import (DEFAULT_MAX_DIM, levi_dim, weight_system, weyl_dim,
-                                 weyl_levi_dims)
+from hodgerep.repweights import DEFAULT_MAX_DIM, weight_system, weyl_dim, weyl_levi_dims
 from hodgerep.rootdata import RANK_BOUNDS, LieType, catalogued_types, dual_weight, root_system
 
 from oracles import (
@@ -94,7 +93,7 @@ def test_eigenspace_examples():
 
 
 @pytest.mark.parametrize("fn, args", [
-    (weyl_dim, ()), (levi_dim, ((1,),)), (weyl_levi_dims, ((1,),)), (weight_system, ()),
+    (weyl_dim, ()), (weyl_levi_dims, ((1,),)), (weight_system, ()),
     (dual_weight, ()),
     (level, (E(2, [1]),)), (reality_type, (E(2, [1]),)), (mu_of_grading, (E(2, [1]),)),
 ], ids=lambda x: getattr(x, "__name__", ""))
@@ -117,16 +116,16 @@ def test_grading_element_of_wrong_length_is_rejected(fn, coeffs):
     assert str(info.value) == f"grading element length {len(coeffs)} != rank 2"
 
 
-@pytest.mark.parametrize("fn", [levi_dim, weyl_levi_dims, lambda t, mu, nodes: E(t.rank, nodes)],
-                         ids=["levi_dim", "weyl_levi_dims", "from_nodes"])
+@pytest.mark.parametrize("fn", [weyl_levi_dims, lambda t, mu, nodes: E(t.rank, nodes)],
+                         ids=["weyl_levi_dims", "from_nodes"])
 @pytest.mark.parametrize("rank, nodes, message", [
     (3, (1, 1), "node 1 repeated; coefficients must stay 0/1"),
     (2, (5,), "node 5 outside 1..2"),
     (2, (0,), "node 0 outside 1..2"),
 ])
 def test_node_outside_the_diagram_or_repeated_is_rejected(fn, rank, nodes, message):
-    """levi_dim and weyl_levi_dims check their painted nodes as
-    GradingElement.from_nodes does.
+    """weyl_levi_dims checks its painted nodes as GradingElement.from_nodes
+    does.
     It once read a repeated node as another node (on A3, mu = (1, 1, 0)
     off nodes (1, 1) gave 2, the answer off node 2), ignored a node above
     the rank and failed on node 0 with a bare negative shift count."""
@@ -325,6 +324,23 @@ def test_ladder_longer_than_the_level_fails_the_shape_check(decomp, level_n, fol
         with pytest.raises(ConsistencyError, match=re.escape(
                 f"assembled vector {fold} is not of level-{level_n} shape")):
             hodge_vector(decomp, reality, Q(0), level_n)
+
+
+def test_fold_start_off_the_level_top_raises():
+    """top + c = 1/2 + 1/2 = 1 misses n/2 = 1/2 at level 1, which the
+    integer check 2 (tp cq + cp tq) = n tq cq refuses, also under
+    python -O."""
+    message = "ladder (1, 1) with top 1/2 and c = 1/2 does not start at the top of level 1"
+    with pytest.raises(ConsistencyError, match=re.escape(message)):
+        hodge_vector(EigenDecomp(Q(1, 2), (1, 1)), COMPLEX, Q(1, 2), 1)
+    code = ("from fractions import Fraction\n"
+            "from hodgerep.errors import ConsistencyError\n"
+            "from hodgerep.hodgecore import EigenDecomp, hodge_vector\n"
+            "try:\n"
+            "    hodge_vector(EigenDecomp(Fraction(1, 2), (1, 1)), 'complex', Fraction(1, 2), 1)\n"
+            "except ConsistencyError as exc:\n"
+            "    print('raised', exc)\n")
+    assert _run_optimized(code) == f"raised {message}\n"
 
 
 def test_real_form_names():
@@ -709,9 +725,11 @@ def _touched_root_cases():
 
 
 def test_touched_root_products_match_the_all_pairings_oracles():
-    """weyl_dim, levi_dim and weyl_levi_dims, which pair only the roots
-    that meet supp(mu), against the Weyl and Levi products over every
-    root; and each closed-form ladder (span 1 to 3) has the oracle Levi
+    """weyl_dim and weyl_levi_dims, which pair only the roots that meet
+    supp(mu), against the Weyl and Levi products over every root: the
+    Levi product of mu off the painted nodes, and that of mu* off them,
+    which weyl_levi_dims reads as mu's off their image under the duality;
+    and each closed-form ladder (span 1 to 3) has the oracle Levi
     dimensions of mu and mu* at its ends, fills the oracle Weyl dimension
     and has trace 0 about its top, which fix it."""
     weyls, counts = {}, collections.Counter()
@@ -721,9 +739,10 @@ def test_touched_root_products_match_the_all_pairings_oracles():
             assert weyl_dim(t, mu) == weyls[t, mu], (str(t), mu)
         dim = weyls[t, mu]
         d_top = levi_dim_all_pairings(t, mu, nodes)
-        assert levi_dim(t, mu, nodes) == d_top, (str(t), mu, nodes)
-        assert weyl_levi_dims(t, mu, nodes) == (dim, d_top), (str(t), mu, nodes)
+        d_bot = levi_dim_all_pairings(t, dual_weight(t, mu), nodes)
+        assert weyl_levi_dims(t, mu, nodes) == (dim, d_top, d_bot), (str(t), mu, nodes)
         counts["levi"] += 1
+        counts["ends differ"] += d_top != d_bot
         if not nodes:
             continue
         g = E(t.rank, nodes)
@@ -733,15 +752,26 @@ def test_touched_root_products_match_the_all_pairings_oracles():
         dims = eigen_ladder(t, mu, g, span, top).dims
         assert len(dims) == span + 1, (str(t), mu, nodes)
         assert dims[0] == d_top, (str(t), mu, nodes)
-        assert dims[-1] == levi_dim_all_pairings(t, dual_weight(t, mu), nodes), (str(t), mu, nodes)
+        assert dims[-1] == d_bot, (str(t), mu, nodes)
         assert sum(dims) == dim and sum(k * d for k, d in enumerate(dims)) == top * dim, \
             (str(t), mu, nodes)
         counts["ladder"] += 1
         counts[f"span {span}, mu* {'=' if dual_weight(t, mu) == mu else '!='} mu"] += 1
-    assert counts == {"levi": 43704, "ladder": 1721,
+    assert counts == {"levi": 43704, "ends differ": 7470, "ladder": 1721,
                       "span 1, mu* = mu": 39, "span 1, mu* != mu": 110,
                       "span 2, mu* = mu": 302, "span 2, mu* != mu": 502,
                       "span 3, mu* = mu": 210, "span 3, mu* != mu": 558}
+
+
+def test_bottom_end_reads_mu_off_the_dual_nodes():
+    """A3, omega_1 under E = A1: mu* = omega_3 != mu and sigma(E) = A3 !=
+    E, so the ends differ: the Levi module of omega_1 off node 1 is C, and
+    that of omega_3 off node 1, read as omega_1's off node 3, is C^3."""
+    t, mu, g = LieType("A", 3), (1, 0, 0), E(3, [1])
+    assert dual_weight(t, mu) == (0, 0, 1) and _flipped(t, g) == E(3, [3])
+    assert weyl_levi_dims(t, mu, (1,)) == (4, 1, 3)
+    assert weyl_levi_dims(t, mu, (3,)) == (4, 3, 1)
+    assert eigen_ladder(t, mu, g, level(t, mu, g), mu_of_grading(t, mu, g)).dims == (1, 3)
 
 
 def _patched_a3_c3():
@@ -755,6 +785,18 @@ def _patched_a3_c3():
     lists = list(c3.node_roots)
     lists[2] = tuple(k for k in lists[2] if c3.positive_roots[k] != (0, 0, 1))
     return a3._replace(root_masks=tuple(masks)), c3._replace(node_roots=tuple(lists))
+
+
+def test_bottom_levi_check_names_the_dual_weight(monkeypatch):
+    """With the A3 root data of `_patched_a3_c3`, omega_1 off node 3 keeps
+    its top end 3, from alpha_1 and alpha_1 + alpha_2, but its bottom end,
+    read off sigma(3) = node 1, meets alpha_1 + alpha_2 alone, a quotient
+    of 3/2: the check names mu* = omega_3 and the painted nodes."""
+    a3, _ = _patched_a3_c3()
+    monkeypatch.setattr(repweights, "root_system", {a3.lie_type: a3}.__getitem__)
+    with pytest.raises(ConsistencyError) as info:
+        weyl_levi_dims(a3.lie_type, (1, 0, 0), (3,))
+    assert str(info.value) == "Levi dimension of (0, 0, 1) on A3 off the nodes (3,) is not integral"
 
 
 def test_zero_middle_rung_raises(monkeypatch):

@@ -21,6 +21,7 @@ from hodgerep.hodgecore import (
     EigenDecomp,
     GradingElement,
     extremal_dim_is_one,
+    hodge_vector,
     level,
     reality_type,
 )
@@ -34,7 +35,7 @@ from hodgerep.products import (
 )
 from hodgerep.rootdata import LieType, dual_weight, mu_plus_mu_star_closed_form
 
-from oracles import annotate_canonical, convolve_levels, products_brute
+from oracles import annotate_canonical, convolve_levels, eigenspace_dims, products_brute
 
 E = GradingElement.from_nodes
 
@@ -122,13 +123,18 @@ def test_combine_examples():
 
 
 def test_combine_level_charge():
-    # sl(2) x sl(r2+1): c = 3/2 - 1/2 - r2/(r2+1)
+    # sl(2) x sl(r2+1): the factor tops 1/2 and r2/(r2+1), of different
+    # denominators, add to the product's top, and c = 3/2 - 1/2 - r2/(r2+1)
+    # puts it at 3/2, where U + U* folds
     for r2 in range(2, 5):
         f2 = FactorSpec(LieType("A", r2), E(r2, [1]), (1,) + (0,) * (r2 - 1))
         p = assemble([SL2, f2], 3)
         assert p.c == Q(3, 2) - Q(1, 2) - Q(r2, r2 + 1)
         assert p.hodge.dims == (1, 1 + 2 * r2, 1 + 2 * r2, 1)
         assert p.reality == COMPLEX
+        ladder = convolve_eigen([eigenspace_dims(f.lie_type, f.mu, f.E) for f in (SL2, f2)])
+        assert ladder.top == Q(1, 2) + Q(r2, r2 + 1)
+        assert hodge_vector(ladder, COMPLEX, p.c, 3) == p.hodge
 
 
 def test_combine_rejects_noncanonical_patterns():
