@@ -20,7 +20,6 @@ from .hodgecore import (
     GradingElement,
     HodgeTuple,
     HodgeVector,
-    RealFormDescriptor,
     center_charge,
     extremal_dim_is_one,
     hodge_vector,

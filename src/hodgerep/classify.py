@@ -313,7 +313,7 @@ def _check_instance(inst: ExpectedInstance, target_level: int,
         diffs.append(("c", str(inst.c), str(got.c)))
     if inst.reality != got.reality:
         diffs.append(("reality", inst.reality, got.reality))
-    computed_rf = sorted(d.label() for d in got.real_forms)
+    computed_rf = sorted(got.real_forms)
     if inst.real_forms is not None:
         expected_rf = sorted(x for x in inst.real_forms if x is not None)
         if expected_rf and expected_rf != computed_rf:

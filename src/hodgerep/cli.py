@@ -61,7 +61,7 @@ def record_of(t) -> dict:
         "level": t.level,
         "reality": t.reality,
         "hodge": list(t.hodge.dims),
-        "real_form": "+".join(d.label() for d in t.real_forms),
+        "real_form": "+".join(t.real_forms),
         "canonical": t.is_canonical,
     }
 

@@ -81,7 +81,9 @@ class GradingElement(namedtuple("GradingElement", "coeffs support")):
 
 class EigenDecomp(namedtuple("EigenDecomp", "top dims")):
     """Eigenspace dimensions on a unit-step ladder: dims[k] sits at
-    eigenvalue top - k."""
+    eigenvalue top - k.  The constructor refuses a non-positive rung for
+    outside callers; the engine's routes check their rungs themselves and
+    build the record with `_make`."""
 
     __slots__ = ()
 
@@ -100,29 +102,11 @@ class EigenDecomp(namedtuple("EigenDecomp", "top dims")):
 
 
 class HodgeVector(namedtuple("HodgeVector", "dims")):
-    """Eigenspace dimensions read from the top eigenvalue down."""
+    """The Hodge numbers h^{n-p,p} of a tuple, p = 0..n: one int per
+    level, as a printed row holds them.  Only `hodge_vector` checks their
+    level-n shape."""
 
     __slots__ = ()
-
-    @property
-    def is_weight1(self) -> bool:
-        return len(self.dims) == 2 and self.dims[0] == self.dims[1] >= 1
-
-    @property
-    def is_cy3(self) -> bool:
-        d = self.dims
-        return len(d) == 4 and d[0] == d[3] == 1 and d[1] == d[2] >= 1
-
-
-class RealFormDescriptor(namedtuple("RealFormDescriptor", "painted name", defaults=(None,))):
-    """Painted-node set (the Vogan data) plus a name when catalogued."""
-
-    __slots__ = ()
-
-    def label(self) -> str:
-        if self.name is not None:
-            return self.name
-        return "painted{" + ",".join(str(i) for i in self.painted) + "}"
 
 
 class FactorSpec(namedtuple("FactorSpec", "lie_type E mu")):
@@ -143,7 +127,9 @@ class HodgeTuple(namedtuple("HodgeTuple", (
 
     reality is the type of U with respect to the semisimple real form; rows
     with span < level carry the center charge c = level/2 - mu(E_ss) that
-    makes U complex with respect to the full reductive algebra.
+    makes U complex with respect to the full reductive algebra.  hodge and
+    real_forms hold what a printed row holds: the Hodge numbers as a
+    HodgeVector of ints, and one real-form label (`real_form`) per factor.
     """
 
     __slots__ = ()
@@ -187,24 +173,27 @@ def level(t: LieType, mu, E: GradingElement) -> int:
     return _level_sum(t, mu, [i - 1 for i in E.support])
 
 
-def eigen_ladder(t: LieType, mu, E: GradingElement, span: int, top: Fraction,
+def eigen_ladder(t: LieType, mu, E: GradingElement, span: int,
                  max_dim: int = DEFAULT_MAX_DIM) -> EigenDecomp:
     """The eigenspace ladder of E_ss on V(mu), given its span
-    level(t, mu, E) and its top mu_of_grading(t, mu, E).
+    level(t, mu, E).
 
-    At span 1 to 3 the ladder is the closed form: its ends are the Levi
-    dimensions of mu and mu*, and as the weights of V(mu) sum to 0,
-    sum_k d_k = weyl_dim and sum_k k d_k = top weyl_dim fix its middle and
-    check the rest, in integers.  weyl_dim and both Levi dimensions come
-    from one pass over the roots that meet supp(mu), that of mu* as mu's
-    off sigma(E) (`weyl_levi_dims`).  Other spans take the orbit walk,
-    which alone builds a weight system and so runs behind the size guard
-    max_dim.
+    At span 1 to 3 the ladder is the closed form, which reads its own top
+    mu_of_grading(t, mu, E): its ends are the Levi dimensions of mu and
+    mu*, and as the weights of V(mu) sum to 0, sum_k d_k = weyl_dim and
+    sum_k k d_k = top weyl_dim fix its middle and check the rest, in
+    integers.  weyl_dim and both Levi dimensions come from one pass over
+    the roots that meet supp(mu), that of mu* as mu's off sigma(E)
+    (`weyl_levi_dims`).  Other spans take the orbit walk, whose top comes
+    from its grading rows, and which alone builds a weight system and so
+    runs behind the size guard max_dim.  Each route checks its rungs once,
+    so the record is built without a second scan.
     """
-    _check_lengths(t, mu, E)
-    mu = tuple(map(int, mu))
     if not 1 <= span <= 3:
-        return _orbit_ladder(t, mu, E, span, max_dim)
+        _check_lengths(t, mu, E)
+        return _orbit_ladder(t, tuple(map(int, mu)), E, span, max_dim)
+    top = mu_of_grading(t, mu, E)  # mu_of_grading checks the lengths
+    mu = tuple(map(int, mu))
     dim, d_top, d_bot = weyl_levi_dims(t, mu, E.support)
     depth_sum, rem = divmod(top.numerator * dim, top.denominator)
     if rem:
@@ -219,7 +208,7 @@ def eigen_ladder(t: LieType, mu, E: GradingElement, span: int, top: Fraction,
     if min(dims) <= 0 or sum(dims) != dim or not trace_free:
         raise ConsistencyError(f"ladder {dims} of {mu} on {t} under E = {E} does not "
                                f"fill weyl_dim {dim} with trace 0 about top {top}")
-    return EigenDecomp(top=top, dims=dims)
+    return EigenDecomp._make((top, dims))
 
 
 def _orbit_ladder(t: LieType, mu: Weight, E: GradingElement, span: int,
@@ -273,7 +262,7 @@ def _orbit_ladder(t: LieType, mu: Weight, E: GradingElement, span: int,
     if 0 in dims:
         raise ConsistencyError(f"eigenvalue ladder {dims} below "
                                f"{Fraction(tops[0], den)} has a gap")
-    return EigenDecomp(top=Fraction(tops[0], den), dims=tuple(dims))
+    return EigenDecomp._make((Fraction(tops[0], den), tuple(dims)))
 
 
 def extremal_dim_is_one(mu, E: GradingElement) -> bool:
@@ -320,46 +309,49 @@ def hodge_vector(decomp: EigenDecomp, reality: str, c: Fraction,
 
     The charge c puts the top of U at n/2, so level k of V_C holds dims[k]
     in the real case (V_C = U) and dims[k] + dims[n - k] in the complex and
-    quaternionic cases, where U* is U's ladder reversed.  The assembly rule
-    in `products` admits only candidates whose fold is (a, a) at level 1 or
-    (1, a, a, 1) at level 3, so anything else is a ConsistencyError.
+    quaternionic cases, where U* is U's ladder reversed.  This is the one
+    place the level-n shape is checked: the assembly rule in `products`
+    admits only candidates whose fold is (a, a) at level 1 or (1, a, a, 1)
+    at level 3, with a >= 1, so anything else, at any other level too, is a
+    ConsistencyError.
     """
     n, dims = level_n, decomp.dims
     tp, tq, cp, cq = decomp.top.numerator, decomp.top.denominator, c.numerator, c.denominator
     if 2 * (tp * cq + cp * tq) != n * tq * cq:  # top + c = n/2
         raise ConsistencyError(f"ladder {dims} with top {decomp.top} and c = {c} "
                                f"does not start at the top of level {n}")
-    # a ladder longer than n + 1 stays longer, and the shape check refuses it
+    # a ladder longer than n + 1 stays longer, and the length clause refuses it
     dims += (0,) * (n + 1 - len(dims))
     if reality != REAL:
         dims = tuple(map(add, dims, reversed(dims)))
-    vec = HodgeVector(dims=dims)
-    if not (vec.is_weight1 if n == 1 else vec.is_cy3):
+    if (n not in (1, 3) or len(dims) != n + 1 or dims != dims[::-1] or min(dims) < 1
+            or (n == 3 and dims[0] != 1)):
         raise ConsistencyError(f"assembled vector {dims} is not of level-{n} shape")
-    return vec
+    return HodgeVector(dims)
 
 
-def real_form(t: LieType, E: GradingElement) -> RealFormDescriptor:
-    """Vogan descriptor (painted = support) with names for catalogued cases."""
+def real_form(t: LieType, E: GradingElement) -> str:
+    """The label of the real form that E paints on t: its name where one
+    painted node gives a catalogued form, else painted{i,j,...}, the
+    painted nodes (the Vogan diagram's data)."""
     painted = E.support
-    name = None
     if len(painted) == 1:
         i = painted[0]
         f, r = t.family, t.rank
         if f == "A":
-            name = f"su({i},{r + 1 - i})"
-        elif f == "B" and i == 1:
-            name = f"so(2,{2 * r - 1})"
-        elif f == "C" and i == r:
-            name = f"sp({r},R)"
-        elif f == "C" and i == 1:
-            name = f"sp(1,{r - 1})"
-        elif f == "D" and i == 1:
-            name = f"so(2,{2 * r - 2})"
-        elif f == "D" and i in (r - 1, r):
-            name = f"so*({2 * r})"
-        elif f == "E" and r == 6 and i in (1, 6):
-            name = "e6(-14)"
-        elif f == "E" and r == 7 and i == 7:
-            name = "e7(-25)"
-    return RealFormDescriptor(painted=painted, name=name)
+            return f"su({i},{r + 1 - i})"
+        if f == "B" and i == 1:
+            return f"so(2,{2 * r - 1})"
+        if f == "C" and i == r:
+            return f"sp({r},R)"
+        if f == "C" and i == 1:
+            return f"sp(1,{r - 1})"
+        if f == "D" and i == 1:
+            return f"so(2,{2 * r - 2})"
+        if f == "D" and i in (r - 1, r):
+            return f"so*({2 * r})"
+        if f == "E" and r == 6 and i in (1, 6):
+            return "e6(-14)"
+        if f == "E" and r == 7 and i == 7:
+            return "e7(-25)"
+    return "painted{" + ",".join(map(str, painted)) + "}"

@@ -51,14 +51,12 @@ from .hodgecore import (
     FactorSpec,
     GradingElement,
     HodgeTuple,
-    RealFormDescriptor,
     _check_lengths,
     center_charge,
     eigen_ladder,
     extremal_dim_is_one,
     hodge_vector,
     level,
-    mu_of_grading,
     real_form,
     reality_type,
 )
@@ -78,7 +76,8 @@ def convolve_eigen(decomps: Sequence[EigenDecomp]) -> EigenDecomp:
             for j, b in enumerate(dec.dims):
                 nxt[i + j] += a * b
         top, dims = top + dec.top, nxt
-    return EigenDecomp(top=top, dims=tuple(dims))
+    # products of positive ladders are positive: no rung to check again
+    return EigenDecomp._make((top, tuple(dims)))
 
 
 def tensor_reality(types: Sequence[str]) -> str:
@@ -117,7 +116,7 @@ class _FactorSummary:
         self.reality = reality_type(f.lie_type, f.mu, f.E)
         self.top_is_one = extremal_dim_is_one(f.mu, f.E)
         self._eigen: EigenDecomp | None = None
-        self._real_form: RealFormDescriptor | None = None
+        self._real_form: str | None = None
         self._canonical: bool | None = None
 
     def eigen(self, max_dim: int = DEFAULT_MAX_DIM) -> EigenDecomp:
@@ -126,12 +125,11 @@ class _FactorSummary:
         factor does; `inspect` passes its --max-dim here."""
         if self._eigen is None:
             f = self.factor
-            self._eigen = eigen_ladder(f.lie_type, f.mu, f.E, self.span,
-                                       mu_of_grading(f.lie_type, f.mu, f.E), max_dim)
+            self._eigen = eigen_ladder(f.lie_type, f.mu, f.E, self.span, max_dim)
         return self._eigen
 
-    def real_form(self) -> RealFormDescriptor:
-        """The factor's real form, built by the first call."""
+    def real_form(self) -> str:
+        """The factor's real-form label, built by the first call."""
         if self._real_form is None:
             self._real_form = real_form(self.factor.lie_type, self.factor.E)
         return self._real_form

@@ -1128,10 +1128,19 @@ def test_sweeps_build_no_orbit_ladder(monkeypatch):
     """The assembly rule rejects every candidate of span above 3, and every
     span-3 candidate that is not real, before its ladder is built; so every
     ladder a sweep or a verify run builds is the Levi closed form, and no
-    size guard is needed on them."""
+    size guard is needed on them.  Every swept tuple holds what its printed
+    row holds: its Hodge numbers as a tuple of ints and one real-form
+    label, a str, per factor."""
     monkeypatch.setattr(hodgecore, "_orbit_ladder", _no_orbit_ladder)
-    assert enumerate_level(SearchConfig(max_rank=12, level=1))
-    assert enumerate_level(SearchConfig(max_rank=12, level=3, include_products=True))
+    for cfg in (SearchConfig(max_rank=12, level=1),
+                SearchConfig(max_rank=12, level=3, include_products=True)):
+        results = enumerate_level(cfg)
+        assert results
+        for t in results:
+            assert type(t.hodge.dims) is tuple, t
+            assert all(type(h) is int for h in t.hodge.dims), t
+            assert len(t.real_forms) == len(t.factors), t
+            assert all(type(label) is str for label in t.real_forms), t
     assert verify_paper(max_rank=12).ok
 
 

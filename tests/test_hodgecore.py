@@ -19,8 +19,8 @@ from hodgerep.hodgecore import (
     QUATERNIONIC,
     REAL,
     EigenDecomp,
+    FactorSpec,
     GradingElement,
-    HodgeVector,
     center_charge,
     eigen_ladder,
     extremal_dim_is_one,
@@ -30,6 +30,7 @@ from hodgerep.hodgecore import (
     real_form,
     reality_type,
 )
+from hodgerep.products import assemble
 from hodgerep.repweights import DEFAULT_MAX_DIM, weight_system, weyl_dim, weyl_levi_dims
 from hodgerep.rootdata import RANK_BOUNDS, LieType, catalogued_types, dual_weight, root_system
 
@@ -139,7 +140,7 @@ def test_eigen_ladder_rejects_grading_element_of_wrong_length(coeffs):
     """On A2 with mu = (1, 0), an E with fewer or more coefficients than the
     rank raises rather than giving the ladder of a neighbouring E."""
     with pytest.raises(ValueError) as info:
-        eigen_ladder(LieType("A", 2), (1, 0), GradingElement(coeffs), 1, Q(2, 3))
+        eigen_ladder(LieType("A", 2), (1, 0), GradingElement(coeffs), 1)
     assert str(info.value) == f"grading element length {len(coeffs)} != rank 2"
 
 
@@ -218,14 +219,14 @@ def test_weyl_quotient_check_survives_optimize():
     closed-form ladder and the size guard of weight_system all raise."""
     code = ("import hodgerep.repweights as repweights\n"
             "from hodgerep.errors import ConsistencyError\n"
-            "from hodgerep.hodgecore import GradingElement, eigen_ladder, level, mu_of_grading\n"
+            "from hodgerep.hodgecore import GradingElement, eigen_ladder, level\n"
             "from hodgerep.rootdata import LieType, root_system\n"
             "a2 = root_system(LieType('A', 2))\n"
             "lists = ((a2.positive_roots.index((1, 1)),), a2.node_roots[1])\n"
             "repweights.root_system = {a2.lie_type: a2._replace(node_roots=lists)}.__getitem__\n"
             "t, mu, g = a2.lie_type, (1, 0), GradingElement((1, 0))\n"
             "for call in (lambda: repweights.weyl_dim(t, mu),\n"
-            "             lambda: eigen_ladder(t, mu, g, level(t, mu, g), mu_of_grading(t, mu, g)),\n"
+            "             lambda: eigen_ladder(t, mu, g, level(t, mu, g)),\n"
             "             lambda: repweights.weight_system(t, mu)):\n"
             "    try:\n"
             "        call()\n"
@@ -244,7 +245,7 @@ def test_orbit_ladder_checks_survive_optimize():
     code = ("import hodgerep.hodgecore as hodgecore\n"
             "import hodgerep.repweights as repweights\n"
             "from hodgerep.errors import ConsistencyError\n"
-            "from hodgerep.hodgecore import GradingElement, eigen_ladder, level, mu_of_grading\n"
+            "from hodgerep.hodgecore import GradingElement, eigen_ladder, level\n"
             "from hodgerep.rootdata import LieType, root_system\n"
             "a2 = root_system(LieType('A', 2))\n"
             "t, mu, g = a2.lie_type, (2, 0), GradingElement.from_nodes(2, [1, 2])\n"
@@ -253,7 +254,7 @@ def test_orbit_ladder_checks_survive_optimize():
             "                        (repweights, a2._replace(node_roots=lists))):\n"
             "    module.root_system = {a2.lie_type: patched}.__getitem__\n"
             "    try:\n"
-            "        eigen_ladder(t, mu, g, level(t, mu, g), mu_of_grading(t, mu, g))\n"
+            "        eigen_ladder(t, mu, g, level(t, mu, g))\n"
             "    except ConsistencyError as exc:\n"
             "        print('raised', exc)\n"
             "    module.root_system = root_system\n")
@@ -344,16 +345,16 @@ def test_fold_start_off_the_level_top_raises():
 
 
 def test_real_form_names():
-    assert real_form(LieType("A", 4), E(4, [1])).label() == "su(1,4)"
-    assert real_form(LieType("D", 6), E(6, [5])).label() == "so*(12)"
-    assert real_form(LieType("C", 3), E(3, [3])).label() == "sp(3,R)"
-    assert real_form(LieType("C", 4), E(4, [1])).label() == "sp(1,3)"
-    assert real_form(LieType("B", 4), E(4, [1])).label() == "so(2,7)"
-    assert real_form(LieType("D", 5), E(5, [1])).label() == "so(2,8)"
-    assert real_form(LieType("E", 6), E(6, [1])).label() == "e6(-14)"
-    assert real_form(LieType("E", 7), E(7, [7])).label() == "e7(-25)"
-    assert real_form(LieType("B", 2), E(2, [1, 2])).label() == "painted{1,2}"
-    assert real_form(LieType("B", 3), E(3, [2])).name is None
+    assert real_form(LieType("A", 4), E(4, [1])) == "su(1,4)"
+    assert real_form(LieType("D", 6), E(6, [5])) == "so*(12)"
+    assert real_form(LieType("C", 3), E(3, [3])) == "sp(3,R)"
+    assert real_form(LieType("C", 4), E(4, [1])) == "sp(1,3)"
+    assert real_form(LieType("B", 4), E(4, [1])) == "so(2,7)"
+    assert real_form(LieType("D", 5), E(5, [1])) == "so(2,8)"
+    assert real_form(LieType("E", 6), E(6, [1])) == "e6(-14)"
+    assert real_form(LieType("E", 7), E(7, [7])) == "e7(-25)"
+    assert real_form(LieType("B", 2), E(2, [1, 2])) == "painted{1,2}"
+    assert real_form(LieType("B", 3), E(3, [2])) == "painted{2}"
 
 
 def _all_gradings(rank):
@@ -455,10 +456,42 @@ def test_hodge_vector_matches_fraction_oracle(case):
         assert hodge_vector(decomp, reality, c, level_n).dims == want
 
 
-def test_hodge_vector_predicates():
-    assert HodgeVector((1, 5, 5, 1)).is_cy3
-    assert not HodgeVector((2, 5, 5, 2)).is_cy3
-    assert HodgeVector((4, 4)).is_weight1
+# (ladder, reality case, c, level n, fold): a ladder whose top + c is n/2
+# and whose fold one clause of the level-n shape check alone refuses
+OFF_SHAPE = {
+    "longer than n + 1": (EigenDecomp(Q(3, 2), (1, 2, 2, 2, 1)), REAL, Q(0), 3,
+                          (1, 2, 2, 2, 1)),
+    "longer than n + 1 at level 1": (EigenDecomp(Q(1, 2), (1, 1, 1)), REAL, Q(0), 1, (1, 1, 1)),
+    "not palindromic": (EigenDecomp(Q(3, 2), (1, 2, 3, 1)), REAL, Q(0), 3, (1, 2, 3, 1)),
+    "not palindromic at level 1": (EigenDecomp(Q(1, 2), (2, 1)), REAL, Q(0), 1, (2, 1)),
+    "h^{3,0} != 1": (EigenDecomp(Q(3, 2), (2, 5, 5, 2)), REAL, Q(0), 3, (2, 5, 5, 2)),
+    "zero rung": (EigenDecomp(Q(1, 2), (1,)), COMPLEX, Q(1), 3, (1, 0, 0, 1)),
+    "level 2": (EigenDecomp(Q(1, 2), (1, 1)), COMPLEX, Q(1, 2), 2, (1, 2, 1)),
+}
+
+
+def test_hodge_vector_refuses_each_off_shape_clause():
+    """`hodge_vector` alone decides the shape: (a, a) at level 1 and
+    (1, a, a, 1) at level 3, every entry >= 1, and no other level.  Each
+    clause is a ConsistencyError, also under python -O; level 2 is the
+    fold of omega_1 on A1 under E = A1, assembled at level 2."""
+    messages = [f"assembled vector {fold} is not of level-{n} shape"
+                for _, _, _, n, fold in OFF_SHAPE.values()]
+    for (decomp, reality, c, n, _), message in zip(OFF_SHAPE.values(), messages):
+        with pytest.raises(ConsistencyError, match=re.escape(message)):
+            hodge_vector(decomp, reality, c, n)
+    with pytest.raises(ConsistencyError, match=re.escape(messages[-1])):
+        assemble([FactorSpec(LieType("A", 1), E(1, [1]), (1,))], 2)
+    cases = [case[:4] for case in OFF_SHAPE.values()]
+    code = ("from fractions import Fraction\n"
+            "from hodgerep.errors import ConsistencyError\n"
+            "from hodgerep.hodgecore import EigenDecomp, hodge_vector\n"
+            f"for decomp, reality, c, n in {cases!r}:\n"
+            "    try:\n"
+            "        hodge_vector(decomp, reality, c, n)\n"
+            "    except ConsistencyError as exc:\n"
+            "        print('raised', exc)\n")
+    assert _run_optimized(code).splitlines() == [f"raised {m}" for m in messages]
 
 
 ORACLE_MAX_DIM = 100
@@ -749,7 +782,7 @@ def test_touched_root_products_match_the_all_pairings_oracles():
         span, top = level(t, mu, g), mu_of_grading(t, mu, g)
         if not 1 <= span <= 3:
             continue
-        dims = eigen_ladder(t, mu, g, span, top).dims
+        dims = eigen_ladder(t, mu, g, span).dims
         assert len(dims) == span + 1, (str(t), mu, nodes)
         assert dims[0] == d_top, (str(t), mu, nodes)
         assert dims[-1] == d_bot, (str(t), mu, nodes)
@@ -771,7 +804,7 @@ def test_bottom_end_reads_mu_off_the_dual_nodes():
     assert dual_weight(t, mu) == (0, 0, 1) and _flipped(t, g) == E(3, [3])
     assert weyl_levi_dims(t, mu, (1,)) == (4, 1, 3)
     assert weyl_levi_dims(t, mu, (3,)) == (4, 3, 1)
-    assert eigen_ladder(t, mu, g, level(t, mu, g), mu_of_grading(t, mu, g)).dims == (1, 3)
+    assert eigen_ladder(t, mu, g, level(t, mu, g)).dims == (1, 3)
 
 
 def _patched_a3_c3():
@@ -806,11 +839,11 @@ def test_zero_middle_rung_raises(monkeypatch):
     rung of exactly 0, which the closed form refuses."""
     a3, _ = _patched_a3_c3()
     t, mu, g = a3.lie_type, (0, 1, 0), E(3, [1, 3])
-    assert eigen_ladder(t, mu, g, level(t, mu, g), mu_of_grading(t, mu, g)).dims == (2, 2, 2)
+    assert eigen_ladder(t, mu, g, level(t, mu, g)).dims == (2, 2, 2)
     monkeypatch.setattr(repweights, "root_system", {t: a3}.__getitem__)
     with pytest.raises(ConsistencyError, match=re.escape(
             "ladder (3, 0, 3) of (0, 1, 0) on A3 under E = A1+A3 does not fill weyl_dim 6")):
-        eigen_ladder(t, mu, g, level(t, mu, g), mu_of_grading(t, mu, g))
+        eigen_ladder(t, mu, g, level(t, mu, g))
 
 
 def test_levi_ladder_checks_survive_optimize():
@@ -818,12 +851,13 @@ def test_levi_ladder_checks_survive_optimize():
     quotient of omega_2 on A3 under E = A1 is not integral; the middle rung
     of omega_2 on A3 under E = A1 + A3 is 0; weyl_dim of C3, omega_3 halves
     to 7, so top 3/2 times it under E = A3 is not an integer; and on A1,
-    omega_1 under E = A1, a wrong top of 3/2 breaks the zero trace of the
-    span-1 ladder (1, 1)."""
-    code = ("from fractions import Fraction\n"
+    omega_1 under E = A1, an inverse row of 3 in the root data that
+    mu_of_grading reads, with the level matrix kept, gives the closed form
+    a top of 3/2, which breaks the zero trace of the span-1 ladder (1, 1)."""
+    code = ("import hodgerep.hodgecore as hodgecore\n"
             "import hodgerep.repweights as repweights\n"
             "from hodgerep.errors import ConsistencyError\n"
-            "from hodgerep.hodgecore import GradingElement, eigen_ladder, level, mu_of_grading\n"
+            "from hodgerep.hodgecore import GradingElement, eigen_ladder, level\n"
             "from hodgerep.rootdata import LieType, root_system\n"
             "from test_hodgecore import _patched_a3_c3\n"
             "a3, c3 = _patched_a3_c3()\n"
@@ -832,12 +866,15 @@ def test_levi_ladder_checks_survive_optimize():
             "                       (c3, (0, 0, 1), [3])):\n"
             "    t, g = rsd.lie_type, GradingElement.from_nodes(rsd.rank, nodes)\n"
             "    try:\n"
-            "        eigen_ladder(t, mu, g, level(t, mu, g), mu_of_grading(t, mu, g))\n"
+            "        eigen_ladder(t, mu, g, level(t, mu, g))\n"
             "    except ConsistencyError as exc:\n"
             "        print('raised', exc)\n"
             "repweights.root_system = root_system\n"
+            "a1 = root_system(LieType('A', 1))\n"
+            "hodgecore.root_system = {a1.lie_type: a1._replace(inverse_num=((3,),))}.__getitem__\n"
+            "t, g = a1.lie_type, GradingElement((1,))\n"
             "try:\n"
-            "    eigen_ladder(LieType('A', 1), (1,), GradingElement((1,)), 1, Fraction(3, 2))\n"
+            "    eigen_ladder(t, (1,), g, level(t, (1,), g))\n"
             "except ConsistencyError as exc:\n"
             "    print('raised', exc)\n")
     lines = _run_optimized(code).splitlines()

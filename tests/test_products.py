@@ -407,9 +407,9 @@ def test_product_sweep_decomposes_each_factor_once(monkeypatch):
     seen = Counter()
     real = products.eigen_ladder
 
-    def counting(t, mu, g, span, top, max_dim):
+    def counting(t, mu, g, span, max_dim):
         seen[(t, tuple(mu), g)] += 1
-        return real(t, mu, g, span, top, max_dim)
+        return real(t, mu, g, span, max_dim)
 
     monkeypatch.setattr(products, "eigen_ladder", counting)
     _sweep(_level3_pool(8))

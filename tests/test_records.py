@@ -18,7 +18,6 @@ from hodgerep.hodgecore import (
     GradingElement,
     HodgeTuple,
     HodgeVector,
-    RealFormDescriptor,
 )
 from hodgerep.repweights import WeightSystem, weight_system
 from hodgerep.rootdata import LieType, RootSystemData, root_system
@@ -63,20 +62,18 @@ RECORDS = [
      "EigenDecomp(top=Fraction(1, 2), dims=(1, 1))"),
     (HodgeVector, dict(dims=(1, 2, 2, 1)), dict(dims=(1, 3, 3, 1)),
      "HodgeVector(dims=(1, 2, 2, 1))"),
-    (RealFormDescriptor, dict(painted=(1,), name="su(1,2)"), dict(name=None),
-     "RealFormDescriptor(painted=(1,), name='su(1,2)')"),
     (FactorSpec, dict(lie_type=LieType("A", 2), E=GradingElement((1, 0)), mu=(1, 0)),
      dict(mu=(0, 1)),
      "FactorSpec(lie_type=LieType(family='A', rank=2), E=GradingElement(coeffs=(1, 0)), "
      "mu=(1, 0))"),
     (HodgeTuple, dict(factors=(FactorSpec(A1, GradingElement((1,)), (1,)),), span=1, level=1,
                       reality="real", c=Fraction(0), hodge=HodgeVector((1, 1)),
-                      real_forms=(RealFormDescriptor((1,), "su(1,1)"),), is_canonical=True),
+                      real_forms=("su(1,1)",), is_canonical=True),
      dict(is_canonical=False),
      "HodgeTuple(factors=(FactorSpec(lie_type=LieType(family='A', rank=1), "
      "E=GradingElement(coeffs=(1,)), mu=(1,)),), span=1, level=1, reality='real', "
      "c=Fraction(0, 1), hodge=HodgeVector(dims=(1, 1)), "
-     "real_forms=(RealFormDescriptor(painted=(1,), name='su(1,1)'),), is_canonical=True)"),
+     "real_forms=('su(1,1)',), is_canonical=True)"),
     (SearchConfig, dict(max_rank=8, level=3, families=frozenset("A")), dict(level=1),
      "SearchConfig(max_rank=8, level=3, families=frozenset({'A'}), include_products=False, "
      "dedupe_automorphisms=False)"),

@@ -26,11 +26,15 @@ read by name somewhere in the engine, or is one of the named library
 entries, so a second entry that only tests call cannot be added unseen;
 and only `products` names the assembly rule and the grouping the sweep
 asks it by, so no other module restates the rule or sweeps around it.
+The package's exported names are pinned, so an export is removed only by
+a deliberate edit of that list.
 """
 import ast
+import functools
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import hodgerep
@@ -95,6 +99,31 @@ def test_bench_import_pins_hold():
     out = subprocess.run([sys.executable, "bench/selfcheck.py", "TracerInstall"],
                          cwd=root, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
+
+
+# hodgerep's exported non-module names: removing or adding an export is an
+# edit to this list, made on purpose
+PUBLIC_NAMES = [
+    "ConsistencyError", "EigenDecomp", "FactorSpec", "GradingElement", "HodgeRepError",
+    "HodgeTuple", "HodgeVector", "InvalidTypeError", "LieType", "NonDominantError",
+    "ReconciliationReport", "ResourceLimitError", "RootSystemData", "SearchConfig",
+    "ShapeError", "WeightSystem", "center_charge", "convolve_eigen", "dual_weight",
+    "enumerate_level", "extremal_dim_is_one", "hodge_vector", "level",
+    "mu_plus_mu_star_closed_form", "real_form", "reality_type", "root_system",
+    "tensor_reality", "verify_paper", "weight_system", "weyl_dim",
+]
+# the names the benchmark reaches the engine by; its tracer wraps `level`
+BENCH_ENTRIES = ["verify_paper", "cli.main", "expected.load_expected", "level"]
+
+
+def test_public_names_are_pinned():
+    import hodgerep.cli
+    import hodgerep.expected
+    exported = sorted(name for name, value in vars(hodgerep).items()
+                      if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert exported == PUBLIC_NAMES
+    for dotted in BENCH_ENTRIES:
+        assert callable(functools.reduce(getattr, dotted.split("."), hodgerep)), dotted
 
 
 def test_unused_import_guard_detects_each_form():
@@ -442,7 +471,7 @@ def test_orbit_route_guard_detects_each_form():
         "def f(eigenspace_dims): pass\n"
         "g(weight_system=1)\n"
         "def weyl_orbit(): pass\n"
-        "z = eigen_ladder(t, mu, E, 1, top)\n"
+        "z = eigen_ladder(t, mu, E, 1)\n"
         "s = 'weight_system'\n"
         "weight_systems = levi_dim\n"
         "repweights._orbit_depths(lam, nb, painted, 0, m, counts)\n")
