@@ -5,8 +5,14 @@ per-row parameter ranges (r, i, r1, r2) and exact expressions for each
 factor and for the printed center charge, Hodge vector, reality type and
 real-form label.  `instantiate` checks each record against `_FIELDS` and
 builds each expression once, before any binding, from its parse tree into
-nested functions of the row's int parameters; no expression runs as code.
-It parses each distinct text once per call, and keeps no tree past it.
+a function of columns: given each parameter's values at a row's bindings,
+it gives the expression's value at each, so a row runs each expression
+once over all its bindings; no expression runs as code.  `and`, `or` and
+comparison chains run their right operand only at the bindings their left
+operand leaves open, as Python's short circuit does at one binding, and a
+binding that puts a rank outside its family's bounds is dropped before any
+other field runs there.  Each distinct text is parsed once per call, and
+no tree is kept past it.
 The row grammar is the nodes `_build` knows: int constants, the row's
 parameters, the operators in `_OPS`, `and`, `or`, and calls of `Q`
 (Fraction) and `binom` with positional arguments.  `/` is exact, and a
@@ -21,7 +27,7 @@ import os
 import re
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from math import comb
 
 from .errors import InvalidTypeError
@@ -114,6 +120,39 @@ def _pow(a, b):
     return a ** exponent if type(a) is int and exponent >= 0 else Fraction(a) ** exponent
 
 
+def _take(columns: dict, rows: list[int], n: int) -> dict:
+    """`columns`, of n rows each, cut down to `rows`."""
+    return columns if len(rows) == n else {
+        name: [column[k] for k in rows] for name, column in columns.items()}
+
+
+def _once(evaluate, columns: dict, n: int) -> list:
+    """A built subtree that reads no name, as a `partial` of this: it runs
+    on one row, and its value is repeated; on no rows it does not run."""
+    return evaluate(columns, 1) * n if n else []
+
+
+def _map(op, *operands):
+    """`op` of the operands' values, row by row; `_once` if no operand
+    reads a name, as for a call without arguments."""
+    def evaluate(columns, n):
+        return list(map(op, *[f(columns, n) for f in operands])) if operands else [op()]
+    return partial(_once, evaluate) if all(type(f) is partial for f in operands) else evaluate
+
+
+def _join(opens, left, right):
+    """`and` or `or` of two built operands, as Python runs it on each row:
+    the right operand runs only on the rows whose left value `opens` holds
+    for, and the other rows keep their left value."""
+    def evaluate(columns, n):
+        values = list(left(columns, n))
+        rows = [k for k, value in enumerate(values) if opens(value)]
+        for k, value in zip(rows, right(_take(columns, rows, n), len(rows))):
+            values[k] = value
+        return values
+    return partial(_once, evaluate) if type(left) is type(right) is partial else evaluate
+
+
 # the row grammar: each operator and function it allows, as an exact operation
 _OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
         ast.Div: _div, ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod, ast.Pow: _pow,
@@ -123,44 +162,31 @@ _OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
         ast.In: lambda a, b: a in b, ast.NotIn: lambda a, b: a not in b}
 _CALLS = {"Q": Fraction, "binom": lambda n, k: comb(_integer(n, "binom argument"),
                                                     _integer(k, "binom argument"))}
-# `and` and `or` of two built operands, by Python's own short-circuit operators
-_JOIN = {ast.And: lambda a, b: lambda binding: a(binding) and b(binding),
-         ast.Or: lambda a, b: lambda binding: a(binding) or b(binding)}
-
-
-def _apply(op, *operands):
-    """`op` of the operands' values, as a function from a binding."""
-    return lambda binding: op(*[operand(binding) for operand in operands])
-
-
-def _unary(op, operand):
-    return lambda binding: op(operand(binding))
-
-
-def _binary(op, left, right):
-    return lambda binding: op(left(binding), right(binding))
+_JOIN = {ast.And: partial(_join, bool), ast.Or: partial(_join, operator.not_)}
 
 
 def _build(node, names: list[str], after_in: bool = False):
-    """The expression `node` as a function from a binding of `names` to its
-    value.  NameError for any other name; ValueError for a node outside the
-    row grammar, and for a tuple anywhere but after `in` or `not in`."""
+    """The expression `node` as a function (columns, n) -> its values at n
+    bindings, where `columns` maps each of `names` to its n values; a
+    subtree that reads no name runs `_once`.  NameError for any other
+    name; ValueError for a node outside the row grammar, and for a tuple
+    anywhere but after `in` or `not in`."""
     kind = type(node)
     if (kind is ast.Tuple) != after_in:
         raise ValueError(f"{ast.unparse(node)!r}: a tuple must follow 'in' or "
                          f"'not in', and only there")
     if kind is ast.Tuple:
-        return _apply(lambda *items: items, *[_build(item, names) for item in node.elts])
+        return _map(lambda *items: items, *[_build(item, names) for item in node.elts])
     if kind is ast.Constant and type(node.value) is int:
-        return lambda binding, value=node.value: value
+        return partial(_once, lambda columns, n, value=node.value: [value])
     if kind is ast.Name:
         if node.id not in names:
             raise NameError(f"name {node.id!r} is not defined")
-        return operator.itemgetter(node.id)
+        return lambda columns, n, name=node.id: columns[name]
     if kind is ast.BinOp and type(node.op) in _OPS:
-        return _binary(_OPS[type(node.op)], _build(node.left, names), _build(node.right, names))
+        return _map(_OPS[type(node.op)], _build(node.left, names), _build(node.right, names))
     if kind is ast.UnaryOp and type(node.op) in _OPS:
-        return _unary(_OPS[type(node.op)], _build(node.operand, names))
+        return _map(_OPS[type(node.op)], _build(node.operand, names))
     if kind is ast.BoolOp:
         return reduce(_JOIN[type(node.op)], [_build(value, names) for value in node.values])
     if kind is ast.Compare and all(type(op) in _OPS for op in node.ops):
@@ -168,26 +194,24 @@ def _build(node, names: list[str], after_in: bool = False):
             _build(right, names, type(op) in (ast.In, ast.NotIn))
             for op, right in zip(node.ops, node.comparators)]
         # a < b < c is a < b and b < c, so a chain stops at its first false link
-        return reduce(_JOIN[ast.And], [_binary(_OPS[type(op)], left, right)
+        return reduce(_JOIN[ast.And], [_map(_OPS[type(op)], left, right)
                                        for op, left, right in zip(node.ops, terms, terms[1:])])
     if kind is ast.Call and not node.keywords and isinstance(node.func, ast.Name) \
             and node.func.id in _CALLS:
-        return _apply(_CALLS[node.func.id], *[_build(arg, names) for arg in node.args])
+        return _map(_CALLS[node.func.id], *[_build(arg, names) for arg in node.args])
     raise ValueError(f"{ast.unparse(node)!r} is outside the row grammar")
 
 
 def _compile(entry, names: list[str], where: str, field: str, trees: dict,
              as_type=int):
-    """`entry` (a string, or an integer) built once into a function from an
-    int binding to the entry's value: an int, which must be integral, when
-    `as_type` is int; a Fraction when it is Fraction; and the value as it
-    is when it is None, for a guard, whose truth the row tests.  Leading
+    """`entry` (a string, or an integer) built once into a function
+    (columns, n) -> its values at n bindings, `columns` mapping each of
+    `names` to its n values: ints, which must be integral, when `as_type`
+    is int; Fractions when it is Fraction; and the values as they are when
+    it is None, for a guard, whose truth the row tests.  A value that is
+    not integral is reported at the first binding that gives one.  Leading
     blanks are dropped, and a text is parsed only the first time `trees`,
-    the calling `instantiate`'s parse trees by text, meets it.  An int
-    literal or a bare parameter name needs no check at a binding, so it is
-    read without one."""
-    if type(entry) is int:
-        return _constant(entry, as_type)
+    the calling `instantiate`'s parse trees by text, meets it."""
     text = str(entry)
 
     def fault(exc):
@@ -195,38 +219,29 @@ def _compile(entry, names: list[str], where: str, field: str, trees: dict,
                           f"({type(exc).__name__}: {exc})")
     source = text.lstrip(" \t")
     try:
-        tree = trees.get(source)
+        tree = ast.Constant(entry) if type(entry) is int else trees.get(source)
         if tree is None:
             tree = trees[source] = ast.parse(source, "<string>", "eval").body
         evaluate = _build(tree, names)
     except (NameError, SyntaxError, ValueError, RecursionError) as exc:
         raise fault(exc) from None
-    if type(tree) is ast.Constant:
-        return _constant(tree.value, as_type)
-    if type(tree) is ast.Name:
-        if as_type is Fraction:
-            return lambda binding: Fraction(evaluate(binding))
-        return evaluate
 
-    def value(binding: dict[str, int]):
+    def values(columns: dict[str, list[int]], n: int) -> list:
         try:
-            val = evaluate(binding)
+            vals = evaluate(columns, n)
         except (TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
             raise fault(exc) from None
-        if as_type is int:
-            if val.denominator != 1:
-                raise ValueError(f"{where}: {field} expression {text!r} not integral "
-                                 f"under {binding}")
-            return int(val)
-        return val if as_type is None else Fraction(val)
-    return value
-
-
-def _constant(number: int, as_type):
-    """The function of a binding that is always `number`, as a Fraction
-    when `as_type` is Fraction, else as it is."""
-    value = Fraction(number) if as_type is Fraction else number
-    return lambda binding: value
+        if as_type is None:
+            return vals
+        if as_type is Fraction:
+            return [val if type(val) is Fraction else Fraction(val) for val in vals]
+        ints = list(map(int, vals))
+        if ints != vals:
+            k = next(k for k, val in enumerate(vals) if val != ints[k])
+            raise ValueError(f"{where}: {field} expression {text!r} not integral under "
+                             f"{ {name: column[k] for name, column in columns.items()} }")
+        return ints
+    return values
 
 
 class ExpectedInstance(namedtuple("ExpectedInstance", (
@@ -337,9 +352,9 @@ def load_expected(path: str | None = None) -> ExpectedTables:
 
 
 def _compile_factor(fac, names: list[str], where: str, trees: dict):
-    """One factor, checked and compiled, as a function from a binding to
-    its (type, nodes, mu); LieType raises InvalidTypeError for a rank
-    outside the family's bounds."""
+    """One factor, checked and compiled, as two functions of a row's
+    columns: one to each binding's LieType, None outside the family's
+    bounds, and one, given those, to each binding's (type, nodes, mu)."""
     _check(fac, "factor", where)
     for node in fac["E"]:
         if type(node) not in (str, int):
@@ -348,43 +363,58 @@ def _compile_factor(fac, names: list[str], where: str, trees: dict):
     for pair in fac["mu"]:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ValueError(f"{where}: mu entry must be a [node, coeff] pair, got {pair!r}")
-    family, lie_types = fac["family"], {}
+    family = fac["family"]
     rank_of = _compile(fac["rank"], names, where, "rank", trees)
     nodes_of = [_compile(node, names, where, "E", trees) for node in fac["E"]]
     mu_of = [(_compile(node, names, where, "mu", trees),
               _compile(coeff, names, where, "mu", trees)) for node, coeff in fac["mu"]]
 
-    def node(node_of, binding: dict[str, int], rank: int, field: str) -> int:
-        at = node_of(binding)
+    def types(columns: dict, n: int) -> list[LieType | None]:
+        ranks, known = rank_of(columns, n), {}
+        for rank in set(ranks):
+            try:
+                known[rank] = LieType(family, rank)
+            except InvalidTypeError:
+                known[rank] = None
+        return [known[rank] for rank in ranks]
+
+    def node(at: int, rank: int, field: str) -> int:
         if not 1 <= at <= rank:
             raise ValueError(f"{where}: {field} node {at} outside 1..{rank}")
         return at
 
-    def factor(binding: dict[str, int]):
-        rank = rank_of(binding)
-        lie_type = lie_types.get(rank) or lie_types.setdefault(rank, LieType(family, rank))
-        nodes = tuple(sorted(node(node_of, binding, rank, "E") for node_of in nodes_of))
-        if not nodes or len(set(nodes)) < len(nodes):
-            raise ValueError(f"{where}: E must name one or more distinct nodes, "
-                             f"got {list(nodes)}")
-        mu = [0] * rank
-        seen = set()
-        for node_of, coeff_of in mu_of:
-            at = node(node_of, binding, rank, "mu")
-            if at in seen:
-                raise ValueError(f"{where}: mu node {at} repeated")
-            seen.add(at)
-            mu[at - 1] = coeff_of(binding)
-        if min(mu) < 0 or not any(mu):
-            raise ValueError(f"{where}: mu must be dominant and nonzero, got {mu}")
-        return lie_type, nodes, tuple(mu)
-    return factor
+    def factors(columns: dict, lie_types: list[LieType]) -> list[tuple]:
+        n, out = len(lie_types), []
+        e_rows = list(zip(*[node_of(columns, n) for node_of in nodes_of])) or [()] * n
+        mu_rows = list(zip(*[zip(node_of(columns, n), coeff_of(columns, n))
+                             for node_of, coeff_of in mu_of])) or [()] * n
+        for lie_type, e_row, mu_row in zip(lie_types, e_rows, mu_rows):
+            nodes = tuple(sorted(node(at, lie_type.rank, "E") for at in e_row))
+            if not nodes or len(set(nodes)) < len(nodes):
+                raise ValueError(f"{where}: E must name one or more distinct nodes, "
+                                 f"got {list(nodes)}")
+            weight, seen = [0] * lie_type.rank, set()
+            for at, coeff in mu_row:
+                if node(at, lie_type.rank, "mu") in seen:
+                    raise ValueError(f"{where}: mu node {at} repeated")
+                seen.add(at)
+                weight[at - 1] = coeff
+            if min(weight) < 0 or not any(weight):
+                raise ValueError(f"{where}: mu must be dominant and nonzero, got {weight}")
+            out.append((lie_type, nodes, tuple(weight)))
+        return out
+    return types, factors
 
 
 def _compile_row(table_name: str, level: int, pos: int, item, trees: dict):
     """One row, checked and compiled, with `trees` the calling
     `instantiate`'s parse trees by text: its item number, its parameter
-    ranges, and a function from a binding to the row's ExpectedInstance."""
+    ranges, and a function from the row's bindings to their instances
+    that runs each field once over all the bindings it reaches.  The ranks
+    run first, and the bindings they put outside a family's bounds are
+    dropped before any other field runs; then E and mu; then each case
+    guard in order, on the bindings no earlier case took, and that case's
+    h on those it takes; then c and the real-form labels."""
     number = item.get("item") if isinstance(item, dict) else None
     where = (f"{table_name} item {number}" if type(number) is int
              else f"{table_name} row {pos}")
@@ -417,31 +447,51 @@ def _compile_row(table_name: str, level: int, pos: int, item, trees: dict):
             for k, part in enumerate(re.split(r"\{([^}]+)\}", template))]
         for template in (rf if isinstance(rf, list) else [rf])]
 
-    def instance(binding: dict[str, int]) -> ExpectedInstance:
-        factors = tuple(factor_of(binding) for factor_of in factors_of)
-        reality, h_of = next(((reality, h_of) for when, reality, h_of in cases
-                              if when is None or when(binding)), (None, None))
-        if reality is None:
+    def instances(bindings: list[dict[str, int]]) -> list[ExpectedInstance]:
+        n = len(bindings)
+        columns = {name: [binding[name] for binding in bindings] for name in names}
+        types = [types_of(columns, n) for types_of, _ in factors_of]
+        kept = [k for k, row in enumerate(zip(*types)) if None not in row]
+        if len(kept) < n:
+            bindings, columns = [bindings[k] for k in kept], _take(columns, kept, n)
+            types, n = [[column[k] for k in kept] for column in types], len(kept)
+        factors = list(zip(*[factor(columns, lie_types)
+                             for (_, factor), lie_types in zip(factors_of, types)]))
+        realities, h, open_rows = [None] * n, [()] * n, list(range(n))
+        for when, reality, h_of in cases:
+            truths = [True] * n if when is None else when(
+                _take(columns, open_rows, n), len(open_rows))
+            rows = [k for k, truth in zip(open_rows, truths) if truth]
+            open_rows = [k for k, truth in zip(open_rows, truths) if not truth]
+            at_rows = _take(columns, rows, n)
+            values = list(zip(*[entry(at_rows, len(rows)) for entry in h_of])) or [()] * len(rows)
+            for k, value in zip(rows, values):
+                realities[k], h[k] = reality, value
+        if open_rows:
             raise ValueError(f"{where}: no case guard matched")
-        return ExpectedInstance(
-            table=table_name, item=number, bindings=binding, factors=factors,
-            c=c_of(binding), h=tuple(h(binding) for h in h_of), reality=reality,
-            real_forms=None if labels is None else tuple(
-                None if parts is None else "".join(
-                    part if isinstance(part, str) else str(part(binding)) for part in parts)
-                for parts in labels))
-    return number, params, instance
+        c = c_of(columns, n)
+        real_forms = [None] * n if labels is None else list(zip(*[
+            [None] * n if parts is None else list(map("".join, zip(*[
+                [part] * n if isinstance(part, str) else map(str, part(columns, n))
+                for part in parts])))
+            for parts in labels])) or [()] * n
+        return [ExpectedInstance(table_name, number, *fields) for fields
+                in zip(bindings, factors, c, h, realities, real_forms)]
+    return number, params, instances
 
 
-def _bindings(params, max_rank: int, binding: dict[str, int]) -> list[dict[str, int]]:
-    """The concrete bindings that extend `binding` over the declared ranges."""
-    if len(binding) == len(params):
-        return [binding]
-    name, lo, hi = params[len(binding)]
-    low = lo(binding)
-    top = max_rank if hi is None else min(hi(binding), max_rank)
-    return [full for val in range(low, top + 1)
-            for full in _bindings(params, max_rank, {**binding, name: val})]
+def _bindings(params, max_rank: int) -> list[dict[str, int]]:
+    """The concrete bindings of a row's declared ranges, in order; each
+    range's bounds run once, over the bindings of the names before it."""
+    bindings = [{}]
+    for depth, (name, lo, hi) in enumerate(params):
+        n, columns = len(bindings), {key: [binding[key] for binding in bindings]
+                                     for key, _, _ in params[:depth]}
+        lows = lo(columns, n)
+        tops = [max_rank] * n if hi is None else [min(top, max_rank) for top in hi(columns, n)]
+        bindings = [{**binding, name: value} for binding, low, top in zip(bindings, lows, tops)
+                    for value in range(low, top + 1)]
+    return bindings
 
 
 def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
@@ -450,23 +500,18 @@ def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
 
     Every row is checked and compiled before any binding, whatever
     `max_rank` is; a malformed row raises ValueError naming the table, the
-    item and the field, and so does a repeated item number.  A binding
-    that puts a rank outside its family's bounds is dropped.  Each
-    distinct expression text is parsed once per call; the parse trees die
-    with the call.
+    item and the field, and so does a repeated item number.  Each row then
+    runs once over all its bindings, and drops those that put a rank
+    outside its family's bounds.  Each distinct expression text is parsed
+    once per call; the parse trees die with the call.
     """
     table = tables.tables[table_name]
     trees: dict[str, ast.expr] = {}
     rows = [_compile_row(table_name, table["level"], pos, item, trees)
             for pos, item in enumerate(table["items"], 1)]
     out: dict[int, list[ExpectedInstance]] = {}
-    for number, params, instance in rows:
+    for number, params, instances in rows:
         if number in out:
             raise ValueError(f"{table_name} item {number}: item number repeated")
-        out[number] = []
-        for binding in _bindings(params, max_rank, {}):
-            try:
-                out[number].append(instance(binding))
-            except InvalidTypeError:  # a rank outside its family's bounds
-                continue
+        out[number] = instances(_bindings(params, max_rank))
     return out

@@ -688,7 +688,11 @@ def convolve_levels(decomps: Sequence[Levels]) -> Levels:
 def hodge_vector_levels(levels: Levels, reality: str, c: Fraction,
                         level_n: int) -> HodgeVector:
     """`hodgecore.hodge_vector` on (eigenvalue, dimension) levels: shift by
-    c, adjoin U* under negated `Fraction` keys, sort, and check the grid."""
+    c, adjoin U* under negated `Fraction` keys, sort, and check the grid.
+    The Hodge shapes are those of weight one, at level 1, and of CY3 type,
+    at level 3, so every other level is refused."""
+    if level_n not in (1, 3):
+        raise ShapeError(f"level {level_n} is neither 1 (weight one) nor 3 (CY3 type)")
     shifted = [(ev + c, d) for ev, d in levels]
     if reality == REAL:
         combined = dict(shifted)

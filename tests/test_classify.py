@@ -576,9 +576,9 @@ def test_malformed_expected_row_raises(tmp_path, mutate, message):
 def test_compiled_rows_match_the_eval_route():
     """Every packaged table instantiates to the same instances through the
     compiled rows as through `eval` of each expression's text, at every
-    max_rank in 1..16."""
+    max_rank in 1..16 and at 32, where the rows have the most bindings."""
     tables = load_expected()
-    for max_rank in range(1, 17):
+    for max_rank in [*range(1, 17), 32]:
         for name in tables.table_names("all"):
             assert instantiate(name, tables, max_rank) == \
                 instantiate_eval(name, tables, max_rank), (name, max_rank)
@@ -587,10 +587,10 @@ def test_compiled_rows_match_the_eval_route():
 def test_instance_values_are_ints_and_c_a_fraction():
     """Every rank, E node, mu entry, h entry and binding of every packaged
     instance is an int, and every c a Fraction, at every max_rank in
-    1..16; the eval route's equality cannot see this, since Fraction(1) ==
-    1."""
+    1..16 and at 32; the eval route's equality cannot see this, since
+    Fraction(1) == 1."""
     tables = load_expected()
-    for max_rank in range(1, 17):
+    for max_rank in [*range(1, 17), 32]:
         for name in tables.table_names("all"):
             for instances in instantiate(name, tables, max_rank).values():
                 for inst in instances:
@@ -637,24 +637,37 @@ def _row_expressions():
 @example("((r + 4) / 2 - 6 / 4)")
 @example("(3 ** i + r ** 2 / 3)")
 @example("(0 ** i)")
+# `or` and `and` guard a right operand that raises on the rows their left
+# operand closes, and a constant one that raises on every row it reaches
+@example("Q(r == 0 or 6 % r == 0)")
+@example("Q(i != 0 and r / i > 1)")
+@example("Q(r > 6 and 1 / 0 > 0)")
 def test_built_expressions_match_the_eval_route(text):
-    """At every int binding with r and i in -3..6, a built expression has
-    the value that `eval` of its text gives at the Fraction binding, with
-    every int literal read as a Fraction, or fails with the same
-    exception.  The engine keeps int literals and exact int quotients as
-    ints inside the expression, so the two routes meet in value, and the
+    """At every int binding with r and i in -3..6, a built expression run
+    on that binding as a one-row column has the value that `eval` of its
+    text gives at the Fraction binding, with every int literal read as a
+    Fraction, or fails with the same exception; and where no binding
+    fails, the whole grid run as one column gives those values row by
+    row.  The engine keeps int literals and exact int quotients as ints
+    inside the expression, so the two routes meet in value, and the
     result is a Fraction."""
     value = expected._compile(text, ["r", "i"], "row", "c", {}, Fraction)
     as_fractions = re.sub(r"\d+", r"Q(\g<0>)", text)
-    for r, i in itertools.product(range(-3, 7), repeat=2):
+    grid = list(itertools.product(range(-3, 7), repeat=2))
+    wants = []
+    for r, i in grid:
         try:
             want = Fraction(_eval_row(as_fractions, {"r": Fraction(r), "i": Fraction(i)}))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             with pytest.raises(ValueError, match=re.escape(f"({type(exc).__name__}: ")):
-                value({"r": r, "i": i})
+                value({"r": [r], "i": [i]}, 1)
         else:
-            got = value({"r": r, "i": i})
+            got, = value({"r": [r], "i": [i]}, 1)
             assert got == want and type(got) is Fraction, (r, i)
+            wants.append(want)
+    if len(wants) == len(grid):
+        got = value({"r": [r for r, _ in grid], "i": [i for _, i in grid]}, len(grid))
+        assert got == wants and {type(x) for x in got} == {Fraction}
 
 
 def _expression_texts(item):
@@ -697,10 +710,34 @@ def test_expressions_are_parsed_once_per_instantiate(monkeypatch):
     assert counts == [distinct, distinct] and distinct > 0
 
 
+def test_each_compiled_expression_runs_once_per_instantiate(monkeypatch):
+    """Every function `expected._compile` returns, the parameter bounds
+    included, runs at most once per `instantiate` call of a verify run at
+    max_rank 14: each row runs over all its bindings at once, as columns,
+    and not once per binding.  Each such function is built inside one
+    `instantiate` call, so counting calls per function counts them per
+    call."""
+    calls = Counter()
+    real = expected._compile
+
+    def counted_compile(*args, **kwargs):
+        built = real(*args, **kwargs)
+
+        def counted(columns, n):
+            calls[counted] += 1
+            return built(columns, n)
+        calls[counted] = 0
+        return counted
+
+    monkeypatch.setattr(expected, "_compile", counted_compile)
+    verify_paper(max_rank=14, include_computed_only=False)
+    assert len(calls) > 500 and max(calls.values()) == 1
+
+
 def test_compiled_guards_return_their_truth_values():
     """Every packaged `cases.when` guard compiles to a function that
-    returns the guard's own value, a bool, at every binding of r and i in
-    1..8, and every row's c to one that returns a Fraction."""
+    returns the guard's own values, bools, on the column of every binding
+    of r and i in 1..8, and every row's c to one that returns Fractions."""
     tables = load_expected()
     for name in tables.table_names("all"):
         for item in tables.tables[name]["items"]:
@@ -708,10 +745,12 @@ def test_compiled_guards_return_their_truth_values():
             c_of = expected._compile(item["c"], names, name, "c", {}, Fraction)
             guards = [expected._compile(case["when"], names, name, "cases.when", {}, None)
                       for case in item.get("cases", ()) if "when" in case]
-            for values in itertools.product(range(1, 9), repeat=len(names)):
-                binding = dict(zip(names, values))
-                assert type(c_of(binding)) is Fraction, (name, item["item"], binding)
-                assert {type(guard(binding)) for guard in guards} <= {bool}, (name, binding)
+            grid = list(itertools.product(range(1, 9), repeat=len(names)))
+            columns = {key: [values[k] for values in grid] for k, key in enumerate(names)}
+            assert {type(c) for c in c_of(columns, len(grid))} == {Fraction}, \
+                (name, item["item"])
+            for guard in guards:
+                assert {type(x) for x in guard(columns, len(grid))} == {bool}, name
 
 
 def test_int_division_builds_one_fraction():
@@ -727,13 +766,44 @@ def test_int_division_builds_one_fraction():
 
 def test_out_of_range_rank_skips_its_binding(tmp_path):
     """A catalogued family drops only the bindings outside its ranks:
-    thm2.1 item 1 read as B_r keeps r = 2..4, since there is no B1."""
+    thm2.1 item 1 read as B_r keeps r = 2..4, since there is no B1; and it
+    drops them before any other field runs there, so an h entry that
+    raises only at r = 1 raises nothing."""
     raw = json.loads(json.dumps(load_expected().raw))
-    raw["tables"]["thm2.1"]["items"][0]["factors"][0]["family"] = "B"
+    item = raw["tables"]["thm2.1"]["items"][0]
+    item["factors"][0]["family"] = "B"
+    for case in item["cases"]:
+        case["h"][0] = "binom(r-2, 1)"
     path = tmp_path / "expected.json"
     path.write_text(json.dumps(raw))
     got = instantiate("thm2.1", load_expected(str(path)), 4)[1]
     assert {inst.bindings["r"] for inst in got} == {2, 3, 4}
+    assert {inst.h[0] for inst in got} == {0, 1, 2}
+    item["factors"][0]["family"] = "A"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=re.escape("(ValueError: n must be a non-negative")):
+        instantiate("thm2.1", load_expected(str(path)), 4)
+
+
+def test_case_h_runs_only_on_its_own_bindings(tmp_path):
+    """A case's h runs only at the bindings its guard takes: thm2.1 item 1
+    with a quaternionic h that divides by zero wherever 2i != r + 1, the
+    bindings the complex case before it takes, instantiates as before, and
+    raises once a guard hands it such a binding."""
+    raw = json.loads(json.dumps(load_expected().raw))
+    case = raw["tables"]["thm2.1"]["items"][0]["cases"][1]
+    assert case["when"].startswith("2*i == r+1") and case["reality"] == "quaternionic"
+    case["h"] = [f"({h}) / 0 ** ((2*i-r-1)**2)" for h in case["h"]]
+    path = tmp_path / "expected.json"
+    path.write_text(json.dumps(raw))
+    for max_rank in (4, 8):
+        assert instantiate("thm2.1", load_expected(str(path)), max_rank) == \
+            instantiate("thm2.1", load_expected(), max_rank)
+    raw["tables"]["thm2.1"]["items"][0]["cases"][0]["when"] = "r < 0"
+    case["when"] = "i % 2 == 0 or 2*i != r+1"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=re.escape("(ZeroDivisionError: ")):
+        instantiate("thm2.1", load_expected(str(path)), 4)
 
 
 @lru_cache(maxsize=None)
@@ -1114,10 +1184,10 @@ def test_row_division_is_exact(tmp_path):
     text = "(binom(r,i-1)+binom(r,i))/2"
     assert text in raw["tables"]["thm2.1"]["items"][0]["cases"][2]["h"]
     h = expected._compile(text, ["r", "i"], "thm2.1 item 1", "h", {})
-    value = h({"r": Fraction(60), "i": Fraction(30)})
+    value, = h({"r": [Fraction(60)], "i": [Fraction(30)]}, 1)
     assert value == (math.comb(60, 29) + math.comb(60, 30)) // 2 > 2 ** 53
     power = expected._compile("2**-2 + binom(r,2)**-1", ["r"], "w", "c", {}, Fraction)
-    assert power({"r": Fraction(5)}) == Fraction(1, 4) + Fraction(1, 10)
+    assert power({"r": [Fraction(5)]}, 1) == [Fraction(1, 4) + Fraction(1, 10)]
 
 
 def _no_orbit_ladder(*args, **kwargs):

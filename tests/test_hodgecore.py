@@ -418,11 +418,11 @@ def test_eigen_decomp_validation():
 @st.composite
 def _assembly_cases(draw):
     """A unit-step ladder (top p/q with q <= 4, 1-4 positive dims), a
-    reality case, a level and a charge c: any p/q with q <= 4, or one
-    that puts the top of U, or that of U*, at n/2."""
+    reality case, a level in 0..4 and a charge c: any p/q with q <= 4, or
+    one that puts the top of U, or that of U*, at n/2."""
     top = draw(st.fractions(-4, 4, max_denominator=4))
     dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
-    level_n = draw(st.sampled_from([1, 3]))
+    level_n = draw(st.sampled_from([0, 1, 2, 3, 4]))
     c = draw(st.one_of(st.fractions(-4, 4, max_denominator=4),
                        st.just(Q(level_n, 2) - top),
                        st.just(len(dims) - 1 - Q(level_n, 2) - top)))
@@ -439,16 +439,20 @@ def _assembly_cases(draw):
 @example((EigenDecomp(Q(3, 2), (1, 2, 1, 3)), REAL, Q(0), 3))    # not palindromic
 @example((EigenDecomp(Q(3, 2), (2, 1, 1, 2)), REAL, Q(0), 3))    # not (1,a,a,1)
 @example((EigenDecomp(Q(1, 2), (1, 2)), QUATERNIONIC, Q(0), 1))  # accepted (3,3)
+@example((EigenDecomp(Q(1), (1, 1, 1)), REAL, Q(0), 2))          # full grid, level 2
+@example((EigenDecomp(Q(0), (1,)), REAL, Q(0), 0))               # full grid, level 0
+@example((EigenDecomp(Q(2), (1, 1, 1, 1, 1)), REAL, Q(0), 4))    # full grid, level 4
 def test_hodge_vector_matches_fraction_oracle(case):
     """The fold gives the oracle's vector where the oracle accepts with the
-    top of U at n/2.  Where the oracle raises, or accepts with U* on top,
-    which the assembly rule never produces, the fold is an invariant
-    failure."""
+    top of U at n/2.  Where the oracle raises, as it does at every level
+    but 1 and 3, or accepts with U* on top, which the assembly rule never
+    produces, the fold is an invariant failure."""
     decomp, reality, c, level_n = case
     try:
         want = hodge_vector_levels(decomp.levels, reality, c, level_n).dims
     except ShapeError:
         want = None
+    assert want is None or level_n in (1, 3)
     if want is None or decomp.top + c != Q(level_n, 2):
         with pytest.raises(ConsistencyError):
             hodge_vector(decomp, reality, c, level_n)
