@@ -21,7 +21,9 @@ factors' summaries is, so each distinct factor is canonicalised once.
 `verify_paper` enumerates the window of its scope once, first, and looks
 every table-row instance up in it by (level, coverage key), the sorted
 (type, E nodes, mu) keys of a tuple's factors, which is also the key of a
-row instance; only a key the window lacks is assembled.  The printed rows
+row instance; only a key the window lacks is assembled, once per run,
+and its tuple or rejection serves every instance that names it; each
+instance is still compared with it on its own.  The printed rows
 are independent input, so this checks the window's completeness on every
 run: a row candidate that the rule accepts inside the window but the
 enumeration lacks raises ConsistencyError.  The sweeps and the row checks share the run's one
@@ -282,30 +284,38 @@ class ReconciliationReport(namedtuple("ReconciliationReport", (
 
 
 def _check_instance(inst: ExpectedInstance, target_level: int,
-                    got: HodgeTuple | None,
-                    window: SearchConfig | None,
+                    found: dict, window: SearchConfig | None,
                     table: SummaryTable) -> InstanceResult:
-    """Compare one row instance with the tuple it names.  `got` is that
-    tuple as found in `window`, the window enumerated at the instance's
-    level (None when nothing was enumerated); when `got` is None, it is
-    assembled from the run's summary `table`, or the rule gives the
-    rejection text.  ConsistencyError when the rule accepts a candidate
-    that the window should hold: the level-bound generator missed it."""
+    """Compare one row instance with the tuple it names.  `found` maps
+    (level, coverage key) to the tuple of every key the window holds,
+    `window` being the window enumerated at the instance's level (None
+    when nothing was enumerated), and to the tuple or the ShapeError of
+    every key a row check has assembled.  A key it lacks is assembled from
+    the run's summary `table` and added, so each is assembled once per
+    run; the rule's ShapeError gives the rejection text.  ConsistencyError
+    when the rule accepts a candidate that the window should hold: the
+    level-bound generator missed it."""
     diffs: list[tuple[str, str, str]] = []
+    key = (target_level, inst.key)
+    got = found.get(key)
     if got is None:
         try:
             got = assemble_summaries(table.summarise(inst.factors), target_level)
         except ShapeError as exc:
-            if inst.is_product:
-                diffs.append(("validity", "valid level-3 product", f"rejected: {exc}"))
-            else:
-                diffs.append(("validity", f"valid level-{target_level} tuple", "rejected"))
-            return InstanceResult(inst, "mismatch", diffs)
-        if window is not None and window.holds([t for t, _, _ in inst.factors]):
+            got = exc
+        found[key] = got
+        if isinstance(got, HodgeTuple) and window is not None \
+                and window.holds([t for t, _, _ in inst.factors]):
             raise ConsistencyError(
                 f"{inst.describe()}: a valid level-{target_level} tuple that the "
                 f"enumerated window (max_rank {window.max_rank}) lacks; the "
                 "level-bound generator is incomplete")
+    if isinstance(got, ShapeError):
+        if inst.is_product:
+            diffs.append(("validity", "valid level-3 product", f"rejected: {got}"))
+        else:
+            diffs.append(("validity", f"valid level-{target_level} tuple", "rejected"))
+        return InstanceResult(inst, "mismatch", diffs)
 
     if tuple(inst.h) != got.hodge.dims:
         diffs.append(("h", str(list(inst.h)), str(list(got.hodge.dims))))
@@ -376,7 +386,8 @@ def verify_paper(scope: str = "all", max_rank: int = 8,
     each instance takes its tuple from it; only a key the window lacks is
     assembled, and ConsistencyError is raised when the assembly rule
     accepts such a key although the window should hold it.  Without it
-    every instance is assembled.  The sweeps and the assembled instances
+    every instance's key is assembled.  Each distinct (level, key) is
+    assembled at most once per run.  The sweeps and the assembled instances
     share one summary table per call, so each distinct factor is
     summarised once per run.
     """
@@ -411,10 +422,8 @@ def verify_paper(scope: str = "all", max_rank: int = 8,
                 continue
             results = []
             for inst in instances:
-                key = inst.key
-                results.append(_check_instance(
-                    inst, target_level, found.get((target_level, key)), window, table))
-                covered_keys.add(key)
+                results.append(_check_instance(inst, target_level, found, window, table))
+                covered_keys.add(inst.key)
             status = "match" if all(r.status == "match" for r in results) else "mismatch"
             by_status[status].append(RowResult(name, item, status, *allowlist, results))
 

@@ -11,8 +11,8 @@ once over all its bindings; no expression runs as code.  `and`, `or` and
 comparison chains run their right operand only at the bindings their left
 operand leaves open, as Python's short circuit does at one binding, and a
 binding that puts a rank outside its family's bounds is dropped before any
-other field runs there.  Each distinct text is parsed once per call, and
-no tree is kept past it.
+other field runs there.  Each distinct text is parsed and built once per
+call and set of parameter names, and nothing built is kept past it.
 The row grammar is the nodes `_build` knows: int constants, the row's
 parameters, the operators in `_OPS`, `and`, `or`, and calls of `Q`
 (Fraction) and `binom` with positional arguments.  `/` is exact, and a
@@ -210,21 +210,27 @@ def _compile(entry, names: list[str], where: str, field: str, trees: dict,
     is int; Fractions when it is Fraction; and the values as they are when
     it is None, for a guard, whose truth the row tests.  A value that is
     not integral is reported at the first binding that gives one.  Leading
-    blanks are dropped, and a text is parsed only the first time `trees`,
-    the calling `instantiate`'s parse trees by text, meets it."""
+    blanks are dropped.  `trees` holds the calling `instantiate`'s parse
+    trees by text and built functions by (entry, parameter names), so a
+    text is parsed only the first time it is met, and built only the first
+    time it is met with these names; each site keeps its own checks and
+    fault messages."""
     text = str(entry)
 
     def fault(exc):
         return ValueError(f"{where}: cannot evaluate {field} expression {text!r} "
                           f"({type(exc).__name__}: {exc})")
-    source = text.lstrip(" \t")
-    try:
-        tree = ast.Constant(entry) if type(entry) is int else trees.get(source)
-        if tree is None:
-            tree = trees[source] = ast.parse(source, "<string>", "eval").body
-        evaluate = _build(tree, names)
-    except (NameError, SyntaxError, ValueError, RecursionError) as exc:
-        raise fault(exc) from None
+    source = entry if type(entry) is int else text.lstrip(" \t")
+    key = (source, tuple(names))
+    evaluate = trees.get(key)
+    if evaluate is None:
+        try:
+            tree = ast.Constant(entry) if type(entry) is int else trees.get(source)
+            if tree is None:
+                tree = trees[source] = ast.parse(source, "<string>", "eval").body
+            evaluate = trees[key] = _build(tree, names)
+        except (NameError, SyntaxError, ValueError, RecursionError) as exc:
+            raise fault(exc) from None
 
     def values(columns: dict[str, list[int]], n: int) -> list:
         try:
@@ -408,13 +414,13 @@ def _compile_factor(fac, names: list[str], where: str, trees: dict):
 
 def _compile_row(table_name: str, level: int, pos: int, item, trees: dict):
     """One row, checked and compiled, with `trees` the calling
-    `instantiate`'s parse trees by text: its item number, its parameter
-    ranges, and a function from the row's bindings to their instances
-    that runs each field once over all the bindings it reaches.  The ranks
-    run first, and the bindings they put outside a family's bounds are
-    dropped before any other field runs; then E and mu; then each case
-    guard in order, on the bindings no earlier case took, and that case's
-    h on those it takes; then c and the real-form labels."""
+    `instantiate`'s parse trees and built functions: its item number, its
+    parameter ranges, and a function from the row's bindings to their
+    instances that runs each field once over all the bindings it reaches.
+    The ranks run first, and the bindings they put outside a family's
+    bounds are dropped before any other field runs; then E and mu; then
+    each case guard in order, on the bindings no earlier case took, and
+    that case's h on those it takes; then c and the real-form labels."""
     number = item.get("item") if isinstance(item, dict) else None
     where = (f"{table_name} item {number}" if type(number) is int
              else f"{table_name} row {pos}")
@@ -503,10 +509,11 @@ def instantiate(table_name: str, tables: ExpectedTables, max_rank: int
     item and the field, and so does a repeated item number.  Each row then
     runs once over all its bindings, and drops those that put a rank
     outside its family's bounds.  Each distinct expression text is parsed
-    once per call; the parse trees die with the call.
+    and built once per call and set of parameter names; what is built dies
+    with the call.
     """
     table = tables.tables[table_name]
-    trees: dict[str, ast.expr] = {}
+    trees: dict = {}  # text -> parse tree, (entry, names) -> built function
     rows = [_compile_row(table_name, table["level"], pos, item, trees)
             for pos, item in enumerate(table["items"], 1)]
     out: dict[int, list[ExpectedInstance]] = {}

@@ -19,7 +19,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, permutations
-from operator import add, gt, mul
+from operator import add, gt
 
 from .errors import ConsistencyError, InvalidTypeError
 
@@ -167,26 +167,54 @@ def _inverse(matrix: IntMatrix) -> tuple[IntMatrix, int]:
     """(adj, det) of a Cartan matrix of finite type by fraction-free
     Gauss-Jordan (Bareiss): the pivots are the leading principal minors,
     positive for finite type, every division is exact, and [matrix | I]
-    ends as [det I | adj].  A row with 0 in the pivot column is only
-    rescaled."""
+    would end as [det I | adj].
+
+    The work is done in one n x n matrix: column k holds the left block
+    until step k and the right block after it, so step k sets the pivot
+    row's entry to the last pivot `prev` (its scaled identity entry) and
+    row i's to -f, f being its entry in the pivot column.  A row that no
+    step has combined yet is kept as given: by Bareiss's invariant it
+    stands for itself times `prev`, which is why it is 0 left of the
+    pivot column.  Such a row is scaled by `prev` when it becomes the
+    pivot row; first reached with f != 0 it becomes pivot * x - f * y,
+    with no division, f read off the row as kept.  Every other row with 0
+    in the pivot column is only rescaled."""
     n = len(matrix)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    rows = [list(row) for row in matrix]
+    fresh = [True] * n
     prev = 1
     for k in range(n):
-        pivot_row = aug[k]
+        pivot_row = rows[k]
+        if fresh[k]:
+            fresh[k] = False
+            pivot_row = rows[k] = [prev * y for y in pivot_row]
         pivot = pivot_row[k]
-        for i, row in enumerate(aug):
-            if i != k:
-                f = row[k]
-                aug[i] = ([(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)] if f
-                          else [pivot * x // prev for x in row])
+        pivot_row[k] = prev
+        for i, row in enumerate(rows):
+            if i == k:
+                continue
+            f = row[k]
+            if fresh[i]:
+                if f:
+                    fresh[i] = False
+                    row = rows[i] = [pivot * x - f * y for x, y in zip(row, pivot_row)]
+                    row[k] = -f * prev
+            elif f:
+                row = rows[i] = [(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)]
+                row[k] = -f
+            else:
+                rows[i] = [pivot * x // prev for x in row]
         prev = pivot
-    return tuple(tuple(row[n:]) for row in aug), prev
+    return tuple(map(tuple, rows)), prev
 
 
-def _positive_roots(cartan: IntMatrix) -> tuple[tuple[RootCoords, ...], tuple[Weight, ...]]:
+def _positive_roots(cartan: IntMatrix, sym: tuple[int, ...]
+                    ) -> tuple[tuple[RootCoords, ...], tuple[Weight, ...],
+                               tuple[int, ...], tuple[int, ...]]:
     """Positive roots in simple-root and in fundamental coordinates, sorted
-    by height and then by coordinates, found one height at a time.
+    by height and then by coordinates, found one height at a time, with
+    each root's support bitmask and its pairing (rho, beta) = sum_j
+    beta_j d_j, `sym` holding the d_j.
 
     Each root beta carries its fundamental coordinates <beta, alpha_i^vee>
     and its string depths p_i, how far the alpha_i-string through beta
@@ -196,26 +224,33 @@ def _positive_roots(cartan: IntMatrix) -> tuple[tuple[RootCoords, ...], tuple[We
     height is found from each root beta = gamma - alpha_i, which sets
     p_i(gamma) = p_i(beta) + 1; an i with gamma - alpha_i not a root keeps
     p_i(gamma) = 0.  Adding alpha_i adds row i of the Cartan matrix to the
-    fundamental coordinates.
+    fundamental coordinates, bit i to the mask and d_i to (rho, beta), so
+    the first parent found sets all three.
     """
     r = len(cartan)
     nodes = range(r)
-    layer = [(tuple(int(i == j) for j in nodes), cartan[i], [0] * r) for i in reversed(nodes)]
+    layer = [(tuple(int(i == j) for j in nodes), cartan[i], [0] * r, 1 << i, sym[i])
+             for i in reversed(nodes)]
     roots: list[RootCoords] = []
     fund: list[Weight] = []
+    masks: list[int] = []
+    rhos: list[int] = []
     while layer:
-        above: dict[RootCoords, tuple[Weight, list[int]]] = {}
-        for beta, pairings, depths in layer:
+        above: dict[RootCoords, tuple[Weight, list[int], int, int]] = {}
+        for beta, pairings, depths, mask, rho in layer:
             roots.append(beta)
             fund.append(pairings)
+            masks.append(mask)
+            rhos.append(rho)
             for i in compress(nodes, map(gt, depths, pairings)):
                 gamma = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
                 entry = above.get(gamma)
                 if entry is None:
-                    entry = above[gamma] = (tuple(map(add, pairings, cartan[i])), [0] * r)
+                    entry = above[gamma] = (tuple(map(add, pairings, cartan[i])), [0] * r,
+                                            mask | 1 << i, rho + sym[i])
                 entry[1][i] = depths[i] + 1
-        layer = [(gamma, pairings, depths) for gamma, (pairings, depths) in sorted(above.items())]
-    return tuple(roots), tuple(fund)
+        layer = [(gamma, *entry) for gamma, entry in sorted(above.items())]
+    return tuple(roots), tuple(fund), tuple(masks), tuple(rhos)
 
 
 def _level_matrix(t: LieType, duality: tuple[int, ...], inverse_num: IntMatrix,
@@ -235,13 +270,11 @@ def root_system(t: LieType) -> RootSystemData:
     cartan = _cartan_matrix(t)
     r = t.rank
     inverse_num, inverse_den = _inverse(cartan)
-    roots, roots_fund = _positive_roots(cartan)
     sym = _symmetrizer(t)
+    roots, roots_fund, masks, rhos = _positive_roots(cartan, sym)
     duality = duality_permutation(t)
-    scaled = [tuple(map(mul, beta, sym)) for beta in roots]  # beta_j d_j, row by row
-    columns = tuple(zip(*scaled))
+    plain = tuple(zip(*roots))  # beta_j per node j
     indices = tuple(range(len(roots)))  # one int per index, shared by the node lists
-    bits = [1 << j for j in range(r)]
     return RootSystemData(
         lie_type=t,
         cartan=cartan,
@@ -254,10 +287,11 @@ def root_system(t: LieType) -> RootSystemData:
             tuple((j, cartan[i][j]) for j in range(r) if j != i and cartan[i][j])
             for i in range(r)),
         symmetrizer=sym,
-        root_columns=columns,
-        node_roots=tuple(tuple(compress(indices, col)) for col in columns),
-        rho_pairings=tuple(map(sum, scaled)),
-        root_masks=tuple(sum(compress(bits, beta)) for beta in roots),
+        root_columns=tuple(col if d == 1 else tuple([x * d for x in col])
+                           for col, d in zip(plain, sym)),
+        node_roots=tuple(tuple(compress(indices, col)) for col in plain),
+        rho_pairings=rhos,
+        root_masks=masks,
         duality=duality,
     )
 

@@ -25,6 +25,11 @@ The positive-root oracle is the engine's former closure: every root
 string's depth found by probing lowered tuples, where the engine now
 carries each root's string depths from height to height.
 
+The dense inverse oracle is the engine's former `_inverse`: fraction-free
+Gauss-Jordan (Bareiss) on the whole n x 2n matrix [cartan | I], every row
+combined or rescaled at every step, where the engine works in place in n x
+n and keeps a row that no step has combined yet as it was given.
+
 The root-data and level oracles are the engine's former `Fraction`
 routes: Gauss-Jordan inversion of the Cartan matrix over `Fraction`, a
 weight's simple-root coordinates read off that inverse, and level,
@@ -161,6 +166,25 @@ def invert_exact(matrix) -> Tuple[Tuple[Fraction, ...], ...]:
                 f = aug[i][col]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def inverse_bareiss_dense(matrix) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+    """(adj, det) of a Cartan matrix of finite type by fraction-free
+    Gauss-Jordan on [matrix | I], which ends as [det I | adj].  A row with
+    0 in the pivot column is only rescaled."""
+    n = len(matrix)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    prev = 1
+    for k in range(n):
+        pivot_row = aug[k]
+        pivot = pivot_row[k]
+        for i, row in enumerate(aug):
+            if i != k:
+                f = row[k]
+                aug[i] = ([(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)] if f
+                          else [pivot * x // prev for x in row])
+        prev = pivot
+    return tuple(tuple(row[n:]) for row in aug), prev
 
 
 @lru_cache(maxsize=None)

@@ -734,6 +734,29 @@ def test_each_compiled_expression_runs_once_per_instantiate(monkeypatch):
     assert len(calls) > 500 and max(calls.values()) == 1
 
 
+def test_each_expression_is_built_once_per_instantiate(monkeypatch):
+    """One `instantiate` pass over the seven tables builds each distinct
+    (entry, parameter names) once, and keeps nothing past its call: 384
+    `_build` calls, subtrees included, at max_rank 4 as at 16, where
+    building every site on its own made 1,285."""
+    calls = Counter()
+    real = expected._build
+
+    def counting(*args, **kwargs):
+        calls["build"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(expected, "_build", counting)
+    tables = load_expected()
+    counts = []
+    for max_rank in (4, 16, 4):
+        calls.clear()
+        for name in tables.table_names("all"):
+            instantiate(name, tables, max_rank)
+        counts.append(calls["build"])
+    assert counts == [384] * 3
+
+
 def test_compiled_guards_return_their_truth_values():
     """Every packaged `cases.when` guard compiles to a function that
     returns the guard's own values, bools, on the column of every binding
@@ -1088,6 +1111,27 @@ def test_one_touched_root_pass_per_closed_form_ladder(monkeypatch):
     assert len(calls) == 272
 
 
+def test_each_key_is_assembled_once_per_verify_run(monkeypatch):
+    """The row checks assemble each distinct (level, key) at most once per
+    run: 1,145 `assemble_summaries` calls for the 1,372 row instances
+    without computed_only at max_rank 14, one per distinct key, where one
+    per instance made 1,372."""
+    calls = []
+    real = classify.assemble_summaries
+
+    def counting(summaries, level_n):
+        calls.append(level_n)
+        return real(summaries, level_n)
+
+    monkeypatch.setattr(classify, "assemble_summaries", counting)
+    rep = verify_paper(max_rank=14, include_computed_only=False)
+    tables = load_expected()
+    keys = {(tables.level_of(row.table), inst.instance.key)
+            for row in rep.rows for inst in row.instances}
+    assert sum(row.n_instances for row in rep.rows) == 1372
+    assert len(calls) == len(keys) == 1145
+
+
 def test_sweeps_summarise_each_candidate_once(monkeypatch):
     """A sweep summarises each candidate once and assembles its simple and
     product tuples from those summaries; a verify run's sweeps and row
@@ -1169,6 +1213,49 @@ def test_rows_outside_the_window_fall_back_to_assembly(tmp_path):
     rep = verify_paper(scope="prop3.1", max_rank=8, expected_path=str(path))
     row = next(r for r in rep.rows if r.item == 99)
     assert row.status == "match" and row.instances[0].instance.key == _A1_CUBED
+
+
+def test_rows_that_name_one_key_are_compared_on_their_own(tmp_path, monkeypatch):
+    """Rows that name one key share its assembly, or its rejection, but
+    not its comparison: thm2.1 item 1 at r = 2, i = 1 (A2, omega_1) copied
+    as item 98 with another h and c gets its own diffs, the plain copy 99
+    matches, and two copies at mu = 5 omega_1, which the rule rejects,
+    each get their own validity diff; with the window enumerated or not,
+    each key is assembled at most once."""
+    raw = json.loads(json.dumps(load_expected().raw))
+    items = raw["tables"]["thm2.1"]["items"]
+    one = dict(items[0], params={"r": {"min": 2, "max": 2}, "i": {"min": 1, "max": 1}})
+    other = json.loads(json.dumps(dict(one, item=98, c="0")))
+    for case in other["cases"]:
+        case["h"] = ["1", "1"]
+    rejected = json.loads(json.dumps(one))
+    rejected["factors"][0]["mu"] = [["i", 5]]
+    items += [other, dict(one, item=99), dict(rejected, item=96), dict(rejected, item=97)]
+    path = tmp_path / "expected.json"
+    path.write_text(json.dumps(raw))
+    calls = []
+    real = classify.assemble_summaries
+
+    def counting(summaries, level_n):
+        calls.append([s.key for s in summaries])
+        return real(summaries, level_n)
+
+    monkeypatch.setattr(classify, "assemble_summaries", counting)
+    for computed_only in (False, True):
+        calls.clear()
+        rep = verify_paper(scope="thm2.1", max_rank=2, expected_path=str(path),
+                           include_computed_only=computed_only)
+        rows = {row.item: row for row in rep.rows}
+        got = {item: [(inst.instance.item, inst.status, inst.diffs)
+                      for inst in rows[item].instances] for item in (96, 97, 98, 99)}
+        assert got == {
+            96: [(96, "mismatch", [("validity", "valid level-1 tuple", "rejected")])],
+            97: [(97, "mismatch", [("validity", "valid level-1 tuple", "rejected")])],
+            98: [(98, "mismatch", [("h", "[1, 1]", "[3, 3]"), ("c", "0", "-1/6")])],
+            99: [(99, "match", [])],
+        }
+        assert rows[1].status == "match"
+        assert len(calls) == len(set(map(tuple, calls))) > 0
 
 
 def test_row_division_is_exact(tmp_path):

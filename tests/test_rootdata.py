@@ -6,6 +6,8 @@ from fractions import Fraction
 from hodgerep.errors import ConsistencyError, InvalidTypeError
 from hodgerep.rootdata import (
     LieType,
+    _cartan_matrix,
+    _inverse,
     _level_matrix,
     catalogued_types,
     diagram_automorphisms,
@@ -16,6 +18,7 @@ from hodgerep.rootdata import (
 )
 
 from oracles import (
+    inverse_bareiss_dense,
     invert_exact,
     positive_roots_probing,
     root_to_weight_coords,
@@ -122,15 +125,19 @@ def test_weyl_vector_is_half_sum_of_positive_roots():
 
 def test_pairing_fields_match_their_definitions():
     """root_columns[j][k] = beta_j d_j, rho_pairings[k] = (rho, beta) and
-    root_masks[k] = the support of beta, for every positive root beta_k;
-    node_roots[j] holds exactly the k with beta_j > 0, in increasing order."""
-    for t in catalogued_types(16):
+    root_masks[k] = the support of beta, all ints, for every positive root
+    beta_k; node_roots[j] holds exactly the k with beta_j > 0, in
+    increasing order.  Ranks to 16, and the four classical types at 32."""
+    for t in list(catalogued_types(16)) + [LieType(f, 32) for f in "ABCD"]:
         rsd = root_system(t)
         d = rsd.symmetrizer
+        assert all(type(col) is tuple for col in rsd.root_columns), str(t)
         for k, beta in enumerate(rsd.positive_roots):
             assert [col[k] for col in rsd.root_columns] == [b * dj for b, dj in zip(beta, d)]
             assert rsd.rho_pairings[k] == sum(b * dj for b, dj in zip(beta, d)) > 0
             assert rsd.root_masks[k] == sum(1 << j for j, b in enumerate(beta) if b)
+            assert {type(col[k]) for col in rsd.root_columns} == {int}, str(t)
+            assert type(rsd.rho_pairings[k]) is type(rsd.root_masks[k]) is int, str(t)
         assert len(rsd.node_roots) == t.rank, str(t)
         for j, roots in enumerate(rsd.node_roots):
             assert type(roots) is tuple, str(t)
@@ -149,6 +156,21 @@ def test_inverse_cartan_exact():
                 assert entry == (rsd.inverse_den if i == j else 0), str(t)
         assert invert_exact(rsd.cartan) == tuple(
             tuple(Q(x, rsd.inverse_den) for x in row) for row in rsd.inverse_num), str(t)
+
+
+def test_inverse_matches_the_dense_bareiss_oracle():
+    """The in-place, lazy-row inverse gives the dense [cartan | I]
+    elimination's (adj, det), as tuples of ints, on all 128 types to rank
+    32.  On E6-E8 node 2 meets only node 4, so its row is still as given
+    when it becomes the pivot row."""
+    types = list(catalogued_types(32))
+    assert len(types) == 128
+    for t in types:
+        cartan = _cartan_matrix(t)
+        adj, det = _inverse(cartan)
+        assert (adj, det) == inverse_bareiss_dense(cartan), str(t)
+        assert type(det) is int and type(adj) is tuple, str(t)
+        assert all(type(row) is tuple and {type(x) for x in row} == {int} for row in adj), str(t)
 
 
 INDEX_OF_CONNECTION = {
