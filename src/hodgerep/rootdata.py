@@ -6,8 +6,9 @@ the simple root alpha_i.  Its inverse is one integer matrix over det(cartan),
 so a weight in fundamental coordinates has simple-root coordinates
 transpose(inverse_num) / inverse_den.  The level matrix holds omega_i +
 omega_i* in simple-root coordinates, integers since mu - w0(mu) lies in
-the root lattice.  Arithmetic is exact: integers, with `fractions.Fraction`
-only for rational results and no floating point anywhere in the engine.
+the root lattice; the paper's per-type closed forms of the same rows,
+kept as an independent check, are integer too.  The catalog is
+integer-only: no `fractions.Fraction` and no floating point.
 
 Simple-root indices are 1-based in the public API, matching the usual
 alpha_1..alpha_r labelling of Dynkin diagrams.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, permutations
 from operator import add, gt
@@ -25,7 +25,6 @@ from .errors import ConsistencyError, InvalidTypeError
 
 Weight = tuple[int, ...]
 RootCoords = tuple[int, ...]
-RationalVector = tuple[Fraction, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
 
 # (min rank, max rank or None for unbounded)
@@ -352,131 +351,80 @@ def dual_weight(t: LieType, mu) -> Weight:
     return tuple([mu[j] for j in root_system(t).duality])
 
 
-def _ar_profile(r: int, i: int) -> list[Fraction]:
-    # ramp 1,2,..,m, plateau m, ramp down; m = min{i, r+1-i}
-    m = min(i, r + 1 - i)
-    return [Fraction(min(j, r + 1 - j, m)) for j in range(1, r + 1)]
-
-
-def _br_profile(r: int, i: int) -> list[Fraction]:
-    if i < r:
-        return [Fraction(min(j, i)) for j in range(1, r + 1)]
-    return [Fraction(j) for j in range(1, r + 1)]
-
-
-def _cr_profile(r: int, i: int) -> list[Fraction]:
-    prof = [Fraction(min(j, i)) for j in range(1, r)]
-    prof.append(Fraction(i, 2))
-    return prof
-
-
-def _dr_tail_rows(r: int) -> tuple[list[Fraction], list[Fraction]]:
-    body = [Fraction(j) for j in range(1, r - 1)]
-    row_a = body + [Fraction(r, 2), Fraction(r - 2, 2)]
-    row_b = body + [Fraction(r - 2, 2), Fraction(r, 2)]
-    return row_a, row_b
-
-
-def _e6_rows() -> dict[int, list[int]]:
-    return {
-        1: [2, 2, 3, 4, 3, 2],
-        3: [3, 4, 6, 8, 6, 3],
-        2: [1, 2, 2, 3, 2, 1],
-        4: [2, 3, 4, 6, 4, 2],
-    }
-
-
-_E7_ROWS = {
-    1: (2, [2, 2, 3, 4, 3, 2, 1]),
-    2: (1, [4, 7, 8, 12, 9, 6, 3]),
-    3: (2, [3, 4, 6, 8, 6, 4, 2]),
-    4: (2, [4, 6, 8, 12, 9, 6, 3]),
-    5: (1, [6, 9, 12, 18, 15, 10, 5]),
-    6: (2, [2, 3, 4, 6, 5, 4, 2]),
-    7: (1, [2, 3, 4, 6, 5, 4, 3]),
+# omega_i + omega_i* in simple-root coordinates, row i - 1 for node i
+_EXCEPTIONAL_ROWS = {
+    ("E", 6): ((2, 2, 3, 4, 3, 2),
+               (2, 4, 4, 6, 4, 2),
+               (3, 4, 6, 8, 6, 3),
+               (4, 6, 8, 12, 8, 4),
+               (3, 4, 6, 8, 6, 3),
+               (2, 2, 3, 4, 3, 2)),
+    ("E", 7): ((4, 4, 6, 8, 6, 4, 2),
+               (4, 7, 8, 12, 9, 6, 3),
+               (6, 8, 12, 16, 12, 8, 4),
+               (8, 12, 16, 24, 18, 12, 6),
+               (6, 9, 12, 18, 15, 10, 5),
+               (4, 6, 8, 12, 10, 8, 4),
+               (2, 3, 4, 6, 5, 4, 3)),
+    ("E", 8): ((8, 10, 14, 20, 16, 12, 8, 4),
+               (10, 16, 20, 30, 24, 18, 12, 6),
+               (14, 20, 28, 40, 32, 24, 16, 8),
+               (20, 30, 40, 60, 48, 36, 24, 12),
+               (16, 24, 32, 48, 40, 30, 20, 10),
+               (12, 18, 24, 36, 30, 24, 16, 8),
+               (8, 12, 16, 24, 20, 16, 12, 6),
+               (4, 6, 8, 12, 10, 8, 6, 4)),
+    ("F", 4): ((4, 6, 8, 4),
+               (6, 12, 16, 8),
+               (4, 8, 12, 6),
+               (2, 4, 6, 4)),
+    ("G", 2): ((4, 2),
+               (6, 4)),
 }
 
-_E8_ROWS = {
-    1: [4, 5, 7, 10, 8, 6, 4, 2],
-    2: [5, 8, 10, 15, 12, 9, 6, 3],
-    3: [7, 10, 14, 20, 16, 12, 8, 4],
-    4: [10, 15, 20, 30, 24, 18, 12, 6],
-    5: [8, 12, 16, 24, 20, 15, 10, 5],
-    6: [6, 9, 12, 18, 15, 12, 8, 4],
-    7: [4, 6, 8, 12, 10, 8, 6, 3],
-    8: [2, 3, 4, 6, 5, 4, 3, 2],
-}
 
-_F4_ROWS = {
-    1: [2, 3, 4, 2],
-    2: [3, 6, 8, 4],
-    3: [2, 4, 6, 3],
-    4: [1, 2, 3, 2],
-}
-
-_G2_ROWS = {1: [2, 1], 2: [3, 2]}
-
-
-def mu_plus_mu_star_closed_form(t: LieType, mu) -> RationalVector:
-    """Simple-root coordinates of mu + mu*, by per-type closed form.
+def _closed_form_row(t: LieType, i: int) -> RootCoords:
+    """omega_i + omega_i* in simple-root coordinates, by per-type closed form.
 
     The type-A coefficient of alpha_j is the ramp/plateau profile
     min(j, r+1-j, m) with m = min(i, r+1-i); the literal pair of ramp sums
     double-counts the overlap once 2i >= r+1, so the profile form is used
-    for every i.  Cross-checked exactly against the inverse-Cartan route by
-    the closed-form equivalence property.
+    for every i.  On B, C and D every node but D's spin nodes at odd r is
+    self-dual, and the row is twice omega_i: the ramp min(j, i) doubled,
+    taken once where omega_i carries half of it.
     """
-    _check_length(t, mu)
-    f, r = t.family, t.rank
-    total = [Fraction(0)] * r
-
-    def add(scale, row):
-        if scale:
-            for j in range(r):
-                total[j] += Fraction(scale) * row[j]
-
+    f, r = t
     if f == "A":
-        for i in range(1, r + 1):
-            add(mu[i - 1], _ar_profile(r, i))
-    elif f == "B":
-        for i in range(1, r):
-            add(2 * mu[i - 1], _br_profile(r, i))
-        add(mu[r - 1], _br_profile(r, r))
-    elif f == "C":
-        for i in range(1, r + 1):
-            add(2 * mu[i - 1], _cr_profile(r, i))
+        m = min(i, r + 1 - i)
+        return tuple(min(j, r + 1 - j, m) for j in range(1, r + 1))
+    if f not in "BCD":
+        return _EXCEPTIONAL_ROWS[t][i - 1]
+    row = [2 * min(j, i) for j in range(1, r + 1)]
+    if f == "B" and i == r:  # omega_r = (alpha_1 + 2 alpha_2 + .. + r alpha_r) / 2
+        row = list(range(1, r + 1))
+    elif f == "C":  # omega_i ends in (i/2) alpha_r
+        row[-1] = i
+    elif f == "D" and i < r - 1:  # omega_i ends in (i/2)(alpha_{r-1} + alpha_r)
+        row[-2:] = [i, i]
     elif f == "D":
-        for i in range(1, r - 1):
-            body = [Fraction(min(j, i)) for j in range(1, r - 1)]
-            row = body + [Fraction(i, 2), Fraction(i, 2)]
-            add(2 * mu[i - 1], row)
-        row_a, row_b = _dr_tail_rows(r)
-        if r % 2 == 1:
-            avg = Fraction(mu[r - 2] + mu[r - 1], 2)
-            add(avg, row_a)
-            add(avg, row_b)
-        else:
-            add(mu[r - 2], row_a)
-            add(mu[r - 1], row_b)
-    elif f == "E" and r == 6:
-        rows = _e6_rows()
-        add(mu[0] + mu[5], rows[1])
-        add(mu[2] + mu[4], rows[3])
-        add(2 * mu[1], rows[2])
-        add(2 * mu[3], rows[4])
-    elif f == "E" and r == 7:
-        for i, (mult, row) in _E7_ROWS.items():
-            add(mult * mu[i - 1], row)
-    elif f == "E" and r == 8:
-        for i, row in _E8_ROWS.items():
-            add(2 * mu[i - 1], row)
-    elif f == "F":
-        for i, row in _F4_ROWS.items():
-            add(2 * mu[i - 1], row)
-    elif f == "G":
-        for i, row in _G2_ROWS.items():
-            add(2 * mu[i - 1], row)
-    return tuple(total)
+        # 2 omega_{r-1} = alpha_1 + 2 alpha_2 + .. + (r-2) alpha_{r-2}
+        # + (r/2) alpha_{r-1} + ((r-2)/2) alpha_r, and 2 omega_r swaps the
+        # two ends; at odd r the spin nodes are dual, and each row is half
+        # the sum of the two, ending in (r-1)/2 twice
+        h = r // 2
+        ends = [h, h] if r % 2 else [h, h - 1] if i == r - 1 else [h - 1, h]
+        row = list(range(1, r - 1)) + ends
+    return tuple(row)
+
+
+def mu_plus_mu_star_closed_form(t: LieType, mu) -> RootCoords:
+    """Simple-root coordinates of mu + mu*, in integers: the sum of mu_i
+    times the closed-form row of omega_i + omega_i*.  Cross-checked exactly
+    against the inverse-Cartan route by the closed-form equivalence
+    property."""
+    _check_length(t, mu)
+    rows = [(m, _closed_form_row(t, i)) for i, m in enumerate(mu, 1) if m]
+    return tuple(sum(m * row[j] for m, row in rows) for j in range(t.rank))
 
 
 def catalogued_types(max_rank: int = 8) -> Iterator[LieType]:

@@ -254,7 +254,9 @@ def mu_of_grading_fraction(t: LieType, mu, E: GradingElement) -> Fraction:
 
 
 def level_fraction(t: LieType, mu, E: GradingElement) -> int:
-    """(mu + mu*)(E_ss) summed over the `Fraction` closed form of mu + mu*."""
+    """(mu + mu*)(E_ss) summed as a `Fraction` over the per-type closed
+    form of mu + mu*, whose entries are ints, with the integrality check
+    made on the sum."""
     rc = _closed_form(t, tuple(mu))
     total = sum((rc[i - 1] for i in E.support), Fraction(0))
     if total.denominator != 1:
@@ -263,8 +265,8 @@ def level_fraction(t: LieType, mu, E: GradingElement) -> int:
 
 
 def reality_type_fraction(t: LieType, mu, E: GradingElement) -> str:
-    """Reality type with the pairing mu(H_phi) summed over the `Fraction`
-    closed form of mu + mu* = 2 mu."""
+    """Reality type with the pairing mu(H_phi) summed as a `Fraction` over
+    the per-type closed form of mu + mu* = 2 mu."""
     mu = tuple(mu)
     if mu != dual_weight(t, mu):
         return COMPLEX

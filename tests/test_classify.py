@@ -1132,6 +1132,29 @@ def test_each_key_is_assembled_once_per_verify_run(monkeypatch):
     assert len(calls) == len(keys) == 1145
 
 
+def test_computed_only_reads_levels_of_uncovered_products_only(monkeypatch):
+    """The computed_only filter asks coverage before the span class and
+    reads a product's factor levels once: `verify-paper --scope all` makes
+    4 `level` calls in classify, one per factor of its two uncovered
+    products, at rank 8 and at rank 32 alike, where reading every
+    enumerated product once per pattern table made 315 and 4,299."""
+    calls = []
+    real = classify.level
+
+    def counting(t, mu, E):
+        calls.append((t, tuple(mu), E))
+        return real(t, mu, E)
+
+    monkeypatch.setattr(classify, "level", counting)
+    for max_rank in (8, 32):
+        calls.clear()
+        rep = verify_paper(scope="all", max_rank=max_rank)
+        products = [t for t in rep.computed_only if len(t.factors) > 1]
+        assert Counter(calls) == Counter((f.lie_type, tuple(f.mu), f.E)
+                                         for t in products for f in t.factors)
+        assert len(calls) == 4
+
+
 def test_sweeps_summarise_each_candidate_once(monkeypatch):
     """A sweep summarises each candidate once and assembles its simple and
     product tuples from those summaries; a verify run's sweeps and row

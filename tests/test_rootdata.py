@@ -186,13 +186,18 @@ def test_inverse_den_is_index_of_connection():
 
 def test_level_matrix_is_closed_form_of_fundamentals():
     """The level matrix, read off the integer inverse, equals the paper's
-    per-type closed forms of omega_i + omega_i* on every type to rank 16."""
-    for t in catalogued_types(16):
+    per-type closed forms of omega_i + omega_i* on all 128 types to rank
+    32, and both are tuples of ints."""
+    types = list(catalogued_types(32))
+    assert len(types) == 128
+    for t in types:
         rows = root_system(t).level_matrix
         for i in range(1, t.rank + 1):
             row = rows[i - 1]
+            closed = mu_plus_mu_star_closed_form(t, fundamental(t.rank, i))
             assert all(type(x) is int for x in row), (str(t), i)
-            assert row == mu_plus_mu_star_closed_form(t, fundamental(t.rank, i)), (str(t), i)
+            assert type(closed) is tuple and all(type(x) is int for x in closed), (str(t), i)
+            assert row == closed, (str(t), i)
 
 
 def test_level_matrix_rejects_a_non_integral_row():
@@ -280,15 +285,16 @@ def test_duality_permutation_is_diagram_automorphism():
 
 
 def test_closed_form_examples():
-    assert mu_plus_mu_star_closed_form(LieType("E", 6), fundamental(6, 1)) == \
-        tuple(Q(x) for x in (2, 2, 3, 4, 3, 2))
-    assert mu_plus_mu_star_closed_form(LieType("A", 4), fundamental(4, 1)) == \
-        tuple(Q(1) for _ in range(4))
-    assert mu_plus_mu_star_closed_form(LieType("G", 2), fundamental(2, 1)) == \
-        (Q(4), Q(2))
+    assert mu_plus_mu_star_closed_form(LieType("E", 6), fundamental(6, 1)) == (2, 2, 3, 4, 3, 2)
+    assert mu_plus_mu_star_closed_form(LieType("A", 4), fundamental(4, 1)) == (1, 1, 1, 1)
+    assert mu_plus_mu_star_closed_form(LieType("G", 2), fundamental(2, 1)) == (4, 2)
     # C3 item: 2 alpha1 + 4 alpha2 + 3 alpha3 for omega3
-    assert mu_plus_mu_star_closed_form(LieType("C", 3), fundamental(3, 3)) == \
-        (Q(2), Q(4), Q(3))
+    assert mu_plus_mu_star_closed_form(LieType("C", 3), fundamental(3, 3)) == (2, 4, 3)
+    # D5 spin nodes are dual: omega4 + omega5 = alpha1 + 2 alpha2 + 3 alpha3 + 2 alpha4 + 2 alpha5
+    assert mu_plus_mu_star_closed_form(LieType("D", 5), fundamental(5, 4)) == (1, 2, 3, 2, 2)
+    # D6 omega5 = (alpha1 + 2 alpha2 + 3 alpha3 + 4 alpha4 + 3 alpha5 + 2 alpha6)/2
+    assert mu_plus_mu_star_closed_form(LieType("D", 6), fundamental(6, 5)) == (1, 2, 3, 4, 3, 2)
+    assert mu_plus_mu_star_closed_form(LieType("B", 3), (1, 0, 2)) == (4, 6, 8)
 
 
 def test_closed_form_equals_inverse_cartan_route():

@@ -20,7 +20,9 @@ element is built from its nodes only there: only `hodgecore`, which
 defines it, and `products` name `from_nodes`.  The engine's records are
 `collections.namedtuple` subclasses, built without `dataclasses` or
 `typing`, and the packaged tables are read without `importlib.resources`,
-so a cold start imports none of them, nor `inspect`.
+so a cold start imports none of them, nor `inspect`.  The root-system
+catalogue is integer-only, so `rootdata` neither imports `fractions` nor
+names `Fraction`.
 Each computation has one route: every public module-level function is
 read by name somewhere in the engine, or is one of the named library
 entries, so a second entry that only tests call cannot be added unseen;
@@ -642,21 +644,22 @@ def test_from_nodes_guard_detects_each_form():
 RECORD_LIBRARIES = {"dataclasses", "typing"}
 
 
-def _dataclass_imports(tree):
-    """Lines importing one of RECORD_LIBRARIES, by `import` (plain, aliased
-    or in a list) or by `from <library> import ...`."""
+def _library_imports(tree, libraries):
+    """Lines importing one of `libraries`, by `import` (plain, aliased or
+    in a list) or by `from <library> import ...`."""
     return sorted(
         node.lineno for node in ast.walk(tree)
         if isinstance(node, ast.Import)
-        and any(alias.name.split(".")[0] in RECORD_LIBRARIES for alias in node.names)
+        and any(alias.name.split(".")[0] in libraries for alias in node.names)
         or isinstance(node, ast.ImportFrom) and node.level == 0
-        and node.module.split(".")[0] in RECORD_LIBRARIES)
+        and node.module.split(".")[0] in libraries)
 
 
 def test_no_engine_module_imports_dataclasses():
     found = [f"{path.name}:{line}"
              for path in sorted(PACKAGE.glob("*.py"))
-             for line in _dataclass_imports(ast.parse(path.read_text(encoding="utf-8")))]
+             for line in _library_imports(ast.parse(path.read_text(encoding="utf-8")),
+                                          RECORD_LIBRARIES)]
     assert not found, found
 
 
@@ -671,7 +674,44 @@ def test_dataclass_import_guard_detects_each_form():
         "import typing\n"
         "from typing import NamedTuple\n"
         "s = 'dataclasses'\n")
-    assert _dataclass_imports(tree) == [1, 2, 3, 4, 7, 9, 10]
+    assert _library_imports(tree, RECORD_LIBRARIES) == [1, 2, 3, 4, 7, 9, 10]
+
+
+def _fraction_uses(tree):
+    """Lines that import `fractions` in any of the forms above, or that
+    name `Fraction`: imported from any module, read or bound."""
+    lines = set(_library_imports(tree, {"fractions"}))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and any(alias.name == "Fraction" for alias in node.names) \
+                or isinstance(node, ast.Name) and node.id == "Fraction" \
+                or isinstance(node, ast.Attribute) and node.attr == "Fraction":
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_rootdata_is_integer_only():
+    """The root-system catalogue, the closed forms of mu + mu* included,
+    is integer-only: `rootdata` neither imports `fractions` nor names
+    `Fraction`."""
+    tree = ast.parse((PACKAGE / "rootdata.py").read_text(encoding="utf-8"))
+    assert _fraction_uses(tree) == []
+
+
+def test_fraction_guard_detects_each_form():
+    tree = ast.parse(
+        "import fractions\n"
+        "import os, fractions as fr\n"
+        "from fractions import Fraction as Q\n"
+        "from fractions import (gcd,\n    Fraction)\n"
+        "def f():\n    import fractions\n"
+        "from .hodgecore import Fraction\n"
+        "x = Fraction(1, 2)\n"
+        "y = fractions.Fraction\n"
+        "V = tuple[Fraction, ...]\n"
+        "from .fractional import x\n"
+        "s = 'Fraction'\n")
+    assert _fraction_uses(tree) == [1, 2, 3, 4, 7, 8, 9, 10, 11]
 
 
 # what a cold `hodgerep` run must not import: `dataclasses` pulls in
