@@ -34,7 +34,7 @@ it, which builds a grading element only for a new one.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterator, Sequence
 
 from .errors import ConsistencyError, ShapeError
@@ -58,13 +58,12 @@ def _check_max_rank(max_rank: int) -> None:
         raise ValueError(f"max_rank must be at most {MAX_RANK}, got {max_rank}")
 
 
-class SearchConfig(namedtuple("SearchConfig", (
-        "max_rank level families include_products dedupe_automorphisms"))):
+class SearchConfig(namedtuple("SearchConfig", "max_rank level families include_products")):
     __slots__ = ()
 
     def __new__(cls, max_rank: int, level: int,
                 families: frozenset[str] = frozenset("ABCDEFG"),
-                include_products: bool = False, dedupe_automorphisms: bool = False):
+                include_products: bool = False):
         _check_max_rank(max_rank)
         if level not in (1, 3):
             raise ValueError("level must be 1 or 3")
@@ -76,8 +75,7 @@ class SearchConfig(namedtuple("SearchConfig", (
         unknown = set(families) - set(RANK_BOUNDS)
         if unknown:
             raise ValueError(f"unknown families {sorted(unknown)}")
-        return super().__new__(cls, max_rank, level, families, include_products,
-                               dedupe_automorphisms)
+        return super().__new__(cls, max_rank, level, families, include_products)
 
     def holds(self, types: Sequence[LieType]) -> bool:
         """Does the window hold every level-`level` tuple on factors of these
@@ -209,7 +207,7 @@ def enumerate_level(config: SearchConfig,
     """All Hodge tuples of the configured level in the search window.
 
     Output is canonically sorted and deterministic; diagram-automorphism
-    duplicates are retained and marked unless dedupe_automorphisms is set.
+    duplicates are retained and marked by `is_canonical`.
     Every candidate is summarised by its key into one summary table
     (`table`, or a new one when None), and `products.product_tuples` forms
     the tuples of one to three factors (one without products) from those
@@ -220,8 +218,6 @@ def enumerate_level(config: SearchConfig,
                                 for t in _types_in_window(config.families, config.max_rank)
                                 for nodes, mu, _ in candidates(t, config.level))
     results = product_tuples(summaries, config.level, 3 if config.include_products else 1)
-    if config.dedupe_automorphisms:
-        results = [t for t in results if t.is_canonical]
     results.sort(key=tuple_key)
     return results
 
@@ -229,53 +225,60 @@ def enumerate_level(config: SearchConfig,
 # ---------------------------------------------------------------------------
 # Reconciliation against the embedded tables
 
-class InstanceResult(namedtuple("InstanceResult", "instance status diffs")):
-    """One row instance checked: status "match" or "mismatch"."""
+class InstanceResult(namedtuple("InstanceResult", "instance diffs")):
+    """One row instance checked, with its (field, paper, computed) diffs."""
 
     __slots__ = ()
 
-    def __new__(cls, instance: ExpectedInstance, status: str,
-                diffs: list[tuple[str, str, str]] | None = None):
-        return super().__new__(cls, instance, status, [] if diffs is None else diffs)
+    @property
+    def status(self) -> str:
+        return "mismatch" if self.diffs else "match"
 
 
-class RowResult(namedtuple("RowResult", (
-        "table item status allowlisted allowlist_reason instances note"))):
-    """One table row: status "match", "mismatch" or "paper_only"."""
+class RowResult(namedtuple("RowResult", "table item allowlist_reason instances")):
+    """One table row with its checked instances, allowlisted when the
+    allowlist gives it a reason."""
 
     __slots__ = ()
 
-    def __new__(cls, table: str, item: int, status: str, allowlisted: bool,
-                allowlist_reason: str | None,
-                instances: list[InstanceResult] | None = None, note: str | None = None):
-        return super().__new__(cls, table, item, status, allowlisted, allowlist_reason,
-                               [] if instances is None else instances, note)
+    @property
+    def status(self) -> str:
+        if not self.instances:
+            return "paper_only"
+        return "mismatch" if self.failing() else "match"
+
+    @property
+    def allowlisted(self) -> bool:
+        return self.allowlist_reason is not None
 
     @property
     def n_instances(self) -> int:
         return len(self.instances)
 
     def failing(self) -> list[InstanceResult]:
-        return [r for r in self.instances if r.status != "match"]
+        return [r for r in self.instances if r.diffs]
 
 
-class ReconciliationReport(namedtuple("ReconciliationReport", (
-        "scope max_rank matches mismatches paper_only computed_only notes"))):
+def _bucket(status: str) -> property:
+    """A report's rows of one status, in `rows` order."""
+    return property(lambda report: [r for r in report.rows if r.status == status])
+
+
+class ReconciliationReport(namedtuple("ReconciliationReport",
+                                      "scope max_rank rows computed_only notes")):
+    """The rows in check order; the three buckets are read off them."""
+
     __slots__ = ()
 
-    def __new__(cls, scope: str, max_rank: int,
-                matches: list[RowResult] | None = None,
-                mismatches: list[RowResult] | None = None,
-                paper_only: list[RowResult] | None = None,
+    def __new__(cls, scope: str, max_rank: int, rows: list[RowResult] | None = None,
                 computed_only: list[HodgeTuple] | None = None,
                 notes: list[str] | None = None):
         return super().__new__(cls, scope, max_rank, *(
-            [] if x is None else x
-            for x in (matches, mismatches, paper_only, computed_only, notes)))
+            [] if x is None else x for x in (rows, computed_only, notes)))
 
-    @property
-    def rows(self) -> list[RowResult]:
-        return self.matches + self.mismatches + self.paper_only
+    matches = _bucket("match")
+    mismatches = _bucket("mismatch")
+    paper_only = _bucket("paper_only")
 
     @property
     def ok(self) -> bool:
@@ -315,21 +318,23 @@ def _check_instance(inst: ExpectedInstance, target_level: int,
             diffs.append(("validity", "valid level-3 product", f"rejected: {got}"))
         else:
             diffs.append(("validity", f"valid level-{target_level} tuple", "rejected"))
-        return InstanceResult(inst, "mismatch", diffs)
-
-    if tuple(inst.h) != got.hodge.dims:
-        diffs.append(("h", str(list(inst.h)), str(list(got.hodge.dims))))
-    if inst.c != got.c:
-        diffs.append(("c", str(inst.c), str(got.c)))
-    if inst.reality != got.reality:
-        diffs.append(("reality", inst.reality, got.reality))
-    computed_rf = sorted(got.real_forms)
-    if inst.real_forms is not None:
-        expected_rf = sorted(x for x in inst.real_forms if x is not None)
-        if expected_rf and expected_rf != computed_rf:
-            diffs.append(("real_form", "+".join(expected_rf), "+".join(computed_rf)))
-    status = "match" if not diffs else "mismatch"
-    return InstanceResult(inst, status, diffs)
+    else:
+        if tuple(inst.h) != got.hodge.dims:
+            diffs.append(("h", str(list(inst.h)), str(list(got.hodge.dims))))
+        if inst.c != got.c:
+            diffs.append(("c", str(inst.c), str(got.c)))
+        if inst.reality != got.reality:
+            diffs.append(("reality", inst.reality, got.reality))
+        if inst.real_forms is not None:
+            named = sorted(x for x in inst.real_forms if x is not None)
+            computed = sorted(got.real_forms)
+            # a null label leaves its factor unchecked: the named labels
+            # need only be among the computed ones
+            fits = (not Counter(named) - Counter(computed) if None in inst.real_forms
+                    else named == computed)
+            if named and not fits:
+                diffs.append(("real_form", "+".join(named), "+".join(computed)))
+    return InstanceResult(inst, diffs)
 
 
 def _factor_pattern(p: HodgeTuple) -> tuple[int, ...]:
@@ -374,13 +379,15 @@ def _scope_predicate(tables: ExpectedTables, names):
 def verify_paper(scope: str = "all", max_rank: int = 8,
                  expected_path: str | None = None,
                  include_computed_only: bool = True) -> ReconciliationReport:
-    """Recompute every embedded table row and bucket the comparisons.
+    """Recompute every embedded table row, in check order.
 
     A row matches when every concrete instantiation (ranks up to max_rank)
     agrees in h, c, reality and real-form name.  Rows whose printed values
-    cannot be reproduced land in mismatches with field-level diffs; rows
-    with no instantiation in range land in paper_only.  computed_only
-    lists canonical enumeration output not covered by any row.
+    cannot be reproduced are mismatches with field-level diffs; rows with
+    no instantiation in range are paper_only.  computed_only lists the
+    enumerated tuples in a scoped table's span class or pattern that no
+    row instance covers, canonical or not: a diagram-automorphism image
+    is listed beside its canonical tuple.
 
     With include_computed_only the scope's window is enumerated first, and
     each instance takes its tuple from it; only a key the window lacks is
@@ -407,28 +414,20 @@ def verify_paper(scope: str = "all", max_rank: int = 8,
             enumerated.extend(enumerate_level(cfg, table))
     found = {(t.level, coverage_key(t)): t for t in enumerated}
 
-    by_status: dict[str, list[RowResult]] = {"match": [], "mismatch": [], "paper_only": []}
-    covered_keys = set()
+    rows: list[RowResult] = []
     for name in names:
         target_level = tables.level_of(name)
         window = configs.get(target_level)
         for item, instances in instantiate(name, tables, max_rank).items():
             entry = tables.allowlisted(name, item)
-            allowlist = (entry is not None, entry["reason"] if entry else None)
-            if not instances:
-                by_status["paper_only"].append(RowResult(
-                    name, item, "paper_only", *allowlist,
-                    note="no instantiation within max_rank"))
-                continue
-            results = []
-            for inst in instances:
-                results.append(_check_instance(inst, target_level, found, window, table))
-                covered_keys.add(inst.key)
-            status = "match" if all(r.status == "match" for r in results) else "mismatch"
-            by_status[status].append(RowResult(name, item, status, *allowlist, results))
+            reason = None if entry is None else entry["reason"]
+            rows.append(RowResult(name, item, reason, [
+                _check_instance(inst, target_level, found, window, table)
+                for inst in instances]))
 
     computed_only, notes = [], []
     if include_computed_only:
+        covered_keys = {r.instance.key for row in rows for r in row.instances}
         accept = _scope_predicate(tables, names)
         computed_only = sorted((t for t in enumerated
                                 if coverage_key(t) not in covered_keys and accept(t)),
@@ -445,8 +444,7 @@ def verify_paper(scope: str = "all", max_rank: int = 8,
                     f"{_key_text(coverage_key(t))} is the B2=C2 alias of the "
                     f"covered row candidate {_key_text(alias)}."
                 )
-    return ReconciliationReport(scope, max_rank, by_status["match"], by_status["mismatch"],
-                                by_status["paper_only"], computed_only, notes)
+    return ReconciliationReport(scope, max_rank, rows, computed_only, notes)
 
 
 def _key_text(key) -> str:

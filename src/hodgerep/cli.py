@@ -180,9 +180,9 @@ def _cmd_classify(args) -> int:
         # SearchConfig rejects an unknown family
         families=frozenset(x.strip().upper() for x in args.families.split(",") if x.strip()),
         include_products=args.products,
-        dedupe_automorphisms=args.dedupe,
     )
-    records = [record_of(t) for t in enumerate_level(cfg)]
+    records = [record_of(t) for t in enumerate_level(cfg)
+               if t.is_canonical or not args.dedupe]
     _emit_records(records, args.format, sys.stdout)
     return EXIT_OK
 

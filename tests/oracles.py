@@ -326,8 +326,6 @@ def enumerate_level_brute(config: SearchConfig) -> list:
             if len(p.factors) > 1:
                 products.setdefault(tuple_key(p), p)
         results.extend(annotate_canonical(products.values()))
-    if config.dedupe_automorphisms:
-        results = [t for t in results if t.is_canonical]
     results.sort(key=tuple_key)
     return results
 

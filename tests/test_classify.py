@@ -25,7 +25,6 @@ from hodgerep.classify import (
     coverage_key,
     enumerate_level,
     evaluate_simple,
-    tuple_key,
     verify_paper,
 )
 from hodgerep.cli import main, record_of
@@ -135,22 +134,19 @@ _SWEEP_RANKS = {1: 16, 3: 12}
 
 
 @lru_cache(maxsize=None)
-def _sweep(level_n, dedupe=False):
+def _sweep(level_n):
     return tuple(enumerate_level(SearchConfig(
-        max_rank=_SWEEP_RANKS[level_n], level=level_n, include_products=level_n == 3,
-        dedupe_automorphisms=dedupe)))
+        max_rank=_SWEEP_RANKS[level_n], level=level_n, include_products=level_n == 3)))
 
 
 @pytest.mark.parametrize("level_n", (1, 3))
 def test_canonical_keys_match_the_per_tuple_oracle(level_n):
     """Every tuple of the level-1 sweep to rank 16 and of the level-3
     sweep with products to rank 12 carries the canonical flag that
-    comparing it whole with its canonical factors gives, and --dedupe
-    keeps exactly the tuples marked canonical."""
+    comparing it whole with its canonical factors gives."""
     got = list(_sweep(level_n))
     assert got == annotate_canonical(got)
     assert 0 < sum(t.is_canonical for t in got) < len(got)
-    assert list(_sweep(level_n, dedupe=True)) == [t for t in got if t.is_canonical]
 
 
 def test_canonicalize_idempotent_and_invariant():
@@ -261,14 +257,13 @@ def test_level_bound_matches_brute_force_sweep(target, products):
 @settings(max_examples=60)
 @given(families=st.sets(st.sampled_from(sorted(RANK_BOUNDS)), min_size=1, max_size=3),
        max_rank=st.integers(1, 6), target=st.sampled_from([1, 3]),
-       dedupe=st.booleans(), data=st.data())
-def test_level_bound_matches_brute_force_on_random_windows(families, max_rank, target,
-                                                            dedupe, data):
+       data=st.data())
+def test_level_bound_matches_brute_force_on_random_windows(families, max_rank, target, data):
     """Random small windows: a family subset, rank <= 6, level 1 or 3,
-    with and without products (level 3 only) and deduplication."""
+    with and without products (level 3 only)."""
     products = target == 3 and data.draw(st.booleans(), label="products")
     cfg = SearchConfig(max_rank=max_rank, level=target, families=frozenset(families),
-                       include_products=products, dedupe_automorphisms=dedupe)
+                       include_products=products)
     got = json.dumps([record_of(t) for t in enumerate_level(cfg)])
     assert got == json.dumps([record_of(t) for t in enumerate_level_brute(cfg)])
 
@@ -934,15 +929,15 @@ def test_accepted_hodge_vectors_are_palindromic(data):
     assert _palindromic(p.hodge.dims)
 
 
-def test_dedupe_flag_keeps_canonical_only():
-    cfg = SearchConfig(max_rank=5, level=3, families=frozenset("D"))
-    full = enumerate_level(cfg)
-    deduped = enumerate_level(SearchConfig(max_rank=5, level=3,
-                                           families=frozenset("D"),
-                                           dedupe_automorphisms=True))
-    assert {tuple_key(t) for t in deduped} == \
-        {tuple_key(t) for t in full if t.is_canonical}
-    assert len(deduped) < len(full)
+def test_dedupe_flag_keeps_canonical_only(capsys):
+    """`classify --dedupe` filters the sweep's output: it prints the
+    tuples the sweep marks canonical, in sweep order, and no other."""
+    full = enumerate_level(SearchConfig(max_rank=5, level=3, families=frozenset("D")))
+    assert main(["classify", "--level", "3", "--families", "D", "--max-rank", "5",
+                 "--dedupe"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == json.loads(json.dumps([record_of(t) for t in full if t.is_canonical]))
+    assert 0 < len(printed) < len(full)
 
 
 def test_verify_thm21_all_match():
@@ -969,6 +964,85 @@ def test_verify_prop33_item7_flagged():
         (field, paper, computed), = res.diffs
         assert field == "h"
         assert computed == str([1, 2 * r, 2 * r, 1])
+
+
+def _check_report_invariants(rep):
+    """Each row lies in exactly one bucket, the bucket its status names,
+    and each bucket keeps `rows` order; a row is paper_only exactly when
+    it has no instance and a mismatch exactly when one instance has diffs;
+    `ok` holds exactly when every mismatch has an allowlist reason."""
+    position = {id(row): k for k, row in enumerate(rep.rows)}
+    seen = Counter()
+    for status, bucket in (("match", rep.matches), ("mismatch", rep.mismatches),
+                           ("paper_only", rep.paper_only)):
+        assert all(row.status == status for row in bucket)
+        places = [position[id(row)] for row in bucket]
+        assert places == sorted(places)
+        seen.update(places)
+    assert seen == Counter(range(len(rep.rows)))
+    for row in rep.rows:
+        assert (row.status == "paper_only") == (row.instances == [])
+        assert (row.status == "mismatch") == any(inst.diffs for inst in row.instances)
+        assert row.failing() == [inst for inst in row.instances
+                                 if inst.status == "mismatch"]
+        assert row.allowlisted == (row.allowlist_reason is not None)
+    assert rep.ok == all(row.allowlist_reason is not None for row in rep.mismatches)
+
+
+@pytest.mark.parametrize("scope,max_rank", [("all", 8), ("all", 2)] + [
+    (name, 8) for name in load_expected().table_names("all")])
+def test_report_buckets_are_read_off_its_rows(scope, max_rank):
+    """At rank 2 six rows have no instance, so all three buckets fill."""
+    rep = verify_paper(scope=scope, max_rank=max_rank)
+    _check_report_invariants(rep)
+    assert rep.ok
+    if max_rank == 2:
+        assert len(rep.paper_only) == 6
+
+
+def test_report_invariants_with_a_mismatch_outside_the_allowlist(tmp_path):
+    """A wrong printed c on thm2.1 item 1 is a mismatch no allowlist entry
+    covers, so the report is not ok, and neither is one whose allowlist
+    loses prop3.9 item 4."""
+    raw = json.loads(json.dumps(load_expected().raw))
+    raw["tables"]["thm2.1"]["items"][0]["c"] = "7"
+    path = tmp_path / "expected.json"
+    path.write_text(json.dumps(raw))
+    rep = verify_paper(max_rank=8, expected_path=str(path))
+    _check_report_invariants(rep)
+    assert not rep.ok
+    assert [(r.table, r.item) for r in rep.mismatches if not r.allowlisted] == [("thm2.1", 1)]
+
+    raw = json.loads(json.dumps(load_expected().raw))
+    raw["allowlist"] = [e for e in raw["allowlist"]
+                        if (e["table"], e["item"]) != ("prop3.9", 4)]
+    path.write_text(json.dumps(raw))
+    rep = verify_paper(scope="prop3.9", max_rank=8, expected_path=str(path))
+    _check_report_invariants(rep)
+    assert not rep.ok and {r.item for r in rep.mismatches} == {4, 5}
+
+
+@pytest.mark.parametrize("labels,diffs", [
+    (["su(1,1)", None], []),
+    ([None, "su(1,1)"], []),
+    ([None, None], []),
+    (["su(1,1)", "su(1,1)"], []),
+    (["su(2,1)", None], [("real_form", "su(2,1)", "su(1,1)+su(1,1)")]),
+    (["su(1,1)", "su(2,1)"], [("real_form", "su(1,1)+su(2,1)", "su(1,1)+su(1,1)")]),
+    (["su(1,1)"], [("real_form", "su(1,1)", "su(1,1)+su(1,1)")]),
+], ids=["first-named", "second-named", "none-named", "both-named", "wrong-named",
+        "one-wrong", "short-list"])
+def test_a_null_real_form_label_leaves_its_factor_unchecked(tmp_path, labels, diffs):
+    """prop3.9 item 1 is A1 x A1 with labels su(1,1) and su(1,1).  With a
+    null entry the named labels need only be among the computed ones; a
+    fully named list is compared whole, as a multiset."""
+    raw = json.loads(json.dumps(load_expected().raw))
+    raw["tables"]["prop3.9"]["items"][0]["real_form"] = labels
+    path = tmp_path / "expected.json"
+    path.write_text(json.dumps(raw))
+    rep = verify_paper(scope="prop3.9", max_rank=6, expected_path=str(path))
+    row = next(r for r in rep.rows if r.item == 1)
+    assert [inst.diffs for inst in row.instances] == [diffs]
 
 
 def test_verify_unknown_scope():

@@ -2,7 +2,9 @@
 hashing by the fields, immutability, no instance `__dict__` on any record,
 `LieType` ordering and every validation error's type and message.  Every
 record is a `collections.namedtuple` subclass.  The repr strings are those
-of the engine's former `dataclasses` records."""
+of the engine's former `dataclasses` records, less the fields that could
+be derived from others: the report records' statuses, `allowlisted`, the
+row `note`, the report's three buckets and `SearchConfig`'s dedupe flag."""
 import itertools
 import pickle
 from fractions import Fraction
@@ -29,19 +31,18 @@ A1_DATA = dict(
     root_columns=((1,),), node_roots=((0,),), rho_pairings=(1,), root_masks=(1,), duality=(0,))
 INSTANCE = dict(table="thm2.1", item=1, bindings={"r": 1}, factors=((A1, (1,), (1,)),),
                 c=Fraction(0), h=(1, 1), reality="complex", real_forms=("su(1,1)",))
-INSTANCE_RESULT = dict(instance=ExpectedInstance(**INSTANCE), status="mismatch",
-                       diffs=[("h", "[1, 1]", "[2, 2]")])
+INSTANCE_RESULT = dict(instance=ExpectedInstance(**INSTANCE), diffs=[("h", "[1, 1]", "[2, 2]")])
 WEIGHTS = dict(lie_type=A1, highest=(2,), dimension=3, dominant=(((2,), 1), ((0,), 1)))
-ROW = dict(table="thm2.1", item=1, status="mismatch", allowlisted=False, allowlist_reason=None,
+ROW = dict(table="thm2.1", item=1, allowlist_reason=None,
            instances=[InstanceResult(**INSTANCE_RESULT)])
 
 INSTANCE_REPR = ("ExpectedInstance(table='thm2.1', item=1, bindings={'r': 1}, "
                  "factors=((LieType(family='A', rank=1), (1,), (1,)),), c=Fraction(0, 1), "
                  "h=(1, 1), reality='complex', real_forms=('su(1,1)',))")
-INSTANCE_RESULT_REPR = (f"InstanceResult(instance={INSTANCE_REPR}, status='mismatch', "
+INSTANCE_RESULT_REPR = (f"InstanceResult(instance={INSTANCE_REPR}, "
                         "diffs=[('h', '[1, 1]', '[2, 2]')])")
-ROW_REPR = ("RowResult(table='thm2.1', item=1, status='mismatch', allowlisted=False, "
-            f"allowlist_reason=None, instances=[{INSTANCE_RESULT_REPR}], note=None)")
+ROW_REPR = ("RowResult(table='thm2.1', item=1, allowlist_reason=None, "
+            f"instances=[{INSTANCE_RESULT_REPR}])")
 
 # (record, fields of a sample, one changed field, repr of the sample); every
 # record is frozen, and hashes by its fields unless one holds a list or dict
@@ -75,14 +76,13 @@ RECORDS = [
      "c=Fraction(0, 1), hodge=HodgeVector(dims=(1, 1)), "
      "real_forms=('su(1,1)',), is_canonical=True)"),
     (SearchConfig, dict(max_rank=8, level=3, families=frozenset("A")), dict(level=1),
-     "SearchConfig(max_rank=8, level=3, families=frozenset({'A'}), include_products=False, "
-     "dedupe_automorphisms=False)"),
-    (InstanceResult, INSTANCE_RESULT, dict(status="match"), INSTANCE_RESULT_REPR),
-    (RowResult, ROW, dict(note="x"), ROW_REPR),
-    (ReconciliationReport, dict(scope="thm2.1", max_rank=1, matches=[RowResult(**ROW)]),
+     "SearchConfig(max_rank=8, level=3, families=frozenset({'A'}), include_products=False)"),
+    (InstanceResult, INSTANCE_RESULT, dict(diffs=[]), INSTANCE_RESULT_REPR),
+    (RowResult, ROW, dict(allowlist_reason="x"), ROW_REPR),
+    (ReconciliationReport, dict(scope="thm2.1", max_rank=1, rows=[RowResult(**ROW)]),
      dict(max_rank=2),
-     f"ReconciliationReport(scope='thm2.1', max_rank=1, matches=[{ROW_REPR}], mismatches=[], "
-     "paper_only=[], computed_only=[], notes=[])"),
+     f"ReconciliationReport(scope='thm2.1', max_rank=1, rows=[{ROW_REPR}], "
+     "computed_only=[], notes=[])"),
     (ExpectedInstance, INSTANCE, dict(c=Fraction(1, 2)), INSTANCE_REPR),
     (ExpectedTables, dict(raw={"tables": {}}, path_note="x.json"), dict(path_note="y.json"),
      "ExpectedTables(raw={'tables': {}}, path_note='x.json')"),
